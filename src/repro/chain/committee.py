@@ -16,14 +16,13 @@ from repro.chain.node import Node
 from repro.chain.fastpath import (
     _pbft_kernel_batch,
     kernel_chunk_rows,
+    replay_pbft_until_commit,
     run_pbft,
     view_change_timeout,
 )
 from repro.chain.params import ChainParams
-from repro.chain.network import Network
-from repro.chain.pbft import PbftRound
+from repro.chain.pbft import run_pbft_round
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
-from repro.sim.engine import SimulationEngine
 
 
 @dataclass
@@ -116,20 +115,24 @@ def _stage3_commit_times(
     verify_mean_s: Optional[float] = None,
     telemetry: NullTelemetry = NULL_TELEMETRY,
 ) -> List[Committee]:
-    """The shared stage-3 core: chunked batch kernel + DES fallbacks.
+    """The shared stage-3 core: chunked batch kernel + replayed fallbacks.
 
     Every closed-form-eligible committee (quorum reachable, honest view-0
     primary, loss-free network) goes through one chunked order-statistics
     kernel call (committee chunks sized by ``params.max_batch_bytes``;
     byte-identical at any chunk size) instead of ``K`` per-committee
-    calls; the rest replay under the reference DES afterwards, as do
-    eligible committees whose closed-form commit time reaches the
-    view-change timeout.  Committee-vs-committee draw order differs from
-    the serial per-round loop (batch key first, fallbacks second), which
-    is fine because all rounds draw independently; with a lossy network
-    nothing is batch-drawn -- not even the Philox key -- every replay
-    drains its full event queue, and the epoch stays byte-identical to
-    the pure DES.
+    calls.  The rest replay afterwards, as do eligible committees whose
+    closed-form commit time reaches the view-change timeout.  On a
+    loss-free network every fallback (``byzantine-primary``, ``no-quorum``,
+    ``view-change-timeout``) runs
+    :func:`repro.chain.fastpath.replay_pbft_until_commit`, which is
+    byte-identical to the reference ``PbftRound`` stopped at the primary's
+    commit, RNG end state included.  Committee-vs-committee draw order
+    differs from the serial per-round loop (batch key first, fallbacks
+    second), which is fine because all rounds draw independently.  With a
+    lossy network nothing is batch-drawn -- not even the Philox key --
+    every replay drains its full ``PbftRound`` event queue, and the epoch
+    stays byte-identical to the pure DES.
 
     Stamps ``consensus_latency`` on each committing committee and returns
     the committing committees in committee order; block materialisation
@@ -210,30 +213,19 @@ def _stage3_commit_times(
         round_tag = f"epoch{committee.epoch}-committee{committee.committee_id}"
         if telemetry.enabled:
             telemetry.event("chain.fastpath.fallback", tag=round_tag, reason=reason)
-        engine = SimulationEngine(telemetry=telemetry)
-        pbft = PbftRound(
-            engine=engine,
-            network=Network(engine, params.network, rng),
+        # A lossy epoch must drain each round's whole event queue (the
+        # residual tail consumes randomness) to match the pure DES epoch.
+        replay = run_pbft_round if lossy else replay_pbft_until_commit
+        outcome = replay(
             members=committee.members,
             rng=rng,
+            network_params=params.network,
             verify_mean_s=verify_mean_s,
             round_tag=round_tag,
             telemetry=telemetry,
         )
-        outcome = pbft.outcome
-        if lossy:
-            # Byte-identity with the pure DES epoch requires draining the
-            # whole event queue (the residual tail consumes randomness).
-            engine.run()
-        else:
-            # Byzantine-primary / timeout replays are distributional-only,
-            # so stop at the primary's commit instead of processing the
-            # residual event tail (late commit deliveries, stale timers).
-            while not outcome.committed and engine.step():
-                pass
-        if not outcome.committed:
-            continue
-        committee.consensus_latency = outcome.latency
+        if outcome.committed:
+            committee.consensus_latency = outcome.latency
 
     return [c for c in committees if c.consensus_latency is not None]
 

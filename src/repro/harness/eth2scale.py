@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +34,8 @@ from repro.core.problem import MVComConfig
 from repro.core.se import SEConfig, StochasticExploration
 from repro.harness.presets import PRESETS
 from repro.harness.tracing import emit_resource_gauge, sample_resources
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.sinks import RingBufferSink
+from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 #: Default shape (the preset is the single source of truth).
 _PRESET = PRESETS["eth2scale"]
@@ -56,8 +58,10 @@ def run_eth2scale(
     why the order matters to ``ru_maxrss``).  The final committee runs the
     real SE scheduler (``engine="auto"``) and its solve wall is split out
     of the epoch wall, so the record separates chain-substrate time from
-    scheduler time.  Returns the record dict that also lands in
-    ``out_path`` when given.
+    scheduler time.  Each point also carries the stage-3 fallback count
+    (committees replayed off the batched kernel), tallied from the chain's
+    own ``chain.fastpath.fallback`` events.  Returns the record dict that
+    also lands in ``out_path`` when given.
     """
     sizes = tuple(
         int(n) for n in (network_sizes or _PRESET.extras["network_sizes"])
@@ -71,6 +75,12 @@ def run_eth2scale(
     )
     iterations = int(se_iterations or _PRESET.se_iterations)
     replicas = int(gamma or _PRESET.gamma)
+    records = RingBufferSink()
+    if getattr(telemetry, "enabled", False):
+        telemetry.add_sink(records)
+        hub = telemetry
+    else:
+        hub = Telemetry(sinks=[records])
 
     points = []
     for num_nodes in sizes:
@@ -105,8 +115,9 @@ def run_eth2scale(
                 capacity=per_committee * max(params.num_committees, 1)
             ),
             scheduler=scheduler,
-            telemetry=telemetry,
+            telemetry=hub,
         )
+        records.clear()
         started = time.perf_counter()
         outcome = sim.run_epoch_streaming()
         epoch_wall = time.perf_counter() - started
@@ -114,6 +125,11 @@ def run_eth2scale(
         if telemetry is not NULL_TELEMETRY and getattr(telemetry, "enabled", False):
             emit_resource_gauge(telemetry, wall_s=epoch_wall)
         final = outcome.final
+        fallbacks = Counter(
+            record["reason"]
+            for record in records.records
+            if record.get("name") == "chain.fastpath.fallback"
+        )
         points.append(
             {
                 "nodes": num_nodes,
@@ -125,6 +141,8 @@ def run_eth2scale(
                 "epoch_wall_s": epoch_wall,
                 "se_wall_s": se_wall["s"],
                 "se_solves": se_wall["solves"],
+                "fallbacks": sum(fallbacks.values()),
+                "fallbacks_by_reason": dict(sorted(fallbacks.items())),
                 "peak_rss_kib": sample["peak_rss_kib"] if sample else None,
                 "kernel_chunk_rows": kernel_chunk_rows(c, budget),
             }
@@ -151,7 +169,7 @@ def render_points(points: Sequence[dict]) -> str:
     """Fixed-width text table of the scaling curve (for the CLI)."""
     header = (
         f"{'nodes':>8} {'formed':>7} {'submitted':>9} {'permitted':>9} "
-        f"{'epoch wall':>11} {'SE wall':>9} {'peak RSS':>10}"
+        f"{'fallbacks':>9} {'epoch wall':>11} {'SE wall':>9} {'peak RSS':>10}"
     )
     lines = [header]
     for point in points:
@@ -160,7 +178,8 @@ def render_points(points: Sequence[dict]) -> str:
         lines.append(
             f"{point['nodes']:>8} {point['committees_formed']:>7} "
             f"{point['shards_submitted']:>9} {point['shards_permitted']:>9} "
-            f"{point['epoch_wall_s']:>10.2f}s {point['se_wall_s']:>8.2f}s "
+            f"{point['fallbacks']:>9} {point['epoch_wall_s']:>10.2f}s "
+            f"{point['se_wall_s']:>8.2f}s "
             f"{rss_text:>10}"
         )
     return "\n".join(lines)

@@ -249,4 +249,8 @@ class TestEth2ScaleHarness:
         assert point["nodes"] == 512
         assert point["shards_submitted"] > 0
         assert point["se_wall_s"] <= point["epoch_wall_s"]
+        # 512 nodes at the default Byzantine fraction: one committee has a
+        # Byzantine primary and replays off the batched kernel.
+        assert point["fallbacks_by_reason"] == {"byzantine-primary": 1}
+        assert point["fallbacks"] == 1
         assert "eth2scale" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness import artifacts, report
 from repro.harness.cli import RUNNERS, main
 
 
@@ -24,8 +25,15 @@ def test_invalid_experiment_rejected():
         main(["fig99"])
 
 
-def test_theory_failure_end_to_end(capsys):
+def test_theory_failure_end_to_end(capsys, tmp_path, monkeypatch):
+    # Route the run's CSV and JSON artifact away from the committed results/.
+    monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
+    monkeypatch.setattr(artifacts, "RESULTS_DIR", str(tmp_path))
     assert main(["theory_failure"]) == 0
     output = capsys.readouterr().out
     assert "tv_distance" in output
     assert "finished in" in output
+    artifact = tmp_path / "theory_failure.json"
+    assert f"artifact: {artifact}" in output
+    assert artifacts.read_artifact(str(artifact))["experiment"] == "theory_failure"
+    assert (tmp_path / "theory_failure.csv").is_file()
