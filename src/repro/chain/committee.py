@@ -15,7 +15,7 @@ from repro.chain.blocks import ShardBlock
 from repro.chain.node import Node
 from repro.chain.fastpath import (
     _pbft_kernel_batch,
-    kernel_chunk_rows,
+    kernel_plan,
     replay_pbft_until_commit,
     run_pbft,
     view_change_timeout,
@@ -119,9 +119,10 @@ def _stage3_commit_times(
 
     Every closed-form-eligible committee (quorum reachable, honest view-0
     primary, loss-free network) goes through one chunked order-statistics
-    kernel call (committee chunks sized by ``params.max_batch_bytes``;
-    byte-identical at any chunk size) instead of ``K`` per-committee
-    calls.  The rest replay afterwards, as do eligible committees whose
+    kernel call (committee chunks on up to one thread per CPU, sharing
+    the ``params.max_batch_bytes`` scratch budget; byte-identical at any
+    chunk size and worker count) instead of ``K`` per-committee calls.
+    The rest replay afterwards, as do eligible committees whose
     closed-form commit time reaches the view-change timeout.  On a
     loss-free network every fallback (``byzantine-primary``, ``no-quorum``,
     ``view-change-timeout``) runs
@@ -171,13 +172,14 @@ def _stage3_commit_times(
         )
         if telemetry.enabled:
             size = eligible[0].size
-            rows = min(len(eligible), kernel_chunk_rows(size, params.max_batch_bytes))
+            plan = kernel_plan(len(eligible), size, params.max_batch_bytes)
             telemetry.event(
                 "chain.fastpath.chunks",
                 committees=len(eligible),
                 committee_size=size,
-                chunk_rows=rows,
-                chunks=-(-len(eligible) // rows),
+                chunk_rows=plan.rows,
+                chunks=plan.chunks,
+                workers=plan.workers,
                 max_batch_bytes=params.max_batch_bytes,
             )
         commit_times, prepared_primary = _pbft_kernel_batch(

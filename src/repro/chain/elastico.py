@@ -28,7 +28,7 @@ from repro.chain.committee import (
     run_intra_consensus_batch,
     run_intra_consensus_streaming,
 )
-from repro.chain.fastpath import formation_kernel
+from repro.chain.fastpath import committee_hash_suffixes, formation_kernel
 from repro.chain.final import (
     CrosslinkAggregator,
     FinalCommittee,
@@ -118,6 +118,7 @@ class ElasticoSimulation:
             [params.pow_mean_solve_s / node.hash_power for node in self.nodes]
         )
         self._node_id_array = np.array([node.node_id for node in self.nodes])
+        self._hash_suffixes = committee_hash_suffixes(self._node_id_array)
 
     # ------------------------------------------------------------------ #
     def form_committees(self, rng: np.random.Generator) -> List[Committee]:
@@ -140,6 +141,7 @@ class ElasticoSimulation:
                 solve_scales=self._solve_scales,
                 node_ids=self._node_id_array,
                 max_batch_bytes=params.max_batch_bytes,
+                hash_suffixes=self._hash_suffixes,
             )
         else:
             solutions = run_pow_election(

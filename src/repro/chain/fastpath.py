@@ -59,17 +59,28 @@ tensors of ~135 MB each.  Instead the kernel is *counter-addressed*:
 committee ``k`` owns the absolute Philox counter block
 ``[k * S / 4, (k + 1) * S / 4)`` where ``S`` is the per-committee uniform
 budget (:func:`_kernel_draw_budget`, padded to whole 4-word counter
-blocks), and the batch is processed in committee-index chunks sized by a
+blocks), and the batch is processed in committee-index chunks under one
 ``max_batch_bytes`` scratch budget (:class:`repro.chain.params.ChainParams`,
 default 256 MiB).  Because every committee's bytes live at a fixed
-counter offset, the chunked result is *byte-identical* at any chunk size
--- including 1 and "everything at once" -- and the calling stream's
-position never depends on the chunking.  Exponential and lognormal
-variates come from the uniform lattice through exact inverse-CDF /
-Box-Muller transforms, so the KS parity claims vs the DES are unchanged.
-Per-chunk scratch (the uniform lattice, the normal block, and two
-``(rows, c, c)`` vote matrices) is allocated once and reused across
-chunks via ``out=`` ufuncs.
+counter offset, the result is *byte-identical* at any chunk size --
+including 1 and "everything at once" -- and at any worker count, and the
+calling stream's position never depends on either.  :func:`kernel_plan`
+is the single chunk plan: up to one worker thread per CPU in the
+process's affinity set, each owning ``max_batch_bytes // workers`` of
+scratch, with near-equal chunks dealt round-robin so the workers finish
+together; a plan whose per-worker chunk would hold under
+:data:`KERNEL_INLINE_BYTES` runs inline on the calling thread instead.
+numpy releases the GIL in the Philox fill, the transforms, ``partition``
+and the reductions, so the chunks overlap on real cores.  Workers read
+shared inputs and write disjoint output ranges; the caller's RNG, the
+telemetry hub and the fallback replays stay on the calling thread.  Per
+worker scratch (the uniform lattice, the normal block, the Box-Muller
+radius and angle, two ``(rows, c, c)`` vote matrices and their boolean
+mask) is allocated on the calling thread before any worker starts and
+reused across chunks via ``out=`` ufuncs, so the chunk body allocates
+nothing large.  Exponential and lognormal variates come from the
+uniform lattice through exact inverse-CDF / Box-Muller transforms, so
+the KS parity claims vs the DES are unchanged.
 
 **Crosslink-scale note.**  The commit quorum only ever gates on votes
 *to the primary* (the round commits at the primary's ``(2f+1)``-th
@@ -81,16 +92,22 @@ the two ``(K, c, c)`` tensors gone outright.
 **Formation kernel.**  Stages 1-2 (PoW election + overlay configuration)
 contain no event interleaving at all, so their vectorization is
 *byte-identical* to the DES path: the same ``rng.exponential`` block
-draw for solve times, grouped order statistics for fill times and
-membership, a prefix-maximum recurrence for the serial registration
-queue, and one gossip block draw in committee-index order.
+draw for solve times, one SHA-256 per node over the epoch randomness
+and a cached ``b":<id>"`` suffix for committee assignment, grouped order
+statistics for fill times and membership, a prefix-maximum recurrence
+for the serial registration queue, and one gossip block draw in
+committee-index order.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
+import os
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -98,7 +115,6 @@ import numpy as np
 from repro.chain.node import Node
 from repro.chain.params import NetworkParams
 from repro.chain.pbft import PbftOutcome, run_pbft_round
-from repro.chain.pow import _committee_of
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 from repro.sim.rng import counter_rng, philox_key
 
@@ -130,7 +146,12 @@ def _nic_geometry(c: int, inv_bw: float) -> Tuple[np.ndarray, np.ndarray, float]
         burst_s = (c - 1) * inv_bw
         nic_free0 = np.zeros(c)
         nic_free0[0] = burst_s
-        cached = (rank * inv_bw, nic_free0, burst_s)
+        nic = rank * inv_bw
+        # Shared by every later round and by concurrent kernel workers: an
+        # accidental in-place write must raise, not corrupt later rounds.
+        nic.setflags(write=False)
+        nic_free0.setflags(write=False)
+        cached = (nic, nic_free0, burst_s)
         _NIC_GEOMETRY[key] = cached
         if len(_NIC_GEOMETRY) > _NIC_GEOMETRY_MAX_ENTRIES:
             _NIC_GEOMETRY.popitem(last=False)
@@ -161,9 +182,10 @@ def kernel_bytes_per_committee(c: int) -> int:
     """Approximate live scratch bytes one committee adds to a chunk.
 
     Counts the uniform lattice, the normal block plus its Box-Muller
-    temporaries, the two ``(c, c)`` vote/partition matrices, the boolean
-    threshold mask, and a dozen ``(c,)`` working vectors.  Used by
-    :func:`kernel_chunk_rows` to size chunks under ``max_batch_bytes``.
+    radius and angle scratch, the two ``(c, c)`` vote/partition matrices,
+    the boolean threshold mask, and a dozen ``(c,)`` working vectors.
+    Used by :func:`kernel_chunk_rows` to size chunks under
+    ``max_batch_bytes``.
     """
     total_u, _, n_norm = _kernel_draw_budget(c)
     n_norm_u = n_norm + (n_norm & 1)
@@ -181,63 +203,128 @@ def kernel_chunk_rows(c: int, max_batch_bytes: Optional[int]) -> int:
     return max(1, int(max_batch_bytes) // kernel_bytes_per_committee(c))
 
 
-def _pbft_kernel_batch(
-    honest: np.ndarray,
-    speeds: np.ndarray,
-    rng: np.random.Generator,
-    network_params: NetworkParams,
-    verify_mean_s: float,
-    max_batch_bytes: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The order-statistics kernel over a ``(K, c)`` committee stack.
+#: Least scratch one worker's chunk must hold for the kernel to go
+#: threaded: below it, thread start-up (0.15-0.7 ms) costs more than the
+#: second core saves (break-even measured near 3 MB), so it runs inline.
+KERNEL_INLINE_BYTES = 4 * 2**20
 
-    Returns ``(commit_time, prepared_primary)`` -- each shape ``(K,)`` --
-    for ``K`` independent loss-free honest-primary rounds.  The caller is
-    responsible for the pre-draw validity checks and for the post-draw
-    view-change-timeout fallback.
 
-    The only consumption from ``rng`` is one Philox key (two ``uint64``
-    words); committee ``k``'s variates live at absolute counter offset
-    ``k * S / 4`` of the keyed stream, so splitting the stack into chunks
-    of any size -- bounded by ``max_batch_bytes`` of live scratch --
-    reproduces identical bytes (see the module docstring).
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class KernelPlan:
+    """How :func:`_pbft_kernel_batch` splits a ``K``-committee stack.
+
+    ``chunks`` near-equal chunks (sizes differ by at most one, the largest
+    is ``rows`` committees) run on ``workers`` threads, 1 meaning inline on
+    the calling thread.  Every worker owns ``rows`` committees of scratch,
+    and ``rows * workers`` committees' worth stays within
+    ``max_batch_bytes`` -- unless one committee alone exceeds it, when the
+    plan is one row on one worker.
     """
-    num_rounds, c = honest.shape
+
+    rows: int
+    chunks: int
+    workers: int
+
+
+def kernel_plan(num_rounds: int, c: int, max_batch_bytes: Optional[int]) -> KernelPlan:
+    """The one chunk plan the kernel runs and the chunk telemetry reports.
+
+    Up to :func:`available_cpus` workers share the ``max_batch_bytes``
+    budget, ``max_batch_bytes // workers`` each.  The chunk count is
+    rounded up to a multiple of the worker count (at most ``K``) so the
+    workers finish together.  When a worker's chunk would hold less than
+    :data:`KERNEL_INLINE_BYTES` of scratch, the plan is one inline worker
+    with the whole budget.
+    """
+    budget_rows = kernel_chunk_rows(c, max_batch_bytes)
+
+    def split(workers: int) -> KernelPlan:
+        chunks = -(-num_rounds // (budget_rows // workers))
+        chunks = min(num_rounds, -(-chunks // workers) * workers)
+        return KernelPlan(rows=-(-num_rounds // chunks), chunks=chunks, workers=workers)
+
+    plan = split(max(1, min(available_cpus(), num_rounds, budget_rows)))
+    if plan.workers > 1 and plan.rows * kernel_bytes_per_committee(c) < KERNEL_INLINE_BYTES:
+        plan = split(1)
+    return plan
+
+
+@dataclass(frozen=True)
+class _KernelInputs:
+    """The read-only inputs every kernel chunk shares across workers."""
+
+    honest: np.ndarray
+    speeds: np.ndarray
+    key: np.ndarray
+    nic: np.ndarray
+    nic_free0: np.ndarray
+    burst_s: float
+    mu: float
+    sigma: float
+    verify_mean_s: float
+
+
+def _kernel_scratch(rows: int, c: int) -> Dict[str, np.ndarray]:
+    """One worker's chunk scratch; allocated on the calling thread so the
+    chunk body allocates nothing large inside a worker."""
+    total_u, _, n_norm = _kernel_draw_budget(c)
+    n_norm_u = n_norm + (n_norm & 1)
+    return {
+        "uniforms": np.empty((rows, total_u)),
+        "normals": np.empty((rows, n_norm_u)),
+        "radius": np.empty((rows, n_norm_u // 2)),
+        "theta": np.empty((rows, n_norm_u // 2)),
+        "votes": np.empty((rows, c, c)),
+        "scratch": np.empty((rows, c, c)),
+        "late": np.empty((rows, c, c), dtype=bool),
+    }
+
+
+def _kernel_chunks(
+    spans: Sequence[Tuple[int, int]],
+    inputs: _KernelInputs,
+    scratch: Dict[str, np.ndarray],
+    commit_out: np.ndarray,
+    prepared_out: np.ndarray,
+) -> None:
+    """Runs the kernel over committee ranges ``[start, stop)``.
+
+    Reads only ``inputs`` and writes only its own ``scratch`` and its
+    ranges of the two output arrays, so workers can run it concurrently.
+    Each chunk opens its own Philox generator at the chunk's absolute
+    counter block; the caller's stream is never touched.
+    """
+    honest = inputs.honest
+    c = honest.shape[1]
     f = (c - 1) // 3
-    nic, nic_free0, burst_s = _nic_geometry(c, 1.0 / network_params.bandwidth_msgs_per_s)
-    mu = float(np.log(network_params.base_delay))
-    sigma = network_params.jitter_sigma
+    nic, nic_free0, burst_s = inputs.nic, inputs.nic_free0, inputs.burst_s
     idx = np.arange(c)
     nic_col0 = nic[:, 0]
-
-    key = philox_key(rng)
     total_u, n_exp, n_norm = _kernel_draw_budget(c)
     n_norm_u = n_norm + (n_norm & 1)
-    rows = min(num_rounds, kernel_chunk_rows(c, max_batch_bytes))
-
-    # Chunk-reused scratch: the uniform lattice, the normal block, and the
-    # two (rows, c, c) matrices -- the only O(c^2)-per-committee arrays.
-    uniforms = np.empty((rows, total_u))
-    normals = np.empty((rows, n_norm_u))
-    votes = np.empty((rows, c, c))
-    scratch = np.empty((rows, c, c))
-
-    commit_out = np.empty(num_rounds)
-    prepared_out = np.empty(num_rounds)
-    for start in range(0, num_rounds, rows):
-        b = min(rows, num_rounds - start)
-        counter_rng(key, start * (total_u // 4)).random(out=uniforms[:b].reshape(-1))
-        u = uniforms[:b]
-        z = normals[:b]
+    for start, stop in spans:
+        b = stop - start
+        u = scratch["uniforms"][:b]
+        z = scratch["normals"][:b]
+        counter_rng(inputs.key, start * (total_u // 4)).random(out=u.reshape(-1))
 
         # Box-Muller over the normal lattice (exact standard normals, so
         # the lognormal lags keep their DES distribution).
-        u1 = u[:, n_exp : n_exp + n_norm_u : 2]
-        u2 = u[:, n_exp + 1 : n_exp + n_norm_u : 2]
-        radius = np.log1p(np.negative(u1))
+        radius = scratch["radius"][:b]
+        theta = scratch["theta"][:b]
+        np.negative(u[:, n_exp : n_exp + n_norm_u : 2], out=radius)
+        np.log1p(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        theta = u2 * (2.0 * np.pi)
+        np.multiply(u[:, n_exp + 1 : n_exp + n_norm_u : 2], 2.0 * np.pi, out=theta)
         z0 = z[:, 0::2]
         z1 = z[:, 1::2]
         np.cos(theta, out=z0)
@@ -245,9 +332,12 @@ def _pbft_kernel_batch(
         np.sin(theta, out=z1)
         z1 *= radius
 
-        # Verify delays: one inverse-CDF pass over both exponential lanes.
-        expo = np.log1p(np.negative(u[:, :n_exp]))
-        neg_scale = (-verify_mean_s) / speeds[start : start + b]
+        # Verify delays: one in-place inverse-CDF pass over both
+        # exponential lanes of the lattice.
+        expo = u[:, :n_exp]
+        np.negative(expo, out=expo)
+        np.log1p(expo, out=expo)
+        neg_scale = (-inputs.verify_mean_s) / inputs.speeds[start:stop]
         verify1 = expo[:, :c]
         verify1 *= neg_scale
         verify2 = expo[:, c : 2 * c]
@@ -255,13 +345,13 @@ def _pbft_kernel_batch(
 
         # Lognormal lags: one exp(mu + sigma * z) pass over the whole
         # normal block; lag_pre / lag1 / lag2-primary-column are views.
-        z *= sigma
-        z += mu
+        z *= inputs.sigma
+        z += inputs.mu
         np.exp(z, out=z)
         lag_pre = z[:, :c]
         lag2_col = z[:, c + c * c : c + c * c + c]
 
-        honest_b = honest[start : start + b]
+        honest_b = honest[start:stop]
 
         # Pre-prepare arrivals (the primary pre-prepares itself at t=0).
         arrival = lag_pre
@@ -272,7 +362,7 @@ def _pbft_kernel_batch(
         # still draining the pre-prepare burst.
         prep_send = arrival + verify1
         depart1 = np.maximum(prep_send, nic_free0[None, :])
-        votes_b = votes[:b]
+        votes_b = scratch["votes"][:b]
         np.add(z[:, c : c + c * c].reshape(b, c, c), nic[None, :, :], out=votes_b)
         votes_b += depart1[:, :, None]
         votes_b[:, idx, idx] = prep_send
@@ -280,12 +370,14 @@ def _pbft_kernel_batch(
         # Prepared at the first vote event >= max(pre-prepare arrival,
         # 2f-th smallest vote) -- votes can land before the pre-prepare
         # and only count once the replica is pre-prepared.
-        scratch_b = scratch[:b]
+        scratch_b = scratch["scratch"][:b]
         np.copyto(scratch_b, votes_b)
         scratch_b.partition(2 * f - 1, axis=1)
         threshold = np.maximum(arrival, scratch_b[:, 2 * f - 1, :])
+        late = scratch["late"][:b]
+        np.less(votes_b, threshold[:, None, :], out=late)
         np.copyto(scratch_b, votes_b)
-        scratch_b[votes_b < threshold[:, None, :]] = np.inf
+        np.copyto(scratch_b, np.inf, where=late)
         prepared = scratch_b.min(axis=1)
 
         # Commit votes: one more verify delay.  A replica can become
@@ -311,8 +403,74 @@ def _pbft_kernel_batch(
         votes2_primary[:, 0] = commit_send[:, 0]
         votes2_primary[~honest_b] = np.inf
         votes2_primary.partition(2 * f, axis=1)
-        commit_out[start : start + b] = votes2_primary[:, 2 * f]
-        prepared_out[start : start + b] = prepared[:, 0]
+        commit_out[start:stop] = votes2_primary[:, 2 * f]
+        prepared_out[start:stop] = prepared[:, 0]
+
+
+def _pbft_kernel_batch(
+    honest: np.ndarray,
+    speeds: np.ndarray,
+    rng: np.random.Generator,
+    network_params: NetworkParams,
+    verify_mean_s: float,
+    max_batch_bytes: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The order-statistics kernel over a ``(K, c)`` committee stack.
+
+    Returns ``(commit_time, prepared_primary)`` -- each shape ``(K,)`` --
+    for ``K`` independent loss-free honest-primary rounds.  The caller is
+    responsible for the pre-draw validity checks and for the post-draw
+    view-change-timeout fallback.
+
+    The only consumption from ``rng`` is one Philox key (two ``uint64``
+    words), drawn on the calling thread; committee ``k``'s variates live
+    at absolute counter offset ``k * S / 4`` of the keyed stream.  The
+    stack runs as :func:`kernel_plan` says: chunks on up to
+    :func:`available_cpus` threads that share one ``max_batch_bytes``
+    scratch budget, or inline on the calling thread.  The result is
+    byte-identical at any chunk size *and* any worker count, and so is the
+    caller's stream position (see the module docstring).
+    """
+    num_rounds, c = honest.shape
+    nic, nic_free0, burst_s = _nic_geometry(c, 1.0 / network_params.bandwidth_msgs_per_s)
+    inputs = _KernelInputs(
+        honest=honest,
+        speeds=speeds,
+        key=philox_key(rng),
+        nic=nic,
+        nic_free0=nic_free0,
+        burst_s=burst_s,
+        mu=float(np.log(network_params.base_delay)),
+        sigma=network_params.jitter_sigma,
+        verify_mean_s=verify_mean_s,
+    )
+    plan = kernel_plan(num_rounds, c, max_batch_bytes)
+    # Near-equal chunks, the larger ones first, dealt round-robin below:
+    # each worker's share of committees differs by at most one.
+    base, extra = divmod(num_rounds, plan.chunks)
+    stops = list(itertools.accumulate([base + 1] * extra + [base] * (plan.chunks - extra)))
+    spans = list(zip([0] + stops[:-1], stops))
+    commit_out = np.empty(num_rounds)
+    prepared_out = np.empty(num_rounds)
+    # Scratch for every worker is allocated here, before any thread runs.
+    scratch = [_kernel_scratch(plan.rows, c) for _ in range(plan.workers)]
+    if plan.workers == 1:
+        _kernel_chunks(spans, inputs, scratch[0], commit_out, prepared_out)
+        return commit_out, prepared_out
+    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
+        futures = [
+            pool.submit(
+                _kernel_chunks,
+                spans[worker :: plan.workers],
+                inputs,
+                scratch[worker],
+                commit_out,
+                prepared_out,
+            )
+            for worker in range(plan.workers)
+        ]
+        for future in futures:
+            future.result()
     return commit_out, prepared_out
 
 
@@ -694,6 +852,28 @@ def formation_chunk_rows(max_batch_bytes: Optional[int]) -> int:
     return max(1, int(max_batch_bytes) // FORMATION_BYTES_PER_NODE)
 
 
+def committee_hash_suffixes(node_ids: Sequence[int]) -> List[bytes]:
+    """The ``b":<id>"`` tail of each node's committee-assignment preimage.
+
+    :func:`repro.chain.pow._committee_of` hashes ``f"{randomness}:{id}"``;
+    the id part is fixed for a deployment, so multi-epoch callers build
+    these once and :func:`formation_kernel` only prepends the epoch's
+    randomness bytes.
+    """
+    return [b":%d" % node_id for node_id in np.asarray(node_ids).tolist()]
+
+
+def _committee_assignments(
+    randomness: bytes, suffixes: Sequence[bytes], num_committees: int
+) -> np.ndarray:
+    """Batched :func:`repro.chain.pow._committee_of` over cached suffixes:
+    the little-endian 8-byte digest prefix of ``randomness + suffix``,
+    modulo ``num_committees``."""
+    sha256 = hashlib.sha256
+    prefixes = b"".join([sha256(randomness + suffix).digest()[:8] for suffix in suffixes])
+    return np.frombuffer(prefixes, "<u8") % np.uint64(num_committees)
+
+
 def formation_kernel(
     nodes: Sequence[Node],
     num_committees: int,
@@ -706,6 +886,7 @@ def formation_kernel(
     solve_scales: Optional[np.ndarray] = None,
     node_ids: Optional[np.ndarray] = None,
     max_batch_bytes: Optional[int] = None,
+    hash_suffixes: Optional[Sequence[bytes]] = None,
 ) -> Tuple[Dict[int, float], Dict[int, List[int]], Dict[int, float]]:
     """Vectorized stages 1-2, byte-identical to the reference path.
 
@@ -718,12 +899,17 @@ def formation_kernel(
     draws stream through node-index chunks sized by ``max_batch_bytes``
     (numpy's elementwise exponential consumes the stream sequentially,
     so chunked draws into a preallocated output are byte-identical to
-    one monolithic draw at any chunk size).
+    one monolithic draw at any chunk size).  Committee assignment hashes
+    each node once -- the epoch randomness bytes plus the node's cached
+    ``b":<id>"`` suffix -- and reduces the joined digest prefixes in one
+    numpy pass; it equals :func:`repro.chain.pow._committee_of` node for
+    node and draws nothing.
 
-    ``solve_scales`` / ``node_ids`` are optional precomputed per-node
-    arrays (``mean_solve_s / hash_power`` and ids, in ``nodes`` order) --
-    they are fixed for the lifetime of a deployment, so multi-epoch
-    callers cache them instead of re-reading node attributes per epoch.
+    ``solve_scales`` / ``node_ids`` / ``hash_suffixes`` are optional
+    precomputed per-node values (``mean_solve_s / hash_power``, ids and
+    :func:`committee_hash_suffixes`, in ``nodes`` order) -- they are fixed
+    for the lifetime of a deployment, so multi-epoch callers cache them
+    instead of rebuilding them per epoch.
     """
     if num_committees <= 0:
         raise ValueError("num_committees must be positive")
@@ -739,6 +925,9 @@ def formation_kernel(
     )
     if node_ids is None:
         node_ids = np.array([node.node_id for node in nodes])
+    if hash_suffixes is None:
+        hash_suffixes = committee_hash_suffixes(node_ids)
+    randomness = epoch_randomness.encode("utf-8")
     n = scales.shape[0]
     step = max(1, min(n, formation_chunk_rows(max_batch_bytes)))
     times = np.empty(n)
@@ -746,10 +935,9 @@ def formation_kernel(
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         times[lo:hi] = rng.exponential(scales[lo:hi])
-        assigned[lo:hi] = [
-            _committee_of(int(nid), epoch_randomness, num_committees)
-            for nid in node_ids[lo:hi]
-        ]
+        assigned[lo:hi] = _committee_assignments(
+            randomness, hash_suffixes[lo:hi], num_committees
+        )
 
     # Directory arrival order (stable, like the reference's list sort).
     order = np.argsort(times, kind="stable")
@@ -778,7 +966,7 @@ def formation_kernel(
         rows = group_order[start : start + committee_size]
         committee_index = int(grouped[start])
         fills[committee_index] = float(t_sorted[rows[-1]])
-        members[committee_index] = [int(nid) for nid in ids_sorted[rows]]
+        members[committee_index] = ids_sorted[rows].tolist()
         last_ready.append(float(ready_sorted[rows].max()))
 
     # One gossip delay per filled committee, in committee-index order --

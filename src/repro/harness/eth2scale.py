@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.chain.elastico import ElasticoSimulation
-from repro.chain.fastpath import kernel_chunk_rows
+from repro.chain.fastpath import available_cpus
 from repro.chain.params import ChainParams
 from repro.core.problem import MVComConfig
 from repro.core.se import SEConfig, StochasticExploration
@@ -60,7 +60,9 @@ def run_eth2scale(
     of the epoch wall, so the record separates chain-substrate time from
     scheduler time.  Each point also carries the stage-3 fallback count
     (committees replayed off the batched kernel), tallied from the chain's
-    own ``chain.fastpath.fallback`` events.  Returns the record dict that
+    own ``chain.fastpath.fallback`` events, and the kernel's chunk rows and
+    worker count from its ``chain.fastpath.chunks`` event, next to the
+    CPUs the process may use.  Returns the record dict that
     also lands in ``out_path`` when given.
     """
     sizes = tuple(
@@ -130,6 +132,11 @@ def run_eth2scale(
             for record in records.records
             if record.get("name") == "chain.fastpath.fallback"
         )
+        # The kernel's chunk plan as the chain reported it (absent when no
+        # committee was kernel-eligible).
+        plan = next(
+            (r for r in records.records if r.get("name") == "chain.fastpath.chunks"), {}
+        )
         points.append(
             {
                 "nodes": num_nodes,
@@ -144,7 +151,9 @@ def run_eth2scale(
                 "fallbacks": sum(fallbacks.values()),
                 "fallbacks_by_reason": dict(sorted(fallbacks.items())),
                 "peak_rss_kib": sample["peak_rss_kib"] if sample else None,
-                "kernel_chunk_rows": kernel_chunk_rows(c, budget),
+                "kernel_chunk_rows": plan.get("chunk_rows"),
+                "kernel_workers": plan.get("workers"),
+                "cpu_count": available_cpus(),
             }
         )
 

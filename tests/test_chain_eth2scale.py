@@ -6,29 +6,43 @@ The tentpole claims under test:
   unchunked forms at every chunk size (including one-committee chunks and
   budgets larger than the whole batch), and leave the calling RNG in the
   same state;
+* the PBFT kernel is byte-identical at any worker count too: the worker
+  count is injected by monkeypatching the module's CPU probe
+  (``fastpath.available_cpus``), and ``KERNEL_INLINE_BYTES`` is zeroed
+  where a toy stack must still take the threaded path;
+* the batched committee hashing equals :func:`repro.chain.pow._committee_of`;
 * chunking bounds peak scratch memory (tracemalloc, which tracks numpy's
-  allocator);
+  allocator), threaded or not;
 * the streaming epoch (:meth:`ElasticoSimulation.run_epoch_streaming` +
   :class:`CrosslinkAggregator`) replays the object epoch byte for byte;
 * the ``eth2scale`` preset / CLI verb exist and run at toy scale.
 """
 
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.chain import fastpath
 from repro.chain.elastico import ElasticoSimulation
 from repro.chain.fastpath import (
+    _committee_assignments,
     _pbft_kernel_batch,
+    committee_hash_suffixes,
     formation_kernel,
     kernel_bytes_per_committee,
     kernel_chunk_rows,
+    kernel_plan,
 )
 from repro.chain.final import CrosslinkAggregator
+from repro.chain.node import spawn_nodes
 from repro.chain.params import ChainParams, NetworkParams
+from repro.chain.pow import _committee_of
 from repro.harness.presets import PRESETS
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
@@ -50,6 +64,44 @@ def _run_kernel(honest, speeds, max_batch_bytes):
     )
     # The end-state probe: chunking must not move the caller's stream.
     return commit, prepared, rng.random()
+
+
+def _kernel_bytes(honest, speeds, max_batch_bytes):
+    """Commit bytes, prepared bytes and the caller's RNG end state."""
+    rng = spawn_rng(7, "round")
+    commit, prepared = _pbft_kernel_batch(
+        honest, speeds, rng, NetworkParams(), 22.0, max_batch_bytes=max_batch_bytes
+    )
+    return commit.tobytes(), prepared.tobytes(), rng.bit_generator.state
+
+
+def _assert_chunking_bounds_peak_scratch():
+    """A ~4 MiB budget keeps the traced peak under a third of unchunked."""
+    honest, speeds = _committee_stack(256, 64)
+    budget = 23 * kernel_bytes_per_committee(64)  # ~4 MiB of scratch
+
+    def peak(max_batch_bytes):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        _run_kernel(honest, speeds, max_batch_bytes)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return peak_bytes
+
+    unchunked = peak(None)
+    chunked = peak(budget)
+    assert chunked < unchunked / 3, (
+        f"chunked peak {chunked / 2**20:.1f} MiB vs "
+        f"unchunked {unchunked / 2**20:.1f} MiB"
+    )
+
+
+def _pin_workers(monkeypatch, workers, threaded=False):
+    """Inject the worker count through the CPU probe; ``threaded`` also
+    zeroes the inline threshold so toy stacks still go multi-threaded."""
+    monkeypatch.setattr(fastpath, "available_cpus", lambda: workers)
+    if threaded:
+        monkeypatch.setattr(fastpath, "KERNEL_INLINE_BYTES", 0)
 
 
 class TestChunkedKernelByteIdentity:
@@ -94,23 +146,150 @@ class TestChunkedKernelByteIdentity:
 
     def test_chunking_bounds_peak_scratch(self):
         """A small budget caps live scratch well below the monolithic peak."""
-        honest, speeds = _committee_stack(256, 64)
-        budget = 23 * kernel_bytes_per_committee(64)  # ~4 MiB of scratch
+        _assert_chunking_bounds_peak_scratch()
 
-        def peak(max_batch_bytes):
-            tracemalloc.start()
-            tracemalloc.reset_peak()
-            _run_kernel(honest, speeds, max_batch_bytes)
-            _, peak_bytes = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            return peak_bytes
 
-        unchunked = peak(None)
-        chunked = peak(budget)
-        assert chunked < unchunked / 3, (
-            f"chunked peak {chunked / 2**20:.1f} MiB vs "
-            f"unchunked {unchunked / 2**20:.1f} MiB"
+class TestThreadedKernelByteIdentity:
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 5, 13, None])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_any_worker_count_is_byte_identical(self, monkeypatch, workers, chunk_rows):
+        """Workers x chunk budget replays the single-worker unchunked bytes
+        and leaves the caller's stream in the same state."""
+        honest, speeds = _committee_stack(13, 8)
+        _pin_workers(monkeypatch, 1)
+        base = _kernel_bytes(honest, speeds, None)
+        budget = None if chunk_rows is None else chunk_rows * kernel_bytes_per_committee(8)
+        _pin_workers(monkeypatch, workers, threaded=True)
+        plan = kernel_plan(13, 8, budget)
+        if budget is not None:
+            assert plan.rows * plan.workers * kernel_bytes_per_committee(8) <= budget
+        assert (plan.workers > 1) == (workers > 1 and chunk_rows != 1)
+        assert _kernel_bytes(honest, speeds, budget) == base
+
+    @pytest.mark.parametrize("num_committees", [1, 2, 5])
+    def test_fewer_committees_than_workers(self, monkeypatch, num_committees):
+        honest, speeds = _committee_stack(num_committees, 16, seed=3)
+        _pin_workers(monkeypatch, 1)
+        base = _kernel_bytes(honest, speeds, None)
+        _pin_workers(monkeypatch, 8, threaded=True)
+        assert kernel_plan(num_committees, 16, None).workers == min(num_committees, 8)
+        assert _kernel_bytes(honest, speeds, None) == base
+
+    def test_small_batch_runs_inline(self, monkeypatch):
+        """Under the real inline threshold a c=8 batch never starts a thread."""
+
+        class NoThreads:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a small batch must run inline")
+
+        honest, speeds = _committee_stack(40, 8)
+        _pin_workers(monkeypatch, 1)
+        base = _kernel_bytes(honest, speeds, None)
+        _pin_workers(monkeypatch, 2)
+        monkeypatch.setattr(fastpath, "ThreadPoolExecutor", NoThreads)
+        assert kernel_plan(40, 8, None).workers == 1
+        assert _kernel_bytes(honest, speeds, None) == base
+
+    def test_large_batch_goes_threaded(self, monkeypatch):
+        """At c=128 a worker's chunk clears the real inline threshold."""
+        honest, speeds = _committee_stack(16, 128, seed=5)
+        _pin_workers(monkeypatch, 1)
+        base = _kernel_bytes(honest, speeds, None)
+        _pin_workers(monkeypatch, 2)
+        plan = kernel_plan(16, 128, None)
+        assert plan.workers == 2 and plan.chunks == 2
+        assert plan.rows * kernel_bytes_per_committee(128) >= fastpath.KERNEL_INLINE_BYTES
+        assert _kernel_bytes(honest, speeds, None) == base
+
+    def test_more_workers_than_cores_finishes(self, monkeypatch):
+        """Eight workers on however few cores, switching threads often:
+        byte-identical (a lost output write would break it), and done well
+        inside a bound (a stuck worker fails instead of hanging)."""
+        honest, speeds = _committee_stack(64, 32, seed=9)
+        budget = 40 * kernel_bytes_per_committee(32)
+        _pin_workers(monkeypatch, 1)
+        base = _kernel_bytes(honest, speeds, budget)
+        _pin_workers(monkeypatch, 8, threaded=True)
+        assert kernel_plan(64, 32, budget).workers == 8
+        result = {}
+        runner = threading.Thread(
+            target=lambda: result.update(out=_kernel_bytes(honest, speeds, budget)),
+            daemon=True,
         )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "the eight-worker kernel did not finish in 60 s"
+        assert result["out"] == base
+
+    def test_worker_error_propagates(self, monkeypatch):
+        """Every future's result is read, so a failing chunk raises."""
+
+        def broken(spans, *args):
+            raise RuntimeError("chunk failed")
+
+        honest, speeds = _committee_stack(13, 8)
+        _pin_workers(monkeypatch, 2, threaded=True)
+        monkeypatch.setattr(fastpath, "_kernel_chunks", broken)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _kernel_bytes(honest, speeds, None)
+
+    def test_threaded_chunking_bounds_peak_scratch(self, monkeypatch):
+        """Two workers sharing a small budget keep the same bound as one."""
+        _pin_workers(monkeypatch, 2, threaded=True)
+        assert kernel_plan(256, 64, 23 * kernel_bytes_per_committee(64)).workers == 2
+        _assert_chunking_bounds_peak_scratch()
+
+    def test_streaming_epoch_is_worker_invariant(self, monkeypatch):
+        params = ChainParams(num_nodes=480, committee_size=8, seed=11, chain_engine="fastpath")
+        _pin_workers(monkeypatch, 1)
+        base = ElasticoSimulation(params).run_epoch_streaming()
+        _pin_workers(monkeypatch, 4, threaded=True)
+        threaded = ElasticoSimulation(params).run_epoch_streaming()
+        assert threaded.final.block.block_hash == base.final.block.block_hash
+        assert threaded.consensus_latencies == base.consensus_latencies
+
+
+class TestFormationHashing:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        randomness=st.one_of(
+            st.just(""),
+            st.text(min_size=1, max_size=200),
+            st.text(alphabet="0123456789abcdef", min_size=63, max_size=65),
+        ),
+        node_ids=st.lists(st.integers(0, 2**40), min_size=1, max_size=30),
+        num_committees=st.sampled_from([1, 7, 1024]),
+    )
+    @example(randomness="", node_ids=[0], num_committees=1)
+    @example(randomness="épоch-ランダム", node_ids=[0, 1, 2**40], num_committees=7)
+    def test_batched_assignment_matches_reference(self, randomness, node_ids, num_committees):
+        batched = _committee_assignments(
+            randomness.encode("utf-8"), committee_hash_suffixes(node_ids), num_committees
+        )
+        assert batched.tolist() == [
+            _committee_of(node_id, randomness, num_committees) for node_id in node_ids
+        ]
+
+    def test_kernel_without_cached_suffixes_matches_reference(self):
+        from repro.chain.pow import committee_members, run_pow_election
+
+        nodes = spawn_nodes(count=480, byzantine_fraction=0.1, rng=spawn_rng(3, "nodes"))
+        solutions = run_pow_election(nodes, 60, 600.0, "genesis", spawn_rng(3, "form"))
+        _, members, _ = formation_kernel(
+            nodes, 60, 8, 600.0, "genesis", 0.5, spawn_rng(3, "form")
+        )
+        assert members == committee_members(solutions, 60, 8)
+        cached = formation_kernel(
+            nodes, 60, 8, 600.0, "genesis", 0.5, spawn_rng(3, "form"),
+            hash_suffixes=committee_hash_suffixes([node.node_id for node in nodes]),
+        )
+        assert cached[1] == members
+        assert all(type(node_id) is int for group in members.values() for node_id in group)
 
 
 class TestStreamingEpoch:
@@ -151,7 +330,8 @@ class TestStreamingEpoch:
         with pytest.raises(ValueError, match="fastpath"):
             sim.run_epoch_streaming()
 
-    def test_chunks_telemetry_event(self):
+    def test_chunks_telemetry_event(self, monkeypatch):
+        _pin_workers(monkeypatch, 1)
         ring = RingBufferSink(4096)
         telemetry = Telemetry(sinks=[ring])
         params = self._params(max_batch_bytes=3 * kernel_bytes_per_committee(8))
@@ -166,6 +346,24 @@ class TestStreamingEpoch:
         assert event["chunk_rows"] == 3
         assert event["max_batch_bytes"] == params.max_batch_bytes
         assert event["chunks"] == -(-event["committees"] // event["chunk_rows"])
+        assert event["workers"] == 1
+
+    def test_chunks_telemetry_event_two_workers(self, monkeypatch):
+        """The event reports the threaded plan, within the shared budget."""
+        _pin_workers(monkeypatch, 2, threaded=True)
+        ring = RingBufferSink(4096)
+        telemetry = Telemetry(sinks=[ring])
+        params = self._params(max_batch_bytes=7 * kernel_bytes_per_committee(8))
+        ElasticoSimulation(params, telemetry=telemetry).run_epoch_streaming()
+        (event,) = [r for r in ring.records if r.get("name") == "chain.fastpath.chunks"]
+        assert event["workers"] == 2
+        assert (
+            event["chunk_rows"] * event["workers"] * kernel_bytes_per_committee(8)
+            <= params.max_batch_bytes
+        )
+        assert event["chunks"] % 2 == 0 or event["chunks"] == event["committees"]
+        plan = kernel_plan(event["committees"], 8, params.max_batch_bytes)
+        assert (event["chunk_rows"], event["chunks"]) == (plan.rows, plan.chunks)
 
 
 class TestCrosslinkAggregator:
@@ -215,6 +413,18 @@ class TestNicGeometryCache:
         assert (5, 0.002) not in fastpath._NIC_GEOMETRY
 
 
+    def test_geometry_is_read_only(self):
+        """Concurrent kernel workers share the cached arrays; an in-place
+        write must raise instead of corrupting later rounds."""
+        fastpath._NIC_GEOMETRY.clear()
+        nic, nic_free0, _ = fastpath._nic_geometry(8, 0.002)
+        with pytest.raises(ValueError, match="read-only"):
+            nic[0, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            nic_free0 += 1.0
+        assert fastpath._nic_geometry(8, 0.002)[0][0, 1] == pytest.approx(0.002)
+
+
 class TestEth2ScaleHarness:
     def test_preset_exists_with_beacon_shape(self):
         preset = PRESETS["eth2scale"]
@@ -253,4 +463,7 @@ class TestEth2ScaleHarness:
         # Byzantine primary and replays off the batched kernel.
         assert point["fallbacks_by_reason"] == {"byzantine-primary": 1}
         assert point["fallbacks"] == 1
+        assert point["cpu_count"] >= 1
+        assert 1 <= point["kernel_workers"] <= point["cpu_count"]
+        assert point["kernel_chunk_rows"] >= 1
         assert "eth2scale" in capsys.readouterr().out
