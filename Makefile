@@ -1,6 +1,6 @@
 # Canonical workflows for the MVCom reproduction.
 
-.PHONY: install test lint lint-fix bench figures examples storm serve clean
+.PHONY: install test lint bench figures examples storm serve clean
 
 install:
 	pip install -e . || python setup.py develop   # offline envs lack wheel
@@ -9,14 +9,9 @@ test:
 	pytest tests/
 
 # Determinism & contract linter (rules MV001-MV104, incl. the whole-program
-# stream/taint/pickling/telemetry passes); non-zero on findings.
+# stream/taint/telemetry passes); non-zero on findings.
 lint:
 	PYTHONPATH=src python -m repro.analysis src/
-
-# Apply the MV004/MV005 mechanical autofixes in place (preview with
-# `python -m repro.analysis --fix --dry-run src/`).
-lint-fix:
-	PYTHONPATH=src python -m repro.analysis --fix src/
 
 bench:
 	pytest benchmarks/ --benchmark-only

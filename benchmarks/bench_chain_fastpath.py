@@ -1,34 +1,23 @@
-"""Chain fastpath bench: closed-form PBFT/formation kernels + parallel sweeps.
+"""Chain fastpath bench: closed-form PBFT/formation kernels vs the DES.
 
-Two claims from the chain substrate (:mod:`repro.chain.fastpath`) and the
-sweep runner (:mod:`repro.harness.parallel`):
-
-* ``fastpath`` replaces the per-message DES with one batched
-  order-statistics kernel call per epoch (plus DES replays for
-  Byzantine-primary committees).  Both engines are timed back to back on
-  the Fig. 2 campaign at every network size, so the speedup at the
-  largest size IS asserted (same-machine ratio); distributional parity
-  is asserted via two-sample KS on the formation and consensus latency
-  samples at alpha=0.01 (:mod:`repro.metrics.ks` -- the fastpath is
-  validated statistically, not byte-wise, see the module docstring).
-* the parallel sweep runner fans figure trials over the spawn-safe
-  process pool and must stay **byte-identical** to the serial loop --
-  asserted hard here.  Its wall-clock speedup is *recorded*, not
-  asserted: shared CI runners routinely expose a single core.
-  ``cpu_count`` rides along so a reader can judge the number.
+The claim from the chain substrate (:mod:`repro.chain.fastpath`):
+``fastpath`` replaces the per-message DES with one batched
+order-statistics kernel call per epoch (plus DES replays for
+Byzantine-primary committees). Both engines are timed back to back on
+the Fig. 2 campaign at every network size, so the speedup at the largest
+size IS asserted (same-machine ratio); distributional parity is asserted
+via two-sample KS on the formation and consensus latency samples at
+alpha=0.01 (:mod:`repro.metrics.ks` -- the fastpath is validated
+statistically, not byte-wise, see the module docstring).
 
 Records land in ``BENCH_se_convergence.json`` under ``chain_fastpath``.
 """
 
-import dataclasses
-import json
 import os
 import time
 
 from repro.chain.measurement import measure_two_phase_latency
 from repro.chain.params import ChainParams
-from repro.harness import experiments
-from repro.harness.artifacts import _ArtifactEncoder
 from repro.harness.presets import PRESETS
 from repro.metrics.ks import ks_critical_value, ks_pvalue, ks_statistic
 
@@ -100,29 +89,6 @@ def test_chain_fastpath_bench(perf_recorder):
     # (same-machine ratio, min-of-reps on both sides).
     assert largest["speedup"] >= 5.0, f"fastpath speedup {largest['speedup']:.2f}x < 5x"
 
-    # ---- sweep runner: serial vs parallel, byte-identical ------------- #
-    sweep_preset = dataclasses.replace(
-        PRESETS["fig10"],
-        seeds=(1, 2, 3),
-        num_committees=12,
-        capacity=10_000,
-        se_iterations=80,
-        baseline_iterations=80,
-        convergence_window=40,
-    )
-    started = time.perf_counter()
-    serial = experiments.run_fig10_valuable_degree(sweep_preset, parallel=False)
-    sweep_serial_wall = time.perf_counter() - started
-    started = time.perf_counter()
-    pooled = experiments.run_fig10_valuable_degree(
-        sweep_preset, parallel=True, sweep_workers=3
-    )
-    sweep_parallel_wall = time.perf_counter() - started
-    sweep_byte_identical = json.dumps(serial, cls=_ArtifactEncoder, sort_keys=True) == (
-        json.dumps(pooled, cls=_ArtifactEncoder, sort_keys=True)
-    )
-    assert sweep_byte_identical
-
     print()
     print("chain fastpath bench (Fig. 2 campaign, DES vs closed-form kernel)")
     print(f"  {'nodes':>6} {'des':>9} {'fastpath':>9} {'speedup':>8} "
@@ -133,9 +99,6 @@ def test_chain_fastpath_bench(perf_recorder):
             f"{row['fastpath_wall_s'] * 1e3:>7.1f}ms {row['speedup']:>7.2f}x "
             f"{row['formation_ks_p']:>12.3f} {row['consensus_ks_p']:>12.3f}"
         )
-    print(f"  sweep fig10 (3 seeds, {os.cpu_count()} cpus): "
-          f"serial {sweep_serial_wall:.2f}s, parallel {sweep_parallel_wall:.2f}s, "
-          f"byte-identical {sweep_byte_identical}")
 
     perf_recorder(
         "chain_fastpath",
@@ -145,11 +108,4 @@ def test_chain_fastpath_bench(perf_recorder):
         timing_reps=_REPS,
         per_size=per_size,
         largest_size_speedup=largest["speedup"],
-        sweep_figure="fig10",
-        sweep_trials=len(sweep_preset.seeds),
-        sweep_workers=3,
-        sweep_serial_wall_s=sweep_serial_wall,
-        sweep_parallel_wall_s=sweep_parallel_wall,
-        sweep_speedup=sweep_serial_wall / sweep_parallel_wall,
-        sweep_byte_identical=sweep_byte_identical,
     )

@@ -1,16 +1,8 @@
-"""SE execution-engine bench: parallel Γ-scaling, the vectorized kernel,
-and the fully-batched Γ×thread race kernel behind ``engine="auto"``.
+"""SE execution-engine bench: the vectorized kernel and the fully-batched
+Γ×thread race kernel behind ``engine="auto"``.
 
-Three claims from the engine layer (:mod:`repro.core.engine`):
+Two claims from the engine layer (:mod:`repro.core.engine`):
 
-* ``parallel`` distributes Γ replicas across a process pool and stays
-  **byte-identical** to serial — asserted hard here (masks, traces,
-  iteration counts).  The wall-clock speedup is *recorded*, not asserted:
-  shared CI runners routinely expose a single core, where replica
-  parallelism cannot pay for its pickling.  ``cpu_count`` rides along in
-  the record so a reader can judge the number; the pool size is clamped
-  to the core count (the oversubscription bugfix), and both the requested
-  and granted sizes are recorded.
 * ``vectorized`` batches the race kernel into numpy array ops; its
   single-replica round throughput must beat serial by a wide margin on
   a thread-rich instance.  The ratio is same-machine (both engines timed
@@ -23,15 +15,14 @@ Three claims from the engine layer (:mod:`repro.core.engine`):
   pick the batched kernel for this shape, and every ``auto`` pick must be
   no slower than the serial measurement taken in the same process.
 
+``cpu_count`` rides along in the record so a reader can judge the numbers.
 Records land in ``BENCH_se_convergence.json`` under ``se_engines``.
 """
 
 import os
 import time
 
-import numpy as np
-
-from repro.core.engine import clamp_workers, select_engine
+from repro.core.engine import select_engine
 from repro.core.se import SEConfig, StochasticExploration
 from repro.data.workload import WorkloadConfig, generate_epoch_workload
 
@@ -43,40 +34,8 @@ def _timed_solve(instance, **config_kwargs):
     return result, time.perf_counter() - started
 
 
-def _assert_identical(a, b):
-    assert np.array_equal(a.best_mask, b.best_mask)
-    assert a.best_utility == b.best_utility
-    assert a.iterations == b.iterations
-    assert np.array_equal(a.utility_trace, b.utility_trace)
-    assert np.array_equal(a.current_trace, b.current_trace)
-    assert np.array_equal(a.virtual_time_trace, b.virtual_time_trace)
-
-
 def test_engine_bench(perf_recorder):
     cpu_count = os.cpu_count() or 1
-    granted_workers = clamp_workers(4)
-
-    # ---- parallel: Γ=10 over 100 committees ---------------------------- #
-    workload = generate_epoch_workload(
-        WorkloadConfig(num_committees=100, capacity=100_000, seed=0)
-    )
-    parallel_kwargs = dict(
-        num_threads=10, max_iterations=600, convergence_window=10 ** 6, seed=0
-    )
-    # Warm the spawn pool so process startup is amortised out of the timing,
-    # exactly as it is across repeated solves in a long experiment.
-    _timed_solve(
-        workload.instance, engine="parallel", num_workers=4,
-        num_threads=10, max_iterations=20, convergence_window=10 ** 6, seed=0,
-    )
-    serial_res, serial_wall = _timed_solve(
-        workload.instance, engine="serial", **parallel_kwargs
-    )
-    parallel_res, parallel_wall = _timed_solve(
-        workload.instance, engine="parallel", num_workers=4, **parallel_kwargs
-    )
-    _assert_identical(serial_res, parallel_res)
-    parallel_speedup = serial_wall / parallel_wall
 
     # ---- vectorized: single-replica round throughput ------------------ #
     # Thread-rich configuration (300 committees, every cardinality gets a
@@ -158,11 +117,7 @@ def test_engine_bench(perf_recorder):
     assert measured[auto_choice] >= measured["serial"]
 
     print()
-    print("SE engine bench")
-    print(f"  parallel   Gamma=10, 100 committees, 4 workers requested "
-          f"({granted_workers} granted), {cpu_count} cpus")
-    print(f"    serial   {serial_wall:7.3f} s")
-    print(f"    parallel {parallel_wall:7.3f} s   speedup {parallel_speedup:5.2f}x")
+    print(f"SE engine bench ({cpu_count} cpus)")
     print("  vectorized Gamma=1, 300 committees, all cardinalities, 4000 rounds")
     print(f"    serial     {serial_rounds_per_s:8.0f} rounds/s")
     print(f"    vectorized {vector_rounds_per_s:8.0f} rounds/s   "
@@ -175,14 +130,6 @@ def test_engine_bench(perf_recorder):
     perf_recorder(
         "se_engines",
         cpu_count=cpu_count,
-        parallel_workers=4,
-        parallel_workers_granted=granted_workers,
-        parallel_gamma=10,
-        parallel_committees=100,
-        parallel_serial_wall_s=serial_wall,
-        parallel_wall_s=parallel_wall,
-        parallel_speedup=parallel_speedup,
-        parallel_byte_identical=True,
         vectorized_committees=300,
         vectorized_rounds=int(vector_res.iterations),
         serial_rounds_per_s=serial_rounds_per_s,

@@ -8,8 +8,6 @@ here verbatim.  Supported modes::
     python -m repro.analysis --format sarif src/   # SARIF 2.1.0 for CI upload
     python -m repro.analysis --annotate src/       # GitHub workflow commands
     python -m repro.analysis --graph src/          # call/stream graph dump
-    python -m repro.analysis --fix [--dry-run]     # MV004/MV005 autofixes
-    python -m repro.analysis --write-baseline src/ # accept current findings
 
 Exit codes: 0 clean, 1 findings (errors), 2 usage/configuration errors.
 """
@@ -21,10 +19,9 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import apply_baseline, load_baseline, render_baseline
 from repro.analysis.config import load_config
 from repro.analysis.diagnostics import Severity, render_report
-from repro.analysis.engine import LintEngine, _walk_python_files, registered_rules
+from repro.analysis.engine import LintEngine, registered_rules
 from repro.analysis.output import (
     render_annotations,
     render_graph,
@@ -58,30 +55,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="dump the whole-program call/stream graph instead of linting",
     )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply MV004/MV005 mechanical autofixes in place",
-    )
-    parser.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix: print the diff, change nothing",
-    )
-    parser.add_argument(
-        "--baseline",
-        help="accepted-findings file (default: the pyproject 'baseline' key)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any configured baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -89,9 +62,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule_id}  {rule_class.description}")
         return 0
 
-    if args.dry_run and not args.fix:
-        print("repro.analysis: error: --dry-run requires --fix", file=sys.stderr)
-        return 2
     if args.config is not None and not os.path.isfile(args.config):
         print(f"repro.analysis: error: --config file not found: {args.config}", file=sys.stderr)
         return 2
@@ -108,40 +78,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(render_graph(engine.build_graph(args.paths)), end="")
         return 0
 
-    if args.fix:
-        return _run_fix(engine, args.paths, dry_run=args.dry_run)
-
     diagnostics = engine.lint_paths(args.paths)
-
-    baseline_path = args.baseline or config.baseline_path()
-    if args.write_baseline:
-        if baseline_path is None:
-            print(
-                "repro.analysis: error: --write-baseline needs --baseline or a "
-                "pyproject 'baseline' key",
-                file=sys.stderr,
-            )
-            return 2
-        with open(baseline_path, "w", encoding="utf-8") as handle:
-            handle.write(render_baseline(diagnostics))
-        print(f"repro.analysis: wrote {len(diagnostics)} finding(s) to {baseline_path}")
-        return 0
-
-    suppressed = 0
-    if baseline_path is not None and not args.no_baseline:
-        if not os.path.isfile(baseline_path):
-            print(
-                f"repro.analysis: error: baseline file not found: {baseline_path}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            baseline = load_baseline(baseline_path)
-        except ValueError as error:
-            print(f"repro.analysis: error: {error}", file=sys.stderr)
-            return 2
-        diagnostics, suppressed = apply_baseline(diagnostics, baseline)
-
     errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
     if args.format == "json":
         print(render_json(diagnostics), end="")
@@ -152,39 +89,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if report:
             print(report)
         else:
-            suffix = f", {suppressed} baselined" if suppressed else ""
-            print(f"repro.analysis: clean ({', '.join(args.paths)}{suffix})")
+            print(f"repro.analysis: clean ({', '.join(args.paths)})")
     if args.annotate and diagnostics:
         print(render_annotations(diagnostics))
     return 1 if errors else 0
-
-
-def _run_fix(engine: LintEngine, paths: Sequence[str], dry_run: bool) -> int:
-    from repro.analysis.fixes import fix_source, render_fix_diff
-
-    changed = 0
-    for path in _walk_python_files(paths):
-        normalized = path.replace(os.sep, "/").lstrip("./")
-        if engine.config.path_ignored(normalized):
-            continue
-        with open(path, "r", encoding="utf-8") as handle:
-            before = handle.read()
-        result = fix_source(before, path)
-        for note in result.unfixable:
-            print(f"repro.analysis: skip: {note}")
-        if not result.changed:
-            continue
-        changed += 1
-        if dry_run:
-            print(render_fix_diff(normalized, before, result.source), end="")
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(result.source)
-            for note in result.applied:
-                print(f"repro.analysis: fixed: {note}")
-    verb = "would change" if dry_run else "changed"
-    print(f"repro.analysis: --fix {verb} {changed} file(s)")
-    return 0
 
 
 if __name__ == "__main__":

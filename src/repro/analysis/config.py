@@ -6,7 +6,6 @@ Supported keys::
     disable = ["MV006"]            # rule ids switched off everywhere
     enable  = ["MV001"]            # explicit allow-list (optional; default: all)
     ignore  = ["src/repro/_gen/*"] # fnmatch path patterns skipped entirely
-    baseline = "lint-baseline.json"  # accepted findings, relative to this file
 
     [tool.repro.analysis.per-rule-ignore]
     MV002 = ["repro/chain/measurement.py"]   # rule id -> path patterns
@@ -41,15 +40,6 @@ class AnalysisConfig:
     ignore_paths: List[str] = field(default_factory=list)
     per_rule_ignores: Dict[str, List[str]] = field(default_factory=dict)
     source: Optional[str] = None  # pyproject path the config came from
-    baseline: Optional[str] = None  # accepted-findings file (see baseline.py)
-
-    def baseline_path(self) -> Optional[str]:
-        """Baseline location resolved relative to the pyproject that set it."""
-        if self.baseline is None:
-            return None
-        if os.path.isabs(self.baseline) or self.source is None:
-            return self.baseline
-        return os.path.join(os.path.dirname(os.path.abspath(self.source)), self.baseline)
 
     def rule_enabled(self, rule_id: str) -> bool:
         """Is ``rule_id`` globally switched on?"""
@@ -121,14 +111,12 @@ def config_from_section(section: dict, source: Optional[str] = None) -> Analysis
         if isinstance(patterns, str):
             patterns = [patterns]
         per_rule[str(rule_id).upper()] = [str(p) for p in patterns]
-    baseline = section.get("baseline")
     return AnalysisConfig(
         disabled_rules=disable,
         enabled_rules=enabled,
         ignore_paths=ignore,
         per_rule_ignores=per_rule,
         source=source,
-        baseline=None if baseline is None else str(baseline),
     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Path roots stripped when deriving a dotted module name from a file path.
 _SOURCE_ROOTS = ("src/",)
@@ -121,7 +121,6 @@ class ModuleInfo:
     tree: ast.Module
     imports: Dict[str, str] = field(default_factory=dict)  # local -> dotted target
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)  # qualname ->
-    toplevel_names: Set[str] = field(default_factory=set)  # defs/classes at module level
     classes: Dict[str, List[str]] = field(default_factory=dict)  # class -> method names
 
     def source_lines(self) -> List[str]:
@@ -155,16 +154,12 @@ class _FunctionCollector(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         if not self.func_stack:
             self.module.classes.setdefault(node.name, [])
-            if not self.class_stack:
-                self.module.toplevel_names.add(node.name)
         self.class_stack.append(node.name)
         self.generic_visit(node)
         self.class_stack.pop()
 
     def _visit_function(self, node) -> None:
         qualname = self._qualify(node.name)
-        if not self.func_stack and not self.class_stack:
-            self.module.toplevel_names.add(node.name)
         if self.class_stack and not self.func_stack:
             self.module.classes.setdefault(self.class_stack[-1], []).append(node.name)
         args = node.args

@@ -22,11 +22,6 @@ Each rule encodes one discipline the MVCom reproduction depends on:
   sinks (``Telemetry``/``JsonlSink``/``RingBufferSink``): the hub — and with
   it any clock — must arrive as a parameter, defaulting to the inert
   ``NULL_TELEMETRY``.  Only the harness owns wall clocks and trace files.
-* **MV008** executor submissions in ``repro.core``/``repro.harness`` must be
-  module-level (picklable) callables: the parallel SE engine uses a
-  spawn-context ``ProcessPoolExecutor``, and a lambda or closure passed to
-  ``submit``/``map`` pickles fine on fork but dies on spawn — exactly the
-  cross-platform breakage CI cannot see on Linux alone.
 * **MV009** no builtin ``hash()`` inside ``repro/{chain,sim}``: ``str``/
   ``bytes`` hashing is salted by ``PYTHONHASHSEED``, so any simulated
   quantity derived from it (addresses, bucket picks, tie-breaks) silently
@@ -60,8 +55,8 @@ def _scope_walk(root: ast.AST) -> Iterator[ast.AST]:
     """Walk ``root``'s descendants without entering nested function scopes.
 
     ``ast.walk`` descends into nested ``def``s and lambdas, which makes
-    scope-sensitive rules (MV003's global-RNG check, MV008's closure check,
-    MV009's shadow tracking) blame the outer function for the inner one's
+    scope-sensitive rules (MV003's global-RNG check, MV009's shadow
+    tracking) blame the outer function for the inner one's
     code — and report the same node twice when both scopes are checked.
     Class bodies ARE entered (they execute in the enclosing scope), but the
     methods inside them are not.
@@ -589,115 +584,6 @@ class InjectedTelemetryRule(Rule):
         if chain[0] in obs_modules and chain[-1] in _LIVE_OBS_NAMES:
             return ".".join(chain)
         return None
-
-
-# ---------------------------------------------------------------------- #
-# MV008
-# ---------------------------------------------------------------------- #
-#: Executor methods whose first argument crosses the pickle boundary.
-_EXECUTOR_METHODS = ("submit", "map")
-
-#: Packages that drive process pools (the parallel SE engine and harness).
-_EXECUTOR_PACKAGES = ("repro/core/", "repro/harness/")
-
-
-@register_rule
-class PicklableSubmissionRule(Rule):
-    """MV008: executor submissions must be module-level picklable callables."""
-
-    rule_id = "MV008"
-    description = (
-        "callables passed to ProcessPoolExecutor submit/map in "
-        "repro/{core,harness} must be module-level functions — lambdas and "
-        "closures break under the spawn start method"
-    )
-
-    def check(self, tree: ast.AST, context: FileContext) -> Iterator[Diagnostic]:
-        if not context.in_package(*_EXECUTOR_PACKAGES):
-            return
-        if not self._imports_executors(tree):
-            return
-        # Module scope: top-level defs are picklable by reference, so the
-        # visible-closure set starts empty and grows per enclosing function.
-        yield from self._check_scope(tree, context, frozenset())
-
-    def _check_scope(
-        self, scope: ast.AST, context: FileContext, closures: frozenset
-    ) -> Iterator[Diagnostic]:
-        """Check one function scope; ``closures`` = function-local def names
-        visible here (Python scoping: these shadow same-named module-level
-        functions, which is exactly why a plain name-set over the whole tree
-        misfires)."""
-        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defined_here = frozenset(
-                inner.name
-                for inner in _scope_walk(scope)
-                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
-            )
-            closures = closures | defined_here
-        for node in _scope_walk(scope):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_scope(node, context, closures)
-                continue
-            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-                continue
-            if node.func.attr not in _EXECUTOR_METHODS or not node.args:
-                continue
-            for arg in node.args:
-                for inner in ast.walk(arg):
-                    if isinstance(inner, ast.Lambda):
-                        yield self.diagnostic(
-                            context,
-                            inner,
-                            f"lambda passed to .{node.func.attr}() cannot be "
-                            "pickled by a spawn-context worker; define a "
-                            "module-level function instead",
-                        )
-            target = self._submission_target(node.args[0])
-            if isinstance(target, ast.Name) and target.id in closures:
-                wrapped = "" if target is node.args[0] else " (via functools.partial)"
-                yield self.diagnostic(
-                    context,
-                    target,
-                    f"closure {target.id}(){wrapped} passed to "
-                    f".{node.func.attr}() is defined inside another function "
-                    "and cannot be pickled by a spawn-context worker; hoist "
-                    "it to module level",
-                )
-
-    @staticmethod
-    def _submission_target(expr: ast.expr) -> ast.expr:
-        """Unwrap ``functools.partial(...)`` chains to the wrapped callable.
-
-        ``partial`` objects pickle by pickling the wrapped function, so
-        ``submit(partial(closure, x))`` fails exactly like ``submit(closure)``.
-        """
-        while isinstance(expr, ast.Call) and expr.args:
-            func = expr.func
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            else:
-                break
-            if name != "partial":
-                break
-            expr = expr.args[0]
-        return expr
-
-    @staticmethod
-    def _imports_executors(tree: ast.AST) -> bool:
-        """True when the module reaches for process/thread pools at all."""
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in ("concurrent", "multiprocessing"):
-                        return True
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                module = node.module or ""
-                if module.split(".")[0] in ("concurrent", "multiprocessing"):
-                    return True
-        return False
 
 
 # ---------------------------------------------------------------------- #

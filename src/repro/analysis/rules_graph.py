@@ -14,18 +14,13 @@ Where the MV00x rules inspect one file at a time, these rules run over the
   ``datetime.now``, ``os.urandom``, ``uuid.uuid4``, ``secrets.*`` or a
   global/unseeded RNG through the project call graph are findings, with the
   offending call chain spelled out.
-* **MV103 pickling reachability** — MV008 strengthened: callables and
-  arguments crossing a ``submit``/``map`` process-pool boundary must
-  resolve to module-level picklable objects; bound methods, locally-built
-  callables, generator expressions and open file handles are findings.
 * **MV104 telemetry-guard flow** — telemetry emission inside a loop body
   must sit behind a dominating ``telemetry.enabled`` guard (directly, via a
   hoisted alias such as ``self.traced = telemetry.enabled``, or via an
   early ``if not telemetry.enabled: return/continue``), so the NullTelemetry
   fast path stays near-zero-cost in hot loops.
 
-Intentional exceptions are expressed inline (``# repro: ignore[MV101]``) or
-through the checked-in lint baseline; see ``repro.analysis.baseline``.
+Intentional exceptions are expressed inline (``# repro: ignore[MV101]``).
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import ProjectRule, register_rule
 from repro.analysis.graph import (
     MODULE_BODY,
-    CallSite,
     FunctionInfo,
     ModuleInfo,
     ProjectGraph,
@@ -47,8 +41,6 @@ from repro.analysis.rules import (
     REPLAY_PACKAGES,
     RNG_MODULE,
     WallClockRule,
-    _EXECUTOR_PACKAGES,
-    _EXECUTOR_METHODS,
     _ImportMap,
     _global_rng_call,
 )
@@ -365,186 +357,6 @@ def _entropy_call(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
     if root in _ENTROPY_MODULE_ATTRS and chain[1] in _ENTROPY_MODULE_ATTRS[root]:
         return f"{root}." + ".".join(chain[1:])
     return None
-
-
-# ---------------------------------------------------------------------- #
-# MV103
-# ---------------------------------------------------------------------- #
-@register_rule
-class PicklingReachabilityRule(ProjectRule):
-    """MV103: everything crossing a process-pool boundary must pickle."""
-
-    rule_id = "MV103"
-    description = (
-        "submit/map payloads in repro/{core,harness} must resolve to "
-        "module-level picklable callables and arguments: bound methods, "
-        "locally-built callables, generator expressions and open file "
-        "handles die on a spawn-context worker"
-    )
-
-    def check_project(self, graph: ProjectGraph) -> Iterator[Diagnostic]:
-        from repro.analysis.rules import PicklableSubmissionRule
-
-        for module_name in sorted(graph.modules):
-            module = graph.modules[module_name]
-            if not _in_package(module.normalized, _EXECUTOR_PACKAGES):
-                continue
-            if not PicklableSubmissionRule._imports_executors(module.tree):
-                continue
-            for qualname in sorted(module.functions):
-                function = module.functions[qualname]
-                open_handles = _open_handle_names(function)
-                for site in function.calls:
-                    node = site.node
-                    if not isinstance(node.func, ast.Attribute):
-                        continue
-                    if node.func.attr not in _EXECUTOR_METHODS or not node.args:
-                        continue
-                    yield from self._check_submission(
-                        graph, module, function, node, open_handles
-                    )
-
-    def _check_submission(
-        self,
-        graph: ProjectGraph,
-        module: ModuleInfo,
-        function: FunctionInfo,
-        call: ast.Call,
-        open_handles: Set[str],
-    ) -> Iterator[Diagnostic]:
-        method = call.func.attr  # submit | map
-        target = call.args[0]
-        yield from self._check_callable(graph, module, function, call, target, method)
-        for arg in call.args[1:]:
-            if isinstance(arg, ast.GeneratorExp):
-                yield _project_diagnostic(
-                    self,
-                    function.path,
-                    arg.lineno,
-                    arg.col_offset,
-                    f"generator expression passed to .{method}() cannot be "
-                    "pickled across the process boundary; materialize a list "
-                    "or tuple first",
-                )
-            for inner in ast.walk(arg):
-                if isinstance(inner, ast.Name) and inner.id in open_handles:
-                    yield _project_diagnostic(
-                        self,
-                        function.path,
-                        inner.lineno,
-                        inner.col_offset,
-                        f"open file handle {inner.id!r} passed to .{method}() "
-                        "cannot be pickled; pass the path and reopen in the "
-                        "worker",
-                    )
-
-    def _check_callable(
-        self,
-        graph: ProjectGraph,
-        module: ModuleInfo,
-        function: FunctionInfo,
-        call: ast.Call,
-        target: ast.expr,
-        method: str,
-    ) -> Iterator[Diagnostic]:
-        if isinstance(target, ast.Lambda):
-            return  # MV008 already owns the lambda finding
-        if isinstance(target, ast.Call):
-            callee = target.func
-            callee_chain = attribute_chain(callee)
-            is_partial = (isinstance(callee, ast.Name) and callee.id == "partial") or (
-                callee_chain is not None and callee_chain[-1] == "partial"
-            )
-            if is_partial and target.args:
-                yield from self._check_callable(
-                    graph, module, function, call, target.args[0], method
-                )
-            return
-        if isinstance(target, ast.Attribute):
-            chain = attribute_chain(target)
-            if chain is None:
-                return
-            root = chain[0]
-            if root in module.imports:
-                return  # module attribute (mod.fn) — picklable by reference
-            if root in module.classes:
-                return  # Class.method — a plain function, picklable
-            yield _project_diagnostic(
-                self,
-                function.path,
-                target.lineno,
-                target.col_offset,
-                f"bound method {'.'.join(chain)!r} passed to .{method}() "
-                "pickles its whole instance (and breaks under spawn when the "
-                "instance holds handles); pass a module-level function plus "
-                "plain-data arguments",
-            )
-            return
-        if isinstance(target, ast.Name):
-            resolved = self._resolve_callable(graph, module, function, target.id)
-            if resolved == "local":
-                yield _project_diagnostic(
-                    self,
-                    function.path,
-                    target.lineno,
-                    target.col_offset,
-                    f"callable {target.id!r} passed to .{method}() is built "
-                    "inside this function and cannot be pickled by a "
-                    "spawn-context worker; hoist it to module level",
-                )
-
-    @staticmethod
-    def _resolve_callable(
-        graph: ProjectGraph, module: ModuleInfo, function: FunctionInfo, name: str
-    ) -> str:
-        """Classify a bare-name submission target.
-
-        Returns ``"module-level"`` (fine), ``"local"`` (finding) or
-        ``"unknown"`` (imported/third-party — give the benefit of the doubt).
-        """
-        if name in module.toplevel_names:
-            return "module-level"
-        if name in module.imports:
-            return "unknown"
-        # a local variable assigned from a lambda / nested def?
-        for node in ast.walk(function.node):
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == name for t in node.targets
-            ):
-                if isinstance(node.value, ast.Lambda):
-                    return "local"
-            elif (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name == name
-                and node is not function.node
-            ):
-                return "local"
-        return "unknown"
-
-
-def _open_handle_names(function: FunctionInfo) -> Set[str]:
-    """Local names bound to ``open(...)`` results in this function."""
-    handles: Set[str] = set()
-    for node in ast.walk(function.node):
-        if isinstance(node, ast.Assign):
-            if _is_open_call(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        handles.add(target.id)
-        elif isinstance(node, ast.withitem):
-            if _is_open_call(node.context_expr) and isinstance(
-                node.optional_vars, ast.Name
-            ):
-                handles.add(node.optional_vars.id)
-    return handles
-
-
-def _is_open_call(node: ast.expr) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "open"
-    )
 
 
 # ---------------------------------------------------------------------- #

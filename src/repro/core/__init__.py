@@ -10,7 +10,7 @@
 * :mod:`repro.core.se` -- the online distributed Stochastic-Exploration
   algorithm (Algs. 1-3, Section IV-D).
 * :mod:`repro.core.engine` -- pluggable SE execution engines: serial
-  reference, byte-identical process-pool parallel, vectorized kernel.
+  reference and the batched vectorized kernel.
 * :mod:`repro.core.dynamics` -- committee join/leave/failure event handling.
 * :mod:`repro.core.failure` -- Section V analysis (Lemma 4, Theorem 2).
 * :mod:`repro.core.exact` -- exact solvers used as ground truth in tests.

@@ -1,31 +1,18 @@
 """Execution engines for the Stochastic-Exploration race (Alg. 1).
 
 :class:`repro.core.se.StochasticExploration` owns the algorithm; this module
-owns *how fast it runs*.  Three engines share one driver
+owns *how fast it runs*.  Two engines share one driver
 (:class:`_EngineRun`) that keeps everything observable on the calling
-process — bootstrap, dynamic events (Alg. 1 lines 9-12), probes, telemetry,
+thread — bootstrap, dynamic events (Alg. 1 lines 9-12), probes, telemetry,
 the :class:`~repro.core.convergence.ConvergenceDetector` and the incumbent
-λ — so rule MV007 and the faultinject probe contract hold for every engine:
+λ — so rule MV007 and the faultinject probe contract hold for every engine.
+The paper's Γ "parallel threads" are Γ independent chains aiming at one
+Gibbs target, not an OS-parallelism requirement, so both engines run them
+in one process:
 
 ``serial``
     The reference scalar loop (the pre-engine ``solve`` body, verbatim).
-    Golden tests pin it unchanged.
-
-``parallel``
-    The Γ executor replicas are *independent between dynamic-event
-    boundaries* — every stream a replica consumes is keyed by its
-    ``replica_id``, never by iteration order — so each replica is advanced
-    in a worker process for a whole *segment* (up to the next scheduled
-    event, in ``convergence_window``-sized chunks otherwise) and returns a
-    compact per-round log.  The driver merges the logs round-by-round,
-    rebuilds the traces, runs convergence on the merged series and
-    truncates at the exact converged round.  Results are **byte-identical**
-    to the serial engine: same seeds → same masks, traces and iteration
-    counts.  (Merge argument: the incumbent's utility is monotone and
-    bounds every past fired utility, so only a fire that *strictly improves
-    its own replica's running fired-max* can ever win a round; workers log
-    exactly those, and the driver replays the serial replica-order
-    tie-break over them.)
+    Golden tests pin it unchanged; it is the oracle for the batched kernel.
 
 ``vectorized``
     The fully-batched Γ×thread race kernel: **one** numpy race covers every
@@ -36,18 +23,15 @@ the :class:`~repro.core.convergence.ConvergenceDetector` and the incumbent
     segmented (inf-padded rectangular) argmin — no per-replica Python loop —
     and applies all fires at once (one fire per replica touches disjoint
     rows, so the batch is exact).  It consumes randomness in a different
-    order than the scalar engines, so it is validated *distributionally*
+    order than the scalar engine, so it is validated *distributionally*
     (χ²/KS tests in ``tests/test_core_engines.py``), not byte-wise.
 
 ``auto`` (the :class:`~repro.core.se.SEConfig` default)
-    Not a fourth engine but a selection rule (:func:`select_engine`): the
-    *trajectory-changing* choice — scalar family vs batched kernel — depends
-    only on machine-independent quantities (the racing population
-    ``Γ × threads`` and the dynamic-event density), so a seeded run picks
-    the same family on every box; ``os.cpu_count()`` only arbitrates
-    *within* the byte-identical scalar family (serial vs parallel).  The
-    decision is logged through the injected obs hub as an ``engine.auto``
-    event.
+    Not a third engine but a selection rule (:func:`select_engine`): the
+    scalar-vs-batched choice depends only on machine-independent quantities
+    (the racing population ``Γ × threads`` and the dynamic-event density),
+    so a seeded run picks the same engine on every box.  The decision is
+    logged through the injected obs hub as an ``engine.auto`` event.
 
 Vectorized stream layout (the engine's own named streams, independent of
 the per-replica scalar streams): per race round the main
@@ -61,7 +45,7 @@ remaining ``pair_tries - 1`` candidate pairs from the separate
 ``"vectorized-race-retry"`` stream — one ``(rejected, pair_tries - 1, 2)``
 block, first feasible lane wins, budget-exhausted rows park — so the
 common case (ample slack) pays 3 uniforms per thread-round instead of the
-scalar engines' up-to-33.  Both streams replay deterministically: the
+scalar engine's up-to-33.  Both streams replay deterministically: the
 retry block's size is a function of the trajectory, which is a function of
 the seeds alone.  For speed the kernel draws many rounds of the main block
 at once as ``(R, T, 3)``; retry blocks are always per-round.
@@ -69,12 +53,7 @@ at once as ``(R, T, 3)``; retry blocks are always per-round.
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -95,7 +74,7 @@ from repro.core.timers import LOG_DURATION_MAX, LOG_DURATION_MIN
 from repro.sim.rng import RandomStreams
 
 #: Concrete engines (each names a ``run_*`` implementation below).
-ENGINE_NAMES = ("serial", "parallel", "vectorized")
+ENGINE_NAMES = ("serial", "vectorized")
 
 #: The selection rule accepted by ``SEConfig(engine=...)`` alongside the
 #: concrete engines; resolved per solve by :func:`select_engine`.
@@ -118,13 +97,6 @@ AUTO_VECTORIZE_MIN_WORK = 192
 #: its arrays back into thread objects and rebuild them, which dominates
 #: short segments.  Also machine-independent (schedule-derived only).
 AUTO_DENSE_GAP_ROUNDS = 64
-
-#: The parallel engine is byte-identical to serial, so consulting the
-#: machine here is safe.  It only ever pays off with real cores, several
-#: replicas to fan out, and enough per-segment work to beat pickling.
-AUTO_PARALLEL_MIN_CPUS = 4
-AUTO_PARALLEL_MIN_GAMMA = 4
-AUTO_PARALLEL_MIN_WORK = 4096
 
 
 def count_racing_threads(replica: _Replica) -> int:
@@ -152,16 +124,13 @@ def select_engine(
     config,
     racing_threads: int,
     schedule: Optional[DynamicSchedule] = None,
-    cpu_count: Optional[int] = None,
 ) -> Tuple[str, str]:
     """Resolve ``engine="auto"`` to a concrete engine; returns (engine, reason).
 
-    The decision tree keeps seeded runs reproducible across machines: the
+    The decision keeps seeded runs reproducible across machines: the
     scalar-vs-batched split (which changes the randomness consumption
     order, hence the trajectory) depends only on the racing population and
     the event density — both derived from the config/instance/schedule.
-    ``cpu_count`` (injectable for tests; defaults to ``os.cpu_count()``)
-    only picks between serial and parallel, which are byte-identical twins.
     """
     work = config.num_threads * racing_threads
     mean_gap = schedule_mean_gap(schedule, config.max_iterations)
@@ -170,17 +139,6 @@ def select_engine(
         return (
             "vectorized",
             f"work={work} >= {AUTO_VECTORIZE_MIN_WORK}: batched kernel amortises",
-        )
-    cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    if (
-        cpus >= AUTO_PARALLEL_MIN_CPUS
-        and config.num_threads >= AUTO_PARALLEL_MIN_GAMMA
-        and work >= AUTO_PARALLEL_MIN_WORK
-    ):
-        return (
-            "parallel",
-            f"dense schedule (gap {mean_gap:.0f} rounds) with work={work} "
-            f"on {cpus} cpus: replica pool beats scalar",
         )
     if dense and work >= AUTO_VECTORIZE_MIN_WORK:
         return (
@@ -369,7 +327,7 @@ class _EngineRun:
         """Rounds until the next event boundary, capped at one chunk.
 
         Chunks are ``convergence_window``-sized so a converged run never
-        overshoots by more than one window of (discarded) worker rounds.
+        draws more than one window of (discarded) batched rounds ahead.
         """
         limit = self.config.max_iterations
         if self.schedule is not None and not self.schedule.exhausted:
@@ -448,245 +406,6 @@ def run_serial(run: _EngineRun) -> SEResult:
         virtual_time = max(replica.virtual_time for replica in run.replicas)
         if run.finish_round(iteration, current, virtual_time, transitions):
             break
-    return run.result()
-
-
-# ------------------------------------------------------------------ #
-# parallel engine (process pool over replicas, byte-identical)
-# ------------------------------------------------------------------ #
-@dataclass
-class _SegmentLog:
-    """Compact per-round log a worker returns for one replica segment.
-
-    ``improvements[k]`` is ``(utility, weight, count, selected_bytes)`` for
-    the round-``k`` fires that strictly improved this replica's running
-    fired-max within the segment — a superset of every fire that could win
-    a round against the monotone incumbent, which is all the driver needs
-    to rebuild the serial best-tracking byte-for-byte.
-    """
-
-    fired: List[bool]
-    fired_utilities: List[float]
-    cardinalities: List[int]
-    swaps: List[Optional[Tuple[int, int]]]
-    currents: List[float]
-    virtual_times: List[float]
-    improvements: Dict[int, Tuple[float, int, int, bytes]]
-
-
-def advance_replica_segment(replica: _Replica, rounds: int) -> Tuple[_Replica, _SegmentLog]:
-    """Advance one executor replica ``rounds`` race rounds (worker entry).
-
-    Runs only the pure race (Alg. 1 lines 14-21 / Alg. 3 timers, eq. 8);
-    dynamic events, probes and telemetry stay on the driver.  Module-level
-    by design: :class:`concurrent.futures.ProcessPoolExecutor` must pickle
-    the callable for spawn-safe dispatch (lint rule MV008).
-    """
-    fired: List[bool] = []
-    fired_utilities: List[float] = []
-    cardinalities: List[int] = []
-    swaps: List[Optional[Tuple[int, int]]] = []
-    currents: List[float] = []
-    virtual_times: List[float] = []
-    improvements: Dict[int, Tuple[float, int, int, bytes]] = {}
-    local_max = float("-inf")
-    for k in range(rounds):
-        winner = replica.race_round()
-        if winner is not None and winner.solution is not None:
-            solution = winner.solution
-            utility = solution.utility
-            fired.append(True)
-            fired_utilities.append(utility)
-            cardinalities.append(winner.cardinality)
-            swaps.append(winner.last_swap)
-            if utility > local_max:
-                local_max = utility
-                improvements[k] = (
-                    utility,
-                    solution.weight,
-                    solution.count,
-                    bytes(solution.selected),
-                )
-        else:
-            fired.append(False)
-            fired_utilities.append(float("-inf"))
-            cardinalities.append(-1)
-            swaps.append(None)
-        currents.append(replica.current_utility)
-        virtual_times.append(replica.virtual_time)
-    return replica, _SegmentLog(
-        fired=fired,
-        fired_utilities=fired_utilities,
-        cardinalities=cardinalities,
-        swaps=swaps,
-        currents=currents,
-        virtual_times=virtual_times,
-        improvements=improvements,
-    )
-
-
-_WORKER_POOLS: Dict[int, ProcessPoolExecutor] = {}
-
-
-def clamp_workers(num_workers: int, cpu_count: Optional[int] = None) -> int:
-    """Validate and clamp a requested pool size to the machine's cores.
-
-    Oversubscribing a process pool is never a win for this workload — the
-    4-workers-on-1-core configuration is exactly what produced the 0.79x
-    ``se_engines.parallel_speedup`` bench regression — so every pool goes
-    through this clamp.  Raises on ``num_workers < 1`` (a silent serial
-    fallback would hide a caller bug).  ``cpu_count`` overrides the probed
-    core count for tests.
-    """
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    return min(num_workers, cpu_count)
-
-
-def _shared_pool(num_workers: int) -> ProcessPoolExecutor:
-    """Process pool reused across solves (spawn startup is seconds-scale)."""
-    pool = _WORKER_POOLS.get(num_workers)
-    if pool is None:
-        pool = ProcessPoolExecutor(
-            max_workers=num_workers, mp_context=multiprocessing.get_context("spawn")
-        )
-        _WORKER_POOLS[num_workers] = pool
-    return pool
-
-
-def shared_pool(num_workers: int) -> ProcessPoolExecutor:
-    """Public handle on the cached spawn-safe pool (clamped to cpu_count).
-
-    The harness's figure-sweep runner (:mod:`repro.harness.parallel`)
-    reuses the same executors as the parallel SE engine, so one ``mvcom``
-    invocation never pays spawn startup twice for the same pool size.
-    """
-    return _shared_pool(clamp_workers(num_workers))
-
-
-def shutdown_worker_pools() -> None:
-    """Tear down every cached parallel-engine pool (registered atexit)."""
-    for pool in _WORKER_POOLS.values():
-        pool.shutdown()
-    _WORKER_POOLS.clear()
-
-
-atexit.register(shutdown_worker_pools)
-
-
-def _solution_from_log(
-    instance: EpochInstance, parts: Tuple[float, int, int, bytes]
-) -> Solution:
-    """Rehydrate a worker-logged solution, carrying its caches verbatim.
-
-    The incremental float caches must transfer bit-for-bit (recomputing
-    utility from the mask can differ in the last bit), so this bypasses
-    ``Solution.__init__``.
-    """
-    utility, weight, count, selected = parts
-    return Solution.from_cached(instance, selected, utility, weight, count)
-
-
-def _merge_segment(
-    run: _EngineRun, start_iteration: int, segment: int, logs: List[_SegmentLog]
-) -> Optional[int]:
-    """Replay one segment's worker logs through the serial round tail.
-
-    Scans each round's improvement records in replica order with the serial
-    strict-``>`` tie-break, so the incumbent, traces and convergence
-    decision come out byte-identical.  Returns the number of rounds
-    actually consumed when convergence fires mid-segment (the segment's
-    remaining rounds are discarded, as the serial loop would never have
-    executed them), else None.
-    """
-    telemetry = run.telemetry
-    traced = run.traced
-    for k in range(segment):
-        iteration = start_iteration + k
-        transitions = 0
-        candidate: Optional[Tuple[float, int, int, bytes]] = None
-        for replica_index, log in enumerate(logs):
-            if not log.fired[k]:
-                continue
-            transitions += 1
-            if traced:
-                swap_out, swap_in = log.swaps[k] or (-1, -1)
-                telemetry.event(
-                    "se.transition",
-                    iteration=iteration,
-                    replica=replica_index,
-                    cardinality=log.cardinalities[k],
-                    swap_out=swap_out,
-                    swap_in=swap_in,
-                    utility=log.fired_utilities[k],
-                )
-            improvement = log.improvements.get(k)
-            if improvement is not None and (
-                candidate is None or improvement[0] > candidate[0]
-            ):
-                candidate = improvement
-        if candidate is not None and candidate[0] > run.best.utility:
-            run.best = _solution_from_log(run.instance, candidate)
-        current = max(log.currents[k] for log in logs)
-        virtual_time = max(log.virtual_times[k] for log in logs)
-        if run.finish_round(iteration, current, virtual_time, transitions):
-            return k + 1
-    return None
-
-
-def _rebind_instance(replicas: List[_Replica], instance: EpochInstance) -> None:
-    """Point every unpickled thread solution back at the driver's instance.
-
-    Workers never mutate the instance, but round-tripping a replica through
-    pickle gives its solutions a value-equal *copy*.  The serial loop's
-    invariant — and the storm probe's ``best.instance is instance`` check —
-    require the single shared object, so restore identity after each
-    segment.  Cached utility/weight scalars stay valid (the copy is equal).
-    """
-    for replica in replicas:
-        for thread in replica.threads:
-            if thread.solution is not None:
-                thread.solution.instance = instance
-
-
-def run_parallel(run: _EngineRun) -> SEResult:
-    """Segmented Γ-replica execution over a spawn-safe process pool."""
-    config = run.config
-    granted = clamp_workers(config.num_workers)
-    if granted != config.num_workers and run.traced:
-        run.telemetry.event(
-            "engine.workers_clamped",
-            requested=config.num_workers,
-            granted=granted,
-        )
-    pool = _shared_pool(granted)
-    iteration = 0
-    while iteration < config.max_iterations:
-        run.apply_due_events(iteration)
-        segment = run.segment_length(iteration)
-        futures = [
-            pool.submit(advance_replica_segment, replica, segment)
-            for replica in run.replicas
-        ]
-        outcomes = [future.result() for future in futures]
-        logs = [log for _, log in outcomes]
-        consumed = _merge_segment(run, iteration, segment, logs)
-        if consumed is not None:
-            # Convergence fired mid-segment.  The worker replicas have
-            # raced the full segment, but the serial loop stops at the
-            # convergence round — re-advance the driver's pre-segment
-            # replicas exactly ``consumed`` rounds so the carried warm
-            # state (thread solutions + RNG end-states) stays
-            # byte-identical to the serial engine's.
-            for replica in run.replicas:
-                for _ in range(consumed):
-                    replica.race_round()
-            break
-        run.replicas = [replica for replica, _ in outcomes]
-        _rebind_instance(run.replicas, run.instance)
-        iteration += segment
     return run.result()
 
 
@@ -1080,17 +799,16 @@ def run_engine(
 
     All engines return an :class:`~repro.core.se.SEResult` whose best
     solution satisfies const. (3) ``count >= N_min`` and const. (4)
-    ``weight <= Ĉ``; ``serial`` and ``parallel`` are byte-identical for a
-    given ``SEConfig.seed``, ``vectorized`` matches distributionally.
-    ``"auto"`` resolves through :func:`select_engine` (machine-independent
-    scalar-vs-batched split; ``cpu_count`` only arbitrates within the
-    byte-identical scalar family) and logs the decision as an
-    ``engine.auto`` telemetry event.
+    ``weight <= Ĉ``; ``serial`` is deterministic for a given
+    ``SEConfig.seed`` and ``vectorized`` matches it distributionally.
+    ``"auto"`` resolves through :func:`select_engine` (a machine-independent
+    scalar-vs-batched split) and logs the decision as an ``engine.auto``
+    telemetry event.
 
     ``warm`` adopts a prior run's replicas/streams/incumbent before the
-    race starts (see :meth:`StochasticExploration.solve`).  All three
-    engine families accept warm state: the scalar loops continue the
-    carried thread streams, and the batched kernel rebuilds its flat row
+    race starts (see :meth:`StochasticExploration.solve`).  Both engines
+    accept warm state: the scalar loop continues the carried thread
+    streams, and the batched kernel rebuilds its flat row
     space from the adopted threads so warm rows enter *pre-scored* (their
     incremental utility/weight caches transfer verbatim) while the
     ``vectorized-race`` streams resume mid-sequence.  ``"auto"``
@@ -1111,8 +829,6 @@ def run_engine(
                 work=solver.config.num_threads * racing,
                 racing_threads=racing,
             )
-    if engine == "parallel":
-        return run_parallel(run)
     if engine == "vectorized":
         return run_vectorized(run)
     return run_serial(run)

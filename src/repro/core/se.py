@@ -75,11 +75,8 @@ class SEConfig:
     the default ``"auto"`` resolves per solve via
     :func:`repro.core.engine.select_engine` (machine-independent
     scalar-vs-batched split, so seeded trajectories reproduce everywhere);
-    ``"serial"`` is the reference scalar loop, ``"parallel"`` fans the Γ
-    replicas across a spawn-safe process pool (``num_workers`` processes,
-    clamped to ``os.cpu_count()``) with byte-identical results, and
-    ``"vectorized"`` runs the fully-batched Γ×thread race kernel validated
-    distributionally.
+    ``"serial"`` is the reference scalar loop and ``"vectorized"`` runs
+    the fully-batched Γ×thread race kernel validated distributionally.
     """
 
     beta: float = DEFAULT_BETA
@@ -94,7 +91,6 @@ class SEConfig:
     include_full_solution: bool = True
     max_solution_threads: Optional[int] = 64
     engine: str = "auto"
-    num_workers: int = 4
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -109,13 +105,11 @@ class SEConfig:
             raise ValueError("max_solution_threads must be positive or None")
         # Mirrors repro.core.engine.SELECTABLE_ENGINES (engine imports se,
         # so validating against the literal avoids the circular import).
-        if self.engine not in ("auto", "serial", "parallel", "vectorized"):
+        if self.engine not in ("auto", "serial", "vectorized"):
             raise ValueError(
-                f"unknown engine {self.engine!r}; expected auto, serial, "
-                "parallel or vectorized"
+                f"unknown engine {self.engine!r}; expected auto, serial "
+                "or vectorized"
             )
-        if self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
 
 
 @dataclass
@@ -528,9 +522,8 @@ class StochasticExploration:
 
         The race itself executes on the engine selected by
         ``config.engine`` (:mod:`repro.core.engine`): the serial reference
-        loop, the byte-identical parallel replica pool, or the batched
-        vectorized kernel.  Probes and telemetry always run on this driver
-        process regardless of engine.
+        loop or the batched vectorized kernel.  Probes and telemetry always
+        run on this driver regardless of engine.
         """
         from repro.core import engine as engine_module  # deferred: engine imports se
 

@@ -63,10 +63,9 @@ class Solution:
     ) -> "Solution":
         """Rehydrate a selection whose aggregates are already known.
 
-        The engines' hot paths (worker segment logs, the batched race
-        kernel's array rows) carry the incremental float caches alongside
-        the mask; recomputing utility from the mask can differ in the last
-        bit, so this constructor installs the caches verbatim instead of
+        The batched race kernel's array rows carry the incremental float
+        caches alongside the mask; recomputing utility from the mask can
+        differ in the last bit, so this constructor installs the caches verbatim instead of
         calling :meth:`recompute`.  The caller owns the invariant that the
         aggregates match the mask.
         """

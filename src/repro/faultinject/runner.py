@@ -113,7 +113,6 @@ def _solver(
     telemetry: NullTelemetry,
     seed: Optional[int] = None,
     engine: str = "serial",
-    num_workers: int = 4,
 ) -> StochasticExploration:
     se_config = SEConfig(
         num_threads=config.gamma,
@@ -121,7 +120,6 @@ def _solver(
         convergence_window=config.convergence_window,
         seed=config.seed if seed is None else seed,
         engine=engine,
-        num_workers=num_workers,
     )
     return StochasticExploration(se_config, telemetry=telemetry)
 
@@ -132,7 +130,6 @@ def run_storm(
     armed: Optional[Sequence[str]] = None,
     telemetry: NullTelemetry = NULL_TELEMETRY,
     engine: str = "serial",
-    num_workers: int = 4,
 ) -> StormOutcome:
     """Run one storm against one SE solve and classify the outcome.
 
@@ -140,9 +137,8 @@ def run_storm(
     instance, the event schedule and the solver all derive from
     ``config.seed`` through named streams, so one seed is one storm
     forever — the property the replay / shrink machinery builds on.
-    ``engine="parallel"`` runs the same storm byte-identically across a
-    process pool (probes still fire on the driver at event boundaries);
-    see :mod:`repro.core.engine`.
+    ``engine`` selects the SE execution engine (:mod:`repro.core.engine`);
+    probes fire at event boundaries on every engine.
     """
     armed = tuple(armed) if armed is not None else DEFAULT_ARMED
     instance = build_storm_instance(config)
@@ -150,7 +146,7 @@ def run_storm(
         events = generate_storm(instance, config, RandomStreams(config.seed))
     events = list(events)
 
-    solver = _solver(config, telemetry, engine=engine, num_workers=num_workers)
+    solver = _solver(config, telemetry, engine=engine)
     probe = StormProbe(solver, instance, armed=armed, telemetry=telemetry)
     schedule = DynamicSchedule(events=list(events))
 
@@ -292,16 +288,13 @@ def replay_reproducer(
     reproducer: Dict,
     telemetry: NullTelemetry = NULL_TELEMETRY,
     engine: str = "serial",
-    num_workers: int = 4,
 ) -> StormOutcome:
     """Re-run a stored reproducer exactly (same seed, same events, same arms).
 
-    ``engine`` selects the SE execution engine; the parallel engine is
-    byte-identical to serial, so a reproducer replays to the same outcome
-    on either.  Storms deliberately default to ``serial`` rather than
-    ``auto``: a reproducer must replay byte-for-byte on any machine, and
-    ``auto`` may route large instances to the distributional batched
-    kernel.
+    ``engine`` selects the SE execution engine.  Storms deliberately
+    default to ``serial`` rather than ``auto``: a reproducer must replay
+    byte-for-byte on any machine, and ``auto`` may route large instances
+    to the distributional batched kernel.
     """
     config = StormConfig(**reproducer["config"])
     events = [event_from_json(payload) for payload in reproducer["events"]]
@@ -311,7 +304,6 @@ def replay_reproducer(
         armed=tuple(reproducer["armed"]),
         telemetry=telemetry,
         engine=engine,
-        num_workers=num_workers,
     )
 
 
@@ -340,7 +332,6 @@ def run_epoch_storm(
     armed: Optional[Sequence[str]] = None,
     telemetry: NullTelemetry = NULL_TELEMETRY,
     engine: str = "serial",
-    num_workers: int = 4,
 ) -> EpochStormOutcome:
     """Drive :class:`MultiEpochScheduler` with a storm inside every epoch.
 
@@ -369,9 +360,7 @@ def run_epoch_storm(
         epoch_config = config.per_epoch(epoch)
         epoch_seed = derive_seed(config.seed, f"storm-epoch-{epoch}")
         events = generate_storm(instance, epoch_config, RandomStreams(epoch_seed))
-        solver = _solver(
-            epoch_config, telemetry, seed=epoch_seed, engine=engine, num_workers=num_workers
-        )
+        solver = _solver(epoch_config, telemetry, seed=epoch_seed, engine=engine)
         probe = StormProbe(solver, instance, armed=armed, telemetry=telemetry)
         result = solver.solve(instance, DynamicSchedule(events=list(events)), probe=probe)
         if "trace-monotone" in armed:

@@ -5,14 +5,12 @@ Usage::
     mvcom list                  # available experiments
     mvcom fig08                 # run one figure, print its table, write CSV
     mvcom fig02 --chain-engine fastpath   # closed-form chain substrate
-    mvcom fig10 --parallel --sweep-workers 4  # byte-identical sweep fan-out
     mvcom all                   # run every figure (slow)
     mvcom lint [paths...]       # static analysis (rules MV001-MV104)
     mvcom lint --format sarif   # SARIF 2.1.0 report for CI upload
-    mvcom lint --fix --dry-run  # preview MV004/MV005 autofixes
     mvcom lint --graph          # dump the call/stream graph
     mvcom solve --trace t.jsonl # one traced SE solve + final PBFT round
-    mvcom solve --engine parallel --workers 4   # byte-identical pool run
+    mvcom solve --engine serial # the reference scalar SE loop
     mvcom trace summary t.jsonl # render a text report from a trace file
     mvcom trace metrics t.jsonl # streaming aggregate: p50/p99, rates, SLOs
     mvcom trace export t.jsonl --format perfetto --out t.perfetto.json
@@ -32,7 +30,6 @@ from typing import Callable, Dict
 
 from repro.chain.params import CHAIN_ENGINE_NAMES
 from repro.harness import experiments
-from repro.harness.parallel import SWEEP_FIGURES, resolve_sweep_workers
 from repro.harness.presets import PRESETS, list_presets
 from repro.harness.report import render_table, sample_trace, traces_table, traces_to_rows, write_csv
 from repro.harness.textplot import line_plot
@@ -55,19 +52,12 @@ RUNNERS: Dict[str, Callable[[], dict]] = {
 def runner_kwargs(name: str, args) -> dict:
     """Per-figure keyword arguments derived from the CLI flags.
 
-    Only fig02 understands ``--chain-engine`` and only the sweep figures
-    (fig10-fig14) understand ``--parallel``/``--sweep-workers``; every
-    other runner keeps its zero-argument call.
+    Only fig02 understands ``--chain-engine``; every other runner keeps
+    its zero-argument call.
     """
     kwargs: Dict[str, object] = {}
     if name == "fig02" and args.chain_engine is not None:
         kwargs["chain_engine"] = args.chain_engine
-    if name in SWEEP_FIGURES:
-        workers, warning = resolve_sweep_workers(args.sweep_workers)
-        if args.parallel and warning is not None:
-            print(warning, file=sys.stderr)
-        kwargs["parallel"] = args.parallel
-        kwargs["sweep_workers"] = workers
     return kwargs
 
 
@@ -116,7 +106,6 @@ def run_traced_solve(args) -> int:
         profile=args.profile,
         top_n=args.top,
         engine=args.engine,
-        num_workers=args.workers,
         chain_engine=args.chain_engine or "des",
         resources=args.resources,
     )
@@ -263,7 +252,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["lint"]:
         # Forward everything after 'lint' to the analyzer's own parser so
-        # --format/--fix/--graph/--baseline work without duplicating flags.
+        # --format/--graph/--annotate work without duplicating flags.
         from repro.analysis.__main__ import main as lint_main
 
         return lint_main(argv[1:])
@@ -299,30 +288,17 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=2000,
                         help="solve: SE iteration budget (default 2000)")
     parser.add_argument("--engine",
-                        choices=["auto", "serial", "parallel", "vectorized"],
+                        choices=["auto", "serial", "vectorized"],
                         default="auto",
                         help="solve: SE execution engine (default auto picks "
-                        "the fastest safe path from the racing-thread count, "
-                        "Gamma, and cpu_count; parallel is byte-identical "
-                        "across a process pool, vectorized is the batched "
-                        "distributional kernel)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="solve: process-pool size for --engine parallel "
-                        "(default 4, clamped to cpu_count)")
+                        "from the racing-thread count, Gamma and the event "
+                        "density; serial is the reference loop, vectorized "
+                        "the batched distributional kernel)")
     parser.add_argument("--chain-engine", choices=list(CHAIN_ENGINE_NAMES),
                         default=None,
                         help="fig02/solve: chain substrate implementation "
                         "(des reference simulation or the fastpath "
                         "closed-form kernel; default des)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="fig10-fig14: fan trial loops over the shared "
-                        "process pool; artifacts stay byte-identical to the "
-                        "serial runner")
-    parser.add_argument("--sweep-workers", default="auto",
-                        help="fig10-fig14: process-pool size for --parallel; "
-                        "'auto' (the default) stays serial on boxes with "
-                        "<= 2 cpus, where the recorded bench shows the pool "
-                        "losing")
     parser.add_argument("--top", type=int, default=10,
                         help="solve/trace: rows per summary table (default 10)")
     parser.add_argument("--events", type=int, default=200,

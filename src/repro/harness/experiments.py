@@ -38,7 +38,6 @@ from repro.data.workload import (
     generate_epoch_workload,
     generate_online_workload,
 )
-from repro.harness.parallel import map_trials
 from repro.harness.presets import PRESETS, FigurePreset
 from repro.metrics.traces import align_traces, converged_value
 from repro.metrics.valuable_degree import valuable_degree
@@ -242,24 +241,15 @@ def run_fig09_dynamic_events(
 # Fig. 10 -- Valuable Degree comparison
 # --------------------------------------------------------------------- #
 def _fig10_trial(preset: FigurePreset, seed: int) -> Dict[str, float]:
-    """One fig10 seed: Valuable Degree per algorithm (sweep worker)."""
+    """One fig10 seed: Valuable Degree per algorithm."""
     workload = generate_epoch_workload(_workload_config(preset, seed))
     records = run_all_algorithms(workload.instance, preset, seed)
     return {name: record["valuable_degree"] for name, record in records.items()}
 
 
-def run_fig10_valuable_degree(
-    preset: FigurePreset = PRESETS["fig10"],
-    parallel: bool = False,
-    sweep_workers: int = 4,
-) -> dict:
+def run_fig10_valuable_degree(preset: FigurePreset = PRESETS["fig10"]) -> dict:
     """Fig. 10: Valuable Degree of SE vs the baselines."""
-    trials = map_trials(
-        _fig10_trial,
-        [(preset, seed) for seed in preset.seeds],
-        parallel=parallel,
-        num_workers=sweep_workers,
-    )
+    trials = [_fig10_trial(preset, seed) for seed in preset.seeds]
     per_algorithm: Dict[str, List[float]] = {}
     for trial in trials:
         for name, value in trial.items():
@@ -292,7 +282,7 @@ def run_fig10_valuable_degree(
 # Fig. 11 -- varying |I_j| with a fixed set of arrived committees
 # --------------------------------------------------------------------- #
 def _fig11_trial(preset: FigurePreset, size: int) -> dict:
-    """One fig11 committee-set size: a full convergence panel (sweep worker)."""
+    """One fig11 committee-set size: a full convergence panel."""
     per_committee = int(preset.extras["capacity_per_committee"])
     workload = generate_epoch_workload(
         _workload_config(preset, preset.seeds[0], num_committees=size, capacity=per_committee * size)
@@ -305,19 +295,10 @@ def _fig11_trial(preset: FigurePreset, size: int) -> dict:
     }
 
 
-def run_fig11_vary_committees(
-    preset: FigurePreset = PRESETS["fig11"],
-    parallel: bool = False,
-    sweep_workers: int = 4,
-) -> dict:
+def run_fig11_vary_committees(preset: FigurePreset = PRESETS["fig11"]) -> dict:
     """Fig. 11: convergence panels while varying |I_j|."""
     sizes = preset.extras["sizes"]
-    trials = map_trials(
-        _fig11_trial,
-        [(preset, size) for size in sizes],
-        parallel=parallel,
-        num_workers=sweep_workers,
-    )
+    trials = [_fig11_trial(preset, size) for size in sizes]
     panels = {f"|Ij|={size}": panel for size, panel in zip(sizes, trials)}
     return {"figure": "fig11", "panels": panels}
 
@@ -326,7 +307,7 @@ def run_fig11_vary_committees(
 # Fig. 12 -- varying alpha with a fixed set of arrived committees
 # --------------------------------------------------------------------- #
 def _fig12_trial(preset: FigurePreset, alpha: float) -> dict:
-    """One fig12 alpha: a full convergence panel (sweep worker)."""
+    """One fig12 alpha: a full convergence panel."""
     workload = generate_epoch_workload(_workload_config(preset, preset.seeds[0], alpha=alpha))
     records = run_all_algorithms(workload.instance, preset, preset.seeds[0])
     return {
@@ -336,19 +317,10 @@ def _fig12_trial(preset: FigurePreset, alpha: float) -> dict:
     }
 
 
-def run_fig12_vary_alpha(
-    preset: FigurePreset = PRESETS["fig12"],
-    parallel: bool = False,
-    sweep_workers: int = 4,
-) -> dict:
+def run_fig12_vary_alpha(preset: FigurePreset = PRESETS["fig12"]) -> dict:
     """Fig. 12: convergence panels while varying alpha."""
     alphas = preset.extras["alphas"]
-    trials = map_trials(
-        _fig12_trial,
-        [(preset, alpha) for alpha in alphas],
-        parallel=parallel,
-        num_workers=sweep_workers,
-    )
+    trials = [_fig12_trial(preset, alpha) for alpha in alphas]
     panels = {f"alpha={alpha}": panel for alpha, panel in zip(alphas, trials)}
     return {"figure": "fig12", "panels": panels}
 
@@ -359,26 +331,22 @@ def run_fig12_vary_alpha(
 def _fig13_trial(preset: FigurePreset, alpha: float, seed: int) -> Dict[str, float]:
     """One fig13 (alpha, seed) trial: converged utility per algorithm.
 
-    The workload is regenerated inside the worker from ``preset.seeds[0]``
-    -- it is a pure function of the config, so every trial of one alpha
-    sees the identical fixed committee set and only the algorithm seed
-    varies, exactly as in the serial loop.
+    The workload is regenerated per trial from ``preset.seeds[0]`` -- it
+    is a pure function of the config, so every trial of one alpha sees the
+    identical fixed committee set and only the algorithm seed varies.
     """
     workload = generate_epoch_workload(_workload_config(preset, preset.seeds[0], alpha=alpha))
     records = run_all_algorithms(workload.instance, preset, seed)
     return {name: record["utility"] for name, record in records.items()}
 
 
-def run_fig13_utility_distribution(
-    preset: FigurePreset = PRESETS["fig13"],
-    parallel: bool = False,
-    sweep_workers: int = 4,
-) -> dict:
+def run_fig13_utility_distribution(preset: FigurePreset = PRESETS["fig13"]) -> dict:
     """Fig. 13 fixes the committee set ("with a fixed set of committees")
     and varies only the algorithms' randomness across trials."""
     alphas = preset.extras["alphas"]
-    tasks = [(preset, alpha, seed) for alpha in alphas for seed in preset.seeds]
-    trials = map_trials(_fig13_trial, tasks, parallel=parallel, num_workers=sweep_workers)
+    trials = [
+        _fig13_trial(preset, alpha, seed) for alpha in alphas for seed in preset.seeds
+    ]
     panels = {}
     for alpha_index, alpha in enumerate(alphas):
         samples: Dict[str, List[float]] = {}
@@ -404,7 +372,7 @@ def run_fig13_utility_distribution(
 # Fig. 14 -- online execution with consecutive joining
 # --------------------------------------------------------------------- #
 def _fig14_trial(preset: FigurePreset, alpha: float) -> dict:
-    """One fig14 alpha: online SE vs offline baselines (sweep worker)."""
+    """One fig14 alpha: online SE vs offline baselines."""
     config = _workload_config(preset, preset.seeds[0], alpha=alpha)
     workload = generate_online_workload(
         config,
@@ -431,19 +399,10 @@ def _fig14_trial(preset: FigurePreset, alpha: float) -> dict:
     }
 
 
-def run_fig14_online_joining(
-    preset: FigurePreset = PRESETS["fig14"],
-    parallel: bool = False,
-    sweep_workers: int = 4,
-) -> dict:
+def run_fig14_online_joining(preset: FigurePreset = PRESETS["fig14"]) -> dict:
     """Fig. 14: online SE under consecutive joins vs offline baselines."""
     alphas = preset.extras["alphas"]
-    trials = map_trials(
-        _fig14_trial,
-        [(preset, alpha) for alpha in alphas],
-        parallel=parallel,
-        num_workers=sweep_workers,
-    )
+    trials = [_fig14_trial(preset, alpha) for alpha in alphas]
     panels = {f"alpha={alpha}": panel for alpha, panel in zip(alphas, trials)}
     return {"figure": "fig14", "panels": panels}
 

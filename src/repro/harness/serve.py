@@ -58,7 +58,6 @@ class ServeConfig:
     max_iterations: int = 1500
     convergence_window: int = 300
     engine: str = "auto"
-    num_workers: int = 4
     warm: bool = True
     alpha: float = 1.5
     capacity: Optional[int] = None
@@ -87,7 +86,6 @@ class ServeConfig:
             convergence_window=self.convergence_window,
             seed=derive_seed(self.seed, f"serve-epoch-{epoch}"),
             engine=self.engine,
-            num_workers=self.num_workers,
         )
 
 
@@ -417,7 +415,6 @@ def run_serve_cli(args) -> int:
         seed=args.seed,
         max_iterations=args.iterations,
         engine=args.engine,
-        num_workers=args.workers,
         warm=not args.cold,
         capacity=args.capacity,
         trace_path=args.trace,

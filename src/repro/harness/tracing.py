@@ -117,7 +117,6 @@ def traced_solve(
     top_n: int = 10,
     telemetry: Optional[Telemetry] = None,
     engine: str = "auto",
-    num_workers: int = 4,
     chain_engine: str = "des",
     resources: bool = False,
     resource_sampler: Optional[Callable[[], Optional[dict]]] = None,
@@ -131,11 +130,9 @@ def traced_solve(
     hotspots land in the same stream as a ``profile.hotspots`` event.
 
     ``engine`` selects the SE execution engine (``auto`` — the default —
-    resolves to ``serial``, ``parallel`` or ``vectorized`` per
+    resolves to ``serial`` or ``vectorized`` per
     :func:`repro.core.engine.select_engine` and logs the pick as an
-    ``engine.auto`` event) and ``num_workers`` sizes the parallel
-    engine's process pool — telemetry and probes keep firing on the
-    driver at segment boundaries for every engine.
+    ``engine.auto`` event).
     ``chain_engine`` selects the substrate for the final PBFT round
     (``des`` reference simulation or the ``fastpath`` closed-form kernel;
     see :mod:`repro.chain.fastpath`).  With ``resources=True`` the
@@ -165,7 +162,6 @@ def traced_solve(
             convergence_window=convergence_window,
             seed=seed,
             engine=engine,
-            num_workers=num_workers,
         ),
         telemetry=telemetry,
     )

@@ -25,8 +25,7 @@ def rule_hits(diagnostics, rule_id):
 # ---------------------------------------------------------------------- #
 def test_registry_ships_the_core_rules():
     assert set(registered_rules()) >= {
-        "MV001", "MV002", "MV003", "MV004", "MV005", "MV006", "MV007", "MV008",
-        "MV009",
+        "MV001", "MV002", "MV003", "MV004", "MV005", "MV006", "MV007", "MV009",
     }
 
 
@@ -370,66 +369,6 @@ class TestMV007:
 
 
 # ---------------------------------------------------------------------- #
-# MV008 picklable executor submissions
-# ---------------------------------------------------------------------- #
-class TestMV008:
-    def test_lambda_submission_flagged(self):
-        bad = """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run(pool: ProcessPoolExecutor):
-            return pool.submit(lambda x: x + 1, 2)
-        """
-        assert rule_hits(lint(bad, path="src/repro/core/engine.py"), "MV008") == [
-            (5, "MV008"),
-        ]
-
-    def test_closure_submission_flagged(self):
-        bad = """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run(pool: ProcessPoolExecutor, items):
-            def step(item):
-                return item * 2
-            return list(pool.map(step, items))
-        """
-        assert rule_hits(lint(bad, path="src/repro/core/engine.py"), "MV008") == [
-            (7, "MV008"),
-        ]
-
-    def test_module_level_function_is_clean(self):
-        good = """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def step(item):
-            return item * 2
-
-        def run(pool: ProcessPoolExecutor, items):
-            futures = [pool.submit(step, item) for item in items]
-            return [future.result() for future in futures]
-        """
-        assert rule_hits(lint(good, path="src/repro/core/engine.py"), "MV008") == []
-
-    def test_submit_without_executor_import_ignored(self):
-        # '.submit'/'.map' on unrelated objects (no pool imports in the
-        # module) stays out of scope — e.g. a custom scheduler API.
-        good = """
-        def run(queue, items):
-            return queue.submit(lambda: 1)
-        """
-        assert rule_hits(lint(good, path="src/repro/core/engine.py"), "MV008") == []
-
-    def test_packages_outside_core_and_harness_ignored(self):
-        elsewhere = """
-        from concurrent.futures import ProcessPoolExecutor
-
-        def run(pool: ProcessPoolExecutor):
-            return pool.submit(lambda x: x, 1)
-        """
-        assert rule_hits(lint(elsewhere, path="src/repro/obs/sinks.py"), "MV008") == []
-
-
-# ---------------------------------------------------------------------- #
 # MV009 builtin hash() is PYTHONHASHSEED-salted
 # ---------------------------------------------------------------------- #
 class TestMV009:
@@ -539,15 +478,6 @@ class TestConfig:
         config = load_config()
         assert config.source is not None  # found the repo's pyproject.toml
 
-    def test_baseline_key_resolves_relative_to_pyproject(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            '[tool.repro.analysis]\nbaseline = "lint-baseline.json"\n'
-        )
-        config = load_config(pyproject_path=str(pyproject))
-        assert config.baseline == "lint-baseline.json"
-        assert config.baseline_path() == str(tmp_path / "lint-baseline.json")
-
     def test_toml_subset_fallback_parser(self):
         # The 3.9/3.10 path (no tomllib); must decode the config shapes we use.
         from repro.analysis.config import _parse_toml_subset
@@ -655,49 +585,6 @@ class TestMV003Audit:
         ]
         assert len(findings) == 1
         assert "inner()" in findings[0].message
-
-
-class TestMV008Audit:
-    def test_partial_wrapped_closure_flagged(self):
-        bad = """
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-
-        def run():
-            def task(x):
-                return x
-
-            with ProcessPoolExecutor() as pool:
-                return pool.submit(partial(task, 1))
-        """
-        findings = [d for d in lint(bad) if d.rule_id == "MV008"]
-        assert len(findings) == 1
-        assert "via functools.partial" in findings[0].message
-
-    def test_module_level_name_collision_is_not_a_false_positive(self):
-        # ``other`` defines a local ``task``; that must not poison the
-        # module-level ``task`` that ``run`` legitimately submits.
-        good = """
-        from concurrent.futures import ProcessPoolExecutor
-
-
-        def task(x):
-            return x
-
-
-        def run():
-            with ProcessPoolExecutor() as pool:
-                return pool.submit(task, 1)
-
-
-        def other():
-            def task(y):
-                return y
-
-            return task
-        """
-        assert rule_hits(lint(good), "MV008") == []
 
 
 class TestMV009Audit:

@@ -1,4 +1,4 @@
-"""Tests for lint output formats, SARIF validation, baseline and the CLI."""
+"""Tests for lint output formats, SARIF validation and the CLI."""
 
 import json
 import os
@@ -8,7 +8,6 @@ import textwrap
 
 import pytest
 
-from repro.analysis.baseline import apply_baseline, load_baseline, render_baseline
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.output import (
     SARIF_VERSION,
@@ -66,7 +65,7 @@ class TestSarif:
     def test_rules_declared_for_all_registered(self):
         document = json.loads(render_sarif([]))
         declared = {r["id"] for r in document["runs"][0]["tool"]["driver"]["rules"]}
-        assert {"MV001", "MV101", "MV102", "MV103", "MV104"} <= declared
+        assert {"MV001", "MV101", "MV102", "MV104"} <= declared
 
     def test_validator_rejects_broken_documents(self):
         assert validate_sarif([]) != []
@@ -89,36 +88,6 @@ class TestAnnotations:
         line = render_annotations([diag(message="bad % thing")])
         assert line.startswith("::error file=repro/core/a.py,line=3,col=5,title=MV001::")
         assert "%25" in line  # % escaped
-
-
-# ---------------------------------------------------------------------- #
-# baseline
-# ---------------------------------------------------------------------- #
-class TestBaseline:
-    def test_round_trip_suppresses_line_insensitively(self, tmp_path):
-        finding = diag(line=10)
-        path = tmp_path / "baseline.json"
-        path.write_text(render_baseline([finding]))
-        baseline = load_baseline(str(path))
-        moved = diag(line=99)  # same path/rule/message, new line
-        kept, suppressed = apply_baseline([moved], baseline)
-        assert kept == [] and suppressed == 1
-
-    def test_each_entry_suppresses_once(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(render_baseline([diag()]))
-        baseline = load_baseline(str(path))
-        kept, suppressed = apply_baseline([diag(line=1), diag(line=2)], baseline)
-        assert suppressed == 1 and len(kept) == 1
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-        path.write_text(json.dumps({"version": 1, "entries": [{"path": "x"}]}))
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
 
 
 # ---------------------------------------------------------------------- #
@@ -145,40 +114,20 @@ def bad_tree(tmp_path):
 
 class TestCli:
     def test_json_format_and_exit_code(self, bad_tree, capsys):
-        code = lint_main(["--format", "json", "--no-baseline", str(bad_tree)])
+        code = lint_main(["--format", "json", str(bad_tree)])
         assert code == 1
         document = json.loads(capsys.readouterr().out)
         assert document["summary"]["errors"] == 1
 
     def test_sarif_format_validates(self, bad_tree, capsys):
-        code = lint_main(["--format", "sarif", "--no-baseline", str(bad_tree)])
+        code = lint_main(["--format", "sarif", str(bad_tree)])
         assert code == 1
         assert validate_sarif(json.loads(capsys.readouterr().out)) == []
-
-    def test_baseline_flag_suppresses(self, bad_tree, tmp_path, capsys):
-        baseline = tmp_path / "accepted.json"
-        code = lint_main(
-            ["--baseline", str(baseline), "--write-baseline", str(bad_tree)]
-        )
-        assert code == 0 and baseline.is_file()
-        capsys.readouterr()
-        code = lint_main(["--baseline", str(baseline), str(bad_tree)])
-        assert code == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_missing_baseline_file_is_a_usage_error(self, bad_tree, tmp_path, capsys):
-        code = lint_main(
-            ["--baseline", str(tmp_path / "absent.json"), str(bad_tree)]
-        )
-        assert code == 2
 
     def test_graph_dump(self, bad_tree, capsys):
         code = lint_main(["--graph", str(bad_tree)])
         assert code == 0
         assert "# call edges" in capsys.readouterr().out
-
-    def test_dry_run_requires_fix(self, capsys):
-        assert lint_main(["--dry-run", "src"]) == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -200,7 +149,6 @@ class TestHashSeedDeterminism:
                     "repro.analysis",
                     "--format",
                     format_name,
-                    "--no-baseline",
                     str(bad_tree),
                 ],
                 capture_output=True,

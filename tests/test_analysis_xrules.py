@@ -266,131 +266,6 @@ class TestMV102:
 
 
 # ---------------------------------------------------------------------- #
-# MV103 pickling reachability
-# ---------------------------------------------------------------------- #
-_EXECUTOR_PRELUDE = """
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-"""
-
-
-class TestMV103:
-    def run_case(self, body):
-        files = {
-            "repro/core/pool.py": _EXECUTOR_PRELUDE + textwrap.dedent(body)
-        }
-        return xlint(files)
-
-    def test_bound_method_flagged(self):
-        hits = rule_hits(
-            self.run_case(
-                """
-                class Driver:
-                    def work(self, x):
-                        return x
-
-                    def run(self, pool, items):
-                        return pool.map(self.work, items)
-                """
-            ),
-            "MV103",
-        )
-        assert len(hits) == 1 and "bound method" in hits[0].message
-
-    def test_partial_wrapping_bound_method_flagged(self):
-        hits = rule_hits(
-            self.run_case(
-                """
-                class Driver:
-                    def work(self, x, y):
-                        return x + y
-
-                    def run(self, pool, items):
-                        return pool.map(partial(self.work, 1), items)
-                """
-            ),
-            "MV103",
-        )
-        assert len(hits) == 1 and "bound method" in hits[0].message
-
-    def test_generator_expression_argument_flagged(self):
-        hits = rule_hits(
-            self.run_case(
-                """
-                def work(x):
-                    return x
-
-                def run(pool, items):
-                    return pool.map(work, (i * 2 for i in items))
-                """
-            ),
-            "MV103",
-        )
-        assert len(hits) == 1 and "generator expression" in hits[0].message
-
-    def test_open_handle_argument_flagged(self):
-        hits = rule_hits(
-            self.run_case(
-                """
-                def work(x):
-                    return x
-
-                def run(pool, path):
-                    with open(path) as handle:
-                        return pool.submit(work, handle)
-                """
-            ),
-            "MV103",
-        )
-        assert len(hits) == 1 and "open file handle" in hits[0].message
-
-    def test_module_level_callable_clean(self):
-        hits = rule_hits(
-            self.run_case(
-                """
-                def work(x):
-                    return x
-
-                def run(pool, items):
-                    return pool.map(work, list(items))
-                """
-            ),
-            "MV103",
-        )
-        assert hits == []
-
-    def test_local_lambda_name_flagged(self):
-        hits = rule_hits(
-            self.run_case(
-                """
-                def run(pool, items):
-                    work = lambda x: x
-                    return pool.map(work, items)
-                """
-            ),
-            "MV103",
-        )
-        assert len(hits) == 1 and "built inside this function" in hits[0].message
-
-    def test_class_staticmethod_reference_clean(self):
-        hits = rule_hits(
-            self.run_case(
-                """
-                class Kernel:
-                    @staticmethod
-                    def work(x):
-                        return x
-
-                def run(pool, items):
-                    return pool.map(Kernel.work, items)
-                """
-            ),
-            "MV103",
-        )
-        assert hits == []
-
-
-# ---------------------------------------------------------------------- #
 # MV104 telemetry-guard flow
 # ---------------------------------------------------------------------- #
 class TestMV104:

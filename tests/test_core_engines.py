@@ -1,23 +1,21 @@
 """Engine-equivalence tests for the SE execution-engine layer.
 
-Three engines share one algorithm (:mod:`repro.core.engine`):
+Two engines share one algorithm (:mod:`repro.core.engine`):
 
 * ``serial`` — the reference loop; pinned by the wider suite and by the
   golden fingerprint below.
-* ``parallel`` — Γ replicas across a spawn-safe process pool, segmented
-  between dynamic events; must be **byte-identical** to serial (same
-  seeds → same masks, traces, iteration counts, applied events), with and
-  without churn-storm schedules, including the chunked-convergence
-  truncation edges.
 * ``vectorized`` — a batched race kernel with its own stream layout;
   validated *distributionally*: χ² of per-round state occupancy against
   the Gibbs distribution ``p* ∝ exp(βU_f)`` (eq. 6) on a small instance,
   and a KS comparison of converged utilities vs serial across seeds.
+  Where no timer can fire (every pair rejected) it must match serial
+  byte for byte, which pins the chunked-convergence truncation edges it
+  shares with the serial loop through ``segment_length``.
 """
 
 import itertools
 import math
-from dataclasses import asdict
+import os
 
 import numpy as np
 import pytest
@@ -32,18 +30,6 @@ from repro.core.dynamics import (
 from repro.core.problem import EpochInstance, MVComConfig
 from repro.core.se import SEConfig, SEResult, StochasticExploration
 from repro.data.workload import WorkloadConfig, generate_epoch_workload
-from repro.faultinject.runner import (
-    DEFAULT_ARMED,
-    REPRODUCER_FORMAT,
-    build_storm_instance,
-    event_to_json,
-    replay_reproducer,
-    run_storm,
-)
-from repro.faultinject.storm import StormConfig, generate_storm
-from repro.sim.rng import RandomStreams
-
-WORKERS = 4  # all parallel tests share one pool via engine._shared_pool
 
 
 def solve_with(engine, *, num_committees=30, capacity=25_000, seed=0, gamma=4,
@@ -57,7 +43,6 @@ def solve_with(engine, *, num_committees=30, capacity=25_000, seed=0, gamma=4,
         convergence_window=convergence_window,
         seed=seed,
         engine=engine,
-        num_workers=WORKERS,
     )
     if schedule is not None:
         schedule.reset()
@@ -87,12 +72,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             SEConfig(engine="gpu")
 
-    def test_nonpositive_workers_rejected(self):
+    def test_parallel_engine_rejected(self):
         with pytest.raises(ValueError):
-            SEConfig(num_workers=0)
+            SEConfig(engine="parallel")
 
     def test_engine_names_exported(self):
-        assert engine_module.ENGINE_NAMES == ("serial", "parallel", "vectorized")
+        assert engine_module.ENGINE_NAMES == ("serial", "vectorized")
 
 
 # ---------------------------------------------------------------------- #
@@ -103,75 +88,6 @@ class TestSerialGolden:
         first = solve_with("serial", seed=0)
         second = solve_with("serial", seed=0)
         assert_byte_identical(first, second)
-
-
-# ---------------------------------------------------------------------- #
-# serial <-> parallel byte identity
-# ---------------------------------------------------------------------- #
-class TestParallelByteIdentity:
-    @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize("gamma", [1, 4, 10])
-    def test_static_epochs(self, seed, gamma):
-        serial = solve_with("serial", seed=seed, gamma=gamma)
-        parallel = solve_with("parallel", seed=seed, gamma=gamma)
-        assert_byte_identical(serial, parallel)
-
-    def test_dynamic_schedule(self):
-        workload = generate_epoch_workload(
-            WorkloadConfig(num_committees=30, capacity=25_000, seed=7)
-        )
-        instance = workload.instance
-        schedule = fail_and_recover_schedule(
-            shard_id=int(instance.shard_ids[2]),
-            tx_count=int(instance.tx_counts[2]),
-            latency=float(instance.latencies[2]),
-            fail_at=60,
-            recover_at=160,
-        )
-        results = []
-        for engine in ("serial", "parallel"):
-            schedule.reset()
-            config = SEConfig(
-                num_threads=4, max_iterations=400, convergence_window=150,
-                seed=7, engine=engine, num_workers=WORKERS,
-            )
-            results.append(StochasticExploration(config).solve(instance, schedule=schedule))
-        assert_byte_identical(results[0], results[1])
-        assert len(results[1].events_applied) == 2
-
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_churn_storm(self, seed):
-        config = StormConfig(
-            seed=seed, num_committees=24, gamma=4, num_events=60,
-            max_iterations=500, convergence_window=200,
-        )
-        serial = run_storm(config, engine="serial")
-        parallel = run_storm(config, engine="parallel", num_workers=WORKERS)
-        assert serial.status == parallel.status
-        assert serial.boundaries == parallel.boundaries
-        if serial.result is not None:
-            assert_byte_identical(serial.result, parallel.result)
-
-    def test_replayed_reproducer(self):
-        """A stored reproducer replays to the same outcome on either engine."""
-        config = StormConfig(
-            seed=2, num_committees=24, gamma=4, num_events=40,
-            max_iterations=400, convergence_window=150,
-        )
-        instance = build_storm_instance(config)
-        events = generate_storm(instance, config, RandomStreams(config.seed))
-        reproducer = {
-            "format": REPRODUCER_FORMAT,
-            "config": asdict(config),
-            "armed": list(DEFAULT_ARMED),
-            "events": [event_to_json(event) for event in events],
-        }
-        serial = replay_reproducer(reproducer, engine="serial")
-        parallel = replay_reproducer(reproducer, engine="parallel", num_workers=WORKERS)
-        assert serial.status == parallel.status
-        assert serial.boundaries == parallel.boundaries
-        if serial.result is not None:
-            assert_byte_identical(serial.result, parallel.result)
 
 
 # ---------------------------------------------------------------------- #
@@ -194,18 +110,19 @@ def _frozen_instance() -> EpochInstance:
 class TestChunkTruncation:
     def test_convergence_at_first_round_of_chunk(self):
         """Window w ⇒ converged at iteration w (round index w-1): the serial
-        and parallel engines must truncate the second chunk at its first round."""
+        and vectorized engines must truncate the second chunk at its first
+        round."""
         instance = _frozen_instance()
         results = []
-        for engine in ("serial", "parallel"):
+        for engine in ("serial", "vectorized"):
             config = SEConfig(
                 num_threads=3, max_iterations=500, convergence_window=100,
-                seed=1, engine=engine, num_workers=WORKERS,
+                seed=1, engine=engine,
             )
             results.append(StochasticExploration(config).solve(instance))
-        serial, parallel = results
+        serial, batched = results
         assert serial.converged and serial.iterations == 101
-        assert_byte_identical(serial, parallel)
+        assert_byte_identical(serial, batched)
 
     @pytest.mark.parametrize("window", [99, 100, 101])
     def test_convergence_around_chunk_boundary(self, window):
@@ -213,10 +130,10 @@ class TestChunkTruncation:
         of a chunk, exactly at the boundary, or one round into the next."""
         instance = _frozen_instance()
         results = []
-        for engine in ("serial", "parallel"):
+        for engine in ("serial", "vectorized"):
             config = SEConfig(
                 num_threads=2, max_iterations=400, convergence_window=window,
-                seed=2, engine=engine, num_workers=WORKERS,
+                seed=2, engine=engine,
             )
             results.append(StochasticExploration(config).solve(instance))
         assert results[0].converged
@@ -226,9 +143,10 @@ class TestChunkTruncation:
         """max_iterations not a multiple of the window: the final segment is
         shorter than convergence_window and both engines stop at the cap."""
         serial = solve_with("serial", seed=4, max_iterations=250, convergence_window=400)
-        parallel = solve_with("parallel", seed=4, max_iterations=250, convergence_window=400)
+        batched = solve_with("vectorized", seed=4, max_iterations=250, convergence_window=400)
         assert not serial.converged and serial.iterations == 250
-        assert_byte_identical(serial, parallel)
+        assert not batched.converged and batched.iterations == 250
+        assert len(batched.utility_trace) == len(serial.utility_trace) == 250
 
 
 # ---------------------------------------------------------------------- #
@@ -401,9 +319,7 @@ def _dense_schedule(max_iterations, every=10):
 
 class TestAutoEngine:
     def test_selectable_engines_exported(self):
-        assert engine_module.SELECTABLE_ENGINES == (
-            "auto", "serial", "parallel", "vectorized"
-        )
+        assert engine_module.SELECTABLE_ENGINES == ("auto", "serial", "vectorized")
         assert SEConfig().engine == engine_module.AUTO_ENGINE
 
     @pytest.mark.parametrize("gamma,racing,cpus,dense,expected", [
@@ -413,34 +329,35 @@ class TestAutoEngine:
         # Sparse schedule + big work: batched kernel, cpu-independent.
         (8, 60, 1, False, "vectorized"),
         (8, 60, 64, False, "vectorized"),
-        # Dense schedule forces the byte-identical scalar family; the pool
-        # only pays off with enough cores, replicas and work.
-        (8, 600, 64, True, "parallel"),
+        # A dense schedule keeps the scalar loop whatever the core count.
+        (8, 600, 64, True, "serial"),
         (8, 600, 2, True, "serial"),
-        (2, 600, 64, True, "serial"),   # Gamma < AUTO_PARALLEL_MIN_GAMMA
-        (8, 100, 64, True, "serial"),   # work < AUTO_PARALLEL_MIN_WORK
+        (2, 600, 64, True, "serial"),
+        (8, 100, 64, True, "serial"),
     ])
-    def test_selection_matrix(self, gamma, racing, cpus, dense, expected):
+    def test_selection_matrix(self, monkeypatch, gamma, racing, cpus, dense, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         config = SEConfig(
             num_threads=gamma, max_iterations=400, convergence_window=100
         )
         schedule = _dense_schedule(400) if dense else None
-        engine, reason = engine_module.select_engine(
-            config, racing, schedule=schedule, cpu_count=cpus
-        )
+        engine, reason = engine_module.select_engine(config, racing, schedule=schedule)
         assert engine == expected, reason
 
-    def test_selection_is_machine_independent_for_the_batched_split(self):
-        """The scalar-vs-batched decision (the only trajectory-changing
-        split) never consults cpu_count: serial and parallel are
-        byte-identical twins, so only they may differ by machine."""
+    def test_selection_is_machine_independent_for_the_batched_split(self, monkeypatch):
+        """The auto pick decides the trajectory, so it never depends on the
+        core count the machine reports."""
         config = SEConfig(num_threads=8, max_iterations=400,
                           convergence_window=100)
-        picks = {
-            engine_module.select_engine(config, 60, cpu_count=cpus)[0]
-            for cpus in (1, 2, 4, 64)
-        }
-        assert picks == {"vectorized"}
+        cases = [(10, None), (60, None), (600, _dense_schedule(400))]
+        picks = {}
+        for cpus in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            picks[cpus] = [
+                engine_module.select_engine(config, racing, schedule=schedule)
+                for racing, schedule in cases
+            ]
+        assert picks[1] == picks[64]
 
     def test_auto_small_instance_byte_identical_to_serial(self):
         """Default solve_with instance has work << AUTO_VECTORIZE_MIN_WORK,
@@ -495,55 +412,6 @@ class TestAutoEngine:
         d_stat = float(np.abs(cdf_a - cdf_b).max())
         d_crit = 1.628 * math.sqrt((a.size + b.size) / (a.size * b.size))
         assert d_stat < d_crit
-
-
-# ---------------------------------------------------------------------- #
-# worker clamping (pool oversubscription bugfix)
-# ---------------------------------------------------------------------- #
-class TestWorkerClamp:
-    def test_clamp_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            engine_module.clamp_workers(0)
-        with pytest.raises(ValueError):
-            engine_module.shared_pool(0)
-
-    def test_clamp_caps_to_cores(self):
-        assert engine_module.clamp_workers(8, cpu_count=2) == 2
-        assert engine_module.clamp_workers(2, cpu_count=8) == 2
-        assert engine_module.clamp_workers(1, cpu_count=1) == 1
-
-    def test_run_parallel_emits_clamp_event(self, monkeypatch):
-        from repro.obs.telemetry import Telemetry
-
-        monkeypatch.setattr(engine_module.os, "cpu_count", lambda: 1)
-        sink = _CaptureSink()
-        hub = Telemetry(sinks=[sink])
-        config = SEConfig(
-            num_threads=2, max_iterations=20, convergence_window=10 ** 6,
-            seed=0, engine="parallel", num_workers=2,
-        )
-        StochasticExploration(config, telemetry=hub).solve(_frozen_instance())
-        hub.close()
-        clamps = [r for r in sink.records
-                  if r.get("name") == "engine.workers_clamped"]
-        assert clamps
-        assert clamps[0]["requested"] == 2
-        assert clamps[0]["granted"] == 1
-
-    def test_resolve_sweep_workers(self):
-        from repro.harness.parallel import resolve_sweep_workers
-
-        assert resolve_sweep_workers("auto", cpu_count=1) == (1, None)
-        assert resolve_sweep_workers("auto", cpu_count=2) == (1, None)
-        assert resolve_sweep_workers("auto", cpu_count=3) == (3, None)
-        assert resolve_sweep_workers("auto", cpu_count=16) == (4, None)
-        workers, warning = resolve_sweep_workers(4, cpu_count=8)
-        assert (workers, warning) == (4, None)
-        workers, warning = resolve_sweep_workers(4, cpu_count=1)
-        assert workers == 1
-        assert warning is not None and "warning" in warning
-        with pytest.raises(ValueError):
-            resolve_sweep_workers(0, cpu_count=4)
 
 
 # ---------------------------------------------------------------------- #

@@ -29,8 +29,6 @@ from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 from repro.sim.rng import RandomStreams
 
-WORKERS = 2
-
 
 @pytest.fixture
 def telemetry_ring():
@@ -66,7 +64,6 @@ def config(engine="serial", *, gamma=4, max_iterations=400,
         convergence_window=convergence_window,
         seed=seed,
         engine=engine,
-        num_workers=WORKERS,
     )
 
 
@@ -143,7 +140,7 @@ class TestZeroDrift:
 # drift adoption: repair the carried population
 # --------------------------------------------------------------------- #
 class TestDriftAdoption:
-    @pytest.mark.parametrize("engine", ["serial", "parallel", "vectorized", "auto"])
+    @pytest.mark.parametrize("engine", ["serial", "vectorized", "auto"])
     def test_warm_solve_is_feasible_and_reproducible(self, engine):
         instance = base_instance()
         drifted = drifted_instance(instance)
@@ -156,19 +153,6 @@ class TestDriftAdoption:
         assert first.best_weight <= drifted.capacity
         assert np.array_equal(first.best_mask, second.best_mask)
         assert first.best_utility == second.best_utility
-
-    def test_serial_parallel_warm_byte_identity(self):
-        instance = base_instance()
-        drifted = drifted_instance(instance)
-        outcomes = []
-        for engine in ("serial", "parallel"):
-            solver = StochasticExploration(config(engine))
-            outcomes.append(solver.solve(drifted, warm=solver.solve(instance)))
-        serial, parallel = outcomes
-        assert np.array_equal(serial.best_mask, parallel.best_mask)
-        assert serial.best_utility == parallel.best_utility
-        assert np.array_equal(serial.utility_trace, parallel.utility_trace)
-        assert serial.iterations == parallel.iterations
 
     def test_drift_adoption_repairs_rather_than_reseats(self, telemetry_ring):
         telemetry, ring = telemetry_ring
