@@ -1,74 +1,25 @@
-"""Configuration for the lint engine: ``[tool.repro.analysis]`` in pyproject.
+"""pyproject.toml loading shared by the repo's TOML consumers.
 
-Supported keys::
-
-    [tool.repro.analysis]
-    disable = ["MV006"]            # rule ids switched off everywhere
-    enable  = ["MV001"]            # explicit allow-list (optional; default: all)
-    ignore  = ["src/repro/_gen/*"] # fnmatch path patterns skipped entirely
-
-    [tool.repro.analysis.per-rule-ignore]
-    MV002 = ["repro/chain/measurement.py"]   # rule id -> path patterns
+:mod:`repro.obs.slo` reads its ``[tool.repro.obs.slo.*]`` specs through
+:func:`find_pyproject` and :func:`parse_toml`.  The linter itself reads no
+configuration: findings are suppressed only by inline
+``# repro: ignore[MVxxx]`` pragmas.
 
 Python 3.11+ parses with :mod:`tomllib`; on 3.9/3.10 (no tomllib, and the
 repo adds no third-party deps) a minimal line-oriented TOML-subset parser
-covers exactly the shapes above: tables, string/bool/int keys and string
-arrays, including multi-line arrays.
+covers the shapes the repo uses: tables, string/bool/int/float keys and
+string arrays, including multi-line arrays.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from fnmatch import fnmatch
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 try:  # Python >= 3.11
     import tomllib as _toml
 except ImportError:  # pragma: no cover - exercised only on 3.9/3.10
     _toml = None
-
-CONFIG_SECTION = ("tool", "repro", "analysis")
-
-
-@dataclass
-class AnalysisConfig:
-    """Effective lint configuration after reading pyproject.toml."""
-
-    disabled_rules: frozenset = frozenset()
-    enabled_rules: Optional[frozenset] = None  # None -> every registered rule
-    ignore_paths: List[str] = field(default_factory=list)
-    per_rule_ignores: Dict[str, List[str]] = field(default_factory=dict)
-    source: Optional[str] = None  # pyproject path the config came from
-
-    def rule_enabled(self, rule_id: str) -> bool:
-        """Is ``rule_id`` globally switched on?"""
-        if rule_id in self.disabled_rules:
-            return False
-        if self.enabled_rules is not None:
-            return rule_id in self.enabled_rules
-        return True
-
-    def path_ignored(self, path: str, rule_id: Optional[str] = None) -> bool:
-        """Is ``path`` excluded — entirely, or for one specific rule?"""
-        normalized = _normalize(path)
-        for pattern in self.ignore_paths:
-            if _match(normalized, pattern):
-                return True
-        if rule_id is not None:
-            for pattern in self.per_rule_ignores.get(rule_id, ()):
-                if _match(normalized, pattern):
-                    return True
-        return False
-
-
-def _normalize(path: str) -> str:
-    return path.replace(os.sep, "/").lstrip("./")
-
-
-def _match(path: str, pattern: str) -> bool:
-    pattern = pattern.replace(os.sep, "/").lstrip("./")
-    return fnmatch(path, pattern) or fnmatch(path, "*/" + pattern)
 
 
 def find_pyproject(start: Optional[str] = None) -> Optional[str]:
@@ -84,51 +35,9 @@ def find_pyproject(start: Optional[str] = None) -> Optional[str]:
         directory = parent
 
 
-def load_config(pyproject_path: Optional[str] = None, start: Optional[str] = None) -> AnalysisConfig:
-    """Read ``[tool.repro.analysis]``; missing file/section yields defaults."""
-    path = pyproject_path or find_pyproject(start)
-    if path is None or not os.path.isfile(path):
-        return AnalysisConfig()
-    with open(path, "rb") as handle:
-        raw = handle.read().decode("utf-8")
-    table = _parse_toml(raw)
-    section = table
-    for key in CONFIG_SECTION:
-        section = section.get(key, {})
-        if not isinstance(section, dict):
-            return AnalysisConfig(source=path)
-    return config_from_section(section, source=path)
-
-
-def config_from_section(section: dict, source: Optional[str] = None) -> AnalysisConfig:
-    """Build an :class:`AnalysisConfig` from the decoded TOML section."""
-    disable = frozenset(str(r).upper() for r in section.get("disable", ()))
-    enable = section.get("enable")
-    enabled = None if enable is None else frozenset(str(r).upper() for r in enable)
-    ignore = [str(p) for p in section.get("ignore", ())]
-    per_rule = {}
-    for rule_id, patterns in (section.get("per-rule-ignore") or {}).items():
-        if isinstance(patterns, str):
-            patterns = [patterns]
-        per_rule[str(rule_id).upper()] = [str(p) for p in patterns]
-    return AnalysisConfig(
-        disabled_rules=disable,
-        enabled_rules=enabled,
-        ignore_paths=ignore,
-        per_rule_ignores=per_rule,
-        source=source,
-    )
-
-
 def parse_toml(text: str) -> dict:
     """Decode TOML text: :mod:`tomllib` when available, the subset parser
-    below otherwise.  Public so other config consumers (e.g. the SLO specs
-    in :mod:`repro.obs.slo`) share one 3.9-safe parser instead of growing
-    their own."""
-    return _parse_toml(text)
-
-
-def _parse_toml(text: str) -> dict:
+    below otherwise, so every consumer shares one 3.9-safe parser."""
     if _toml is not None:
         return _toml.loads(text)
     return _parse_toml_subset(text)
@@ -139,9 +48,9 @@ def _parse_toml_subset(text: str) -> dict:
 
     Handles ``[dotted.table.headers]``, ``key = value`` with string / bool /
     int / float values and (possibly multi-line) arrays of strings — the
-    full shape of ``[tool.repro.analysis]``.  Unrelated constructs it cannot
-    decode are skipped rather than fatal, so an exotic pyproject elsewhere
-    in the file never breaks linting.
+    full shape of the ``[tool.repro.obs.slo.*]`` tables.  Unrelated
+    constructs it cannot decode are skipped rather than fatal, so an exotic
+    pyproject elsewhere in the file never breaks its readers.
     """
     root: dict = {}
     current = root

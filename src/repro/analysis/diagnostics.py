@@ -1,26 +1,20 @@
-"""Diagnostic records emitted by the :mod:`repro.analysis` lint engine.
+"""Diagnostic records and reports for the :mod:`repro.analysis` linter.
 
 A diagnostic pins one finding to a ``path:line`` location together with the
-rule id (``MV001`` ...), a human-readable message and a severity.  The
-records are plain frozen dataclasses so rules stay trivially testable and
-the CLI can sort/format them without knowing anything about the rules.
+rule id (``MV001`` ...) and a human-readable message.  Every finding is an
+error: the linter exits non-zero on any of them.  The records are plain
+frozen dataclasses so rules stay trivially testable and the reports can
+sort/format them without knowing anything about the rules.
+
+Both reports are byte-deterministic: they iterate in sorted order and
+nothing depends on hash ordering, so the same tree prints the same bytes
+under any ``PYTHONHASHSEED`` (a subprocess test asserts this).
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Sequence
-
-
-class Severity(enum.Enum):
-    """How bad a finding is; only ``ERROR`` affects the exit code."""
-
-    WARNING = "warning"
-    ERROR = "error"
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.value
 
 
 @dataclass(frozen=True, order=True)
@@ -31,17 +25,11 @@ class Diagnostic:
     line: int
     rule_id: str
     message: str = field(compare=False)
-    severity: Severity = field(default=Severity.ERROR, compare=False)
     column: int = field(default=0, compare=False)
 
     def format(self) -> str:
-        """GCC-style one-line rendering: ``path:line:col: SEV MVxxx message``."""
-        tag = self.severity.value.upper()
-        return f"{self.path}:{self.line}:{self.column}: {tag} {self.rule_id} {self.message}"
-
-    def with_path(self, path: str) -> "Diagnostic":
-        """Copy of this diagnostic re-anchored to ``path``."""
-        return replace(self, path=path)
+        """GCC-style one-line rendering: ``path:line:col: MVxxx message``."""
+        return f"{self.path}:{self.line}:{self.column}: {self.rule_id} {self.message}"
 
 
 def sort_diagnostics(diagnostics: Sequence[Diagnostic]) -> List[Diagnostic]:
@@ -54,7 +42,19 @@ def render_report(diagnostics: Sequence[Diagnostic]) -> str:
     if not diagnostics:
         return ""
     lines = [diagnostic.format() for diagnostic in sort_diagnostics(diagnostics)]
-    errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
-    warnings = len(diagnostics) - errors
-    lines.append(f"{errors} error(s), {warnings} warning(s)")
+    lines.append(f"{len(diagnostics)} finding(s)")
+    return "\n".join(lines)
+
+
+def render_annotations(diagnostics: Sequence[Diagnostic]) -> str:
+    """``::error file=...`` workflow commands; GitHub turns these into PR
+    annotations without needing the code-scanning upload permission."""
+    lines = []
+    for d in sort_diagnostics(diagnostics):
+        path = d.path.replace("\\", "/").lstrip("./")
+        message = d.message.replace("%", "%25").replace("\n", "%0A")
+        lines.append(
+            f"::error file={path},line={d.line},"
+            f"col={d.column + 1},title={d.rule_id}::{message}"
+        )
     return "\n".join(lines)

@@ -3,8 +3,7 @@
 A rule is a class with a ``rule_id``, a one-line ``description`` and a
 ``check(tree, context)`` method yielding :class:`Diagnostic` records.  Rules
 register themselves via :func:`register_rule`; the engine parses each file
-once and fans the AST out to every enabled rule, then applies the
-``pyproject.toml`` enable/disable and path-ignore configuration.
+once and fans the AST out to every registered rule.
 
 Two rule shapes exist:
 
@@ -17,9 +16,10 @@ Two rule shapes exist:
   :meth:`LintEngine.lint_sources` (the multi-file fixture entry point), never
   from single-snippet ``lint_source`` calls.
 
-Findings on either path can be suppressed inline with a
+Findings on either path are suppressed only inline, with a
 ``# repro: ignore[MVxxx]`` pragma on the flagged line (or on a comment-only
-line immediately above it); ``MVxxx`` may be a comma-separated list.
+line immediately above it); ``MVxxx`` may be a comma-separated list.  There
+is no configuration file.
 """
 
 from __future__ import annotations
@@ -28,10 +28,29 @@ import ast
 import os
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Type
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Type
 
-from repro.analysis.config import AnalysisConfig, load_config
-from repro.analysis.diagnostics import Diagnostic, Severity, sort_diagnostics
+from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
+
+
+def normalize_path(path: str) -> str:
+    """Posix separators, no leading ``./`` — the form rules match against."""
+    return path.replace(os.sep, "/").lstrip("./")
+
+
+def in_package(normalized: str, *suffixes: str) -> bool:
+    """Does the normalized path live under any of the given path suffixes?
+
+    ``suffixes`` use posix form, e.g. ``"repro/core/"`` (package) or
+    ``"repro/sim/rng.py"`` (single module).
+    """
+    for suffix in suffixes:
+        if suffix.endswith("/"):
+            if f"/{suffix}" in f"/{normalized}":
+                return True
+        elif normalized == suffix or normalized.endswith("/" + suffix):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -43,18 +62,8 @@ class FileContext:
     source: str
 
     def in_package(self, *suffixes: str) -> bool:
-        """Does the file live under any of the given path suffixes?
-
-        ``suffixes`` use posix form, e.g. ``"repro/core/"`` (package) or
-        ``"repro/sim/rng.py"`` (single module).
-        """
-        for suffix in suffixes:
-            if suffix.endswith("/"):
-                if f"/{suffix}" in f"/{self.normalized}":
-                    return True
-            elif self.normalized == suffix or self.normalized.endswith("/" + suffix):
-                return True
-        return False
+        """Does the file live under any of the given path suffixes?"""
+        return in_package(self.normalized, *suffixes)
 
 
 class Rule:
@@ -62,7 +71,6 @@ class Rule:
 
     rule_id: str = "MV000"
     description: str = ""
-    severity: Severity = Severity.ERROR
 
     def check(self, tree: ast.AST, context: FileContext) -> Iterable[Diagnostic]:
         raise NotImplementedError
@@ -75,7 +83,6 @@ class Rule:
             column=getattr(node, "col_offset", 0),
             rule_id=self.rule_id,
             message=message,
-            severity=self.severity,
         )
 
 
@@ -142,13 +149,13 @@ def _apply_pragmas(
     diagnostics: Iterable[Diagnostic], sources: Mapping[str, str]
 ) -> List[Diagnostic]:
     """Drop diagnostics whose (path, line) carries a matching pragma."""
-    by_path: Dict[str, Dict[int, Set[str]]] = {}
-    for path, source in sources.items():
-        normalized = path.replace(os.sep, "/").lstrip("./")
-        by_path[normalized] = pragma_suppressions(source)
+    by_path: Dict[str, Dict[int, Set[str]]] = {
+        normalize_path(path): pragma_suppressions(source)
+        for path, source in sources.items()
+    }
     kept: List[Diagnostic] = []
     for diagnostic in diagnostics:
-        normalized = diagnostic.path.replace(os.sep, "/").lstrip("./")
+        normalized = normalize_path(diagnostic.path)
         suppressed = by_path.get(normalized, {}).get(diagnostic.line, set())
         if diagnostic.rule_id in suppressed:
             continue
@@ -157,20 +164,15 @@ def _apply_pragmas(
 
 
 class LintEngine:
-    """Parse files once, run every enabled rule, collect diagnostics."""
+    """Parse files once, run every registered rule, collect diagnostics."""
 
-    def __init__(self, config: Optional[AnalysisConfig] = None) -> None:
-        self.config = config if config is not None else load_config()
-        self.rules: List[Rule] = [
-            rule_class()
-            for rule_id, rule_class in registered_rules().items()
-            if self.config.rule_enabled(rule_id)
-        ]
+    def __init__(self) -> None:
+        rules = [rule_class() for rule_class in registered_rules().values()]
         self.file_rules: List[Rule] = [
-            rule for rule in self.rules if not isinstance(rule, ProjectRule)
+            rule for rule in rules if not isinstance(rule, ProjectRule)
         ]
         self.project_rules: List[ProjectRule] = [
-            rule for rule in self.rules if isinstance(rule, ProjectRule)
+            rule for rule in rules if isinstance(rule, ProjectRule)
         ]
 
     # ------------------------------------------------------------------ #
@@ -183,27 +185,11 @@ class LintEngine:
         the whole-program graph of all collected files, then filters inline
         pragmas.
         """
-        diagnostics: List[Diagnostic] = []
         sources: Dict[str, str] = {}
         for path in _walk_python_files(paths):
-            normalized = path.replace(os.sep, "/").lstrip("./")
-            if self.config.path_ignored(normalized):
-                continue
             with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            sources[path] = source
-            diagnostics.extend(self._file_diagnostics(source, path))
-        diagnostics.extend(self._project_diagnostics(sources))
-        return sort_diagnostics(_apply_pragmas(diagnostics, sources))
-
-    def lint_file(self, path: str) -> List[Diagnostic]:
-        """Lint one file on disk (per-file rules only)."""
-        normalized = path.replace(os.sep, "/").lstrip("./")
-        if self.config.path_ignored(normalized):
-            return []
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        return self.lint_source(source, path)
+                sources[path] = handle.read()
+        return self.lint_sources(sources)
 
     def lint_source(self, source: str, path: str = "<string>") -> List[Diagnostic]:
         """Lint a source string (the single-file test-fixture entry point).
@@ -212,35 +198,27 @@ class LintEngine:
         and keeping MV1xx out of this path keeps small fixtures focused on
         the rule they exercise.
         """
-        normalized = path.replace(os.sep, "/").lstrip("./")
-        if self.config.path_ignored(normalized):
-            return []
         diagnostics = self._file_diagnostics(source, path)
         return sort_diagnostics(_apply_pragmas(diagnostics, {path: source}))
 
     def lint_sources(self, sources: Mapping[str, str]) -> List[Diagnostic]:
-        """Lint a ``{path: source}`` fixture set with per-file AND project rules.
+        """Lint a ``{path: source}`` set with per-file AND project rules.
 
-        The multi-file counterpart of :meth:`lint_source`, used to exercise
-        the MV1xx cross-module rules without touching the filesystem.
+        :meth:`lint_paths` reads the tree into this shape; tests pass
+        fixture sets directly to exercise the MV1xx cross-module rules
+        without touching the filesystem.
         """
         diagnostics: List[Diagnostic] = []
-        kept: Dict[str, str] = {}
         for path in sorted(sources):
-            normalized = path.replace(os.sep, "/").lstrip("./")
-            if self.config.path_ignored(normalized):
-                continue
-            kept[path] = sources[path]
             diagnostics.extend(self._file_diagnostics(sources[path], path))
-        diagnostics.extend(self._project_diagnostics(kept))
-        return sort_diagnostics(_apply_pragmas(diagnostics, kept))
+        diagnostics.extend(self._project_diagnostics(sources))
+        return sort_diagnostics(_apply_pragmas(diagnostics, sources))
 
     # ------------------------------------------------------------------ #
     # passes
     # ------------------------------------------------------------------ #
     def _file_diagnostics(self, source: str, path: str) -> List[Diagnostic]:
-        normalized = path.replace(os.sep, "/").lstrip("./")
-        context = FileContext(path=path, normalized=normalized, source=source)
+        context = FileContext(path=path, normalized=normalize_path(path), source=source)
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as error:
@@ -255,8 +233,6 @@ class LintEngine:
             ]
         diagnostics: List[Diagnostic] = []
         for rule in self.file_rules:
-            if self.config.path_ignored(normalized, rule.rule_id):
-                continue
             diagnostics.extend(rule.check(tree, context))
         return diagnostics
 
@@ -266,32 +242,12 @@ class LintEngine:
         from repro.analysis.graph import build_graph_from_sources
 
         graph = build_graph_from_sources(
-            {
-                path: (path.replace(os.sep, "/").lstrip("./"), source)
-                for path, source in sources.items()
-            }
+            {path: (normalize_path(path), source) for path, source in sources.items()}
         )
         diagnostics: List[Diagnostic] = []
         for rule in self.project_rules:
-            for diagnostic in rule.check_project(graph):
-                normalized = diagnostic.path.replace(os.sep, "/").lstrip("./")
-                if self.config.path_ignored(normalized, rule.rule_id):
-                    continue
-                diagnostics.append(diagnostic)
+            diagnostics.extend(rule.check_project(graph))
         return diagnostics
-
-    def build_graph(self, paths: Sequence[str]):
-        """Build (and return) the project graph for ``--graph`` dumps."""
-        from repro.analysis.graph import build_graph_from_sources
-
-        sources: Dict[str, tuple] = {}
-        for path in _walk_python_files(paths):
-            normalized = path.replace(os.sep, "/").lstrip("./")
-            if self.config.path_ignored(normalized):
-                continue
-            with open(path, "r", encoding="utf-8") as handle:
-                sources[path] = (normalized, handle.read())
-        return build_graph_from_sources(sources)
 
 
 def _walk_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -312,9 +268,6 @@ def _walk_python_files(paths: Sequence[str]) -> Iterator[str]:
                 yield path
 
 
-def run_analysis(
-    paths: Sequence[str],
-    config: Optional[AnalysisConfig] = None,
-) -> List[Diagnostic]:
+def run_analysis(paths: Sequence[str]) -> List[Diagnostic]:
     """One-call API used by the CLI, ``__main__`` and the tests."""
-    return LintEngine(config=config).lint_paths(paths)
+    return LintEngine().lint_paths(paths)

@@ -1,10 +1,9 @@
 """Whole-program module / import / call graph for the MV1xx rule family.
 
 The MV00x rules are per-file AST walks; the MV1xx family (stream-collision,
-transitive wall-clock taint, pickling reachability, telemetry-guard flow)
-needs to reason *across* files: which function calls which, along which
-paths, and inside which loops.  This module builds that picture once per
-lint run:
+wall-clock/entropy taint, telemetry-guard flow) needs to reason *across*
+files: which function calls which, along which paths, and inside which
+loops.  This module builds that picture once per lint run:
 
 * :class:`ModuleInfo` — one parsed source file: module name, AST, an import
   map (local name -> dotted target) and every function/method defined in it.
@@ -69,7 +68,7 @@ class CallSite:
     node: ast.Call
     line: int
     col: int
-    raw: str  # textual callee, for graph dumps and diagnostics
+    raw: str  # textual callee
     target: Optional[str] = None  # resolved project qualname, if confident
     in_loop: bool = False  # lexically inside a for/while of the function
     loop_vars: Tuple[str, ...] = ()  # names bound by the enclosing loops
@@ -89,10 +88,6 @@ class FunctionInfo:
     parent: Optional[str] = None  # enclosing function qualname, if nested
     params: Tuple[str, ...] = ()  # positional+kwonly parameter names, in order
     calls: List[CallSite] = field(default_factory=list)
-
-    @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
 
     @property
     def is_nested(self) -> bool:
@@ -122,9 +117,6 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)  # local -> dotted target
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)  # qualname ->
     classes: Dict[str, List[str]] = field(default_factory=dict)  # class -> method names
-
-    def source_lines(self) -> List[str]:
-        return self.source.splitlines()
 
 
 class _FunctionCollector(ast.NodeVisitor):
@@ -159,6 +151,10 @@ class _FunctionCollector(ast.NodeVisitor):
         self.class_stack.pop()
 
     def _visit_function(self, node) -> None:
+        # Decorators and defaults run in the enclosing scope, at def time.
+        for expr in node.decorator_list + node.args.defaults + node.args.kw_defaults:
+            if expr is not None:
+                self.visit(expr)
         qualname = self._qualify(node.name)
         if self.class_stack and not self.func_stack:
             self.module.classes.setdefault(self.class_stack[-1], []).append(node.name)
@@ -423,9 +419,6 @@ class ProjectGraph:
     # ---------------------------------------------------------------- #
     # queries
     # ---------------------------------------------------------------- #
-    def function_at(self, qualname: str) -> Optional[FunctionInfo]:
-        return self.functions.get(qualname)
-
     def iter_functions(self) -> Iterator[FunctionInfo]:
         for qualname in sorted(self.functions):
             yield self.functions[qualname]

@@ -5,12 +5,9 @@ Each rule encodes one discipline the MVCom reproduction depends on:
 * **MV001** all randomness flows through ``repro.sim.rng`` (named streams),
   never through ``np.random.default_rng`` / ``random.*`` / ``np.random.seed``
   directly — stream isolation is what keeps Figs. 8-14 ablations comparable.
-* **MV002** no wall-clock reads inside
-  ``repro/{core,sim,chain,baselines,faultinject}``; simulated time must
-  come from the virtual clock or replay breaks.
 * **MV003** a parameter named ``rng`` must be annotated
-  ``np.random.Generator`` and its function must not also reach for a global
-  RNG — mixing stream and global draws silently couples subsystems.
+  ``np.random.Generator`` (and never be a ``*rng``/``**rng`` pack), so a
+  stream is what actually flows in.
 * **MV004** no mutable default arguments.
 * **MV005** no bare ``except:`` and no ``except Exception: pass`` silently
   swallowing errors.
@@ -27,6 +24,10 @@ Each rule encodes one discipline the MVCom reproduction depends on:
   quantity derived from it (addresses, bucket picks, tie-breaks) silently
   changes between interpreter launches even under a fixed seed.  Derive
   identifiers from explicit counters or ``hashlib`` digests instead.
+
+Wall-clock and entropy reads in replayable code are MV102's, a
+whole-program rule in :mod:`repro.analysis.rules_graph` that reports the
+direct call and every call chain reaching it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import FileContext, Rule, register_rule
+from repro.analysis.graph import attribute_chain
 
 #: Packages whose code must be replayable under a fixed seed.
 REPLAY_PACKAGES = (
@@ -55,9 +57,8 @@ def _scope_walk(root: ast.AST) -> Iterator[ast.AST]:
     """Walk ``root``'s descendants without entering nested function scopes.
 
     ``ast.walk`` descends into nested ``def``s and lambdas, which makes
-    scope-sensitive rules (MV003's global-RNG check, MV009's shadow
-    tracking) blame the outer function for the inner one's
-    code — and report the same node twice when both scopes are checked.
+    scope-sensitive rules (MV009's shadow tracking) blame the outer
+    function for the inner one's code.
     Class bodies ARE entered (they execute in the enclosing scope), but the
     methods inside them are not.
     """
@@ -71,7 +72,7 @@ def _scope_walk(root: ast.AST) -> Iterator[ast.AST]:
 
 
 # ---------------------------------------------------------------------- #
-# import tracking shared by MV001/MV002/MV003
+# import tracking shared by MV001 and MV102
 # ---------------------------------------------------------------------- #
 class _ImportMap:
     """Local names bound to the modules/objects the RNG/clock rules watch."""
@@ -126,21 +127,9 @@ class _ImportMap:
                             self.date_classes.add(alias.asname or "date")
 
 
-def _attribute_chain(node: ast.expr) -> Optional[Tuple[str, ...]]:
-    """``a.b.c`` -> ("a", "b", "c"); None when the base is not a plain name."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return None
-
-
 def _global_rng_call(node: ast.Call, imports: _ImportMap) -> Optional[str]:
     """Describe a raw global-RNG call, or None if the call is clean."""
-    chain = _attribute_chain(node.func)
+    chain = attribute_chain(node.func)
     if chain is None:
         if isinstance(node.func, ast.Name):
             for from_node, name in imports.numpy_random_imports:
@@ -211,75 +200,6 @@ class RawRngRule(Rule):
 
 
 # ---------------------------------------------------------------------- #
-# MV002
-# ---------------------------------------------------------------------- #
-_WALL_CLOCK_TIME_ATTRS = {
-    "time",
-    "time_ns",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "process_time",
-    "process_time_ns",
-}
-_WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
-
-
-@register_rule
-class WallClockRule(Rule):
-    """MV002: wall-clock reads inside replayable packages."""
-
-    rule_id = "MV002"
-    description = (
-        "no wall-clock calls (time.time/monotonic, datetime.now, ...) inside "
-        "repro/{core,sim,chain,baselines}; use the simulation's virtual clock"
-    )
-
-    def check(self, tree: ast.AST, context: FileContext) -> Iterator[Diagnostic]:
-        if not context.in_package(*REPLAY_PACKAGES):
-            return
-        imports = _ImportMap(tree)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            described = self._wall_clock_call(node, imports)
-            if described is not None:
-                yield self.diagnostic(
-                    context,
-                    node,
-                    f"wall-clock call {described}() breaks replayability; "
-                    "thread the simulation clock (or an injectable clock) instead",
-                )
-
-    @staticmethod
-    def _wall_clock_call(node: ast.Call, imports: _ImportMap) -> Optional[str]:
-        if isinstance(node.func, ast.Name):
-            original = imports.time_functions.get(node.func.id)
-            if original in _WALL_CLOCK_TIME_ATTRS:
-                return f"time.{original}"
-            return None
-        chain = _attribute_chain(node.func)
-        if chain is None:
-            return None
-        root, rest = chain[0], chain[1:]
-        if root in imports.time_modules and len(rest) == 1 and rest[0] in _WALL_CLOCK_TIME_ATTRS:
-            return f"time.{rest[0]}"
-        if (
-            root in imports.datetime_modules
-            and len(rest) == 2
-            and rest[0] in ("datetime", "date")
-            and rest[1] in _WALL_CLOCK_DATETIME_ATTRS
-        ):
-            return f"datetime.{rest[0]}.{rest[1]}"
-        if root in imports.datetime_classes and len(rest) == 1 and rest[0] in _WALL_CLOCK_DATETIME_ATTRS:
-            return f"datetime.datetime.{rest[0]}"
-        if root in imports.date_classes and len(rest) == 1 and rest[0] == "today":
-            return "datetime.date.today"
-        return None
-
-
-# ---------------------------------------------------------------------- #
 # MV003
 # ---------------------------------------------------------------------- #
 @register_rule
@@ -288,12 +208,11 @@ class RngParameterRule(Rule):
 
     rule_id = "MV003"
     description = (
-        "a parameter named 'rng' must be annotated np.random.Generator and its "
-        "function must not also call a global RNG"
+        "a parameter named 'rng' must be annotated np.random.Generator "
+        "(never a *rng/**rng pack)"
     )
 
     def check(self, tree: ast.AST, context: FileContext) -> Iterator[Diagnostic]:
-        imports = _ImportMap(tree)
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -309,16 +228,9 @@ class RngParameterRule(Rule):
                         "arguments and can never be a Generator stream; "
                         "rename it or take 'rng: np.random.Generator'",
                     )
-            rng_args = [
-                arg
-                for arg in (
-                    node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-                )
-                if arg.arg == "rng"
-            ]
-            if not rng_args:
-                continue
-            for arg in rng_args:
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+                if arg.arg != "rng":
+                    continue
                 annotation = self._annotation_text(arg)
                 if annotation is None:
                     yield self.diagnostic(
@@ -334,19 +246,6 @@ class RngParameterRule(Rule):
                         f"parameter 'rng' of {node.name}() is annotated "
                         f"{annotation!r}, not np.random.Generator",
                     )
-            # Scope-confined walk: a nested def's global-RNG call is that
-            # function's own finding, not this one's (and must not be
-            # reported twice when both carry an ``rng`` parameter).
-            for inner in _scope_walk(node):
-                if isinstance(inner, ast.Call):
-                    described = _global_rng_call(inner, imports)
-                    if described is not None and not described.endswith(".Generator"):
-                        yield self.diagnostic(
-                            context,
-                            inner,
-                            f"{node.name}() takes an explicit rng but also calls "
-                            f"{described}(); draw from the passed stream only",
-                        )
 
     @staticmethod
     def _annotation_text(arg: ast.arg) -> Optional[str]:
@@ -578,7 +477,7 @@ class InjectedTelemetryRule(Rule):
     ) -> Optional[str]:
         if isinstance(node.func, ast.Name):
             return local_names.get(node.func.id)
-        chain = _attribute_chain(node.func)
+        chain = attribute_chain(node.func)
         if chain is None:
             return None
         if chain[0] in obs_modules and chain[-1] in _LIVE_OBS_NAMES:

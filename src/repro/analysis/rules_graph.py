@@ -9,11 +9,13 @@ Where the MV00x rules inspect one file at a time, these rules run over the
   a key that is *constant across a loop* (each iteration consumes the same
   stream — the PR 3 shared ``"leave-reinit"`` bug class), and two distinct
   call sites whose key patterns can unify against the same registry.
-* **MV102 wall-clock/entropy taint** — MV002 made interprocedural:
-  replayable-package functions that *transitively* reach ``time.time``,
-  ``datetime.now``, ``os.urandom``, ``uuid.uuid4``, ``secrets.*`` or a
-  global/unseeded RNG through the project call graph are findings, with the
-  offending call chain spelled out.
+* **MV102 wall-clock/entropy taint** — replayable-package code must not
+  read ``time.time``, ``datetime.now``, ``os.urandom``, ``uuid.uuid4`` or
+  ``secrets.*``, directly or through the project call graph.  A direct
+  call is reported at its call site (module bodies included); a function
+  that *transitively* reaches such a call, or a global/unseeded RNG, is
+  reported at the call starting the chain, with the chain spelled out.
+  A direct global-RNG call is MV001's alone.
 * **MV104 telemetry-guard flow** — telemetry emission inside a loop body
   must sit behind a dominating ``telemetry.enabled`` guard (directly, via a
   hoisted alias such as ``self.traced = telemetry.enabled``, or via an
@@ -29,7 +31,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.engine import ProjectRule, register_rule
+from repro.analysis.engine import ProjectRule, in_package, register_rule
 from repro.analysis.graph import (
     MODULE_BODY,
     FunctionInfo,
@@ -40,7 +42,6 @@ from repro.analysis.graph import (
 from repro.analysis.rules import (
     REPLAY_PACKAGES,
     RNG_MODULE,
-    WallClockRule,
     _ImportMap,
     _global_rng_call,
 )
@@ -49,17 +50,6 @@ from repro.analysis.streamkeys import (
     collect_key_sites,
     patterns_can_unify,
 )
-
-
-def _in_package(normalized: str, suffixes: Sequence[str]) -> bool:
-    probe = f"/{normalized}"
-    for suffix in suffixes:
-        if suffix.endswith("/"):
-            if f"/{suffix}" in probe:
-                return True
-        elif normalized == suffix or normalized.endswith("/" + suffix):
-            return True
-    return False
 
 
 def _project_diagnostic(
@@ -71,7 +61,6 @@ def _project_diagnostic(
         column=col,
         rule_id=rule.rule_id,
         message=message,
-        severity=rule.severity,
     )
 
 
@@ -224,7 +213,19 @@ class StreamCollisionRule(ProjectRule):
 # ---------------------------------------------------------------------- #
 # MV102
 # ---------------------------------------------------------------------- #
-#: Sink descriptions for entropy modules watched beyond MV001/MV002.
+_WALL_CLOCK_TIME_ATTRS = {
+    "time",
+    "time_ns",
+    "monotonic",
+    "monotonic_ns",
+    "perf_counter",
+    "perf_counter_ns",
+    "process_time",
+    "process_time_ns",
+}
+_WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
+
+#: Sink descriptions for the entropy modules MV102 watches.
 _ENTROPY_MODULE_ATTRS = {
     "os": {"urandom", "getrandom"},
     "uuid": {"uuid1", "uuid4"},
@@ -233,33 +234,60 @@ _ENTROPY_MODULES = {"secrets"}  # every attribute is entropy
 
 
 @register_rule
-class TransitiveWallClockRule(ProjectRule):
-    """MV102: replayable code transitively reaching wall clocks / entropy."""
+class WallClockTaintRule(ProjectRule):
+    """MV102: replayable code reaching wall clocks / entropy, directly or not."""
 
     rule_id = "MV102"
     description = (
-        "repro/{core,sim,chain,baselines,faultinject} functions must not "
-        "transitively reach time.time/datetime.now/os.urandom/secrets/"
-        "uuid4 or a global RNG through the call graph; thread the virtual "
-        "clock and named streams instead"
+        "repro/{core,sim,chain,baselines,faultinject} code must not call "
+        "time.time/datetime.now/os.urandom/secrets/uuid4, directly or "
+        "transitively (a global RNG counts too) through the call graph; "
+        "thread the virtual clock and named streams instead"
     )
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Diagnostic]:
-        direct: Dict[str, str] = {}  # qualname -> sink description
-        for function in graph.iter_functions():
-            module = graph.modules[function.module]
-            if module.normalized.endswith(RNG_MODULE):
-                continue  # seeded constructors, not entropy
-            sink = self._direct_sink(module, function)
-            if sink is not None:
-                direct[function.qualname] = sink
+        sinks: Dict[str, str] = {}  # qualname -> first sink it calls directly
+        for module_name in sorted(graph.modules):
+            module = graph.modules[module_name]
+            imports = _ImportMap(module.tree)
+            entropy = _entropy_imports(module.tree)
+            replayable = in_package(module.normalized, *REPLAY_PACKAGES)
+            seeded = module.normalized.endswith(RNG_MODULE)
+            for qualname in sorted(module.functions):
+                function = module.functions[qualname]
+                for site in function.calls:
+                    clock = _wall_clock_call(site.node, imports)
+                    described = clock or _entropy_call(site.node, entropy)
+                    if described is not None:
+                        sinks.setdefault(qualname, described)
+                        if replayable:
+                            remedy = (
+                                "thread the simulation clock (or an injectable clock)"
+                                if clock
+                                else "draw from a named repro.sim.rng stream"
+                            )
+                            yield _project_diagnostic(
+                                self,
+                                function.path,
+                                site.line,
+                                site.col,
+                                f"{'wall-clock' if clock else 'entropy'} call "
+                                f"{described}() breaks replayability; {remedy} instead",
+                            )
+                    elif not seeded:
+                        # rng.py's constructors are seeded, not entropy; any
+                        # other direct global-RNG call is MV001's finding and
+                        # only taints this function's callers here.
+                        described = _global_rng_call(site.node, imports)
+                        if described is not None and not described.endswith(".Generator"):
+                            sinks.setdefault(qualname, described)
 
         # BFS from sinks through the caller index; first (shortest) chain
         # wins, ties broken by sorted caller order for determinism.
         chains: Dict[str, Tuple[str, ...]] = {
-            qualname: (qualname,) for qualname in sorted(direct)
+            qualname: (qualname,) for qualname in sorted(sinks)
         }
-        frontier = sorted(direct)
+        frontier = sorted(sinks)
         while frontier:
             next_frontier: List[str] = []
             for qualname in frontier:
@@ -275,15 +303,12 @@ class TransitiveWallClockRule(ProjectRule):
         for function in graph.iter_functions():
             qualname = function.qualname
             chain = chains.get(qualname)
-            if chain is None or len(chain) < 2:
-                continue  # clean, or a direct sink (MV001/MV002 territory)
-            if qualname in direct:
-                continue
+            if chain is None or qualname in sinks:
+                continue  # clean, or a direct sink (reported at the call)
             module = graph.modules[function.module]
-            if not _in_package(module.normalized, REPLAY_PACKAGES):
+            if not in_package(module.normalized, *REPLAY_PACKAGES):
                 continue
-            sink_function = chain[-1]
-            sink = direct[sink_function]
+            sink = sinks[chain[-1]]
             # anchor at the call that starts the chain
             line, col = function.line, 0
             for site in function.calls:
@@ -300,22 +325,32 @@ class TransitiveWallClockRule(ProjectRule):
                 "virtual clock / a named stream as a parameter",
             )
 
-    @staticmethod
-    def _direct_sink(module: ModuleInfo, function: FunctionInfo) -> Optional[str]:
-        imports = _ImportMap(module.tree)
-        entropy = _entropy_imports(module.tree)
-        for site in function.calls:
-            node = site.node
-            described = WallClockRule._wall_clock_call(node, imports)
-            if described is not None:
-                return described
-            described = _global_rng_call(node, imports)
-            if described is not None and not described.endswith(".Generator"):
-                return described
-            described = _entropy_call(node, entropy)
-            if described is not None:
-                return described
+
+def _wall_clock_call(node: ast.Call, imports: _ImportMap) -> Optional[str]:
+    """Describe a wall-clock read (``time.time``, ``datetime.now``, ...)."""
+    if isinstance(node.func, ast.Name):
+        original = imports.time_functions.get(node.func.id)
+        if original in _WALL_CLOCK_TIME_ATTRS:
+            return f"time.{original}"
         return None
+    chain = attribute_chain(node.func)
+    if chain is None:
+        return None
+    root, rest = chain[0], chain[1:]
+    if root in imports.time_modules and len(rest) == 1 and rest[0] in _WALL_CLOCK_TIME_ATTRS:
+        return f"time.{rest[0]}"
+    if (
+        root in imports.datetime_modules
+        and len(rest) == 2
+        and rest[0] in ("datetime", "date")
+        and rest[1] in _WALL_CLOCK_DATETIME_ATTRS
+    ):
+        return f"datetime.{rest[0]}.{rest[1]}"
+    if root in imports.datetime_classes and len(rest) == 1 and rest[0] in _WALL_CLOCK_DATETIME_ATTRS:
+        return f"datetime.datetime.{rest[0]}"
+    if root in imports.date_classes and len(rest) == 1 and rest[0] == "today":
+        return "datetime.date.today"
+    return None
 
 
 def _entropy_imports(tree: ast.AST) -> Dict[str, str]:
@@ -381,7 +416,7 @@ class TelemetryGuardRule(ProjectRule):
         guard_attrs = _guard_attributes(graph)
         for module_name in sorted(graph.modules):
             module = graph.modules[module_name]
-            if not _in_package(module.normalized, REPLAY_PACKAGES):
+            if not in_package(module.normalized, *REPLAY_PACKAGES):
                 continue
             class_aliases = _class_guard_aliases(module, guard_attrs)
             for qualname in sorted(module.functions):

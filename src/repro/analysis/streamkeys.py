@@ -226,7 +226,6 @@ class KeySite:
     registry_is_param: bool = False  # registry/seed arrives as a parameter
     registry_loop_local: bool = False  # registry name is (re)bound inside the loop
     registry_local_ctor: bool = False  # registry constructed inside the function
-    via: Tuple[str, ...] = ()  # propagation chain, callee-first
 
     @property
     def key_space(self) -> str:
@@ -363,7 +362,6 @@ def _propagate(
             pattern=pattern_from_expr(arg),
             in_loop=caller_site.in_loop,
             loop_vars=caller_site.loop_vars,
-            via=base.via + (function.qualname,),
         )
         derived.extend(_propagate(graph, caller, candidate, arg, depth + 1))
     return derived if derived else [base]

@@ -1,9 +1,11 @@
 """Experiment artifacts: JSON results with a reproducibility manifest.
 
 CSV files carry the series; this module adds the *provenance*: which
-experiment, which preset parameters, which seeds, which package version,
-when — everything needed to regenerate a figure byte-for-byte.  The
-``mvcom`` CLI writes one artifact per experiment next to the CSVs.
+experiment, which preset parameters, which seeds, which package version —
+everything needed to regenerate a figure byte-for-byte.  The manifest
+carries no wall-clock stamp, so rewriting an artifact from the same inputs
+reproduces its bytes.  The ``mvcom`` CLI writes one artifact per
+experiment next to the CSVs.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import dataclasses
 import json
 import os
 import platform
-import time
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,32 +42,14 @@ class _ArtifactEncoder(json.JSONEncoder):
         return super().default(value)
 
 
-#: Injectable wall-clock used for the ``written_at_unix`` stamp.  Tests (and
-#: anyone needing byte-stable artifacts under a fixed seed) pass a
-#: deterministic callable; ``None`` means the real clock.
-Clock = Callable[[], float]
-
-
-def build_manifest(
-    preset: Optional[FigurePreset] = None,
-    clock: Optional[Clock] = None,
-    **extra,
-) -> dict:
-    """Provenance block attached to every artifact.
-
-    ``clock`` overrides the timestamp source so artifact files can be
-    byte-for-byte reproducible; the default is the real wall clock (this is
-    provenance metadata, deliberately outside the simulation's virtual
-    time).
-    """
+def build_manifest(preset: Optional[FigurePreset] = None, **extra) -> dict:
+    """Provenance block attached to every artifact."""
     from repro import __version__
 
-    now = time.time if clock is None else clock
     manifest = {
         "repro_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "written_at_unix": int(now()),
     }
     if preset is not None:
         manifest["preset"] = dataclasses.asdict(preset)
@@ -79,13 +62,12 @@ def write_artifact(
     result: dict,
     preset: Optional[FigurePreset] = None,
     results_dir: Optional[str] = None,
-    clock: Optional[Clock] = None,
 ) -> str:
     """Persist ``result`` + manifest as ``results/<name>.json``; returns the path."""
     directory = results_dir or RESULTS_DIR
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.json")
-    payload = {"experiment": name, "manifest": build_manifest(preset, clock=clock), "result": result}
+    payload = {"experiment": name, "manifest": build_manifest(preset), "result": result}
     with open(path, "w") as handle:
         json.dump(payload, handle, cls=_ArtifactEncoder, indent=2)
     return path

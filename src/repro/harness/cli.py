@@ -7,8 +7,7 @@ Usage::
     mvcom fig02 --chain-engine fastpath   # closed-form chain substrate
     mvcom all                   # run every figure (slow)
     mvcom lint [paths...]       # static analysis (rules MV001-MV104)
-    mvcom lint --format sarif   # SARIF 2.1.0 report for CI upload
-    mvcom lint --graph          # dump the call/stream graph
+    mvcom lint --annotate src/  # + GitHub ::error annotations
     mvcom solve --trace t.jsonl # one traced SE solve + final PBFT round
     mvcom solve --engine serial # the reference scalar SE loop
     mvcom trace summary t.jsonl # render a text report from a trace file
@@ -252,7 +251,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["lint"]:
         # Forward everything after 'lint' to the analyzer's own parser so
-        # --format/--graph/--annotate work without duplicating flags.
+        # --annotate/--list-rules work without duplicating flags.
         from repro.analysis.__main__ import main as lint_main
 
         return lint_main(argv[1:])

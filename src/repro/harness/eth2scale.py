@@ -10,7 +10,7 @@ memory-bounded crosslink aggregator (:mod:`repro.chain.final`) keep under
 a 2 GiB peak-RSS budget.
 
 Wall clocks and ``getrusage`` live here legitimately: the harness sits
-outside the replayable packages (rule MV002 scopes ``repro.chain`` /
+outside the replayable packages (rule MV102 scopes ``repro.chain`` /
 ``repro.core`` / ``repro.sim``).  Peak RSS via
 :func:`repro.harness.tracing.sample_resources` is process-lifetime
 *monotone* (``ru_maxrss`` never decreases), so the curve is measured in

@@ -48,7 +48,7 @@ def build_telemetry(
 def sample_resources() -> Optional[dict]:
     """Peak RSS and CPU times of this process via ``resource.getrusage``.
 
-    Harness-only by design (wall/OS state would break MV002 inside the
+    Harness-only by design (wall/OS state would break MV102 inside the
     replayable packages); returns ``None`` where the stdlib ``resource``
     module is unavailable (non-POSIX platforms) so callers can skip the
     gauge instead of crashing.

@@ -24,7 +24,7 @@
 Instrumented packages (``repro/{core,sim,chain,baselines}``) accept a
 ``telemetry`` parameter defaulting to ``NULL_TELEMETRY`` and never
 construct hubs or sinks themselves -- lint rule MV007 enforces this, the
-injectable-clock design keeps MV002 (no wall-clock) intact.
+injectable-clock design keeps MV102 (no wall-clock) intact.
 """
 
 from repro.obs.metrics import LogHistogram, MetricsAggregator

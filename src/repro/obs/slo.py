@@ -21,7 +21,7 @@ after-the-fact CSV columns.  An SLO here is one of three checks against a
     those resets).
 
 Specs load from ``[tool.repro.obs.slo.<name>]`` tables in pyproject-style
-TOML (via the same 3.9-safe parser the lint config uses) or construct
+TOML (via the 3.9-safe parser in :mod:`repro.analysis.config`) or construct
 directly.  :class:`SloTracker` implements the sink protocol: attach it to
 the hub *after* its aggregator and it evaluates periodically, emitting
 ``slo.violation`` events back into the same stream — so violations land in

@@ -14,7 +14,7 @@ Design constraints, in order:
    comes from an injectable ``clock`` callable (simulation virtual time, an
    iteration counter, or -- the default -- the hub's own emission sequence
    number), and the optional *wall* timestamp comes from an injectable
-   ``wall_clock`` that only the harness supplies.  Lint rule MV002 (no
+   ``wall_clock`` that only the harness supplies.  Lint rule MV102 (no
    wall-clock in replayable packages) keeps holding, and rule MV007
    enforces that those packages receive the hub as a parameter rather than
    constructing one.

@@ -1,19 +1,21 @@
-"""Tests for the repro.analysis lint engine (rules MV001-MV009)."""
+"""Tests for the repro.analysis lint engine (rules MV001-MV009, and the
+direct wall-clock half of MV102)."""
 
 import textwrap
 
 import pytest
 
-from repro.analysis.config import AnalysisConfig, config_from_section, load_config
 from repro.analysis.engine import LintEngine, registered_rules, run_analysis
 from repro.harness.cli import main as cli_main
 
-ALL_RULES = AnalysisConfig()  # defaults: every rule on, no ignores
+
+def lint(source, path="repro/core/somefile.py"):
+    return LintEngine().lint_source(textwrap.dedent(source), path=path)
 
 
-def lint(source, path="repro/core/somefile.py", config=ALL_RULES):
-    engine = LintEngine(config=config)
-    return engine.lint_source(textwrap.dedent(source), path=path)
+def xlint(source, path):
+    """One file through the multi-file entry point (project rules included)."""
+    return LintEngine().lint_sources({path: textwrap.dedent(source)})
 
 
 def rule_hits(diagnostics, rule_id):
@@ -25,8 +27,9 @@ def rule_hits(diagnostics, rule_id):
 # ---------------------------------------------------------------------- #
 def test_registry_ships_the_core_rules():
     assert set(registered_rules()) >= {
-        "MV001", "MV002", "MV003", "MV004", "MV005", "MV006", "MV007", "MV009",
+        "MV001", "MV003", "MV004", "MV005", "MV006", "MV007", "MV009",
     }
+    assert "MV002" not in registered_rules()  # folded into MV102
 
 
 # ---------------------------------------------------------------------- #
@@ -103,9 +106,9 @@ class TestMV001:
 
 
 # ---------------------------------------------------------------------- #
-# MV002 wall clock
+# MV102 direct wall-clock calls (the project rule; see test_analysis_xrules)
 # ---------------------------------------------------------------------- #
-class TestMV002:
+class TestMV102DirectWallClock:
     def test_time_time_flagged_in_core(self):
         bad = """
         import time
@@ -113,7 +116,7 @@ class TestMV002:
         def stamp():
             return time.time()
         """
-        assert rule_hits(lint(bad, path="src/repro/core/x.py"), "MV002") == [(5, "MV002")]
+        assert rule_hits(xlint(bad, path="src/repro/core/x.py"), "MV102") == [(5, "MV102")]
 
     def test_from_time_import_flagged(self):
         bad = """
@@ -122,7 +125,7 @@ class TestMV002:
         def stamp():
             return monotonic()
         """
-        assert rule_hits(lint(bad, path="src/repro/sim/x.py"), "MV002") == [(5, "MV002")]
+        assert rule_hits(xlint(bad, path="src/repro/sim/x.py"), "MV102") == [(5, "MV102")]
 
     def test_datetime_now_flagged(self):
         bad = """
@@ -131,7 +134,7 @@ class TestMV002:
         def stamp():
             return datetime.now()
         """
-        assert rule_hits(lint(bad, path="src/repro/chain/x.py"), "MV002") == [(5, "MV002")]
+        assert rule_hits(xlint(bad, path="src/repro/chain/x.py"), "MV102") == [(5, "MV102")]
 
     def test_harness_is_out_of_scope(self):
         timed = """
@@ -140,14 +143,14 @@ class TestMV002:
         def stamp():
             return time.time()
         """
-        assert rule_hits(lint(timed, path="src/repro/harness/x.py"), "MV002") == []
+        assert rule_hits(xlint(timed, path="src/repro/harness/x.py"), "MV102") == []
 
     def test_virtual_clock_clean(self):
         good = """
         def advance(clock):
             return clock.now() + 1.0
         """
-        assert rule_hits(lint(good, path="src/repro/sim/x.py"), "MV002") == []
+        assert rule_hits(xlint(good, path="src/repro/sim/x.py"), "MV102") == []
 
 
 # ---------------------------------------------------------------------- #
@@ -185,14 +188,16 @@ class TestMV003:
         assert rule_hits(lint(good), "MV003") == []
 
     def test_rng_param_plus_global_rng_flagged(self):
+        # The global draw is MV001's finding alone; MV003 only checks typing.
         bad = """
         import numpy as np
 
         def pick(instance, rng: np.random.Generator):
             return rng.integers(10) + np.random.default_rng().integers(10)
         """
-        hits = rule_hits(lint(bad), "MV003")
-        assert hits == [(5, "MV003")]
+        diagnostics = lint(bad)
+        assert rule_hits(diagnostics, "MV001") == [(5, "MV001")]
+        assert rule_hits(diagnostics, "MV003") == []
 
 
 # ---------------------------------------------------------------------- #
@@ -419,67 +424,11 @@ class TestMV009:
 
 
 # ---------------------------------------------------------------------- #
-# configuration
+# pyproject TOML parsing (shared with repro.obs.slo)
 # ---------------------------------------------------------------------- #
-BAD_MV004 = """
-def collect(items=[]):
-    return items
-"""
-
-
 class TestConfig:
-    def test_disable_silences_a_rule(self):
-        config = config_from_section({"disable": ["MV004"]})
-        assert lint(BAD_MV004, config=config) == []
-
-    def test_enable_allowlist(self):
-        config = config_from_section({"enable": ["MV001"]})
-        assert lint(BAD_MV004, config=config) == []
-        config = config_from_section({"enable": ["MV004"]})
-        assert len(lint(BAD_MV004, config=config)) == 1
-
-    def test_path_ignore_skips_file(self):
-        config = config_from_section({"ignore": ["repro/core/legacy/*"]})
-        assert lint(BAD_MV004, path="repro/core/legacy/x.py", config=config) == []
-        assert len(lint(BAD_MV004, path="repro/core/fresh/x.py", config=config)) == 1
-
-    def test_per_rule_ignore(self):
-        config = config_from_section(
-            {"per-rule-ignore": {"MV004": ["repro/core/somefile.py"]}}
-        )
-        assert lint(BAD_MV004, config=config) == []
-        config = config_from_section(
-            {"per-rule-ignore": {"MV001": ["repro/core/somefile.py"]}}
-        )
-        assert len(lint(BAD_MV004, config=config)) == 1
-
-    def test_pyproject_round_trip(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "\n".join(
-                [
-                    "[tool.repro.analysis]",
-                    'disable = ["MV006"]',
-                    'ignore = ["vendored/*"]',
-                    "",
-                    "[tool.repro.analysis.per-rule-ignore]",
-                    'MV002 = ["repro/chain/measurement.py"]',
-                ]
-            )
-        )
-        config = load_config(pyproject_path=str(pyproject))
-        assert not config.rule_enabled("MV006")
-        assert config.rule_enabled("MV001")
-        assert config.path_ignored("vendored/x.py")
-        assert config.path_ignored("repro/chain/measurement.py", "MV002")
-        assert not config.path_ignored("repro/chain/measurement.py", "MV001")
-
-    def test_repo_pyproject_loads(self):
-        config = load_config()
-        assert config.source is not None  # found the repo's pyproject.toml
-
     def test_toml_subset_fallback_parser(self):
-        # The 3.9/3.10 path (no tomllib); must decode the config shapes we use.
+        # The 3.9/3.10 path (no tomllib); must decode the shapes we use.
         from repro.analysis.config import _parse_toml_subset
 
         parsed = _parse_toml_subset(
@@ -526,18 +475,9 @@ class TestTreeAndCli:
         bad.write_text("import numpy as np\nrng = np.random.default_rng(3)\n")
         from repro.analysis.__main__ import main as module_main
 
-        # point at an empty config so the repo config cannot ignore it
-        empty = tmp_path / "pyproject.toml"
-        empty.write_text("")
-        assert module_main([str(bad), "--config", str(empty)]) == 1
+        assert module_main([str(bad)]) == 1
         out = capsys.readouterr().out
         assert "MV001" in out and "dirty.py:2" in out
-
-    def test_module_entry_point_rejects_missing_config(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main as module_main
-
-        assert module_main(["src", "--config", str(tmp_path / "missing.toml")]) == 2
-        assert "--config file not found" in capsys.readouterr().err
 
     def test_module_entry_point_rejects_missing_path(self, capsys):
         from repro.analysis.__main__ import main as module_main
@@ -546,7 +486,7 @@ class TestTreeAndCli:
         assert "no such file or directory" in capsys.readouterr().err
 
     def test_syntax_error_reported_not_raised(self):
-        diagnostics = LintEngine(config=ALL_RULES).lint_source("def broken(:\n", path="x.py")
+        diagnostics = LintEngine().lint_source("def broken(:\n", path="x.py")
         assert diagnostics and diagnostics[0].rule_id == "MV000"
 
 
@@ -569,7 +509,8 @@ class TestMV003Audit:
 
     def test_nested_global_rng_call_blamed_once_on_inner_scope(self):
         # Both outer and inner take ``rng``; the np.random call lives in
-        # inner.  The old whole-tree walk reported it for BOTH functions.
+        # inner.  It is reported exactly once across every rule, per-file
+        # and project alike.
         bad = """
         import numpy as np
 
@@ -580,11 +521,8 @@ class TestMV003Audit:
 
             return inner
         """
-        findings = [
-            d for d in lint(bad) if d.rule_id == "MV003" and "also calls" in d.message
-        ]
-        assert len(findings) == 1
-        assert "inner()" in findings[0].message
+        findings = [d for d in xlint(bad, path="repro/core/nested.py") if d.line == 7]
+        assert [d.rule_id for d in findings] == ["MV001"]
 
 
 class TestMV009Audit:
@@ -652,10 +590,9 @@ class TestTomlSubsetEdgeCases:
             MV004 = ["repro/core/legacy/*", "vendored/*"]
             """
         )
-        config = config_from_section(section)
-        assert config.path_ignored("repro/core/legacy/x.py", "MV004")
-        assert not config.path_ignored("repro/core/legacy/x.py", "MV001")
-        assert not config.path_ignored("repro/core/fresh/x.py", "MV004")
+        assert section["per-rule-ignore"] == {
+            "MV004": ["repro/core/legacy/*", "vendored/*"]
+        }
 
     def test_duplicate_keys_last_wins(self):
         # tomllib rejects duplicates outright; the lenient fallback takes

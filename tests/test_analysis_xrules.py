@@ -1,23 +1,20 @@
 """Tests for the cross-module MV1xx rules (repro.analysis.rules_graph)."""
 
+import ast
 import textwrap
 
-from repro.analysis.config import AnalysisConfig
+import pytest
+
 from repro.analysis.engine import LintEngine
-from repro.analysis.graph import build_graph_from_sources
 from repro.analysis.streamkeys import (
     pattern_from_expr,
     patterns_can_unify,
 )
-import ast
-
-ALL_RULES = AnalysisConfig()
 
 
-def xlint(files, config=ALL_RULES):
+def xlint(files):
     """Lint a {path: source} fixture set with per-file AND project rules."""
-    engine = LintEngine(config=config)
-    return engine.lint_sources(
+    return LintEngine().lint_sources(
         {path: textwrap.dedent(source) for path, source in files.items()}
     )
 
@@ -175,7 +172,7 @@ class TestMV101:
 
 
 # ---------------------------------------------------------------------- #
-# MV102 transitive wall-clock / entropy taint
+# MV102 wall-clock / entropy taint, direct and transitive
 # ---------------------------------------------------------------------- #
 class TestMV102:
     def test_transitive_wall_clock_flagged_with_chain(self):
@@ -194,11 +191,15 @@ class TestMV102:
             """,
         }
         hits = rule_hits(xlint(files), "MV102")
-        assert [d.path for d in hits] == ["repro/core/solver.py"]
+        # the chain at its first call, and the direct sink at its own line
+        assert [(d.path, d.line) for d in hits] == [
+            ("repro/core/solver.py", 5),
+            ("repro/core/util.py", 5),
+        ]
         assert "time.time" in hits[0].message
         assert "solve -> stamp" in hits[0].message
 
-    def test_direct_sink_left_to_mv002(self):
+    def test_direct_sink_reported_once(self):
         files = {
             "repro/core/util.py": """
             import time
@@ -208,8 +209,34 @@ class TestMV102:
             """
         }
         diagnostics = xlint(files)
-        assert rule_hits(diagnostics, "MV102") == []
-        assert rule_hits(diagnostics, "MV002")  # per-file rule owns it
+        assert [(d.line, d.rule_id) for d in diagnostics] == [(5, "MV102")]
+        assert "wall-clock call time.time()" in diagnostics[0].message
+
+    @pytest.mark.parametrize(
+        "path, source, sink",
+        [
+            ("repro/core/ids.py", "import os\n\ndef fresh():\n    return os.urandom(8)\n",
+             "os.urandom"),
+            ("repro/core/ids.py", "import uuid\n\ndef fresh():\n    return uuid.uuid4()\n",
+             "uuid.uuid4"),
+            ("repro/chain/ids.py",
+             "import secrets\n\ndef fresh():\n    return secrets.token_bytes(8)\n",
+             "secrets.token_bytes"),
+            ("repro/faultinject/clock.py",
+             "import time\n\ndef stamp():\n    return time.time()\n", "time.time"),
+            ("repro/core/boot.py", "import time\n\n\nSTART = time.time()\n", "time.time"),
+            # defaults run at def time, in the enclosing (module) scope
+            ("repro/core/boot.py",
+             "import time\n\n\ndef stamp(at=time.monotonic()):\n    return at\n",
+             "time.monotonic"),
+        ],
+        ids=["os-urandom-core", "uuid4-core", "secrets-chain", "time-faultinject",
+             "module-level-core", "default-arg-core"],
+    )
+    def test_direct_entropy_and_clock_calls_flagged(self, path, source, sink):
+        diagnostics = xlint({path: source})
+        assert [(d.path, d.line, d.rule_id) for d in diagnostics] == [(path, 4, "MV102")]
+        assert f"{sink}()" in diagnostics[0].message
 
     def test_transitive_entropy_flagged(self):
         files = {
@@ -227,8 +254,8 @@ class TestMV102:
             """,
         }
         hits = rule_hits(xlint(files), "MV102")
-        assert [d.path for d in hits] == ["repro/core/solver.py"]
-        assert "os.urandom" in hits[0].message
+        assert [d.path for d in hits] == ["repro/core/ids.py", "repro/core/solver.py"]
+        assert "transitively reaches os.urandom()" in hits[1].message
 
     def test_rng_module_streams_are_not_taint_sources(self):
         files = {
@@ -362,7 +389,7 @@ class TestMV104:
 # ---------------------------------------------------------------------- #
 class TestEnginePlumbing:
     def test_lint_source_never_runs_project_rules(self):
-        engine = LintEngine(config=ALL_RULES)
+        engine = LintEngine()
         source = textwrap.dedent(
             """
             def run(items, telemetry):
@@ -371,17 +398,6 @@ class TestEnginePlumbing:
             """
         )
         assert engine.lint_source(source, path="repro/core/loop.py") == []
-
-    def test_project_rules_respect_per_rule_ignores(self):
-        config = AnalysisConfig(per_rule_ignores={"MV104": ["repro/core/*"]})
-        files = {
-            "repro/core/loop.py": """
-            def run(items, telemetry):
-                for item in items:
-                    telemetry.event("se.step")
-            """
-        }
-        assert rule_hits(xlint(files, config=config), "MV104") == []
 
     def test_comment_line_pragma_applies_to_next_line(self):
         files = {
@@ -393,23 +409,3 @@ class TestEnginePlumbing:
             """
         }
         assert rule_hits(xlint(files), "MV104") == []
-
-    def test_graph_dump_lists_stream_sites(self):
-        from repro.analysis.output import render_graph
-
-        graph = build_graph_from_sources(
-            {
-                "repro/core/a.py": (
-                    "repro/core/a.py",
-                    textwrap.dedent(
-                        """
-                        def run(streams):
-                            return streams.get("pow")
-                        """
-                    ),
-                )
-            }
-        )
-        dump = render_graph(graph)
-        assert "# stream key sites (1)" in dump
-        assert "'pow'" in dump

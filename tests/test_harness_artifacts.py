@@ -14,7 +14,6 @@ class TestManifest:
         manifest = build_manifest()
         assert manifest["repro_version"] == "1.0.0"
         assert "python" in manifest and "numpy" in manifest
-        assert manifest["written_at_unix"] > 0
 
     def test_preset_embedded(self):
         manifest = build_manifest(PRESETS["fig08"])
@@ -24,17 +23,6 @@ class TestManifest:
     def test_extra_fields_merged(self):
         manifest = build_manifest(note="hello")
         assert manifest["note"] == "hello"
-
-    def test_injectable_clock_stamps_deterministically(self):
-        manifest = build_manifest(clock=lambda: 1_700_000_000.9)
-        assert manifest["written_at_unix"] == 1_700_000_000
-
-    def test_default_clock_is_wall_clock(self):
-        import time
-
-        before = int(time.time())
-        manifest = build_manifest()
-        assert before <= manifest["written_at_unix"] <= int(time.time())
 
 
 class TestRoundTrip:
@@ -64,8 +52,7 @@ class TestRoundTrip:
         assert text.count("\n") > 3  # indented
 
     def test_fixed_clock_makes_artifacts_byte_stable(self, tmp_path):
-        clock = lambda: 1_700_000_000.0  # noqa: E731
         result = {"rows": [{"x": 1}], "trace": np.array([1.0, 2.0])}
-        path_a = write_artifact("stable", result, results_dir=str(tmp_path / "a"), clock=clock)
-        path_b = write_artifact("stable", result, results_dir=str(tmp_path / "b"), clock=clock)
+        path_a = write_artifact("stable", result, results_dir=str(tmp_path / "a"))
+        path_b = write_artifact("stable", result, results_dir=str(tmp_path / "b"))
         assert open(path_a, "rb").read() == open(path_b, "rb").read()
