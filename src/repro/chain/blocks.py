@@ -1,7 +1,9 @@
 """Blocks and the root chain.
 
-* :class:`ShardBlock` -- the agreed transaction set a member committee
-  submits to the final committee (its "shard").
+* :class:`ShardBlock` -- a member committee's agreed transaction set (its
+  "shard") as a standalone record.  The epoch pipeline itself carries
+  shards as crosslink arrays (:class:`repro.chain.final.CrosslinkAggregator`)
+  and hashes them with :func:`shard_block_hash`, the same preimage.
 * :class:`FinalBlock` -- the global block the final committee appends to
   the root chain after the final consensus, merging the *permitted* shards.
 * :class:`RootChain` -- an append-only hash-linked chain with integrity
@@ -18,6 +20,11 @@ from typing import List, Sequence, Tuple
 def _hash_payload(*parts: object) -> str:
     preimage = "|".join(str(part) for part in parts).encode("utf-8")
     return hashlib.sha256(preimage).hexdigest()
+
+
+def shard_block_hash(committee_id: int, epoch: int, tx_count: int) -> str:
+    """The content hash of a member committee's shard (latencies excluded)."""
+    return _hash_payload("shard", committee_id, epoch, tx_count)
 
 
 @dataclass(frozen=True)
@@ -38,9 +45,7 @@ class ShardBlock:
             raise ValueError("latencies must be non-negative")
         if not self.block_hash:
             object.__setattr__(
-                self,
-                "block_hash",
-                _hash_payload("shard", self.committee_id, self.epoch, self.tx_count),
+                self, "block_hash", shard_block_hash(self.committee_id, self.epoch, self.tx_count)
             )
 
     @property

@@ -1,7 +1,10 @@
 """Committees: the unit of sharded consensus.
 
-A :class:`Committee` groups the nodes elected into one PoW bucket, tracks
-its two-phase latency components, and runs its intra-committee PBFT round.
+A :class:`Committee` groups the nodes elected into one PoW bucket and
+tracks its two-phase latency components;
+:func:`run_intra_consensus_streaming` runs stage 3 (one PBFT round per
+committee) under either chain engine and folds the submitted shards into
+the final committee's crosslink arrays.
 """
 
 from __future__ import annotations
@@ -11,13 +14,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chain.blocks import ShardBlock
 from repro.chain.node import Node
 from repro.chain.fastpath import (
     _pbft_kernel_batch,
     kernel_plan,
     replay_pbft_until_commit,
-    run_pbft,
     view_change_timeout,
 )
 from repro.chain.params import ChainParams
@@ -35,7 +36,6 @@ class Committee:
     formation_latency: float = 0.0
     consensus_latency: Optional[float] = None
     shard_tx_count: int = 0
-    shard_block: Optional[ShardBlock] = None
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -68,92 +68,59 @@ class Committee:
         """PBFT liveness: at most f = (size-1)//3 silent members."""
         return self.byzantine_count <= (self.size - 1) // 3
 
-    def run_intra_consensus(
-        self,
-        params: ChainParams,
-        rng: np.random.Generator,
-        verify_mean_s: Optional[float] = None,
-        telemetry: NullTelemetry = NULL_TELEMETRY,
-    ) -> Optional[ShardBlock]:
-        """Run stage 3 (PBFT) and produce this committee's shard block.
 
-        ``verify_mean_s`` defaults to a value calibrated so the expected
-        total consensus latency matches ``params.pbft_mean_total_s``: the
-        round spends roughly two verify delays (prepare + commit votes) and
-        four propagation hops on the critical path.
-        """
-        if not self.can_reach_quorum:
-            return None  # this committee stalls and never submits
-        if verify_mean_s is None:
-            verify_mean_s = calibrated_verify_mean(params)
-        outcome = run_pbft(
-            params.chain_engine,
-            members=self.members,
-            rng=rng,
-            network_params=params.network,
-            verify_mean_s=verify_mean_s,
-            round_tag=f"epoch{self.epoch}-committee{self.committee_id}",
-            telemetry=telemetry,
-        )
-        if not outcome.committed:
-            return None
-        self.consensus_latency = outcome.latency
-        self.shard_block = ShardBlock(
-            committee_id=self.committee_id,
-            epoch=self.epoch,
-            tx_count=self.shard_tx_count,
-            formation_latency=self.formation_latency,
-            consensus_latency=self.consensus_latency,
-        )
-        return self.shard_block
-
-
-def _stage3_commit_times(
+def run_intra_consensus_streaming(
     committees: Sequence[Committee],
     params: ChainParams,
     rng: np.random.Generator,
+    sink,
     verify_mean_s: Optional[float] = None,
     telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> List[Committee]:
-    """The shared stage-3 core: chunked batch kernel + replayed fallbacks.
+) -> int:
+    """Stage 3: one PBFT round per committee, folded into a crosslink sink.
 
-    Every closed-form-eligible committee (quorum reachable, honest view-0
-    primary, loss-free network) goes through one chunked order-statistics
-    kernel call (committee chunks on up to one thread per CPU, sharing
-    the ``params.max_batch_bytes`` scratch budget; byte-identical at any
-    chunk size and worker count) instead of ``K`` per-committee calls.
-    The rest replay afterwards, as do eligible committees whose
-    closed-form commit time reaches the view-change timeout.  On a
-    loss-free network every fallback (``byzantine-primary``, ``no-quorum``,
-    ``view-change-timeout``) runs
-    :func:`repro.chain.fastpath.replay_pbft_until_commit`, which is
-    byte-identical to the reference ``PbftRound`` stopped at the primary's
-    commit, RNG end state included.  Committee-vs-committee draw order
-    differs from the serial per-round loop (batch key first, fallbacks
-    second), which is fine because all rounds draw independently.  With a
-    lossy network nothing is batch-drawn -- not even the Philox key --
-    every replay drains its full ``PbftRound`` event queue, and the epoch
-    stays byte-identical to the pure DES.
+    Committees that cannot reach quorum stall without consuming
+    randomness.  Under the ``des`` engine, and under ``fastpath`` on a
+    lossy network, every other committee runs the reference
+    :func:`repro.chain.pbft.run_pbft_round` in committee order, draining
+    its whole event queue (the residual tail consumes randomness), so a
+    lossy fastpath epoch stays byte-identical to the pure DES epoch.
 
-    Stamps ``consensus_latency`` on each committing committee and returns
-    the committing committees in committee order; block materialisation
-    is left to the caller (:func:`run_intra_consensus_batch` builds
-    :class:`ShardBlock` objects, :func:`run_intra_consensus_streaming`
-    folds straight into a crosslink sink).
+    Otherwise the ``fastpath`` engine sends every closed-form-eligible
+    committee (honest view-0 primary, honest quorum) through one chunked
+    order-statistics kernel call (committee chunks on up to one thread
+    per CPU, sharing the ``params.max_batch_bytes`` scratch budget;
+    byte-identical at any chunk size and worker count).  The rest replay
+    afterwards, as do eligible committees whose closed-form commit time
+    reaches the view-change timeout: every such fallback
+    (``byzantine-primary``, ``no-quorum``, ``view-change-timeout``) runs
+    :func:`repro.chain.fastpath.replay_pbft_until_commit`, byte-identical
+    to the reference ``PbftRound`` stopped at the primary's commit, RNG
+    end state included.  Committee-vs-committee draw order differs from
+    the DES engine's (batch key first, fallbacks second), which is fine
+    because all rounds draw independently.
+
+    Stamps ``consensus_latency`` on each committing committee and extends
+    ``sink`` -- any object with an ``extend(ids, tx_counts, latencies)``
+    method, canonically :class:`repro.chain.final.CrosslinkAggregator` --
+    once with three flat arrays in committee order: committee id, ``s_i``
+    and the two-phase ``l_i``.  Returns the number of submitted shards.
     """
     if verify_mean_s is None:
         verify_mean_s = calibrated_verify_mean(params)
-    timeout_s = view_change_timeout(params.network, verify_mean_s)
     lossy = params.network.loss_probability > 0.0
+    reference = lossy or params.chain_engine != "fastpath"
 
     eligible: List[Committee] = []
-    fallbacks: List[Tuple[Committee, str]] = []
+    fallbacks: List[Tuple[Committee, Optional[str]]] = []
     for committee in committees:
         if not committee.can_reach_quorum:
-            continue  # stalls without consuming randomness, like the serial path
+            continue  # stalls without consuming randomness
         if committee.size < 4:
             raise ValueError("PBFT needs at least 4 members (3f+1, f >= 1)")
-        if lossy:
+        if params.chain_engine != "fastpath":
+            fallbacks.append((committee, None))  # the DES engine's own round
+        elif lossy:
             fallbacks.append((committee, "lossy-network"))
         elif not committee.leader.honest:
             fallbacks.append((committee, "byzantine-primary"))
@@ -163,6 +130,7 @@ def _stage3_commit_times(
             eligible.append(committee)
 
     if eligible:
+        timeout_s = view_change_timeout(params.network, verify_mean_s)
         honest = np.array(
             [[node.honest for node in committee.members] for committee in eligible],
             dtype=bool,
@@ -211,13 +179,11 @@ def _stage3_commit_times(
                     },
                 )
 
+    replay = run_pbft_round if reference else replay_pbft_until_commit
     for committee, reason in fallbacks:
         round_tag = f"epoch{committee.epoch}-committee{committee.committee_id}"
-        if telemetry.enabled:
+        if reason is not None and telemetry.enabled:
             telemetry.event("chain.fastpath.fallback", tag=round_tag, reason=reason)
-        # A lossy epoch must drain each round's whole event queue (the
-        # residual tail consumes randomness) to match the pure DES epoch.
-        replay = run_pbft_round if lossy else replay_pbft_until_commit
         outcome = replay(
             members=committee.members,
             rng=rng,
@@ -229,72 +195,16 @@ def _stage3_commit_times(
         if outcome.committed:
             committee.consensus_latency = outcome.latency
 
-    return [c for c in committees if c.consensus_latency is not None]
-
-
-def run_intra_consensus_batch(
-    committees: Sequence[Committee],
-    params: ChainParams,
-    rng: np.random.Generator,
-    verify_mean_s: Optional[float] = None,
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> List[ShardBlock]:
-    """Stage 3 for the ``fastpath`` engine: one batched kernel call.
-
-    See :func:`_stage3_commit_times` for the kernel/fallback semantics.
-    Returns the submitted shard blocks in committee order and stamps
-    ``consensus_latency`` / ``shard_block`` on each committee, exactly
-    like per-committee :meth:`Committee.run_intra_consensus` calls.
-    """
-    blocks: List[ShardBlock] = []
-    for committee in _stage3_commit_times(
-        committees, params, rng, verify_mean_s=verify_mean_s, telemetry=telemetry
-    ):
-        committee.shard_block = ShardBlock(
-            committee_id=committee.committee_id,
-            epoch=committee.epoch,
-            tx_count=committee.shard_tx_count,
-            formation_latency=committee.formation_latency,
-            consensus_latency=committee.consensus_latency,
-        )
-        blocks.append(committee.shard_block)
-    return blocks
-
-
-def run_intra_consensus_streaming(
-    committees: Sequence[Committee],
-    params: ChainParams,
-    rng: np.random.Generator,
-    sink,
-    verify_mean_s: Optional[float] = None,
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> int:
-    """Stage 3 that folds submissions straight into a crosslink sink.
-
-    Identical consensus semantics (and RNG consumption) to
-    :func:`run_intra_consensus_batch`, but instead of materialising one
-    :class:`ShardBlock` per committee it extends ``sink`` -- any object
-    with an ``extend(ids, tx_counts, latencies)`` method, canonically
-    :class:`repro.chain.final.CrosslinkAggregator` -- with three flat
-    arrays in committee order.  At eth2 scale this keeps stage 3 -> 4
-    hand-off allocation at three arrays instead of ~1024 Python objects
-    plus a list.  Returns the number of submitted shards.
-    """
-    committed = _stage3_commit_times(
-        committees, params, rng, verify_mean_s=verify_mean_s, telemetry=telemetry
-    )
+    committed = [c for c in committees if c.consensus_latency is not None]
     if committed:
-        count = len(committed)
-        ids = np.fromiter((c.committee_id for c in committed), dtype=np.int64, count=count)
-        tx_counts = np.fromiter(
-            (c.shard_tx_count for c in committed), dtype=np.int64, count=count
+        sink.extend(
+            np.array([c.committee_id for c in committed], dtype=np.int64),
+            np.array([c.shard_tx_count for c in committed], dtype=np.int64),
+            np.array(
+                [c.formation_latency + c.consensus_latency for c in committed],
+                dtype=np.float64,
+            ),
         )
-        latencies = np.fromiter(
-            (c.formation_latency + c.consensus_latency for c in committed),
-            dtype=np.float64,
-            count=count,
-        )
-        sink.extend(ids, tx_counts, latencies)
     return len(committed)
 
 

@@ -7,25 +7,29 @@ One :meth:`ElasticoSimulation.run_epoch` call executes:
    gossip (:mod:`repro.chain.overlay`); formation latency =
    committee-fill time + overlay time, which is what Fig. 2 measures;
 3. **Intra-committee consensus** -- a PBFT round per committee
-   (:mod:`repro.chain.pbft`);
-4. **Final consensus** -- the final committee schedules shards (MVCom or a
-   baseline) and seals the final block (:mod:`repro.chain.final`);
+   (:func:`repro.chain.committee.run_intra_consensus_streaming`: the DES of
+   :mod:`repro.chain.pbft`, or the batched kernel of
+   :mod:`repro.chain.fastpath` plus replayed fallbacks); each submitted
+   shard folds into a :class:`repro.chain.final.CrosslinkAggregator` as
+   its committee id, ``s_i`` and two-phase ``l_i``;
+4. **Final consensus** -- the final committee cuts the arrivals at
+   ``N_max``, schedules them (MVCom or a baseline) straight off those
+   arrays and seals the final block (:mod:`repro.chain.final`);
 5. **Epoch randomness refreshing** -- commit-reveal seed for the next epoch
    (:mod:`repro.chain.randomness`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.chain.blocks import RootChain, ShardBlock
+from repro.chain.blocks import RootChain
 from repro.chain.committee import (
     Committee,
     assign_shard_workload,
-    run_intra_consensus_batch,
     run_intra_consensus_streaming,
 )
 from repro.chain.fastpath import committee_hash_suffixes, formation_kernel
@@ -48,34 +52,17 @@ from repro.sim.rng import RandomStreams
 
 @dataclass
 class EpochOutcome:
-    """Everything one epoch produced."""
+    """Everything one epoch produced.
 
-    epoch: int
-    committees: List[Committee]
-    shard_blocks: List[ShardBlock]
-    final: Optional[FinalConsensusResult]
-    randomness: str
-    formation_latencies: Dict[int, float] = field(default_factory=dict)
-    consensus_latencies: Dict[int, float] = field(default_factory=dict)
-
-    @property
-    def two_phase_latencies(self) -> List[float]:
-        """Each submitted shard's formation + consensus latency."""
-        return [block.two_phase_latency for block in self.shard_blocks]
-
-
-@dataclass
-class StreamingEpochOutcome:
-    """What :meth:`ElasticoSimulation.run_epoch_streaming` produced.
-
-    The streaming path never materialises :class:`ShardBlock` objects, so
-    this carries counts and the final-consensus result instead of the
-    per-shard object list; latency dicts stay available for parity tests
-    and Fig. 2-style measurement.
+    Submitted shards exist only as the final committee's crosslink arrays
+    (``final.instance`` holds the ones that arrived inside the N_max
+    window); ``shards_submitted`` counts them all, and the latency dicts
+    keep each committee's two-phase components for Fig. 2-style
+    measurement.
     """
 
     epoch: int
-    num_committees: int
+    committees: List[Committee]
     shards_submitted: int
     final: Optional[FinalConsensusResult]
     randomness: str
@@ -92,10 +79,7 @@ class ElasticoSimulation:
         mvcom_config: Optional[MVComConfig] = None,
         scheduler: Optional[SchedulerFn] = None,
         telemetry: NullTelemetry = NULL_TELEMETRY,
-        chain_engine: Optional[str] = None,
     ) -> None:
-        if chain_engine is not None and chain_engine != params.chain_engine:
-            params = replace(params, chain_engine=chain_engine)
         self.params = params
         #: Injected hub (rule MV007), threaded into every PBFT round and the
         #: final-consensus stage; each epoch also emits one ``chain.epoch``.
@@ -201,21 +185,14 @@ class ElasticoSimulation:
             shard_tx_counts = rng.poisson(1400, size=len(committees))
         assign_shard_workload(committees, shard_tx_counts)
 
-        # Stage 3: every member committee (all but the final one) runs PBFT.
-        # The fastpath engine batches all eligible committees into one
-        # vectorized kernel call (see run_intra_consensus_batch).
+        # Stage 3: every member committee (all but the final one) runs PBFT
+        # and its submission folds into the crosslink arrays.
         member_committees = committees[:-1] if len(committees) > 1 else committees
         final_seat = committees[-1]
-        if self.params.chain_engine == "fastpath":
-            shard_blocks = run_intra_consensus_batch(
-                member_committees, self.params, rng, telemetry=self.telemetry
-            )
-        else:
-            shard_blocks = []
-            for committee in member_committees:
-                block = committee.run_intra_consensus(self.params, rng, telemetry=self.telemetry)
-                if block is not None:
-                    shard_blocks.append(block)
+        aggregator = CrosslinkAggregator()
+        submitted = run_intra_consensus_streaming(
+            member_committees, self.params, rng, aggregator, telemetry=self.telemetry
+        )
 
         # Stage 4: final consensus with the configured scheduler.
         final_committee = FinalCommittee(
@@ -225,10 +202,10 @@ class ElasticoSimulation:
             scheduler=self.scheduler,
         )
         final_result = (
-            final_committee.run(
-                shard_blocks, self.chain, self.randomness, rng, telemetry=self.telemetry
+            final_committee.run_streaming(
+                aggregator, self.chain, self.randomness, rng, telemetry=self.telemetry
             )
-            if shard_blocks
+            if submitted
             else None
         )
 
@@ -237,11 +214,10 @@ class ElasticoSimulation:
         if mempool is not None and final_result is not None and shard_assignment is not None:
             from repro.chain.mempool import verify_disjoint
 
-            permitted_ids = [
-                final_result.instance.shard_ids[i]
+            permitted_shards = [
+                shard_assignment[final_result.instance.shard_ids[i]]
                 for i in np.flatnonzero(final_result.permitted_mask)
             ]
-            permitted_shards = [shard_assignment[cid] for cid in permitted_ids]
             offender = verify_disjoint(permitted_shards)
             if offender is not None:
                 raise RuntimeError(f"double-committed transaction {offender}")
@@ -258,93 +234,6 @@ class ElasticoSimulation:
         outcome = EpochOutcome(
             epoch=self.epoch,
             committees=committees,
-            shard_blocks=shard_blocks,
-            final=final_result,
-            randomness=self.randomness,
-            formation_latencies={c.committee_id: c.formation_latency for c in committees},
-            consensus_latencies={
-                c.committee_id: c.consensus_latency
-                for c in committees
-                if c.consensus_latency is not None
-            },
-        )
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "chain.epoch",
-                epoch=outcome.epoch,
-                committees=len(committees),
-                shards_submitted=len(shard_blocks),
-                shards_permitted=(
-                    int(final_result.permitted_mask.sum()) if final_result is not None else 0
-                ),
-                committed=final_result is not None,
-            )
-        self.epoch += 1
-        return outcome
-
-    def run_epoch_streaming(
-        self,
-        shard_tx_counts: Optional[Sequence[int]] = None,
-    ) -> StreamingEpochOutcome:
-        """The five stages with memory-bounded stage 3 -> 4 hand-off.
-
-        Byte-identical to :meth:`run_epoch` on the ``fastpath`` engine
-        (same RNG consumption, same final block hash), but shard
-        submissions stream through a :class:`CrosslinkAggregator`
-        instead of a :class:`ShardBlock` list -- the eth2-scale path
-        where ~1024 per-shard Python objects per epoch are pure
-        allocator churn.  Mempool-driven workloads stay on
-        :meth:`run_epoch` (removing committed TXs needs the per-shard
-        assignment anyway).
-        """
-        if self.params.chain_engine != "fastpath":
-            raise ValueError(
-                "run_epoch_streaming requires chain_engine='fastpath' "
-                "(the DES path materialises per-round objects regardless)"
-            )
-        # Intentionally the same stream key as run_epoch: the streaming
-        # path must replay the exact byte sequence of the object path.
-        rng = self.streams.fork(f"epoch-{self.epoch}").get("epoch")  # repro: ignore[MV101]
-        committees = self.form_committees(rng)
-        if not committees:
-            raise RuntimeError(
-                "no committee filled this epoch; raise num_nodes or lower committee_size"
-            )
-        if shard_tx_counts is None:
-            # Same synthetic default (and draw) as run_epoch.
-            shard_tx_counts = rng.poisson(1400, size=len(committees))
-        assign_shard_workload(committees, shard_tx_counts)
-
-        member_committees = committees[:-1] if len(committees) > 1 else committees
-        final_seat = committees[-1]
-        aggregator = CrosslinkAggregator(capacity_hint=len(member_committees))
-        submitted = run_intra_consensus_streaming(
-            member_committees, self.params, rng, aggregator, telemetry=self.telemetry
-        )
-
-        final_committee = FinalCommittee(
-            committee=final_seat,
-            params=self.params,
-            mvcom_config=self.mvcom_config,
-            scheduler=self.scheduler,
-        )
-        final_result = (
-            final_committee.run_streaming(
-                aggregator, self.chain, self.randomness, rng, telemetry=self.telemetry
-            )
-            if submitted
-            else None
-        )
-
-        self.randomness = refresh_randomness(
-            epoch=self.epoch,
-            member_ids=[node.node_id for node in final_seat.members],
-            rng=rng,
-        )
-
-        outcome = StreamingEpochOutcome(
-            epoch=self.epoch,
-            num_committees=len(committees),
             shards_submitted=submitted,
             final=final_result,
             randomness=self.randomness,
@@ -368,3 +257,8 @@ class ElasticoSimulation:
             )
         self.epoch += 1
         return outcome
+
+    #: The former name of the array-native epoch: ``perfbench/`` calls it and
+    #: wraps the stage-3/4 globals it looks up, so it stays until the
+    #: benchmark switches to :meth:`run_epoch`.
+    run_epoch_streaming = run_epoch

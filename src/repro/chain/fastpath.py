@@ -35,16 +35,16 @@ pure DES run and stays byte-identical; the timeout fallback necessarily
 happens after the kernel's draws and is only distributionally faithful.
 
 **Batched rounds.**  All committees of an epoch share one sequential RNG
-stream, so :func:`repro.chain.committee.run_intra_consensus_batch` stacks
-every closed-form-eligible committee into a single kernel call
+stream, so stage 3 (:func:`repro.chain.committee.run_intra_consensus_streaming`)
+stacks every closed-form-eligible committee into a single kernel call
 (:func:`_pbft_kernel_batch`) instead of ``K`` small-matrix calls -- the
 per-call numpy dispatch overhead dominates at ``c = 8``.  The batch draws
 one 128-bit Philox key from the shared stream (a fixed two-``uint64``
 consumption, whatever the batch shape) and replays the ineligible
 committees afterwards; committee-vs-committee draw *order* therefore
-differs from the one-round-at-a-time path, which is immaterial because
-the draws are independent (the per-size KS tests cover both entry
-points).  A loss-free replay runs :func:`replay_pbft_until_commit`, a
+differs from the DES engine's one-round-at-a-time loop, which is
+immaterial because the draws are independent (the per-size KS tests
+compare the two engines).  A loss-free replay runs :func:`replay_pbft_until_commit`, a
 lean event loop that is *byte-identical* to :class:`PbftRound` stopped at
 the primary's commit: the same commit and stage times, the same telemetry
 and the same RNG end state, pinned against ``PbftRound`` as the oracle in

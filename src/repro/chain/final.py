@@ -1,26 +1,27 @@
 """Stage 4: final consensus, where the MVCom scheduler plugs in.
 
-The final committee collects shard blocks as member committees finish
-their two-phase pipeline, stops listening at the :math:`N_{max}` fraction
-(Alg. 1 line 29), asks a *scheduler* which shards to permit, and then runs
-its own PBFT round to seal the final block.  The scheduler is pluggable:
-the paper's SE algorithm, any baseline, or the trivial "take everything"
-policy (the Elastico default MVCom improves upon).
+The final committee sees each shard a member committee submits only as
+its committee id, ``s_i`` and two-phase ``l_i``, held in a
+:class:`CrosslinkAggregator`.  It stops listening at the :math:`N_{max}`
+fraction (Alg. 1 line 29), asks a *scheduler* which shards to permit, and
+then runs its own PBFT round to seal the final block.  The scheduler is
+pluggable: the paper's SE algorithm, any baseline, or the trivial "take
+everything" policy (the Elastico default MVCom improves upon).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.analysis.contracts import sane_instance
-from repro.chain.blocks import FinalBlock, RootChain, ShardBlock, _hash_payload
+from repro.chain.blocks import FinalBlock, RootChain, shard_block_hash
 from repro.chain.committee import Committee, calibrated_verify_mean
 from repro.chain.fastpath import run_pbft
 from repro.chain.params import ChainParams
-from repro.core.problem import EpochInstance, MVComConfig, build_instance
+from repro.core.problem import EpochInstance, MVComConfig
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 
 #: A scheduler maps an epoch instance to a boolean selection mask.
@@ -45,44 +46,20 @@ def take_everything(instance: EpochInstance) -> np.ndarray:
 
 
 class CrosslinkAggregator:
-    """Memory-bounded fold of submitted shards into the MVCom instance.
+    """The final committee's view of the submitted shards.
 
-    The object path hands stage 4 a Python list of :class:`ShardBlock`
-    objects -- ~1024 dataclasses plus their list at eth2 scale, rebuilt
-    into arrays by ``build_instance`` anyway.  This aggregator keeps the
-    three features the scheduler actually needs (committee id, ``s_i``,
-    two-phase ``l_i``) in running numpy arrays with amortised-doubling
-    growth, accepting per-shard :meth:`add` calls or whole-batch
-    :meth:`extend` calls from
-    :func:`repro.chain.committee.run_intra_consensus_streaming`, and
-    feeds :meth:`FinalCommittee.run_streaming` directly.  The resulting
-    epoch is byte-identical to the object path.
+    The scheduler needs three features per shard: committee id, ``s_i``
+    and the two-phase ``l_i``.  Stage 3
+    (:func:`repro.chain.committee.run_intra_consensus_streaming`) folds
+    them in as flat arrays with :meth:`extend`, and
+    :meth:`FinalCommittee.run_streaming` schedules straight off them, so
+    no per-shard Python object exists at any scale.
     """
 
-    def __init__(self, capacity_hint: int = 256) -> None:
-        hint = max(int(capacity_hint), 1)
-        self._ids = np.empty(hint, dtype=np.int64)
-        self._tx_counts = np.empty(hint, dtype=np.int64)
-        self._latencies = np.empty(hint, dtype=np.float64)
-        self._count = 0
-
-    def _reserve(self, extra: int) -> None:
-        needed = self._count + extra
-        if needed <= self._ids.shape[0]:
-            return
-        new_size = max(needed, 2 * self._ids.shape[0])
-        for name in ("_ids", "_tx_counts", "_latencies"):
-            grown = np.empty(new_size, dtype=getattr(self, name).dtype)
-            grown[: self._count] = getattr(self, name)[: self._count]
-            setattr(self, name, grown)
-
-    def add(self, committee_id: int, tx_count: int, latency: float) -> None:
-        """Fold in one submitted shard (arrival order = submission order)."""
-        self._reserve(1)
-        self._ids[self._count] = committee_id
-        self._tx_counts[self._count] = tx_count
-        self._latencies[self._count] = latency
-        self._count += 1
+    def __init__(self) -> None:
+        self.ids = np.empty(0, dtype=np.int64)
+        self.tx_counts = np.empty(0, dtype=np.int64)
+        self.latencies = np.empty(0, dtype=np.float64)
 
     def extend(
         self,
@@ -90,45 +67,26 @@ class CrosslinkAggregator:
         tx_counts: np.ndarray,
         latencies: np.ndarray,
     ) -> None:
-        """Fold in a batch of submitted shards (the streaming-sink protocol)."""
-        extra = len(ids)
-        if not (len(tx_counts) == extra and len(latencies) == extra):
+        """Fold in a batch of submitted shards (arrival order = submission order)."""
+        if not (len(tx_counts) == len(ids) and len(latencies) == len(ids)):
             raise ValueError("ids, tx_counts and latencies must have equal length")
-        self._reserve(extra)
-        stop = self._count + extra
-        self._ids[self._count : stop] = ids
-        self._tx_counts[self._count : stop] = tx_counts
-        self._latencies[self._count : stop] = latencies
-        self._count = stop
+        self.ids = np.concatenate([self.ids, np.asarray(ids, dtype=np.int64)])
+        self.tx_counts = np.concatenate([self.tx_counts, np.asarray(tx_counts, dtype=np.int64)])
+        self.latencies = np.concatenate(
+            [self.latencies, np.asarray(latencies, dtype=np.float64)]
+        )
 
     @property
     def count(self) -> int:
         """Number of shards folded in so far."""
-        return self._count
-
-    @property
-    def ids(self) -> np.ndarray:
-        """Committee ids in submission order (view, do not mutate)."""
-        return self._ids[: self._count]
-
-    @property
-    def tx_counts(self) -> np.ndarray:
-        """Per-shard ``s_i`` in submission order (view, do not mutate)."""
-        return self._tx_counts[: self._count]
-
-    @property
-    def latencies(self) -> np.ndarray:
-        """Per-shard two-phase ``l_i`` in submission order (view)."""
-        return self._latencies[: self._count]
+        return len(self.ids)
 
     def arrival_positions(self, n_max_fraction: float) -> np.ndarray:
-        """Positions kept by the N_max cutoff, fastest-first (stable).
+        """Positions kept by the N_max listening cutoff, fastest-first.
 
-        Mirrors :meth:`FinalCommittee.arrival_window` exactly: a stable
-        latency sort of the submission-ordered arrays equals Python's
-        stable ``sorted`` over the block list.
+        The sort is stable, so equal latencies keep submission order.
         """
-        count = max(1, int(np.floor(n_max_fraction * self._count)))
+        count = max(1, int(np.floor(n_max_fraction * self.count)))
         return np.argsort(self.latencies, kind="stable")[:count]
 
 
@@ -180,34 +138,6 @@ class FinalCommittee:
         self.mvcom_config = mvcom_config
         self.scheduler = scheduler
 
-    def arrival_window(self, shard_blocks: Sequence[ShardBlock]) -> List[ShardBlock]:
-        """Apply the N_max listening cutoff (Alg. 1 line 29)."""
-        count = max(1, int(np.floor(self.mvcom_config.n_max_fraction * len(shard_blocks))))
-        return sorted(shard_blocks, key=lambda block: block.two_phase_latency)[:count]
-
-    def run(
-        self,
-        shard_blocks: Sequence[ShardBlock],
-        chain: RootChain,
-        randomness: str,
-        rng: np.random.Generator,
-        telemetry: NullTelemetry = NULL_TELEMETRY,
-    ) -> Optional[FinalConsensusResult]:
-        """Execute stage 4: schedule shards, run final PBFT, append the block."""
-        if not shard_blocks:
-            return None
-        arrived = self.arrival_window(shard_blocks)
-        instance = build_instance(arrived, self.mvcom_config)
-
-        def hashes_for_mask(mask: np.ndarray):
-            permitted = [arrived[i] for i in np.flatnonzero(mask)]
-            hashes = tuple(sorted(shard.block_hash for shard in permitted))
-            return hashes, int(sum(shard.tx_count for shard in permitted))
-
-        return self._finalize(
-            instance, len(arrived), hashes_for_mask, chain, randomness, rng, telemetry
-        )
-
     def run_streaming(
         self,
         aggregator: CrosslinkAggregator,
@@ -216,14 +146,12 @@ class FinalCommittee:
         rng: np.random.Generator,
         telemetry: NullTelemetry = NULL_TELEMETRY,
     ) -> Optional[FinalConsensusResult]:
-        """Stage 4 fed by a :class:`CrosslinkAggregator`, no block objects.
+        """Execute stage 4: schedule shards, run final PBFT, append the block.
 
-        Byte-identical to :meth:`run` over the same submissions: the
-        stable latency argsort reproduces :meth:`arrival_window`, the
-        instance is built from the aggregator's arrays directly, and the
-        permitted shard hashes are recomputed from ``(id, epoch,
-        tx_count)`` -- the same preimage a :class:`ShardBlock` hashes --
-        for the permitted positions only.
+        The N_max cutoff keeps the fastest arrivals, the instance is built
+        from the aggregator's arrays directly, and each permitted shard's
+        hash is :func:`repro.chain.blocks.shard_block_hash` of its
+        ``(id, epoch, tx_count)``.
         """
         if aggregator.count == 0:
             return None
@@ -234,32 +162,8 @@ class FinalCommittee:
             tx_counts, aggregator.latencies[keep], shard_ids, self.mvcom_config
         )
         epoch = self.committee.epoch
+        arrived_count = len(keep)
 
-        def hashes_for_mask(mask: np.ndarray):
-            picked = np.flatnonzero(mask)
-            hashes = tuple(
-                sorted(
-                    _hash_payload("shard", int(shard_ids[i]), epoch, int(tx_counts[i]))
-                    for i in picked
-                )
-            )
-            return hashes, int(tx_counts[picked].sum())
-
-        return self._finalize(
-            instance, len(keep), hashes_for_mask, chain, randomness, rng, telemetry
-        )
-
-    def _finalize(
-        self,
-        instance: EpochInstance,
-        arrived_count: int,
-        hashes_for_mask,
-        chain: RootChain,
-        randomness: str,
-        rng: np.random.Generator,
-        telemetry: NullTelemetry,
-    ) -> Optional[FinalConsensusResult]:
-        """Schedule, run the final PBFT round, and append the final block."""
         mask = np.asarray(self.scheduler(instance), dtype=bool)
         if mask.shape != (instance.num_shards,):
             raise ValueError("scheduler returned a mask of the wrong length")
@@ -272,24 +176,25 @@ class FinalCommittee:
             rng=rng,
             network_params=self.params.network,
             verify_mean_s=calibrated_verify_mean(self.params),
-            round_tag=f"epoch{self.committee.epoch}-final",
+            round_tag=f"epoch{epoch}-final",
             telemetry=telemetry,
         )
         if not outcome.committed:
             if telemetry.enabled:
-                telemetry.event(
-                    "chain.final.stalled",
-                    epoch=self.committee.epoch,
-                    arrived=arrived_count,
-                )
+                telemetry.event("chain.final.stalled", epoch=epoch, arrived=arrived_count)
             return None
 
-        hashes, total_txs = hashes_for_mask(mask)
+        picked = np.flatnonzero(mask)
         block = FinalBlock(
             epoch=chain.height,
             parent_hash=chain.head_hash,
-            permitted_shards=hashes,
-            total_txs=total_txs,
+            permitted_shards=tuple(
+                sorted(
+                    shard_block_hash(int(shard_ids[i]), epoch, int(tx_counts[i]))
+                    for i in picked
+                )
+            ),
+            total_txs=int(tx_counts[picked].sum()),
             ddl=instance.ddl,
             randomness=randomness,
         )
@@ -298,17 +203,15 @@ class FinalCommittee:
             # The mempool-age view of the commit: every permitted shard's
             # TXs waited ddl - latency seconds (Fig. 3's cumulative age).
             telemetry.record_span("chain.final.arrival_window", 0.0, instance.ddl,
-                                  epoch=self.committee.epoch, arrived=arrived_count)
+                                  epoch=epoch, arrived=arrived_count)
             # Tagged per epoch so the metrics aggregator keys an age-percentile
             # series per final-consensus round (SLO: p99 age vs the paper's
             # cumulative-age objective) alongside the cross-epoch aggregate.
             for age in instance.ages[mask]:
-                telemetry.observe(
-                    "chain.mempool.age_s", float(age), epoch=self.committee.epoch
-                )
+                telemetry.observe("chain.mempool.age_s", float(age), epoch=epoch)
             telemetry.event(
                 "chain.final.commit",
-                epoch=self.committee.epoch,
+                epoch=epoch,
                 permitted=int(mask.sum()),
                 arrived=arrived_count,
                 txs=block.total_txs,

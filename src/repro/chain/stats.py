@@ -52,7 +52,7 @@ def epoch_stats(outcome: EpochOutcome) -> Optional[EpochStats]:
         epoch_duration_s=duration,
         cumulative_age_s=final.instance.cumulative_age(final.permitted_mask),
         committees_formed=len(outcome.committees),
-        shards_submitted=len(outcome.shard_blocks),
+        shards_submitted=outcome.shards_submitted,
         shards_permitted=final.permitted_committees,
     )
 

@@ -1,7 +1,7 @@
 """Eth2-scale scaling bench: the ``mvcom eth2scale`` runner.
 
-Drives one streaming epoch (:meth:`repro.chain.elastico.ElasticoSimulation.
-run_epoch_streaming`) per network size and records the scaling curve
+Drives one epoch (:meth:`repro.chain.elastico.ElasticoSimulation.run_epoch`)
+per network size and records the scaling curve
 ``nodes -> {epoch wall, peak RSS, SE solve wall}``.  The preset tops out
 at the beacon-chain shape -- ``SHARD_COUNT = 2**10`` shards of
 ``MAX_PERIOD_COMMITTEE_SIZE = 2**7`` members, i.e. 131 072 validators --
@@ -121,7 +121,7 @@ def run_eth2scale(
         )
         records.clear()
         started = time.perf_counter()
-        outcome = sim.run_epoch_streaming()
+        outcome = sim.run_epoch()
         epoch_wall = time.perf_counter() - started
         sample = sample_resources()
         if telemetry is not NULL_TELEMETRY and getattr(telemetry, "enabled", False):
@@ -141,7 +141,7 @@ def run_eth2scale(
             {
                 "nodes": num_nodes,
                 "committees": params.num_committees,
-                "committees_formed": outcome.num_committees,
+                "committees_formed": len(outcome.committees),
                 "shards_submitted": outcome.shards_submitted,
                 "shards_permitted": final.permitted_committees if final else 0,
                 "permitted_txs": final.permitted_txs if final else 0,

@@ -4,7 +4,7 @@
 ``mvcom serve``-style steady-state operation (ROADMAP item 3), bandit
 parameter control (item 5) and the eth2-scale path (the ``eth2scale``
 preset drives ``2**10``-shard epochs through
-:meth:`repro.chain.elastico.ElasticoSimulation.run_epoch_streaming`) all
+:meth:`repro.chain.elastico.ElasticoSimulation.run_epoch`) all
 need the *aggregated* view — solves/s, p50/p99 decision latency,
 per-committee round latency — computed incrementally, because the raw
 trace is either unbounded (a long-running service) or too large to hold:

@@ -52,16 +52,23 @@ class TestEpoch:
         assert epoch_outcome.randomness != ""
 
     def test_shard_blocks_carry_two_phase_latency(self, epoch_outcome):
-        for block in epoch_outcome.shard_blocks:
-            assert block.two_phase_latency > 0
-            assert block.formation_latency > block.consensus_latency  # Fig. 2 shape
+        consensus = epoch_outcome.consensus_latencies
+        formation = epoch_outcome.formation_latencies
+        assert len(consensus) == epoch_outcome.shards_submitted > 0
+        for committee_id, consensus_latency in consensus.items():
+            assert consensus_latency > 0
+            assert formation[committee_id] > consensus_latency  # Fig. 2 shape
+        # The final committee sees each arrival's two-phase l_i.
+        instance = epoch_outcome.final.instance
+        for shard_id, latency in zip(instance.shard_ids, instance.latencies):
+            assert latency == formation[shard_id] + consensus[shard_id]
 
     def test_final_respects_capacity(self, epoch_outcome):
         assert epoch_outcome.final.permitted_txs <= 15_000
 
     def test_nmax_cutoff_applied(self, epoch_outcome):
         arrived = epoch_outcome.final.instance.num_shards
-        submitted = len(epoch_outcome.shard_blocks)
+        submitted = epoch_outcome.shards_submitted
         assert arrived == max(1, int(np.floor(0.8 * submitted)))
 
     def test_chain_extends_across_epochs(self):

@@ -13,8 +13,9 @@ The tentpole claims under test:
 * the batched committee hashing equals :func:`repro.chain.pow._committee_of`;
 * chunking bounds peak scratch memory (tracemalloc, which tracks numpy's
   allocator), threaded or not;
-* the streaming epoch (:meth:`ElasticoSimulation.run_epoch_streaming` +
-  :class:`CrosslinkAggregator`) replays the object epoch byte for byte;
+* the epoch (:meth:`ElasticoSimulation.run_epoch`, stage 3 -> 4 through a
+  :class:`CrosslinkAggregator`) is chunk- and worker-invariant (its
+  byte-for-byte golden pins live in ``tests/test_chain_epoch_golden.py``);
 * the ``eth2scale`` preset / CLI verb exist and run at toy scale.
 """
 
@@ -247,9 +248,9 @@ class TestThreadedKernelByteIdentity:
     def test_streaming_epoch_is_worker_invariant(self, monkeypatch):
         params = ChainParams(num_nodes=480, committee_size=8, seed=11, chain_engine="fastpath")
         _pin_workers(monkeypatch, 1)
-        base = ElasticoSimulation(params).run_epoch_streaming()
+        base = ElasticoSimulation(params).run_epoch()
         _pin_workers(monkeypatch, 4, threaded=True)
-        threaded = ElasticoSimulation(params).run_epoch_streaming()
+        threaded = ElasticoSimulation(params).run_epoch()
         assert threaded.final.block.block_hash == base.final.block.block_hash
         assert threaded.consensus_latencies == base.consensus_latencies
 
@@ -300,35 +301,11 @@ class TestStreamingEpoch:
         defaults.update(overrides)
         return ChainParams(**defaults)
 
-    def test_streaming_epoch_matches_object_epoch(self):
-        object_sim = ElasticoSimulation(self._params())
-        streaming_sim = ElasticoSimulation(self._params())
-        outcome = object_sim.run_epoch()
-        streamed = streaming_sim.run_epoch_streaming()
-
-        assert streamed.shards_submitted == len(outcome.shard_blocks)
-        assert streamed.randomness == outcome.randomness
-        assert streamed.consensus_latencies == outcome.consensus_latencies
-        assert outcome.final is not None and streamed.final is not None
-        assert streamed.final.block.block_hash == outcome.final.block.block_hash
-        assert streamed.final.block.permitted_shards == outcome.final.block.permitted_shards
-        np.testing.assert_array_equal(
-            streamed.final.permitted_mask, outcome.final.permitted_mask
-        )
-        assert streamed.final.instance.shard_ids == outcome.final.instance.shard_ids
-
     def test_streaming_epoch_is_chunk_invariant(self):
-        base = ElasticoSimulation(self._params()).run_epoch_streaming()
-        tiny = ElasticoSimulation(
-            self._params(max_batch_bytes=4096)
-        ).run_epoch_streaming()
+        base = ElasticoSimulation(self._params()).run_epoch()
+        tiny = ElasticoSimulation(self._params(max_batch_bytes=4096)).run_epoch()
         assert tiny.final.block.block_hash == base.final.block.block_hash
         assert tiny.consensus_latencies == base.consensus_latencies
-
-    def test_streaming_requires_fastpath(self):
-        sim = ElasticoSimulation(self._params(chain_engine="des"))
-        with pytest.raises(ValueError, match="fastpath"):
-            sim.run_epoch_streaming()
 
     def test_chunks_telemetry_event(self, monkeypatch):
         _pin_workers(monkeypatch, 1)
@@ -336,7 +313,7 @@ class TestStreamingEpoch:
         telemetry = Telemetry(sinks=[ring])
         params = self._params(max_batch_bytes=3 * kernel_bytes_per_committee(8))
         sim = ElasticoSimulation(params, telemetry=telemetry)
-        sim.run_epoch_streaming()
+        sim.run_epoch()
         chunk_events = [
             r for r in ring.records if r.get("name") == "chain.fastpath.chunks"
         ]
@@ -354,7 +331,7 @@ class TestStreamingEpoch:
         ring = RingBufferSink(4096)
         telemetry = Telemetry(sinks=[ring])
         params = self._params(max_batch_bytes=7 * kernel_bytes_per_committee(8))
-        ElasticoSimulation(params, telemetry=telemetry).run_epoch_streaming()
+        ElasticoSimulation(params, telemetry=telemetry).run_epoch()
         (event,) = [r for r in ring.records if r.get("name") == "chain.fastpath.chunks"]
         assert event["workers"] == 2
         assert (
@@ -367,15 +344,17 @@ class TestStreamingEpoch:
 
 
 class TestCrosslinkAggregator:
-    def test_add_extend_and_views(self):
-        aggregator = CrosslinkAggregator(capacity_hint=2)
-        aggregator.add(5, 1400, 600.5)
+    def test_extend_and_views(self):
+        aggregator = CrosslinkAggregator()
+        assert aggregator.count == 0
+        aggregator.extend(np.array([5]), np.array([1400]), np.array([600.5]))
         aggregator.extend(
             np.array([7, 9]), np.array([100, 200]), np.array([700.0, 650.0])
         )
         assert aggregator.count == 3
         np.testing.assert_array_equal(aggregator.ids, [5, 7, 9])
         np.testing.assert_array_equal(aggregator.tx_counts, [1400, 100, 200])
+        np.testing.assert_array_equal(aggregator.latencies, [600.5, 700.0, 650.0])
         # N_max cutoff keeps the fastest arrivals, stable order.
         np.testing.assert_array_equal(aggregator.arrival_positions(0.8), [0, 2])
 
@@ -383,12 +362,6 @@ class TestCrosslinkAggregator:
         aggregator = CrosslinkAggregator()
         with pytest.raises(ValueError, match="equal length"):
             aggregator.extend(np.array([1]), np.array([1, 2]), np.array([1.0]))
-
-    def test_growth_beyond_hint(self):
-        aggregator = CrosslinkAggregator(capacity_hint=1)
-        for i in range(100):
-            aggregator.add(i, i, float(i))
-        np.testing.assert_array_equal(aggregator.ids, np.arange(100))
 
 
 class TestNicGeometryCache:

@@ -18,9 +18,12 @@ import subprocess
 import sys
 import textwrap
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.chain.committee import assign_shard_workload, run_intra_consensus_streaming
 from repro.chain.elastico import ElasticoSimulation
 from repro.chain.fastpath import (
     formation_kernel,
@@ -28,6 +31,7 @@ from repro.chain.fastpath import (
     run_pbft,
     run_pbft_round_fast,
 )
+from repro.chain.final import CrosslinkAggregator
 from repro.chain.measurement import linear_growth_check, measure_two_phase_latency
 from repro.chain.network import Network
 from repro.chain.node import spawn_nodes
@@ -197,8 +201,8 @@ class TestFallbacks:
 
 class TestBatchedRounds:
     """Stage 3 on the fastpath engine runs one (K, c, c) kernel call per
-    epoch (run_intra_consensus_batch) plus DES replays for the ineligible
-    committees."""
+    epoch (run_intra_consensus_streaming) plus DES replays for the
+    ineligible committees."""
 
     def test_lossy_epoch_byte_identical_to_des(self):
         """With a lossy network the kernel draws nothing, every committee
@@ -210,31 +214,37 @@ class TestBatchedRounds:
             seed=3,
             network=NetworkParams(loss_probability=0.05),
         )
-        des = ElasticoSimulation(params, chain_engine="des").run_epoch()
-        fast = ElasticoSimulation(params, chain_engine="fastpath").run_epoch()
+        des = ElasticoSimulation(replace(params, chain_engine="des")).run_epoch()
+        fast = ElasticoSimulation(replace(params, chain_engine="fastpath")).run_epoch()
         assert des.formation_latencies == fast.formation_latencies
         assert des.consensus_latencies == fast.consensus_latencies
         assert des.randomness == fast.randomness
 
-    def test_batch_and_serial_commit_the_same_committees(self):
-        """The batch must stamp blocks on exactly the committees the
-        serial per-round loop would (values differ: independent draws)."""
-        from repro.chain.committee import run_intra_consensus_batch
-
-        params = ChainParams(num_nodes=480, committee_size=8, seed=11, chain_engine="fastpath")
-        sim_a = ElasticoSimulation(params)
-        sim_b = ElasticoSimulation(params)
-        rng_a = sim_a.streams.fork("epoch-0").get("epoch")
-        rng_b = sim_b.streams.fork("epoch-0").get("epoch")
-        committees_a = sim_a.form_committees(rng_a)
-        committees_b = sim_b.form_committees(rng_b)
-        serial = [c.run_intra_consensus(params, rng_a) for c in committees_a]
-        serial_blocks = [block for block in serial if block is not None]
-        batch_blocks = run_intra_consensus_batch(committees_b, params, rng_b)
-        assert [b.committee_id for b in batch_blocks] == [b.committee_id for b in serial_blocks]
-        for a, b in zip(serial_blocks, batch_blocks):
-            assert a.formation_latency == b.formation_latency
-            assert b.consensus_latency > 0.0
+    def test_des_and_fastpath_commit_the_same_committees(self):
+        """Stage 3 under both engines submits exactly the same committee
+        ids with the same s_i and formation latencies (consensus
+        latencies differ: independent draws)."""
+        params = ChainParams(num_nodes=480, committee_size=8, seed=11)
+        submissions = {}
+        for engine in ("des", "fastpath"):
+            sim = ElasticoSimulation(replace(params, chain_engine=engine))
+            rng = sim.streams.fork("epoch-0").get("epoch")
+            committees = sim.form_committees(rng)
+            assign_shard_workload(committees, np.arange(len(committees)) + 1000)
+            aggregator = CrosslinkAggregator()
+            submitted = run_intra_consensus_streaming(
+                committees, sim.params, rng, aggregator
+            )
+            assert submitted == aggregator.count > 0
+            formation = np.array(
+                [c.formation_latency for c in committees if c.consensus_latency is not None]
+            )
+            submissions[engine] = (aggregator, formation)
+        (des, des_formation), (fast, fast_formation) = submissions.values()
+        np.testing.assert_array_equal(des.ids, fast.ids)
+        np.testing.assert_array_equal(des.tx_counts, fast.tx_counts)
+        np.testing.assert_array_equal(des_formation, fast_formation)
+        assert (fast.latencies > fast_formation).all()
 
     def test_batched_consensus_ks_vs_des_measurement(self):
         """End-to-end Fig. 2 consensus samples from the batched fastpath
@@ -257,8 +267,8 @@ class TestFormationByteIdentity:
         """Stages 1-2 have no event interleaving: the kernel must match
         the reference path float-for-float, same RNG stream."""
         params = ChainParams(num_nodes=240, committee_size=8, seed=5)
-        des = ElasticoSimulation(params, chain_engine="des")
-        fast = ElasticoSimulation(params, chain_engine="fastpath")
+        des = ElasticoSimulation(replace(params, chain_engine="des"))
+        fast = ElasticoSimulation(replace(params, chain_engine="fastpath"))
         committees_des = des.form_committees(des.streams.fork("epoch-0").get("epoch"))
         committees_fast = fast.form_committees(fast.streams.fork("epoch-0").get("epoch"))
         assert [c.committee_id for c in committees_des] == [c.committee_id for c in committees_fast]
@@ -268,8 +278,8 @@ class TestFormationByteIdentity:
 
     def test_epoch_formation_latencies_identical(self):
         params = ChainParams(num_nodes=240, committee_size=8, seed=9)
-        des = ElasticoSimulation(params, chain_engine="des").run_epoch()
-        fast = ElasticoSimulation(params, chain_engine="fastpath").run_epoch()
+        des = ElasticoSimulation(replace(params, chain_engine="des")).run_epoch()
+        fast = ElasticoSimulation(replace(params, chain_engine="fastpath")).run_epoch()
         assert des.formation_latencies == fast.formation_latencies
 
     def test_formation_kernel_validates_inputs(self):

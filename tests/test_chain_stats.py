@@ -22,6 +22,8 @@ class TestEpochStats:
         assert stats is not None
         assert stats.confirmed_txs == outcome.final.permitted_txs
         assert stats.epoch_duration_s > 0
+        assert stats.shards_submitted == outcome.shards_submitted
+        assert stats.shards_submitted == len(outcome.consensus_latencies)
         assert stats.shards_permitted <= stats.shards_submitted
 
     def test_throughput_definition(self, outcome):

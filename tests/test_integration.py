@@ -11,7 +11,7 @@ from repro import (
     summarize_schedule,
 )
 from repro.baselines import SimulatedAnnealingScheduler
-from repro.chain import ChainParams, ElasticoSimulation
+from repro.chain import ChainParams, ElasticoSimulation, ShardBlock
 from repro.chain.final import take_everything
 from repro.core import MVComConfig
 from repro.core.exact import branch_and_bound_optimum
@@ -79,11 +79,26 @@ class TestChainWithSeScheduler:
     def test_shard_blocks_feed_core_problem_directly(self):
         simulation = ElasticoSimulation(ChainParams(num_nodes=160, committee_size=8, seed=12))
         outcome = simulation.run_epoch()
-        instance = build_instance(outcome.shard_blocks, MVComConfig(alpha=1.5, capacity=10_000))
-        assert instance.num_shards == len(outcome.shard_blocks)
+        shard_blocks = [
+            ShardBlock(
+                committee_id=c.committee_id,
+                epoch=outcome.epoch,
+                tx_count=c.shard_tx_count,
+                formation_latency=c.formation_latency,
+                consensus_latency=c.consensus_latency,
+            )
+            for c in outcome.committees
+            if c.committee_id in outcome.consensus_latencies
+        ]
+        instance = build_instance(shard_blocks, MVComConfig(alpha=1.5, capacity=10_000))
+        assert instance.num_shards == outcome.shards_submitted
         assert instance.ddl == pytest.approx(
-            max(block.two_phase_latency for block in outcome.shard_blocks)
+            max(block.two_phase_latency for block in shard_blocks)
         )
+        # The epoch's own N_max window is the fastest prefix of the same shards.
+        arrived = outcome.final.instance
+        assert set(arrived.shard_ids) <= set(instance.shard_ids)
+        assert arrived.ddl <= instance.ddl
 
 
 class TestMultiEpochCarryOver:
