@@ -171,6 +171,7 @@ class _EngineRun:
     ) -> None:
         self.solver = solver
         self.config = solver.config
+        self.engine = solver.config.engine  # run_engine resolves "auto"
         self.telemetry = solver.telemetry
         self.traced = solver.telemetry.enabled  # hoisted: race loops pay one load
         self.instance = instance
@@ -359,6 +360,7 @@ class _EngineRun:
             current_trace=np.asarray(self.current_trace),
             virtual_time_trace=np.asarray(self.time_trace),
             thread_cardinalities=[t.cardinality for t in self.replicas[0].threads],
+            engine=self.engine,
             num_replicas=len(self.replicas),
             events_applied=self.events_applied,
             final_instance=self.instance,
@@ -829,6 +831,7 @@ def run_engine(
                 work=solver.config.num_threads * racing,
                 racing_threads=racing,
             )
+        run.engine = engine
     if engine == "vectorized":
         return run_vectorized(run)
     return run_serial(run)

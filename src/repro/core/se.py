@@ -121,6 +121,8 @@ class SEResult:
     replicas at round ``k`` -- the series that dips when a committee fails
     (Fig. 9a).  ``virtual_time_trace`` is cumulative virtual seconds (the
     parallel executors' wall clock, i.e. the slowest replica's race time).
+    ``engine`` names the engine that ran (``serial`` or ``vectorized``;
+    ``"auto"`` is resolved before the race starts).
     """
 
     best_mask: np.ndarray
@@ -133,6 +135,7 @@ class SEResult:
     current_trace: np.ndarray
     virtual_time_trace: np.ndarray
     thread_cardinalities: List[int]
+    engine: str
     num_replicas: int = 1
     events_applied: List[CommitteeEvent] = field(default_factory=list)
     final_instance: Optional[EpochInstance] = None

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.se import SEConfig, SEResult, StochasticExploration
 from repro.data.stream import EpochStream, EpochStreamConfig
 from repro.harness.tracing import build_telemetry
-from repro.obs.metrics import LogHistogram, MetricsAggregator
+from repro.obs.metrics import MetricsAggregator
 from repro.obs.slo import SloTracker, load_slo_specs
 from repro.sim.rng import derive_seed
 
@@ -189,41 +189,22 @@ def _scheduled_ids(result: SEResult) -> List[int]:
     ]
 
 
-class _EngineChoiceSink:
-    """Tiny sink remembering the latest ``engine.auto`` resolution.
-
-    ``engine="auto"`` re-evaluates its scalar-vs-batched split inside every
-    warm-started solve; scanning the ring buffer for the event would break
-    once the buffer wraps (a long serve run emits far more records than its
-    capacity), so the label is captured as the events stream past instead.
-    """
-
-    __slots__ = ("choice",)
-
-    def __init__(self) -> None:
-        self.choice: Optional[str] = None
-
-    def emit(self, record: dict) -> None:
-        if record.get("name") == "engine.auto":
-            self.choice = str(record.get("engine"))
-
-
 def run_serve(
     config: ServeConfig, telemetry=None, collect_results: bool = False
 ) -> ServeReport:
     """Run the steady-state service loop and aggregate its SLIs.
 
     ``telemetry`` defaults to the harness's standard hub (ring buffer +
-    optional JSONL at ``config.trace_path``) with the PR 7 aggregation and
-    SLO stack attached as live sinks.  ``collect_results`` keeps every
+    optional JSONL at ``config.trace_path``); the aggregation and SLO
+    stack is attached to whichever hub runs as live sinks, and the
+    report's decision p50/p99 and solves/s are read off the aggregator's
+    ``serve.decision_latency_s`` series.  ``collect_results`` keeps every
     epoch's full :class:`SEResult` on the report (utility traces for the
     warm-vs-cold convergence comparison); off by default so long serve
     runs don't accumulate per-round arrays.
     """
     if telemetry is None:
         telemetry = build_telemetry(config.trace_path)
-    engine_choice = _EngineChoiceSink()
-    telemetry.add_sink(engine_choice)
     aggregator = MetricsAggregator()
     telemetry.add_sink(aggregator)
     tracker = SloTracker(load_slo_specs(), aggregator, telemetry=telemetry)
@@ -234,8 +215,6 @@ def run_serve(
     previous: Optional[SEResult] = None
     permitted: List[int] = []
     rows: List[EpochRow] = []
-    latencies = LogHistogram()
-    total_wall = 0.0
     total_scheduled_tx = 0
 
     results: List[SEResult] = []
@@ -250,15 +229,10 @@ def run_serve(
             result = solver.solve(tick.instance)
         wall = time.perf_counter() - start
         wall99 = time_to_99(result, wall)
-        engine = config.engine
-        if engine == "auto" and engine_choice.choice is not None:
-            engine = engine_choice.choice
         if collect_results:
             results.append(result)
         permitted = _scheduled_ids(result)
-        total_wall += wall
         total_scheduled_tx += int(result.best_weight)
-        latencies.add(wall)
         telemetry.observe("serve.decision_latency_s", wall, epoch=epoch)
         telemetry.event(
             "serve.epoch",
@@ -268,7 +242,7 @@ def run_serve(
             utility=result.best_utility,
             weight=result.best_weight,
             iterations=result.iterations,
-            engine=engine,
+            engine=result.engine,
             warm=config.warm,
             joined=len(tick.joined),
             departed=len(tick.departed),
@@ -284,7 +258,7 @@ def run_serve(
                 converged=result.converged,
                 wall_s=wall,
                 wall_to_99_s=wall99,
-                engine=engine,
+                engine=result.engine,
                 txs_fed=tick.txs_fed,
                 joined=len(tick.joined),
                 departed=len(tick.departed),
@@ -292,7 +266,8 @@ def run_serve(
         )
 
     violations = tracker.check()
-    wall = max(total_wall, 1e-9)
+    latencies = aggregator.series("hist", "serve.decision_latency_s").sketch
+    wall = max(latencies.total, 1e-9)
     return ServeReport(
         config=config,
         rows=rows,

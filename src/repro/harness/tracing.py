@@ -29,17 +29,14 @@ from repro.obs.telemetry import Telemetry
 from repro.sim.rng import RandomStreams
 
 
-def build_telemetry(
-    trace_path: Optional[str] = None,
-    ring_capacity: int = 65536,
-) -> Telemetry:
+def build_telemetry(trace_path: Optional[str] = None) -> Telemetry:
     """The harness's standard hub: ring buffer + optional JSONL stream.
 
     Wall time comes from ``time.perf_counter`` -- legitimate here because
     the harness is *outside* the replayable packages; deterministic ``t``
     stamps stay on the hub's emission sequence.
     """
-    sinks: List = [RingBufferSink(ring_capacity)]
+    sinks: List = [RingBufferSink()]
     if trace_path is not None:
         sinks.append(JsonlSink(trace_path))
     return Telemetry(wall_clock=time.perf_counter, sinks=sinks)
@@ -136,8 +133,8 @@ def traced_solve(
     ``chain_engine`` selects the substrate for the final PBFT round
     (``des`` reference simulation or the ``fastpath`` closed-form kernel;
     see :mod:`repro.chain.fastpath`).  With ``resources=True`` the
-    harness-only ``obs.resources`` gauge (peak RSS via ``getrusage``,
-    wall via the hub's wall clock) is emitted when the solve span closes;
+    harness-only ``obs.resources`` gauge (peak RSS via ``getrusage``, wall
+    from the solve span's ``wall_dt``) is emitted when the solve span closes;
     ``resource_sampler`` injects a fake sampler for tests.
     """
     owns_hub = telemetry is None
@@ -166,8 +163,7 @@ def traced_solve(
         telemetry=telemetry,
     )
     hotspots: List[dict] = []
-    solve_started = time.perf_counter()
-    with telemetry.span("harness.se_solve", committees=num_committees, gamma=gamma):
+    with telemetry.span("harness.se_solve", committees=num_committees, gamma=gamma) as span:
         if profile:
             result, hotspots = profile_call(
                 solver.solve,
@@ -179,11 +175,7 @@ def traced_solve(
         else:
             result = solver.solve(workload.instance)
     if resources:
-        emit_resource_gauge(
-            telemetry,
-            wall_s=time.perf_counter() - solve_started,
-            sampler=resource_sampler,
-        )
+        emit_resource_gauge(telemetry, wall_s=span.wall_dt, sampler=resource_sampler)
 
     # One chain-phase: the final committee's PBFT round on the selected engine.
     streams = RandomStreams(seed)

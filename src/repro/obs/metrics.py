@@ -45,16 +45,22 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 #: raw JSONL traces.
 AGGREGATE_FORMAT = "mvcom-trace-aggregate-v1"
 
+#: Relative error bound of every series' quantile sketch.
+RELATIVE_ACCURACY = 0.01
+
+#: Values in each sketched series' recent window (``window_mean``).
+WINDOW = 256
+
 #: Record fields promoted to the series tag, first match wins.  ``tag``
 #: carries the committee/round identity on ``chain.pbft.round`` spans,
 #: ``epoch`` scopes the final-consensus stream, ``kind`` splits
 #: ``se.dynamic`` into JOIN/LEAVE series.
-DEFAULT_TAG_FIELDS = ("tag", "epoch", "kind")
+TAG_FIELDS = ("tag", "epoch", "kind")
 
 #: Numeric event fields aggregated into derived ``field`` series
 #: (``<event>.<field>``), giving the per-round aggregate context the
 #: bandit controller consumes without histogramming every event payload.
-DEFAULT_EVENT_FIELDS: Mapping[str, Tuple[str, ...]] = {
+EVENT_FIELDS: Mapping[str, Tuple[str, ...]] = {
     "se.round": ("best_utility", "current_utility", "transitions"),
     "sim.run": ("events", "pending"),
 }
@@ -239,14 +245,13 @@ class _Series:
     __slots__ = ("kind", "name", "tag", "count", "sketch", "window",
                  "first_t", "last_t", "total", "last_value")
 
-    def __init__(self, kind: str, name: str, tag: str,
-                 relative_accuracy: float, window: int) -> None:
+    def __init__(self, kind: str, name: str, tag: str) -> None:
         self.kind = kind
         self.name = name
         self.tag = tag
         self.count = 0
-        self.sketch = LogHistogram(relative_accuracy) if kind in _SKETCHED_KINDS else None
-        self.window = _Window(window) if self.sketch is not None else None
+        self.sketch = LogHistogram(RELATIVE_ACCURACY) if kind in _SKETCHED_KINDS else None
+        self.window = _Window(WINDOW) if self.sketch is not None else None
         self.first_t: Optional[float] = None
         self.last_t: Optional[float] = None
         self.total = 0.0  # counters: sum of increments
@@ -310,26 +315,14 @@ class MetricsAggregator:
         aggregator = MetricsAggregator.from_jsonl("run.jsonl")
 
     Series are keyed by record kind, metric name, and a tag promoted from
-    the record's fields (``tag_fields``, first present wins) — e.g. the
+    the record's fields (:data:`TAG_FIELDS`, first present wins) — e.g. the
     per-committee ``chain.pbft.round`` spans split by their ``tag`` field
     and ``chain.mempool.age_s`` observations by ``epoch``.  Every tagged
     series *also* folds into the untagged parent series, so the cross-tag
     aggregate stays one lookup away.
     """
 
-    def __init__(
-        self,
-        relative_accuracy: float = 0.01,
-        window: int = 256,
-        tag_fields: Sequence[str] = DEFAULT_TAG_FIELDS,
-        event_fields: Optional[Mapping[str, Sequence[str]]] = None,
-    ) -> None:
-        self.relative_accuracy = relative_accuracy
-        self.window = window
-        self.tag_fields = tuple(tag_fields)
-        self.event_fields = dict(
-            DEFAULT_EVENT_FIELDS if event_fields is None else event_fields
-        )
+    def __init__(self) -> None:
         self.records = 0
         self._series: Dict[str, _Series] = {}
         # (type, name, tag) -> compiled record handler; the hub's stream
@@ -343,7 +336,7 @@ class MetricsAggregator:
         key = series_key(kind, name, tag)
         series = self._series.get(key)
         if series is None:
-            series = _Series(kind, name, tag, self.relative_accuracy, self.window)
+            series = _Series(kind, name, tag)
             self._series[key] = series
         return series
 
@@ -412,7 +405,7 @@ class MetricsAggregator:
             events = self._targets("event", name, tag)
             field_targets = tuple(
                 (field, self._targets("field", f"{name}.{field}", tag))
-                for field in self.event_fields.get(name, ())
+                for field in EVENT_FIELDS.get(name, ())
             )
 
             def handle(record: dict) -> None:
@@ -438,7 +431,7 @@ class MetricsAggregator:
         kind = get("type")
         name = get("name", "?")
         tag = ""
-        for field in self.tag_fields:
+        for field in TAG_FIELDS:
             value = get(field)
             if value is not None:
                 tag = f"{field}={value}"
@@ -457,11 +450,11 @@ class MetricsAggregator:
         return self
 
     @classmethod
-    def from_jsonl(cls, path, **kwargs) -> "MetricsAggregator":
+    def from_jsonl(cls, path) -> "MetricsAggregator":
         """Aggregate a stored JSONL trace without loading it whole."""
         from repro.obs.sinks import iter_jsonl
 
-        return cls(**kwargs).consume(iter_jsonl(path))
+        return cls().consume(iter_jsonl(path))
 
     # ------------------------------------------------------------------ #
     def series(self, kind: str, name: str, tag: str = "") -> Optional[_Series]:
@@ -482,7 +475,7 @@ class MetricsAggregator:
         return {
             "format": AGGREGATE_FORMAT,
             "records": self.records,
-            "relative_accuracy": self.relative_accuracy,
+            "relative_accuracy": RELATIVE_ACCURACY,
             "series": {
                 key: self._series[key].stats() for key in sorted(self._series)
             },
@@ -502,9 +495,9 @@ class MetricsAggregator:
 # ---------------------------------------------------------------------- #
 
 #: Series name prefixes whose *values* are machine-dependent and therefore
-#: excluded from regression comparison by default (their record counts
-#: still gate through the untagged ``event`` series totals).
-DEFAULT_DIFF_EXCLUDE = ("obs.resources", "profile.")
+#: excluded from regression comparison (their record counts still gate
+#: through the untagged ``event`` series totals).
+DIFF_EXCLUDE = ("obs.resources", "profile.")
 
 #: Stats compared per series, in report order.
 DIFF_STATS = ("count", "total", "sum", "mean", "p50", "p90", "p99", "rate")
@@ -529,16 +522,11 @@ def load_aggregate(path) -> dict:
     return MetricsAggregator.from_jsonl(path).snapshot()
 
 
-def _excluded(name: str, exclude: Sequence[str]) -> bool:
-    return any(name.startswith(prefix) for prefix in exclude)
-
-
 def diff_snapshots(
     baseline: dict,
     candidate: dict,
     threshold: float = 0.0,
     include_wall: bool = False,
-    exclude: Sequence[str] = DEFAULT_DIFF_EXCLUDE,
 ) -> Tuple[List[dict], List[dict]]:
     """Per-metric deltas between two aggregate snapshots.
 
@@ -546,9 +534,9 @@ def diff_snapshots(
     (``series``/``stat``/``baseline``/``candidate``/``delta_pct``), and the
     subset whose relative delta exceeds ``threshold`` (percent) — plus a
     breach row for any series present on only one side.  Wall-clock series
-    (``span.wall``) and ``exclude``-prefixed names are skipped unless
-    ``include_wall`` asks for them, so identical-seed runs on different
-    machines still diff clean.
+    (``span.wall``) are skipped unless ``include_wall`` asks for them, and
+    :data:`DIFF_EXCLUDE`-prefixed names always are, so identical-seed runs
+    on different machines still diff clean.
     """
     a_series: Mapping[str, dict] = baseline.get("series", {})
     b_series: Mapping[str, dict] = candidate.get("series", {})
@@ -560,7 +548,7 @@ def diff_snapshots(
         name = rest.partition("|")[0]
         if not include_wall and kind == "span.wall":
             return False
-        return not _excluded(name, exclude)
+        return not name.startswith(DIFF_EXCLUDE)
 
     for key in sorted(set(a_series) | set(b_series)):
         if not comparable(key):

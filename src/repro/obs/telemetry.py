@@ -10,14 +10,13 @@ Design constraints, in order:
 
 1. **Determinism is sacred.**  Instrumented code in
    ``repro/{core,sim,chain,baselines}`` must stay byte-replayable under a
-   fixed seed, so the hub never owns a clock: the *deterministic* timestamp
-   comes from an injectable ``clock`` callable (simulation virtual time, an
-   iteration counter, or -- the default -- the hub's own emission sequence
-   number), and the optional *wall* timestamp comes from an injectable
-   ``wall_clock`` that only the harness supplies.  Lint rule MV102 (no
-   wall-clock in replayable packages) keeps holding, and rule MV007
-   enforces that those packages receive the hub as a parameter rather than
-   constructing one.
+   fixed seed, so the hub never owns a clock: the *deterministic* ``t``
+   stamp is the hub's own emission sequence number (or, for
+   :meth:`Telemetry.record_span`, the caller's simulation-time stamps), and
+   the optional *wall* timestamp comes from an injectable ``wall_clock``
+   that only the harness supplies.  Lint rule MV102 (no wall-clock in
+   replayable packages) keeps holding, and rule MV007 enforces that those
+   packages receive the hub as a parameter rather than constructing one.
 2. **Un-instrumented runs pay near zero.**  The default hub is the
    :data:`NULL_TELEMETRY` singleton whose methods are no-ops and whose
    ``enabled`` flag lets hot loops skip even argument construction::
@@ -31,6 +30,10 @@ Design constraints, in order:
    ``counter`` / ``gauge`` / ``hist`` / ``span``) and ``name``; all other
    keys are caller-supplied fields.  Sinks (:mod:`repro.obs.sinks`) decide
    whether records land in a JSONL stream, a ring buffer, or both.
+4. **The hub keeps no aggregate.**  Aggregation is the job of
+   :class:`repro.obs.metrics.MetricsAggregator`, attached as a sink.  The
+   only state the hub carries per name is each counter's running total,
+   which every ``counter`` record reports as its ``total`` field.
 """
 
 from __future__ import annotations
@@ -93,13 +96,6 @@ class NullTelemetry:
     def record_span(self, name: str, start: float, end: float, **fields) -> None:
         """Record an externally-timed span (e.g. PBFT commit on sim time)."""
 
-    # ------------------------------------------------------------------ #
-    # introspection / lifecycle
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """Aggregated view: counters, gauges, histogram and span stats."""
-        return {"counters": {}, "gauges": {}, "histograms": {}, "spans": {}, "emitted": 0}
-
     def close(self) -> None:
         """Flush and close owned sinks (no-op here)."""
 
@@ -109,9 +105,14 @@ NULL_TELEMETRY = NullTelemetry()
 
 
 class _SpanHandle:
-    """One open span; emits its record (and aggregates) on exit."""
+    """One open span; emits its record on exit.
 
-    __slots__ = ("_hub", "name", "fields", "_t0", "_w0")
+    After exit, :attr:`wall_dt` holds the span's wall duration (``None``
+    when the hub has no wall clock), so a caller can reuse the span's
+    measurement instead of running a second stopwatch over it.
+    """
+
+    __slots__ = ("_hub", "name", "fields", "_t0", "_w0", "wall_dt")
 
     def __init__(self, hub: "Telemetry", name: str, fields: dict) -> None:
         self._hub = hub
@@ -119,6 +120,7 @@ class _SpanHandle:
         self.fields = fields
         self._t0 = 0.0
         self._w0: Optional[float] = None
+        self.wall_dt: Optional[float] = None
 
     def __enter__(self) -> "_SpanHandle":
         self._t0 = self._hub._now()
@@ -130,56 +132,24 @@ class _SpanHandle:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self._hub._stack.pop()
         t1 = self._hub._now()
-        wall_dt = None
-        if self._w0 is not None and self._hub._wall_clock is not None:
-            wall_dt = self._hub._wall_clock() - self._w0
+        if self._w0 is not None:
+            self.wall_dt = self._hub._wall_clock() - self._w0
         fields = dict(self.fields)
         if exc_type is not None:
             fields["status"] = "error"
-        self._hub._emit_span(self.name, self._t0, t1, wall_dt, fields)
+        self._hub._emit_span(self.name, self._t0, t1, self.wall_dt, fields)
         return False
 
 
-class _HistogramAggregate:
-    """Running count/sum/min/max of one histogram stream."""
-
-    __slots__ = ("count", "total", "minimum", "maximum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def stats(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.total / self.count if self.count else 0.0,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-        }
-
-
 class Telemetry(NullTelemetry):
-    """The recording hub: aggregates in memory and fans records to sinks.
+    """The recording hub: stamps records and fans them out to sinks.
+
+    Every record's ``t`` is the hub's emission sequence number at the time
+    of the call, which is reproducible under a fixed seed by construction;
+    :meth:`record_span` keeps the caller's own start/end stamps instead.
 
     Parameters
     ----------
-    clock:
-        Deterministic timestamp source for the ``t`` field.  ``None`` (the
-        default) stamps records with their own emission sequence number,
-        which is reproducible under a fixed seed by construction.  Pass the
-        simulation clock (``lambda: engine.now``) to put records on virtual
-        time.
     wall_clock:
         Optional real-time source (e.g. ``time.perf_counter``) adding a
         ``wall`` field to every record and wall durations to spans.  Only
@@ -190,33 +160,18 @@ class Telemetry(NullTelemetry):
     """
 
     enabled = True
-    __slots__ = (
-        "_clock",
-        "_wall_clock",
-        "_sinks",
-        "_seq",
-        "_stack",
-        "_counters",
-        "_gauges",
-        "_histograms",
-        "_spans",
-    )
+    __slots__ = ("_wall_clock", "_sinks", "_seq", "_stack", "_counters")
 
     def __init__(
         self,
-        clock: Optional[Clock] = None,
         wall_clock: Optional[Clock] = None,
         sinks: Optional[Sequence] = None,
     ) -> None:
-        self._clock = clock
         self._wall_clock = wall_clock
         self._sinks: List = list(sinks) if sinks is not None else []
         self._seq = 0
         self._stack: List[_SpanHandle] = []
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, _HistogramAggregate] = {}
-        self._spans: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -231,7 +186,7 @@ class Telemetry(NullTelemetry):
         return tuple(self._sinks)
 
     def _now(self) -> float:
-        return self._clock() if self._clock is not None else float(self._seq)
+        return float(self._seq)
 
     def _emit(self, record: dict) -> None:
         self._seq += 1
@@ -249,13 +204,6 @@ class Telemetry(NullTelemetry):
         wall_dt: Optional[float],
         fields: dict,
     ) -> None:
-        aggregate = self._spans.setdefault(
-            name, {"count": 0, "total_dt": 0.0, "total_wall_s": 0.0}
-        )
-        aggregate["count"] += 1
-        aggregate["total_dt"] += end - start
-        if wall_dt is not None:
-            aggregate["total_wall_s"] += wall_dt
         record = {
             "t": end,
             "type": "span",
@@ -288,15 +236,13 @@ class Telemetry(NullTelemetry):
         self._emit(record)
 
     def gauge(self, name: str, value: float, **fields) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins in the snapshot)."""
-        self._gauges[name] = float(value)
+        """Set gauge ``name`` to ``value``."""
         record = {"t": self._now(), "type": "gauge", "name": name, "value": float(value)}
         record.update(fields)
         self._emit(record)
 
     def observe(self, name: str, value: float, **fields) -> None:
         """Add one observation to histogram ``name``."""
-        self._histograms.setdefault(name, _HistogramAggregate()).add(float(value))
         record = {"t": self._now(), "type": "hist", "name": name, "value": float(value)}
         record.update(fields)
         self._emit(record)
@@ -312,19 +258,6 @@ class Telemetry(NullTelemetry):
         to commit) land in the stream without the hub owning their clock.
         """
         self._emit_span(name, float(start), float(end), None, fields)
-
-    # ------------------------------------------------------------------ #
-    # introspection / lifecycle
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """Aggregated counters/gauges/histograms/spans plus the emission count."""
-        return {
-            "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
-            "histograms": {name: agg.stats() for name, agg in self._histograms.items()},
-            "spans": {name: dict(agg) for name, agg in self._spans.items()},
-            "emitted": self._seq,
-        }
 
     def close(self) -> None:
         """Flush/close every sink that supports it."""

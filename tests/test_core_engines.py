@@ -359,6 +359,12 @@ class TestAutoEngine:
             ]
         assert picks[1] == picks[64]
 
+    @pytest.mark.parametrize(
+        "engine, ran", [("auto", "serial"), ("serial", "serial"), ("vectorized", "vectorized")]
+    )
+    def test_result_names_the_engine_that_ran(self, engine, ran):
+        assert solve_with(engine, max_iterations=50).engine == ran
+
     def test_auto_small_instance_byte_identical_to_serial(self):
         """Default solve_with instance has work << AUTO_VECTORIZE_MIN_WORK,
         so auto must resolve to serial and reproduce its exact bytes."""
@@ -387,6 +393,7 @@ class TestAutoEngine:
         assert len(decisions) == 1
         assert decisions[0]["engine"] == "vectorized"
         assert decisions[0]["work"] >= engine_module.AUTO_VECTORIZE_MIN_WORK
+        assert auto_result.engine == "vectorized"
         explicit = StochasticExploration(
             SEConfig(engine="vectorized", **kwargs)
         ).solve(workload.instance)

@@ -27,6 +27,7 @@ from repro.harness.serve import (
     run_serve_comparison,
     time_to_99,
 )
+from repro.obs.metrics import LogHistogram
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 
@@ -128,6 +129,21 @@ class TestWarmServe:
             assert row["target_utility"] <= 0.99 * max(
                 row["warm_final_utility"], row["cold_final_utility"]
             ) + 1e-6
+
+
+# --------------------------------------------------------------------- #
+# decision SLIs: read off the aggregator's serve.decision_latency_s series
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("warm", [True, False])
+def test_decision_slis_equal_a_sketch_over_the_rows(warm):
+    report = run_serve(ServeConfig(warm=warm, **SMALL))
+    walls = [row.wall_s for row in report.rows]
+    sketch = LogHistogram()
+    for wall in walls:
+        sketch.add(wall)
+    assert report.decision_p50_s == sketch.quantile(0.5)
+    assert report.decision_p99_s == sketch.quantile(0.99)
+    assert report.solves_per_s == len(walls) / max(sum(walls), 1e-9)
 
 
 # --------------------------------------------------------------------- #

@@ -9,7 +9,9 @@ import pytest
 from repro.harness.tracing import traced_solve
 from repro.obs.metrics import (
     AGGREGATE_FORMAT,
-    DEFAULT_DIFF_EXCLUDE,
+    DIFF_EXCLUDE,
+    RELATIVE_ACCURACY,
+    WINDOW,
     LogHistogram,
     MetricsAggregator,
     diff_snapshots,
@@ -177,12 +179,15 @@ class TestMetricsAggregator:
         assert series.stats()["total"] == 22.0
 
     def test_gauge_keeps_last_value_and_window_mean(self):
-        aggregator = MetricsAggregator(window=2)
-        for t, value in enumerate((1.0, 2.0, 9.0)):
+        aggregator = MetricsAggregator()
+        values = [float(v) for v in range(WINDOW + 3)]
+        for t, value in enumerate(values):
             aggregator.emit({"t": t, "type": "gauge", "name": "g", "value": value})
         stats = aggregator.series("gauge", "g").stats()
-        assert stats["last"] == 9.0
-        assert stats["window_mean"] == pytest.approx((2.0 + 9.0) / 2)
+        assert stats["last"] == values[-1]
+        # The window holds the last WINDOW values; the first three fell out.
+        assert stats["window_mean"] == pytest.approx(sum(values[3:]) / WINDOW)
+        assert stats["mean"] == pytest.approx(sum(values) / len(values))
 
     def test_event_fields_become_field_series(self):
         aggregator = MetricsAggregator()
@@ -256,7 +261,7 @@ class TestTracedSolveAcceptance:
         assert len(raw) == run.result.iterations
         series = aggregator.series("field", "se.round.best_utility")
         assert series.count == len(raw)
-        ra = aggregator.relative_accuracy
+        ra = RELATIVE_ACCURACY
         for q, stat in ((0.50, "p50"), (0.99, "p99")):
             exact = float(np.percentile(raw, 100 * q))
             assert abs(series.stats()[stat] - exact) <= 2.5 * ra * abs(exact)
@@ -325,7 +330,7 @@ class TestDiffSnapshots:
             _snapshot(noisy), _snapshot(perturbed), include_wall=True
         )
         assert any(row["series"].startswith("span.wall") for row in wall_breaches)
-        assert DEFAULT_DIFF_EXCLUDE == ("obs.resources", "profile.")
+        assert DIFF_EXCLUDE == ("obs.resources", "profile.")
 
 
 class TestLoadAggregate:

@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.chain.elastico import ElasticoSimulation
+from repro.chain.params import ChainParams
 from repro.harness.cli import main
+from repro.harness.report import render_table
+from repro.harness.serve import ServeConfig, run_serve
 from repro.harness.tracing import build_telemetry, traced_solve
+from repro.obs.metrics import MetricsAggregator
 from repro.obs.sinks import JsonlSink, RingBufferSink, read_jsonl
 from repro.obs.summary import summarize_file, summarize_records, utility_trace
+from repro.obs.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +127,100 @@ def test_cli_trace_requires_summary_and_path():
 def test_cli_trace_flag_rejected_outside_solve():
     with pytest.raises(SystemExit):
         main(["fig08", "--trace", "x.jsonl"])
+
+
+# --------------------------------------------------------------------- #
+# the summary's tables against sums computed straight from the records
+# --------------------------------------------------------------------- #
+def _chain_records():
+    """Two fastpath epochs with Byzantine nodes: tagged sim-time spans."""
+    ring = RingBufferSink(capacity=1_000_000)
+    sim = ElasticoSimulation(
+        ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2,
+                    chain_engine="fastpath"),
+        telemetry=Telemetry(sinks=[ring]),
+    )
+    for _ in range(2):
+        sim.run_epoch()
+    return ring.records
+
+
+def _serve_records():
+    """A short warm serve run on the harness hub: counters and histograms."""
+    hub = build_telemetry()
+    run_serve(
+        ServeConfig(epochs=2, num_committees=20, gamma=3, max_iterations=200,
+                    convergence_window=100, seed=1),
+        telemetry=hub,
+    )
+    return hub.sinks[0].records
+
+
+def _expected_tables(records):
+    """The span and record-count tables, aggregated by hand."""
+    spans, counts = {}, {}
+    for record in records:
+        key = (record["type"], record["name"])
+        counts[key] = counts.get(key, 0) + 1
+        if record["type"] == "span":
+            row = spans.setdefault(
+                record["name"],
+                {"span": record["name"], "count": 0, "total_dt": 0.0, "total_wall_s": 0.0},
+            )
+            row["count"] += 1
+            row["total_dt"] += record["dt"]
+            row["total_wall_s"] += record.get("wall_dt", 0.0)
+    span_rows = sorted(spans.values(), key=lambda row: (-row["total_dt"], row["span"]))
+    for row in span_rows:
+        row["total_dt"] = round(row["total_dt"], 6)
+        row["mean_dt"] = round(row["total_dt"] / row["count"], 6)
+        row["total_wall_s"] = round(row["total_wall_s"], 6)
+    count_rows = [
+        {"type": kind, "name": name, "records": count}
+        for (kind, name), count in sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    ]
+    return span_rows, count_rows
+
+
+@pytest.mark.parametrize("trace", ["fastpath-chain", "serve", "traced-solve"])
+def test_summary_tables_match_sums_over_the_records(trace, small_run):
+    records = {
+        "fastpath-chain": _chain_records,
+        "serve": _serve_records,
+        "traced-solve": lambda: small_run[0].records,
+    }[trace]()
+    span_rows, count_rows = _expected_tables(records)
+    report = summarize_records(iter(records), top_spans=len(span_rows))
+    assert report.startswith(f"telemetry trace: {len(records)} records\n")
+    assert render_table(count_rows, title="Record counts by name") in report
+    if span_rows:
+        assert render_table(span_rows, title="Top spans by cumulative time") in report
+    else:
+        assert "Top spans" not in report
+    if trace == "fastpath-chain":  # per-committee tags fold into one row
+        assert len({r["tag"] for r in records if r["name"] == "chain.pbft.round"}) > 1
+        assert [r["span"] for r in span_rows].count("chain.pbft.round") == 1
+    if trace == "traced-solve":
+        assert any(row["total_wall_s"] > 0 for row in span_rows)
+
+
+# --------------------------------------------------------------------- #
+# mvcom solve --resources
+# --------------------------------------------------------------------- #
+def test_solve_resources_gauge_reuses_the_solve_span_wall():
+    sample = {"peak_rss_kib": 2048.0, "user_s": 0.25, "system_s": 0.05}
+    run = traced_solve(
+        num_committees=10, gamma=1, max_iterations=40, convergence_window=20,
+        resources=True, resource_sampler=lambda: dict(sample),
+    )
+    span = next(
+        r for r in run.records if r["type"] == "span" and r["name"] == "harness.se_solve"
+    )
+    event = next(r for r in run.records if r["name"] == "obs.resources")
+    # One stopwatch: the gauge's wall is the solve span's own wall_dt.
+    assert event["wall_s"] == span["wall_dt"]
+    assert event["peak_rss_kib"] == sample["peak_rss_kib"]
+    gauge = MetricsAggregator().consume(run.records).series(
+        "gauge", "obs.resources.peak_rss_kib"
+    )
+    assert gauge is not None and gauge.last_value == sample["peak_rss_kib"]

@@ -12,6 +12,7 @@ from repro.chain.params import ChainParams
 from repro.chain.pbft import run_pbft_round
 from repro.core.se import SEConfig, StochasticExploration
 from repro.data.workload import WorkloadConfig, generate_epoch_workload
+from repro.obs.metrics import MetricsAggregator
 from repro.obs.profiling import hotspot_rows, profile_call
 from repro.obs.sinks import JsonlSink, RingBufferSink, TraceDecodeError, read_jsonl
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
@@ -32,13 +33,9 @@ def test_null_telemetry_is_inert():
     hub.record_span("s", 0.0, 1.0)
     with hub.span("outer"):
         pass
-    assert hub.snapshot() == {
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-        "spans": {},
-        "emitted": 0,
-    }
+    # No sinks and no per-instance state: nothing was recorded anywhere.
+    assert not hasattr(hub, "sinks")
+    assert not hasattr(hub, "__dict__")
     hub.close()
 
 
@@ -62,54 +59,48 @@ def test_default_clock_is_emission_sequence():
     assert all("wall" not in r for r in records)
 
 
-def test_injectable_clock_stamps_t():
-    ticks = iter([10.0, 20.0])
-    ring = RingBufferSink()
-    hub = Telemetry(clock=lambda: next(ticks), sinks=[ring])
-    hub.event("a")
-    hub.event("b")
-    assert [r["t"] for r in ring.records] == [10.0, 20.0]
-
-
 def test_wall_clock_adds_wall_field_and_span_wall_dt():
     wall = iter([1.0, 2.0, 5.0, 9.0])
     ring = RingBufferSink()
     hub = Telemetry(wall_clock=lambda: next(wall), sinks=[ring])
-    with hub.span("work"):
+    with hub.span("work") as handle:
         hub.event("inside")
     span = ring.records[-1]
     assert span["type"] == "span"
     # enter reads 1.0, the inner event stamps 2.0, exit reads 5.0 for the
     # duration, and the span record itself is stamped 9.0 on emission.
     assert span["wall_dt"] == pytest.approx(5.0 - 1.0)
+    assert handle.wall_dt == span["wall_dt"]  # kept on the handle after exit
     assert ring.records[0]["wall"] == 2.0
     assert span["wall"] == 9.0
 
 
 def test_counters_gauges_histograms_aggregate():
-    hub = Telemetry(sinks=[RingBufferSink()])
+    ring = RingBufferSink()
+    aggregator = MetricsAggregator()
+    hub = Telemetry(sinks=[ring, aggregator])
     hub.count("resets", 2)
     hub.count("resets", 3)
     hub.gauge("depth", 1.0)
     hub.gauge("depth", 4.0)
     for value in (1.0, 2.0, 3.0):
         hub.observe("age", value)
-    snap = hub.snapshot()
-    assert snap["counters"]["resets"] == 5
-    assert snap["gauges"]["depth"] == 4.0
-    assert snap["histograms"]["age"] == {
-        "count": 3,
-        "total": 6.0,
-        "mean": 2.0,
-        "min": 1.0,
-        "max": 3.0,
-    }
-    assert snap["emitted"] == 7
+    # Counter records carry the hub's running total.
+    assert [r["total"] for r in ring.records if r["type"] == "counter"] == [2, 5]
+    assert aggregator.series("counter", "resets").total == 5
+    assert aggregator.series("gauge", "depth").last_value == 4.0
+    age = aggregator.series("hist", "age").stats()
+    assert (age["count"], age["sum"], age["mean"], age["min"], age["max"]) == (
+        3, 6.0, 2.0, 1.0, 3.0,
+    )
+    assert aggregator.records == 7
+    assert ring.records[-1]["seq"] == 7
 
 
 def test_nested_spans_record_depth_and_aggregate():
     ring = RingBufferSink()
-    hub = Telemetry(sinks=[ring])
+    aggregator = MetricsAggregator()
+    hub = Telemetry(sinks=[ring, aggregator])
     with hub.span("outer"):
         with hub.span("inner"):
             hub.event("tick")
@@ -117,7 +108,8 @@ def test_nested_spans_record_depth_and_aggregate():
     by_name = {r["name"]: r for r in spans}
     assert by_name["inner"]["depth"] == 1  # emitted while outer is still open
     assert by_name["outer"]["depth"] == 0
-    assert hub.snapshot()["spans"]["outer"]["count"] == 1
+    assert aggregator.series("span", "outer").count == 1
+    assert aggregator.series("span", "inner").count == 1
 
 
 def test_span_marks_error_status_on_exception():
@@ -131,12 +123,14 @@ def test_span_marks_error_status_on_exception():
 
 def test_record_span_uses_caller_timestamps():
     ring = RingBufferSink()
-    hub = Telemetry(sinks=[ring])
+    aggregator = MetricsAggregator()
+    hub = Telemetry(sinks=[ring, aggregator])
     hub.record_span("pbft", 3.0, 7.5, tag="r0")
     record = ring.records[-1]
-    assert (record["t0"], record["t1"], record["dt"]) == (3.0, 7.5, 4.5)
+    assert (record["t0"], record["t1"], record["t"], record["dt"]) == (3.0, 7.5, 7.5, 4.5)
     assert record["tag"] == "r0"
-    assert hub.snapshot()["spans"]["pbft"]["total_dt"] == pytest.approx(4.5)
+    assert aggregator.series("span", "pbft").sketch.total == pytest.approx(4.5)
+    assert aggregator.series("span", "pbft", "tag=r0").count == 1
 
 
 # --------------------------------------------------------------------- #
@@ -234,7 +228,8 @@ def test_se_solve_emits_transitions_resets_and_rounds():
     StochasticExploration(config, telemetry=hub).solve(_small_instance())
     names = {r["name"] for r in ring.records}
     assert {"se.bootstrap", "se.transition", "se.round", "se.done"} <= names
-    assert hub.snapshot()["counters"]["se.reset_broadcasts"] > 0
+    resets = [r for r in ring.records if r["name"] == "se.reset_broadcasts"]
+    assert resets[-1]["total"] == sum(r["inc"] for r in resets) > 0
     transition = next(r for r in ring.records if r["name"] == "se.transition")
     assert {"iteration", "replica", "cardinality", "swap_out", "swap_in", "utility"} <= set(
         transition
