@@ -398,7 +398,9 @@ def _entropy_call(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
 # MV104
 # ---------------------------------------------------------------------- #
 #: Telemetry hub methods that emit records (see repro.obs.telemetry).
-_EMISSION_METHODS = {"event", "count", "gauge", "observe", "span", "record_span"}
+_EMISSION_METHODS = {
+    "event", "event_rows", "count", "gauge", "observe", "span", "record_span"
+}
 
 
 @register_rule

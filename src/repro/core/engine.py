@@ -53,7 +53,7 @@ at once as ``(R, T, 3)``; retry blocks are always per-round.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from repro.core.se import (
 )
 from repro.core.solution import Solution
 from repro.core.timers import LOG_DURATION_MAX, LOG_DURATION_MIN
+from repro.obs.telemetry import NullTelemetry
 from repro.sim.rng import RandomStreams
 
 #: Concrete engines (each names a ``run_*`` implementation below).
@@ -374,6 +375,34 @@ class _EngineRun:
         )
 
 
+def _emit_transitions(
+    telemetry: NullTelemetry,
+    iteration: int,
+    replica: Sequence[int],
+    cardinality: Sequence[int],
+    swap_out: Sequence[int],
+    swap_in: Sequence[int],
+    utility: Sequence[float],
+) -> None:
+    """One columnar ``se.transition`` record for a race round's fires.
+
+    Both engines emit through here, so their records carry the same
+    columns in the same dtypes: row ``k`` is the ``k``-th fire of round
+    ``iteration``, in ascending replica order.
+    """
+    count = len(replica)
+    telemetry.event_rows(
+        "se.transition",
+        count,
+        iteration=np.full(count, iteration, dtype=np.int64),
+        replica=np.asarray(replica, dtype=np.int64),
+        cardinality=np.asarray(cardinality, dtype=np.int64),
+        swap_out=np.asarray(swap_out, dtype=np.int64),
+        swap_in=np.asarray(swap_in, dtype=np.int64),
+        utility=np.asarray(utility, dtype=np.float64),
+    )
+
+
 # ------------------------------------------------------------------ #
 # serial engine (reference)
 # ------------------------------------------------------------------ #
@@ -386,23 +415,21 @@ def run_serial(run: _EngineRun) -> SEResult:
         run.apply_due_events(iteration)
         round_best: Optional[Solution] = None
         transitions = 0
+        fires: List[tuple] = []
         for replica_index, replica in enumerate(run.replicas):
             fired = replica.race_round()
             if fired is not None and fired.solution is not None:
                 transitions += 1
                 if traced:
                     swap_out, swap_in = fired.last_swap or (-1, -1)
-                    telemetry.event(
-                        "se.transition",
-                        iteration=iteration,
-                        replica=replica_index,
-                        cardinality=fired.cardinality,
-                        swap_out=swap_out,
-                        swap_in=swap_in,
-                        utility=fired.solution.utility,
-                    )
+                    fires.append((replica_index, fired.cardinality, swap_out, swap_in,
+                                  fired.solution.utility))
                 if round_best is None or fired.solution.utility > round_best.utility:
                     round_best = fired.solution
+        if fires:
+            replica, cardinality, swap_out, swap_in, utility = zip(*fires)
+            _emit_transitions(telemetry, iteration, replica, cardinality, swap_out,
+                              swap_in, utility)
         run.best = run.solver._pick_better(run.best, round_best)
         current = max(replica.current_utility for replica in run.replicas)
         virtual_time = max(replica.virtual_time for replica in run.replicas)
@@ -759,17 +786,11 @@ def run_vectorized(run: _EngineRun) -> SEResult:
             block_round += 1
             if transitions:
                 if traced:
-                    for k in range(transitions):
-                        row = int(state.last_rows[k])
-                        telemetry.event(
-                            "se.transition",
-                            iteration=round_index,
-                            replica=int(state.last_groups[k]),
-                            cardinality=int(state.cards[row]),
-                            swap_out=int(state.last_pos_out[k]),
-                            swap_in=int(state.last_pos_in[k]),
-                            utility=float(state.last_utilities[k]),
-                        )
+                    _emit_transitions(
+                        telemetry, round_index, state.last_groups,
+                        state.cards[state.last_rows], state.last_pos_out,
+                        state.last_pos_in, state.last_utilities,
+                    )
                 if state.last_best_utility > run.best.utility:
                     run.best = state.solution_at(state.last_best_row)
             current = state.current_utility()

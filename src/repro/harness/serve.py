@@ -189,6 +189,19 @@ def _scheduled_ids(result: SEResult) -> List[int]:
     ]
 
 
+def attach_serve_sinks(telemetry) -> Tuple[MetricsAggregator, SloTracker]:
+    """Attach serve's live sinks to ``telemetry``: aggregator, then SLOs.
+
+    The tracker evaluates the ``[tool.repro.obs.slo]`` specs against the
+    aggregator and emits its violations back into ``telemetry``.
+    """
+    aggregator = MetricsAggregator()
+    telemetry.add_sink(aggregator)
+    tracker = SloTracker(load_slo_specs(), aggregator, telemetry=telemetry)
+    telemetry.add_sink(tracker)
+    return aggregator, tracker
+
+
 def run_serve(
     config: ServeConfig, telemetry=None, collect_results: bool = False
 ) -> ServeReport:
@@ -205,10 +218,7 @@ def run_serve(
     """
     if telemetry is None:
         telemetry = build_telemetry(config.trace_path)
-    aggregator = MetricsAggregator()
-    telemetry.add_sink(aggregator)
-    tracker = SloTracker(load_slo_specs(), aggregator, telemetry=telemetry)
-    telemetry.add_sink(tracker)
+    aggregator, tracker = attach_serve_sinks(telemetry)
 
     stream = EpochStream(config.stream_config())
     warm_solver = StochasticExploration(config.solver_config(0), telemetry)

@@ -3,7 +3,9 @@
 * :mod:`repro.obs.telemetry` -- the hub: counters, gauges, histograms and
   nested spans stamped with the emission sequence (plus an injectable wall
   clock), with a no-op :data:`~repro.obs.telemetry.NULL_TELEMETRY`
-  default; it fans records out and keeps no aggregate of its own;
+  default; it fans records out and keeps no aggregate of its own, and
+  columnar events (``event_rows``) carry ``rows: n`` per-field arrays
+  that every reader counts as ``n`` rows;
 * :mod:`repro.obs.sinks` -- JSONL stream + in-memory ring buffer, with
   streaming (:func:`~repro.obs.sinks.iter_jsonl`) and list
   (:func:`~repro.obs.sinks.read_jsonl`) readers;

@@ -8,8 +8,9 @@ tooling without bespoke viewers:
   ``trace_event`` JSON (the ``chrome://tracing`` / https://ui.perfetto.dev
   format): spans become complete (``"ph": "X"``) events on the
   deterministic clock, counters become ``"C"`` counter tracks, events and
-  histogram observations become instants.  One record in, one event out —
-  the writer is single-pass and never materialises the trace.
+  histogram observations become instants.  One row in, one event out (a
+  columnar record expands to one instant per row at ``t + i``) — the
+  writer is single-pass and never materialises the trace.
 * :func:`openmetrics_text` renders a
   :class:`~repro.obs.metrics.MetricsAggregator` snapshot as a
   Prometheus/OpenMetrics textfile (node-exporter textfile-collector
@@ -30,6 +31,7 @@ from typing import Iterable, Mapping, Optional, TextIO, Union
 
 from repro.obs.metrics import MetricsAggregator
 from repro.obs.sinks import _RecordEncoder
+from repro.obs.telemetry import iter_rows
 
 #: Microseconds per deterministic time unit: ``t`` is seconds for
 #: sim-time spans and an emission index otherwise; either way one unit
@@ -38,7 +40,9 @@ _US_PER_T = 1e6
 
 #: Record fields not copied into trace-event ``args`` (already encoded in
 #: the event envelope).
-_ENVELOPE_KEYS = frozenset({"seq", "t", "wall", "type", "name", "t0", "t1", "dt", "depth", "wall_dt"})
+_ENVELOPE_KEYS = frozenset(
+    {"seq", "t", "wall", "type", "name", "rows", "t0", "t1", "dt", "depth", "wall_dt"}
+)
 
 
 def _args_of(record: Mapping) -> dict:
@@ -123,8 +127,8 @@ def write_perfetto(records: Iterable[Mapping], target: Union[str, TextIO]) -> in
     try:
         handle.write('{"displayTimeUnit": "ms", "traceEvents": [')
         written = 0
-        for record in records:
-            event = trace_event(record)
+        for row in (row for record in records for row in iter_rows(record)):
+            event = trace_event(row)
             if event is None:
                 continue
             if written:

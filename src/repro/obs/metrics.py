@@ -40,6 +40,8 @@ import math
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.telemetry import iter_rows
+
 #: Version marker for aggregate-snapshot JSON files (``mvcom trace
 #: metrics --out``); ``trace diff`` accepts these interchangeably with
 #: raw JSONL traces.
@@ -295,6 +297,10 @@ class _Series:
 #: Series kinds that maintain a quantile sketch + window.
 _SKETCHED_KINDS = frozenset({"span", "span.wall", "hist", "gauge", "field"})
 
+#: Every series kind the aggregator creates: one per record type, plus
+#: the derived ``span.wall`` and ``field`` series.
+SERIES_KINDS = ("counter", "event", "field", "gauge", "hist", "span", "span.wall")
+
 
 def series_key(kind: str, name: str, tag: str = "") -> str:
     """Canonical flat key: ``kind|name`` or ``kind|name|tag``."""
@@ -348,12 +354,12 @@ class MetricsAggregator:
     def _build_handler(self, kind, name: str, tag: str) -> Callable[[dict], None]:
         """Compile the per-record work for one (type, name, tag) shape."""
 
-        def touch(series: _Series, t) -> None:
-            series.count += 1
+        def touch(series: _Series, t, rows: int = 1) -> None:
+            series.count += rows
             if t is not None:
                 if series.first_t is None:
                     series.first_t = float(t)
-                series.last_t = float(t)
+                series.last_t = float(t) + (rows - 1)
 
         if kind == "span":
             spans = self._targets("span", name, tag)
@@ -411,22 +417,31 @@ class MetricsAggregator:
             def handle(record: dict) -> None:
                 t = record.get("t")
                 for series in events:
-                    touch(series, t)
-                for field, targets in field_targets:
-                    value = record.get(field)
-                    if isinstance(value, (int, float)) and not isinstance(value, bool):
-                        value = float(value)
-                        for series in targets:
-                            touch(series, t)
-                            series.sketch.add(value)
-                            series.window.add(value)
+                    touch(series, t, record.get("rows", 1))
+                if not field_targets:
+                    return
+                for row in iter_rows(record):
+                    t = row.get("t")
+                    for field, targets in field_targets:
+                        value = row.get(field)
+                        if isinstance(value, (int, float)) and not isinstance(value, bool):
+                            value = float(value)
+                            for series in targets:
+                                touch(series, t)
+                                series.sketch.add(value)
+                                series.window.add(value)
 
         return handle
 
     # ------------------------------------------------------------------ #
     def emit(self, record: dict) -> None:
-        """Sink protocol: fold one telemetry record into the aggregate."""
-        self.records += 1
+        """Sink protocol: fold one telemetry record into the aggregate.
+
+        A columnar record (``rows: n``) folds in as its ``n`` rows: it adds
+        ``n`` to :attr:`records` and to its series' counts, and its rows
+        span ``t .. t + n - 1`` on the deterministic clock.
+        """
+        self.records += record.get("rows", 1)
         get = record.get
         kind = get("type")
         name = get("name", "?")

@@ -42,16 +42,28 @@ class _RecordEncoder(json.JSONEncoder):
 
 
 class RingBufferSink:
-    """Keep the most recent ``capacity`` records in memory."""
+    """Keep the most recent ``capacity`` rows in memory.
+
+    Capacity counts logical rows, not records: a columnar record
+    (``rows: n``, see :meth:`repro.obs.telemetry.Telemetry.event_rows`)
+    weighs ``n``, so the ring holds the same history whichever form the
+    records arrive in.  Whole records are evicted, oldest first, until the
+    rows held fit the capacity again.
+    """
 
     def __init__(self, capacity: int = 65536) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        self._buffer: deque = deque(maxlen=capacity)
+        self.capacity = capacity
+        self._buffer: deque = deque()
+        self._rows = 0
 
     def emit(self, record: dict) -> None:
-        """Append one record, evicting the oldest when full."""
+        """Append one record, evicting the oldest while over capacity."""
         self._buffer.append(record)
+        self._rows += record.get("rows", 1)
+        while self._rows > self.capacity:
+            self._rows -= self._buffer.popleft().get("rows", 1)
 
     @property
     def records(self) -> List[dict]:
@@ -61,9 +73,11 @@ class RingBufferSink:
     def clear(self) -> None:
         """Drop everything buffered so far."""
         self._buffer.clear()
+        self._rows = 0
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        """Rows held (a columnar record counts its ``rows``)."""
+        return self._rows
 
 
 class JsonlSink:

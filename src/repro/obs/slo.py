@@ -32,11 +32,11 @@ re-evaluate any stored trace offline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.config import find_pyproject, parse_toml
-from repro.obs.metrics import MetricsAggregator
-from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
+from repro.obs.metrics import SERIES_KINDS, TAG_FIELDS, MetricsAggregator, series_key
+from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, iter_rows
 
 #: pyproject table holding the SLO specs.
 SLO_SECTION = ("tool", "repro", "obs", "slo")
@@ -123,17 +123,35 @@ def load_slo_specs(
     return specs_from_section(section)
 
 
+def _gated_series(spec: SloSpec) -> List[Tuple[str, str]]:
+    """The ``(kind, tag)`` series a spec gates, in sorted key order.
+
+    An untagged spec gates the cross-tag aggregate series; a tagged one
+    accepts the promoted ``field=value`` form or the bare value.  The
+    tracker looks these up directly, so an evaluation costs the same
+    however many tagged series (one per serve epoch) the aggregator holds.
+    """
+    tags = {""} if not spec.tag else {spec.tag}.union(
+        f"{field}={spec.tag}" for field in TAG_FIELDS
+    )
+    return sorted(
+        ((kind, tag) for kind in SERIES_KINDS for tag in tags),
+        key=lambda pair: series_key(pair[0], spec.metric, pair[1]),
+    )
+
+
 class SloTracker:
     """Evaluate SLO specs online against an aggregator-fed record stream.
 
     Sink protocol: attach to the hub *after* the aggregator so each record
     is aggregated before the tracker sees it.  Quantile/rate specs are
-    re-checked every ``check_interval`` records (they only move with the
-    aggregate); monotone specs update on every matching record.  Each
-    spec's *first* breach emits one ``slo.violation`` event into
-    ``telemetry`` — the same stream being recorded — and is remembered in
-    :attr:`violations`; :meth:`check` forces a final evaluation (call it at
-    close, or after an offline :meth:`consume`).
+    re-checked every ``check_interval`` rows (they only move with the
+    aggregate; a columnar record counts its ``rows``); monotone specs
+    update on every matching row.  Each spec's *first* breach emits one
+    ``slo.violation`` event into ``telemetry`` — the same stream being
+    recorded — and is remembered in :attr:`violations`; :meth:`check`
+    forces a final evaluation (call it at close, or after an offline
+    :meth:`consume`).
     """
 
     def __init__(
@@ -155,13 +173,15 @@ class SloTracker:
         self._monotone_drops: Dict[str, int] = {}
         self._records = 0
         self._emitting = False
+        self._gated = {spec: _gated_series(spec) for spec in self.specs}
 
     # ------------------------------------------------------------------ #
     def emit(self, record: dict) -> None:
         """Sink protocol: track one record, evaluating periodically."""
         if self._emitting:
             return  # our own slo.violation echoing back through the hub
-        self._records += 1
+        before = self._records
+        self._records += record.get("rows", 1)
         name = record.get("name")
         if name in SOLVE_BOUNDARY_EVENTS:
             # A new solve began (the serve loop runs many per process):
@@ -170,8 +190,11 @@ class SloTracker:
             self._monotone_last.clear()
         for spec in self.specs:
             if spec.kind == "monotone_budget" and spec.metric == name:
-                self._track_monotone(spec, record)
-        if self._records % self.check_interval == 0:
+                for row in iter_rows(record):
+                    self._track_monotone(spec, row)
+        # A columnar record can step over a multiple of the interval, so
+        # evaluate on crossing one rather than on landing on it.
+        if self._records // self.check_interval > before // self.check_interval:
             self._evaluate()
 
     def consume(self, records: Iterable[dict]) -> List[dict]:
@@ -210,19 +233,10 @@ class SloTracker:
                 self._check_rate(spec)
             # monotone_budget breaches fire inline in _track_monotone
 
-    @staticmethod
-    def _tag_matches(series_tag: str, spec_tag: str) -> bool:
-        # An untagged spec gates the cross-tag aggregate series; a tagged
-        # one accepts the promoted "field=value" form or the bare value.
-        if spec_tag == "":
-            return series_tag == ""
-        return series_tag == spec_tag or series_tag.partition("=")[2] == spec_tag
-
     def _check_quantile(self, spec: SloSpec) -> None:
-        for series in self.aggregator.find_series(spec.metric):
-            if series.sketch is None or not series.sketch.count:
-                continue
-            if not self._tag_matches(series.tag, spec.tag):
+        for kind, tag in self._gated[spec]:
+            series = self.aggregator.series(kind, spec.metric, tag)
+            if series is None or series.sketch is None or not series.sketch.count:
                 continue
             p99 = series.sketch.quantile(0.99)
             if p99 > spec.threshold:
@@ -230,10 +244,11 @@ class SloTracker:
                 return
 
     def _check_rate(self, spec: SloSpec) -> None:
-        for series in self.aggregator.find_series(spec.metric):
-            if series.kind not in ("counter", "event"):
+        for kind, tag in self._gated[spec]:
+            if kind not in ("counter", "event"):
                 continue
-            if not self._tag_matches(series.tag, spec.tag):
+            series = self.aggregator.series(kind, spec.metric, tag)
+            if series is None:
                 continue
             rate = series.rate
             if rate is not None and rate > spec.threshold:

@@ -22,7 +22,7 @@ Design constraints, in order:
    ``enabled`` flag lets hot loops skip even argument construction::
 
        if telemetry.enabled:
-           telemetry.event("se.transition", iteration=k, utility=u)
+           telemetry.event_rows("se.transition", n, replica=groups, utility=after)
 
 3. **One record shape everywhere.**  Every emission is a flat dict with the
    reserved keys ``seq`` (emission index), ``t`` (deterministic time),
@@ -30,6 +30,11 @@ Design constraints, in order:
    ``counter`` / ``gauge`` / ``hist`` / ``span``) and ``name``; all other
    keys are caller-supplied fields.  Sinks (:mod:`repro.obs.sinks`) decide
    whether records land in a JSONL stream, a ring buffer, or both.
+   A *columnar* event (:meth:`Telemetry.event_rows`) also carries
+   ``rows: n`` and one length-``n`` array per field; it stands for ``n``
+   logical rows stamped ``t + i``/``seq + i``, so a hot loop that already
+   holds its fires as arrays emits them in one record and every reader
+   (:func:`iter_rows`) still sees the per-row stream.
 4. **The hub keeps no aggregate.**  Aggregation is the job of
    :class:`repro.obs.metrics.MetricsAggregator`, attached as a sink.  The
    only state the hub carries per name is each counter's running total,
@@ -38,13 +43,42 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 #: A timestamp source: any zero-argument callable returning a float.
 Clock = Callable[[], float]
 
 #: Record keys owned by the hub; caller fields must not collide with them.
-RESERVED_KEYS = ("seq", "t", "wall", "type", "name")
+RESERVED_KEYS = ("seq", "t", "wall", "type", "name", "rows")
+
+
+def iter_rows(record: dict) -> Iterator[dict]:
+    """The logical per-row records one record stands for.
+
+    A plain record is its own single row.  A columnar record (``rows: n``)
+    expands to ``n`` records stamped ``t + i`` and ``seq + i``, each
+    holding the ``i``-th value of every column, exactly as ``n`` separate
+    :meth:`Telemetry.event` calls would have recorded them.
+    """
+    rows = record.get("rows")
+    if rows is None:
+        yield record
+        return
+    columns = {
+        key: value.tolist() if hasattr(value, "tolist") else value
+        for key, value in record.items()
+        if key not in RESERVED_KEYS
+    }
+    t = record.get("t", 0.0)
+    seq = record.get("seq")
+    for i in range(rows):
+        row = {"t": t + i, "type": record.get("type"), "name": record.get("name")}
+        row.update((key, values[i]) for key, values in columns.items())
+        if seq is not None:
+            row["seq"] = seq + i
+        if "wall" in record:
+            row["wall"] = record["wall"]
+        yield row
 
 
 class NullSpan:
@@ -79,6 +113,9 @@ class NullTelemetry:
     # ------------------------------------------------------------------ #
     def event(self, name: str, **fields) -> None:
         """Emit a point-in-time structured event."""
+
+    def event_rows(self, name: str, count: int, **columns) -> None:
+        """Emit ``count`` events at once, one array per field (columnar)."""
 
     def count(self, name: str, value: float = 1, **fields) -> None:
         """Increment the counter ``name`` by ``value``."""
@@ -188,9 +225,9 @@ class Telemetry(NullTelemetry):
     def _now(self) -> float:
         return float(self._seq)
 
-    def _emit(self, record: dict) -> None:
-        self._seq += 1
-        record["seq"] = self._seq
+    def _emit(self, record: dict, rows: int = 1) -> None:
+        record["seq"] = self._seq + 1
+        self._seq += rows
         if self._wall_clock is not None:
             record["wall"] = self._wall_clock()
         for sink in self._sinks:
@@ -226,6 +263,19 @@ class Telemetry(NullTelemetry):
         record = {"t": self._now(), "type": "event", "name": name}
         record.update(fields)
         self._emit(record)
+
+    def event_rows(self, name: str, count: int, **columns) -> None:
+        """Emit ``count`` events of ``name`` as one columnar record.
+
+        Each keyword is a length-``count`` array (or list) holding one
+        field's values in row order.  The record carries ``rows: count``
+        and the first row's ``t``/``seq``; the hub's sequence advances by
+        ``count``, so every later record is stamped exactly as if the rows
+        had been emitted one :meth:`event` call each.
+        """
+        record = {"t": self._now(), "type": "event", "name": name, "rows": count}
+        record.update(columns)
+        self._emit(record, count)
 
     def count(self, name: str, value: float = 1, **fields) -> None:
         """Increment counter ``name``; the record carries the running total."""

@@ -197,3 +197,74 @@ def test_violation_emitted_into_hub_stream():
     assert violations[0]["metric"] == "m"
     # The echo of our own violation through the hub did not recurse.
     assert tracker.violations[0]["observed"] > 1.0
+
+
+def test_columnar_rows_count_toward_the_check_interval():
+    spec = SloSpec(name="age", metric="m", kind="max_p99", threshold=1.0)
+    aggregator = MetricsAggregator()
+    tracker = SloTracker([spec], aggregator, check_interval=4)
+    hub = Telemetry(sinks=[aggregator, tracker])
+    hub.observe("m", 50.0)
+    hub.event_rows("batch", 2, x=[1, 2])
+    assert not tracker.violations  # 3 rows: no checkpoint yet
+    hub.event_rows("batch", 2, x=[3, 4])  # 5 rows: the 4th crossed one
+    assert tracker.violations
+
+
+# ---------------------------------------------------------------------- #
+# SLO series lookup: direct, yet the verdicts of a full scan
+# ---------------------------------------------------------------------- #
+def _scan_verdicts(specs, aggregator):
+    """The first breaching series per spec, found by scanning every series."""
+
+    def matches(series_tag, spec_tag):
+        if spec_tag == "":
+            return series_tag == ""
+        return series_tag == spec_tag or series_tag.partition("=")[2] == spec_tag
+
+    verdicts = []
+    for spec in specs:
+        for series in aggregator.find_series(spec.metric):
+            if not matches(series.tag, spec.tag):
+                continue
+            if spec.kind == "max_p99":
+                if series.sketch is None or not series.sketch.count:
+                    continue
+                observed = series.sketch.quantile(0.99)
+            elif series.kind in ("counter", "event") and series.rate is not None:
+                observed = series.rate
+            else:
+                continue
+            if observed > spec.threshold:
+                verdicts.append((spec.name, observed, series.tag))
+                break
+    return verdicts
+
+
+def test_slo_lookup_matches_a_scan_for_tagged_and_untagged_specs():
+    aggregator = MetricsAggregator()
+    hub = Telemetry(sinks=[aggregator])
+    for epoch in range(12):
+        hub.observe("lat", 0.1 * (epoch + 1), epoch=epoch)
+        hub.record_span("pbft", 0.0, 3.0 + epoch, tag=f"c{epoch % 3}")
+        hub.count("churn", 2 + epoch % 2, kind="JOIN" if epoch % 2 else "LEAVE")
+        hub.event("tick", kind="JOIN")
+    specs = [
+        SloSpec("lat-all", "lat", "max_p99", 0.5),
+        SloSpec("lat-bare", "lat", "max_p99", 0.3, tag="7"),
+        SloSpec("lat-promoted", "lat", "max_p99", 0.3, tag="epoch=9"),
+        SloSpec("lat-low", "lat", "max_p99", 5.0, tag="3"),
+        SloSpec("pbft-bare", "pbft", "max_p99", 4.0, tag="c2"),
+        SloSpec("pbft-tag", "pbft", "max_p99", 4.0, tag="tag=c1"),
+        SloSpec("churn-all", "churn", "max_rate", 0.5),
+        SloSpec("churn-join", "churn", "max_rate", 0.4, tag="JOIN"),
+        SloSpec("tick-rate", "tick", "max_rate", 0.1, tag="kind=JOIN"),
+        SloSpec("absent", "missing", "max_rate", 0.0, tag="1"),
+    ]
+    tracker = SloTracker(specs, aggregator, check_interval=10**9)
+    found = [(v["slo"], v["observed"], v.get("tag", "")) for v in tracker.check()]
+    assert found == _scan_verdicts(specs, aggregator)
+    assert {name for name, _, _ in found} == {
+        "lat-all", "lat-bare", "lat-promoted", "pbft-bare", "pbft-tag",
+        "churn-all", "churn-join", "tick-rate",
+    }

@@ -72,10 +72,15 @@ def test_utility_trace_follows_se_rounds(small_run):
     assert trace == sorted(trace)  # best-so-far is monotone
 
 
+def _row_count(records):
+    """Logical records: a columnar record (``rows: n``) counts ``n``."""
+    return sum(record.get("rows", 1) for record in records)
+
+
 def test_summarize_records_renders_all_sections(small_run):
     run, path = small_run
     report = summarize_file(path)
-    assert f"telemetry trace: {len(run.records)} records" in report
+    assert f"telemetry trace: {_row_count(run.records)} records" in report
     assert "Top spans by cumulative time" in report
     assert "Record counts by name" in report
     assert "SE utility trace" in report
@@ -161,7 +166,7 @@ def _expected_tables(records):
     spans, counts = {}, {}
     for record in records:
         key = (record["type"], record["name"])
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + record.get("rows", 1)
         if record["type"] == "span":
             row = spans.setdefault(
                 record["name"],
@@ -191,7 +196,7 @@ def test_summary_tables_match_sums_over_the_records(trace, small_run):
     }[trace]()
     span_rows, count_rows = _expected_tables(records)
     report = summarize_records(iter(records), top_spans=len(span_rows))
-    assert report.startswith(f"telemetry trace: {len(records)} records\n")
+    assert report.startswith(f"telemetry trace: {_row_count(records)} records\n")
     assert render_table(count_rows, title="Record counts by name") in report
     if span_rows:
         assert render_table(span_rows, title="Top spans by cumulative time") in report
