@@ -32,12 +32,16 @@ def fractional_knapsack_bound(instance: EpochInstance) -> float:
     capacity = float(instance.capacity)
     for position in order:
         value = values[position]
-        if value <= 0:
-            break
         weight = weights[position]
         if weight <= 0:
-            bound += value  # weightless positive item: always take
+            # Weightless shards sort first (infinite density) whatever
+            # their sign: take the positive ones, skip a drained
+            # committee's negative age rather than ending the scan on it.
+            if value > 0:
+                bound += value
             continue
+        if value <= 0:
+            break
         if weight <= capacity:
             bound += value
             capacity -= weight

@@ -829,9 +829,10 @@ def run_engine(
     telemetry event.
 
     ``warm`` adopts a prior run's replicas/streams/incumbent before the
-    race starts (see :meth:`StochasticExploration.solve`).  Both engines
-    accept warm state: the scalar loop continues the carried thread
-    streams, and the batched kernel rebuilds its flat row
+    race starts (see :meth:`StochasticExploration.solve`).  Adoption is
+    engine-independent: one batched repair pass re-seats every carried
+    thread before either engine runs.  The scalar loop then continues the
+    carried thread streams, and the batched kernel rebuilds its flat row
     space from the adopted threads so warm rows enter *pre-scored* (their
     incremental utility/weight caches transfer verbatim) while the
     ``vectorized-race`` streams resume mid-sequence.  ``"auto"``

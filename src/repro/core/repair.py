@@ -17,6 +17,8 @@ compatibility.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core.problem import EpochInstance
@@ -114,83 +116,151 @@ def greedy_improve(instance: EpochInstance, solution: Solution) -> None:
             solution.flip(int(position))
 
 
-def resize_to_cardinality(
-    instance: EpochInstance, solution: Solution, cardinality: int
-) -> bool:
-    """Coerce ``solution`` to exactly ``cardinality`` members, under Ĉ.
+class RowRepair(NamedTuple):
+    """Outcome of :func:`resize_rows`, one entry per input row.
+
+    ``masks``/``utility``/``weight``/``count`` hold every row's final state
+    and caches; they are meaningful only where ``ok`` is true (a failed row
+    is left wherever its repair stopped and must be re-initialised).
+    """
+
+    ok: np.ndarray
+    masks: np.ndarray
+    utility: np.ndarray
+    weight: np.ndarray
+    count: np.ndarray
+
+
+def _first(where: np.ndarray, order: np.ndarray) -> tuple:
+    """Per row, the ``where`` column that comes first in ``order``, and whether one exists.
+
+    ``order`` is a stable ``argsort``, so equal keys keep the lower position
+    first: the tie rule of a scalar ``argmin``/``argmax`` over ascending
+    positions.
+    """
+    column = order[where[:, order].argmax(axis=1)]
+    return column, where[np.arange(len(where)), column]
+
+
+#: Improving swaps per re-seated row (see :func:`resize_rows`).
+MAX_IMPROVING_SWAPS = 4
+
+
+def resize_rows(
+    instance: EpochInstance, masks: np.ndarray, cardinalities: np.ndarray
+) -> RowRepair:
+    """Re-seat a population of rebased solution rows in one array pass.
 
     The repair a warm-started solution thread :math:`f_n` needs when
-    committee churn broke its exact-``n`` family shape: departed members
-    leave the rebased count short (or a shrunken range leaves it long).
-    Trims the lowest-value members while over; pads with the best-value
-    fitting outsider while short, falling back to weight-reducing swaps
-    (heaviest member for lightest outsider) when nothing fits; finishes
-    with the same swap loop until const. (4) holds.  Returns ``True`` on
-    success — the caller keeps the repaired carried solution — and
-    ``False`` when the target shape is unreachable, in which case the
-    solution should be discarded and re-initialised instead.
+    committee churn broke its exact-``n`` family shape, applied to all
+    ``(T, N)`` rows at once.  Each row, independently:
+
+    1. *resize*: trims its lowest-value member while over its cardinality;
+       pads with the best-value fitting outsider while short, falling back
+       to weight-reducing swaps (heaviest member for lightest outsider)
+       when nothing fits; then swaps its heaviest member for the best-value
+       lighter outsider until const. (4) holds.  A row fails (``ok``
+       false) when its shape is unreachable;
+    2. *improve*: up to :data:`MAX_IMPROVING_SWAPS` cardinality-preserving
+       improving swaps, each the lowest-value member for the best-value
+       outsider that fits the freed capacity, stopping at the first
+       non-improving exchange.  The budget is deliberately small: the pass
+       re-anchors a stale thread to the drifted instance without collapsing
+       the Γ replicas' population diversity onto one greedy point.
+
+    Every move is one step over all active rows, picking each row's first
+    qualifying column in a stable value or weight order, and the caches
+    evolve exactly as :class:`Solution` moves would evolve them one thread
+    at a time:
+
+    * the starting utility is the mask's selected values summed in position
+      order (``values[mask].sum()``, numpy's pairwise summation), done per
+      selected-count group as one ``(rows, count)`` row sum;
+    * a swap is two flips, ``+= -v_out`` then ``+= v_in``;
+    * ties break to the lowest position.
+
+    Draws no randomness, so batching cannot perturb a seeded trajectory.
     """
     values = instance.values
     tx_counts = instance.tx_counts
-    while solution.count > cardinality:
-        selected = solution.selected_positions()
-        solution.flip(int(selected[np.argmin(values[selected])]))
-    while solution.count < cardinality:
-        unselected = solution.unselected_positions()
-        if not len(unselected):
-            return False
-        slack = instance.capacity - solution.weight
-        fitting = unselected[tx_counts[unselected] <= slack]
-        if len(fitting):
-            solution.flip(int(fitting[np.argmax(values[fitting])]))
-            continue
-        selected = solution.selected_positions()
-        if not len(selected):
-            return False
-        heaviest = int(selected[np.argmax(tx_counts[selected])])
-        lightest = int(unselected[np.argmin(tx_counts[unselected])])
-        if int(tx_counts[lightest]) >= int(tx_counts[heaviest]):
-            return False
-        solution.swap(heaviest, lightest)
-    while not solution.capacity_feasible:
-        selected = solution.selected_positions()
-        unselected = solution.unselected_positions()
-        if not len(selected) or not len(unselected):
-            return False
-        heaviest = int(selected[np.argmax(tx_counts[selected])])
-        lighter = unselected[tx_counts[unselected] < int(tx_counts[heaviest])]
-        if not len(lighter):
-            return False
-        solution.swap(heaviest, int(lighter[np.argmax(values[lighter])]))
-    return True
+    capacity = instance.capacity
+    n = instance.num_shards
+    masks = np.array(masks, dtype=bool)
+    cardinalities = np.asarray(cardinalities, dtype=np.int64)
+    count = masks.sum(axis=1, dtype=np.int64)
+    utility = np.zeros(len(masks))
+    for size in np.unique(count):
+        rows = np.flatnonzero(count == size)
+        picked = np.nonzero(masks[rows])[1].reshape(rows.size, size)
+        utility[rows] = values[picked].sum(axis=1)
+    weight = np.where(masks, tx_counts, 0).sum(axis=1)
+    ok = np.ones(len(masks), dtype=bool)
+    best_value = np.argsort(-values, kind="stable")
+    worst_value = np.argsort(values, kind="stable")
+    heaviest_first = np.argsort(-tx_counts, kind="stable")
+    lightest_first = np.argsort(tx_counts, kind="stable")
 
+    def flip(rows: np.ndarray, positions: np.ndarray, selected: bool) -> None:
+        masks[rows, positions] = selected
+        sign = 1 if selected else -1
+        utility[rows] += values[positions] if selected else -values[positions]
+        weight[rows] += sign * tx_counts[positions]
+        count[rows] += sign
 
-def greedy_swap_improve(
-    instance: EpochInstance, solution: Solution, max_swaps: int = 4
-) -> None:
-    """Cardinality-preserving improving swaps in place (at most ``max_swaps``).
+    def swap(rows: np.ndarray, out: np.ndarray, into: np.ndarray) -> None:
+        flip(rows, out, False)
+        flip(rows, into, True)
 
-    The fixed-cardinality counterpart of :func:`greedy_improve`, for
-    retained solution threads :math:`f_n` whose cardinality contract must
-    survive a warm-start rebase: repeatedly swap the lowest-value member
-    for the best-value outsider that fits the freed capacity, stopping at
-    the first non-improving exchange.  ``max_swaps`` is deliberately small
-    — the pass re-anchors a stale thread to the drifted instance without
-    collapsing the Γ replicas' population diversity onto one greedy point.
-    """
-    values = instance.values
-    tx_counts = instance.tx_counts
-    for _ in range(max_swaps):
-        selected = solution.selected_positions()
-        unselected = solution.unselected_positions()
-        if not len(selected) or not len(unselected):
-            return
-        worst = int(selected[np.argmin(values[selected])])
-        slack = instance.capacity - solution.weight + int(tx_counts[worst])
-        fitting = unselected[tx_counts[unselected] <= slack]
-        if not len(fitting):
-            return
-        best = int(fitting[np.argmax(values[fitting])])
-        if values[best] <= values[worst]:
-            return
-        solution.swap(worst, best)
+    def fail(rows: np.ndarray, failed: np.ndarray) -> np.ndarray:
+        ok[rows[failed]] = False
+        return ~failed
+
+    # Resize, phase 1: trim the worst member while over.
+    rows = np.flatnonzero(count > cardinalities)
+    while rows.size:
+        flip(rows, _first(masks[rows], worst_value)[0], False)
+        rows = rows[count[rows] > cardinalities[rows]]
+    # Phase 2: pad with the best fitting outsider, else a weight-reducing swap.
+    rows = np.flatnonzero(count < cardinalities)
+    while rows.size:
+        live = fail(rows, count[rows] == n)
+        selected = masks[rows]
+        best, fits = _first(~selected & (tx_counts <= (capacity - weight[rows])[:, None]),
+                            best_value)
+        flip(rows[fits], best[fits], True)
+        stuck = live & ~fits
+        if stuck.any():
+            stuck[stuck] = fail(rows[stuck], count[rows[stuck]] == 0)
+            heaviest = _first(selected[stuck], heaviest_first)[0]
+            lightest = _first(~selected[stuck], lightest_first)[0]
+            lighter = tx_counts[lightest] < tx_counts[heaviest]
+            stuck[stuck] = fail(rows[stuck], ~lighter)
+            swap(rows[stuck], heaviest[lighter], lightest[lighter])
+        rows = rows[ok[rows] & (count[rows] < cardinalities[rows])]
+    # Phase 3: swap the heaviest member for the best lighter outsider until Ĉ holds.
+    rows = np.flatnonzero(ok & (weight > capacity))
+    while rows.size:
+        rows = rows[fail(rows, (count[rows] == 0) | (count[rows] == n))]
+        selected = masks[rows]
+        heaviest = _first(selected, heaviest_first)[0]
+        lighter, found = _first(
+            ~selected & (tx_counts < tx_counts[heaviest][:, None]), best_value
+        )
+        found = fail(rows, ~found)
+        rows = rows[found]
+        swap(rows, heaviest[found], lighter[found])
+        rows = rows[weight[rows] > capacity]
+    # Improve: swap the worst member for the best fitting outsider while it gains.
+    rows = np.flatnonzero(ok)
+    for _ in range(MAX_IMPROVING_SWAPS):
+        rows = rows[(count[rows] > 0) & (count[rows] < n)]
+        selected = masks[rows]
+        worst = _first(selected, worst_value)[0]
+        slack = capacity - weight[rows] + tx_counts[worst]
+        best, found = _first(~selected & (tx_counts <= slack[:, None]), best_value)
+        gains = found & (values[best] > values[worst])
+        rows = rows[gains]
+        if not rows.size:
+            break
+        swap(rows, worst[gains], best[gains])
+    return RowRepair(ok, masks, utility, weight, count)

@@ -43,11 +43,7 @@ import numpy as np
 
 from repro.core.dynamics import CommitteeEvent, DynamicSchedule, EventKind
 from repro.core.problem import DEFAULT_BETA, DEFAULT_TAU, EpochInstance
-from repro.core.repair import (
-    greedy_swap_improve,
-    repair_feasibility,
-    resize_to_cardinality,
-)
+from repro.core.repair import repair_feasibility, resize_rows
 from repro.core.solution import Solution
 from repro.core.timers import clamped_exp
 from repro.analysis.contracts import feasible_result
@@ -467,6 +463,25 @@ def should_bootstrap(instance: EpochInstance) -> bool:
     )
 
 
+def _rebased_masks(
+    solutions: Sequence[Solution], old: EpochInstance, new: EpochInstance
+) -> np.ndarray:
+    """Project solutions scored on ``old`` onto ``new`` by shard id, as one matrix.
+
+    Row ``r`` equals ``solutions[r].rebase(new).mask``: members whose
+    committee left are dropped and joined committees start unselected.
+    """
+    position = {shard_id: p for p, shard_id in enumerate(new.shard_ids)}
+    target = np.array([position.get(sid, -1) for sid in old.shard_ids], dtype=np.int64)
+    kept = target >= 0
+    old_masks = np.frombuffer(
+        b"".join(solution.selected for solution in solutions), dtype=np.uint8
+    ).reshape(len(solutions), old.num_shards)
+    masks = np.zeros((len(solutions), new.num_shards), dtype=bool)
+    masks[:, target[kept]] = old_masks[:, kept] != 0
+    return masks
+
+
 class StochasticExploration:
     """Driver implementing Alg. 1's event loop over Γ executor replicas.
 
@@ -586,12 +601,22 @@ class StochasticExploration:
         stable across epochs; tx counts, latencies, the DDL and therefore
         every value may all have changed), and only *invalidated* threads —
         a selected committee departed (cardinality broke const. 3's exact-n
-        family shape) or the re-valued weight busted Ĉ (const. 4) —
-        re-initialise, drawing from the replica's *continued* init stream.
-        The feasible cardinality range is recomputed for the new instance;
-        threads whose cardinality fell out of range are dropped and missing
-        cardinalities spawn with generation-namespaced streams so the
-        Mersenne sequences of different epochs' spawns never coincide.
+        family shape) or the re-valued weight busted Ĉ (const. 4) — that
+        the repair cannot restore re-initialise, drawing from the replica's
+        *continued* init stream.  The feasible cardinality range is
+        recomputed for the new instance; threads whose cardinality fell out
+        of range are dropped and missing cardinalities spawn with
+        generation-namespaced streams so the Mersenne sequences of
+        different epochs' spawns never coincide.
+
+        The repair is one batched pass over every carried thread of every
+        replica: the rebased masks form one ``(T, N)`` matrix that
+        :func:`repro.core.repair.resize_rows` pads/trims back to each
+        thread's cardinality and re-anchors with a few improving swaps, and
+        each repaired row is installed with its caches verbatim.  The pass
+        draws no randomness, so only spawned and unrepairable threads touch
+        the init streams — in replica/cardinality order, as a thread-by-
+        thread repair would draw them.
 
         With zero drift (a value-equal instance) adoption is cache-verbatim:
         solutions keep their incrementally-maintained utility/weight caches
@@ -618,17 +643,45 @@ class StochasticExploration:
             return {"retained": sum(len(r.threads) for r in replicas),
                     "reseated": 0, "spawned": 0, "zero_drift": True}
         cardinalities = self.thread_cardinalities(instance)
-        retained = reseated = spawned = 0
+        seats = []
+        carried: List[_SolutionThread] = []
         for replica in replicas:
+            existing = {thread.cardinality: thread for thread in replica.threads}
+            seats.append([existing.pop(cardinality, None) for cardinality in cardinalities])
+            carried.extend(
+                thread for thread in seats[-1]
+                if thread is not None and thread.solution is not None
+            )
+        # Departed members are padded back and the stale membership
+        # re-anchored with a few cardinality-preserving improving swaps;
+        # each thread keeps its own carried base, so the population keeps
+        # its diversity.
+        repair = resize_rows(
+            instance,
+            _rebased_masks([thread.solution for thread in carried], warm.instance, instance),
+            np.array([thread.cardinality for thread in carried], dtype=np.int64),
+        )
+        for row, thread in enumerate(carried):
+            thread.set_solution(
+                Solution.from_cached(
+                    instance,
+                    repair.masks[row].tobytes(),
+                    float(repair.utility[row]),
+                    int(repair.weight[row]),
+                    int(repair.count[row]),
+                )
+                if repair.ok[row]
+                else None
+            )
+        retained = reseated = spawned = 0
+        for replica, seat in zip(replicas, seats):
             replica_id = replica.replica_id
             # The init stream continues across epochs, exactly as it does
             # across dynamic events within one solve (see _apply_events).
             # repro: ignore[MV101]
             init_rng = streams.get(f"replica-{replica_id}-init")
-            existing = {thread.cardinality: thread for thread in replica.threads}
             threads = []
-            for cardinality in cardinalities:
-                thread = existing.pop(cardinality, None)
+            for cardinality, thread in zip(cardinalities, seat):
                 if thread is None:
                     rng = _ThreadRng(
                         streams.seed,
@@ -639,26 +692,11 @@ class StochasticExploration:
                     )
                     thread.initialize(instance, init_rng)
                     spawned += 1
+                elif thread.solution is not None:
+                    retained += 1  # repaired above: re-scored, still valid
                 else:
-                    rebased = (
-                        thread.solution.rebase(instance)
-                        if thread.solution is not None
-                        else None
-                    )
-                    if rebased is not None and resize_to_cardinality(
-                        instance, rebased, cardinality
-                    ):
-                        # Departed members are padded back deterministically
-                        # (resize) and the stale membership re-anchored with
-                        # a few cardinality-preserving improving swaps; each
-                        # thread keeps its own carried base, so the
-                        # population keeps its diversity.
-                        greedy_swap_improve(instance, rebased)
-                        thread.set_solution(rebased)  # re-scored, still valid
-                        retained += 1
-                    else:
-                        thread.initialize(instance, init_rng)
-                        reseated += 1
+                    thread.initialize(instance, init_rng)
+                    reseated += 1
                 thread.timer = None
                 threads.append(thread)
             replica.threads = threads

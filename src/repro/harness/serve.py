@@ -215,9 +215,22 @@ def run_serve(
     epoch's full :class:`SEResult` on the report (utility traces for the
     warm-vs-cold convergence comparison); off by default so long serve
     runs don't accumulate per-round arrays.
+
+    A hub built here is closed before returning, so the JSONL trace at
+    ``config.trace_path`` is complete as soon as the call returns.  A hub
+    the caller passes in stays open: the caller owns it.
     """
-    if telemetry is None:
-        telemetry = build_telemetry(config.trace_path)
+    if telemetry is not None:
+        return _serve_loop(config, telemetry, collect_results)
+    telemetry = build_telemetry(config.trace_path)
+    try:
+        return _serve_loop(config, telemetry, collect_results)
+    finally:
+        telemetry.close()
+
+
+def _serve_loop(config: ServeConfig, telemetry, collect_results: bool) -> ServeReport:
+    """:func:`run_serve`'s body on a hub whose lifetime the caller owns."""
     aggregator, tracker = attach_serve_sinks(telemetry)
 
     stream = EpochStream(config.stream_config())

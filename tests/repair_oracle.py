@@ -1,0 +1,153 @@
+"""Scalar oracle for the batched warm-adoption repair.
+
+These are the one-thread-at-a-time repair moves that warm adoption used
+before :func:`repro.core.repair.resize_rows` batched them over the whole
+Γ×thread population.  They stay here, outside the package, as the
+reference the batched pass must match bit for bit
+(``tests/test_repair_properties.py``):
+
+* :func:`resize_to_cardinality` coerces one rebased solution back to its
+  thread's exact cardinality under Ĉ;
+* :func:`greedy_swap_improve` re-anchors it with a few improving swaps;
+* :func:`adopt_scalar` is the whole per-thread adoption loop built on them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.problem import EpochInstance
+from repro.core.se import SEWarmState, StochasticExploration, _SolutionThread, _ThreadRng
+from repro.core.solution import Solution
+
+
+def resize_to_cardinality(
+    instance: EpochInstance, solution: Solution, cardinality: int
+) -> bool:
+    """Coerce ``solution`` to exactly ``cardinality`` members, under Ĉ.
+
+    The repair a warm-started solution thread :math:`f_n` needs when
+    committee churn broke its exact-``n`` family shape: departed members
+    leave the rebased count short (or a shrunken range leaves it long).
+    Trims the lowest-value members while over; pads with the best-value
+    fitting outsider while short, falling back to weight-reducing swaps
+    (heaviest member for lightest outsider) when nothing fits; finishes
+    with the same swap loop until const. (4) holds.  Returns ``True`` on
+    success — the caller keeps the repaired carried solution — and
+    ``False`` when the target shape is unreachable, in which case the
+    solution should be discarded and re-initialised instead.
+    """
+    values = instance.values
+    tx_counts = instance.tx_counts
+    while solution.count > cardinality:
+        selected = solution.selected_positions()
+        solution.flip(int(selected[np.argmin(values[selected])]))
+    while solution.count < cardinality:
+        unselected = solution.unselected_positions()
+        if not len(unselected):
+            return False
+        slack = instance.capacity - solution.weight
+        fitting = unselected[tx_counts[unselected] <= slack]
+        if len(fitting):
+            solution.flip(int(fitting[np.argmax(values[fitting])]))
+            continue
+        selected = solution.selected_positions()
+        if not len(selected):
+            return False
+        heaviest = int(selected[np.argmax(tx_counts[selected])])
+        lightest = int(unselected[np.argmin(tx_counts[unselected])])
+        if int(tx_counts[lightest]) >= int(tx_counts[heaviest]):
+            return False
+        solution.swap(heaviest, lightest)
+    while not solution.capacity_feasible:
+        selected = solution.selected_positions()
+        unselected = solution.unselected_positions()
+        if not len(selected) or not len(unselected):
+            return False
+        heaviest = int(selected[np.argmax(tx_counts[selected])])
+        lighter = unselected[tx_counts[unselected] < int(tx_counts[heaviest])]
+        if not len(lighter):
+            return False
+        solution.swap(heaviest, int(lighter[np.argmax(values[lighter])]))
+    return True
+
+
+def greedy_swap_improve(
+    instance: EpochInstance, solution: Solution, max_swaps: int = 4
+) -> None:
+    """Cardinality-preserving improving swaps in place (at most ``max_swaps``).
+
+    The fixed-cardinality counterpart of :func:`repro.core.repair.greedy_improve`, for
+    retained solution threads :math:`f_n` whose cardinality contract must
+    survive a warm-start rebase: repeatedly swap the lowest-value member
+    for the best-value outsider that fits the freed capacity, stopping at
+    the first non-improving exchange.  ``max_swaps`` is deliberately small
+    — the pass re-anchors a stale thread to the drifted instance without
+    collapsing the Γ replicas' population diversity onto one greedy point.
+    """
+    values = instance.values
+    tx_counts = instance.tx_counts
+    for _ in range(max_swaps):
+        selected = solution.selected_positions()
+        unselected = solution.unselected_positions()
+        if not len(selected) or not len(unselected):
+            return
+        worst = int(selected[np.argmin(values[selected])])
+        slack = instance.capacity - solution.weight + int(tx_counts[worst])
+        fitting = unselected[tx_counts[unselected] <= slack]
+        if not len(fitting):
+            return
+        best = int(fitting[np.argmax(values[fitting])])
+        if values[best] <= values[worst]:
+            return
+        solution.swap(worst, best)
+
+
+def adopt_scalar(
+    solver: StochasticExploration, warm: SEWarmState, instance: EpochInstance
+) -> dict:
+    """Drift adoption one thread at a time (the batched pass's reference).
+
+    Same contract as ``StochasticExploration._adopt_replicas`` on a drifted
+    instance: rebase every carried thread, resize and improve it, and
+    re-initialise spawned or unrepairable threads from the continued init
+    streams in replica/cardinality order.
+    """
+    streams = warm.streams
+    cardinalities = solver.thread_cardinalities(instance)
+    retained = reseated = spawned = 0
+    for replica in warm.replicas:
+        replica_id = replica.replica_id
+        init_rng = streams.get(f"replica-{replica_id}-init")
+        existing = {thread.cardinality: thread for thread in replica.threads}
+        threads = []
+        for cardinality in cardinalities:
+            thread = existing.pop(cardinality, None)
+            if thread is None:
+                rng = _ThreadRng(
+                    streams.seed, f"replica-{replica_id}-gen{warm.generation}-n{cardinality}"
+                )
+                thread = _SolutionThread(
+                    cardinality=cardinality, thread_rng=rng, config=solver.config
+                )
+                thread.initialize(instance, init_rng)
+                spawned += 1
+            else:
+                rebased = (
+                    thread.solution.rebase(instance) if thread.solution is not None else None
+                )
+                if rebased is not None and resize_to_cardinality(
+                    instance, rebased, cardinality
+                ):
+                    greedy_swap_improve(instance, rebased)
+                    thread.set_solution(rebased)
+                    retained += 1
+                else:
+                    thread.initialize(instance, init_rng)
+                    reseated += 1
+            thread.timer = None
+            threads.append(thread)
+        replica.threads = threads
+        replica.recompute_current()
+    return {"retained": retained, "reseated": reseated, "spawned": spawned,
+            "zero_drift": False}

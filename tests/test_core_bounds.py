@@ -57,6 +57,18 @@ class TestCertify:
         certificate = certify(instance, everything)
         assert certificate["gap_fraction"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_zero_tx_negative_shard_does_not_zero_the_bound(self):
+        """A drained committee (no tx, positive age) once ended the scan at 0."""
+        config = MVComConfig(alpha=1.5, capacity=900, n_min_fraction=0.25)
+        instance = EpochInstance([0, 400, 500, 300, 600], [1.0, 50.0, 40.0, 60.0, 30.0], config)
+        assert instance.tx_counts[0] == 0 and instance.values[0] < 0
+        optimum = brute_force_optimum(instance)
+        assert fractional_knapsack_bound(instance) >= optimum.utility - 1e-6
+        certificate = certify(instance, optimum.utility)
+        assert certificate["upper_bound"] >= optimum.utility - 1e-6
+        suboptimal = certify(instance, 0.5 * optimum.utility)
+        assert suboptimal["gap_fraction"] > 0
+
 
 @given(
     st.lists(
@@ -74,3 +86,21 @@ def test_property_bounds_dominate_every_feasible_selection(shards):
     bound = min(fractional_knapsack_bound(instance), lagrangian_bound(instance))
     optimum = brute_force_optimum(instance).utility
     assert bound >= optimum - 1e-6
+
+
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.just(0), st.integers(min_value=0, max_value=800)),
+                  st.floats(min_value=0, max_value=500, allow_nan=False)),
+        min_size=2, max_size=12,
+    ),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_certify_bound_dominates_with_zero_tx_shards(shards, n_min_fraction):
+    tx_counts = [s[0] for s in shards]
+    config = MVComConfig(alpha=2.0, capacity=max(sum(tx_counts) // 2, 1),
+                         n_min_fraction=n_min_fraction)
+    instance = EpochInstance(tx_counts, [s[1] for s in shards], config)
+    optimum = brute_force_optimum(instance).utility
+    assert certify(instance, optimum)["upper_bound"] >= optimum - 1e-6

@@ -8,8 +8,8 @@ The two load-bearing guarantees of the epoch-chaining layer:
   lands in the same end state (probed via ``getstate()``).
 * **Drift adoption repairs, never discards**: under churn the carried
   threads are rebased, resized back to their exact cardinality via
-  :func:`repro.core.repair.resize_to_cardinality`, and re-anchored with
-  improving swaps; only unrepairable threads re-initialise.  The adopted
+  :func:`repro.core.repair.resize_rows`, and re-anchored with improving
+  swaps; only unrepairable threads re-initialise.  The adopted
   population must stay feasible and reproducible on every engine.
 """
 

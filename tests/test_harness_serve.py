@@ -28,7 +28,7 @@ from repro.harness.serve import (
     time_to_99,
 )
 from repro.obs.metrics import LogHistogram
-from repro.obs.sinks import RingBufferSink
+from repro.obs.sinks import JsonlSink, RingBufferSink
 from repro.obs.telemetry import Telemetry
 
 SMALL = dict(
@@ -201,6 +201,33 @@ class TestServeHelpers:
             utility_trace = np.array([50.0, 99.5, 100.0, 100.0])
 
         assert time_to_99(Result(), 4.0) == pytest.approx(2.0)
+
+
+class TestTraceHub:
+    def test_trace_is_complete_when_run_serve_returns(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
+        config = ServeConfig(**{**SMALL, "epochs": 2, "trace_path": str(path)})
+        run_serve(config)
+        # Read before anything else runs: the hub run_serve built must be
+        # closed (flushed) by now, not at interpreter exit.
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        names = [record.get("name") for record in records]
+        assert names.count("se.done") == 2
+        assert names.count("serve.decision_latency_s") == 2
+        assert names.count("serve.epoch") == 2
+        assert names[-1] == "serve.epoch"
+
+    def test_a_callers_hub_stays_usable(self, tmp_path):
+        path = tmp_path / "caller.jsonl"
+        ring = RingBufferSink()
+        sink = JsonlSink(str(path))
+        hub = Telemetry(sinks=[ring, sink])
+        run_serve(ServeConfig(**{**SMALL, "epochs": 1}), telemetry=hub)
+        hub.event("caller.after_serve", ok=True)
+        assert ring.records[-1]["name"] == "caller.after_serve"
+        hub.close()
+        last = json.loads(path.read_text().splitlines()[-1])
+        assert last["name"] == "caller.after_serve"
 
 
 class TestServeCli:
