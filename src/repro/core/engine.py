@@ -34,21 +34,32 @@ in one process:
     logged through the injected obs hub as an ``engine.auto`` event.
 
 Vectorized stream layout (the engine's own named streams, independent of
-the per-replica scalar streams): per race round the main
-``"vectorized-race"`` stream supplies one ``(T, 3)`` uniform block —
-column 0 a thread's lane-0 out-index draw, column 1 its lane-0 in-index
-draw, column 2 its Exp(1) inversion draw — where ``T`` counts racing
-threads **across all Γ replicas** in replica-major, cardinality-minor
-order.  Main-stream consumption is therefore shape-constant per round.
+the per-replica scalar streams).  ``T`` counts racing threads **across all
+Γ replicas** in replica-major, cardinality-minor order.  The main
+``"vectorized-race"`` stream is read in blocks of ``R`` rounds
+(:meth:`_VectorState.start_block`), two draws per block:
+
+1. an ``(R, T, 2)`` uniform tensor — ``[r, t, 0]`` is thread ``t``'s
+   lane-0 out-index draw in round ``r`` of the block, ``[r, t, 1]`` its
+   lane-0 in-index draw;
+2. then an ``(R, T)`` uniform tensor of Exp(1) inversion draws.
+
+``R = min(rounds left in the segment, 65536 // T)``, where a segment
+(:meth:`_EngineRun.segment_length`) ends at the next dynamic-event
+boundary or the iteration cap and spans at most ``convergence_window``
+rounds.  Because each block lays out all its pair draws before its Exp(1)
+draws, the round a given uniform lands in depends on ``R``: the same seed
+with a different block length is a different (equally valid) trajectory.
+``R`` depends only on the configuration, the schedule and the racing
+population, so a seeded run replays byte-identically.
+
 Only rows whose lane-0 pair violates the capacity (const. 4) draw their
 remaining ``pair_tries - 1`` candidate pairs from the separate
 ``"vectorized-race-retry"`` stream — one ``(rejected, pair_tries - 1, 2)``
-block, first feasible lane wins, budget-exhausted rows park — so the
-common case (ample slack) pays 3 uniforms per thread-round instead of the
-scalar engine's up-to-33.  Both streams replay deterministically: the
-retry block's size is a function of the trajectory, which is a function of
-the seeds alone.  For speed the kernel draws many rounds of the main block
-at once as ``(R, T, 3)``; retry blocks are always per-round.
+block per round, first feasible lane wins, budget-exhausted rows park — so
+the common case (ample slack) pays 3 uniforms per thread-round instead of
+the scalar engine's up-to-33.  The retry block's size is a function of
+the trajectory, which is a function of the seeds alone.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ from repro.core.se import (
     SEResult,
     SEWarmState,
     StochasticExploration,
-    _Replica,
+    _Population,
     instances_match,
 )
 from repro.core.solution import Solution
@@ -94,18 +105,11 @@ SELECTABLE_ENGINES = (AUTO_ENGINE,) + ENGINE_NAMES
 AUTO_VECTORIZE_MIN_WORK = 192
 
 #: Mean rounds between dynamic-event boundaries below which ``auto`` stays
-#: on the scalar family: each boundary forces the batched kernel to sync
-#: its arrays back into thread objects and rebuild them, which dominates
-#: short segments.  Also machine-independent (schedule-derived only).
+#: on the scalar family: each boundary builds thread objects from the
+#: batched kernel's rows for the event re-seat and rebuilds the rows from
+#: them, which dominates short segments.  Also machine-independent
+#: (schedule-derived only).
 AUTO_DENSE_GAP_ROUNDS = 64
-
-
-def count_racing_threads(replica: _Replica) -> int:
-    """Threads of one replica that can race (hold a swappable solution)."""
-    return sum(
-        1 for thread in replica.threads
-        if thread.solution is not None and thread.sel and thread.unsel
-    )
 
 
 def schedule_mean_gap(schedule: Optional[DynamicSchedule], max_iterations: int) -> float:
@@ -157,9 +161,9 @@ class _EngineRun:
     """Driver-side bookkeeping shared by all engines.
 
     Owns exactly the state the pre-engine ``solve`` loop kept on its stack:
-    the named streams, the replicas, the incumbent, traces, detector and
-    applied events.  Engines differ only in how they advance the replicas
-    between event boundaries.
+    the named streams, the replica population, the incumbent, traces,
+    detector and applied events.  Engines differ only in how they advance
+    the population between event boundaries.
     """
 
     def __init__(
@@ -181,27 +185,28 @@ class _EngineRun:
         if warm is None:
             self.generation = 0
             self.streams = RandomStreams(self.config.seed)
-            self.replicas = solver._spawn_replicas(instance, self.streams)
+            self.population: _Population = solver._bootstrap(instance, self.streams)
         else:
-            # Warm start: adopt the carried replicas/streams in place.  The
-            # streams registry's cached generators make every named stream
-            # (init, leave, vectorized-race) *continue* across the handoff.
+            # Warm start: adopt the carried population/streams in place.
+            # The streams registry's cached generators make every named
+            # stream (init, leave, vectorized-race) *continue* across the
+            # handoff.
             self.generation = warm.generation
             self.streams = warm.streams
             self.warm_stats = solver._adopt_replicas(warm, instance)
-            self.replicas = warm.replicas
-        if not any(thread.active for replica in self.replicas for thread in replica.threads):
+            self.population = warm.population
+        if not self.population.any_active():
             raise InfeasibleEpochError(
                 "no feasible solution at any thread cardinality; capacity too small"
             )
         if schedule is not None:
             schedule.reset()
         if self.traced:
-            cardinalities = [t.cardinality for t in self.replicas[0].threads]
+            cardinalities = self.population.thread_cardinalities()
             if warm is None:
                 self.telemetry.event(
                     "se.bootstrap",
-                    replicas=len(self.replicas),
+                    replicas=len(self.population.replica_ids),
                     solution_threads=len(cardinalities),
                     n_lo=min(cardinalities),
                     n_hi=max(cardinalities),
@@ -211,7 +216,7 @@ class _EngineRun:
             else:
                 self.telemetry.event(
                     "se.warm_start",
-                    replicas=len(self.replicas),
+                    replicas=len(self.population.replica_ids),
                     solution_threads=len(cardinalities),
                     generation=self.generation,
                     num_shards=instance.num_shards,
@@ -221,8 +226,7 @@ class _EngineRun:
             window=self.config.convergence_window, tolerance=self.config.tolerance
         )
         if warm is None:
-            best = solver._best_current(self.replicas)
-            self.best = solver._maybe_full_solution(instance, best)
+            self.best = solver._maybe_full_solution(instance, self.population.best())
         elif self.warm_stats["zero_drift"]:
             # Continuing the same solve: the incumbent carries verbatim
             # (it is monotone and already dominates every current
@@ -238,7 +242,7 @@ class _EngineRun:
             # real head start instead of a collapsed stale solution.
             best = solver._rebase_best(warm.best, instance)
             greedy_improve(instance, best)
-            best = solver._pick_better(best, solver._best_current(self.replicas))
+            best = solver._pick_better(best, self.population.best())
             self.best = solver._maybe_full_solution(instance, best)
         if warm is not None and probe is not None:
             # The epoch boundary is itself an event boundary: arm the same
@@ -249,7 +253,7 @@ class _EngineRun:
                 events=[],
                 instance=instance,
                 best=self.best,
-                replicas=self.replicas,
+                replicas=self.population.replicas,
             )
         self.utility_trace: List[float] = []
         self.current_trace: List[float] = []
@@ -267,14 +271,15 @@ class _EngineRun:
         if not fired_events:
             return
         solver = self.solver
-        self.instance = solver._apply_events(
-            self.instance, self.replicas, fired_events, self.streams,
+        population = self.population
+        self.instance = population.instance = solver._apply_events(
+            self.instance, population.replicas, fired_events, self.streams,
             generation=self.generation,
         )
         self.events_applied.extend(fired_events)
         self.detector.reset()
         self.best = solver._rebase_best(self.best, self.instance)
-        self.best = solver._pick_better(self.best, solver._best_current(self.replicas))
+        self.best = solver._pick_better(self.best, population.best())
         self.best = solver._maybe_full_solution(self.instance, self.best)
         if self.probe is not None:
             self.probe(
@@ -282,7 +287,7 @@ class _EngineRun:
                 events=fired_events,
                 instance=self.instance,
                 best=self.best,
-                replicas=self.replicas,
+                replicas=population.replicas,
             )
         if self.traced:
             for event in fired_events:
@@ -360,13 +365,13 @@ class _EngineRun:
             utility_trace=np.asarray(self.utility_trace),
             current_trace=np.asarray(self.current_trace),
             virtual_time_trace=np.asarray(self.time_trace),
-            thread_cardinalities=[t.cardinality for t in self.replicas[0].threads],
+            thread_cardinalities=self.population.thread_cardinalities(),
             engine=self.engine,
-            num_replicas=len(self.replicas),
+            num_replicas=len(self.population.replica_ids),
             events_applied=self.events_applied,
             final_instance=self.instance,
             warm_state=SEWarmState(
-                replicas=self.replicas,
+                population=self.population,
                 streams=self.streams,
                 best=self.best,
                 instance=self.instance,
@@ -411,12 +416,13 @@ def run_serial(run: _EngineRun) -> SEResult:
     config = run.config
     telemetry = run.telemetry
     traced = run.traced
+    replicas = run.population.replicas  # events re-seat these objects in place
     for iteration in range(config.max_iterations):
         run.apply_due_events(iteration)
         round_best: Optional[Solution] = None
         transitions = 0
         fires: List[tuple] = []
-        for replica_index, replica in enumerate(run.replicas):
+        for replica_index, replica in enumerate(replicas):
             fired = replica.race_round()
             if fired is not None and fired.solution is not None:
                 transitions += 1
@@ -431,8 +437,8 @@ def run_serial(run: _EngineRun) -> SEResult:
             _emit_transitions(telemetry, iteration, replica, cardinality, swap_out,
                               swap_in, utility)
         run.best = run.solver._pick_better(run.best, round_best)
-        current = max(replica.current_utility for replica in run.replicas)
-        virtual_time = max(replica.virtual_time for replica in run.replicas)
+        current = max(replica.current_utility for replica in replicas)
+        virtual_time = max(replica.virtual_time for replica in replicas)
         if run.finish_round(iteration, current, virtual_time, transitions):
             break
     return run.result()
@@ -442,10 +448,10 @@ def run_serial(run: _EngineRun) -> SEResult:
 # vectorized engine (batched race kernel, distributional)
 # ------------------------------------------------------------------ #
 class _VectorState:
-    """Flattened array mirror of every *racing* solution thread, Γ-wide.
+    """Flattened array form of every *racing* row of the population, Γ-wide.
 
-    A thread races when it holds a solution with both selected and
-    unselected positions; threads with nothing to swap (e.g. the
+    A row races when it holds a solution with both selected and
+    unselected positions; rows with nothing to swap (e.g. the
     full-cardinality :math:`f_{|I_j|}`) contribute a constant
     ``static_current`` instead.  Rows span **all Γ replicas** in
     replica-major order; each replica's rows additionally scatter into one
@@ -454,62 +460,58 @@ class _VectorState:
     rectangle and the whole round — arming, racing, and every replica's
     fire — is one batch of array ops with no per-group Python loop.
 
-    Hot-path layout: per-thread ``sel``/``unsel`` index rows are stored as
+    Built straight from the population's mask matrix: each racing row's
+    ``sel``/``unsel`` index row lists its selected/unselected positions in
+    ascending order and its utility/weight caches carry verbatim.
+    :meth:`write_back` returns the raced rows to the population.
+
+    Hot-path layout: per-row ``sel``/``unsel`` index rows are stored as
     flat arrays together with ``tx``/``half_beta*value`` gather mirrors, so
     one round costs a handful of ``take`` gathers on ``(T,)`` arrays.  The
     cardinalities never change, so the uniform draws for many rounds are
     pre-shaped into index/log-variate blocks at once
-    (:meth:`start_block`) — stream-equivalent to per-round draws.
+    (:meth:`start_block`).
     """
 
     def __init__(
         self,
-        replicas: List[_Replica],
+        population: _Population,
         instance: EpochInstance,
         config,
         retry_rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.instance = instance
-        self.replicas = replicas
         self.retry_rng = retry_rng
-        self.threads: List = []
-        self.groups: List[Tuple[int, int]] = []
-        static_current = float("-inf")
-        for replica in replicas:
-            start = len(self.threads)
-            for thread in replica.threads:
-                if thread.solution is None:
-                    continue
-                if thread.sel and thread.unsel:
-                    self.threads.append(thread)
-                else:
-                    static_current = max(static_current, thread.solution.utility)
-            self.groups.append((start, len(self.threads)))
-        self.static_current = static_current
-        size = len(self.threads)
-        self.size = size
+        rows = population.rows
         num_shards = instance.num_shards
-        max_sel = max((len(t.sel) for t in self.threads), default=1)
-        max_unsel = max((len(t.unsel) for t in self.threads), default=1)
+        racing = rows.ok & (rows.count > 0) & (rows.count < num_shards)
+        static = rows.ok & ~racing
+        self.static_current = (
+            float(rows.utility[static].max()) if static.any() else float("-inf")
+        )
+        source = np.flatnonzero(racing)
+        self.source = source
+        size = source.size
+        self.size = size
+        masks = rows.masks[source]
+        n_sel = rows.count[source]
+        n_unsel = num_shards - n_sel
+        max_sel = int(n_sel.max()) if size else 1
+        max_unsel = int(n_unsel.max()) if size else 1
         self.max_sel = max_sel
         self.max_unsel = max_unsel
         self.num_shards = num_shards
+        self.n_sel = n_sel
+        self.n_unsel = n_unsel
+        self._sel_slots = np.arange(max_sel) < n_sel[:, None]
         sel = np.zeros((size, max_sel), dtype=np.int64)
         unsel = np.zeros((size, max_unsel), dtype=np.int64)
-        self.n_sel = np.zeros(size, dtype=np.int64)
-        self.n_unsel = np.zeros(size, dtype=np.int64)
-        self.utility = np.zeros(size, dtype=np.float64)
-        self.weight = np.zeros(size, dtype=np.int64)
-        self.cards = np.zeros(size, dtype=np.int64)
-        for row, thread in enumerate(self.threads):
-            solution = thread.solution
-            sel[row, : len(thread.sel)] = thread.sel
-            unsel[row, : len(thread.unsel)] = thread.unsel
-            self.n_sel[row] = len(thread.sel)
-            self.n_unsel[row] = len(thread.unsel)
-            self.utility[row] = solution.utility
-            self.weight[row] = solution.weight
-            self.cards[row] = thread.cardinality
+        sel[self._sel_slots] = np.nonzero(masks)[1]
+        unsel[np.arange(max_unsel) < n_unsel[:, None]] = np.nonzero(~masks)[1]
+        self.utility = rows.utility[source]
+        self.weight = rows.weight[source]
+        family = population.cardinalities
+        self.cards = family[source % family.size] if size else np.empty(0, dtype=np.int64)
         self.len_sel = self.n_sel.astype(np.float64)
         self.len_unsel = self.n_unsel.astype(np.float64)
         self.slack = instance.capacity - self.weight
@@ -533,19 +535,17 @@ class _VectorState:
         self.rows = np.arange(size)
         self.off_sel = (np.arange(size, dtype=np.int64) * max_sel)
         self.off_unsel = (np.arange(size, dtype=np.int64) * max_unsel)
-        self.virtual_times = np.array(
-            [replica.virtual_time for replica in replicas], dtype=np.float64
-        )
+        self.virtual_times = population.virtual_times.copy()
         # Segmented-argmin layout: rows scatter into an inf-padded (Γ, T_max)
         # rectangle at static positions (cardinalities never change between
         # event boundaries), so each replica's minimum armed timer is one
         # row-wise argmin over the rectangle — no per-group Python loop.
         # Slots beyond a group's size are written once and never touched, so
         # the pad buffer needs no per-round re-fill.
-        num_groups = len(self.groups)
+        num_groups = len(population.replica_ids)
         self.num_groups = num_groups
-        starts = np.array([start for start, _ in self.groups], dtype=np.int64)
-        sizes = np.array([end - start for start, end in self.groups], dtype=np.int64)
+        sizes = racing.reshape(num_groups, -1).sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
         self.group_starts = starts
         self.group_sizes = sizes
         pad_width = int(sizes.max()) if size else 1
@@ -741,13 +741,18 @@ class _VectorState:
             count,
         )
 
-    def sync_back(self) -> None:
-        """Write array state back into the thread objects (event boundaries)."""
-        for row, thread in enumerate(self.threads):
-            thread.set_solution(self.solution_at(row))
-        for group, replica in enumerate(self.replicas):
-            replica.virtual_time = float(self.virtual_times[group])
-            replica.recompute_current()
+    def write_back(self, population: _Population) -> None:
+        """Return the raced rows (masks, caches) and replica clocks to ``population``."""
+        rows = population.rows
+        source = self.source
+        rows.masks[source] = False
+        rows.masks[
+            np.repeat(source, self.n_sel),
+            self.sel_flat.reshape(self.size, self.max_sel)[self._sel_slots],
+        ] = True
+        rows.utility[source] = self.utility
+        rows.weight[source] = self.weight
+        population.virtual_times = self.virtual_times
 
 
 def run_vectorized(run: _EngineRun) -> SEResult:
@@ -757,6 +762,7 @@ def run_vectorized(run: _EngineRun) -> SEResult:
     traced = run.traced
     race_rng = run.streams.get("vectorized-race")
     retry_rng = run.streams.get("vectorized-race-retry")
+    population = run.population
     state: Optional[_VectorState] = None
     iteration = 0
     done = False
@@ -768,11 +774,12 @@ def run_vectorized(run: _EngineRun) -> SEResult:
             and schedule.next_iteration <= iteration
         ):
             if state is not None:
-                state.sync_back()
+                state.write_back(population)
                 state = None
             run.apply_due_events(iteration)
         if state is None:
-            state = _VectorState(run.replicas, run.instance, config, retry_rng=retry_rng)
+            population.settle()  # fold in objects an event or probe built
+            state = _VectorState(population, run.instance, config, retry_rng=retry_rng)
         segment = run.segment_length(iteration)
         block_round = 0
         block_rounds = 0
@@ -804,7 +811,7 @@ def run_vectorized(run: _EngineRun) -> SEResult:
         else:
             iteration += segment
     if state is not None:
-        state.sync_back()
+        state.write_back(population)
     return run.result()
 
 
@@ -828,22 +835,26 @@ def run_engine(
     scalar-vs-batched split) and logs the decision as an ``engine.auto``
     telemetry event.
 
-    ``warm`` adopts a prior run's replicas/streams/incumbent before the
-    race starts (see :meth:`StochasticExploration.solve`).  Adoption is
-    engine-independent: one batched repair pass re-seats every carried
-    thread before either engine runs.  The scalar loop then continues the
-    carried thread streams, and the batched kernel rebuilds its flat row
-    space from the adopted threads so warm rows enter *pre-scored* (their
-    incremental utility/weight caches transfer verbatim) while the
-    ``vectorized-race`` streams resume mid-sequence.  ``"auto"``
-    re-evaluates its split on the *adopted* population each solve, so the
+    Both engines start from one population, the ``(Γ·T, N)`` mask matrix
+    of :class:`~repro.core.se._Population`: a cold solve draws it with
+    one batched Alg. 2 pass, and ``warm`` adopts a prior run's
+    population/streams/incumbent instead (see
+    :meth:`StochasticExploration.solve`), re-seating it with one batched
+    repair pass.  The batched kernel races the matrix's rows directly —
+    warm rows enter *pre-scored*, their incremental utility/weight caches
+    carried verbatim, while the ``vectorized-race`` streams resume
+    mid-sequence — and writes the raced rows back into the matrix, which
+    the result's ``warm_state`` carries.  The scalar loop builds thread
+    objects from the matrix and continues their streams; so do dynamic
+    events and probes, whatever the engine.  ``"auto"`` re-evaluates its
+    split on the *adopted* population each solve, so the
     scalar-vs-batched choice tracks the committee count as it drifts
     across epochs.
     """
     run = _EngineRun(solver, instance, schedule, probe, warm=warm)
     engine = solver.config.engine
     if engine == AUTO_ENGINE:
-        racing = count_racing_threads(run.replicas[0])
+        racing = run.population.racing_threads()
         engine, reason = select_engine(solver.config, racing, schedule=schedule)
         if run.traced:
             run.telemetry.event(

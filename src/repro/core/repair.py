@@ -117,7 +117,7 @@ def greedy_improve(instance: EpochInstance, solution: Solution) -> None:
 
 
 class RowRepair(NamedTuple):
-    """Outcome of :func:`resize_rows`, one entry per input row.
+    """A batch of solution rows: the outcome of :func:`resize_rows` or of SE's Alg. 2.
 
     ``masks``/``utility``/``weight``/``count`` hold every row's final state
     and caches; they are meaningful only where ``ok`` is true (a failed row
@@ -129,6 +129,22 @@ class RowRepair(NamedTuple):
     utility: np.ndarray
     weight: np.ndarray
     count: np.ndarray
+
+
+def row_utility(values: np.ndarray, masks: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each row's selected values summed in position order.
+
+    Bit-equal to ``values[mask].sum()`` per row (numpy's pairwise
+    summation): rows of one selected count are summed together as one
+    ``(rows, count)`` row sum.  ``count[r]`` must be row ``r``'s number of
+    selected positions.
+    """
+    utility = np.zeros(len(masks))
+    for size in np.unique(count):
+        rows = np.flatnonzero(count == size)
+        picked = np.nonzero(masks[rows])[1].reshape(rows.size, size)
+        utility[rows] = values[picked].sum(axis=1)
+    return utility
 
 
 def _first(where: np.ndarray, order: np.ndarray) -> tuple:
@@ -173,9 +189,8 @@ def resize_rows(
     evolve exactly as :class:`Solution` moves would evolve them one thread
     at a time:
 
-    * the starting utility is the mask's selected values summed in position
-      order (``values[mask].sum()``, numpy's pairwise summation), done per
-      selected-count group as one ``(rows, count)`` row sum;
+    * the starting utility is :func:`row_utility`, bit-equal to
+      ``values[mask].sum()`` per row;
     * a swap is two flips, ``+= -v_out`` then ``+= v_in``;
     * ties break to the lowest position.
 
@@ -188,11 +203,7 @@ def resize_rows(
     masks = np.array(masks, dtype=bool)
     cardinalities = np.asarray(cardinalities, dtype=np.int64)
     count = masks.sum(axis=1, dtype=np.int64)
-    utility = np.zeros(len(masks))
-    for size in np.unique(count):
-        rows = np.flatnonzero(count == size)
-        picked = np.nonzero(masks[rows])[1].reshape(rows.size, size)
-        utility[rows] = values[picked].sum(axis=1)
+    utility = row_utility(values, masks, count)
     weight = np.where(masks, tx_counts, 0).sum(axis=1)
     ok = np.ones(len(masks), dtype=bool)
     best_value = np.argsort(-values, kind="stable")

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dynamics import CommitteeEvent, DynamicSchedule, EventKind
 from repro.core.problem import DEFAULT_BETA, DEFAULT_TAU, EpochInstance
-from repro.core.repair import repair_feasibility, resize_rows
+from repro.core.repair import RowRepair, repair_feasibility, resize_rows, row_utility
 from repro.core.solution import Solution
 from repro.core.timers import clamped_exp
 from repro.analysis.contracts import feasible_result
@@ -147,8 +147,9 @@ class SEResult:
 class SEWarmState:
     """Carryable solver state: everything epoch *e+1* can reuse from epoch *e*.
 
-    ``replicas`` are the live executor replicas with their per-thread
-    solutions and named RNG streams; ``streams`` is the run's
+    ``population`` is the live Γ×thread population (:class:`_Population`:
+    one mask matrix with the per-row solution caches, thread streams and
+    replica clocks); ``streams`` is the run's
     :class:`~repro.sim.rng.RandomStreams` registry, whose cached generators
     *continue* (init/leave/vectorized-race streams resume mid-sequence
     rather than restarting); ``best`` is the incumbent λ and ``instance``
@@ -157,16 +158,21 @@ class SEWarmState:
     cross-epoch spawns never correlate.
 
     A warm state is *consumed* by ``solve(warm=...)``: the adopting run
-    re-seats these replica objects in place and races them, so reusing one
-    warm state for two solves is undefined.  Chain linearly — each result's
+    re-seats this population in place and races it, so reusing one warm
+    state for two solves is undefined.  Chain linearly — each result's
     ``warm_state`` seeds exactly the next solve (the serve loop's usage).
     """
 
-    replicas: List["_Replica"]
+    population: "_Population"
     streams: RandomStreams
     best: Solution
     instance: EpochInstance
     generation: int = 1
+
+    @property
+    def replicas(self) -> List["_Replica"]:
+        """The population as executor/thread objects (built on first read)."""
+        return self.population.replicas
 
 
 class _ThreadRng:
@@ -176,13 +182,25 @@ class _ThreadRng:
     Twister's C-level ``random()`` is an order of magnitude cheaper per
     call than a ``numpy.random.Generator`` scalar draw, and each thread
     owning its own named stream (via :func:`repro.sim.rng.spawn_fast_rng`)
-    preserves stream isolation.
+    preserves stream isolation.  Only the serial engine draws from it, so
+    the stream is seeded on its first draw: a thread that never races
+    scalar never pays the seed derivation.
     """
 
-    __slots__ = ("_rnd",)
+    __slots__ = ("_seed_stream", "_stream")
 
     def __init__(self, root_seed: int, name: str) -> None:
-        self._rnd = spawn_fast_rng(root_seed, name)
+        # Deferred, not skipped: the first draw runs this seeding (and the
+        # stream-key lint still sees ``name`` flow into spawn_fast_rng).
+        self._seed_stream = lambda: spawn_fast_rng(root_seed, name)
+        self._stream = None
+
+    @property
+    def _rnd(self):
+        """The Mersenne Twister behind this stream (seeded on first use)."""
+        if self._stream is None:
+            self._stream = self._seed_stream()
+        return self._stream
 
     @property
     def uniform(self):
@@ -245,47 +263,13 @@ class _SolutionThread:
     def initialize(self, instance: EpochInstance, np_rng: np.random.Generator) -> bool:
         """Random feasible solution with exactly ``self.cardinality`` shards.
 
-        Alg. 2 re-picks random ``n``-subsets until Cons. (4) holds; we
-        realise the same distribution's support in one vectorised pass: a
-        uniform random ``n``-subset, repaired (when over capacity) by
-        swapping its heaviest members for the lightest outsiders until the
-        capacity holds.  Falls back to the ``n`` lightest shards, so a
-        feasible cardinality never deactivates.
+        Alg. 2 for this one thread: :func:`_initialize_rows` over a
+        single row, so a thread re-seated at a dynamic event draws exactly
+        as a bootstrapped one.
         """
-        n = self.cardinality
-        self.timer = None
-        if not 0 < n <= instance.num_shards:
-            self.set_solution(None)
-            return False
-        tx_counts = instance.tx_counts
-        permutation = np_rng.permutation(instance.num_shards)
-        chosen, outside = permutation[:n], permutation[n:]
-        weight = int(tx_counts[chosen].sum())
-        if weight > instance.capacity and len(outside):
-            heavy_first = chosen[np.argsort(-tx_counts[chosen], kind="stable")]
-            light_first = outside[np.argsort(tx_counts[outside], kind="stable")]
-            swaps = min(len(heavy_first), len(light_first))
-            # relief[k] = weight shed by the first k+1 swaps.  Its increments
-            # (heaviest-in minus lightest-out) are non-increasing and can go
-            # *negative* once the remaining outsiders outweigh the remaining
-            # picks, so relief itself is NOT sorted — searchsorted on it is
-            # undefined and used to collapse repairable draws to lightest-n.
-            # The running maximum is sorted and crosses the deficit at the
-            # same minimal k, so search that instead.
-            relief = np.cumsum(tx_counts[heavy_first[:swaps]] - tx_counts[light_first[:swaps]])
-            best_relief = np.maximum.accumulate(relief)
-            deficit = weight - instance.capacity
-            needed = int(np.searchsorted(best_relief, deficit, side="left")) + 1
-            if needed <= swaps and best_relief[needed - 1] >= deficit:
-                chosen = np.concatenate([heavy_first[needed:], light_first[:needed]])
-            else:
-                chosen = np.argsort(tx_counts, kind="stable")[:n]  # lightest-n fallback
-        candidate = Solution.from_indices(instance, chosen)
-        if candidate.capacity_feasible:
-            self.set_solution(candidate)
-            return True
-        self.set_solution(None)
-        return False
+        rows = _initialize_rows(instance, [(np_rng, [self.cardinality])])
+        self.set_solution(_row_solution(instance, rows, 0) if rows.ok[0] else None)
+        return bool(rows.ok[0])
 
     # -------------------------------------------------------------- #
     # Alg. 3: Set-timer()
@@ -426,6 +410,157 @@ class _Replica:
         return best
 
 
+class _Population:
+    """The Γ×thread population of Fig. 5 as one ``(Γ·T, N)`` mask matrix.
+
+    Row ``g * T + k`` is the solution thread :math:`f_n`,
+    ``n = cardinalities[k]``, of executor ``replica_ids[g]`` (every replica
+    hosts the same family).  ``rows`` holds them as one
+    :class:`~repro.core.repair.RowRepair`: a row holds a solution iff
+    ``rows.ok[row]``, and ``masks``/``utility``/``weight``/``count`` are its
+    selection and the :class:`Solution` caches, carried verbatim from
+    whatever produced them (Alg. 2, the adoption repair or the race
+    kernel).  ``rngs[row]`` is the thread's scalar stream and
+    ``virtual_times[g]`` replica ``g``'s race clock.
+
+    The vectorized engine and warm adoption work on these arrays alone.
+    Executor/thread objects (:class:`_Replica`, :class:`_SolutionThread`)
+    are built from them only when something reads them — the serial
+    engine, dynamic events, probes — and from then on the objects own the
+    state (they may be mutated in place); :meth:`settle` folds them back
+    into rows.  The queries below read whichever form owns the state, so
+    they never force a conversion.
+    """
+
+    def __init__(
+        self,
+        config: SEConfig,
+        instance: EpochInstance,
+        replica_ids: Sequence[int],
+        cardinalities: Sequence[int],
+        rows: RowRepair,
+        rngs: List[_ThreadRng],
+        virtual_times: np.ndarray,
+    ) -> None:
+        self.config = config
+        self.replica_ids = list(replica_ids)
+        self.virtual_times = virtual_times
+        self.reseat(instance, cardinalities, rows, rngs)
+
+    def reseat(
+        self,
+        instance: EpochInstance,
+        cardinalities: Sequence[int],
+        rows: RowRepair,
+        rngs: List[_ThreadRng],
+    ) -> None:
+        """Install a new thread family's rows (replica clocks carry over)."""
+        self.instance = instance
+        self.cardinalities = np.asarray(cardinalities, dtype=np.int64)
+        self.rows = rows
+        self.rngs = rngs
+        self._replicas: Optional[List[_Replica]] = None
+
+    @property
+    def replicas(self) -> List[_Replica]:
+        """The population as executor/thread objects, built on first read."""
+        if self._replicas is None:
+            rows = self.rows
+            size = len(self.cardinalities)
+            replicas = []
+            for group, replica_id in enumerate(self.replica_ids):
+                threads = []
+                for k, cardinality in enumerate(self.cardinalities.tolist()):
+                    row = group * size + k
+                    thread = _SolutionThread(cardinality, self.rngs[row], self.config)
+                    if rows.ok[row]:
+                        thread.set_solution(_row_solution(self.instance, rows, row))
+                    threads.append(thread)
+                replica = _Replica(replica_id, threads)
+                replica.virtual_time = float(self.virtual_times[group])
+                replicas.append(replica)
+            self._replicas = replicas
+        return self._replicas
+
+    def settle(self) -> None:
+        """Fold built thread objects back into the rows (no-op when none exist)."""
+        replicas = self._replicas
+        if replicas is None:
+            return
+        threads = [thread for replica in replicas for thread in replica.threads]
+        solutions = [thread.solution for thread in threads]
+        held = [s for s in solutions if s is not None]
+        ok = np.array([s is not None for s in solutions], dtype=bool)
+        utility = np.zeros(len(threads))
+        weight = np.zeros(len(threads), dtype=np.int64)
+        count = np.zeros(len(threads), dtype=np.int64)
+        utility[ok] = [s.utility for s in held]
+        weight[ok] = [s.weight for s in held]
+        count[ok] = [s.count for s in held]
+        self.virtual_times = np.array([replica.virtual_time for replica in replicas])
+        self.reseat(
+            self.instance,
+            [thread.cardinality for thread in replicas[0].threads],
+            RowRepair(ok, _solution_masks(solutions, self.instance.num_shards),
+                      utility, weight, count),
+            [thread.rng for thread in threads],
+        )
+
+    def rebind(self, instance: EpochInstance) -> None:
+        """Point every solution at a value-equal ``instance``; disarm timers."""
+        self.instance = instance
+        for replica in self._replicas or ():
+            for thread in replica.threads:
+                thread.timer = None
+                if thread.solution is not None:
+                    # Identity rebind only: the instance is value-equal, so
+                    # every cache stays bit-valid.
+                    thread.solution.instance = instance
+
+    def thread_cardinalities(self) -> List[int]:
+        """Each replica's thread family, in row order."""
+        if self._replicas is not None:
+            return [thread.cardinality for thread in self._replicas[0].threads]
+        return self.cardinalities.tolist()
+
+    def any_active(self) -> bool:
+        """True when at least one thread holds a solution."""
+        if self._replicas is not None:
+            return any(t.active for replica in self._replicas for t in replica.threads)
+        return bool(self.rows.ok.any())
+
+    def racing_threads(self) -> int:
+        """Threads of one replica that can race (hold a swappable solution)."""
+        if self._replicas is not None:
+            return sum(
+                1 for t in self._replicas[0].threads
+                if t.solution is not None and t.sel and t.unsel
+            )
+        head = slice(0, len(self.cardinalities))
+        count = self.rows.count[head]
+        return int(np.count_nonzero(
+            self.rows.ok[head] & (count > 0) & (count < self.instance.num_shards)
+        ))
+
+    def best(self) -> Solution:
+        """A copy of the best current solution; ties go to the first row."""
+        if self._replicas is not None:
+            best = None
+            for replica in self._replicas:
+                candidate = replica.best_solution()
+                if candidate is not None and (best is None or candidate.utility > best.utility):
+                    best = candidate
+            if best is None:
+                raise InfeasibleEpochError("all solution threads are inactive")
+            return best.copy()
+        rows = self.rows
+        if not rows.ok.any():
+            raise InfeasibleEpochError("all solution threads are inactive")
+        return _row_solution(
+            self.instance, rows, int(np.argmax(np.where(rows.ok, rows.utility, -np.inf)))
+        )
+
+
 def instances_match(a: EpochInstance, b: EpochInstance) -> bool:
     """True when two instances are interchangeable for a warm start.
 
@@ -463,23 +598,131 @@ def should_bootstrap(instance: EpochInstance) -> bool:
     )
 
 
-def _rebased_masks(
-    solutions: Sequence[Solution], old: EpochInstance, new: EpochInstance
-) -> np.ndarray:
-    """Project solutions scored on ``old`` onto ``new`` by shard id, as one matrix.
+def _solution_masks(solutions: Sequence[Optional[Solution]], num_shards: int) -> np.ndarray:
+    """Stack solutions' selections into one ``(R, N)`` matrix (``None`` rows empty)."""
+    blank = bytes(num_shards)
+    joined = b"".join(blank if s is None else s.selected for s in solutions)
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(solutions), num_shards) != 0
 
-    Row ``r`` equals ``solutions[r].rebase(new).mask``: members whose
-    committee left are dropped and joined committees start unselected.
+
+def _rebased_masks(
+    rows: "np.ndarray | Sequence[Solution]", old: EpochInstance, new: EpochInstance
+) -> np.ndarray:
+    """Project selections scored on ``old`` onto ``new`` by shard id, as one matrix.
+
+    ``rows`` is an ``(R, N_old)`` mask matrix or a sequence of solutions.
+    Row ``r`` of the result equals ``Solution(old, rows[r]).rebase(new).mask``:
+    members whose committee left are dropped and joined committees start
+    unselected.
     """
+    if not isinstance(rows, np.ndarray):
+        rows = _solution_masks(rows, old.num_shards)
     position = {shard_id: p for p, shard_id in enumerate(new.shard_ids)}
     target = np.array([position.get(sid, -1) for sid in old.shard_ids], dtype=np.int64)
     kept = target >= 0
-    old_masks = np.frombuffer(
-        b"".join(solution.selected for solution in solutions), dtype=np.uint8
-    ).reshape(len(solutions), old.num_shards)
-    masks = np.zeros((len(solutions), new.num_shards), dtype=bool)
-    masks[:, target[kept]] = old_masks[:, kept] != 0
+    masks = np.zeros((len(rows), new.num_shards), dtype=bool)
+    masks[:, target[kept]] = rows[:, kept]
     return masks
+
+
+def _relieve_capacity(
+    instance: EpochInstance, permutation: np.ndarray, n: int, deficit: int
+) -> np.ndarray:
+    """Alg. 2's repair of one over-Ĉ draw; returns the ``n`` chosen positions.
+
+    The draw is the first ``n`` positions of ``permutation``.  Its
+    heaviest members swap for the lightest outsiders (both orders stable
+    over the permutation, so ties go to the earlier draw) until the
+    ``deficit`` is shed; when no number of swaps sheds it, the ``n``
+    lightest shards are chosen instead.
+    """
+    tx_counts = instance.tx_counts
+    chosen, outside = permutation[:n], permutation[n:]
+    heavy_first = chosen[np.argsort(-tx_counts[chosen], kind="stable")]
+    light_first = outside[np.argsort(tx_counts[outside], kind="stable")]
+    swaps = min(len(heavy_first), len(light_first))
+    # relief[k] = weight shed by the first k+1 swaps.  Its increments
+    # (heaviest-in minus lightest-out) are non-increasing and can go
+    # *negative* once the remaining outsiders outweigh the remaining
+    # picks, so relief itself is NOT sorted — searchsorted on it is
+    # undefined and used to collapse repairable draws to lightest-n.
+    # The running maximum is sorted and crosses the deficit at the
+    # same minimal k, so search that instead.
+    relief = np.cumsum(tx_counts[heavy_first[:swaps]] - tx_counts[light_first[:swaps]])
+    best_relief = np.maximum.accumulate(relief)
+    needed = int(np.searchsorted(best_relief, deficit, side="left")) + 1
+    if needed <= swaps and best_relief[needed - 1] >= deficit:
+        return np.concatenate([heavy_first[needed:], light_first[:needed]])
+    return np.argsort(tx_counts, kind="stable")[:n]  # lightest-n fallback
+
+
+def _initialize_rows(
+    instance: EpochInstance,
+    draws: Sequence[Tuple[np.random.Generator, Sequence[int]]],
+) -> RowRepair:
+    """Alg. 2 for a batch of solution threads, one random feasible solution per row.
+
+    ``draws`` lists, per executor replica, its init stream and the
+    cardinalities to initialise from it, in order; the rows come back in
+    that order.  Alg. 2 re-picks random ``n``-subsets until Cons. (4)
+    holds; we realise the same distribution's support in one pass:
+
+    * each stream draws one uniform permutation of the ``N`` positions per
+      row whose cardinality ``n`` lies in ``(0, N]``, as one
+      ``Generator.permuted`` call (it consumes exactly what that many
+      successive ``permutation(N)`` calls would), and the row selects the
+      permutation's first ``n`` positions;
+    * an over-Ĉ row takes :func:`_relieve_capacity`'s swap repair.
+
+    A row is ``ok`` when its cardinality was in range and its selection
+    fits Ĉ.  The utility cache is a per-count row sum, bit-equal to
+    ``values[mask].sum()`` (:func:`repro.core.repair.row_utility`), so a row
+    carries exactly the caches a :class:`Solution` built from its mask
+    would compute.
+    """
+    num_shards = instance.num_shards
+    tx_counts = instance.tx_counts
+    capacity = instance.capacity
+    cardinalities = np.concatenate(
+        [np.asarray(cards, dtype=np.int64).reshape(-1) for _, cards in draws]
+    )
+    drawn = (cardinalities > 0) & (cardinalities <= num_shards)
+    # Rows that draw nothing keep the identity order; their masks are
+    # empty (n <= 0) or full (n > N) and never ok.
+    permutations = np.tile(np.arange(num_shards), (cardinalities.size, 1))
+    start = 0
+    for rng, cards in draws:
+        rows = start + np.flatnonzero(drawn[start : start + len(cards)])
+        if rows.size:
+            permutations[rows] = rng.permuted(permutations[rows], axis=1)
+        start += len(cards)
+    masks = np.zeros(permutations.shape, dtype=bool)
+    masks[np.arange(cardinalities.size)[:, None], permutations] = (
+        np.arange(num_shards) < cardinalities[:, None]
+    )
+    weight = np.where(masks, tx_counts, 0).sum(axis=1)
+    for row in np.flatnonzero(drawn & (weight > capacity) & (cardinalities < num_shards)):
+        n = int(cardinalities[row])
+        chosen = _relieve_capacity(
+            instance, permutations[row], n, int(weight[row]) - capacity
+        )
+        masks[row] = False
+        masks[row, chosen] = True
+        weight[row] = tx_counts[chosen].sum()
+    count = np.clip(cardinalities, 0, num_shards)
+    utility = row_utility(instance.values, masks, count)
+    return RowRepair(drawn & (weight <= capacity), masks, utility, weight, count)
+
+
+def _row_solution(instance: EpochInstance, rows: RowRepair, row: int) -> Solution:
+    """Row ``row`` of a row batch as a :class:`Solution`, caches verbatim."""
+    return Solution.from_cached(
+        instance,
+        rows.masks[row].tobytes(),
+        float(rows.utility[row]),
+        int(rows.weight[row]),
+        int(rows.count[row]),
+    )
 
 
 class StochasticExploration:
@@ -576,24 +819,34 @@ class StochasticExploration:
             cardinalities = sorted({cardinalities[int(round(p))] for p in positions})
         return cardinalities
 
-    def _spawn_replicas(self, instance: EpochInstance, streams: RandomStreams) -> List[_Replica]:
+    def _bootstrap(self, instance: EpochInstance, streams: RandomStreams) -> _Population:
+        """Alg. 1 line 3: every replica's thread family, each with an Alg. 2 solution.
+
+        One :func:`_initialize_rows` batch over all Γ×T rows; replica ``g``
+        draws its rows' permutations from ``replica-{g}-init``.  Thread
+        streams are named here and seeded only if the serial engine draws.
+        """
         cardinalities = self.thread_cardinalities(instance)
-        replicas = []
-        for replica_id in range(self.config.num_threads):
-            init_rng = streams.get(f"replica-{replica_id}-init")
-            threads = []
-            for cardinality in cardinalities:
-                rng = _ThreadRng(streams.seed, f"replica-{replica_id}-n{cardinality}")
-                thread = _SolutionThread(cardinality=cardinality, thread_rng=rng, config=self.config)
-                thread.initialize(instance, init_rng)
-                threads.append(thread)
-            replicas.append(_Replica(replica_id, threads))
-        return replicas
+        replica_ids = range(self.config.num_threads)
+        rows = _initialize_rows(
+            instance,
+            [(streams.get(f"replica-{replica_id}-init"), cardinalities)
+             for replica_id in replica_ids],
+        )
+        rngs = [
+            _ThreadRng(streams.seed, f"replica-{replica_id}-n{cardinality}")
+            for replica_id in replica_ids
+            for cardinality in cardinalities
+        ]
+        return _Population(
+            self.config, instance, replica_ids, cardinalities, rows, rngs,
+            np.zeros(self.config.num_threads),
+        )
 
     def _adopt_replicas(
         self, warm: SEWarmState, instance: EpochInstance
     ) -> dict:
-        """Re-seat a prior run's replicas onto ``instance`` (warm start).
+        """Re-seat a prior run's population onto ``instance`` (warm start).
 
         The generalisation of :meth:`_apply_events`'s join/leave re-seating
         to "the whole population drifted": every retained thread's solution
@@ -609,116 +862,97 @@ class StochasticExploration:
         generation-namespaced streams so the Mersenne sequences of
         different epochs' spawns never coincide.
 
-        The repair is one batched pass over every carried thread of every
-        replica: the rebased masks form one ``(T, N)`` matrix that
-        :func:`repro.core.repair.resize_rows` pads/trims back to each
-        thread's cardinality and re-anchors with a few improving swaps, and
-        each repaired row is installed with its caches verbatim.  The pass
-        draws no randomness, so only spawned and unrepairable threads touch
-        the init streams — in replica/cardinality order, as a thread-by-
-        thread repair would draw them.
+        The whole adoption works on the population's mask matrix: the
+        carried rows are rebased as one matrix, one
+        :func:`repro.core.repair.resize_rows` pass pads/trims them back to
+        their cardinality and re-anchors them with a few improving swaps,
+        and one :func:`_initialize_rows` batch re-draws the spawned and
+        unrepairable rows.  The repair draws no randomness, so only those
+        rows touch the init streams — in replica/cardinality order, as a
+        thread-by-thread adoption would draw them.  No thread object is
+        built.
 
         With zero drift (a value-equal instance) adoption is cache-verbatim:
-        solutions keep their incrementally-maintained utility/weight caches
-        (recomputing from the mask can differ in the last bit), which is
-        what makes a warm scalar solve byte-identical to continuing the
-        same solve.  Mutates ``warm.replicas`` in place; returns re-seat
-        stats for the ``se.warm_start`` event.
+        the population, thread objects included when the serial engine
+        built them, carries over untouched (recomputing a utility from the
+        mask can differ in the last bit), which is what makes a warm scalar
+        solve byte-identical to continuing the same solve.  Mutates
+        ``warm.population`` in place; returns re-seat stats for the
+        ``se.warm_start`` event.
         """
-        replicas = warm.replicas
-        if len(replicas) != self.config.num_threads:
+        population = warm.population
+        gamma = len(population.replica_ids)
+        if gamma != self.config.num_threads:
             raise ValueError(
-                f"warm state carries {len(replicas)} replicas but config.num_threads "
+                f"warm state carries {gamma} replicas but config.num_threads "
                 f"(Gamma) is {self.config.num_threads}; warm starts cannot resize Gamma"
             )
         streams = warm.streams
         if instances_match(warm.instance, instance):
-            for replica in replicas:
-                for thread in replica.threads:
-                    thread.timer = None
-                    if thread.solution is not None:
-                        # Identity rebind only: the caller's instance is
-                        # value-equal, so every cache stays bit-valid.
-                        thread.solution.instance = instance
-            return {"retained": sum(len(r.threads) for r in replicas),
+            population.rebind(instance)
+            return {"retained": gamma * len(population.thread_cardinalities()),
                     "reseated": 0, "spawned": 0, "zero_drift": True}
+        population.settle()
+        old = population.rows
         cardinalities = self.thread_cardinalities(instance)
-        seats = []
-        carried: List[_SolutionThread] = []
-        for replica in replicas:
-            existing = {thread.cardinality: thread for thread in replica.threads}
-            seats.append([existing.pop(cardinality, None) for cardinality in cardinalities])
-            carried.extend(
-                thread for thread in seats[-1]
-                if thread is not None and thread.solution is not None
-            )
+        family = np.array(cardinalities, dtype=np.int64)
+        column = {int(c): k for k, c in enumerate(population.cardinalities.tolist())}
+        seat = np.array([column.get(c, -1) for c in cardinalities], dtype=np.int64)
+        seated = np.tile(seat >= 0, gamma)
+        source = np.where(
+            seated,
+            (np.arange(gamma)[:, None] * len(population.cardinalities) + seat).reshape(-1),
+            0,
+        )
         # Departed members are padded back and the stale membership
         # re-anchored with a few cardinality-preserving improving swaps;
-        # each thread keeps its own carried base, so the population keeps
+        # each row keeps its own carried base, so the population keeps
         # its diversity.
+        carried = np.flatnonzero(seated & old.ok[source])
         repair = resize_rows(
             instance,
-            _rebased_masks([thread.solution for thread in carried], warm.instance, instance),
-            np.array([thread.cardinality for thread in carried], dtype=np.int64),
+            _rebased_masks(old.masks[source[carried]], warm.instance, instance),
+            np.tile(family, gamma)[carried],
         )
-        for row, thread in enumerate(carried):
-            thread.set_solution(
-                Solution.from_cached(
-                    instance,
-                    repair.masks[row].tobytes(),
-                    float(repair.utility[row]),
-                    int(repair.weight[row]),
-                    int(repair.count[row]),
-                )
-                if repair.ok[row]
-                else None
-            )
-        retained = reseated = spawned = 0
-        for replica, seat in zip(replicas, seats):
-            replica_id = replica.replica_id
-            # The init stream continues across epochs, exactly as it does
-            # across dynamic events within one solve (see _apply_events).
-            # repro: ignore[MV101]
-            init_rng = streams.get(f"replica-{replica_id}-init")
-            threads = []
-            for cardinality, thread in zip(cardinalities, seat):
-                if thread is None:
-                    rng = _ThreadRng(
+        size = gamma * len(cardinalities)
+        rows = RowRepair(
+            np.zeros(size, dtype=bool),
+            np.zeros((size, instance.num_shards), dtype=bool),
+            np.zeros(size),
+            np.zeros(size, dtype=np.int64),
+            np.zeros(size, dtype=np.int64),
+        )
+        for mine, theirs in zip(rows, repair):
+            mine[carried] = theirs
+        # The init stream continues across epochs, exactly as it does
+        # across dynamic events within one solve (see _apply_events).
+        redo = ~rows.ok.reshape(gamma, len(cardinalities))
+        fresh = _initialize_rows(
+            instance,
+            [
+                # repro: ignore[MV101]
+                (streams.get(f"replica-{replica_id}-init"), family[redo[group]])
+                for group, replica_id in enumerate(population.replica_ids)
+            ],
+        )
+        for mine, theirs in zip(rows, fresh):
+            mine[redo.reshape(-1)] = theirs
+        rngs = []
+        for group, replica_id in enumerate(population.replica_ids):
+            for k, cardinality in enumerate(cardinalities):
+                rngs.append(
+                    population.rngs[source[group * len(cardinalities) + k]]
+                    if seat[k] >= 0
+                    else _ThreadRng(
                         streams.seed,
                         f"replica-{replica_id}-gen{warm.generation}-n{cardinality}",
                     )
-                    thread = _SolutionThread(
-                        cardinality=cardinality, thread_rng=rng, config=self.config
-                    )
-                    thread.initialize(instance, init_rng)
-                    spawned += 1
-                elif thread.solution is not None:
-                    retained += 1  # repaired above: re-scored, still valid
-                else:
-                    thread.initialize(instance, init_rng)
-                    reseated += 1
-                thread.timer = None
-                threads.append(thread)
-            replica.threads = threads
-            replica.recompute_current()
-        return {"retained": retained, "reseated": reseated, "spawned": spawned,
-                "zero_drift": False}
-
-    @staticmethod
-    def _best_current(replicas: Sequence[_Replica]) -> Solution:
-        best = None
-        for replica in replicas:
-            candidate = replica.best_solution()
-            if candidate is not None and (best is None or candidate.utility > best.utility):
-                best = candidate
-        if best is None:
-            raise InfeasibleEpochError("all solution threads are inactive")
-        return best.copy()
-
-    @staticmethod
-    def _current_utility(replicas: Sequence[_Replica]) -> float:
-        """Best current utility across replicas (cached running maxes)."""
-        return max(replica.current_utility for replica in replicas)
+                )
+        population.reseat(instance, cardinalities, rows, rngs)
+        spawned = int(np.count_nonzero(~seated))
+        retained = int(np.count_nonzero(repair.ok))
+        return {"retained": retained, "reseated": size - spawned - retained,
+                "spawned": spawned, "zero_drift": False}
 
     @staticmethod
     def _pick_better(best: Solution, candidate: Optional[Solution]) -> Solution:
@@ -777,7 +1011,7 @@ class StochasticExploration:
         spawned = reinitialised = 0
         for replica in replicas:
             replica_id = replica.replica_id
-            # Intentionally the same stream as _spawn_replicas: a reseated
+            # Intentionally the same stream as _bootstrap: a reseated
             # replica *continues* its init sequence rather than restarting
             # it, so replay stays byte-identical across dynamic events.
             # repro: ignore[MV101]

@@ -1,15 +1,19 @@
-"""Scalar oracle for the batched warm-adoption repair.
+"""Scalar oracles for the batched population moves.
 
-These are the one-thread-at-a-time repair moves that warm adoption used
-before :func:`repro.core.repair.resize_rows` batched them over the whole
-Γ×thread population.  They stay here, outside the package, as the
-reference the batched pass must match bit for bit
-(``tests/test_repair_properties.py``):
+These are the one-thread-at-a-time moves that SE used before the
+Γ×thread population became one mask matrix: the warm-adoption repair that
+:func:`repro.core.repair.resize_rows` batches, and the Alg. 2 bootstrap
+that ``repro.core.se._initialize_rows`` batches.  They stay here, outside
+the package, as the reference the batched passes must match bit for bit
+(``tests/test_repair_properties.py``,
+``tests/test_se_bootstrap_properties.py``):
 
 * :func:`resize_to_cardinality` coerces one rebased solution back to its
   thread's exact cardinality under Ĉ;
 * :func:`greedy_swap_improve` re-anchors it with a few improving swaps;
-* :func:`adopt_scalar` is the whole per-thread adoption loop built on them.
+* :func:`initialize_scalar` is Alg. 2 for one thread;
+* :func:`spawn_scalar` is the per-thread cold bootstrap built on it;
+* :func:`adopt_scalar` is the whole per-thread adoption loop.
 """
 
 from __future__ import annotations
@@ -17,8 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.problem import EpochInstance
-from repro.core.se import SEWarmState, StochasticExploration, _SolutionThread, _ThreadRng
+from repro.core.se import (
+    SEWarmState,
+    StochasticExploration,
+    _Replica,
+    _SolutionThread,
+    _ThreadRng,
+)
 from repro.core.solution import Solution
+from repro.sim.rng import RandomStreams
 
 
 def resize_to_cardinality(
@@ -103,6 +114,67 @@ def greedy_swap_improve(
         solution.swap(worst, best)
 
 
+def initialize_scalar(
+    thread: _SolutionThread, instance: EpochInstance, np_rng: np.random.Generator
+) -> bool:
+    """Alg. 2 for one thread: a random feasible solution of its cardinality.
+
+    Draws one ``permutation(N)`` and takes its first ``n`` positions; an
+    over-Ĉ draw swaps its heaviest members for the lightest outsiders until
+    the capacity holds, falling back to the ``n`` lightest shards.  A
+    cardinality outside ``(0, N]`` draws nothing and deactivates.
+    """
+    n = thread.cardinality
+    thread.timer = None
+    if not 0 < n <= instance.num_shards:
+        thread.set_solution(None)
+        return False
+    tx_counts = instance.tx_counts
+    permutation = np_rng.permutation(instance.num_shards)
+    chosen, outside = permutation[:n], permutation[n:]
+    weight = int(tx_counts[chosen].sum())
+    if weight > instance.capacity and len(outside):
+        heavy_first = chosen[np.argsort(-tx_counts[chosen], kind="stable")]
+        light_first = outside[np.argsort(tx_counts[outside], kind="stable")]
+        swaps = min(len(heavy_first), len(light_first))
+        relief = np.cumsum(tx_counts[heavy_first[:swaps]] - tx_counts[light_first[:swaps]])
+        best_relief = np.maximum.accumulate(relief)
+        deficit = weight - instance.capacity
+        needed = int(np.searchsorted(best_relief, deficit, side="left")) + 1
+        if needed <= swaps and best_relief[needed - 1] >= deficit:
+            chosen = np.concatenate([heavy_first[needed:], light_first[:needed]])
+        else:
+            chosen = np.argsort(tx_counts, kind="stable")[:n]  # lightest-n fallback
+    candidate = Solution.from_indices(instance, chosen)
+    if candidate.capacity_feasible:
+        thread.set_solution(candidate)
+        return True
+    thread.set_solution(None)
+    return False
+
+
+def spawn_scalar(
+    solver: StochasticExploration, instance: EpochInstance, streams: RandomStreams
+) -> list:
+    """The cold bootstrap one thread at a time (the batched pass's reference).
+
+    Same contract as ``StochasticExploration._bootstrap``: replica ``g``
+    initialises its threads in cardinality order from ``replica-{g}-init``.
+    """
+    cardinalities = solver.thread_cardinalities(instance)
+    replicas = []
+    for replica_id in range(solver.config.num_threads):
+        init_rng = streams.get(f"replica-{replica_id}-init")
+        threads = []
+        for cardinality in cardinalities:
+            rng = _ThreadRng(streams.seed, f"replica-{replica_id}-n{cardinality}")
+            thread = _SolutionThread(cardinality=cardinality, thread_rng=rng, config=solver.config)
+            initialize_scalar(thread, instance, init_rng)
+            threads.append(thread)
+        replicas.append(_Replica(replica_id, threads))
+    return replicas
+
+
 def adopt_scalar(
     solver: StochasticExploration, warm: SEWarmState, instance: EpochInstance
 ) -> dict:
@@ -130,7 +202,7 @@ def adopt_scalar(
                 thread = _SolutionThread(
                     cardinality=cardinality, thread_rng=rng, config=solver.config
                 )
-                thread.initialize(instance, init_rng)
+                initialize_scalar(thread, instance, init_rng)
                 spawned += 1
             else:
                 rebased = (
@@ -143,7 +215,7 @@ def adopt_scalar(
                     thread.set_solution(rebased)
                     retained += 1
                 else:
-                    thread.initialize(instance, init_rng)
+                    initialize_scalar(thread, instance, init_rng)
                     reseated += 1
             thread.timer = None
             threads.append(thread)

@@ -191,7 +191,7 @@ class TestVectorizedGibbs:
         )
         solver = StochasticExploration(config)
         run = engine_module._EngineRun(solver, instance, None, None)
-        state = engine_module._VectorState(run.replicas, instance, solver.config)
+        state = engine_module._VectorState(run.population, instance, solver.config)
         targets = [row for row in range(state.size) if state.cards[row] == card]
         assert len(targets) == gamma
         race_rng = run.streams.get("vectorized-race")
@@ -484,7 +484,7 @@ class TestBatchedAccounting:
         solver = StochasticExploration(config)
         run = engine_module._EngineRun(solver, instance, None, None)
         state = engine_module._VectorState(
-            run.replicas, instance, solver.config,
+            run.population, instance, solver.config,
             retry_rng=run.streams.get("vectorized-race-retry"),
         )
         race_rng = run.streams.get("vectorized-race")

@@ -1,0 +1,164 @@
+"""The array-native SE population and the vectorized kernel's draw layout.
+
+* A vectorized solve, cold or warm, races the Γ×thread mask matrix
+  directly: no ``_SolutionThread`` is built unless the serial engine, a
+  dynamic event or a probe asks for thread objects.
+* Building thread objects for a probe and folding them back
+  (``_Population.settle``) leaves the trajectory untouched.
+* ``_ThreadRng`` seeds its Mersenne Twister on the first draw, and that
+  stream is the one an eager seeding gives.
+* ``_VectorState.start_block`` lays out one block as ``(R, T, 2)`` pair
+  uniforms followed by ``(R, T)`` Exp(1) uniforms, with
+  ``R = min(segment remainder, 65536 // T)``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import engine as engine_module
+from repro.core import se as se_module
+from repro.core.dynamics import CommitteeEvent, DynamicSchedule, EventKind
+from repro.core.se import SEConfig, StochasticExploration, _ThreadRng
+from repro.sim.rng import RandomStreams, spawn_fast_rng
+
+from tests.test_core_warm import base_instance, drifted_instance
+
+
+def _config(engine="vectorized", **overrides):
+    settings = dict(num_threads=6, max_iterations=300, convergence_window=10_000,
+                    seed=4, engine=engine)
+    settings.update(overrides)
+    return SEConfig(**settings)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts ``_SolutionThread`` constructions."""
+    count = [0]
+    original = se_module._SolutionThread.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(se_module._SolutionThread, "__init__", counting)
+    return count
+
+
+# --------------------------------------------------------------------- #
+# thread objects only on demand
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("engine", ["vectorized", "auto"])
+def test_vectorized_cold_and_warm_solves_build_no_thread(built, engine):
+    instance = base_instance()
+    solver = StochasticExploration(_config(engine, num_threads=16))  # auto: work >= 192
+    cold = solver.solve(instance)
+    warm = solver.solve(drifted_instance(instance), warm=cold)
+    assert cold.engine == warm.engine == "vectorized"
+    assert built[0] == 0
+
+
+def test_serial_engine_builds_its_threads(built):
+    solver = StochasticExploration(_config("serial"))
+    solver.solve(base_instance())
+    assert built[0] == 6 * len(solver.thread_cardinalities(base_instance()))
+
+
+def test_probe_and_dynamic_event_build_threads(built):
+    instance = base_instance()
+    solver = StochasticExploration(_config())
+    cold = solver.solve(instance)
+    assert built[0] == 0
+    solver.solve(drifted_instance(instance), warm=cold, probe=lambda **_: None)
+    probed = built[0]
+    assert probed > 0
+    schedule = DynamicSchedule([
+        CommitteeEvent(iteration=50, kind=EventKind.LEAVE, shard_id=instance.shard_ids[3])
+    ])
+    solver.solve(instance, schedule=schedule)
+    assert built[0] > probed
+
+
+def test_a_probe_never_perturbs_a_vectorized_warm_solve():
+    """Objects built for the probe fold back into the same rows."""
+    instance = base_instance()
+    drifted = drifted_instance(instance)
+    results = []
+    for probe in (None, lambda **_: None):
+        solver = StochasticExploration(_config())
+        results.append(solver.solve(drifted, warm=solver.solve(instance), probe=probe))
+    plain, probed = results
+    assert np.array_equal(plain.best_mask, probed.best_mask)
+    assert plain.best_utility == probed.best_utility
+    assert np.array_equal(plain.utility_trace, probed.utility_trace)
+
+
+# --------------------------------------------------------------------- #
+# lazy thread streams
+# --------------------------------------------------------------------- #
+def test_lazy_thread_stream_matches_an_eager_seeding():
+    lazy = _ThreadRng(17, "replica-3-n40")
+    assert lazy._stream is None  # nothing seeded until the first draw
+    eager = spawn_fast_rng(17, "replica-3-n40")
+    uniform = lazy.uniform
+    assert [uniform() for _ in range(1000)] == [eager.random() for _ in range(1000)]
+    assert lazy._rnd.getstate() == eager.getstate()
+
+
+# --------------------------------------------------------------------- #
+# the vectorized kernel's main-stream layout
+# --------------------------------------------------------------------- #
+def _state(config):
+    instance = base_instance()
+    solver = StochasticExploration(config)
+    run = engine_module._EngineRun(solver, instance, None, None)
+    return run, engine_module._VectorState(run.population, instance, config)
+
+
+def test_start_block_reads_pairs_then_exp1_uniforms():
+    config = _config()
+    rounds = 7
+    run, state = _state(config)
+    state.start_block(run.streams.get("vectorized-race"), rounds)
+    fresh = RandomStreams(config.seed).get("vectorized-race")
+    pairs = fresh.random((rounds, state.size, 2))
+    exp1 = fresh.random((rounds, state.size))
+    out = np.minimum((pairs[..., 0] * state.len_sel).astype(np.int64), state.n_sel - 1)
+    inn = np.minimum((pairs[..., 1] * state.len_unsel).astype(np.int64), state.n_unsel - 1)
+    assert np.array_equal(state._blk_out, out + state.off_sel)
+    assert np.array_equal(state._blk_in, inn + state.off_unsel)
+    timer_base = state.log_mean_base + np.log(np.maximum(-np.log1p(-exp1), 1e-300))
+    assert np.array_equal(state._blk_timer_base, timer_base)
+
+
+def test_round_draws_depend_on_the_block_length():
+    config = _config()
+    run, whole = _state(config)
+    whole.start_block(run.streams.get("vectorized-race"), 2)
+    run, split = _state(config)
+    rng = run.streams.get("vectorized-race")
+    split.start_block(rng, 1)
+    split.start_block(rng, 1)
+    assert not np.array_equal(whole._blk_out[1], split._blk_out[0])
+
+
+def test_block_length_is_the_segment_remainder_capped_by_65536_over_t(monkeypatch):
+    config = _config(num_threads=64, max_iterations=300, convergence_window=150)
+    lengths = []
+    sizes = []
+    original = engine_module._VectorState.start_block
+
+    def recording(self, rng, rounds):
+        lengths.append(rounds)
+        sizes.append(self.size)
+        original(self, rng, rounds)
+
+    monkeypatch.setattr(engine_module._VectorState, "start_block", recording)
+    StochasticExploration(config).solve(base_instance())
+    cap = 65536 // sizes[0]
+    assert cap < 150  # the cap binds inside each segment
+    segment = [cap] * (150 // cap) + ([150 % cap] if 150 % cap else [])
+    # The first 150-round segment always runs out (convergence needs a full
+    # stale window); the second may stop early, but its blocks start alike.
+    assert lengths[: len(segment)] == segment
+    assert lengths == (segment * 2)[: len(lengths)]

@@ -28,11 +28,15 @@ from tests.conftest import random_instance
 
 
 class _IdentityRng:
-    """A stand-in numpy RNG whose permutation is the identity (rigged draws)."""
+    """A stand-in numpy RNG whose permutations are the identity (rigged draws)."""
 
     @staticmethod
     def permutation(n):
         return np.arange(n)
+
+    @staticmethod
+    def permuted(x, axis=None):
+        return np.array(x)
 
 
 def _thread(cardinality: int, config: SEConfig = SEConfig()) -> _SolutionThread:
@@ -144,7 +148,7 @@ class TestLeaveStreamIsolation:
     def _spawn(self, instance, seed=7):
         solver = StochasticExploration(SEConfig(num_threads=4, seed=seed))
         streams = RandomStreams(seed)
-        return solver, streams, solver._spawn_replicas(instance, streams)
+        return solver, streams, solver._bootstrap(instance, streams).replicas
 
     def test_leave_reinit_independent_of_replica_order(self):
         instance = random_instance(16, seed=11)
