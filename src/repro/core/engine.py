@@ -13,6 +13,13 @@ in one process:
 ``serial``
     The reference scalar loop (the pre-engine ``solve`` body, verbatim).
     Golden tests pin it unchanged; it is the oracle for the batched kernel.
+    Its race state is one executor object (:class:`_Replica`) per replica
+    holding one :class:`_SolutionThread` per row, built from the
+    population's mask matrix and written back into it at every
+    dynamic-event boundary and at the end of the solve.  The objects stay
+    cached on the population until something else writes its rows, so a
+    zero-drift warm hand-off, or an event batch that left the instance
+    unchanged, races on with each thread's swap-pair slot order intact.
 
 ``vectorized``
     The fully-batched Γ×thread race kernel: **one** numpy race covers every
@@ -64,6 +71,7 @@ the trajectory, which is a function of the seeds alone.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,17 +79,19 @@ import numpy as np
 from repro.core.convergence import ConvergenceDetector
 from repro.core.dynamics import CommitteeEvent, DynamicSchedule
 from repro.core.problem import EpochInstance
-from repro.core.repair import greedy_improve
+from repro.core.repair import RowRepair, greedy_improve
 from repro.core.se import (
     InfeasibleEpochError,
+    SEConfig,
     SEResult,
     SEWarmState,
     StochasticExploration,
     _Population,
-    instances_match,
+    _row_solution,
+    _ThreadRng,
 )
 from repro.core.solution import Solution
-from repro.core.timers import LOG_DURATION_MAX, LOG_DURATION_MIN
+from repro.core.timers import LOG_DURATION_MAX, LOG_DURATION_MIN, clamped_exp
 from repro.obs.telemetry import NullTelemetry
 from repro.sim.rng import RandomStreams
 
@@ -105,9 +115,15 @@ SELECTABLE_ENGINES = (AUTO_ENGINE,) + ENGINE_NAMES
 AUTO_VECTORIZE_MIN_WORK = 192
 
 #: Mean rounds between dynamic-event boundaries below which ``auto`` stays
-#: on the scalar family: each boundary builds thread objects from the
-#: batched kernel's rows for the event re-seat and rebuilds the rows from
-#: them, which dominates short segments.  Also machine-independent
+#: on the scalar family.  It no longer buys speed: events re-seat the
+#: population's rows for both engines, so a boundary costs the batched
+#: kernel one write-back and one :class:`_VectorState` rebuild.  On a
+#: dense schedule (40 committees, Γ=16 × 16 racing threads, one LEAVE or
+#: JOIN every 16 / 32 / 63 rounds, 1200 rounds, best of 3; shared 2-CPU
+#: x86-64 box) ``vectorized`` ran 0.24–0.29 / 0.14–0.15 / 0.12 s against
+#: ``serial``'s 1.42–1.43 / 1.07–1.08 / 0.93–0.99 s.  The rule stays
+#: because it decides trajectories (scalar vs batched draws) of seeded
+#: dense runs; it goes with ``auto`` itself.  Also machine-independent
 #: (schedule-derived only).
 AUTO_DENSE_GAP_ROUNDS = 64
 
@@ -195,14 +211,14 @@ class _EngineRun:
             self.streams = warm.streams
             self.warm_stats = solver._adopt_replicas(warm, instance)
             self.population = warm.population
-        if not self.population.any_active():
+        if not self.population.rows.ok.any():
             raise InfeasibleEpochError(
                 "no feasible solution at any thread cardinality; capacity too small"
             )
         if schedule is not None:
             schedule.reset()
         if self.traced:
-            cardinalities = self.population.thread_cardinalities()
+            cardinalities = self.population.cardinalities.tolist()
             if warm is None:
                 self.telemetry.event(
                     "se.bootstrap",
@@ -253,7 +269,7 @@ class _EngineRun:
                 events=[],
                 instance=instance,
                 best=self.best,
-                replicas=self.population.replicas,
+                population=self.population,
             )
         self.utility_trace: List[float] = []
         self.current_trace: List[float] = []
@@ -263,19 +279,24 @@ class _EngineRun:
         self.iterations = 0
 
     # -------------------------------------------------------------- #
+    def events_due(self, iteration: int) -> bool:
+        """True when a dynamic event is scheduled at or before ``iteration``."""
+        upcoming = self.schedule.next_iteration if self.schedule is not None else None
+        return upcoming is not None and upcoming <= iteration
+
     def apply_due_events(self, iteration: int) -> None:
-        """Alg. 1 lines 9-12 at one boundary (identical to the serial loop)."""
-        if self.schedule is None:
-            return
+        """Alg. 1 lines 9-12 at a boundary where :meth:`events_due` holds.
+
+        Works on the population's rows: engines hand their raced state
+        back to them before calling this and rebuild it afterwards.
+        """
         fired_events = self.schedule.due(iteration)
-        if not fired_events:
-            return
         solver = self.solver
         population = self.population
-        self.instance = population.instance = solver._apply_events(
-            self.instance, population.replicas, fired_events, self.streams,
-            generation=self.generation,
+        solver._apply_events(
+            population, fired_events, self.streams, generation=self.generation
         )
+        self.instance = population.instance
         self.events_applied.extend(fired_events)
         self.detector.reset()
         self.best = solver._rebase_best(self.best, self.instance)
@@ -287,7 +308,7 @@ class _EngineRun:
                 events=fired_events,
                 instance=self.instance,
                 best=self.best,
-                replicas=population.replicas,
+                population=population,
             )
         if self.traced:
             for event in fired_events:
@@ -365,7 +386,7 @@ class _EngineRun:
             utility_trace=np.asarray(self.utility_trace),
             current_trace=np.asarray(self.current_trace),
             virtual_time_trace=np.asarray(self.time_trace),
-            thread_cardinalities=self.population.thread_cardinalities(),
+            thread_cardinalities=self.population.cardinalities.tolist(),
             engine=self.engine,
             num_replicas=len(self.population.replica_ids),
             events_applied=self.events_applied,
@@ -411,14 +432,259 @@ def _emit_transitions(
 # ------------------------------------------------------------------ #
 # serial engine (reference)
 # ------------------------------------------------------------------ #
+# A thread's armed timer is the tuple (log_duration, index_out, index_in);
+# plain tuples keep the race's per-round allocation cost negligible.
+class _SolutionThread:
+    """One solution thread :math:`f_n` (state machine of Fig. 6)."""
+
+    __slots__ = ("cardinality", "rng", "config", "solution", "timer", "active", "sel", "unsel", "loc", "last_swap")
+
+    def __init__(self, cardinality: int, thread_rng: _ThreadRng, config: SEConfig) -> None:
+        self.cardinality = cardinality
+        self.rng = thread_rng
+        self.config = config
+        self.solution: Optional[Solution] = None
+        self.timer: Optional[tuple] = None
+        self.active = False
+        # Index bookkeeping for O(1) uniform pair sampling: ``sel``/``unsel``
+        # list the selected/unselected positions and ``loc[p]`` is position
+        # p's slot in whichever list currently holds it.
+        self.sel: list = []
+        self.unsel: list = []
+        self.loc: list = []
+        self.last_swap: Optional[tuple] = None
+
+    def set_solution(self, solution: Optional[Solution]) -> None:
+        """Install a solution and rebuild the pair-sampling index lists.
+
+        Vectorised: ``flatnonzero`` yields the same ascending position
+        order the original scalar scan produced, so serial trajectories
+        (which draw pairs by list slot) are byte-identical either way.
+        This runs Γ×T times whenever the serial engine builds its threads
+        from the population's rows.
+        """
+        self.solution = solution
+        self.timer = None
+        if solution is None:
+            self.sel, self.unsel, self.loc = [], [], []
+            self.active = False
+            return
+        mask = solution.mask
+        sel_arr = np.flatnonzero(mask)
+        unsel_arr = np.flatnonzero(~mask)
+        loc = np.empty(mask.size, dtype=np.int64)
+        loc[sel_arr] = np.arange(sel_arr.size)
+        loc[unsel_arr] = np.arange(unsel_arr.size)
+        self.sel = sel_arr.tolist()
+        self.unsel = unsel_arr.tolist()
+        self.loc = loc.tolist()
+        self.active = True
+
+    # -------------------------------------------------------------- #
+    # Alg. 3: Set-timer()
+    # -------------------------------------------------------------- #
+    def set_timer(self) -> None:
+        """Choose a random swap pair and arm an exponential timer (eq. 8).
+
+        Pairs whose swap would violate the capacity are rejected and
+        redrawn; if no feasible pair surfaces within the retry budget the
+        thread parks (no timer) until the next RESET re-arms it.
+
+        Hot path: the pair is drawn uniformly from the maintained
+        selected/unselected index lists (two draws, no rejection against
+        the mask) and scalar reads go through the instance's plain-list
+        mirrors.
+        """
+        self.timer = None
+        solution = self.solution
+        if not self.active or solution is None:
+            return
+        sel, unsel = self.sel, self.unsel
+        len_sel, len_unsel = len(sel), len(unsel)
+        if len_sel == 0 or len_unsel == 0:
+            return
+        uniform = self.rng.uniform
+        instance = solution.instance
+        slack = instance.capacity - solution.weight
+        tx_counts = instance.tx_counts_list
+        values = instance.values_list
+        half_beta = 0.5 * self.config.beta
+        log_mean_base = self.config.tau - math.log(len_unsel)
+        for _ in range(self.config.pair_tries):
+            index_out = sel[int(uniform() * len_sel)]
+            index_in = unsel[int(uniform() * len_unsel)]
+            if tx_counts[index_in] - tx_counts[index_out] > slack:
+                continue
+            delta = values[index_in] - values[index_out]
+            # log T = log(mean) + log(Exp(1) sample), computed stably
+            # (log_timer_mean inlined: tau - beta/2*delta - log(open)).
+            log_exp1 = math.log(max(-math.log1p(-uniform()), 1e-300))
+            self.timer = (log_mean_base - half_beta * delta + log_exp1, index_out, index_in)
+            return
+
+    # -------------------------------------------------------------- #
+    # Alg. 1: State Transit
+    # -------------------------------------------------------------- #
+    def fire(self) -> None:
+        """Apply the armed swap: :math:`x_{\\tilde i} \\to 0`, :math:`x_{\\ddot i} \\to 1`."""
+        if self.timer is None or self.solution is None:
+            raise RuntimeError("fire() called with no armed timer")
+        _, index_out, index_in = self.timer
+        self.solution.swap(index_out, index_in)
+        # Keep the pair-sampling lists in sync: out joins unsel in in's old
+        # slot; in joins sel in out's old slot.
+        loc = self.loc
+        slot_out, slot_in = loc[index_out], loc[index_in]
+        self.sel[slot_out] = index_in
+        self.unsel[slot_in] = index_out
+        loc[index_in], loc[index_out] = slot_out, slot_in
+        self.last_swap = (index_out, index_in)
+        self.timer = None
+
+
+class _Replica:
+    """One executor hosting the full solution-thread family (Fig. 5).
+
+    ``replica_id`` is the executor's stable identity (the population's
+    ``replica_ids`` entry): every named stream the replica consumes is keyed
+    by it, never by its position in a list — so the Γ replicas stay
+    independent regardless of iteration order (the premise behind Fig. 8).
+    """
+
+    __slots__ = ("replica_id", "threads", "virtual_time", "current_utility")
+
+    def __init__(self, replica_id: int, threads: List[_SolutionThread]) -> None:
+        self.replica_id = replica_id
+        self.threads = threads
+        self.virtual_time = 0.0
+        self.current_utility = float("-inf")
+        self.recompute_current()
+
+    def recompute_current(self) -> None:
+        """Rebuild the running current-utility max from a full thread scan.
+
+        Only needed at bootstrap and dynamic-event boundaries; inside the
+        race :meth:`race_round` maintains the max incrementally (exactly one
+        thread mutates per round, so a full ``O(threads)`` rescan per round
+        was pure overhead).
+        """
+        best = float("-inf")
+        for thread in self.threads:
+            solution = thread.solution
+            if solution is not None and solution.utility > best:
+                best = solution.utility
+        self.current_utility = best
+
+    def race_round(self) -> Optional[_SolutionThread]:
+        """Arm every solution (the RESET re-draw), fire the earliest timer.
+
+        Returns the fired thread, or ``None`` when no solution could arm a
+        feasible pair this round.
+        """
+        winner: Optional[_SolutionThread] = None
+        winner_log = math.inf
+        for thread in self.threads:
+            thread.set_timer()
+            timer = thread.timer
+            if timer is not None and timer[0] < winner_log:
+                winner_log = timer[0]
+                winner = thread
+        if winner is None:
+            return None
+        self.virtual_time += clamped_exp(winner_log)
+        before = winner.solution.utility
+        winner.fire()
+        after = winner.solution.utility
+        # Incremental current-utility maintenance: the fired thread is the
+        # only mutation this round.  Its rise can only raise the max; its
+        # fall forces a rescan only when it held the max alone.
+        if after > self.current_utility:
+            self.current_utility = after
+        elif before == self.current_utility and after < before:
+            self.recompute_current()
+        return winner
+
+
+def _solution_masks(solutions: Sequence[Optional[Solution]], num_shards: int) -> np.ndarray:
+    """Stack solutions' selections into one ``(R, N)`` matrix (``None`` rows empty)."""
+    blank = bytes(num_shards)
+    joined = b"".join(blank if s is None else s.selected for s in solutions)
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(solutions), num_shards) != 0
+
+def _serial_replicas(population: _Population, config: SEConfig) -> List[_Replica]:
+    """The serial engine's race state for ``population``.
+
+    Its own objects when the population still caches them (nothing but the
+    serial engine wrote the rows since), with each solution rebound onto
+    the population's value-equal instance; otherwise executor/thread
+    objects built from the rows, with ascending ``sel``/``unsel`` slots.
+    The two differ only in slot order, which the scalar draws read, so a
+    zero-drift hand-off and an event batch that changed nothing race on
+    exactly where the race stopped.
+    """
+    replicas = population.engine_cache
+    if replicas is not None:
+        for replica in replicas:
+            for thread in replica.threads:
+                if thread.solution is not None:
+                    thread.solution.instance = population.instance
+        return replicas
+    rows = population.rows
+    family = population.cardinalities.tolist()
+    replicas = []
+    for group, replica_id in enumerate(population.replica_ids):
+        threads = []
+        for k, cardinality in enumerate(family):
+            row = group * len(family) + k
+            thread = _SolutionThread(cardinality, population.rngs[row], config)
+            if rows.ok[row]:
+                thread.set_solution(_row_solution(population.instance, rows, row))
+            threads.append(thread)
+        replica = _Replica(replica_id, threads)
+        replica.virtual_time = float(population.virtual_times[group])
+        replicas.append(replica)
+    return replicas
+
+
+def _write_back_replicas(replicas: List[_Replica], population: _Population) -> None:
+    """Return the threads' solutions and the replica clocks to ``population``.
+
+    The objects stay behind as the population's ``engine_cache`` until
+    someone else writes its rows.
+    """
+    solutions = [thread.solution for replica in replicas for thread in replica.threads]
+    held = [s for s in solutions if s is not None]
+    ok = np.array([s is not None for s in solutions], dtype=bool)
+    utility = np.zeros(len(solutions))
+    weight = np.zeros(len(solutions), dtype=np.int64)
+    count = np.zeros(len(solutions), dtype=np.int64)
+    utility[ok] = [s.utility for s in held]
+    weight[ok] = [s.weight for s in held]
+    count[ok] = [s.count for s in held]
+    population.rows = RowRepair(
+        ok, _solution_masks(solutions, population.instance.num_shards), utility, weight, count
+    )
+    population.virtual_times = np.array([replica.virtual_time for replica in replicas])
+    population.engine_cache = replicas
+
+
 def run_serial(run: _EngineRun) -> SEResult:
-    """The reference scalar loop — the pre-engine ``solve`` body."""
+    """The reference scalar loop — the pre-engine ``solve`` body.
+
+    Races executor/thread objects (:func:`_serial_replicas`), the
+    counterpart of the batched kernel's :class:`_VectorState`; they go back
+    into the population's rows at every event boundary and at the end.
+    """
     config = run.config
     telemetry = run.telemetry
     traced = run.traced
-    replicas = run.population.replicas  # events re-seat these objects in place
+    population = run.population
+    replicas = _serial_replicas(population, config)
     for iteration in range(config.max_iterations):
-        run.apply_due_events(iteration)
+        if run.events_due(iteration):
+            _write_back_replicas(replicas, population)
+            run.apply_due_events(iteration)
+            replicas = _serial_replicas(population, config)
         round_best: Optional[Solution] = None
         transitions = 0
         fires: List[tuple] = []
@@ -441,6 +707,7 @@ def run_serial(run: _EngineRun) -> SEResult:
         virtual_time = max(replica.virtual_time for replica in replicas)
         if run.finish_round(iteration, current, virtual_time, transitions):
             break
+    _write_back_replicas(replicas, population)
     return run.result()
 
 
@@ -742,7 +1009,11 @@ class _VectorState:
         )
 
     def write_back(self, population: _Population) -> None:
-        """Return the raced rows (masks, caches) and replica clocks to ``population``."""
+        """Return the raced rows (masks, caches) and replica clocks to ``population``.
+
+        Drops the serial engine's cached objects, which no longer match.
+        """
+        population.engine_cache = None
         rows = population.rows
         source = self.source
         rows.masks[source] = False
@@ -767,18 +1038,12 @@ def run_vectorized(run: _EngineRun) -> SEResult:
     iteration = 0
     done = False
     while not done and iteration < config.max_iterations:
-        schedule = run.schedule
-        if (
-            schedule is not None
-            and not schedule.exhausted
-            and schedule.next_iteration <= iteration
-        ):
+        if run.events_due(iteration):
             if state is not None:
                 state.write_back(population)
                 state = None
             run.apply_due_events(iteration)
         if state is None:
-            population.settle()  # fold in objects an event or probe built
             state = _VectorState(population, run.instance, config, retry_rng=retry_rng)
         segment = run.segment_length(iteration)
         block_round = 0
@@ -840,13 +1105,14 @@ def run_engine(
     one batched Alg. 2 pass, and ``warm`` adopts a prior run's
     population/streams/incumbent instead (see
     :meth:`StochasticExploration.solve`), re-seating it with one batched
-    repair pass.  The batched kernel races the matrix's rows directly —
-    warm rows enter *pre-scored*, their incremental utility/weight caches
-    carried verbatim, while the ``vectorized-race`` streams resume
-    mid-sequence — and writes the raced rows back into the matrix, which
-    the result's ``warm_state`` carries.  The scalar loop builds thread
-    objects from the matrix and continues their streams; so do dynamic
-    events and probes, whatever the engine.  ``"auto"`` re-evaluates its
+    repair pass; dynamic events and probes work on the same rows.  The
+    batched kernel races the matrix's rows directly — warm rows enter
+    *pre-scored*, their incremental utility/weight caches carried
+    verbatim, while the ``vectorized-race`` streams resume mid-sequence —
+    and writes the raced rows back into the matrix, which the result's
+    ``warm_state`` carries.  The scalar loop builds thread objects from the
+    matrix, continues their streams, and writes them back the same way.
+    ``"auto"`` re-evaluates its
     split on the *adopted* population each solve, so the
     scalar-vs-batched choice tracks the committee count as it drifts
     across epochs.

@@ -26,16 +26,19 @@ added to the virtual clock -- the practical realisation of the paper's
 :math:`\\tau` "conditional constant [avoiding] the zero-floored computing
 error of the exp function".
 
-Dynamic events (Alg. 1 lines 9-12): a LEAVE re-initialises every solution
-that contained the failed committee (the trimmed-space behaviour of
-Section V) and rebases the rest; a JOIN rebases all solutions onto the
-grown instance -- the DDL, and therefore every shard's value, re-evaluates.
-Both reset the convergence detector.
+The Γ×thread population is one ``(Γ·T, N)`` mask matrix with per-row
+solution caches (:class:`_Population`).  Dynamic events (Alg. 1 lines
+9-12) work on its rows: a LEAVE re-initialises every row that contained
+the failed committee (the trimmed-space behaviour of Section V) and
+rebases the rest; a JOIN rebases all rows onto the grown instance -- the
+DDL, and therefore every shard's value, re-evaluates.  The thread family
+is then re-spread over the new feasible range by the same re-seat warm
+adoption uses.  Both reset the convergence detector.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -45,7 +48,6 @@ from repro.core.dynamics import CommitteeEvent, DynamicSchedule, EventKind
 from repro.core.problem import DEFAULT_BETA, DEFAULT_TAU, EpochInstance
 from repro.core.repair import RowRepair, repair_feasibility, resize_rows, row_utility
 from repro.core.solution import Solution
-from repro.core.timers import clamped_exp
 from repro.analysis.contracts import feasible_result
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 from repro.sim.rng import RandomStreams, spawn_fast_rng
@@ -169,11 +171,6 @@ class SEWarmState:
     instance: EpochInstance
     generation: int = 1
 
-    @property
-    def replicas(self) -> List["_Replica"]:
-        """The population as executor/thread objects (built on first read)."""
-        return self.population.replicas
-
 
 class _ThreadRng:
     """Per-thread random stream for the race hot path.
@@ -208,208 +205,6 @@ class _ThreadRng:
         return self._rnd.random
 
 
-# A thread's armed timer is the tuple (log_duration, index_out, index_in);
-# plain tuples keep the race's per-round allocation cost negligible.
-class _SolutionThread:
-    """One solution thread :math:`f_n` (state machine of Fig. 6)."""
-
-    __slots__ = ("cardinality", "rng", "config", "solution", "timer", "active", "sel", "unsel", "loc", "last_swap")
-
-    def __init__(self, cardinality: int, thread_rng: _ThreadRng, config: SEConfig) -> None:
-        self.cardinality = cardinality
-        self.rng = thread_rng
-        self.config = config
-        self.solution: Optional[Solution] = None
-        self.timer: Optional[tuple] = None
-        self.active = False
-        # Index bookkeeping for O(1) uniform pair sampling: ``sel``/``unsel``
-        # list the selected/unselected positions and ``loc[p]`` is position
-        # p's slot in whichever list currently holds it.
-        self.sel: list = []
-        self.unsel: list = []
-        self.loc: list = []
-        self.last_swap: Optional[tuple] = None
-
-    def set_solution(self, solution: Optional[Solution]) -> None:
-        """Install a solution and rebuild the pair-sampling index lists.
-
-        Vectorised: ``flatnonzero`` yields the same ascending position
-        order the original scalar scan produced, so serial trajectories
-        (which draw pairs by list slot) are byte-identical either way.
-        This runs Γ×T times at spawn and at every engine sync-back, which
-        made the scalar scan a measurable fixed cost for the batched
-        kernel on thread-rich instances.
-        """
-        self.solution = solution
-        self.timer = None
-        if solution is None:
-            self.sel, self.unsel, self.loc = [], [], []
-            self.active = False
-            return
-        mask = solution.mask
-        sel_arr = np.flatnonzero(mask)
-        unsel_arr = np.flatnonzero(~mask)
-        loc = np.empty(mask.size, dtype=np.int64)
-        loc[sel_arr] = np.arange(sel_arr.size)
-        loc[unsel_arr] = np.arange(unsel_arr.size)
-        self.sel = sel_arr.tolist()
-        self.unsel = unsel_arr.tolist()
-        self.loc = loc.tolist()
-        self.active = True
-
-    # -------------------------------------------------------------- #
-    # Alg. 2: Initialization()
-    # -------------------------------------------------------------- #
-    def initialize(self, instance: EpochInstance, np_rng: np.random.Generator) -> bool:
-        """Random feasible solution with exactly ``self.cardinality`` shards.
-
-        Alg. 2 for this one thread: :func:`_initialize_rows` over a
-        single row, so a thread re-seated at a dynamic event draws exactly
-        as a bootstrapped one.
-        """
-        rows = _initialize_rows(instance, [(np_rng, [self.cardinality])])
-        self.set_solution(_row_solution(instance, rows, 0) if rows.ok[0] else None)
-        return bool(rows.ok[0])
-
-    # -------------------------------------------------------------- #
-    # Alg. 3: Set-timer()
-    # -------------------------------------------------------------- #
-    def set_timer(self) -> None:
-        """Choose a random swap pair and arm an exponential timer (eq. 8).
-
-        Pairs whose swap would violate the capacity are rejected and
-        redrawn; if no feasible pair surfaces within the retry budget the
-        thread parks (no timer) until the next RESET re-arms it.
-
-        Hot path: the pair is drawn uniformly from the maintained
-        selected/unselected index lists (two draws, no rejection against
-        the mask) and scalar reads go through the instance's plain-list
-        mirrors.
-        """
-        self.timer = None
-        solution = self.solution
-        if not self.active or solution is None:
-            return
-        sel, unsel = self.sel, self.unsel
-        len_sel, len_unsel = len(sel), len(unsel)
-        if len_sel == 0 or len_unsel == 0:
-            return
-        uniform = self.rng.uniform
-        instance = solution.instance
-        slack = instance.capacity - solution.weight
-        tx_counts = instance.tx_counts_list
-        values = instance.values_list
-        half_beta = 0.5 * self.config.beta
-        log_mean_base = self.config.tau - math.log(len_unsel)
-        for _ in range(self.config.pair_tries):
-            index_out = sel[int(uniform() * len_sel)]
-            index_in = unsel[int(uniform() * len_unsel)]
-            if tx_counts[index_in] - tx_counts[index_out] > slack:
-                continue
-            delta = values[index_in] - values[index_out]
-            # log T = log(mean) + log(Exp(1) sample), computed stably
-            # (log_timer_mean inlined: tau - beta/2*delta - log(open)).
-            log_exp1 = math.log(max(-math.log1p(-uniform()), 1e-300))
-            self.timer = (log_mean_base - half_beta * delta + log_exp1, index_out, index_in)
-            return
-
-    # -------------------------------------------------------------- #
-    # Alg. 1: State Transit
-    # -------------------------------------------------------------- #
-    def fire(self) -> None:
-        """Apply the armed swap: :math:`x_{\\tilde i} \\to 0`, :math:`x_{\\ddot i} \\to 1`."""
-        if self.timer is None or self.solution is None:
-            raise RuntimeError("fire() called with no armed timer")
-        _, index_out, index_in = self.timer
-        self.solution.swap(index_out, index_in)
-        # Keep the pair-sampling lists in sync: out joins unsel in in's old
-        # slot; in joins sel in out's old slot.
-        loc = self.loc
-        slot_out, slot_in = loc[index_out], loc[index_in]
-        self.sel[slot_out] = index_in
-        self.unsel[slot_in] = index_out
-        loc[index_in], loc[index_out] = slot_out, slot_in
-        self.last_swap = (index_out, index_in)
-        self.timer = None
-
-    @property
-    def utility(self) -> float:
-        """Current solution utility (-inf when uninitialised)."""
-        return self.solution.utility if self.solution is not None else float("-inf")
-
-
-class _Replica:
-    """One executor hosting the full solution-thread family (Fig. 5).
-
-    ``replica_id`` is the executor's stable identity: every named stream the
-    replica consumes (init, dynamic re-init, leave re-init) is keyed by it,
-    never by the replica's position in a list — so the Γ replicas stay
-    independent regardless of iteration order (the premise behind Fig. 8).
-    """
-
-    __slots__ = ("replica_id", "threads", "virtual_time", "current_utility")
-
-    def __init__(self, replica_id: int, threads: List[_SolutionThread]) -> None:
-        self.replica_id = replica_id
-        self.threads = threads
-        self.virtual_time = 0.0
-        self.current_utility = float("-inf")
-        self.recompute_current()
-
-    def recompute_current(self) -> None:
-        """Rebuild the running current-utility max from a full thread scan.
-
-        Only needed at bootstrap and dynamic-event boundaries; inside the
-        race :meth:`race_round` maintains the max incrementally (exactly one
-        thread mutates per round, so a full ``O(threads)`` rescan per round
-        was pure overhead).
-        """
-        best = float("-inf")
-        for thread in self.threads:
-            solution = thread.solution
-            if solution is not None and solution.utility > best:
-                best = solution.utility
-        self.current_utility = best
-
-    def race_round(self) -> Optional[_SolutionThread]:
-        """Arm every solution (the RESET re-draw), fire the earliest timer.
-
-        Returns the fired thread, or ``None`` when no solution could arm a
-        feasible pair this round.
-        """
-        winner: Optional[_SolutionThread] = None
-        winner_log = math.inf
-        for thread in self.threads:
-            thread.set_timer()
-            timer = thread.timer
-            if timer is not None and timer[0] < winner_log:
-                winner_log = timer[0]
-                winner = thread
-        if winner is None:
-            return None
-        self.virtual_time += clamped_exp(winner_log)
-        before = winner.solution.utility
-        winner.fire()
-        after = winner.solution.utility
-        # Incremental current-utility maintenance: the fired thread is the
-        # only mutation this round.  Its rise can only raise the max; its
-        # fall forces a rescan only when it held the max alone.
-        if after > self.current_utility:
-            self.current_utility = after
-        elif before == self.current_utility and after < before:
-            self.recompute_current()
-        return winner
-
-    def best_solution(self) -> Optional[Solution]:
-        """This replica's best current solution (None if none live)."""
-        best = None
-        for thread in self.threads:
-            if thread.solution is not None:
-                if best is None or thread.solution.utility > best.utility:
-                    best = thread.solution
-        return best
-
-
 class _Population:
     """The Γ×thread population of Fig. 5 as one ``(Γ·T, N)`` mask matrix.
 
@@ -419,22 +214,20 @@ class _Population:
     :class:`~repro.core.repair.RowRepair`: a row holds a solution iff
     ``rows.ok[row]``, and ``masks``/``utility``/``weight``/``count`` are its
     selection and the :class:`Solution` caches, carried verbatim from
-    whatever produced them (Alg. 2, the adoption repair or the race
-    kernel).  ``rngs[row]`` is the thread's scalar stream and
+    whatever produced them (Alg. 2, the adoption repair, a dynamic event
+    or a race engine).  ``rngs[row]`` is the thread's scalar stream and
     ``virtual_times[g]`` replica ``g``'s race clock.
 
-    The vectorized engine and warm adoption work on these arrays alone.
-    Executor/thread objects (:class:`_Replica`, :class:`_SolutionThread`)
-    are built from them only when something reads them — the serial
-    engine, dynamic events, probes — and from then on the objects own the
-    state (they may be mutated in place); :meth:`settle` folds them back
-    into rows.  The queries below read whichever form owns the state, so
-    they never force a conversion.
+    This is the population's only form: bootstrap, warm adoption, dynamic
+    events and probes work on these arrays, and both engines race them.
+    ``engine_cache`` is the serial engine's own state built from the rows
+    (:func:`repro.core.engine.run_serial`), left here by its write-back so
+    an unchanged population races on where it stopped; every other writer
+    of the rows drops it (:meth:`reseat` does).
     """
 
     def __init__(
         self,
-        config: SEConfig,
         instance: EpochInstance,
         replica_ids: Sequence[int],
         cardinalities: Sequence[int],
@@ -442,7 +235,6 @@ class _Population:
         rngs: List[_ThreadRng],
         virtual_times: np.ndarray,
     ) -> None:
-        self.config = config
         self.replica_ids = list(replica_ids)
         self.virtual_times = virtual_times
         self.reseat(instance, cardinalities, rows, rngs)
@@ -459,83 +251,10 @@ class _Population:
         self.cardinalities = np.asarray(cardinalities, dtype=np.int64)
         self.rows = rows
         self.rngs = rngs
-        self._replicas: Optional[List[_Replica]] = None
-
-    @property
-    def replicas(self) -> List[_Replica]:
-        """The population as executor/thread objects, built on first read."""
-        if self._replicas is None:
-            rows = self.rows
-            size = len(self.cardinalities)
-            replicas = []
-            for group, replica_id in enumerate(self.replica_ids):
-                threads = []
-                for k, cardinality in enumerate(self.cardinalities.tolist()):
-                    row = group * size + k
-                    thread = _SolutionThread(cardinality, self.rngs[row], self.config)
-                    if rows.ok[row]:
-                        thread.set_solution(_row_solution(self.instance, rows, row))
-                    threads.append(thread)
-                replica = _Replica(replica_id, threads)
-                replica.virtual_time = float(self.virtual_times[group])
-                replicas.append(replica)
-            self._replicas = replicas
-        return self._replicas
-
-    def settle(self) -> None:
-        """Fold built thread objects back into the rows (no-op when none exist)."""
-        replicas = self._replicas
-        if replicas is None:
-            return
-        threads = [thread for replica in replicas for thread in replica.threads]
-        solutions = [thread.solution for thread in threads]
-        held = [s for s in solutions if s is not None]
-        ok = np.array([s is not None for s in solutions], dtype=bool)
-        utility = np.zeros(len(threads))
-        weight = np.zeros(len(threads), dtype=np.int64)
-        count = np.zeros(len(threads), dtype=np.int64)
-        utility[ok] = [s.utility for s in held]
-        weight[ok] = [s.weight for s in held]
-        count[ok] = [s.count for s in held]
-        self.virtual_times = np.array([replica.virtual_time for replica in replicas])
-        self.reseat(
-            self.instance,
-            [thread.cardinality for thread in replicas[0].threads],
-            RowRepair(ok, _solution_masks(solutions, self.instance.num_shards),
-                      utility, weight, count),
-            [thread.rng for thread in threads],
-        )
-
-    def rebind(self, instance: EpochInstance) -> None:
-        """Point every solution at a value-equal ``instance``; disarm timers."""
-        self.instance = instance
-        for replica in self._replicas or ():
-            for thread in replica.threads:
-                thread.timer = None
-                if thread.solution is not None:
-                    # Identity rebind only: the instance is value-equal, so
-                    # every cache stays bit-valid.
-                    thread.solution.instance = instance
-
-    def thread_cardinalities(self) -> List[int]:
-        """Each replica's thread family, in row order."""
-        if self._replicas is not None:
-            return [thread.cardinality for thread in self._replicas[0].threads]
-        return self.cardinalities.tolist()
-
-    def any_active(self) -> bool:
-        """True when at least one thread holds a solution."""
-        if self._replicas is not None:
-            return any(t.active for replica in self._replicas for t in replica.threads)
-        return bool(self.rows.ok.any())
+        self.engine_cache: Optional[object] = None
 
     def racing_threads(self) -> int:
         """Threads of one replica that can race (hold a swappable solution)."""
-        if self._replicas is not None:
-            return sum(
-                1 for t in self._replicas[0].threads
-                if t.solution is not None and t.sel and t.unsel
-            )
         head = slice(0, len(self.cardinalities))
         count = self.rows.count[head]
         return int(np.count_nonzero(
@@ -544,15 +263,6 @@ class _Population:
 
     def best(self) -> Solution:
         """A copy of the best current solution; ties go to the first row."""
-        if self._replicas is not None:
-            best = None
-            for replica in self._replicas:
-                candidate = replica.best_solution()
-                if candidate is not None and (best is None or candidate.utility > best.utility):
-                    best = candidate
-            if best is None:
-                raise InfeasibleEpochError("all solution threads are inactive")
-            return best.copy()
         rows = self.rows
         if not rows.ok.any():
             raise InfeasibleEpochError("all solution threads are inactive")
@@ -598,31 +308,47 @@ def should_bootstrap(instance: EpochInstance) -> bool:
     )
 
 
-def _solution_masks(solutions: Sequence[Optional[Solution]], num_shards: int) -> np.ndarray:
-    """Stack solutions' selections into one ``(R, N)`` matrix (``None`` rows empty)."""
-    blank = bytes(num_shards)
-    joined = b"".join(blank if s is None else s.selected for s in solutions)
-    return np.frombuffer(joined, dtype=np.uint8).reshape(len(solutions), num_shards) != 0
+def _rebased_masks(masks: np.ndarray, old: EpochInstance, new: EpochInstance) -> np.ndarray:
+    """Project an ``(R, N_old)`` mask matrix scored on ``old`` onto ``new`` by shard id.
 
-
-def _rebased_masks(
-    rows: "np.ndarray | Sequence[Solution]", old: EpochInstance, new: EpochInstance
-) -> np.ndarray:
-    """Project selections scored on ``old`` onto ``new`` by shard id, as one matrix.
-
-    ``rows`` is an ``(R, N_old)`` mask matrix or a sequence of solutions.
-    Row ``r`` of the result equals ``Solution(old, rows[r]).rebase(new).mask``:
+    Row ``r`` of the result equals ``Solution(old, masks[r]).rebase(new).mask``:
     members whose committee left are dropped and joined committees start
     unselected.
     """
-    if not isinstance(rows, np.ndarray):
-        rows = _solution_masks(rows, old.num_shards)
     position = {shard_id: p for p, shard_id in enumerate(new.shard_ids)}
     target = np.array([position.get(sid, -1) for sid in old.shard_ids], dtype=np.int64)
     kept = target >= 0
-    masks = np.zeros((len(rows), new.num_shards), dtype=bool)
-    masks[:, target[kept]] = rows[:, kept]
-    return masks
+    rebased = np.zeros((len(masks), new.num_shards), dtype=bool)
+    rebased[:, target[kept]] = masks[:, kept]
+    return rebased
+
+
+def _rebased_rows(rows: RowRepair, old: EpochInstance, new: EpochInstance) -> RowRepair:
+    """``rows`` projected onto ``new`` and re-scored, as :meth:`Solution.rebase` would.
+
+    The utility cache is :func:`repro.core.repair.row_utility`, bit-equal to
+    the rebased solution's ``values[mask].sum()``; ``ok`` carries over.
+    """
+    masks = _rebased_masks(rows.masks, old, new)
+    count = masks.sum(axis=1, dtype=np.int64)
+    return RowRepair(
+        rows.ok.copy(),
+        masks,
+        row_utility(new.values, masks, count),
+        np.where(masks, new.tx_counts, 0).sum(axis=1),
+        count,
+    )
+
+
+def _blank_rows(size: int, num_shards: int) -> RowRepair:
+    """``size`` rows holding no solution."""
+    return RowRepair(
+        np.zeros(size, dtype=bool),
+        np.zeros((size, num_shards), dtype=bool),
+        np.zeros(size),
+        np.zeros(size, dtype=np.int64),
+        np.zeros(size, dtype=np.int64),
+    )
 
 
 def _relieve_capacity(
@@ -776,10 +502,12 @@ class StochasticExploration:
         ``probe``, when given, is invoked at every dynamic-event boundary —
         after the events are applied, the replicas re-seated and the
         incumbent rebased — as ``probe(iteration=..., events=...,
-        instance=..., best=..., replicas=...)``.  It may raise to abort the
-        run; :mod:`repro.faultinject` uses it to arm feasibility /
-        conservation invariants during churn storms.  The probe draws no
-        randomness, so passing one never perturbs the seeded trajectory.
+        instance=..., best=..., population=...)``, ``population`` being the
+        re-seated :class:`_Population`, whose rows the probe may read but
+        must not write.  It may raise to abort the run;
+        :mod:`repro.faultinject` uses it to arm feasibility / conservation
+        invariants during churn storms.  The probe draws no randomness, so
+        passing one never perturbs the seeded trajectory.
 
         The race itself executes on the engine selected by
         ``config.engine`` (:mod:`repro.core.engine`): the serial reference
@@ -839,7 +567,7 @@ class StochasticExploration:
             for cardinality in cardinalities
         ]
         return _Population(
-            self.config, instance, replica_ids, cardinalities, rows, rngs,
+            instance, replica_ids, cardinalities, rows, rngs,
             np.zeros(self.config.num_threads),
         )
 
@@ -859,24 +587,23 @@ class StochasticExploration:
         *continued* init stream.  The feasible cardinality range is
         recomputed for the new instance; threads whose cardinality fell out
         of range are dropped and missing cardinalities spawn with
-        generation-namespaced streams so the Mersenne sequences of
-        different epochs' spawns never coincide.
+        generation-namespaced streams (``gen{g}``) so the Mersenne sequences
+        of different epochs' spawns never coincide.
 
         The whole adoption works on the population's mask matrix: the
         carried rows are rebased as one matrix, one
         :func:`repro.core.repair.resize_rows` pass pads/trims them back to
         their cardinality and re-anchors them with a few improving swaps,
-        and one :func:`_initialize_rows` batch re-draws the spawned and
-        unrepairable rows.  The repair draws no randomness, so only those
+        and :meth:`_reseat_family` re-draws the spawned and unrepairable
+        rows as one batch.  The repair draws no randomness, so only those
         rows touch the init streams — in replica/cardinality order, as a
-        thread-by-thread adoption would draw them.  No thread object is
-        built.
+        thread-by-thread adoption would draw them.
 
         With zero drift (a value-equal instance) adoption is cache-verbatim:
-        the population, thread objects included when the serial engine
-        built them, carries over untouched (recomputing a utility from the
-        mask can differ in the last bit), which is what makes a warm scalar
-        solve byte-identical to continuing the same solve.  Mutates
+        the population, the serial engine's cached thread objects included,
+        carries over untouched (recomputing a utility from the mask can
+        differ in the last bit), which is what makes a warm scalar solve
+        byte-identical to continuing the same solve.  Mutates
         ``warm.population`` in place; returns re-seat stats for the
         ``se.warm_start`` event.
         """
@@ -887,46 +614,70 @@ class StochasticExploration:
                 f"warm state carries {gamma} replicas but config.num_threads "
                 f"(Gamma) is {self.config.num_threads}; warm starts cannot resize Gamma"
             )
-        streams = warm.streams
         if instances_match(warm.instance, instance):
-            population.rebind(instance)
-            return {"retained": gamma * len(population.thread_cardinalities()),
+            population.instance = instance
+            return {"retained": gamma * len(population.cardinalities),
                     "reseated": 0, "spawned": 0, "zero_drift": True}
-        population.settle()
         old = population.rows
+        family = np.tile(population.cardinalities, gamma)
+
+        def carry(source: np.ndarray) -> RowRepair:
+            # Departed members are padded back and the stale membership
+            # re-anchored with a few cardinality-preserving improving swaps;
+            # each row keeps its own carried base, so the population keeps
+            # its diversity.
+            rows = _blank_rows(source.size, instance.num_shards)
+            carried = old.ok[source]
+            repair = resize_rows(
+                instance,
+                _rebased_masks(old.masks[source[carried]], warm.instance, instance),
+                family[source[carried]],
+            )
+            for mine, theirs in zip(rows, repair):
+                mine[carried] = theirs
+            return rows
+
+        stats = self._reseat_family(
+            population, instance, warm.streams, f"gen{warm.generation}", carry
+        )
+        return {**stats, "zero_drift": False}
+
+    def _reseat_family(
+        self,
+        population: _Population,
+        instance: EpochInstance,
+        streams: RandomStreams,
+        spawn_tag: str,
+        carry: Callable[[np.ndarray], RowRepair],
+    ) -> dict:
+        """Move ``population`` onto ``instance``'s thread family (Alg. 1 line 3).
+
+        Shared by dynamic events and warm adoption.  Each cardinality of the
+        new family takes over the old column holding it: ``carry(source)``
+        returns those carried rows already on ``instance`` (``source`` lists
+        their old row indices) and each keeps its thread stream.  Columns
+        that fell out of range are dropped; new cardinalities spawn with the
+        stream ``replica-{id}-{spawn_tag}-n{n}`` (``spawn_tag`` is ``dyn``
+        or ``gen{g}-dyn`` for events, ``gen{g}`` for adoption).  Every row
+        left without a solution then re-draws (Alg. 2) as one batch per
+        replica from ``replica-{id}-init`` in row order: a re-seated
+        replica *continues* its init sequence rather than restarting it,
+        within a solve and across epochs, so replay stays byte-identical.
+        Returns the retained/reseated/spawned row counts.
+        """
+        gamma = len(population.replica_ids)
         cardinalities = self.thread_cardinalities(instance)
-        family = np.array(cardinalities, dtype=np.int64)
-        column = {int(c): k for k, c in enumerate(population.cardinalities.tolist())}
+        size = gamma * len(cardinalities)
+        column = {c: k for k, c in enumerate(population.cardinalities.tolist())}
         seat = np.array([column.get(c, -1) for c in cardinalities], dtype=np.int64)
         seated = np.tile(seat >= 0, gamma)
-        source = np.where(
-            seated,
-            (np.arange(gamma)[:, None] * len(population.cardinalities) + seat).reshape(-1),
-            0,
-        )
-        # Departed members are padded back and the stale membership
-        # re-anchored with a few cardinality-preserving improving swaps;
-        # each row keeps its own carried base, so the population keeps
-        # its diversity.
-        carried = np.flatnonzero(seated & old.ok[source])
-        repair = resize_rows(
-            instance,
-            _rebased_masks(old.masks[source[carried]], warm.instance, instance),
-            np.tile(family, gamma)[carried],
-        )
-        size = gamma * len(cardinalities)
-        rows = RowRepair(
-            np.zeros(size, dtype=bool),
-            np.zeros((size, instance.num_shards), dtype=bool),
-            np.zeros(size),
-            np.zeros(size, dtype=np.int64),
-            np.zeros(size, dtype=np.int64),
-        )
-        for mine, theirs in zip(rows, repair):
-            mine[carried] = theirs
-        # The init stream continues across epochs, exactly as it does
-        # across dynamic events within one solve (see _apply_events).
+        source = (np.arange(gamma)[:, None] * len(column) + seat).reshape(-1)
+        rows = _blank_rows(size, instance.num_shards)
+        for mine, theirs in zip(rows, carry(source[seated])):
+            mine[seated] = theirs
+        retained = int(np.count_nonzero(rows.ok))
         redo = ~rows.ok.reshape(gamma, len(cardinalities))
+        family = np.array(cardinalities, dtype=np.int64)
         fresh = _initialize_rows(
             instance,
             [
@@ -937,22 +688,17 @@ class StochasticExploration:
         )
         for mine, theirs in zip(rows, fresh):
             mine[redo.reshape(-1)] = theirs
-        rngs = []
-        for group, replica_id in enumerate(population.replica_ids):
-            for k, cardinality in enumerate(cardinalities):
-                rngs.append(
-                    population.rngs[source[group * len(cardinalities) + k]]
-                    if seat[k] >= 0
-                    else _ThreadRng(
-                        streams.seed,
-                        f"replica-{replica_id}-gen{warm.generation}-n{cardinality}",
-                    )
-                )
+        rngs = [
+            population.rngs[source[row]] if seated[row]
+            else _ThreadRng(streams.seed, f"replica-{replica_id}-{spawn_tag}-n{cardinality}")
+            for row, (replica_id, cardinality) in enumerate(
+                itertools.product(population.replica_ids, cardinalities)
+            )
+        ]
         population.reseat(instance, cardinalities, rows, rngs)
         spawned = int(np.count_nonzero(~seated))
-        retained = int(np.count_nonzero(repair.ok))
         return {"retained": retained, "reseated": size - spawned - retained,
-                "spawned": spawned, "zero_drift": False}
+                "spawned": spawned}
 
     @staticmethod
     def _pick_better(best: Solution, candidate: Optional[Solution]) -> Solution:
@@ -987,13 +733,29 @@ class StochasticExploration:
 
     def _apply_events(
         self,
-        instance: EpochInstance,
-        replicas: Sequence[_Replica],
+        population: _Population,
         events: Sequence[CommitteeEvent],
         streams: RandomStreams,
         generation: int = 0,
-    ) -> EpochInstance:
-        """Alg. 1 lines 9-12: update ``I_j`` and re-seat every solution.
+    ) -> None:
+        """Alg. 1 lines 9-12: update ``I_j`` and re-seat every solution row.
+
+        Each event moves the rows onto its new instance in turn:
+
+        * a LEAVE re-draws (Alg. 2, on the shrunk instance) every row that
+          holds the failed committee — Section V's trimmed space — as one
+          batch per replica from ``replica-{id}-leave``, in row order, and
+          rebases the rest.  Per-replica streams keep the Γ replicas'
+          post-failure exploration independent of each other and of their
+          order (the premise behind Fig. 8);
+        * a JOIN rebases every row onto the grown instance: the DDL, and
+          therefore every shard's value, may re-evaluate.
+
+        A LEAVE of an absent or a JOIN of a present committee is a tolerated
+        duplicate.  :meth:`_reseat_family` then re-spreads the thread family
+        over the new feasible range; when no event changed the instance and
+        every row holds a solution that re-seat is the identity, so the rows
+        are left as they are.
 
         ``generation`` namespaces the streams of threads spawned mid-run:
         generation 0 (a cold solve) keeps the original ``dyn`` names, so
@@ -1001,95 +763,51 @@ class StochasticExploration:
         (generation >= 1) prefix theirs so a cardinality that disappears
         and reappears across epochs never re-reads the same sequence.
         """
+        instance, rows = population.instance, population.rows
         for event in events:
             if event.kind is EventKind.LEAVE:
-                instance = self._apply_leave(instance, replicas, event, streams)
-            else:
-                instance = self._apply_join(instance, replicas, event)
-        # Re-spread cardinalities over the (possibly resized) feasible range.
-        cardinalities = self.thread_cardinalities(instance)
-        spawned = reinitialised = 0
-        for replica in replicas:
-            replica_id = replica.replica_id
-            # Intentionally the same stream as _bootstrap: a reseated
-            # replica *continues* its init sequence rather than restarting
-            # it, so replay stays byte-identical across dynamic events.
-            # repro: ignore[MV101]
-            init_rng = streams.get(f"replica-{replica_id}-init")
-            existing = {thread.cardinality: thread for thread in replica.threads}
-            reseated = []
-            for cardinality in cardinalities:
-                thread = existing.pop(cardinality, None)
-                if thread is None:
-                    stream_name = (
-                        f"replica-{replica_id}-dyn-n{cardinality}"
-                        if generation == 0
-                        else f"replica-{replica_id}-gen{generation}-dyn-n{cardinality}"
+                if event.shard_id not in instance.shard_ids:
+                    continue
+                if instance.num_shards <= 1:
+                    raise InfeasibleEpochError(
+                        f"LEAVE of shard {event.shard_id} would empty the epoch; "
+                        "no committee remains to schedule"
                     )
-                    rng = _ThreadRng(streams.seed, stream_name)
-                    thread = _SolutionThread(cardinality=cardinality, thread_rng=rng, config=self.config)
-                    thread.initialize(instance, init_rng)
-                    spawned += 1
-                elif thread.solution is None or not thread.active:
-                    thread.initialize(instance, init_rng)
-                    reinitialised += 1
-                thread.timer = None
-                reseated.append(thread)
-            replica.threads = reseated
-            replica.recompute_current()
+                held = rows.ok & rows.masks[:, instance.position_of(event.shard_id)]
+                new = instance.without(event.shard_id)
+                rows = _rebased_rows(rows, instance, new)
+                by_replica = held.reshape(len(population.replica_ids), -1)
+                # Each replica's leave stream continues across the events of a
+                # batch, as across batches.
+                fresh = _initialize_rows(
+                    new,
+                    [
+                        # repro: ignore[MV101]
+                        (streams.get(f"replica-{replica_id}-leave"),
+                         population.cardinalities[by_replica[group]])
+                        for group, replica_id in enumerate(population.replica_ids)
+                    ],
+                )
+                for mine, theirs in zip(rows, fresh):
+                    mine[held] = theirs
+            else:
+                if event.shard_id in instance.shard_ids:
+                    continue
+                new = instance.with_shard(event.shard_id, event.tx_count, event.latency)
+                rows = _rebased_rows(rows, instance, new)
+            instance = new
+        stats = {"retained": 0, "reseated": 0, "spawned": 0}
+        if instance is not population.instance or not rows.ok.all():
+            stats = self._reseat_family(
+                population, instance, streams,
+                "dyn" if generation == 0 else f"gen{generation}-dyn",
+                lambda source: RowRepair(*(field[source] for field in rows)),
+            )
         if self.telemetry.enabled:
             self.telemetry.event(
                 "se.reseat",
                 events=len(events),
-                threads_spawned=spawned,
-                threads_reinitialised=reinitialised,
+                threads_spawned=stats["spawned"],
+                threads_reinitialised=stats["reseated"],
                 num_shards=instance.num_shards,
             )
-        return instance
-
-    @staticmethod
-    def _apply_leave(
-        instance: EpochInstance,
-        replicas: Sequence[_Replica],
-        event: CommitteeEvent,
-        streams: RandomStreams,
-    ) -> EpochInstance:
-        if event.shard_id not in instance.shard_ids:
-            return instance  # committee already gone; tolerate duplicates
-        if instance.num_shards <= 1:
-            raise InfeasibleEpochError(
-                f"LEAVE of shard {event.shard_id} would empty the epoch; "
-                "no committee remains to schedule"
-            )
-        new_instance = instance.without(event.shard_id)
-        for replica in replicas:
-            # Per-replica named stream: a shared "leave-reinit" stream would
-            # correlate post-failure exploration across the Γ replicas and
-            # make it depend on replica iteration order, breaking the
-            # replica-independence premise behind Fig. 8.
-            init_rng = streams.get(f"replica-{replica.replica_id}-leave")
-            for thread in replica.threads:
-                if thread.solution is None:
-                    continue
-                if event.shard_id in thread.solution.selected_ids():
-                    # Section V: solutions containing the failed committee
-                    # are trimmed out of the space -- re-initialise.
-                    thread.initialize(new_instance, init_rng)
-                else:
-                    thread.set_solution(thread.solution.rebase(new_instance))
-        return new_instance
-
-    @staticmethod
-    def _apply_join(
-        instance: EpochInstance,
-        replicas: Sequence[_Replica],
-        event: CommitteeEvent,
-    ) -> EpochInstance:
-        if event.shard_id in instance.shard_ids:
-            return instance
-        new_instance = instance.with_shard(event.shard_id, event.tx_count, event.latency)
-        for replica in replicas:
-            for thread in replica.threads:
-                if thread.solution is not None:
-                    thread.set_solution(thread.solution.rebase(new_instance))
-        return new_instance

@@ -10,7 +10,8 @@ and asserts, after each applied event batch:
 * ``replica-conservation`` — the Γ executor replicas survive every reseat
   with distinct identities, each hosting exactly the per-cardinality
   solution-thread family of the *current* instance, every live thread
-  conserving its cardinality ``n`` and capacity feasibility;
+  (population row) conserving its cardinality ``n`` and capacity
+  feasibility;
 * ``membership-bookkeeping`` — the instance's shard-id set equals the
   event-replay of the original membership (duplicates tolerated, ids
   conserved — nothing vanishes or resurrects unasked);
@@ -103,7 +104,7 @@ class StormProbe:
     # ------------------------------------------------------------------ #
     # the probe callback
     # ------------------------------------------------------------------ #
-    def __call__(self, *, iteration, events, instance, best, replicas) -> None:
+    def __call__(self, *, iteration, events, instance, best, population) -> None:
         """Run every armed invariant against one applied event batch."""
         self.boundaries.append(int(iteration))
         # Replay the batch onto the tracked shadow instance first: the
@@ -114,14 +115,14 @@ class StormProbe:
         if "incumbent-feasible" in self.armed:
             self._check_incumbent(iteration, instance, best)
         if "replica-conservation" in self.armed:
-            self._check_replicas(iteration, instance, replicas)
+            self._check_replicas(iteration, instance, population)
         if "membership-bookkeeping" in self.armed:
             self._check_membership(iteration, instance)
         if "strict-n-min" in self.armed:
             self._check_strict_n_min(iteration, instance, best)
         for name, check in self.extra_invariants.items():
             if name in self.armed:
-                self._run_extra(name, check, iteration, events, instance, best, replicas)
+                self._run_extra(name, check, iteration, events, instance, best, population)
         self.checks_run += 1
         if self.telemetry.enabled:
             self.telemetry.count(
@@ -155,46 +156,48 @@ class StormProbe:
                 "incumbent-feasible", f"utility {best.utility!r} is not finite", iteration
             )
 
-    def _check_replicas(self, iteration: int, instance: EpochInstance, replicas) -> None:
+    def _check_replicas(self, iteration: int, instance: EpochInstance, population) -> None:
+        identities = list(population.replica_ids)
         expected_gamma = self.solver.config.num_threads
-        if len(replicas) != expected_gamma:
+        if len(identities) != expected_gamma:
             raise StormInvariantViolation(
                 "replica-conservation",
-                f"{len(replicas)} replicas survive, expected Γ={expected_gamma}",
+                f"{len(identities)} replicas survive, expected Γ={expected_gamma}",
                 iteration,
             )
-        identities = [replica.replica_id for replica in replicas]
         if len(set(identities)) != len(identities):
             raise StormInvariantViolation(
                 "replica-conservation", f"replica identities collide: {identities}", iteration
             )
+        family = population.cardinalities.tolist()
         expected_family = self.solver.thread_cardinalities(instance)
-        for replica in replicas:
-            family = [thread.cardinality for thread in replica.threads]
-            if family != expected_family:
-                raise StormInvariantViolation(
-                    "replica-conservation",
-                    f"replica {replica.replica_id} hosts cardinalities {family}, "
-                    f"expected {expected_family}",
-                    iteration,
-                )
-            for thread in replica.threads:
-                if thread.solution is None:
-                    continue
-                if thread.solution.count != thread.cardinality:
-                    raise StormInvariantViolation(
-                        "replica-conservation",
-                        f"replica {replica.replica_id} thread f_{thread.cardinality} "
-                        f"holds {thread.solution.count} replicas (cardinality not conserved)",
-                        iteration,
-                    )
-                if not thread.solution.capacity_feasible:
-                    raise StormInvariantViolation(
-                        "replica-conservation",
-                        f"replica {replica.replica_id} thread f_{thread.cardinality} "
-                        f"exceeds Ĉ (const. 4)",
-                        iteration,
-                    )
+        rows = population.rows
+        if family != expected_family or len(rows.ok) != len(identities) * len(family):
+            raise StormInvariantViolation(
+                "replica-conservation",
+                f"{len(rows.ok)} rows host cardinalities {family} per replica, "
+                f"expected {expected_family} for each of {len(identities)} replicas",
+                iteration,
+            )
+        cardinality = np.tile(population.cardinalities, len(identities))
+        miscounted = rows.ok & (rows.count != cardinality)
+        if miscounted.any():
+            row = int(np.argmax(miscounted))
+            raise StormInvariantViolation(
+                "replica-conservation",
+                f"replica {identities[row // len(family)]} thread f_{cardinality[row]} "
+                f"holds {rows.count[row]} replicas (cardinality not conserved)",
+                iteration,
+            )
+        over = rows.ok & (rows.weight > instance.capacity)
+        if over.any():
+            row = int(np.argmax(over))
+            raise StormInvariantViolation(
+                "replica-conservation",
+                f"replica {identities[row // len(family)]} thread f_{cardinality[row]} "
+                f"exceeds Ĉ (const. 4)",
+                iteration,
+            )
 
     def _check_membership(self, iteration: int, instance: EpochInstance) -> None:
         got = set(int(sid) for sid in instance.shard_ids)
@@ -220,14 +223,14 @@ class StormProbe:
                 iteration,
             )
 
-    def _run_extra(self, name, check, iteration, events, instance, best, replicas) -> None:
+    def _run_extra(self, name, check, iteration, events, instance, best, population) -> None:
         try:
             check(
                 iteration=iteration,
                 events=events,
                 instance=instance,
                 best=best,
-                replicas=replicas,
+                population=population,
             )
         except StormInvariantViolation:
             raise

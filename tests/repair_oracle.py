@@ -2,34 +2,80 @@
 
 These are the one-thread-at-a-time moves that SE used before the
 Γ×thread population became one mask matrix: the warm-adoption repair that
-:func:`repro.core.repair.resize_rows` batches, and the Alg. 2 bootstrap
-that ``repro.core.se._initialize_rows`` batches.  They stay here, outside
-the package, as the reference the batched passes must match bit for bit
-(``tests/test_repair_properties.py``,
-``tests/test_se_bootstrap_properties.py``):
+:func:`repro.core.repair.resize_rows` batches, the Alg. 2 bootstrap that
+``repro.core.se._initialize_rows`` batches, and the dynamic-event re-seat
+that ``StochasticExploration._apply_events`` runs on the rows.  They stay
+here, outside the package, as the reference the batched passes must match
+bit for bit (``tests/test_repair_properties.py``,
+``tests/test_se_bootstrap_properties.py``,
+``tests/test_se_events_properties.py``):
 
 * :func:`resize_to_cardinality` coerces one rebased solution back to its
   thread's exact cardinality under Ĉ;
 * :func:`greedy_swap_improve` re-anchors it with a few improving swaps;
 * :func:`initialize_scalar` is Alg. 2 for one thread;
 * :func:`spawn_scalar` is the per-thread cold bootstrap built on it;
-* :func:`adopt_scalar` is the whole per-thread adoption loop.
+* :func:`adopt_scalar` is the whole per-thread adoption loop;
+* :func:`apply_events_scalar` is the per-thread LEAVE/JOIN re-seat.
+
+:func:`threads_of` and :func:`reseat_threads` convert a population's rows
+to executor/thread objects and back.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.dynamics import EventKind
+from repro.core.engine import _Replica, _solution_masks, _SolutionThread
 from repro.core.problem import EpochInstance
+from repro.core.repair import RowRepair
 from repro.core.se import (
+    InfeasibleEpochError,
     SEWarmState,
     StochasticExploration,
-    _Replica,
-    _SolutionThread,
     _ThreadRng,
 )
 from repro.core.solution import Solution
 from repro.sim.rng import RandomStreams
+
+
+def threads_of(population, config) -> list:
+    """The population's rows as executor/thread objects (slots ascending)."""
+    rows = population.rows
+    family = population.cardinalities.tolist()
+    replicas = []
+    for group, replica_id in enumerate(population.replica_ids):
+        threads = []
+        for k, cardinality in enumerate(family):
+            row = group * len(family) + k
+            thread = _SolutionThread(cardinality, population.rngs[row], config)
+            if rows.ok[row]:
+                thread.set_solution(Solution.from_cached(
+                    population.instance, rows.masks[row].tobytes(),
+                    float(rows.utility[row]), int(rows.weight[row]), int(rows.count[row]),
+                ))
+            threads.append(thread)
+        replica = _Replica(replica_id, threads)
+        replica.virtual_time = float(population.virtual_times[group])
+        replicas.append(replica)
+    return replicas
+
+
+def reseat_threads(population, instance: EpochInstance, replicas: list) -> None:
+    """Install thread objects as the population's rows on ``instance``."""
+    threads = [thread for replica in replicas for thread in replica.threads]
+    solutions = [thread.solution for thread in threads]
+    held = [s is not None for s in solutions]
+    rows = RowRepair(
+        np.array(held, dtype=bool),
+        _solution_masks(solutions, instance.num_shards),
+        np.array([s.utility if s is not None else 0.0 for s in solutions]),
+        np.array([s.weight if s is not None else 0 for s in solutions], dtype=np.int64),
+        np.array([s.count if s is not None else 0 for s in solutions], dtype=np.int64),
+    )
+    population.reseat(instance, [thread.cardinality for thread in replicas[0].threads],
+                      rows, [thread.rng for thread in threads])
 
 
 def resize_to_cardinality(
@@ -188,7 +234,8 @@ def adopt_scalar(
     streams = warm.streams
     cardinalities = solver.thread_cardinalities(instance)
     retained = reseated = spawned = 0
-    for replica in warm.replicas:
+    replicas = threads_of(warm.population, solver.config)
+    for replica in replicas:
         replica_id = replica.replica_id
         init_rng = streams.get(f"replica-{replica_id}-init")
         existing = {thread.cardinality: thread for thread in replica.threads}
@@ -220,6 +267,78 @@ def adopt_scalar(
             thread.timer = None
             threads.append(thread)
         replica.threads = threads
-        replica.recompute_current()
+    reseat_threads(warm.population, instance, replicas)
     return {"retained": retained, "reseated": reseated, "spawned": spawned,
             "zero_drift": False}
+
+
+def apply_events_scalar(
+    solver: StochasticExploration,
+    population,
+    events,
+    streams: RandomStreams,
+    generation: int = 0,
+) -> dict:
+    """The dynamic-event re-seat one thread at a time (the row path's reference).
+
+    Same contract as ``StochasticExploration._apply_events``: per event, a
+    LEAVE re-initialises every thread holding the departed committee from
+    ``replica-{id}-leave`` and rebases the rest, a JOIN rebases every
+    thread; then each replica's family is re-spread over the new feasible
+    range, spawning missing cardinalities and re-initialising threads
+    without a solution from ``replica-{id}-init``.  Returns the
+    ``se.reseat`` counts.
+    """
+    instance = population.instance
+    replicas = threads_of(population, solver.config)
+    for event in events:
+        if event.kind is EventKind.LEAVE:
+            if event.shard_id not in instance.shard_ids:
+                continue
+            if instance.num_shards <= 1:
+                raise InfeasibleEpochError("LEAVE would empty the epoch")
+            new_instance = instance.without(event.shard_id)
+            for replica in replicas:
+                init_rng = streams.get(f"replica-{replica.replica_id}-leave")
+                for thread in replica.threads:
+                    if thread.solution is None:
+                        continue
+                    if event.shard_id in thread.solution.selected_ids():
+                        initialize_scalar(thread, new_instance, init_rng)
+                    else:
+                        thread.set_solution(thread.solution.rebase(new_instance))
+        else:
+            if event.shard_id in instance.shard_ids:
+                continue
+            new_instance = instance.with_shard(event.shard_id, event.tx_count, event.latency)
+            for replica in replicas:
+                for thread in replica.threads:
+                    if thread.solution is not None:
+                        thread.set_solution(thread.solution.rebase(new_instance))
+        instance = new_instance
+    cardinalities = solver.thread_cardinalities(instance)
+    spawned = reinitialised = 0
+    for replica in replicas:
+        replica_id = replica.replica_id
+        init_rng = streams.get(f"replica-{replica_id}-init")
+        existing = {thread.cardinality: thread for thread in replica.threads}
+        threads = []
+        for cardinality in cardinalities:
+            thread = existing.pop(cardinality, None)
+            if thread is None:
+                name = (
+                    f"replica-{replica_id}-dyn-n{cardinality}"
+                    if generation == 0
+                    else f"replica-{replica_id}-gen{generation}-dyn-n{cardinality}"
+                )
+                thread = _SolutionThread(cardinality, _ThreadRng(streams.seed, name),
+                                         solver.config)
+                initialize_scalar(thread, instance, init_rng)
+                spawned += 1
+            elif thread.solution is None:
+                initialize_scalar(thread, instance, init_rng)
+                reinitialised += 1
+            threads.append(thread)
+        replica.threads = threads
+    reseat_threads(population, instance, replicas)
+    return {"threads_spawned": spawned, "threads_reinitialised": reinitialised}

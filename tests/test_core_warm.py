@@ -13,6 +13,8 @@ The two load-bearing guarantees of the epoch-chaining layer:
   population must stay feasible and reproducible on every engine.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -69,11 +71,9 @@ def config(engine="serial", *, gamma=4, max_iterations=400,
 
 def thread_rng_states(warm_state):
     """Every per-thread Mersenne end state, keyed by (replica, cardinality)."""
-    return {
-        (replica.replica_id, thread.cardinality): thread.rng._rnd.getstate()
-        for replica in warm_state.replicas
-        for thread in replica.threads
-    }
+    population = warm_state.population
+    keys = itertools.product(population.replica_ids, population.cardinalities.tolist())
+    return {key: rng._rnd.getstate() for key, rng in zip(keys, population.rngs)}
 
 
 # --------------------------------------------------------------------- #
@@ -175,13 +175,10 @@ class TestDriftAdoption:
         solver = StochasticExploration(config())
         warm = solver.solve(instance).warm_state
         solver._adopt_replicas(warm, drifted)
-        for replica in warm.replicas:
-            for thread in replica.threads:
-                solution = thread.solution
-                if solution is None:
-                    continue
-                assert solution.count == thread.cardinality
-                assert solution.weight <= drifted.capacity
+        rows = warm.population.rows
+        cardinality = np.tile(warm.population.cardinalities, len(warm.population.replica_ids))
+        assert np.array_equal(rows.count[rows.ok], cardinality[rows.ok])
+        assert (rows.weight[rows.ok] <= drifted.capacity).all()
 
     def test_generation_counts_handoffs(self):
         instance = base_instance()

@@ -52,9 +52,9 @@ class TestServeStormSurvival:
     def test_warm_boundary_is_probed_at_iteration_zero(self):
         seen = []
 
-        def boundary_spy(*, iteration, events, instance, best, replicas):
+        def boundary_spy(*, iteration, events, instance, best, population):
             if iteration == 0:
-                seen.append(len(replicas))
+                seen.append(len(population.replica_ids))
 
         outcome = run_serve_storm(
             SMALL, extra_invariants={"boundary-spy": boundary_spy}
@@ -94,7 +94,7 @@ class TestServeStormViolation:
     def violated_outcome(self):
         calls = {"n": 0}
 
-        def bomb(*, iteration, events, instance, best, replicas):
+        def bomb(*, iteration, events, instance, best, population):
             calls["n"] += 1
             if calls["n"] > 20:
                 raise StormInvariantViolation(
@@ -128,7 +128,7 @@ class TestServeReproducer:
     def test_round_trip_and_replay(self, tmp_path):
         calls = {"n": 0}
 
-        def bomb(*, iteration, events, instance, best, replicas):
+        def bomb(*, iteration, events, instance, best, population):
             calls["n"] += 1
             if calls["n"] > 20:
                 raise StormInvariantViolation(
@@ -158,7 +158,7 @@ class TestServeReproducer:
     def test_serialisation_deterministic(self, tmp_path):
         calls = {"n": 0}
 
-        def bomb(*, iteration, events, instance, best, replicas):
+        def bomb(*, iteration, events, instance, best, population):
             calls["n"] += 1
             if calls["n"] > 20:
                 raise StormInvariantViolation(

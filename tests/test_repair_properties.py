@@ -16,6 +16,7 @@ the re-initialise branch that a serve stream never reaches.
 """
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.problem import EpochInstance, MVComConfig
 from repro.core.repair import greedy_improve, repair_feasibility, resize_rows
+from repro.core.engine import _solution_masks
 from repro.core.se import SEConfig, StochasticExploration, _rebased_masks
 from repro.core.solution import Solution
 
@@ -203,7 +205,7 @@ def test_rebased_masks_match_solution_rebase(instance, data):
                                                          max_size=n)), dtype=bool))
         for _ in range(3)
     ]
-    masks = _rebased_masks(solutions, instance, drifted)
+    masks = _rebased_masks(_solution_masks(solutions, n), instance, drifted)
     for row, solution in enumerate(solutions):
         assert np.array_equal(masks[row], solution.rebase(drifted).mask)
 
@@ -228,18 +230,22 @@ def _drifted(instance, seed):
 
 
 def _population_state(warm):
+    population = warm.population
+    rows = population.rows
     return [
         (
-            replica.replica_id,
-            thread.cardinality,
-            thread.solution.mask.tobytes() if thread.solution is not None else None,
-            float(thread.solution.utility).hex() if thread.solution is not None else None,
-            thread.solution.weight if thread.solution is not None else None,
-            thread.sel, thread.unsel, thread.loc, thread.active,
+            replica_id,
+            cardinality,
+            rows.masks[row].tobytes() if rows.ok[row] else None,
+            float(rows.utility[row]).hex() if rows.ok[row] else None,
+            int(rows.weight[row]) if rows.ok[row] else None,
+            int(rows.count[row]) if rows.ok[row] else None,
+            population.rngs[row]._rnd.getstate(),
         )
-        for replica in warm.replicas
-        for thread in replica.threads
-    ] + [replica.current_utility for replica in warm.replicas]
+        for row, (replica_id, cardinality) in enumerate(
+            itertools.product(population.replica_ids, population.cardinalities.tolist())
+        )
+    ]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -262,9 +268,7 @@ def test_adoption_matches_the_scalar_loop(seed, drop_solutions):
         # No serve shape reaches the unrepairable branch, so force it: a
         # carried thread without a solution re-initialises from the init
         # stream, interleaved in order with the spawned cardinalities.
-        for replica in warm.replicas:
-            for thread in replica.threads[::3]:
-                thread.set_solution(None)
+        warm.population.rows.ok.reshape(3, -1)[:, ::3] = False
     scalar = copy.deepcopy(warm)
     drifted = _drifted(instance, seed)
     stats = solver._adopt_replicas(warm, drifted)

@@ -20,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import se as se_module
+from repro.core.engine import _SolutionThread
 from repro.core.problem import EpochInstance, MVComConfig
-from repro.core.se import SEConfig, StochasticExploration, _SolutionThread, _ThreadRng
+from repro.core.se import SEConfig, StochasticExploration, _ThreadRng
 from repro.sim.rng import RandomStreams
 
-from tests.repair_oracle import initialize_scalar, spawn_scalar
+from tests.repair_oracle import initialize_scalar, spawn_scalar, threads_of
 from tests.test_repair_properties import instances
 
 
@@ -95,7 +96,7 @@ def test_bootstrap_matches_the_scalar_spawn(instance, gamma, cap, seed):
     solver = StochasticExploration(SEConfig(num_threads=gamma, max_solution_threads=cap,
                                             seed=seed))
     batched, scalar = RandomStreams(seed), RandomStreams(seed)
-    replicas = solver._bootstrap(instance, batched).replicas
+    replicas = threads_of(solver._bootstrap(instance, batched), solver.config)
     expected = spawn_scalar(solver, instance, scalar)
     for replica, twin in zip(replicas, expected, strict=True):
         assert replica.replica_id == twin.replica_id

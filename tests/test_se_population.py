@@ -1,10 +1,11 @@
 """The array-native SE population and the vectorized kernel's draw layout.
 
 * A vectorized solve, cold or warm, races the Γ×thread mask matrix
-  directly: no ``_SolutionThread`` is built unless the serial engine, a
-  dynamic event or a probe asks for thread objects.
-* Building thread objects for a probe and folding them back
-  (``_Population.settle``) leaves the trajectory untouched.
+  directly: only the serial engine builds ``_SolutionThread`` objects,
+  never a dynamic event (which re-seats rows) or a probe (which reads
+  them).  The serial engine keeps its objects until something else
+  writes the rows.
+* A probe reading the rows leaves the trajectory untouched.
 * ``_ThreadRng`` seeds its Mersenne Twister on the first draw, and that
   stream is the one an eager seeding gives.
 * ``_VectorState.start_block`` lays out one block as ``(R, T, 2)`` pair
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import engine as engine_module
-from repro.core import se as se_module
 from repro.core.dynamics import CommitteeEvent, DynamicSchedule, EventKind
 from repro.core.se import SEConfig, StochasticExploration, _ThreadRng
 from repro.sim.rng import RandomStreams, spawn_fast_rng
@@ -35,13 +35,13 @@ def _config(engine="vectorized", **overrides):
 def built(monkeypatch):
     """Counts ``_SolutionThread`` constructions."""
     count = [0]
-    original = se_module._SolutionThread.__init__
+    original = engine_module._SolutionThread.__init__
 
     def counting(self, *args, **kwargs):
         count[0] += 1
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(se_module._SolutionThread, "__init__", counting)
+    monkeypatch.setattr(engine_module._SolutionThread, "__init__", counting)
     return count
 
 
@@ -64,23 +64,38 @@ def test_serial_engine_builds_its_threads(built):
     assert built[0] == 6 * len(solver.thread_cardinalities(base_instance()))
 
 
-def test_probe_and_dynamic_event_build_threads(built):
+def test_serial_engine_keeps_its_threads_until_the_rows_change(built):
+    instance = base_instance()
+    solver = StochasticExploration(_config("serial"))
+    size = 6 * len(solver.thread_cardinalities(instance))
+    duplicate = DynamicSchedule([
+        CommitteeEvent(iteration=50, kind=EventKind.LEAVE, shard_id=99_999)
+    ])
+    solver.solve(instance, warm=solver.solve(instance, schedule=duplicate))
+    assert built[0] == size  # a no-op boundary and a zero-drift hand-off
+    leave = DynamicSchedule([
+        CommitteeEvent(iteration=50, kind=EventKind.LEAVE, shard_id=instance.shard_ids[3])
+    ])
+    solver.solve(instance, schedule=leave)
+    shrunk = instance.without(instance.shard_ids[3])
+    # A cold build, then a rebuild on the re-seated rows after the LEAVE.
+    assert built[0] == 2 * size + 6 * len(solver.thread_cardinalities(shrunk))
+
+
+def test_probe_and_dynamic_event_build_no_thread(built):
     instance = base_instance()
     solver = StochasticExploration(_config())
     cold = solver.solve(instance)
-    assert built[0] == 0
     solver.solve(drifted_instance(instance), warm=cold, probe=lambda **_: None)
-    probed = built[0]
-    assert probed > 0
     schedule = DynamicSchedule([
         CommitteeEvent(iteration=50, kind=EventKind.LEAVE, shard_id=instance.shard_ids[3])
     ])
-    solver.solve(instance, schedule=schedule)
-    assert built[0] > probed
+    solver.solve(instance, schedule=schedule, probe=lambda **_: None)
+    assert built[0] == 0
 
 
 def test_a_probe_never_perturbs_a_vectorized_warm_solve():
-    """Objects built for the probe fold back into the same rows."""
+    """The probe reads the adopted rows and changes nothing."""
     instance = base_instance()
     drifted = drifted_instance(instance)
     results = []

@@ -3,24 +3,31 @@
 Three dynamic-path bugs, each pinned by a construction that fails on the
 pre-fix code:
 
-1. ``_SolutionThread.initialize`` ran ``np.searchsorted`` over the raw
-   swap-relief cumsum, which is concave (its increments can go negative)
-   and therefore NOT sorted — bisection fell off the peak and collapsed
-   perfectly repairable draws to the lightest-``n`` fallback.
+1. Alg. 2's initialisation (now ``_initialize_rows``) ran
+   ``np.searchsorted`` over the raw swap-relief cumsum, which is concave
+   (its increments can go negative) and therefore NOT sorted — bisection
+   fell off the peak and collapsed perfectly repairable draws to the
+   lightest-``n`` fallback.
 2. ``_rebase_best`` never re-established const. (3) ``count >= N_min``
    after a LEAVE shrank the carried incumbent below the floor; the
    infeasible incumbent could then win ``_pick_better`` on raw utility.
-3. ``_apply_leave`` drew every replica's re-initialisation from one shared
-   ``"leave-reinit"`` stream, correlating the Γ replicas' post-failure
-   exploration and making it depend on replica iteration order.
+3. The LEAVE re-seat (now in ``_apply_events``) drew every replica's
+   re-initialisation from one shared ``"leave-reinit"`` stream, correlating
+   the Γ replicas' post-failure exploration and making it depend on replica
+   iteration order.
 """
 
 import numpy as np
 
 from repro.core.dynamics import CommitteeEvent, EventKind
 from repro.core.problem import EpochInstance, MVComConfig
-from repro.core.repair import repair_capacity, repair_cardinality, repair_feasibility
-from repro.core.se import SEConfig, StochasticExploration, _SolutionThread, _ThreadRng
+from repro.core.repair import (
+    RowRepair,
+    repair_capacity,
+    repair_cardinality,
+    repair_feasibility,
+)
+from repro.core.se import SEConfig, StochasticExploration, _initialize_rows
 from repro.core.solution import Solution
 from repro.sim.rng import RandomStreams
 
@@ -37,12 +44,6 @@ class _IdentityRng:
     @staticmethod
     def permuted(x, axis=None):
         return np.array(x)
-
-
-def _thread(cardinality: int, config: SEConfig = SEConfig()) -> _SolutionThread:
-    return _SolutionThread(
-        cardinality=cardinality, thread_rng=_ThreadRng(0, "regression"), config=config
-    )
 
 
 class TestInitializeSearchsorted:
@@ -63,15 +64,15 @@ class TestInitializeSearchsorted:
 
     def test_minimal_swap_repair_not_lightest_n_fallback(self):
         instance = self._instance()
-        thread = _thread(cardinality=5)
-        assert thread.initialize(instance, _IdentityRng())
-        picked = set(int(p) for p in thread.solution.selected_positions())
+        rows = _initialize_rows(instance, [(_IdentityRng(), [5])])
+        assert rows.ok[0]
+        picked = set(int(p) for p in np.flatnonzero(rows.masks[0]))
         # One swap (heaviest pick 0 out, lightest outsider 5 in) repairs the
         # draw; the broken bisection instead returned the lightest five
         # shards {2, 3, 4, 5, 6}, erasing the randomness of Alg. 2.
         assert picked == {1, 2, 3, 4, 5}
         assert picked != {2, 3, 4, 5, 6}
-        assert thread.solution.capacity_feasible
+        assert rows.weight[0] <= instance.capacity
 
     def test_initialize_feasible_across_random_draws(self):
         """Whatever the draw, a feasible cardinality must initialise feasible."""
@@ -80,10 +81,10 @@ class TestInitializeSearchsorted:
             streams = RandomStreams(seed)
             np_rng = streams.get("init")
             for cardinality in range(1, instance.max_feasible_cardinality + 1):
-                thread = _thread(cardinality)
-                assert thread.initialize(instance, np_rng)
-                assert thread.solution.count == cardinality
-                assert thread.solution.capacity_feasible
+                rows = _initialize_rows(instance, [(np_rng, [cardinality])])
+                assert rows.ok[0]
+                assert rows.count[0] == cardinality
+                assert rows.weight[0] <= instance.capacity
 
 
 class TestRebaseBestRepairs:
@@ -148,40 +149,41 @@ class TestLeaveStreamIsolation:
     def _spawn(self, instance, seed=7):
         solver = StochasticExploration(SEConfig(num_threads=4, seed=seed))
         streams = RandomStreams(seed)
-        return solver, streams, solver._bootstrap(instance, streams).replicas
+        return solver, streams, solver._bootstrap(instance, streams)
 
     def test_leave_reinit_independent_of_replica_order(self):
         instance = random_instance(16, seed=11)
-        _, streams_fwd, replicas_fwd = self._spawn(instance)
-        _, streams_rev, replicas_rev = self._spawn(instance)
+        solver, streams_fwd, forward = self._spawn(instance)
+        _, streams_rev, reverse = self._spawn(instance)
+        # The same population with its replicas (row blocks) in reverse order.
+        gamma, size = len(reverse.replica_ids), len(reverse.cardinalities)
+        order = (np.arange(gamma)[::-1, None] * size + np.arange(size)).reshape(-1)
+        reverse.replica_ids.reverse()
+        reverse.reseat(instance, reverse.cardinalities,
+                       RowRepair(*(field[order] for field in reverse.rows)),
+                       [reverse.rngs[row] for row in order])
         # Victim: some shard that at least one thread currently selects, so
         # the leave actually re-initialises solutions.
-        victim = next(
-            sid
-            for replica in replicas_fwd
-            for thread in replica.threads
-            if thread.solution is not None
-            for sid in thread.solution.selected_ids()
-        )
+        rows = forward.rows
+        victim = instance.shard_ids[int(np.flatnonzero(rows.masks[np.argmax(rows.ok)])[0])]
         event = CommitteeEvent(iteration=0, kind=EventKind.LEAVE, shard_id=victim)
-        StochasticExploration._apply_leave(instance, replicas_fwd, event, streams_fwd)
-        StochasticExploration._apply_leave(
-            instance, list(reversed(replicas_rev)), event, streams_rev
-        )
-        by_id = {replica.replica_id: replica for replica in replicas_rev}
-        for replica in replicas_fwd:
-            twin = by_id[replica.replica_id]
-            for thread, twin_thread in zip(replica.threads, twin.threads):
-                assert thread.cardinality == twin_thread.cardinality
-                if thread.solution is None:
-                    assert twin_thread.solution is None
-                else:
-                    # A shared stream hands each replica a different slice of
-                    # one sequence, so reversing iteration order permuted the
-                    # re-initialised solutions across replicas.
-                    assert thread.solution.selected == twin_thread.solution.selected
+        solver._apply_events(forward, [event], streams_fwd)
+        solver._apply_events(reverse, [event], streams_rev)
+        size = len(forward.cardinalities)
+        by_id = {replica_id: g for g, replica_id in enumerate(reverse.replica_ids)}
+        assert np.array_equal(forward.cardinalities, reverse.cardinalities)
+        for group, replica_id in enumerate(forward.replica_ids):
+            mine = slice(group * size, (group + 1) * size)
+            twin = slice(by_id[replica_id] * size, (by_id[replica_id] + 1) * size)
+            assert np.array_equal(forward.rows.ok[mine], reverse.rows.ok[twin])
+            held = forward.rows.ok[mine]
+            # A shared stream hands each replica a different slice of one
+            # sequence, so reversing iteration order permuted the
+            # re-initialised solutions across replicas.
+            assert np.array_equal(forward.rows.masks[mine][held],
+                                  reverse.rows.masks[twin][held])
 
     def test_replica_ids_are_stable_identities(self):
         instance = random_instance(12, seed=2)
-        _, _, replicas = self._spawn(instance)
-        assert [replica.replica_id for replica in replicas] == list(range(len(replicas)))
+        _, _, population = self._spawn(instance)
+        assert population.replica_ids == list(range(len(population.replica_ids)))
