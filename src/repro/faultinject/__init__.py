@@ -9,8 +9,9 @@ membership bookkeeping, Theorem-2 perturbation sanity, trace monotonicity)
 stay armed.  A failing storm shrinks to a 1-minimal replayable JSON
 reproducer.
 
-Entry points: :func:`run_storm` (one SE solve), :func:`run_epoch_storm`
-(the multi-epoch chain loop), ``mvcom storm`` on the command line.
+Entry points: :func:`run_storm` (one SE solve), :func:`run_serve_storm`
+(the serve loop, the only multi-epoch storm), :func:`replay_reproducer`
+(either reproducer format), ``mvcom storm`` on the command line.
 """
 
 from repro.faultinject.invariants import (
@@ -20,50 +21,37 @@ from repro.faultinject.invariants import (
     StormProbe,
     check_trace_monotone,
 )
-from repro.faultinject.runner import (
-    DEFAULT_ARMED,
+from repro.faultinject.reproducer import (
     REPRODUCER_FORMAT,
-    EpochStormOutcome,
-    StormOutcome,
-    build_storm_instance,
+    SERVE_REPRODUCER_FORMAT,
     event_from_json,
     event_to_json,
     load_reproducer,
     make_reproducer,
+    make_serve_reproducer,
     replay_reproducer,
-    run_epoch_storm,
-    run_storm,
     save_reproducer,
+)
+from repro.faultinject.runner import (
+    DEFAULT_ARMED,
+    StormOutcome,
+    build_storm_instance,
+    run_storm,
     shrink_storm,
     storm_workload_config,
 )
-from repro.faultinject.serve import (
-    SERVE_REPRODUCER_FORMAT,
-    ServeStormConfig,
-    ServeStormOutcome,
-    load_serve_reproducer,
-    make_serve_reproducer,
-    replay_serve_reproducer,
-    run_serve_storm,
-    save_serve_reproducer,
-)
+from repro.faultinject.serve import ServeStormConfig, ServeStormOutcome, run_serve_storm
 from repro.faultinject.shrink import shrink_events
 from repro.faultinject.storm import StormConfig, generate_storm
 
 __all__ = [
     "DEFAULT_ARMED",
-    "SERVE_REPRODUCER_FORMAT",
-    "ServeStormConfig",
-    "ServeStormOutcome",
-    "load_serve_reproducer",
-    "make_serve_reproducer",
-    "replay_serve_reproducer",
-    "run_serve_storm",
-    "save_serve_reproducer",
     "DEFAULT_INVARIANTS",
     "KNOWN_INVARIANTS",
     "REPRODUCER_FORMAT",
-    "EpochStormOutcome",
+    "SERVE_REPRODUCER_FORMAT",
+    "ServeStormConfig",
+    "ServeStormOutcome",
     "StormConfig",
     "StormInvariantViolation",
     "StormOutcome",
@@ -75,8 +63,9 @@ __all__ = [
     "generate_storm",
     "load_reproducer",
     "make_reproducer",
+    "make_serve_reproducer",
     "replay_reproducer",
-    "run_epoch_storm",
+    "run_serve_storm",
     "run_storm",
     "save_reproducer",
     "shrink_events",

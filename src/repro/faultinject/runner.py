@@ -1,7 +1,8 @@
-"""Storm execution: run, classify, shrink, serialise, replay.
+"""Storm execution: one classified step, one solve, shrink.
 
-:func:`run_storm` batters one SE solve with a generated (or replayed) event
-schedule under armed invariants and classifies the outcome:
+:func:`storm_step` is the one place a storm meets a solver: it arms a
+:class:`~repro.faultinject.invariants.StormProbe`, solves under the event
+schedule, runs the post-hoc trace check and classifies the run:
 
 * ``"survived"`` — the run completed and every armed invariant held;
 * ``"violated"`` — an armed invariant raised
@@ -11,37 +12,22 @@ schedule under armed invariants and classifies the outcome:
   degradation*, not a bug: an epoch with no committees has nothing to
   schedule.
 
-A violated outcome shrinks (:func:`shrink_storm`) to a 1-minimal schedule
-with the same failure signature and serialises as a replayable JSON
-reproducer — :func:`replay_reproducer` reruns it bit-for-bit from the
-stored seed, so a CI artifact is a complete bug report.
-
-:func:`run_epoch_storm` runs the same storms *through the chain epoch
-loop* (:class:`repro.core.pipeline.MultiEpochScheduler`): each epoch's SE
-solve faces its own storm slice, and the surviving selection is projected
-back onto the pipeline's candidate set by stable shard id (committees that
-joined mid-storm are unknown to the pipeline and drop out; committees that
-left are simply refused and carry over per Fig. 3).
+:func:`run_storm` takes one step against one SE solve;
+:func:`repro.faultinject.serve.run_serve_storm` takes one per served epoch.
+A violated single-solve outcome shrinks (:func:`shrink_storm`) to a
+1-minimal schedule with the same failure signature, and
+:mod:`repro.faultinject.reproducer` serialises it as replayable JSON.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.dynamics import CommitteeEvent, DynamicSchedule, EventKind
-from repro.core.pipeline import MultiEpochScheduler, PipelineResult
+from repro.core.dynamics import CommitteeEvent, DynamicSchedule
 from repro.core.problem import EpochInstance
 from repro.core.se import InfeasibleEpochError, SEConfig, SEResult, StochasticExploration
-from repro.data.workload import (
-    WorkloadConfig,
-    arrived_shards,
-    generate_epoch_workload,
-    multi_epoch_workloads,
-)
+from repro.data.workload import WorkloadConfig, generate_epoch_workload
 from repro.faultinject.invariants import (
     DEFAULT_INVARIANTS,
     StormInvariantViolation,
@@ -51,14 +37,11 @@ from repro.faultinject.invariants import (
 from repro.faultinject.shrink import shrink_events
 from repro.faultinject.storm import StormConfig, generate_storm
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
-from repro.sim.rng import RandomStreams, derive_seed
+from repro.sim.rng import RandomStreams
 
 #: What :func:`run_storm` arms when the caller does not choose: the
 #: event-boundary invariants plus the post-hoc trace check.
 DEFAULT_ARMED = DEFAULT_INVARIANTS + ("trace-monotone",)
-
-#: On-disk format tag for reproducer files.
-REPRODUCER_FORMAT = "mvcom-storm-reproducer-v1"
 
 
 @dataclass
@@ -108,12 +91,13 @@ def build_storm_instance(config: StormConfig) -> EpochInstance:
     return generate_epoch_workload(storm_workload_config(config)).instance
 
 
-def _solver(
+def storm_solver(
     config: StormConfig,
     telemetry: NullTelemetry,
     seed: Optional[int] = None,
     engine: str = "serial",
 ) -> StochasticExploration:
+    """The SE solver a storm batters (``seed`` defaults to the storm's)."""
     se_config = SEConfig(
         num_threads=config.gamma,
         max_iterations=config.max_iterations,
@@ -122,6 +106,45 @@ def _solver(
         engine=engine,
     )
     return StochasticExploration(se_config, telemetry=telemetry)
+
+
+def storm_step(
+    solver: StochasticExploration,
+    instance: EpochInstance,
+    config: StormConfig,
+    events: Sequence[CommitteeEvent],
+    armed: Tuple[str, ...],
+    extra_invariants: Optional[Dict[str, Callable[..., None]]] = None,
+    warm: Optional[SEResult] = None,
+    telemetry: NullTelemetry = NULL_TELEMETRY,
+) -> StormOutcome:
+    """Solve ``instance`` under ``events`` with ``armed`` checks; classify.
+
+    ``warm`` chains the solve onto a previous result, so the probe also
+    sees the adopted population at iteration 0.
+    """
+    events = list(events)
+    probe = StormProbe(
+        solver, instance, armed=armed, extra_invariants=extra_invariants, telemetry=telemetry
+    )
+    outcome = StormOutcome(status="survived", config=config, armed=armed, events=events)
+    try:
+        result = solver.solve(
+            instance, schedule=DynamicSchedule(events=events), probe=probe, warm=warm
+        )
+        if "trace-monotone" in armed:
+            check_trace_monotone(result.utility_trace, probe.boundaries)
+        outcome.result = result
+    except StormInvariantViolation as violation:
+        outcome.status = "violated"
+        outcome.violation = violation
+    except InfeasibleEpochError as exc:
+        outcome.status = "infeasible"
+        outcome.infeasible_reason = str(exc)
+    outcome.boundaries = list(probe.boundaries)
+    outcome.checks_run = probe.checks_run
+    outcome.theorem2_checked = probe.theorem2_checked
+    return outcome
 
 
 def run_storm(
@@ -144,34 +167,15 @@ def run_storm(
     instance = build_storm_instance(config)
     if events is None:
         events = generate_storm(instance, config, RandomStreams(config.seed))
-    events = list(events)
-
-    solver = _solver(config, telemetry, engine=engine)
-    probe = StormProbe(solver, instance, armed=armed, telemetry=telemetry)
-    schedule = DynamicSchedule(events=list(events))
-
-    outcome = StormOutcome(status="survived", config=config, armed=armed, events=events)
-    try:
-        result = solver.solve(instance, schedule=schedule, probe=probe)
-        if "trace-monotone" in armed:
-            check_trace_monotone(result.utility_trace, probe.boundaries)
-        outcome.result = result
-    except StormInvariantViolation as violation:
-        outcome.status = "violated"
-        outcome.violation = violation
-    except InfeasibleEpochError as exc:
-        outcome.status = "infeasible"
-        outcome.infeasible_reason = str(exc)
-    outcome.boundaries = list(probe.boundaries)
-    outcome.checks_run = probe.checks_run
-    outcome.theorem2_checked = probe.theorem2_checked
+    solver = storm_solver(config, telemetry, engine=engine)
+    outcome = storm_step(solver, instance, config, events, armed, telemetry=telemetry)
 
     if telemetry.enabled:
         telemetry.event(
             "storm.run",
             status=outcome.status,
             seed=config.seed,
-            events=len(events),
+            events=len(outcome.events),
             boundaries=len(outcome.boundaries),
             checks_run=outcome.checks_run,
             theorem2_checked=outcome.theorem2_checked,
@@ -211,205 +215,3 @@ def shrink_storm(
             probes=probes,
         )
     return minimal, probes
-
-
-# ---------------------------------------------------------------------- #
-# reproducer serialisation
-# ---------------------------------------------------------------------- #
-def event_to_json(event: CommitteeEvent) -> Dict:
-    """One event as a JSON-safe dict (kind stored by enum value)."""
-    payload: Dict = {
-        "iteration": int(event.iteration),
-        "kind": event.kind.value,
-        "shard_id": int(event.shard_id),
-    }
-    if event.kind is EventKind.JOIN:
-        payload["tx_count"] = int(event.tx_count)
-        payload["latency"] = float(event.latency)
-    return payload
-
-
-def event_from_json(payload: Dict) -> CommitteeEvent:
-    """Inverse of :func:`event_to_json`."""
-    return CommitteeEvent(
-        iteration=int(payload["iteration"]),
-        kind=EventKind(payload["kind"]),
-        shard_id=int(payload["shard_id"]),
-        tx_count=payload.get("tx_count"),
-        latency=payload.get("latency"),
-    )
-
-
-def make_reproducer(
-    outcome: StormOutcome,
-    events: Optional[Sequence[CommitteeEvent]] = None,
-) -> Dict:
-    """A replayable JSON document for a violated outcome.
-
-    ``events`` defaults to the outcome's full schedule; pass the shrunk
-    list to store the minimal reproducer instead.
-    """
-    if outcome.violation is None:
-        raise ValueError("a reproducer records a violation; this outcome has none")
-    chosen = list(events if events is not None else outcome.events)
-    return {
-        "format": REPRODUCER_FORMAT,
-        "config": asdict(outcome.config),
-        "armed": list(outcome.armed),
-        "failure": {
-            "invariant": outcome.violation.invariant,
-            "iteration": outcome.violation.iteration,
-            "message": str(outcome.violation),
-        },
-        "events": [event_to_json(event) for event in chosen],
-    }
-
-
-def save_reproducer(path: str, reproducer: Dict) -> None:
-    """Write a reproducer deterministically (sorted keys, stable floats)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(reproducer, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_reproducer(path: str) -> Dict:
-    """Read a reproducer, validating the format tag."""
-    with open(path, "r", encoding="utf-8") as handle:
-        reproducer = json.load(handle)
-    if reproducer.get("format") != REPRODUCER_FORMAT:
-        raise ValueError(
-            f"{path} is not a {REPRODUCER_FORMAT} file "
-            f"(format={reproducer.get('format')!r})"
-        )
-    return reproducer
-
-
-def replay_reproducer(
-    reproducer: Dict,
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-    engine: str = "serial",
-) -> StormOutcome:
-    """Re-run a stored reproducer exactly (same seed, same events, same arms).
-
-    ``engine`` selects the SE execution engine.  Storms deliberately
-    default to ``serial`` rather than ``auto``: a reproducer must replay
-    byte-for-byte on any machine, and ``auto`` may route large instances
-    to the distributional batched kernel.
-    """
-    config = StormConfig(**reproducer["config"])
-    events = [event_from_json(payload) for payload in reproducer["events"]]
-    return run_storm(
-        config,
-        events=events,
-        armed=tuple(reproducer["armed"]),
-        telemetry=telemetry,
-        engine=engine,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# the chain epoch loop under storms
-# ---------------------------------------------------------------------- #
-@dataclass
-class EpochStormOutcome:
-    """A multi-epoch pipeline run where every epoch faced its own storm."""
-
-    status: str  # "survived" | "violated" | "infeasible"
-    config: StormConfig
-    pipeline: Optional[PipelineResult] = None
-    epoch_outcomes: List[StormOutcome] = field(default_factory=list)
-    violation: Optional[StormInvariantViolation] = None
-    infeasible_reason: Optional[str] = None
-
-    @property
-    def survived(self) -> bool:
-        """True when every epoch's storm passed its armed invariants."""
-        return self.status == "survived"
-
-
-def run_epoch_storm(
-    config: StormConfig,
-    armed: Optional[Sequence[str]] = None,
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-    engine: str = "serial",
-) -> EpochStormOutcome:
-    """Drive :class:`MultiEpochScheduler` with a storm inside every epoch.
-
-    Each epoch's scheduler call runs a full SE solve under that epoch's
-    slice of the storm (fresh seed derivation per epoch, so epochs are
-    independent streams).  The SE result's selection lives on the storm's
-    *final* instance — which has diverged from the pipeline's candidate set
-    through joins and leaves — so it is projected back by stable shard id:
-    mid-storm joiners are invisible to the pipeline and drop; leavers are
-    refused and re-enter next epoch via Fig. 3 carry-over.
-    """
-    armed = tuple(armed) if armed is not None else DEFAULT_ARMED
-    workload = storm_workload_config(config)
-    workloads = multi_epoch_workloads(workload, config.epochs)
-    fresh_per_epoch = [
-        arrived_shards(epoch_workload.shards, workload.n_max_fraction)
-        for epoch_workload in workloads
-    ]
-
-    outcome = EpochStormOutcome(status="survived", config=config)
-    epoch_cursor = {"epoch": 0}
-
-    def storm_scheduler(instance: EpochInstance) -> np.ndarray:
-        epoch = epoch_cursor["epoch"]
-        epoch_cursor["epoch"] += 1
-        epoch_config = config.per_epoch(epoch)
-        epoch_seed = derive_seed(config.seed, f"storm-epoch-{epoch}")
-        events = generate_storm(instance, epoch_config, RandomStreams(epoch_seed))
-        solver = _solver(epoch_config, telemetry, seed=epoch_seed, engine=engine)
-        probe = StormProbe(solver, instance, armed=armed, telemetry=telemetry)
-        result = solver.solve(instance, DynamicSchedule(events=list(events)), probe=probe)
-        if "trace-monotone" in armed:
-            check_trace_monotone(result.utility_trace, probe.boundaries)
-        outcome.epoch_outcomes.append(
-            StormOutcome(
-                status="survived",
-                config=epoch_config,
-                armed=armed,
-                events=list(events),
-                result=result,
-                boundaries=list(probe.boundaries),
-                checks_run=probe.checks_run,
-                theorem2_checked=probe.theorem2_checked,
-            )
-        )
-        if telemetry.enabled:
-            telemetry.event(
-                "storm.epoch",
-                epoch=epoch,
-                events=len(events),
-                boundaries=len(probe.boundaries),
-                iterations=result.iterations,
-                best_utility=result.best_utility,
-            )
-        final = result.final_instance
-        selected = {
-            shard_id
-            for shard_id, chosen in zip(final.shard_ids, result.best_mask)
-            if chosen
-        }
-        return np.array([sid in selected for sid in instance.shard_ids], dtype=bool)
-
-    pipeline = MultiEpochScheduler(storm_scheduler, workload.mvcom_config())
-    try:
-        outcome.pipeline = pipeline.run(fresh_per_epoch)
-    except StormInvariantViolation as violation:
-        outcome.status = "violated"
-        outcome.violation = violation
-    except InfeasibleEpochError as exc:
-        outcome.status = "infeasible"
-        outcome.infeasible_reason = str(exc)
-
-    if telemetry.enabled:
-        telemetry.event(
-            "storm.pipeline",
-            status=outcome.status,
-            epochs=len(outcome.epoch_outcomes),
-            total_throughput=outcome.pipeline.total_throughput if outcome.pipeline else None,
-            worst_starvation=outcome.pipeline.worst_starvation if outcome.pipeline else None,
-        )
-    return outcome

@@ -2,51 +2,36 @@
 
 :func:`run_serve_storm` drives the :class:`~repro.data.stream.EpochStream`
 feeder and a warm-chained SE solver exactly as ``mvcom serve`` does, but
-injects a fresh :func:`~repro.faultinject.storm.generate_storm` schedule
-into every epoch's solve with :class:`StormProbe` invariants armed — and
-because a warm start calls the probe at iteration 0 with the *adopted*
-replicas, the contracts are checked across the epoch boundary itself (the
-new failure surface this mode exists to cover: stale thread state, an
-incumbent from the wrong instance, infeasible carried solutions).
+takes one :func:`~repro.faultinject.runner.storm_step` per epoch: a fresh
+:func:`~repro.faultinject.storm.generate_storm` schedule inside every
+epoch's solve with :class:`StormProbe` invariants armed — and because a
+warm start calls the probe at iteration 0 with the *adopted* replicas, the
+contracts are checked across the epoch boundary itself (the failure
+surface this mode exists to cover: stale thread state, an incumbent from
+the wrong instance, infeasible carried solutions).  This is the only
+multi-epoch storm; ``mvcom storm --epochs N`` runs it warm.
 
-A violation serialises as a ``mvcom-serve-reproducer-v1`` document: the
-whole epoch-by-epoch event history up to the failure plus the serve-storm
-config, enough to replay the service loop bit-for-bit to the same raise.
+A violation serialises as a ``mvcom-serve-reproducer-v1`` document
+(:mod:`repro.faultinject.reproducer`): the whole epoch-by-epoch event
+history up to the failure plus the serve-storm config, enough to replay
+the service loop bit-for-bit to the same raise.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.dynamics import CommitteeEvent, DynamicSchedule
-from repro.core.se import InfeasibleEpochError, SEConfig, SEResult, StochasticExploration
+from repro.core.dynamics import CommitteeEvent
+from repro.core.se import SEResult
 from repro.data.stream import EpochStream, EpochStreamConfig
-from repro.faultinject.invariants import (
-    KNOWN_INVARIANTS,
-    StormInvariantViolation,
-    StormProbe,
-    check_trace_monotone,
-)
-from repro.faultinject.runner import DEFAULT_ARMED, event_from_json, event_to_json
+from repro.faultinject.invariants import StormInvariantViolation
+from repro.faultinject.runner import DEFAULT_ARMED, StormOutcome, storm_solver, storm_step
 from repro.faultinject.storm import StormConfig, generate_storm
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 from repro.sim.rng import RandomStreams, derive_seed
 
-__all__ = [
-    "ServeStormConfig",
-    "ServeStormOutcome",
-    "SERVE_REPRODUCER_FORMAT",
-    "run_serve_storm",
-    "make_serve_reproducer",
-    "save_serve_reproducer",
-    "load_serve_reproducer",
-    "replay_serve_reproducer",
-]
-
-#: On-disk format tag for serve-mode reproducer files.
-SERVE_REPRODUCER_FORMAT = "mvcom-serve-reproducer-v1"
+__all__ = ["ServeStormConfig", "ServeStormOutcome", "run_serve_storm"]
 
 
 @dataclass(frozen=True)
@@ -106,39 +91,51 @@ class ServeStormConfig:
 
 @dataclass
 class ServeStormOutcome:
-    """One storm-battered serve run, classified like a storm outcome."""
+    """One storm-battered serve run: the classified step of every epoch run.
 
-    status: str  # "survived" | "violated" | "infeasible"
+    The run stops at the first epoch that does not survive, so the last
+    epoch outcome carries the run's status, violation and failed epoch.
+    """
+
     config: ServeStormConfig
     armed: Tuple[str, ...]
-    events_by_epoch: List[List[CommitteeEvent]] = field(default_factory=list)
-    results: List[SEResult] = field(default_factory=list)
-    violation: Optional[StormInvariantViolation] = None
-    failed_epoch: Optional[int] = None
-    infeasible_reason: Optional[str] = None
-    boundaries_by_epoch: List[List[int]] = field(default_factory=list)
-    checks_run: int = 0
+    epoch_outcomes: List[StormOutcome] = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        """``survived`` unless the last epoch run was violated or infeasible."""
+        return self.epoch_outcomes[-1].status if self.epoch_outcomes else "survived"
 
     @property
     def survived(self) -> bool:
         """True when every epoch's contracts held through the whole run."""
         return self.status == "survived"
 
+    @property
+    def violation(self) -> Optional[StormInvariantViolation]:
+        return self.epoch_outcomes[-1].violation if self.epoch_outcomes else None
 
-def _epoch_storm(
-    config: ServeStormConfig, epoch: int, instance
-) -> List[CommitteeEvent]:
-    """Generate epoch ``epoch``'s storm from a per-epoch derived registry.
+    @property
+    def infeasible_reason(self) -> Optional[str]:
+        return self.epoch_outcomes[-1].infeasible_reason if self.epoch_outcomes else None
 
-    A fresh :class:`RandomStreams` seeded by the epoch index means the
-    generator's constant stream key never reuses a Mersenne sequence
-    across the serve loop's iterations.
+    @property
+    def failed_epoch(self) -> Optional[int]:
+        return None if self.survived else len(self.epoch_outcomes) - 1
+
+    @property
+    def checks_run(self) -> int:
+        return sum(epoch.checks_run for epoch in self.epoch_outcomes)
+
+
+def _epoch_storm(instance, storm: StormConfig) -> List[CommitteeEvent]:
+    """Generate one epoch's storm from a registry of its own.
+
+    ``storm.seed`` is derived per epoch (:meth:`ServeStormConfig.storm_config`),
+    so the generator's constant stream key never reuses a Mersenne
+    sequence across the serve loop's iterations.
     """
-    return generate_storm(
-        instance,
-        config.storm_config(epoch),
-        RandomStreams(derive_seed(config.seed, f"serve-storm-epoch-{epoch}")),
-    )
+    return generate_storm(instance, storm, RandomStreams(storm.seed))
 
 
 def run_serve_storm(
@@ -152,71 +149,53 @@ def run_serve_storm(
 
     Deterministic given ``config`` (and ``events_by_epoch`` when
     replaying): the stream, the per-epoch storms, and the solver all
-    derive from ``config.seed`` through named streams.  The solver engine
-    is pinned to ``serial`` for the same reason single-solve reproducers
-    pin it: a reproducer must replay byte-for-byte anywhere.
+    derive from ``config.seed`` through named streams.  A warm run chains
+    one solver through every epoch; a cold run seeds each epoch's solver
+    separately, as ``mvcom serve --cold`` does.  The solver engine is
+    pinned to ``serial`` for the same reason single-solve reproducers pin
+    it: a reproducer must replay byte-for-byte anywhere.
     """
     armed = tuple(armed) if armed is not None else DEFAULT_ARMED
     if extra_invariants:
         armed = armed + tuple(extra_invariants)
     stream = EpochStream(config.stream_config())
-    solver = StochasticExploration(
-        SEConfig(
-            num_threads=config.gamma,
-            max_iterations=config.max_iterations,
-            convergence_window=config.convergence_window,
-            seed=derive_seed(config.seed, "serve-storm-solver"),
-            engine="serial",
-        ),
-        telemetry=telemetry,
-    )
-    outcome = ServeStormOutcome(status="survived", config=config, armed=armed)
+    solver = None
+    if config.warm:
+        solver = storm_solver(
+            config.storm_config(0), telemetry, seed=derive_seed(config.seed, "serve-storm-solver")
+        )
+    outcome = ServeStormOutcome(config=config, armed=armed)
     previous: Optional[SEResult] = None
     permitted: List[int] = []
 
     for epoch in range(config.epochs):
+        if events_by_epoch is not None and epoch >= len(events_by_epoch):
+            break
         tick = stream.advance(permitted)
+        storm = config.storm_config(epoch)
         if events_by_epoch is not None:
-            if epoch >= len(events_by_epoch):
-                break
-            events = list(events_by_epoch[epoch])
+            events = events_by_epoch[epoch]
         else:
-            events = _epoch_storm(config, epoch, tick.instance)
-        outcome.events_by_epoch.append(list(events))
-        probe = StormProbe(
+            events = _epoch_storm(tick.instance, storm)
+        if not config.warm:
+            solver = storm_solver(
+                storm, telemetry, seed=derive_seed(config.seed, f"serve-storm-solver-{epoch}")
+            )
+        step = storm_step(
             solver,
             tick.instance,
-            armed=armed,
+            storm,
+            events,
+            armed,
             extra_invariants=extra_invariants,
+            warm=previous,
             telemetry=telemetry,
         )
-        try:
-            result = solver.solve(
-                tick.instance,
-                schedule=DynamicSchedule(events=list(events)),
-                probe=probe,
-                warm=previous if config.warm else None,
-            )
-            if "trace-monotone" in armed:
-                check_trace_monotone(result.utility_trace, probe.boundaries)
-        except StormInvariantViolation as violation:
-            outcome.status = "violated"
-            outcome.violation = violation
-            outcome.failed_epoch = epoch
-            outcome.boundaries_by_epoch.append(list(probe.boundaries))
-            outcome.checks_run += probe.checks_run
+        outcome.epoch_outcomes.append(step)
+        if not step.survived:
             break
-        except InfeasibleEpochError as exc:
-            outcome.status = "infeasible"
-            outcome.infeasible_reason = str(exc)
-            outcome.failed_epoch = epoch
-            outcome.boundaries_by_epoch.append(list(probe.boundaries))
-            outcome.checks_run += probe.checks_run
-            break
-        outcome.boundaries_by_epoch.append(list(probe.boundaries))
-        outcome.checks_run += probe.checks_run
-        outcome.results.append(result)
-        previous = result
+        result = step.result
+        previous = result if config.warm else None
         final = result.final_instance
         permitted = [
             shard_id
@@ -228,7 +207,7 @@ def run_serve_storm(
                 "storm.serve_epoch",
                 epoch=epoch,
                 events=len(events),
-                boundaries=len(probe.boundaries),
+                boundaries=len(step.boundaries),
                 iterations=result.iterations,
                 best_utility=result.best_utility,
                 warm=config.warm and epoch > 0,
@@ -238,86 +217,9 @@ def run_serve_storm(
         telemetry.event(
             "storm.serve",
             status=outcome.status,
-            epochs_completed=len(outcome.results),
+            epochs_completed=sum(epoch.survived for epoch in outcome.epoch_outcomes),
             failed_epoch=outcome.failed_epoch,
             invariant=outcome.violation.invariant if outcome.violation else None,
             checks_run=outcome.checks_run,
         )
     return outcome
-
-
-# ---------------------------------------------------------------------- #
-# reproducer serialisation
-# ---------------------------------------------------------------------- #
-def make_serve_reproducer(outcome: ServeStormOutcome) -> Dict:
-    """A replayable JSON document for a violated serve-storm run.
-
-    Stores the *entire* epoch-by-epoch event history (earlier epochs set
-    up the stream/warm state the failing epoch inherits), so replaying is
-    a pure function of this document.
-    """
-    if outcome.violation is None and outcome.status != "infeasible":
-        raise ValueError("a reproducer records a failure; this outcome has none")
-    failure: Dict = {"epoch": outcome.failed_epoch}
-    if outcome.violation is not None:
-        failure["invariant"] = outcome.violation.invariant
-        failure["iteration"] = outcome.violation.iteration
-        failure["message"] = str(outcome.violation)
-    else:
-        failure["infeasible_reason"] = outcome.infeasible_reason
-    return {
-        "format": SERVE_REPRODUCER_FORMAT,
-        "config": asdict(outcome.config),
-        "armed": [name for name in outcome.armed],
-        "failure": failure,
-        "events_by_epoch": [
-            [event_to_json(event) for event in events]
-            for events in outcome.events_by_epoch
-        ],
-    }
-
-
-def save_serve_reproducer(path: str, reproducer: Dict) -> None:
-    """Write a serve reproducer deterministically (sorted keys)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(reproducer, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_serve_reproducer(path: str) -> Dict:
-    """Read a serve reproducer, validating the format tag."""
-    with open(path, "r", encoding="utf-8") as handle:
-        reproducer = json.load(handle)
-    if reproducer.get("format") != SERVE_REPRODUCER_FORMAT:
-        raise ValueError(
-            f"{path} is not a {SERVE_REPRODUCER_FORMAT} file "
-            f"(format={reproducer.get('format')!r})"
-        )
-    return reproducer
-
-
-def replay_serve_reproducer(
-    reproducer: Dict,
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> ServeStormOutcome:
-    """Re-run a stored serve reproducer exactly (same seeds, same events).
-
-    Built-in armed invariants replay as stored; custom
-    ``extra_invariants`` cannot be serialised, so a reproducer recorded
-    with them replays with the built-in subset (the stored failure data
-    still names the original invariant).
-    """
-    config = ServeStormConfig(**reproducer["config"])
-    events_by_epoch = [
-        [event_from_json(payload) for payload in events]
-        for events in reproducer["events_by_epoch"]
-    ]
-    armed = tuple(
-        name for name in reproducer["armed"] if name in KNOWN_INVARIANTS
-    )
-    return run_serve_storm(
-        config,
-        events_by_epoch=events_by_epoch,
-        armed=armed,
-        telemetry=telemetry,
-    )

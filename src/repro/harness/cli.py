@@ -15,7 +15,7 @@ Usage::
     mvcom trace export t.jsonl --format perfetto --out t.perfetto.json
     mvcom trace diff a.jsonl b.jsonl --fail-above 5  # regression gate
     mvcom storm --seed 13       # churn-storm fault injection (repro.faultinject)
-    mvcom storm --replay r.json # replay a shrunk storm reproducer
+    mvcom storm --replay r.json # replay a storm or serve-storm reproducer
     mvcom eth2scale             # nodes -> {epoch wall, peak RSS, SE wall} curve
     mvcom eth2scale --network-sizes 8192,32768 --committee-size 128
 """
@@ -303,8 +303,9 @@ def main(argv=None) -> int:
     parser.add_argument("--events", type=int, default=200,
                         help="storm: number of churn events to generate (default 200)")
     parser.add_argument("--epochs", type=int, default=None,
-                        help="storm: multi-epoch chain loop epochs (default 1); "
-                        "serve: epochs to serve (default 8)")
+                        help="storm: epochs of the warm serve loop to storm "
+                        "(default 1, a single solve); serve: epochs to serve "
+                        "(default 8)")
     parser.add_argument("--rate", type=float, default=1.3,
                         help="serve: trace blocks fed per live committee per "
                         "epoch (default 1.3)")
@@ -328,7 +329,8 @@ def main(argv=None) -> int:
     parser.add_argument("--replay", metavar="PATH", default=None,
                         help="storm: replay a reproducer JSON instead of generating")
     parser.add_argument("--out", metavar="PATH", default=None,
-                        help="storm: shrunk-reproducer JSON path; trace "
+                        help="storm: reproducer JSON path (default "
+                        "storm_reproducer.json); trace "
                         "metrics/export: output file for the aggregate "
                         "snapshot / exported trace")
     parser.add_argument("--network-sizes", metavar="N,N,...", default=None,
@@ -383,6 +385,15 @@ def main(argv=None) -> int:
     if args.experiment == "storm":
         if args.paths:
             parser.error(f"unexpected positional arguments for 'storm': {args.paths}")
+        if args.epochs is not None and args.epochs < 1:
+            parser.error("storm: --epochs must be positive")
+        if args.epochs is not None and args.epochs > 1:
+            # A serve storm writes its whole history; Ĉ follows the stream.
+            if args.shrink:
+                parser.error("storm: --shrink needs a single solve (--epochs 1)")
+            if args.capacity is not None:
+                parser.error("storm: --capacity needs a single solve; serve "
+                             "storms use the stream's 1000 per committee")
         from repro.harness.storms import run_storm_cli
 
         return run_storm_cli(args)

@@ -1,28 +1,33 @@
 """``mvcom storm``: churn-storm fault injection from the command line.
 
-Harness glue around :mod:`repro.faultinject`: builds the
-:class:`~repro.faultinject.StormConfig` from CLI flags, owns the telemetry
-hub (rule MV007 — the faultinject package only *receives* one), renders a
-human summary, and on a violation optionally shrinks the schedule and
-writes the minimal reproducer JSON so CI can attach it as an artifact.
+Harness glue around :mod:`repro.faultinject`: maps CLI flags onto a
+:class:`~repro.faultinject.StormConfig` (one SE solve) or, with
+``--epochs N > 1``, onto a warm :class:`~repro.faultinject.ServeStormConfig`
+(the serve loop ``mvcom serve`` runs, ``--events`` split evenly over the
+epochs), owns the telemetry hub (rule MV007 — the faultinject package only
+*receives* one), renders a human summary, and on a violation writes a
+reproducer JSON so CI can attach it as an artifact: a single solve writes
+its shrunk schedule under ``--shrink``, a serve storm always writes its
+whole event history.  ``--replay`` reruns either reproducer format.
 
 Exit codes: 0 for ``survived`` (and for graceful ``infeasible``
 degradation), 1 for a ``violated`` invariant — so ``mvcom storm`` slots
-directly into a CI job.
+directly into a CI job — and 2 for a replay file that is not a reproducer.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.faultinject import (
     DEFAULT_ARMED,
+    ServeStormConfig,
+    ServeStormOutcome,
     StormConfig,
     StormOutcome,
     load_reproducer,
     make_reproducer,
+    make_serve_reproducer,
     replay_reproducer,
-    run_epoch_storm,
+    run_serve_storm,
     run_storm,
     save_reproducer,
     shrink_storm,
@@ -30,12 +35,12 @@ from repro.faultinject import (
 from repro.harness.tracing import build_telemetry
 from repro.obs.telemetry import NULL_TELEMETRY
 
-#: Default path for the shrunk reproducer artifact.
+#: Default path for the reproducer artifact.
 DEFAULT_REPRODUCER_PATH = "storm_reproducer.json"
 
 
 def config_from_args(args) -> StormConfig:
-    """Map the CLI namespace onto a :class:`StormConfig`."""
+    """Map the CLI namespace onto a single-solve :class:`StormConfig`."""
     return StormConfig(
         seed=args.seed,
         num_events=args.events,
@@ -44,7 +49,19 @@ def config_from_args(args) -> StormConfig:
         gamma=args.gamma,
         max_iterations=args.iterations,
         convergence_window=max(args.iterations // 4, 50),
-        epochs=args.epochs if args.epochs is not None else 1,
+    )
+
+
+def serve_config_from_args(args) -> ServeStormConfig:
+    """Map the CLI namespace onto a warm :class:`ServeStormConfig`."""
+    return ServeStormConfig(
+        seed=args.seed,
+        epochs=args.epochs,
+        num_committees=args.committees,
+        events_per_epoch=max(args.events // args.epochs, 1),
+        gamma=args.gamma,
+        max_iterations=args.iterations,
+        convergence_window=max(args.iterations // 4, 50),
     )
 
 
@@ -55,10 +72,10 @@ def _armed_from_args(args):
     return armed
 
 
-def _print_outcome(outcome: StormOutcome) -> None:
+def _print_outcome(outcome: StormOutcome, label: str = "storm") -> None:
     config = outcome.config
     print(
-        f"storm: seed={config.seed} events={len(outcome.events)} "
+        f"{label}: seed={config.seed} events={len(outcome.events)} "
         f"committees={config.num_committees} gamma={config.gamma}"
     )
     print(
@@ -79,6 +96,20 @@ def _print_outcome(outcome: StormOutcome) -> None:
         print(f"  infeasible (graceful): {outcome.infeasible_reason}")
 
 
+def _print_serve_outcome(outcome: ServeStormOutcome) -> None:
+    config = outcome.config
+    print(
+        f"serve storm: seed={config.seed} epochs={config.epochs} "
+        f"committees={config.num_committees} gamma={config.gamma} warm={config.warm}"
+    )
+    print(
+        f"  status={outcome.status}  epochs-run={len(outcome.epoch_outcomes)}"
+        f"  invariant-checks={outcome.checks_run}"
+    )
+    for epoch, epoch_outcome in enumerate(outcome.epoch_outcomes):
+        _print_outcome(epoch_outcome, label=f"epoch {epoch}")
+
+
 def _handle_violation(outcome: StormOutcome, args, telemetry) -> None:
     if not getattr(args, "shrink", False):
         return
@@ -87,53 +118,35 @@ def _handle_violation(outcome: StormOutcome, args, telemetry) -> None:
     print(f"  minimal reproducer: {len(minimal)} events ({probes} replay probes)")
     for event in sorted(minimal, key=lambda e: e.iteration):
         print(f"    it={event.iteration:5d}  {event.kind.name:5s}  shard={event.shard_id}")
+    _write(args, make_reproducer(outcome, minimal))
+
+
+def _write(args, reproducer) -> None:
     out_path = args.out or DEFAULT_REPRODUCER_PATH
-    save_reproducer(out_path, make_reproducer(outcome, minimal))
+    save_reproducer(out_path, reproducer)
     print(f"  [reproducer written to {out_path}]")
 
 
 def _run_replay(args, telemetry) -> int:
-    reproducer = load_reproducer(args.replay)
+    try:
+        reproducer = load_reproducer(args.replay)
+    except (OSError, ValueError) as exc:
+        print(f"mvcom storm: cannot replay: {exc}")
+        return 2
     failure = reproducer.get("failure", {})
     print(f"replaying {args.replay}")
     print(f"  recorded failure: [{failure.get('invariant')}] {failure.get('message')}")
     outcome = replay_reproducer(reproducer, telemetry=telemetry)
-    _print_outcome(outcome)
+    if isinstance(outcome, ServeStormOutcome):
+        _print_serve_outcome(outcome)
+    else:
+        _print_outcome(outcome)
     if outcome.status == "violated":
         recorded = failure.get("invariant")
-        if recorded and outcome.signature == recorded:
+        if recorded and outcome.violation.invariant == recorded:
             print("  replay reproduced the recorded failure")
         return 1
     print("  replay did NOT reproduce the recorded failure")
-    return 0
-
-
-def _run_epochs(config: StormConfig, armed, telemetry) -> int:
-    outcome = run_epoch_storm(config, armed=armed, telemetry=telemetry)
-    print(
-        f"epoch storm: seed={config.seed} epochs={config.epochs} "
-        f"committees={config.num_committees}"
-    )
-    print(f"  status={outcome.status}  epochs-completed={len(outcome.epoch_outcomes)}")
-    for epoch_index, epoch_outcome in enumerate(outcome.epoch_outcomes):
-        result = epoch_outcome.result
-        utility = f"{result.best_utility:.2f}" if result else "-"
-        print(
-            f"  epoch {epoch_index}: events={len(epoch_outcome.events)}"
-            f"  boundaries={len(epoch_outcome.boundaries)}"
-            f"  iterations={result.iterations if result else '-'}"
-            f"  utility={utility}"
-        )
-    if outcome.pipeline is not None:
-        print(
-            f"  total_throughput={outcome.pipeline.total_throughput} TXs"
-            f"  worst_starvation={outcome.pipeline.worst_starvation} epochs"
-        )
-    if outcome.violation is not None:
-        print(f"  VIOLATION: {outcome.violation}")
-        return 1
-    if outcome.infeasible_reason is not None:
-        print(f"  infeasible (graceful): {outcome.infeasible_reason}")
     return 0
 
 
@@ -143,11 +156,17 @@ def run_storm_cli(args) -> int:
     try:
         if args.replay:
             return _run_replay(args, telemetry)
-        config = config_from_args(args)
         armed = _armed_from_args(args)
-        if config.epochs > 1:
-            return _run_epochs(config, armed, telemetry)
-        outcome = run_storm(config, armed=armed, telemetry=telemetry)
+        if args.epochs is not None and args.epochs > 1:
+            serve_outcome = run_serve_storm(
+                serve_config_from_args(args), armed=armed, telemetry=telemetry
+            )
+            _print_serve_outcome(serve_outcome)
+            if serve_outcome.status == "violated":
+                _write(args, make_serve_reproducer(serve_outcome))
+                return 1
+            return 0
+        outcome = run_storm(config_from_args(args), armed=armed, telemetry=telemetry)
         _print_outcome(outcome)
         if outcome.status == "violated":
             _handle_violation(outcome, args, telemetry)

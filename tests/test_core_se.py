@@ -19,7 +19,7 @@ def solve(instance, **kwargs):
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"beta": 0}, {"num_threads": 0}, {"max_iterations": 0},
-        {"pair_tries": 0}, {"init_tries": 0}, {"max_solution_threads": 0},
+        {"pair_tries": 0}, {"max_solution_threads": 0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -16,15 +16,14 @@ import pytest
 
 from repro.faultinject.invariants import StormInvariantViolation
 from repro.faultinject.runner import DEFAULT_ARMED
-from repro.faultinject.serve import (
+from repro.faultinject.reproducer import (
     SERVE_REPRODUCER_FORMAT,
-    ServeStormConfig,
-    load_serve_reproducer,
+    load_reproducer,
     make_serve_reproducer,
-    replay_serve_reproducer,
-    run_serve_storm,
-    save_serve_reproducer,
+    replay_reproducer,
+    save_reproducer,
 )
+from repro.faultinject.serve import ServeStormConfig, run_serve_storm
 
 SMALL = ServeStormConfig(
     seed=0,
@@ -42,12 +41,11 @@ class TestServeStormSurvival:
     def test_default_invariants_hold_across_warm_epochs(self):
         outcome = run_serve_storm(SMALL)
         assert outcome.survived
-        assert len(outcome.results) == SMALL.epochs
+        assert len(outcome.epoch_outcomes) == SMALL.epochs
         assert outcome.checks_run > 0
         # Every epoch after the first adopted warm state, and each solve
         # still hit storm boundaries of its own.
-        assert len(outcome.boundaries_by_epoch) == SMALL.epochs
-        assert all(len(b) > 0 for b in outcome.boundaries_by_epoch)
+        assert all(len(e.boundaries) > 0 for e in outcome.epoch_outcomes)
 
     def test_warm_boundary_is_probed_at_iteration_zero(self):
         seen = []
@@ -68,12 +66,12 @@ class TestServeStormSurvival:
     def test_deterministic_per_seed(self):
         first = run_serve_storm(SMALL)
         second = run_serve_storm(SMALL)
-        assert [r.best_utility for r in first.results] == [
-            r.best_utility for r in second.results
+        assert [e.result.best_utility for e in first.epoch_outcomes] == [
+            e.result.best_utility for e in second.epoch_outcomes
         ]
         assert [
-            [str(e) for e in events] for events in first.events_by_epoch
-        ] == [[str(e) for e in events] for events in second.events_by_epoch]
+            [str(e) for e in epoch.events] for epoch in first.epoch_outcomes
+        ] == [[str(e) for e in epoch.events] for epoch in second.epoch_outcomes]
 
     def test_cold_serve_storm_also_survives(self):
         outcome = run_serve_storm(
@@ -88,6 +86,27 @@ class TestServeStormSurvival:
             )
         )
         assert outcome.survived
+
+    def test_cold_epochs_seed_separately_warm_epochs_share_one_seed(self):
+        seeds = {}
+        for warm in (True, False):
+            outcome = run_serve_storm(
+                ServeStormConfig(
+                    seed=1,
+                    epochs=3,
+                    num_committees=30,
+                    gamma=4,
+                    max_iterations=500,
+                    convergence_window=250,
+                    warm=warm,
+                )
+            )
+            assert outcome.survived
+            seeds[warm] = [
+                epoch.result.warm_state.streams.seed for epoch in outcome.epoch_outcomes
+            ]
+        assert len(set(seeds[True])) == 1
+        assert len(set(seeds[False])) == len(seeds[False]) == 3
 
 
 class TestServeStormViolation:
@@ -111,7 +130,7 @@ class TestServeStormViolation:
         assert outcome.failed_epoch is not None
         assert outcome.failed_epoch > 0
         # Event history covers every epoch up to and including the failure.
-        assert len(outcome.events_by_epoch) == outcome.failed_epoch + 1
+        assert len(outcome.epoch_outcomes) == outcome.failed_epoch + 1
 
     def test_armed_includes_extra_invariants(self):
         outcome = self.violated_outcome()
@@ -138,21 +157,21 @@ class TestServeReproducer:
         outcome = run_serve_storm(SMALL, extra_invariants={"bomb": bomb})
         reproducer = make_serve_reproducer(outcome)
         path = tmp_path / "serve_reproducer.json"
-        save_serve_reproducer(str(path), reproducer)
+        save_reproducer(str(path), reproducer)
 
-        loaded = load_serve_reproducer(str(path))
+        loaded = load_reproducer(str(path))
         assert loaded["format"] == SERVE_REPRODUCER_FORMAT
         assert loaded["failure"]["invariant"] == "bomb"
         assert loaded["failure"]["epoch"] == outcome.failed_epoch
 
         # Extra invariants cannot serialise: the replay runs the stored
         # event history under the built-in armed subset, deterministically.
-        replayed = replay_serve_reproducer(loaded)
-        assert len(replayed.events_by_epoch) <= len(outcome.events_by_epoch)
-        again = replay_serve_reproducer(loaded)
+        replayed = replay_reproducer(loaded)
+        assert len(replayed.epoch_outcomes) <= len(outcome.epoch_outcomes)
+        again = replay_reproducer(loaded)
         assert replayed.status == again.status
-        assert [r.best_utility for r in replayed.results] == [
-            r.best_utility for r in again.results
+        assert [e.result.best_utility for e in replayed.epoch_outcomes] == [
+            e.result.best_utility for e in again.epoch_outcomes
         ]
 
     def test_serialisation_deterministic(self, tmp_path):
@@ -169,12 +188,12 @@ class TestServeReproducer:
         reproducer = make_serve_reproducer(outcome)
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
-        save_serve_reproducer(str(first), reproducer)
-        save_serve_reproducer(str(second), make_serve_reproducer(outcome))
+        save_reproducer(str(first), reproducer)
+        save_reproducer(str(second), make_serve_reproducer(outcome))
         assert first.read_text() == second.read_text()
 
     def test_format_tag_enforced(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ValueError, match=SERVE_REPRODUCER_FORMAT):
-            load_serve_reproducer(str(path))
+            load_reproducer(str(path))

@@ -20,7 +20,6 @@ from repro.faultinject import (
     load_reproducer,
     make_reproducer,
     replay_reproducer,
-    run_epoch_storm,
     run_storm,
     save_reproducer,
     shrink_events,
@@ -305,42 +304,6 @@ class TestShrinkAndReplay:
             json.dump({"format": "something-else"}, handle)
         with pytest.raises(ValueError, match="not a mvcom-storm-reproducer"):
             load_reproducer(path)
-
-
-class TestEpochStorm:
-    def test_chain_loop_survives_storms(self):
-        config = StormConfig(
-            seed=7,
-            num_events=45,
-            num_committees=20,
-            max_iterations=400,
-            convergence_window=150,
-            epochs=3,
-        )
-        outcome = run_epoch_storm(config)
-        assert outcome.status == "survived"
-        assert len(outcome.epoch_outcomes) == 3
-        assert outcome.pipeline is not None
-        assert len(outcome.pipeline.reports) == 3
-        assert outcome.pipeline.total_throughput > 0
-        for report in outcome.pipeline.reports:
-            assert report.instance.is_capacity_feasible(report.mask)
-
-    def test_epoch_storm_deterministic(self):
-        config = StormConfig(
-            seed=9,
-            num_events=30,
-            num_committees=16,
-            max_iterations=300,
-            convergence_window=120,
-            epochs=2,
-        )
-        first = run_epoch_storm(config)
-        second = run_epoch_storm(config)
-        assert first.status == second.status == "survived"
-        assert first.pipeline.total_throughput == second.pipeline.total_throughput
-        for a, b in zip(first.pipeline.reports, second.pipeline.reports):
-            assert np.array_equal(a.mask, b.mask)
 
 
 class TestStormTelemetry:
