@@ -17,6 +17,8 @@ import numpy as np
 from repro.chain.node import Node
 from repro.chain.fastpath import (
     _pbft_kernel_batch,
+    closed_form_fallback,
+    closed_form_outcome,
     kernel_plan,
     replay_pbft_until_commit,
     view_change_timeout,
@@ -116,16 +118,11 @@ def run_intra_consensus_streaming(
     for committee in committees:
         if not committee.can_reach_quorum:
             continue  # stalls without consuming randomness
-        if committee.size < 4:
-            raise ValueError("PBFT needs at least 4 members (3f+1, f >= 1)")
+        reason = closed_form_fallback(committee.members, params.network)
         if params.chain_engine != "fastpath":
             fallbacks.append((committee, None))  # the DES engine's own round
-        elif lossy:
-            fallbacks.append((committee, "lossy-network"))
-        elif not committee.leader.honest:
-            fallbacks.append((committee, "byzantine-primary"))
-        elif committee.honest_count < 2 * ((committee.size - 1) // 3) + 1:
-            fallbacks.append((committee, "no-quorum"))
+        elif reason is not None:
+            fallbacks.append((committee, reason))
         else:
             eligible.append(committee)
 
@@ -159,25 +156,18 @@ def run_intra_consensus_streaming(
             max_batch_bytes=params.max_batch_bytes,
         )
         for k, committee in enumerate(eligible):
-            commit_time = float(commit_times[k])
-            if not np.isfinite(commit_time) or commit_time >= timeout_s:
+            outcome = closed_form_outcome(
+                float(commit_times[k]),
+                float(prepared_primary[k]),
+                timeout_s,
+                f"epoch{committee.epoch}-committee{committee.committee_id}",
+                committee.size,
+                telemetry,
+            )
+            if outcome is None:
                 fallbacks.append((committee, "view-change-timeout"))
-                continue
-            committee.consensus_latency = commit_time
-            if telemetry.enabled:
-                telemetry.record_span(
-                    "chain.pbft.round",
-                    0.0,
-                    commit_time,
-                    tag=f"epoch{committee.epoch}-committee{committee.committee_id}",
-                    view=0,
-                    members=committee.size,
-                    stages={
-                        "pre-prepare-sent": 0.0,
-                        "prepare-quorum": float(prepared_primary[k]),
-                        "commit-quorum": commit_time,
-                    },
-                )
+            else:
+                committee.consensus_latency = outcome.commit_time
 
     replay = run_pbft_round if reference else replay_pbft_until_commit
     for committee, reason in fallbacks:

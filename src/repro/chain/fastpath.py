@@ -25,14 +25,16 @@ inputs, so the whole event cascade collapses into matrix algebra:
   ``(2f+1)``-th smallest commit-vote time -- order statistics instead of
   event scheduling.
 
-The closed form is *invalid* (returns ``None`` -> caller falls back to
-the DES) when the view-0 primary is Byzantine, the honest count cannot
-reach quorum, ``loss_probability > 0``, or the computed commit time
-reaches the view-change timeout (the DES would fire the timer first and
-change views).  The first three checks happen before any RNG draw, so a
-fallback round consumes the stream from exactly the same position as a
-pure DES run and stays byte-identical; the timeout fallback necessarily
-happens after the kernel's draws and is only distributionally faithful.
+The closed form is *invalid* (the caller falls back to the DES) when
+``loss_probability > 0``, the view-0 primary is Byzantine, the honest
+count cannot reach quorum (:func:`closed_form_fallback`, checked in that
+order), or the computed commit time reaches the view-change timeout (the
+DES would fire the timer first and change views;
+:func:`closed_form_outcome`).  The first three checks happen before any
+RNG draw, so a fallback round consumes the stream from exactly the same
+position as a pure DES run and stays byte-identical; the timeout fallback
+necessarily happens after the kernel's draws and is only distributionally
+faithful.  Stage 3 and :func:`run_pbft_round_fast` share both functions.
 
 **Batched rounds.**  All committees of an epoch share one sequential RNG
 stream, so stage 3 (:func:`repro.chain.committee.run_intra_consensus_streaming`)
@@ -709,56 +711,52 @@ def replay_pbft_until_commit(
     return outcome
 
 
-def _closed_form_pbft(
-    members: Sequence[Node],
-    rng: np.random.Generator,
-    network_params: NetworkParams,
-    verify_mean_s: float,
-    round_tag: str,
-    view_change_timeout_s: Optional[float],
-    telemetry: NullTelemetry,
-) -> Tuple[Optional[PbftOutcome], str]:
-    """The order-statistics kernel; returns ``(outcome, fallback_reason)``.
+def closed_form_fallback(
+    members: Sequence[Node], network_params: NetworkParams
+) -> Optional[str]:
+    """Why a round cannot take the closed form, decided before any draw.
 
-    ``outcome`` is ``None`` when the closed form does not apply and the
-    caller must run the reference DES; ``fallback_reason`` says why.
+    Returns ``"lossy-network"``, ``"byzantine-primary"`` or ``"no-quorum"``
+    (checked in that order), or ``None`` when the round may run the
+    kernel.  These checks consume no randomness, so a fallback from here
+    replays the DES from the identical stream position.
     """
     c = len(members)
     if c < 4:
         raise ValueError("PBFT needs at least 4 members (3f+1, f >= 1)")
-    f = (c - 1) // 3
-    if view_change_timeout_s is None:
-        view_change_timeout_s = view_change_timeout(network_params, verify_mean_s)
-    # Validity checks that consume no randomness -- a fallback from here
-    # replays the DES from the identical stream position.
     if network_params.loss_probability > 0.0:
-        return None, "lossy-network"
-    honest = np.array([node.honest for node in members], dtype=bool)
-    if not honest[0]:
-        return None, "byzantine-primary"
-    if int(honest.sum()) < 2 * f + 1:
-        return None, "no-quorum"
+        return "lossy-network"
+    if not members[0].honest:
+        return "byzantine-primary"
+    if sum(1 for node in members if node.honest) < 2 * ((c - 1) // 3) + 1:
+        return "no-quorum"
+    return None
 
-    speeds = np.array([node.verify_speed for node in members])
-    commit_times, prepared_primary = _pbft_kernel_batch(
-        honest[None, :], speeds[None, :], rng, network_params, verify_mean_s
-    )
-    commit_time = float(commit_times[0])
 
-    if not np.isfinite(commit_time) or commit_time >= view_change_timeout_s:
-        # The DES would fire the view-change timer before this commit;
-        # the cascade after that is not closed-form.  (The kernel's key
-        # draw is already consumed, so this fallback is distributional
-        # only.)
-        return None, "view-change-timeout"
+def closed_form_outcome(
+    commit_time: float,
+    prepared_primary: float,
+    timeout_s: float,
+    round_tag: str,
+    members: int,
+    telemetry: NullTelemetry,
+) -> Optional[PbftOutcome]:
+    """One kernel row as a committed round, with its ``chain.pbft.round`` span.
 
+    ``None`` when the commit reaches the view-change timeout: the DES
+    would fire the timer first, and the cascade after that is not closed
+    form.  The kernel's draws are already consumed, so that fallback is
+    distributional only.
+    """
+    if not np.isfinite(commit_time) or commit_time >= timeout_s:
+        return None
     outcome = PbftOutcome(
         committed=True,
         start_time=0.0,
         commit_time=commit_time,
         stage_times={
             "pre-prepare-sent": 0.0,
-            "prepare-quorum": float(prepared_primary[0]),
+            "prepare-quorum": prepared_primary,
             "commit-quorum": commit_time,
         },
     )
@@ -769,26 +767,9 @@ def _closed_form_pbft(
             commit_time,
             tag=round_tag,
             view=0,
-            members=c,
+            members=members,
             stages=dict(outcome.stage_times),
         )
-    return outcome, ""
-
-
-def pbft_round_closed_form(
-    members: Sequence[Node],
-    rng: np.random.Generator,
-    network_params: NetworkParams,
-    verify_mean_s: float,
-    round_tag: str = "round-0",
-    view_change_timeout_s: Optional[float] = None,
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> Optional[PbftOutcome]:
-    """Closed-form round latency, or ``None`` when the DES must run."""
-    outcome, _ = _closed_form_pbft(
-        members, rng, network_params, verify_mean_s, round_tag,
-        view_change_timeout_s, telemetry,
-    )
     return outcome
 
 
@@ -801,11 +782,24 @@ def run_pbft_round_fast(
     telemetry: NullTelemetry = NULL_TELEMETRY,
 ) -> PbftOutcome:
     """One PBFT round on the fast path, DES fallback when invalid."""
-    outcome, reason = _closed_form_pbft(
-        members, rng, network_params, verify_mean_s, round_tag, None, telemetry
-    )
-    if outcome is not None:
-        return outcome
+    reason = closed_form_fallback(members, network_params)
+    if reason is None:
+        honest = np.array([node.honest for node in members], dtype=bool)
+        speeds = np.array([node.verify_speed for node in members])
+        commit_times, prepared_primary = _pbft_kernel_batch(
+            honest[None, :], speeds[None, :], rng, network_params, verify_mean_s
+        )
+        outcome = closed_form_outcome(
+            float(commit_times[0]),
+            float(prepared_primary[0]),
+            view_change_timeout(network_params, verify_mean_s),
+            round_tag,
+            len(members),
+            telemetry,
+        )
+        if outcome is not None:
+            return outcome
+        reason = "view-change-timeout"
     if telemetry.enabled:
         telemetry.event("chain.fastpath.fallback", tag=round_tag, reason=reason)
     return run_pbft_round(

@@ -4,7 +4,8 @@ A violated storm becomes a JSON document that replays bit-for-bit from
 its stored seed, so a CI artifact is a complete bug report:
 
 * ``mvcom-storm-reproducer-v1`` (:func:`make_reproducer`) — one SE solve:
-  the storm config and its (usually shrunk) event schedule;
+  the storm config, its (usually shrunk) event schedule and the failure
+  that schedule replays to;
 * ``mvcom-serve-reproducer-v1`` (:func:`make_serve_reproducer`) — the
   serve loop: the serve-storm config and the whole epoch-by-epoch event
   history up to the failure.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Union
 
 from repro.core.dynamics import CommitteeEvent, EventKind
 from repro.faultinject.invariants import KNOWN_INVARIANTS
@@ -58,18 +59,16 @@ def event_from_json(payload: Dict) -> CommitteeEvent:
     )
 
 
-def make_reproducer(
-    outcome: StormOutcome,
-    events: Optional[Sequence[CommitteeEvent]] = None,
-) -> Dict:
+def make_reproducer(outcome: StormOutcome) -> Dict:
     """A replayable JSON document for a violated single-solve outcome.
 
-    ``events`` defaults to the outcome's full schedule; pass the shrunk
-    list to store the minimal reproducer instead.
+    The document stores the outcome's schedule next to its own failure,
+    so it replays to exactly the recorded iteration and message; pass
+    :func:`repro.faultinject.runner.shrink_storm`'s outcome to store the
+    minimal reproducer.
     """
     if outcome.violation is None:
         raise ValueError("a reproducer records a violation; this outcome has none")
-    chosen = list(events if events is not None else outcome.events)
     return {
         "format": REPRODUCER_FORMAT,
         "config": asdict(outcome.config),
@@ -79,7 +78,7 @@ def make_reproducer(
             "iteration": outcome.violation.iteration,
             "message": str(outcome.violation),
         },
-        "events": [event_to_json(event) for event in chosen],
+        "events": [event_to_json(event) for event in outcome.events],
     }
 
 

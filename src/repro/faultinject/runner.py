@@ -189,21 +189,28 @@ def shrink_storm(
     outcome: StormOutcome,
     max_probes: int = 10_000,
     telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> Tuple[List[CommitteeEvent], int]:
+) -> Tuple[StormOutcome, int]:
     """Shrink a violated outcome's schedule to a 1-minimal reproducer.
 
     The oracle replays each candidate through :func:`run_storm` (same
     config, same armed set) and matches on the failure *signature* — the
     violated invariant's name — because event deletion shifts boundary
-    iterations without changing which contract breaks.
+    iterations without changing which contract breaks.  Returns the
+    minimal schedule's own failing outcome (its ``events`` are the
+    reproducer, its ``violation`` the failure they replay to) and the
+    probe count.
     """
     if outcome.status != "violated" or outcome.violation is None:
         raise ValueError("only violated outcomes can be shrunk")
     signature = outcome.violation.invariant
+    failing = [outcome]
 
     def still_fails(candidate: List[CommitteeEvent]) -> bool:
         replayed = run_storm(outcome.config, events=candidate, armed=outcome.armed)
-        return replayed.status == "violated" and replayed.signature == signature
+        if replayed.status == "violated" and replayed.signature == signature:
+            failing[0] = replayed  # shrink_events keeps the last failing candidate
+            return True
+        return False
 
     minimal, probes = shrink_events(outcome.events, still_fails, max_probes=max_probes)
     if telemetry.enabled:
@@ -214,4 +221,4 @@ def shrink_storm(
             events_after=len(minimal),
             probes=probes,
         )
-    return minimal, probes
+    return failing[0], probes

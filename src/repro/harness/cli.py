@@ -154,15 +154,14 @@ def _metric_rows(snapshot: dict) -> list:
 def run_trace_metrics(path: str, args) -> int:
     """``mvcom trace metrics PATH``: streaming aggregate report (+ SLOs)."""
     from repro.obs.metrics import MetricsAggregator
-    from repro.obs.slo import SloTracker, load_slo_specs
+    from repro.obs.slo import SLO_SPECS, SloTracker
     from repro.obs.sinks import iter_jsonl
 
     aggregator = MetricsAggregator()
     tracker = None
     if args.slo:
-        specs = load_slo_specs()
-        tracker = SloTracker(specs, aggregator)
-        print(f"SLO specs loaded: {len(specs)}")
+        tracker = SloTracker(SLO_SPECS, aggregator)
+        print(f"SLO specs loaded: {len(SLO_SPECS)}")
     for record in iter_jsonl(path):
         aggregator.emit(record)
         if tracker is not None:
@@ -350,8 +349,8 @@ def main(argv=None) -> int:
                         help="trace export: output format (Chrome/Perfetto "
                         "trace_event JSON or OpenMetrics textfile)")
     parser.add_argument("--slo", action="store_true",
-                        help="trace metrics: evaluate [tool.repro.obs.slo] "
-                        "specs from pyproject.toml; non-zero exit on violation")
+                        help="trace metrics: evaluate the shipped SLO specs "
+                        "(repro.obs.slo.SLO_SPECS); non-zero exit on violation")
     parser.add_argument("--fail-above", type=float, default=0.0, metavar="PCT",
                         help="trace diff: relative per-stat regression "
                         "threshold in percent (default 0: any delta fails)")

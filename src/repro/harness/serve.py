@@ -30,7 +30,7 @@ from repro.core.se import SEConfig, SEResult, StochasticExploration
 from repro.data.stream import EpochStream, EpochStreamConfig
 from repro.harness.tracing import build_telemetry
 from repro.obs.metrics import MetricsAggregator
-from repro.obs.slo import SloTracker, load_slo_specs
+from repro.obs.slo import SLO_SPECS, SloTracker
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -192,12 +192,12 @@ def _scheduled_ids(result: SEResult) -> List[int]:
 def attach_serve_sinks(telemetry) -> Tuple[MetricsAggregator, SloTracker]:
     """Attach serve's live sinks to ``telemetry``: aggregator, then SLOs.
 
-    The tracker evaluates the ``[tool.repro.obs.slo]`` specs against the
+    The tracker evaluates :data:`repro.obs.slo.SLO_SPECS` against the
     aggregator and emits its violations back into ``telemetry``.
     """
     aggregator = MetricsAggregator()
     telemetry.add_sink(aggregator)
-    tracker = SloTracker(load_slo_specs(), aggregator, telemetry=telemetry)
+    tracker = SloTracker(SLO_SPECS, aggregator, telemetry=telemetry)
     telemetry.add_sink(tracker)
     return aggregator, tracker
 

@@ -115,10 +115,10 @@ def _handle_violation(outcome: StormOutcome, args, telemetry) -> None:
         return
     print(f"  shrinking {len(outcome.events)}-event schedule ...")
     minimal, probes = shrink_storm(outcome, telemetry=telemetry)
-    print(f"  minimal reproducer: {len(minimal)} events ({probes} replay probes)")
-    for event in sorted(minimal, key=lambda e: e.iteration):
+    print(f"  minimal reproducer: {len(minimal.events)} events ({probes} replay probes)")
+    for event in sorted(minimal.events, key=lambda e: e.iteration):
         print(f"    it={event.iteration:5d}  {event.kind.name:5s}  shard={event.shard_id}")
-    _write(args, make_reproducer(outcome, minimal))
+    _write(args, make_reproducer(minimal))
 
 
 def _write(args, reproducer) -> None:

@@ -14,7 +14,8 @@
   counters/rates, windowed means, and mergeable log-histogram p50/p90/p99
   sketches keyed by metric name and tag;
 * :mod:`repro.obs.slo` -- declarative SLO specs (``max_p99``,
-  ``max_rate``, ``monotone_budget``) evaluated online against the
+  ``max_rate``, ``monotone_budget``; the shipped five are the constant
+  :data:`~repro.obs.slo.SLO_SPECS`) evaluated online against the
   aggregator, emitting ``slo.violation`` back into the stream (imported
   lazily by consumers; not re-exported here);
 * :mod:`repro.obs.export` -- byte-deterministic Perfetto ``trace_event``

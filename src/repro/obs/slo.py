@@ -20,10 +20,11 @@ after-the-fact CSV columns.  An SLO here is one of three checks against a
     dynamic join/leave boundaries, so a small budget tolerates exactly
     those resets).
 
-Specs load from ``[tool.repro.obs.slo.<name>]`` tables in pyproject-style
-TOML (via the 3.9-safe parser in :mod:`repro.analysis.config`) or construct
-directly.  :class:`SloTracker` implements the sink protocol: attach it to
-the hub *after* its aggregator and it evaluates periodically, emitting
+The shipped objectives are the module constant :data:`SLO_SPECS`, so every
+run evaluates the same five specs wherever it is started; tests and
+callers with other objectives construct :class:`SloSpec` lists directly.
+:class:`SloTracker` implements the sink protocol: attach it to the hub
+*after* its aggregator and it evaluates periodically, emitting
 ``slo.violation`` events back into the same stream — so violations land in
 the very trace being recorded, and ``mvcom trace metrics --slo`` can
 re-evaluate any stored trace offline.
@@ -32,14 +33,10 @@ re-evaluate any stored trace offline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis.config import find_pyproject, parse_toml
 from repro.obs.metrics import SERIES_KINDS, TAG_FIELDS, MetricsAggregator, series_key
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, iter_rows
-
-#: pyproject table holding the SLO specs.
-SLO_SECTION = ("tool", "repro", "obs", "slo")
 
 # Events that mark the start of a fresh SE solve on a shared hub; monotone
 # SLO baselines reset here so per-solve invariants don't alias across the
@@ -51,7 +48,7 @@ SLO_KINDS = ("max_p99", "max_rate", "monotone_budget")
 
 
 class SloSpecError(ValueError):
-    """Raised for a malformed SLO table (unknown kind, missing metric...)."""
+    """Raised for a malformed SLO spec (unknown kind, missing metric...)."""
 
 
 @dataclass(frozen=True)
@@ -79,48 +76,35 @@ class SloSpec:
             )
 
 
-def specs_from_section(section: dict) -> List[SloSpec]:
-    """Build specs from a decoded ``[tool.repro.obs.slo]`` table."""
-    specs: List[SloSpec] = []
-    for name in sorted(section):
-        table = section[name]
-        if not isinstance(table, dict):
-            raise SloSpecError(f"SLO {name!r}: expected a table, got {table!r}")
-        kinds = [kind for kind in SLO_KINDS if kind in table]
-        if len(kinds) != 1:
-            raise SloSpecError(
-                f"SLO {name!r}: exactly one of {', '.join(SLO_KINDS)} required"
-            )
-        specs.append(
-            SloSpec(
-                name=str(name),
-                metric=str(table.get("metric", "")),
-                kind=kinds[0],
-                threshold=float(table[kinds[0]]),
-                tag=str(table.get("tag", "")),
-                field=str(table.get("field", "")),
-            )
-        )
-    return specs
-
-
-def load_slo_specs(
-    pyproject_path: Optional[str] = None, start: Optional[str] = None
-) -> List[SloSpec]:
-    """Read SLO specs from the nearest pyproject.toml (empty when absent)."""
-    path = pyproject_path or find_pyproject(start)
-    if path is None:
-        return []
-    with open(path, "rb") as handle:
-        table = parse_toml(handle.read().decode("utf-8"))
-    section: object = table
-    for key in SLO_SECTION:
-        if not isinstance(section, dict):
-            return []
-        section = section.get(key, {})
-    if not isinstance(section, dict):
-        return []
-    return specs_from_section(section)
+#: The SLOs ``mvcom serve`` and ``mvcom trace metrics --slo`` evaluate, in
+#: name order: :class:`SloTracker` emits ``slo.violation`` events in spec
+#: order, so this order is part of the trace bytes.
+SLO_SPECS: Tuple[SloSpec, ...] = (
+    # Best-so-far utility is monotone in a static epoch; any decrease is a
+    # solver regression (dynamic join/leave runs would raise the budget).
+    SloSpec(name="best-utility-monotone", metric="se.round",
+            kind="monotone_budget", threshold=0.0, field="best_utility"),
+    # The paper's objective maximises committee value = aged transaction
+    # mass cleared per final block; its flip side is that no admitted
+    # transaction should wait pathologically long.  Gate the p99 of the
+    # mempool-age observations emitted at final commit (see EXPERIMENTS.md).
+    SloSpec(name="mempool-age-p99", metric="chain.mempool.age_s",
+            kind="max_p99", threshold=30.0),
+    # Per-committee PBFT round duration (sim seconds): ~2x the calibrated
+    # 54.5 s consensus mean -- the two-phase pipeline budget from Fig. 2.
+    SloSpec(name="pbft-round-p99", metric="chain.pbft.round",
+            kind="max_p99", threshold=120.0),
+    # RESET broadcasts per unit deterministic time; runaway churn means the
+    # SE executors are thrashing instead of converging.
+    SloSpec(name="reset-churn", metric="se.reset_broadcasts",
+            kind="max_rate", threshold=2.0),
+    # Per-epoch decision latency of the `mvcom serve` steady-state loop
+    # (wall seconds per solve).  Generous by design: the gate catches a
+    # pathological regression (a solve hanging for a minute), not
+    # machine-to-machine noise.
+    SloSpec(name="serve-decision-p99", metric="serve.decision_latency_s",
+            kind="max_p99", threshold=60.0),
+)
 
 
 def _gated_series(spec: SloSpec) -> List[Tuple[str, str]]:

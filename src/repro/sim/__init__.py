@@ -5,23 +5,17 @@ machinery every other subsystem is built on:
 
 * :class:`repro.sim.engine.SimulationEngine` -- a virtual-time event queue
   with deterministic tie-breaking.
-* :class:`repro.sim.process.Process` -- generator-based simulated processes
-  that ``yield`` delays or events.
 * :mod:`repro.sim.rng` -- named, reproducible random-number streams so that
   independent subsystems never share (and therefore never perturb) each
   other's randomness.
 """
 
 from repro.sim.engine import Event, SimulationEngine
-from repro.sim.process import Process, Timeout, WaitEvent
 from repro.sim.rng import RandomStreams, spawn_rng
 
 __all__ = [
     "Event",
     "SimulationEngine",
-    "Process",
-    "Timeout",
-    "WaitEvent",
     "RandomStreams",
     "spawn_rng",
 ]

@@ -424,40 +424,6 @@ class TestMV009:
 
 
 # ---------------------------------------------------------------------- #
-# pyproject TOML parsing (shared with repro.obs.slo)
-# ---------------------------------------------------------------------- #
-class TestConfig:
-    def test_toml_subset_fallback_parser(self):
-        # The 3.9/3.10 path (no tomllib); must decode the shapes we use.
-        from repro.analysis.config import _parse_toml_subset
-
-        parsed = _parse_toml_subset(
-            "\n".join(
-                [
-                    "# comment",
-                    "[tool.repro.analysis]",
-                    'disable = ["MV006", "MV004"]  # trailing comment',
-                    "ignore = [",
-                    '    "vendored/*",',
-                    '    "generated/*",',
-                    "]",
-                    "threshold = 3",
-                    "strict = true",
-                    "",
-                    "[tool.repro.analysis.per-rule-ignore]",
-                    'MV002 = ["repro/chain/measurement.py"]',
-                ]
-            )
-        )
-        section = parsed["tool"]["repro"]["analysis"]
-        assert section["disable"] == ["MV006", "MV004"]
-        assert section["ignore"] == ["vendored/*", "generated/*"]
-        assert section["threshold"] == 3
-        assert section["strict"] is True
-        assert section["per-rule-ignore"]["MV002"] == ["repro/chain/measurement.py"]
-
-
-# ---------------------------------------------------------------------- #
 # whole-tree + CLI
 # ---------------------------------------------------------------------- #
 class TestTreeAndCli:
@@ -571,77 +537,3 @@ class TestPragmas:
             "    return items\n"
         )
         assert lint(source) == []
-
-
-# ---------------------------------------------------------------------- #
-# tomllib-fallback parser edge cases (3.9/3.10 path)
-# ---------------------------------------------------------------------- #
-class TestTomlSubsetEdgeCases:
-    def _section(self, text):
-        from repro.analysis.config import _parse_toml_subset
-
-        parsed = _parse_toml_subset(textwrap.dedent(text))
-        return parsed.get("tool", {}).get("repro", {}).get("analysis", {})
-
-    def test_per_rule_ignore_globs_round_trip(self):
-        section = self._section(
-            """
-            [tool.repro.analysis.per-rule-ignore]
-            MV004 = ["repro/core/legacy/*", "vendored/*"]
-            """
-        )
-        assert section["per-rule-ignore"] == {
-            "MV004": ["repro/core/legacy/*", "vendored/*"]
-        }
-
-    def test_duplicate_keys_last_wins(self):
-        # tomllib rejects duplicates outright; the lenient fallback takes
-        # the final assignment so a hand-edited file still lints.
-        section = self._section(
-            """
-            [tool.repro.analysis]
-            disable = ["MV001"]
-            disable = ["MV006"]
-            """
-        )
-        assert section["disable"] == ["MV006"]
-
-    def test_reopened_table_headers_merge(self):
-        section = self._section(
-            """
-            [tool.repro.analysis]
-            disable = ["MV006"]
-
-            [tool.other]
-            x = 1
-
-            [tool.repro.analysis]
-            ignore = ["vendored/*"]
-            """
-        )
-        assert section["disable"] == ["MV006"]
-        assert section["ignore"] == ["vendored/*"]
-
-    def test_malformed_scalar_table_clash_is_not_fatal(self):
-        # ``disable`` is a list; reopening it as a table must not raise and
-        # must not clobber the decoded list.
-        section = self._section(
-            """
-            [tool.repro.analysis]
-            disable = ["MV006"]
-
-            [tool.repro.analysis.disable.extra]
-            x = 1
-            """
-        )
-        assert section["disable"] == ["MV006"]
-
-    def test_garbage_lines_skipped(self):
-        section = self._section(
-            """
-            [tool.repro.analysis]
-            this line is not toml at all )(
-            disable = ["MV006"]
-            """
-        )
-        assert section["disable"] == ["MV006"]

@@ -25,12 +25,7 @@ import pytest
 
 from repro.chain.committee import assign_shard_workload, run_intra_consensus_streaming
 from repro.chain.elastico import ElasticoSimulation
-from repro.chain.fastpath import (
-    formation_kernel,
-    pbft_round_closed_form,
-    run_pbft,
-    run_pbft_round_fast,
-)
+from repro.chain.fastpath import formation_kernel, run_pbft, run_pbft_round_fast
 from repro.chain.final import CrosslinkAggregator
 from repro.chain.measurement import linear_growth_check, measure_two_phase_latency
 from repro.chain.network import Network
@@ -105,10 +100,13 @@ class TestKernelDistribution:
 
     def test_stage_times_ordered(self):
         members = spawn_nodes(count=8, byzantine_fraction=0.0, rng=spawn_rng(3, "members"))
-        outcome = pbft_round_closed_form(
-            members, spawn_rng(3, "round"), NetworkParams(), VERIFY_MEAN_S
+        ring = RingBufferSink(1024)
+        outcome = run_pbft_round_fast(
+            members, spawn_rng(3, "round"), NetworkParams(), VERIFY_MEAN_S,
+            telemetry=Telemetry(sinks=[ring]),
         )
-        assert outcome is not None and outcome.committed
+        assert not [r for r in ring.records if r.get("name") == "chain.fastpath.fallback"]
+        assert outcome.committed
         stages = outcome.stage_times
         assert 0.0 == stages["pre-prepare-sent"] <= stages["prepare-quorum"] <= stages["commit-quorum"]
         assert outcome.latency == stages["commit-quorum"]
@@ -160,7 +158,6 @@ class TestFallbacks:
         found by search)."""
         net = NetworkParams(jitter_sigma=3.5)
         members = spawn_nodes(count=4, byzantine_fraction=0.0, rng=spawn_rng(1, "m"))
-        assert pbft_round_closed_form(members, spawn_rng(1, "r"), net, 0.05) is None
         ring = RingBufferSink(1024)
         telemetry = Telemetry(sinks=[ring])
         run_pbft_round_fast(
@@ -171,20 +168,10 @@ class TestFallbacks:
         assert fallbacks and fallbacks[0]["reason"] == "view-change-timeout"
         assert fallbacks[0]["tag"] == "timeout-case"
 
-    def test_explicit_timeout_invalidates_closed_form(self):
-        members = spawn_nodes(count=8, byzantine_fraction=0.0, rng=spawn_rng(5, "members"))
-        assert (
-            pbft_round_closed_form(
-                members, spawn_rng(5, "round"), NetworkParams(), VERIFY_MEAN_S,
-                view_change_timeout_s=1e-6,
-            )
-            is None
-        )
-
     def test_too_small_committee_rejected(self):
         members = spawn_nodes(count=3, byzantine_fraction=0.0, rng=spawn_rng(0, "members"))
         with pytest.raises(ValueError):
-            pbft_round_closed_form(members, spawn_rng(0, "round"), NetworkParams(), VERIFY_MEAN_S)
+            run_pbft_round_fast(members, spawn_rng(0, "round"), NetworkParams(), VERIFY_MEAN_S)
 
     def test_run_pbft_dispatch(self):
         members = spawn_nodes(count=4, byzantine_fraction=0.0, rng=spawn_rng(2, "members"))

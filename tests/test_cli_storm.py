@@ -49,6 +49,18 @@ def test_single_solve_drill_shrinks_writes_and_replays(tmp_path, capsys):
     assert "replay reproduced the recorded failure" in printed
 
 
+def test_single_solve_drill_records_the_failure_its_events_replay_to(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(SINGLE_DRILL + ["--out", str(out)]) == 1
+    capsys.readouterr()
+    reproducer = load_reproducer(str(out))
+    failure = reproducer["failure"]
+    replayed = replay_reproducer(reproducer)
+    assert (failure["iteration"], failure["message"]) == (
+        replayed.violation.iteration, str(replayed.violation),
+    )
+
+
 def test_serve_drill_writes_a_reproducer_that_replays_exactly(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(SERVE_DRILL + ["--out", str(out)]) == 1

@@ -48,6 +48,21 @@ def test_trace_metrics_slo_flag_loads_repo_specs(capsys):
     assert "SLOs: all passing" in out
 
 
+@pytest.mark.parametrize("trace", [GOLDEN, PERTURBED], ids=["golden", "perturbed"])
+def test_trace_metrics_slo_verdict_does_not_depend_on_cwd(
+    trace, tmp_path, monkeypatch, capsys
+):
+    # The specs are code, not a file found by walking up from the cwd: a
+    # run outside the checkout evaluates the same five specs.
+    monkeypatch.chdir(os.path.dirname(FIXTURES))
+    code = main(["trace", "metrics", trace, "--slo"])
+    out = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert main(["trace", "metrics", trace, "--slo"]) == code
+    assert capsys.readouterr().out == out
+    assert "SLO specs loaded: 5" in out
+
+
 # ---------------------------------------------------------------------- #
 # trace export
 # ---------------------------------------------------------------------- #

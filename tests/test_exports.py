@@ -33,7 +33,7 @@ def test_top_level_version():
 def test_no_accidental_circular_imports():
     """Import every submodule fresh in one process."""
     submodules = [
-        "repro.sim.engine", "repro.sim.process", "repro.sim.rng",
+        "repro.sim.engine", "repro.sim.rng",
         "repro.chain.params", "repro.chain.network", "repro.chain.gossip",
         "repro.chain.node", "repro.chain.pow", "repro.chain.overlay",
         "repro.chain.pbft", "repro.chain.committee", "repro.chain.blocks",

@@ -255,9 +255,10 @@ class TestShrinkAndReplay:
 
     def test_shrunk_storm_is_one_minimal_and_deterministic(self):
         outcome = run_storm(DRILL, armed=DRILL_ARMED)
-        minimal, _ = shrink_storm(outcome)
+        shrunk, _ = shrink_storm(outcome)
         again, _ = shrink_storm(outcome)
-        assert minimal == again
+        minimal = shrunk.events
+        assert minimal == again.events
         assert 0 < len(minimal) < len(outcome.events)
         # 1-minimal: dropping any single event loses the failure signature.
         for index in range(len(minimal)):
@@ -270,7 +271,7 @@ class TestShrinkAndReplay:
     def test_reproducer_round_trip_and_replay(self, tmp_path):
         outcome = run_storm(DRILL, armed=DRILL_ARMED)
         minimal, _ = shrink_storm(outcome)
-        reproducer = make_reproducer(outcome, minimal)
+        reproducer = make_reproducer(minimal)
         path = str(tmp_path / "reproducer.json")
         save_reproducer(path, reproducer)
         loaded = load_reproducer(path)

@@ -22,6 +22,7 @@ from repro.data.stream import EpochStream, EpochStreamConfig
 from repro.harness.cli import main
 from repro.harness.serve import (
     ServeConfig,
+    attach_serve_sinks,
     rounds_to_target,
     run_serve,
     run_serve_comparison,
@@ -29,6 +30,7 @@ from repro.harness.serve import (
 )
 from repro.obs.metrics import LogHistogram
 from repro.obs.sinks import JsonlSink, RingBufferSink
+from repro.obs.slo import SLO_SPECS
 from repro.obs.telemetry import Telemetry
 
 SMALL = dict(
@@ -228,6 +230,14 @@ class TestTraceHub:
         hub.close()
         last = json.loads(path.read_text().splitlines()[-1])
         assert last["name"] == "caller.after_serve"
+
+    def test_slo_specs_do_not_depend_on_the_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        _, tracker = attach_serve_sinks(Telemetry())
+        assert tracker.specs == list(SLO_SPECS)
+        assert len(tracker.specs) == 5
 
 
 class TestServeCli:

@@ -21,7 +21,7 @@ from repro.harness.tracing import build_telemetry
 from repro.obs.export import openmetrics_text, write_perfetto
 from repro.obs.metrics import MetricsAggregator
 from repro.obs.sinks import JsonlSink, RingBufferSink, read_jsonl
-from repro.obs.slo import SloSpec, SloTracker, load_slo_specs
+from repro.obs.slo import SLO_SPECS, SloSpec, SloTracker
 from repro.obs.summary import summarize_records
 from repro.obs.telemetry import Telemetry, iter_rows
 
@@ -91,7 +91,7 @@ def _slo_specs():
     per-row monotone check on the columnar records themselves."""
     specs = [
         SloSpec(spec.name, spec.metric, spec.kind, 0.0, spec.tag, spec.field)
-        for spec in load_slo_specs()
+        for spec in SLO_SPECS
     ]
     specs.append(SloSpec("transition-utility", "se.transition", "monotone_budget",
                          2.0, field="utility"))

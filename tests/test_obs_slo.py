@@ -1,46 +1,42 @@
-"""Declarative SLO specs: TOML loading, online evaluation, hub feedback."""
+"""Declarative SLO specs: the shipped constant, online evaluation, hub feedback."""
 
 import pytest
 
 from repro.obs.metrics import MetricsAggregator
-from repro.obs.slo import (
-    SloSpec,
-    SloSpecError,
-    SloTracker,
-    load_slo_specs,
-    specs_from_section,
-)
+from repro.obs.slo import SLO_KINDS, SLO_SPECS, SloSpec, SloSpecError, SloTracker
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 
 
 # ---------------------------------------------------------------------- #
-# spec construction + TOML loading
+# spec construction + the shipped specs
 # ---------------------------------------------------------------------- #
 class TestSpecLoading:
-    def test_specs_from_section_sorted_and_typed(self):
-        section = {
-            "zeta": {"metric": "se.reset_broadcasts", "max_rate": 5},
-            "age": {"metric": "chain.mempool.age_s", "max_p99": 30.0, "tag": "3"},
-        }
-        specs = specs_from_section(section)
-        assert [spec.name for spec in specs] == ["age", "zeta"]
-        assert specs[0].kind == "max_p99" and specs[0].threshold == 30.0
-        assert specs[0].tag == "3"
-        assert specs[1].kind == "max_rate" and specs[1].threshold == 5.0
+    def test_shipped_specs_sorted_and_typed(self):
+        # Name order is the order slo.violation events are emitted in.
+        names = [spec.name for spec in SLO_SPECS]
+        assert names == sorted(names)
+        assert all(spec.kind in SLO_KINDS for spec in SLO_SPECS)
+        assert all(type(spec.threshold) is float for spec in SLO_SPECS)
 
-    @pytest.mark.parametrize(
-        "table",
-        [
-            {"metric": "m"},  # no kind
-            {"metric": "m", "max_p99": 1, "max_rate": 1},  # two kinds
-            {"max_p99": 1},  # no metric
-            "not-a-table",
-        ],
-    )
-    def test_malformed_tables_raise(self, table):
+    def test_shipped_specs_pinned(self):
+        # The five objectives, field for field.
+        assert [
+            (spec.name, spec.metric, spec.kind, spec.threshold, spec.tag, spec.field)
+            for spec in SLO_SPECS
+        ] == [
+            ("best-utility-monotone", "se.round", "monotone_budget", 0.0, "",
+             "best_utility"),
+            ("mempool-age-p99", "chain.mempool.age_s", "max_p99", 30.0, "", ""),
+            ("pbft-round-p99", "chain.pbft.round", "max_p99", 120.0, "", ""),
+            ("reset-churn", "se.reset_broadcasts", "max_rate", 2.0, "", ""),
+            ("serve-decision-p99", "serve.decision_latency_s", "max_p99", 60.0,
+             "", ""),
+        ]
+
+    def test_missing_metric_raises(self):
         with pytest.raises(SloSpecError):
-            specs_from_section({"bad": table})
+            SloSpec(name="x", metric="", kind="max_p99", threshold=1)
 
     def test_monotone_budget_requires_field(self):
         with pytest.raises(SloSpecError):
@@ -52,35 +48,6 @@ class TestSpecLoading:
     def test_unknown_kind_raises(self):
         with pytest.raises(SloSpecError):
             SloSpec(name="x", metric="m", kind="min_p99", threshold=1)
-
-    def test_load_from_pyproject(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro.obs.slo.mempool-age]\n"
-            'metric = "chain.mempool.age_s"\n'
-            "max_p99 = 30.0\n"
-            "[tool.repro.obs.slo.best-utility-monotone]\n"
-            'metric = "se.round"\n'
-            'field = "best_utility"\n'
-            "monotone_budget = 0\n"
-        )
-        specs = load_slo_specs(pyproject_path=str(pyproject))
-        assert [spec.name for spec in specs] == [
-            "best-utility-monotone", "mempool-age"
-        ]
-        assert specs[1].threshold == 30.0
-
-    def test_load_without_section_is_empty(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text("[tool.other]\nx = 1\n")
-        assert load_slo_specs(pyproject_path=str(pyproject)) == []
-
-    def test_repo_pyproject_specs_parse(self):
-        # The committed example specs must always load cleanly.
-        specs = load_slo_specs()
-        assert specs, "repo pyproject should ship example SLO specs"
-        assert all(spec.kind in ("max_p99", "max_rate", "monotone_budget")
-                   for spec in specs)
 
 
 # ---------------------------------------------------------------------- #
