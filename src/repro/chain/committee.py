@@ -89,13 +89,14 @@ def run_intra_consensus_streaming(
     lossy fastpath epoch stays byte-identical to the pure DES epoch.
 
     Otherwise the ``fastpath`` engine sends every closed-form-eligible
-    committee (honest view-0 primary, honest quorum) through one chunked
+    committee (honest view-0 primary) through one chunked
     order-statistics kernel call (committee chunks on up to one thread
     per CPU, sharing the ``params.max_batch_bytes`` scratch budget;
     byte-identical at any chunk size and worker count).  The rest replay
     afterwards, as do eligible committees whose closed-form commit time
     reaches the view-change timeout: every such fallback
-    (``byzantine-primary``, ``no-quorum``, ``view-change-timeout``) runs
+    (``byzantine-primary`` or ``view-change-timeout``; the quorum filter
+    above means ``no-quorum`` never reaches this stage) runs
     :func:`repro.chain.fastpath.replay_pbft_until_commit`, byte-identical
     to the reference ``PbftRound`` stopped at the primary's commit, RNG
     end state included.  Committee-vs-committee draw order differs from

@@ -164,8 +164,8 @@ def select_engine(
     if dense and work >= AUTO_VECTORIZE_MIN_WORK:
         return (
             "serial",
-            f"dense schedule (gap {mean_gap:.0f} rounds): array rebuild "
-            "per boundary would dominate the batched kernel",
+            f"dense schedule (gap {mean_gap:.0f} rounds): kept on the scalar "
+            "trajectory so seeded dense runs reproduce (vectorized is faster here)",
         )
     return "serial", f"work={work} < {AUTO_VECTORIZE_MIN_WORK}: scalar loop wins"
 

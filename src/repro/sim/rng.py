@@ -67,11 +67,13 @@ def philox_key(rng: np.random.Generator) -> np.ndarray:
 def counter_rng(key: np.ndarray, counter_block: int) -> np.random.Generator:
     """A generator positioned at absolute Philox counter ``counter_block``.
 
-    Philox-4x64 emits four ``uint64`` words (four ``float64`` draws) per
-    counter increment, so a consumer whose per-item draw budget is padded
-    to a multiple of four can open a generator exactly at item
-    boundaries: ``counter_rng(key, k * budget // 4)`` reproduces the same
-    bytes whether items are drawn singly, in chunks, or all at once.
+    Philox-4x64 emits four ``uint64`` words per counter increment, so a
+    consumer that opens item ``k``'s generator at a block no other item's
+    draws reach -- ``k * budget // 4`` for a fixed budget padded to a
+    multiple of four words, or ``k * stride`` with a stride far beyond
+    any item's draws when a sampler's consumption varies (the ziggurat's
+    rejections) -- reproduces the same bytes whether items are drawn
+    singly, in chunks, or all at once.
     This is the sanctioned constructor for counter-addressed streams
     (lint rule MV001 bans raw ``np.random.*`` construction elsewhere).
     """

@@ -98,6 +98,9 @@ def _run_shape(name):
 #: randomness, mempool size)], telemetry digest)``, recorded with the two
 #: engines' separate epoch bodies (per-committee DES rounds building
 #: ``ShardBlock`` lists, and the batched fastpath) before they were merged.
+#: The kernel-running shapes (``fastpath-byzantine``, ``fastpath-mempool``)
+#: were re-recorded when the PBFT kernel moved to per-committee ziggurat
+#: variate streams; the other four never run the kernel.
 GOLDEN = {
     "des-byzantine": (
         [
@@ -153,20 +156,20 @@ GOLDEN = {
         [
             (
                 "32b257499f2fd9cf26230e79761e5e8f7411255d77b4ec0f65437be0ec05233a",
-                "4d81695e9d226beb8dd716ba638622eaf972976939a2f6a66dbd4843232b87ee",
+                "5373246d721763926a61e20bb8fbb0eca1110933aa70657247cb42bde8320442",
                 "ad369201b4385192c187583b78cec5535ce63ddfa55561f3d18fbedd7df21455",
                 "3f19328d2493e54e30454131a9fb0f72ac71be16f90f17dd565bdc61a479d5c5",
                 None,
             ),
             (
                 "218a4f4e70dd3c7653854241fe721f013d82eed8f7bd19302f4d8ca495cfdbd5",
-                "59b737f5f9e110e39831e7516f71e0835e3d4b73984c502d703c561e455fae6f",
+                "3bf4398c7b87dc5cc07b94d9fe6fdc9d6115573345a6d575e9159a4eb25b0660",
                 "83f4fa017a48b9d149dd49c282cab2658f87e6520b18958c40511d1088cac67a",
                 "a23e115c8faf4dfcd2f5d260a729063be8b91024487c2d42b33be6575eb373e0",
                 None,
             ),
         ],
-        "82bc3de07ba3ef6d561cb57a7b8e17b21f7c43b5e7785a7c1dedbc742d0d34d3",
+        "fdee501d04ca4ac0bf26bf3c715f6bf46a68dc2cb01043fa33443dd70fe9e591",
     ),
     "fastpath-lossy": (
         [
@@ -184,20 +187,20 @@ GOLDEN = {
         [
             (
                 "886915f5f87bfd5f5fc4ed2b14aad547956a1ee6ceac581575973c5ef8508302",
-                "19e720d839b866c04490d8591f04cacccad0bf6fe914546de615fa6612bcc5d6",
+                "dcb4d3595028ec35f4cc4fd3a6c799c39c91ca378b2728106fe301b9046ded40",
                 "6c756833983db1d43d16e3f0bd01a1765b6a9150798d3b95817becec26c65096",
                 "7de2dd27baa755a527b4b24b894aa8fc0da80a646c9874cb0e62234de640bcf7",
                 1307,
             ),
             (
                 "24c5cd80eb337f924aedf36df8faebc7019559fac88bb9eecbd804ce2b76a560",
-                "d2e69b102770f62e94378a092320bcd52be8bd3bd5591faa9b910a12b5b7e061",
+                "5e1c08125f7b4d3fee88c88861f86e32a42d52a2ab3832689ca5d97efaf80775",
                 "ce2cb2a73f4327cbe507ac49151982fa1184a0f16c037ebd689363705b9ced90",
                 "46901b8b4cb9582e75dc956f69607e231c40bf19044651a2ea54ee74bce452e8",
                 1044,
             ),
         ],
-        "9600e24daf7fcdd0c4a0b08603f6422cb2c3e2f431826b8b3bdbb803b6e1a845",
+        "8978828dc34010218bded9ac95ba7892b43c5d8c1f25b2f6ab5394f52edcbc37",
     ),
 }
 

@@ -282,6 +282,23 @@ class TestStage3:
         assert lean.randomness == ref.randomness
         assert lean_records == ref_records
 
+    def test_stage3_never_falls_back_for_no_quorum(self):
+        """Stage 3 skips committees that cannot reach quorum before it
+        classifies the rest, so at byzantine_fraction 0.25 -- where some
+        committees hold more than f silent members -- the only fallback
+        reasons are byzantine-primary and view-change-timeout."""
+        params = ChainParams(
+            num_nodes=640, committee_size=16, seed=2, byzantine_fraction=0.25,
+            chain_engine="fastpath",
+            network=NetworkParams(bandwidth_msgs_per_s=0.15, jitter_sigma=1.5),
+        )
+        ring = RingBufferSink()
+        outcome = ElasticoSimulation(params, telemetry=Telemetry(sinks=[ring])).run_epoch()
+        assert any(not committee.can_reach_quorum for committee in outcome.committees)
+        reasons = _fallback_reasons(ring.records)
+        assert reasons["byzantine-primary"] >= 1 and reasons["view-change-timeout"] >= 1
+        assert set(reasons) == {"byzantine-primary", "view-change-timeout"}
+
 
 def _latency_digest(latencies):
     blob = json.dumps(sorted((cid, float(value).hex()) for cid, value in latencies.items()))
@@ -290,23 +307,25 @@ def _latency_digest(latencies):
 
 #: ``(seed, epoch) -> (final block hash, sha256 of the consensus latencies)``
 #: for 4096 nodes in 128-member committees at the default Byzantine
-#: fraction, recorded with the reference DES replaying every fallback.
+#: fraction, recorded with the reference DES replaying every fallback and
+#: re-recorded when the PBFT kernel moved to per-committee ziggurat variate
+#: streams (the fallback replays are checked against PbftRound above).
 GOLDEN_EPOCHS = {
     (0, 0): (
         "eff5d2407f6a6c9f370726b61bca2b4a29aaa45bd7f10cee805e54c102f36dc4",
-        "ee29f8ee17d9a7d907c7d1b0ac92f314ad7ab66bc2242d4abb37371b1f1b679b",
+        "204e7e0e23148b1c1bfae4879c060bd5cf5a2d27a2d9e06fe81cdeb25f98a19c",
     ),
     (0, 1): (
         "01a81ecbdf2de560c024d1457ec4b05ddf9abdd7b04b89c2045cd39de8f36e06",
-        "c691bb85b6b4fee5875c90438d27f8a1ffe1b28a8675028495cb37268e13a535",
+        "98c3a12eb9e2c9a8cf6d58d5667ad22c65b04232ecd0af1837a139c07ad05b9c",
     ),
     (1, 0): (
-        "68b589cb12eba4dab00aed55a1a65d6cee68903c2f33174df2424085080db8a9",
-        "4d60e2a1d79b5c9fd599f961264fec324452211622b8a9ffa3f4ccd1a705c910",
+        "0aab8128bebf9aa27a4bea8892a03eb09798235c2b0154c15e62ef2e9baabbdb",
+        "b55c51500a3c8326c7e6d45cf692d91ce37bf3acf7545dc5e979a30ab8832254",
     ),
     (1, 1): (
-        "e7263245718918f9c65b9110a877660ebecfd1419d6a30e143575f7c8da49b03",
-        "a054c48d680f7bcd3076ded304dd350d9f70966d0c30075b1a7b76259e0a28c5",
+        "1135941424400c6c3a90affda30550ec16c8de64c3e72a82e6c7b2d3a1b5cf9a",
+        "c8a79b50de76abf06547aca324cca4ae5e3c3c03144d6e879d3add54cd76ec81",
     ),
 }
 
