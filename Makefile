@@ -9,7 +9,7 @@ test:
 	pytest tests/
 
 # Determinism & contract linter (rules MV001-MV104, incl. the whole-program
-# stream/taint/telemetry passes); non-zero on findings.
+# taint/telemetry passes); non-zero on findings.
 lint:
 	PYTHONPATH=src python -m repro.analysis src/
 

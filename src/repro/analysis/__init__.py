@@ -4,13 +4,15 @@ Two halves, one goal — machine-checked determinism and constraint safety:
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` +
   :mod:`repro.analysis.rules_graph` — an AST lint pass enforcing the
-  named-RNG-stream discipline (MV001/MV003/MV101), no wall-clock or
+  named-RNG-stream discipline (MV001/MV003), no wall-clock or
   entropy reads in replayable code, direct or through the call graph
   (MV102), and the paper-contract documentation convention.  Run it as
   ``python -m repro.analysis src/`` or ``mvcom lint src/``; suppress a
   finding only with an inline ``# repro: ignore[MVxxx]`` pragma.
 * :mod:`repro.analysis.contracts` — opt-in runtime assertions
   (``REPRO_CONTRACTS=1``) that solver results satisfy const. (3)-(4).
+  The same flag arms :mod:`repro.sim.rng`'s stream ledger, which checks
+  at run time that no named stream is derived twice in one scope.
 
 Everything here is stdlib-only so the linter runs in bare CI images.
 """

@@ -1,17 +1,15 @@
 """Whole-program module / import / call graph for the MV1xx rule family.
 
-The MV00x rules are per-file AST walks; the MV1xx family (stream-collision,
-wall-clock/entropy taint, telemetry-guard flow) needs to reason *across*
-files: which function calls which, along which paths, and inside which
-loops.  This module builds that picture once per lint run:
+The MV00x rules are per-file AST walks; the MV1xx family (wall-clock/
+entropy taint, telemetry-guard flow) needs to reason *across* files: which
+function calls which.  This module builds that picture once per lint run:
 
 * :class:`ModuleInfo` — one parsed source file: module name, AST, an import
   map (local name -> dotted target) and every function/method defined in it.
 * :class:`FunctionInfo` — one function/method/nested function with its
-  resolved call sites (:class:`CallSite`) including loop context.
+  resolved call sites (:class:`CallSite`).
 * :class:`ProjectGraph` — the project: modules by name/path, functions by
-  qualified name, a reverse caller index, and deterministic call-path
-  enumeration (:meth:`ProjectGraph.call_paths_to`).
+  qualified name and a reverse caller index.
 
 Resolution is deliberately *conservative-precise*: an edge is only added
 when the callee is confidently identified (module-level function in scope,
@@ -70,8 +68,6 @@ class CallSite:
     col: int
     raw: str  # textual callee
     target: Optional[str] = None  # resolved project qualname, if confident
-    in_loop: bool = False  # lexically inside a for/while of the function
-    loop_vars: Tuple[str, ...] = ()  # names bound by the enclosing loops
 
 
 @dataclass
@@ -126,7 +122,6 @@ class _FunctionCollector(ast.NodeVisitor):
         self.module = module
         self.class_stack: List[str] = []
         self.func_stack: List[FunctionInfo] = []
-        self.loop_stack: List[Tuple[str, ...]] = []  # names bound per loop level
 
     # ---------------------------------------------------------------- #
     # scope bookkeeping
@@ -175,10 +170,8 @@ class _FunctionCollector(ast.NodeVisitor):
         )
         self.module.functions[qualname] = info
         self.func_stack.append(info)
-        saved_loops, self.loop_stack = self.loop_stack, []
         for child in node.body:
             self.visit(child)
-        self.loop_stack = saved_loops
         self.func_stack.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -188,50 +181,15 @@ class _FunctionCollector(ast.NodeVisitor):
         self._visit_function(node)
 
     # ---------------------------------------------------------------- #
-    # loops and calls
+    # calls
     # ---------------------------------------------------------------- #
-    @staticmethod
-    def _target_names(target: ast.expr) -> Tuple[str, ...]:
-        names: List[str] = []
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                names.append(node.id)
-        return tuple(names)
-
-    def visit_For(self, node: ast.For) -> None:
-        self.loop_stack.append(self._target_names(node.target))
-        for child in node.body:
-            self.visit(child)
-        self.loop_stack.pop()
-        for child in node.orelse:
-            self.visit(child)
-        self.visit(node.iter)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self.visit_For(node)  # same shape
-
-    def visit_While(self, node: ast.While) -> None:
-        self.visit(node.test)
-        self.loop_stack.append(())
-        for child in node.body:
-            self.visit(child)
-        self.loop_stack.pop()
-        for child in node.orelse:
-            self.visit(child)
-
     def visit_Call(self, node: ast.Call) -> None:
-        raw = _callee_text(node.func)
-        loop_vars: Tuple[str, ...] = tuple(
-            name for names in self.loop_stack for name in names
-        )
         self._current_function().calls.append(
             CallSite(
                 node=node,
                 line=node.lineno,
                 col=node.col_offset,
-                raw=raw,
-                in_loop=bool(self.loop_stack),
-                loop_vars=loop_vars,
+                raw=_callee_text(node.func),
             )
         )
         self.generic_visit(node)
@@ -425,34 +383,6 @@ class ProjectGraph:
 
     def callers_of(self, qualname: str) -> List[Tuple[str, CallSite]]:
         return self.callers.get(qualname, [])
-
-    def call_paths_to(
-        self, qualname: str, max_paths: int = 3, max_depth: int = 12
-    ) -> List[Tuple[str, ...]]:
-        """Deterministic acyclic caller chains ending at ``qualname``.
-
-        Each path runs entry-first, e.g. ``("repro.core.se.SEScheduler.solve",
-        "repro.core.se.SEScheduler._apply_events", ...)``.  Roots are
-        functions without in-project callers (module bodies included).
-        Shortest paths first; ties broken lexicographically.
-        """
-        paths: List[Tuple[str, ...]] = []
-        queue: List[Tuple[str, ...]] = [(qualname,)]
-        while queue and len(paths) < max_paths:
-            path = queue.pop(0)
-            head = path[0]
-            callers = sorted({caller for caller, _ in self.callers_of(head)})
-            callers = [c for c in callers if c not in path]  # break cycles
-            if not callers or len(path) >= max_depth:
-                paths.append(path)
-                continue
-            for caller in callers:
-                queue.append((caller,) + path)
-        return paths
-
-    def shortest_path_to(self, qualname: str) -> Tuple[str, ...]:
-        paths = self.call_paths_to(qualname, max_paths=1)
-        return paths[0] if paths else (qualname,)
 
     def render_path(self, path: Sequence[str]) -> str:
         """Human form of a call path: strip module prefixes, arrow-join."""

@@ -3,12 +3,6 @@
 Where the MV00x rules inspect one file at a time, these rules run over the
 :class:`repro.analysis.graph.ProjectGraph` built once per lint run:
 
-* **MV101 stream-collision detection** — every named-stream key site
-  (``streams.get``, ``spawn_rng``/``spawn_fast_rng``, ``derive_seed``,
-  f-string templates included) is extracted and two hazards are flagged:
-  a key that is *constant across a loop* (each iteration consumes the same
-  stream — the PR 3 shared ``"leave-reinit"`` bug class), and two distinct
-  call sites whose key patterns can unify against the same registry.
 * **MV102 wall-clock/entropy taint** — replayable-package code must not
   read ``time.time``, ``datetime.now``, ``os.urandom``, ``uuid.uuid4`` or
   ``secrets.*``, directly or through the project call graph.  A direct
@@ -22,7 +16,9 @@ Where the MV00x rules inspect one file at a time, these rules run over the
   early ``if not telemetry.enabled: return/continue``), so the NullTelemetry
   fast path stays near-zero-cost in hot loops.
 
-Intentional exceptions are expressed inline (``# repro: ignore[MV101]``).
+Intentional exceptions are expressed inline (``# repro: ignore[MV1xx]``).
+Named-stream isolation is not a lint rule: ``repro.sim.rng`` checks it at
+run time, where every stream is derived (``REPRO_CONTRACTS=1``).
 """
 
 from __future__ import annotations
@@ -45,11 +41,6 @@ from repro.analysis.rules import (
     _ImportMap,
     _global_rng_call,
 )
-from repro.analysis.streamkeys import (
-    KeySite,
-    collect_key_sites,
-    patterns_can_unify,
-)
 
 
 def _project_diagnostic(
@@ -62,152 +53,6 @@ def _project_diagnostic(
         rule_id=rule.rule_id,
         message=message,
     )
-
-
-# ---------------------------------------------------------------------- #
-# MV101
-# ---------------------------------------------------------------------- #
-@register_rule
-class StreamCollisionRule(ProjectRule):
-    """MV101: two call paths can consume the same named random stream."""
-
-    rule_id = "MV101"
-    description = (
-        "named-stream keys must be unique per independent consumer: a key "
-        "constant across a loop, or two call sites whose key patterns unify "
-        "against one registry, collide (the PR 3 'leave-reinit' bug class)"
-    )
-
-    def check_project(self, graph: ProjectGraph) -> Iterator[Diagnostic]:
-        sites = [s for s in collect_key_sites(graph) if not s.pattern.is_opaque]
-        seen: Set[Tuple] = set()
-        for site in sites:
-            key = (site.path, site.line, site.col, site.pattern.display(), site.family)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield from self._check_loop_shared(graph, site)
-        yield from self._check_cross_site(graph, sites)
-
-    # -------------------------------------------------------------- #
-    # loop-shared keys
-    # -------------------------------------------------------------- #
-    def _check_loop_shared(
-        self, graph: ProjectGraph, site: KeySite
-    ) -> Iterator[Diagnostic]:
-        if site.in_loop:
-            if site.registry_loop_local:
-                return  # fresh registry per iteration: a fresh key space
-            if not self._constant_under(site.pattern, site.loop_vars):
-                return
-            path = graph.shortest_path_to(site.function)
-            loop_vars = ", ".join(sorted(set(site.loop_vars))) or "<loop>"
-            yield _project_diagnostic(
-                self,
-                site.path,
-                site.line,
-                site.col,
-                f"stream key {site.pattern.display()!r} is constant across the "
-                f"loop over {loop_vars!r}: every iteration consumes the same "
-                f"named stream (call path {graph.render_path(path)}); derive a "
-                "per-iteration key instead",
-            )
-        elif site.registry_is_param and site.pattern.is_literal:
-            # Interprocedural variant: the registry arrives as a parameter
-            # and some caller invokes this function from inside a loop — the
-            # constant key is then shared across that caller's iterations.
-            function = graph.functions.get(site.function)
-            if function is None:
-                return
-            for caller_name, caller_site in graph.callers_of(site.function):
-                if not caller_site.in_loop:
-                    continue
-                caller = graph.functions[caller_name]
-                entry = graph.shortest_path_to(caller_name)
-                yield _project_diagnostic(
-                    self,
-                    site.path,
-                    site.line,
-                    site.col,
-                    f"stream key {site.pattern.display()!r} is constant but "
-                    f"{function.display()}() is called inside a loop at "
-                    f"{caller.path}:{caller_site.line} (call path "
-                    f"{graph.render_path(entry + (site.function,))}): each "
-                    "iteration consumes the same named stream; key the stream "
-                    "by the loop entity",
-                )
-                return  # one finding per site is enough
-
-    @staticmethod
-    def _constant_under(pattern, loop_vars: Tuple[str, ...]) -> bool:
-        """Does no hole of ``pattern`` depend on a loop-varying name?"""
-        if pattern.is_literal:
-            return True
-        varying = set(loop_vars)
-        for expr in pattern.hole_exprs():
-            try:
-                names = {
-                    n.id
-                    for n in ast.walk(ast.parse(expr, mode="eval"))
-                    if isinstance(n, ast.Name)
-                }
-            except SyntaxError:
-                return False  # opaque hole: assume it varies
-            if names & varying:
-                return False
-        return True
-
-    # -------------------------------------------------------------- #
-    # cross-site pattern unification
-    # -------------------------------------------------------------- #
-    def _check_cross_site(
-        self, graph: ProjectGraph, sites: List[KeySite]
-    ) -> Iterator[Diagnostic]:
-        groups: Dict[Tuple, List[KeySite]] = {}
-        seen_sites: Set[Tuple] = set()
-        for site in sites:
-            dedupe = (site.path, site.line, site.col, site.pattern.display(), site.family)
-            if dedupe in seen_sites:
-                continue
-            seen_sites.add(dedupe)
-            scope = site.function if site.registry_local_ctor else "*"
-            groups.setdefault((site.key_space, scope, site.registry), []).append(site)
-        reported: Set[Tuple] = set()
-        for group_key in sorted(groups, key=str):
-            members = groups[group_key]
-            for i, first in enumerate(members):
-                for second in members[i + 1:]:
-                    if (first.path, first.line) == (second.path, second.line):
-                        continue
-                    if not patterns_can_unify(first.pattern, second.pattern):
-                        continue
-                    pair = tuple(
-                        sorted(
-                            [
-                                (first.path, first.line, first.pattern.display()),
-                                (second.path, second.line, second.pattern.display()),
-                            ]
-                        )
-                    )
-                    if pair in reported:
-                        continue
-                    reported.add(pair)
-                    # anchor the finding at the later site; describe both
-                    a, b = sorted((first, second), key=lambda s: (s.path, s.line, s.col))
-                    path_a = graph.render_path(graph.shortest_path_to(a.function))
-                    path_b = graph.render_path(graph.shortest_path_to(b.function))
-                    yield _project_diagnostic(
-                        self,
-                        b.path,
-                        b.line,
-                        b.col,
-                        f"stream key pattern {b.pattern.display()!r} (call path "
-                        f"{path_b}) can unify with {a.pattern.display()!r} at "
-                        f"{a.path}:{a.line} (call path {path_a}): two call "
-                        "paths can consume the same named stream; make the key "
-                        "patterns disjoint or mark the sharing intentional "
-                        "with '# repro: ignore[MV101]'",
-                    )
 
 
 # ---------------------------------------------------------------------- #

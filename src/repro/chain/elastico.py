@@ -47,7 +47,7 @@ from repro.chain.pow import committee_fill_times, committee_members, run_pow_ele
 from repro.chain.randomness import GENESIS_RANDOMNESS, refresh_randomness
 from repro.core.problem import MVComConfig
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, isolated_streams
 
 
 @dataclass
@@ -157,6 +157,7 @@ class ElasticoSimulation:
             )
         return committees
 
+    @isolated_streams
     def run_epoch(
         self,
         shard_tx_counts: Optional[Sequence[int]] = None,

@@ -292,16 +292,22 @@ def _kernel_scratch(rows: int, c: int) -> Dict[str, np.ndarray]:
 
 
 def _committee_variates(
-    key: np.ndarray, committee: int, exponentials: np.ndarray, normals: np.ndarray
+    key: np.ndarray,
+    committee: int,
+    exponentials: np.ndarray,
+    normals: np.ndarray,
+    rng: Optional[np.random.Generator] = None,
 ) -> np.random.Generator:
     """Fills one committee's Exp(1) and N(0, 1) rows from its own stream.
 
     The generator is a Philox keyed by the batch key and started at
     counter block ``committee * COMMITTEE_COUNTER_STRIDE``, so the bytes
-    depend on nothing but ``key`` and ``committee``.  Returns it,
-    positioned after the committee's draws.
+    depend on nothing but ``key`` and ``committee``; ``rng``, the previous
+    committee's, is re-seated rather than a new one built
+    (:func:`repro.sim.rng.counter_rng`).  Returns it, positioned after the
+    committee's draws.
     """
-    rng = counter_rng(key, committee * COMMITTEE_COUNTER_STRIDE)
+    rng = counter_rng(key, committee * COMMITTEE_COUNTER_STRIDE, rng)
     rng.standard_exponential(out=exponentials)
     rng.standard_normal(out=normals)
     return rng
@@ -341,9 +347,10 @@ def _kernel_chunks(
 
     Reads only ``inputs`` and writes only its own ``scratch`` and its
     ranges of the two output arrays, so workers can run it concurrently.
-    Each committee draws from its own Philox generator at its absolute
-    counter block (:func:`_committee_variates`); the caller's stream is
-    never touched.
+    Each committee draws from its own Philox stream at its absolute
+    counter block (:func:`_committee_variates`), through one generator
+    per call re-seated per committee; the caller's stream is never
+    touched.
     """
     honest = inputs.honest
     c = honest.shape[1]
@@ -352,12 +359,13 @@ def _kernel_chunks(
     idx = np.arange(c)
     nic_from_primary = nic[:, 0]
     nic_to_primary = nic[0]
+    rng = None
     for start, stop in spans:
         b = stop - start
         expo = scratch["exponentials"][:b]
         z = scratch["normals"][:b]
         for row in range(b):
-            _committee_variates(inputs.key, start + row, expo[row], z[row])
+            rng = _committee_variates(inputs.key, start + row, expo[row], z[row], rng)
 
         # Verify delays: Exp(1) scaled by each member's mean, one pass
         # over both lanes (prepare, commit).

@@ -50,7 +50,7 @@ from repro.core.repair import RowRepair, repair_feasibility, resize_rows, row_ut
 from repro.core.solution import Solution
 from repro.analysis.contracts import feasible_result
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
-from repro.sim.rng import RandomStreams, spawn_fast_rng
+from repro.sim.rng import RandomStreams, isolated_streams, spawn_fast_rng
 
 
 class InfeasibleEpochError(ValueError):
@@ -185,8 +185,8 @@ class _ThreadRng:
     __slots__ = ("_seed_stream", "_stream")
 
     def __init__(self, root_seed: int, name: str) -> None:
-        # Deferred, not skipped: the first draw runs this seeding (and the
-        # stream-key lint still sees ``name`` flow into spawn_fast_rng).
+        # Deferred, not skipped: the first draw runs this seeding, so the
+        # armed stream ledger records it in the scope that draws.
         self._seed_stream = lambda: spawn_fast_rng(root_seed, name)
         self._stream = None
 
@@ -213,8 +213,10 @@ class _Population:
     ``rows.ok[row]``, and ``masks``/``utility``/``weight``/``count`` are its
     selection and the :class:`Solution` caches, carried verbatim from
     whatever produced them (Alg. 2, the adoption repair, a dynamic event
-    or a race engine).  ``rngs[row]`` is the thread's scalar stream and
-    ``virtual_times[g]`` replica ``g``'s race clock.
+    or a race engine).  ``rngs[row]`` is the thread's scalar stream,
+    ``virtual_times[g]`` replica ``g``'s race clock and ``reseats`` the
+    number of event batches applied so far (it names the threads they
+    spawn, see :meth:`StochasticExploration._apply_events`).
 
     This is the population's only form: bootstrap, warm adoption, dynamic
     events and probes work on these arrays, and both engines race them.
@@ -235,6 +237,7 @@ class _Population:
     ) -> None:
         self.replica_ids = list(replica_ids)
         self.virtual_times = virtual_times
+        self.reseats = 0
         self.reseat(instance, cardinalities, rows, rngs)
 
     def reseat(
@@ -472,6 +475,7 @@ class StochasticExploration:
     # public API
     # -------------------------------------------------------------- #
     @feasible_result
+    @isolated_streams
     def solve(
         self,
         instance: EpochInstance,
@@ -655,12 +659,14 @@ class StochasticExploration:
         returns those carried rows already on ``instance`` (``source`` lists
         their old row indices) and each keeps its thread stream.  Columns
         that fell out of range are dropped; new cardinalities spawn with the
-        stream ``replica-{id}-{spawn_tag}-n{n}`` (``spawn_tag`` is ``dyn``
-        or ``gen{g}-dyn`` for events, ``gen{g}`` for adoption).  Every row
-        left without a solution then re-draws (Alg. 2) as one batch per
-        replica from ``replica-{id}-init`` in row order: a re-seated
-        replica *continues* its init sequence rather than restarting it,
-        within a solve and across epochs, so replay stays byte-identical.
+        stream ``replica-{id}-{spawn_tag}-n{n}`` (``spawn_tag`` is
+        ``dyn{r}`` or ``gen{g}-dyn{r}`` for the ``r``-th event batch,
+        ``gen{g}`` for adoption), a name no earlier spawn of the population
+        used.  Every row left without a solution then re-draws (Alg. 2) as
+        one batch per replica from ``replica-{id}-init`` in row order: a
+        re-seated replica *continues* its init sequence rather than
+        restarting it, within a solve and across epochs, so replay stays
+        byte-identical.
         Returns the retained/reseated/spawned row counts.
         """
         gamma = len(population.replica_ids)
@@ -679,7 +685,6 @@ class StochasticExploration:
         fresh = _initialize_rows(
             instance,
             [
-                # repro: ignore[MV101]
                 (streams.get(f"replica-{replica_id}-init"), family[redo[group]])
                 for group, replica_id in enumerate(population.replica_ids)
             ],
@@ -755,11 +760,12 @@ class StochasticExploration:
         every row holds a solution that re-seat is the identity, so the rows
         are left as they are.
 
-        ``generation`` namespaces the streams of threads spawned mid-run:
-        generation 0 (a cold solve) keeps the original ``dyn`` names, so
-        pre-warm trajectories replay byte-identically; warm runs
-        (generation >= 1) prefix theirs so a cardinality that disappears
-        and reappears across epochs never re-reads the same sequence.
+        The threads this re-seat spawns are named ``dyn{r}``, ``r`` being
+        the population's count of event batches before this one, so a
+        cardinality that disappears and reappears within a solve spawns a
+        fresh stream rather than replaying its earlier incarnation's.  Warm
+        runs (``generation`` >= 1) prefix the tag with ``gen{g}-``, so no
+        spawn name of one epoch recurs in another.
         """
         instance, rows = population.instance, population.rows
         for event in events:
@@ -780,7 +786,6 @@ class StochasticExploration:
                 fresh = _initialize_rows(
                     new,
                     [
-                        # repro: ignore[MV101]
                         (streams.get(f"replica-{replica_id}-leave"),
                          population.cardinalities[by_replica[group]])
                         for group, replica_id in enumerate(population.replica_ids)
@@ -795,10 +800,12 @@ class StochasticExploration:
                 rows = _rebased_rows(rows, instance, new)
             instance = new
         stats = {"retained": 0, "reseated": 0, "spawned": 0}
+        spawn_tag = f"gen{generation}-dyn" if generation else "dyn"
+        spawn_tag += str(population.reseats)
+        population.reseats += 1
         if instance is not population.instance or not rows.ok.all():
             stats = self._reseat_family(
-                population, instance, streams,
-                "dyn" if generation == 0 else f"gen{generation}-dyn",
+                population, instance, streams, spawn_tag,
                 lambda source: RowRepair(*(field[source] for field in rows)),
             )
         if self.telemetry.enabled:

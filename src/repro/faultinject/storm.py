@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.dynamics import CommitteeEvent, EventKind
 from repro.core.problem import EpochInstance
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, isolated_streams
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ def _seed_membership(instance: EpochInstance) -> _Membership:
     )
 
 
+@isolated_streams
 def generate_storm(
     instance: EpochInstance,
     config: StormConfig,

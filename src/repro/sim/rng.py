@@ -7,23 +7,70 @@ from one root seed.  This gives two properties the experiments rely on:
 * **Reproducibility** -- a fixed root seed reproduces every figure exactly.
 * **Isolation** -- adding a draw in one subsystem does not shift the random
   sequence seen by any other subsystem, so ablations stay comparable.
+
+Isolation also needs each named stream to be derived once per consumer: a
+stream derived again restarts, and its consumer replays its draws.  With
+``REPRO_CONTRACTS=1`` every derivation is checked at run time.  One SE
+solve, one storm generation and one chain epoch each open a *stream scope*
+(:func:`isolated_streams`; scopes nest), and deriving the same
+``(root seed, name)`` twice inside the innermost open scope raises
+:class:`~repro.analysis.contracts.ContractViolation`.  The flag is read
+once, at import; disarmed, a derivation pays one boolean check.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
-from typing import Dict
+from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 import numpy as np
+
+from repro.analysis.contracts import ContractViolation, contracts_enabled
+
+F = TypeVar("F", bound=Callable)
+
+#: Is the derivation ledger armed?  Read once, as the contract decorators do.
+_LEDGER_ARMED = contracts_enabled()
+#: The open stream scopes, innermost last: the pairs each has derived.
+_scopes: List[Set[Tuple[int, str]]] = []
+
+
+def isolated_streams(func: F) -> F:
+    """Decorator: every call of ``func`` is one scope of the derivation ledger.
+
+    Returns ``func`` unchanged when the ledger is disarmed.
+    """
+    if not _LEDGER_ARMED:
+        return func
+
+    @functools.wraps(func)
+    def scoped(*args, **kwargs):
+        _scopes.append(set())
+        try:
+            return func(*args, **kwargs)
+        finally:
+            _scopes.pop()
+
+    return scoped  # type: ignore[return-value]
 
 
 def _derive_seed(root_seed: int, name: str) -> int:
     """Derive a 64-bit child seed from ``root_seed`` and a stream ``name``.
 
     Uses SHA-256 so the mapping is stable across Python versions and
-    processes (unlike ``hash``).
+    processes (unlike ``hash``).  Every named stream is derived here, so
+    this is where the armed ledger records it.
     """
+    if _LEDGER_ARMED and _scopes:
+        derived = _scopes[-1]
+        if (root_seed, name) in derived:
+            raise ContractViolation(
+                f"stream {name!r} of root seed {root_seed} derived twice in one "
+                "scope: the second consumer replays the first one's draws"
+            )
+        derived.add((root_seed, name))
     digest = hashlib.sha256(f"{root_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -64,7 +111,12 @@ def philox_key(rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2**64, size=2, dtype=np.uint64)
 
 
-def counter_rng(key: np.ndarray, counter_block: int) -> np.random.Generator:
+_WORD = 2**64 - 1
+
+
+def counter_rng(
+    key: np.ndarray, counter_block: int, rng: Optional[np.random.Generator] = None
+) -> np.random.Generator:
     """A generator positioned at absolute Philox counter ``counter_block``.
 
     Philox-4x64 emits four ``uint64`` words per counter increment, so a
@@ -76,10 +128,33 @@ def counter_rng(key: np.ndarray, counter_block: int) -> np.random.Generator:
     singly, in chunks, or all at once.
     This is the sanctioned constructor for counter-addressed streams
     (lint rule MV001 bans raw ``np.random.*`` construction elsewhere).
+
+    ``rng``, a generator an earlier call returned, is re-seated in place
+    and returned: a loop over many items builds one generator, not one
+    per item.  Either way the bytes equal
+    ``Generator(Philox(key=key, counter=counter_block))``'s.
     """
-    if counter_block < 0:
-        raise ValueError("counter_block must be non-negative")
-    return np.random.Generator(np.random.Philox(key=key, counter=int(counter_block)))
+    if not 0 <= counter_block < 2**256:
+        raise ValueError("counter_block must be in [0, 2**256)")
+    if rng is None:
+        # Seeded, because an unseeded Philox reads OS entropy for a state
+        # that the assignment below replaces anyway.
+        rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array(
+                [(int(counter_block) >> shift) & _WORD for shift in (0, 64, 128, 192)],
+                dtype=np.uint64,
+            ),
+            "key": np.asarray(key, dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 class RandomStreams:
@@ -107,7 +182,3 @@ class RandomStreams:
     def fork(self, name: str) -> "RandomStreams":
         """Create a child registry whose streams are independent of this one."""
         return RandomStreams(_derive_seed(self.seed, f"fork:{name}"))
-
-    def reset(self) -> None:
-        """Drop all streams so the next ``get`` restarts each sequence."""
-        self._streams.clear()

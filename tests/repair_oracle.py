@@ -291,6 +291,9 @@ def apply_events_scalar(
     """
     instance = population.instance
     replicas = threads_of(population, solver.config)
+    spawn_tag = f"gen{generation}-dyn" if generation else "dyn"
+    spawn_tag += str(population.reseats)
+    population.reseats += 1
     for event in events:
         if event.kind is EventKind.LEAVE:
             if event.shard_id not in instance.shard_ids:
@@ -326,11 +329,7 @@ def apply_events_scalar(
         for cardinality in cardinalities:
             thread = existing.pop(cardinality, None)
             if thread is None:
-                name = (
-                    f"replica-{replica_id}-dyn-n{cardinality}"
-                    if generation == 0
-                    else f"replica-{replica_id}-gen{generation}-dyn-n{cardinality}"
-                )
+                name = f"replica-{replica_id}-{spawn_tag}-n{cardinality}"
                 thread = _SolutionThread(cardinality, _ThreadRng(streams.seed, name),
                                          solver.config)
                 initialize_scalar(thread, instance, init_rng)

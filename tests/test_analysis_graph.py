@@ -57,26 +57,6 @@ class TestCollection:
         helper = graph.functions["repro.core.a.Solver.solve.helper"]
         assert helper.is_nested and helper.parent == "repro.core.a.Solver.solve"
 
-    def test_loop_context_recorded(self):
-        graph = build(
-            {
-                "repro/core/a.py": """
-                def run(items):
-                    for index, item in enumerate(items):
-                        use(index)
-                    while True:
-                        poll()
-                """
-            }
-        )
-        calls = {
-            site.raw: site for site in graph.functions["repro.core.a.run"].calls
-        }
-        assert calls["use"].in_loop
-        assert set(calls["use"].loop_vars) == {"index", "item"}
-        assert calls["enumerate"].in_loop is False
-        assert calls["poll"].in_loop and calls["poll"].loop_vars == ()
-
     def test_syntax_error_files_skipped(self):
         graph = build(
             {
@@ -173,7 +153,7 @@ class TestResolution:
 
 
 # ---------------------------------------------------------------------- #
-# caller index and path enumeration
+# caller index and path rendering
 # ---------------------------------------------------------------------- #
 class TestPaths:
     FILES = {
@@ -194,31 +174,9 @@ class TestPaths:
         callers = [caller for caller, _ in graph.callers_of("repro.core.a.leaf")]
         assert callers == ["repro.core.a.middle"]
 
-    def test_call_paths_entry_first(self):
-        graph = build(self.FILES)
-        paths = graph.call_paths_to("repro.core.a.leaf")
-        assert paths[0] == (
-            "repro.core.a.entry",
-            "repro.core.a.middle",
-            "repro.core.a.leaf",
-        )
-
     def test_render_path_drops_module_prefix(self):
         graph = build(self.FILES)
-        rendered = graph.render_path(graph.shortest_path_to("repro.core.a.leaf"))
-        assert rendered == "entry -> middle -> leaf"
-
-    def test_recursion_does_not_hang(self):
-        graph = build(
-            {
-                "repro/core/a.py": """
-                def ping():
-                    return pong()
-
-                def pong():
-                    return ping()
-                """
-            }
+        rendered = graph.render_path(
+            ("repro.core.a.entry", "repro.core.a.middle", "repro.core.a.leaf")
         )
-        paths = graph.call_paths_to("repro.core.a.ping", max_paths=2)
-        assert paths and all(len(set(p)) == len(p) for p in paths)
+        assert rendered == "entry -> middle -> leaf"

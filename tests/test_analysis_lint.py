@@ -1,12 +1,21 @@
 """Tests for the repro.analysis lint engine (rules MV001-MV009, and the
 direct wall-clock half of MV102)."""
 
+import pathlib
 import textwrap
+import tokenize
 
 import pytest
 
-from repro.analysis.engine import LintEngine, registered_rules, run_analysis
+from repro.analysis.engine import (
+    LintEngine,
+    pragma_suppressions,
+    registered_rules,
+    run_analysis,
+)
 from repro.harness.cli import main as cli_main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def lint(source, path="repro/core/somefile.py"):
@@ -430,6 +439,19 @@ class TestTreeAndCli:
     def test_repo_source_tree_is_clean(self):
         diagnostics = run_analysis(["src"])
         assert diagnostics == []
+
+    def test_every_pragma_in_the_tree_names_a_registered_rule(self):
+        # A pragma for a deleted rule would linger silently otherwise.
+        rules = set(registered_rules())
+        stale = []
+        for path in sorted(SRC.rglob("*.py")):
+            with path.open("rb") as handle:
+                for token in tokenize.tokenize(handle.readline):
+                    if token.type != tokenize.COMMENT:
+                        continue
+                    for line, ids in pragma_suppressions(token.string).items():
+                        stale += [f"{path}:{token.start[0]} {rule}" for rule in ids - rules]
+        assert stale == []
 
     def test_mvcom_lint_runs_clean_on_repo(self, capsys):
         assert cli_main(["lint", "src/"]) == 0

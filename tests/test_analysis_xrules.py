@@ -1,15 +1,10 @@
 """Tests for the cross-module MV1xx rules (repro.analysis.rules_graph)."""
 
-import ast
 import textwrap
 
 import pytest
 
 from repro.analysis.engine import LintEngine
-from repro.analysis.streamkeys import (
-    pattern_from_expr,
-    patterns_can_unify,
-)
 
 
 def xlint(files):
@@ -21,154 +16,6 @@ def xlint(files):
 
 def rule_hits(diagnostics, rule_id):
     return [d for d in diagnostics if d.rule_id == rule_id]
-
-
-def pattern(expr_source):
-    return pattern_from_expr(ast.parse(expr_source, mode="eval").body)
-
-
-# ---------------------------------------------------------------------- #
-# key-pattern unification
-# ---------------------------------------------------------------------- #
-class TestPatternUnification:
-    def test_identical_literals_unify(self):
-        assert patterns_can_unify(pattern("'leave-reinit'"), pattern("'leave-reinit'"))
-
-    def test_distinct_literals_do_not(self):
-        assert not patterns_can_unify(pattern("'pow'"), pattern("'pbft'"))
-
-    def test_template_matches_literal_instance(self):
-        assert patterns_can_unify(
-            pattern("f'replica-{rid}-init'"), pattern("'replica-7-init'")
-        )
-
-    def test_holes_do_not_span_dashes(self):
-        # The PR 5 '-n{c}' vs '-dyn-n{c}' suffixes must stay disjoint: holes
-        # never produce '-' so the extra '-dyn' segment cannot be absorbed.
-        assert not patterns_can_unify(
-            pattern("f'replica-{rid}-n{c}'"),
-            pattern("f'replica-{rid}-dyn-n{c}'"),
-        )
-
-    def test_same_template_unifies_with_itself(self):
-        assert patterns_can_unify(
-            pattern("f'replica-{rid}-init'"), pattern("f'replica-{rid}-init'")
-        )
-
-
-# ---------------------------------------------------------------------- #
-# MV101 stream collisions
-# ---------------------------------------------------------------------- #
-#: The PR 3 bug, reconstructed across two modules: every replica in the
-#: leave-loop drew from ONE shared "leave-reinit" stream.
-PR3_LEAVE_REINIT = {
-    "repro/core/dynamics.py": """
-    def apply_leave(instance, replicas, streams):
-        for replica in replicas:
-            rng = streams.get("leave-reinit")
-            replica.reinitialize(instance, rng)
-    """,
-    "repro/core/driver.py": """
-    from repro.sim.rng import RandomStreams
-
-    from repro.core.dynamics import apply_leave
-
-    def solve(seed, replicas):
-        streams = RandomStreams(seed)
-        apply_leave(None, replicas, streams)
-    """,
-    "repro/sim/rng.py": """
-    class RandomStreams:
-        def __init__(self, seed):
-            self.seed = seed
-
-        def get(self, name):
-            return name
-    """,
-}
-
-
-class TestMV101:
-    def test_pr3_leave_reinit_bug_is_flagged_with_call_path(self):
-        hits = rule_hits(xlint(PR3_LEAVE_REINIT), "MV101")
-        assert len(hits) == 1
-        finding = hits[0]
-        assert finding.path == "repro/core/dynamics.py"
-        assert "'leave-reinit'" in finding.message
-        # the colliding call path is named in the diagnostic
-        assert "solve -> apply_leave" in finding.message
-
-    def test_pragma_suppresses_the_finding(self):
-        files = dict(PR3_LEAVE_REINIT)
-        files["repro/core/dynamics.py"] = """
-        def apply_leave(instance, replicas, streams):
-            for replica in replicas:
-                rng = streams.get("leave-reinit")  # repro: ignore[MV101]
-                replica.reinitialize(instance, rng)
-        """
-        assert rule_hits(xlint(files), "MV101") == []
-
-    def test_per_replica_key_is_clean(self):
-        files = dict(PR3_LEAVE_REINIT)
-        files["repro/core/dynamics.py"] = """
-        def apply_leave(instance, replicas, streams):
-            for replica in replicas:
-                rng = streams.get(f"replica-{replica.replica_id}-leave")
-                replica.reinitialize(instance, rng)
-        """
-        assert rule_hits(xlint(files), "MV101") == []
-
-    def test_loop_local_fork_is_clean(self):
-        # A fresh child registry per iteration is a fresh key space.
-        files = {
-            "repro/core/epochs.py": """
-            def run(epochs, streams):
-                for epoch in epochs:
-                    child = streams.fork(f"epoch-{epoch}")
-                    rng = child.get("blocks")
-                    rng2 = child.get("shards")
-            """
-        }
-        assert rule_hits(xlint(files), "MV101") == []
-
-    def test_cross_site_same_literal_key_collides(self):
-        files = {
-            "repro/core/two.py": """
-            def first(streams):
-                return streams.get("shared-key")
-
-            def second(streams):
-                return streams.get("shared-key")
-            """
-        }
-        hits = rule_hits(xlint(files), "MV101")
-        assert len(hits) == 1
-        assert "can unify" in hits[0].message
-
-    def test_cross_site_distinct_keys_clean(self):
-        files = {
-            "repro/core/two.py": """
-            def first(streams):
-                return streams.get("pow")
-
-            def second(streams):
-                return streams.get("pbft")
-            """
-        }
-        assert rule_hits(xlint(files), "MV101") == []
-
-    def test_rng_module_itself_is_exempt(self):
-        files = {
-            "repro/sim/rng.py": """
-            def spawn_rng(seed, name):
-                return (seed, name)
-
-            def helper(streams):
-                for i in range(3):
-                    streams.get("fixed")
-            """
-        }
-        assert rule_hits(xlint(files), "MV101") == []
 
 
 # ---------------------------------------------------------------------- #

@@ -166,8 +166,8 @@ GOLDEN = {
         "mask": "3f3f80",
         "utility": "28804.09609774436",
         "iterations": 400,
-        "trace_sha256": ("feb81ecd24d11abd1d9ec52dcaa21876"
-                         "36725e32009965aa393d40696c094182"),
+        "trace_sha256": ("b943d40de017c69973f3d018031a951d"
+                         "7b31837c823b79423ce293a8c973e3d5"),
         "reseats": [[8, 3, 0, 19], [1, 3, 0, 18], [7, 0, 3, 19], [4, 3, 0, 17],
                     [2, 0, 3, 17], [13, 0, 0, 19], [1, 0, 0, 20], [4, 3, 0, 17]],
     },

@@ -1,10 +1,18 @@
 """Tests for named random streams."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import RandomStreams, derive_seed, spawn_fast_rng, spawn_rng
+from repro.sim.rng import (
+    RandomStreams,
+    counter_rng,
+    derive_seed,
+    philox_key,
+    spawn_fast_rng,
+    spawn_rng,
+)
 
 
 def test_same_seed_same_stream():
@@ -117,9 +125,16 @@ def test_fork_is_deterministic():
     assert a.seed == b.seed
 
 
-def test_reset_restarts_sequences():
-    streams = RandomStreams(seed=9)
-    first = streams.get("s").random(5)
-    streams.reset()
-    again = streams.get("s").random(5)
-    assert np.allclose(first, again)
+@pytest.mark.parametrize("block", [0, 7, 5 * 2**64 + 3])
+def test_counter_rng_matches_the_philox_constructor(block):
+    key = philox_key(spawn_rng(4, "kernel"))
+    expected = np.random.Generator(np.random.Philox(key=key, counter=block))
+    fresh = counter_rng(key, block)
+    used = counter_rng(key, block + 1)
+    used.standard_normal(3)  # a used generator re-seats just the same
+    reseated = counter_rng(key, block, used)
+    normals = expected.standard_normal(1000)
+    exponentials = expected.standard_exponential(1000)
+    for rng in (fresh, reseated):
+        assert rng.standard_normal(1000).tobytes() == normals.tobytes()
+        assert rng.standard_exponential(1000).tobytes() == exponentials.tobytes()
