@@ -22,7 +22,6 @@ from repro.core.se import SEConfig, SEResult, StochasticExploration
 from repro.core.dynamics import CommitteeEvent, DynamicSchedule, EventKind
 from repro.core.exact import branch_and_bound_optimum, brute_force_optimum
 from repro.core.bounds import certify, fractional_knapsack_bound, lagrangian_bound
-from repro.core.pipeline import MultiEpochScheduler, PipelineResult
 from repro.core.ddl import BudgetedAge, DdlPolicy, FixedTimeout, PercentileArrival
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "certify",
     "fractional_knapsack_bound",
     "lagrangian_bound",
-    "MultiEpochScheduler",
-    "PipelineResult",
     "BudgetedAge",
     "DdlPolicy",
     "FixedTimeout",

@@ -257,15 +257,6 @@ class EpochInstance:
             shard_ids=list(self.shard_ids) + [int(shard_id)],
         )
 
-    def carry_over_latency(self, shard_id: int, floor: float = 1.0) -> float:
-        """Fig. 3 carry-over for a shard of *this* instance.
-
-        See the module-level :func:`carry_over_latency` for the general rule
-        (which also covers committees refused before arrival).
-        """
-        position = self.position_of(shard_id)
-        return carry_over_latency(self.latencies[position], self.ddl, floor)
-
     def __repr__(self) -> str:
         return (
             f"EpochInstance(n={self.num_shards}, capacity={self.capacity}, "

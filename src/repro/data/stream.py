@@ -10,9 +10,10 @@ state — it replays the :mod:`repro.data.bitcoin` trace at a configurable
 rate, applies churn/growth between epochs, and materialises one
 :class:`~repro.core.problem.EpochInstance` per tick.
 
-Everything is driven by named :class:`~repro.sim.rng.RandomStreams`
-(per-epoch forks, the :func:`repro.data.workload.multi_epoch_workloads`
-idiom), so a stream is byte-reproducible from its config alone and the
+It is the one multi-epoch carry-over driver: the serve loop, the serve
+storms and the Fig. 3 carry-over ablation all run on it.  Everything is
+driven by named :class:`~repro.sim.rng.RandomStreams` (one fork per
+epoch), so a stream is byte-reproducible from its config alone and the
 serve-mode storm reproducers can replay a failing epoch sequence.
 """
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.problem import MVComConfig, build_instance, carry_over_latency
 from repro.data.bitcoin import BitcoinBlock, BitcoinTraceConfig, generate_bitcoin_trace
@@ -216,6 +219,8 @@ class EpochStream:
             for shard_id in live[: min(-config.growth, len(live) - 2)]:
                 del self.committees[shard_id]
                 departed.append(shard_id)
+        # Churn and shrinkage may have removed committees carried in step 2.
+        carried = [shard_id for shard_id in carried if shard_id in self.committees]
 
         # 5. Feed: replay the trace at ``rate`` blocks per live committee,
         # assigning each block's transactions to one committee's mempool.

@@ -162,34 +162,3 @@ def generate_online_workload(
         spacing=join_spacing,
     )
     return EpochWorkload(shards=base.shards, instance=instance, config=config, schedule=schedule)
-
-
-def multi_epoch_workloads(
-    config: WorkloadConfig,
-    num_epochs: int,
-    blocks: Optional[Sequence[BitcoinBlock]] = None,
-    latency_model: Optional[TwoPhaseLatencyModel] = None,
-) -> List[EpochWorkload]:
-    """Independent epoch workloads (fresh shard grouping and latencies per epoch).
-
-    "For each epoch, those blocks are divided into a different number of
-    groups" -- every epoch re-partitions the trace with its own stream.
-    """
-    if num_epochs <= 0:
-        raise ValueError("num_epochs must be positive")
-    if blocks is None:
-        blocks = generate_bitcoin_trace(config.trace)
-    model = latency_model or TwoPhaseLatencyModel()
-    workloads = []
-    for epoch in range(num_epochs):
-        epoch_streams = RandomStreams(config.seed).fork(f"epoch-{epoch}")
-        epoch_blocks = _sample_epoch_blocks(blocks, config, epoch_streams.get("epoch-blocks"))
-        shards = build_shards(
-            epoch_blocks,
-            num_shards=config.num_committees,
-            rng=epoch_streams.get("shards"),
-            latency_model=model,
-        )
-        instance = build_instance(arrived_shards(shards, config.n_max_fraction), config.mvcom_config())
-        workloads.append(EpochWorkload(shards=shards, instance=instance, config=config))
-    return workloads

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -336,14 +336,8 @@ def run_serve_comparison(
     """
     if config is None:
         config = ServeConfig()
-    warm_report = run_serve(
-        ServeConfig(**{**_config_dict(config), "warm": True}),
-        collect_results=True,
-    )
-    cold_report = run_serve(
-        ServeConfig(**{**_config_dict(config), "warm": False}),
-        collect_results=True,
-    )
+    warm_report = run_serve(replace(config, warm=True), collect_results=True)
+    cold_report = run_serve(replace(config, warm=False), collect_results=True)
     epochs = []
     warm_rounds: List[int] = []
     cold_rounds: List[int] = []
@@ -391,11 +385,6 @@ def run_serve_comparison(
             json.dump(record, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return record
-
-
-def _config_dict(config: ServeConfig) -> dict:
-    """A mutable kwargs view of a frozen :class:`ServeConfig`."""
-    return asdict(config)
 
 
 # ------------------------------------------------------------------ #

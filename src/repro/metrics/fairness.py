@@ -1,9 +1,10 @@
 """Fairness metrics over committee selection.
 
 MVCom's utility can rationally starve small or stale committees (see the
-pipeline ablation), which matters in a permissionless system: committees
-that never land in a final block earn nothing and leave.  These metrics
-quantify that effect across epochs:
+Fig. 3 carry-over ablation in ``benchmarks/bench_ablations.py``), which
+matters in a permissionless system: committees that never land in a final
+block earn nothing and leave.  These metrics quantify that effect across
+epochs:
 
 * :func:`selection_counts` -- per-committee admission counts;
 * :func:`jain_index` -- Jain's fairness index of those counts

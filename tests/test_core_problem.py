@@ -149,11 +149,14 @@ class TestDynamicsSupport:
 
     def test_carry_over_latency(self, tiny_instance):
         """Fig. 3: refused committee re-enters with l_i - t_j, floored."""
+        from repro.core.problem import carry_over_latency
+
         instance = tiny_instance.with_shard(10, tx_count=100, latency=1_200.0)
+        latencies = instance.latencies
         # shard 0 (l=600) finished before the DDL of 1200 -> floored carry-over.
-        assert instance.carry_over_latency(0) == 1.0
+        assert carry_over_latency(latencies[instance.position_of(0)], instance.ddl) == 1.0
         # the straggler itself carries max(1200 - 1200, 1) = 1.
-        assert instance.carry_over_latency(10) == 1.0
+        assert carry_over_latency(latencies[instance.position_of(10)], instance.ddl) == 1.0
 
     def test_carry_over_for_refused_straggler(self):
         from repro.core.problem import carry_over_latency

@@ -9,7 +9,6 @@ from repro.data.workload import (
     arrived_shards,
     generate_epoch_workload,
     generate_online_workload,
-    multi_epoch_workloads,
 )
 
 
@@ -127,21 +126,3 @@ class TestOnlineWorkload:
                 num_initial=0, join_start=100, join_spacing=50,
             )
 
-
-class TestMultiEpoch:
-    def test_epochs_differ(self):
-        workloads = multi_epoch_workloads(
-            WorkloadConfig(num_committees=30, capacity=30_000, seed=4), num_epochs=3
-        )
-        assert len(workloads) == 3
-        assert not np.array_equal(workloads[0].instance.tx_counts, workloads[1].instance.tx_counts)
-
-    def test_epochs_deterministic(self):
-        a = multi_epoch_workloads(WorkloadConfig(num_committees=30, capacity=30_000, seed=4), 2)
-        b = multi_epoch_workloads(WorkloadConfig(num_committees=30, capacity=30_000, seed=4), 2)
-        for wa, wb in zip(a, b):
-            assert np.array_equal(wa.instance.tx_counts, wb.instance.tx_counts)
-
-    def test_zero_epochs_rejected(self):
-        with pytest.raises(ValueError):
-            multi_epoch_workloads(WorkloadConfig(num_committees=30, capacity=30_000, seed=4), 0)

@@ -45,7 +45,7 @@ def test_no_accidental_circular_imports():
         "repro.core.markov", "repro.core.spectral", "repro.core.timers",
         "repro.core.se", "repro.core.engine", "repro.core.dynamics",
         "repro.core.failure", "repro.core.exact", "repro.core.bounds",
-        "repro.core.convergence", "repro.core.pipeline", "repro.core.ddl",
+        "repro.core.convergence", "repro.core.ddl",
         "repro.baselines.base", "repro.baselines.annealing",
         "repro.baselines.knapsack_dp", "repro.baselines.whale",
         "repro.baselines.greedy", "repro.baselines.random_search",
