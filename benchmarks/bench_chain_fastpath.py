@@ -19,7 +19,7 @@ import time
 from repro.chain.measurement import measure_two_phase_latency
 from repro.chain.params import ChainParams
 from repro.harness.presets import PRESETS
-from repro.metrics.ks import ks_critical_value, ks_pvalue, ks_statistic
+from repro.metrics.ks import ks_two_sample
 
 #: Fig. 2 campaign shape (mirrors PRESETS["fig02"]).
 _FIG02 = PRESETS["fig02"]
@@ -48,13 +48,8 @@ def _timed_measurement(engine, num_nodes):
 
 def _ks_cell(sample_a, sample_b):
     """(statistic, p-value, rejected-at-0.01) for one latency comparison."""
-    d_stat = ks_statistic(sample_a, sample_b)
-    n, m = len(sample_a), len(sample_b)
-    return {
-        "d": d_stat,
-        "p": ks_pvalue(d_stat, n, m),
-        "rejected": d_stat >= ks_critical_value(n, m, alpha=0.01),
-    }
+    d_stat, p_value, rejected = ks_two_sample(sample_a, sample_b, alpha=0.01)
+    return {"d": d_stat, "p": p_value, "rejected": rejected}
 
 
 def test_chain_fastpath_bench(perf_recorder):

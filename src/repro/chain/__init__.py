@@ -12,6 +12,8 @@ The layer boundaries match the paper's:
 * :mod:`repro.chain.pow`        -- stage 1, committee formation;
 * :mod:`repro.chain.overlay`    -- stage 2, overlay configuration;
 * :mod:`repro.chain.pbft`       -- stage 3, intra-committee consensus;
+* :mod:`repro.chain.committee`  -- committees and the one PBFT round router;
+* :mod:`repro.chain.fastpath`   -- the formation and PBFT kernels;
 * :mod:`repro.chain.final`      -- stage 4, final consensus (where MVCom plugs in);
 * :mod:`repro.chain.randomness` -- stage 5, epoch randomness;
 * :mod:`repro.chain.elastico`   -- the epoch orchestrator tying them together;

@@ -5,10 +5,13 @@ One :meth:`ElasticoSimulation.run_epoch` call executes:
 1. **Committee formation** -- the PoW election race (:mod:`repro.chain.pow`);
 2. **Overlay configuration** -- serial identity registration + membership
    gossip (:mod:`repro.chain.overlay`); formation latency =
-   committee-fill time + overlay time, which is what Fig. 2 measures;
+   committee-fill time + overlay time, which is what Fig. 2 measures.
+   Stages 1-2 run as one vectorized kernel
+   (:func:`repro.chain.fastpath.formation_kernel`) under both engines;
 3. **Intra-committee consensus** -- a PBFT round per committee
-   (:func:`repro.chain.committee.run_intra_consensus_streaming`: the DES of
-   :mod:`repro.chain.pbft`, or the batched kernel of
+   (:func:`repro.chain.committee.run_intra_consensus_streaming`, through
+   the round router :func:`repro.chain.committee.run_pbft_rounds`: the DES
+   of :mod:`repro.chain.pbft`, or the batched kernel of
    :mod:`repro.chain.fastpath` plus replayed fallbacks); each submitted
    shard folds into a :class:`repro.chain.final.CrosslinkAggregator` as
    its committee id, ``s_i`` and two-phase ``l_i``;
@@ -41,9 +44,7 @@ from repro.chain.final import (
     take_everything,
 )
 from repro.chain.node import Node, spawn_nodes
-from repro.chain.overlay import run_overlay_configuration
 from repro.chain.params import ChainParams
-from repro.chain.pow import committee_fill_times, committee_members, run_pow_election
 from repro.chain.randomness import GENESIS_RANDOMNESS, refresh_randomness
 from repro.core.problem import MVComConfig
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
@@ -108,41 +109,25 @@ class ElasticoSimulation:
     def form_committees(self, rng: np.random.Generator) -> List[Committee]:
         """Stages 1-2: PoW election + overlay configuration.
 
-        The ``fastpath`` engine runs the vectorized formation kernel,
-        which consumes the RNG stream identically to the reference path
-        and produces byte-identical committees.
+        Both chain engines run the vectorized formation kernel, which
+        draws the RNG stream exactly as the scalar reference
+        (:mod:`repro.chain.pow` + :mod:`repro.chain.overlay`) does and
+        forms byte-identical committees.
         """
         params = self.params
-        if params.chain_engine == "fastpath":
-            fills, members, overlay_times = formation_kernel(
-                nodes=self.nodes,
-                num_committees=params.num_committees,
-                committee_size=params.committee_size,
-                mean_solve_s=params.pow_mean_solve_s,
-                epoch_randomness=self.randomness,
-                registration_rate=params.identity_registration_rate,
-                rng=rng,
-                solve_scales=self._solve_scales,
-                node_ids=self._node_id_array,
-                max_batch_bytes=params.max_batch_bytes,
-                hash_suffixes=self._hash_suffixes,
-            )
-        else:
-            solutions = run_pow_election(
-                nodes=self.nodes,
-                num_committees=params.num_committees,
-                mean_solve_s=params.pow_mean_solve_s,
-                epoch_randomness=self.randomness,
-                rng=rng,
-            )
-            fills = committee_fill_times(solutions, params.num_committees, params.committee_size)
-            members = committee_members(solutions, params.num_committees, params.committee_size)
-            overlay_times = run_overlay_configuration(
-                solutions=solutions,
-                members=members,
-                registration_rate=params.identity_registration_rate,
-                rng=rng,
-            ).committee_overlay_time
+        fills, members, overlay_times = formation_kernel(
+            nodes=self.nodes,
+            num_committees=params.num_committees,
+            committee_size=params.committee_size,
+            mean_solve_s=params.pow_mean_solve_s,
+            epoch_randomness=self.randomness,
+            registration_rate=params.identity_registration_rate,
+            rng=rng,
+            solve_scales=self._solve_scales,
+            node_ids=self._node_id_array,
+            max_batch_bytes=params.max_batch_bytes,
+            hash_suffixes=self._hash_suffixes,
+        )
         nodes_by_id = self._nodes_by_id
         committees = []
         for committee_id, node_ids in sorted(members.items()):

@@ -4,7 +4,9 @@ The final committee sees each shard a member committee submits only as
 its committee id, ``s_i`` and two-phase ``l_i``, held in a
 :class:`CrosslinkAggregator`.  It stops listening at the :math:`N_{max}`
 fraction (Alg. 1 line 29), asks a *scheduler* which shards to permit, and
-then runs its own PBFT round to seal the final block.  The scheduler is
+then runs its own PBFT round -- through the same router as the member
+committees, :func:`repro.chain.committee.run_pbft_rounds` -- to seal the
+final block.  The scheduler is
 pluggable: the paper's SE algorithm, any baseline, or the trivial "take
 everything" policy (the Elastico default MVCom improves upon).
 """
@@ -18,8 +20,7 @@ import numpy as np
 
 from repro.analysis.contracts import sane_instance
 from repro.chain.blocks import FinalBlock, RootChain, shard_block_hash
-from repro.chain.committee import Committee, calibrated_verify_mean
-from repro.chain.fastpath import run_pbft
+from repro.chain.committee import Committee, run_pbft_rounds
 from repro.chain.params import ChainParams
 from repro.core.problem import EpochInstance, MVComConfig
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
@@ -170,14 +171,8 @@ class FinalCommittee:
         if not instance.is_capacity_feasible(mask):
             raise ValueError("scheduler violated the final-block capacity")
 
-        outcome = run_pbft(
-            self.params.chain_engine,
-            members=self.committee.members,
-            rng=rng,
-            network_params=self.params.network,
-            verify_mean_s=calibrated_verify_mean(self.params),
-            round_tag=f"epoch{epoch}-final",
-            telemetry=telemetry,
+        (outcome,) = run_pbft_rounds(
+            [self.committee], [f"epoch{epoch}-final"], self.params, rng, telemetry=telemetry
         )
         if not outcome.committed:
             if telemetry.enabled:

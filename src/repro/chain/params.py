@@ -64,12 +64,13 @@ class ChainParams:
     byzantine_fraction:
         Fraction of Byzantine nodes (must stay < 1/3 for PBFT liveness).
     chain_engine:
-        Execution engine for the chain substrate: ``"des"`` runs the
-        reference discrete-event simulation; ``"fastpath"`` computes round
-        latencies in closed form via :mod:`repro.chain.fastpath` (numpy
-        order statistics), falling back to the DES per committee whenever
-        the closed form is invalid (Byzantine primary, lossy network,
-        view-change possible).
+        How PBFT rounds run: ``"des"`` runs the reference discrete-event
+        simulation; ``"fastpath"`` computes round latencies in closed form
+        via :mod:`repro.chain.fastpath` (numpy order statistics), falling
+        back to a replay per committee whenever the closed form is invalid
+        (Byzantine primary, lossy network, view-change possible).  Read
+        only by the round router :func:`repro.chain.committee.run_pbft_rounds`;
+        committee formation is the same kernel under both engines.
     max_batch_bytes:
         Scratch-byte budget for the chunked fastpath kernels (PBFT batch
         and formation).  Each batched kernel call splits its committee or

@@ -16,8 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.chain.committee import calibrated_verify_mean
-from repro.chain.fastpath import run_pbft
+from repro.chain.committee import Committee, run_pbft_rounds
 from repro.chain.node import spawn_nodes
 from repro.chain.params import ChainParams
 from repro.chain.pbft import PbftOutcome
@@ -131,8 +130,9 @@ def traced_solve(
     :func:`repro.core.engine.select_engine` and logs the pick as an
     ``engine.auto`` event).
     ``chain_engine`` selects the substrate for the final PBFT round
-    (``des`` reference simulation or the ``fastpath`` closed-form kernel;
-    see :mod:`repro.chain.fastpath`).  With ``resources=True`` the
+    (``des`` reference simulation or the ``fastpath`` closed-form kernel),
+    which runs through :func:`repro.chain.committee.run_pbft_rounds` like
+    every epoch's rounds.  With ``resources=True`` the
     harness-only ``obs.resources`` gauge (peak RSS via ``getrusage``, wall
     from the solve span's ``wall_dt``) is emitted when the solve span closes;
     ``resource_sampler`` injects a fake sampler for tests.
@@ -186,13 +186,11 @@ def traced_solve(
         rng=streams.get("traced-final-members"),
     )
     with telemetry.span("harness.chain_phase"):
-        pbft = run_pbft(
-            params.chain_engine,
-            members=members,
-            rng=streams.get("traced-final-pbft"),
-            network_params=params.network,
-            verify_mean_s=calibrated_verify_mean(params),
-            round_tag="traced-final",
+        (pbft,) = run_pbft_rounds(
+            [Committee(committee_id=0, epoch=0, members=members)],
+            ["traced-final"],
+            params,
+            streams.get("traced-final-pbft"),
             telemetry=telemetry,
         )
 

@@ -332,7 +332,9 @@ class TestStreamingEpoch:
         telemetry = Telemetry(sinks=[ring])
         params = self._params(max_batch_bytes=7 * kernel_bytes_per_committee(8))
         ElasticoSimulation(params, telemetry=telemetry).run_epoch()
-        (event,) = [r for r in ring.records if r.get("name") == "chain.fastpath.chunks"]
+        # Stage 3's kernel call comes first; the final committee's round,
+        # routed the same way, may add its own one-committee event.
+        event = next(r for r in ring.records if r.get("name") == "chain.fastpath.chunks")
         assert event["workers"] == 2
         assert (
             event["chunk_rows"] * event["workers"] * kernel_bytes_per_committee(8)
