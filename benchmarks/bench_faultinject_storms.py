@@ -8,8 +8,9 @@ invariant armed — and asserts:
 1. every storm in the battery survives (or degrades gracefully) — the CI
    acceptance property that the dynamic-path bugfixes hold under churn;
 2. the armed probe's cost stays small: a probed solve is at most 1.5x the
-   bare solve on the same schedule (the probe only observes at event
-   boundaries, never inside the race loop).
+   bare solve on the same schedule and the same solver the storm builds
+   (the probe only observes at event boundaries, never inside the race
+   loop).
 """
 
 import time
@@ -17,8 +18,9 @@ import time
 import numpy as np
 
 from repro.core.dynamics import DynamicSchedule
-from repro.core.se import SEConfig, StochasticExploration
 from repro.faultinject import StormConfig, build_storm_instance, generate_storm, run_storm
+from repro.faultinject.runner import storm_solver
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.rng import RandomStreams
 
 NUM_STORMS = 8
@@ -62,15 +64,9 @@ def test_survived_storms_per_second(perf_recorder):
     config = configs[0]
     instance = build_storm_instance(config)
     events = generate_storm(instance, config, RandomStreams(config.seed))
-    se_config = SEConfig(
-        num_threads=config.gamma,
-        max_iterations=config.max_iterations,
-        convergence_window=config.convergence_window,
-        seed=config.seed,
-    )
 
     def bare():
-        StochasticExploration(se_config).solve(
+        storm_solver(config, NULL_TELEMETRY).solve(
             instance, schedule=DynamicSchedule(events=list(events))
         )
 

@@ -1,5 +1,5 @@
-"""SE execution-engine bench: the vectorized kernel and the fully-batched
-Γ×thread race kernel behind ``engine="auto"``.
+"""SE execution-engine bench: the production ``vectorized`` race kernel
+against the ``serial`` reference loop, at Γ=1 and at Γ=25.
 
 Two claims from the engine layer (:mod:`repro.core.engine`):
 
@@ -11,9 +11,7 @@ Two claims from the engine layer (:mod:`repro.core.engine`):
   kernel (Γ=25 over 300 committees, every cardinality a thread — the
   fig08-scale shape).  Its round throughput target is ≥10x serial on the
   bench box; the floor asserted here is lower (6x) because foreign
-  runners time the numpy side under arbitrary co-tenancy.  ``auto`` must
-  pick the batched kernel for this shape, and every ``auto`` pick must be
-  no slower than the serial measurement taken in the same process.
+  runners time the numpy side under arbitrary co-tenancy.
 
 ``cpu_count`` rides along in the record so a reader can judge the numbers.
 Records land in ``BENCH_se_convergence.json`` under ``se_engines``.
@@ -22,7 +20,6 @@ Records land in ``BENCH_se_convergence.json`` under ``se_engines``.
 import os
 import time
 
-from repro.core.engine import select_engine
 from repro.core.se import SEConfig, StochasticExploration
 from repro.data.workload import WorkloadConfig, generate_epoch_workload
 
@@ -101,21 +98,6 @@ def test_engine_bench(perf_recorder):
     # shared runners without letting a real regression through.
     assert batched_speedup >= 6.0
 
-    # ---- auto: must pick the batched kernel here, never a loser ------- #
-    auto_config = SEConfig(engine="auto", **batched_kwargs)
-    # Racing threads per replica: every cardinality in [n_lo, n_hi] has a
-    # swappable pair on this instance, so the thread list is the count.
-    racing = len(batched_res.thread_cardinalities)
-    auto_choice, auto_reason = select_engine(auto_config, racing)
-    assert auto_choice == "vectorized", auto_reason
-    measured = {
-        "serial": bserial_rounds_per_s,
-        "vectorized": batched_rounds_per_s,
-    }
-    # "auto is never slower than serial": the engine auto picked must meet
-    # or beat the serial measurement taken seconds ago in this process.
-    assert measured[auto_choice] >= measured["serial"]
-
     print()
     print(f"SE engine bench ({cpu_count} cpus)")
     print("  vectorized Gamma=1, 300 committees, all cardinalities, 4000 rounds")
@@ -125,7 +107,7 @@ def test_engine_bench(perf_recorder):
     print(f"  batched    Gamma={batched_gamma}, 300 committees, all cardinalities")
     print(f"    serial     {bserial_rounds_per_s:8.0f} rounds/s")
     print(f"    batched    {batched_rounds_per_s:8.0f} rounds/s   "
-          f"speedup {batched_speedup:5.2f}x   auto picks {auto_choice}")
+          f"speedup {batched_speedup:5.2f}x")
 
     perf_recorder(
         "se_engines",
@@ -141,5 +123,4 @@ def test_engine_bench(perf_recorder):
         batched_serial_rounds_per_s=bserial_rounds_per_s,
         batched_rounds_per_s=batched_rounds_per_s,
         batched_speedup=batched_speedup,
-        auto_choice=auto_choice,
     )

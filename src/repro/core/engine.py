@@ -10,35 +10,30 @@ The paper's Γ "parallel threads" are Γ independent chains aiming at one
 Gibbs target, not an OS-parallelism requirement, so both engines run them
 in one process:
 
+``vectorized`` (the :class:`~repro.core.se.SEConfig` default)
+    The production engine, a fully-batched Γ×thread race kernel: **one**
+    numpy race covers every replica's racing threads simultaneously.  Each
+    round draws all racing threads' swap pairs and Exp(1) variates in one
+    block from the named ``"vectorized-race"`` stream, evaluates eq. (8) as
+    array ops over the whole population, finds each replica's minimum armed
+    timer by a segmented (inf-padded rectangular) argmin — no per-replica
+    Python loop — and applies all fires at once (one fire per replica
+    touches disjoint rows, so the batch is exact).  It consumes randomness
+    in a different order than the scalar engine, so it is validated
+    *distributionally* (χ²/KS tests in ``tests/test_core_engines.py``), not
+    byte-wise.
+
 ``serial``
-    The reference scalar loop (the pre-engine ``solve`` body, verbatim).
-    Golden tests pin it unchanged; it is the oracle for the batched kernel.
-    Its race state is one executor object (:class:`_Replica`) per replica
-    holding one :class:`_SolutionThread` per row, built from the
-    population's mask matrix and written back into it at every
-    dynamic-event boundary and at the end of the solve.  The objects stay
-    cached on the population until something else writes its rows, so a
-    zero-drift warm hand-off, or an event batch that left the instance
-    unchanged, races on with each thread's swap-pair slot order intact.
-
-``vectorized``
-    The fully-batched Γ×thread race kernel: **one** numpy race covers every
-    replica's racing threads simultaneously.  Each round draws all racing
-    threads' swap pairs and Exp(1) variates in one block from the named
-    ``"vectorized-race"`` stream, evaluates eq. (8) as array ops over the
-    whole population, finds each replica's minimum armed timer by a
-    segmented (inf-padded rectangular) argmin — no per-replica Python loop —
-    and applies all fires at once (one fire per replica touches disjoint
-    rows, so the batch is exact).  It consumes randomness in a different
-    order than the scalar engine, so it is validated *distributionally*
-    (χ²/KS tests in ``tests/test_core_engines.py``), not byte-wise.
-
-``auto`` (the :class:`~repro.core.se.SEConfig` default)
-    Not a third engine but a selection rule (:func:`select_engine`): the
-    scalar-vs-batched choice depends only on machine-independent quantities
-    (the racing population ``Γ × threads`` and the dynamic-event density),
-    so a seeded run picks the same engine on every box.  The decision is
-    logged through the injected obs hub as an ``engine.auto`` event.
+    The reference scalar loop (the pre-engine ``solve`` body, verbatim),
+    run only when named.  Golden tests pin it unchanged; it is the oracle
+    for the batched kernel.  Its race state is one executor object
+    (:class:`_Replica`) per replica holding one :class:`_SolutionThread`
+    per row, built from the population's mask matrix and written back into
+    it at every dynamic-event boundary and at the end of the solve.  The
+    objects stay cached on the population until something else writes its
+    rows, so a zero-drift warm hand-off, or an event batch that left the
+    instance unchanged, races on with each thread's swap-pair slot order
+    intact.
 
 Vectorized stream layout (the engine's own named streams, independent of
 the per-replica scalar streams).  ``T`` counts racing threads **across all
@@ -72,7 +67,7 @@ the trajectory, which is a function of the seeds alone.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -80,7 +75,8 @@ from repro.core.convergence import ConvergenceDetector
 from repro.core.dynamics import CommitteeEvent, DynamicSchedule
 from repro.core.problem import EpochInstance
 from repro.core.repair import RowRepair, greedy_improve
-from repro.core.se import (
+from repro.core.se import (  # ENGINE_NAMES re-exported for callers of this module
+    ENGINE_NAMES,
     InfeasibleEpochError,
     SEConfig,
     SEResult,
@@ -94,80 +90,6 @@ from repro.core.solution import Solution
 from repro.core.timers import LOG_DURATION_MAX, LOG_DURATION_MIN, clamped_exp
 from repro.obs.telemetry import NullTelemetry
 from repro.sim.rng import RandomStreams
-
-#: Concrete engines (each names a ``run_*`` implementation below).
-ENGINE_NAMES = ("serial", "vectorized")
-
-#: The selection rule accepted by ``SEConfig(engine=...)`` alongside the
-#: concrete engines; resolved per solve by :func:`select_engine`.
-AUTO_ENGINE = "auto"
-
-#: Everything ``SEConfig(engine=...)`` accepts.
-SELECTABLE_ENGINES = (AUTO_ENGINE,) + ENGINE_NAMES
-
-#: Racing population ``Γ × racing threads`` at which the batched kernel's
-#: per-round numpy dispatch overhead is amortised and it beats the scalar
-#: loop.  Measured on the bench box (``benchmarks/bench_se_engines.py``):
-#: the crossover sits near work ≈ 60; 192 leaves a ~3x safety margin so
-#: ``auto`` is never slower than serial.  Machine-independent on purpose —
-#: this threshold decides the *trajectory* (scalar vs batched draws), so it
-#: must not consult ``cpu_count``.
-AUTO_VECTORIZE_MIN_WORK = 192
-
-#: Mean rounds between dynamic-event boundaries below which ``auto`` stays
-#: on the scalar family.  It no longer buys speed: events re-seat the
-#: population's rows for both engines, so a boundary costs the batched
-#: kernel one write-back and one :class:`_VectorState` rebuild.  On a
-#: dense schedule (40 committees, Γ=16 × 16 racing threads, one LEAVE or
-#: JOIN every 16 / 32 / 63 rounds, 1200 rounds, best of 3; shared 2-CPU
-#: x86-64 box) ``vectorized`` ran 0.24–0.29 / 0.14–0.15 / 0.12 s against
-#: ``serial``'s 1.42–1.43 / 1.07–1.08 / 0.93–0.99 s.  The rule stays
-#: because it decides trajectories (scalar vs batched draws) of seeded
-#: dense runs; it goes with ``auto`` itself.  Also machine-independent
-#: (schedule-derived only).
-AUTO_DENSE_GAP_ROUNDS = 64
-
-
-def schedule_mean_gap(schedule: Optional[DynamicSchedule], max_iterations: int) -> float:
-    """Mean rounds between dynamic-event boundaries over the run budget.
-
-    Events sharing an iteration are one boundary (they are applied
-    together).  ``inf`` for a static run, so the density check below is a
-    single comparison either way.
-    """
-    if schedule is None or len(schedule) == 0:
-        return float("inf")
-    boundaries = len({event.iteration for event in schedule.events})
-    return max_iterations / (boundaries + 1)
-
-
-def select_engine(
-    config,
-    racing_threads: int,
-    schedule: Optional[DynamicSchedule] = None,
-) -> Tuple[str, str]:
-    """Resolve ``engine="auto"`` to a concrete engine; returns (engine, reason).
-
-    The decision keeps seeded runs reproducible across machines: the
-    scalar-vs-batched split (which changes the randomness consumption
-    order, hence the trajectory) depends only on the racing population and
-    the event density — both derived from the config/instance/schedule.
-    """
-    work = config.num_threads * racing_threads
-    mean_gap = schedule_mean_gap(schedule, config.max_iterations)
-    dense = mean_gap < AUTO_DENSE_GAP_ROUNDS
-    if not dense and work >= AUTO_VECTORIZE_MIN_WORK:
-        return (
-            "vectorized",
-            f"work={work} >= {AUTO_VECTORIZE_MIN_WORK}: batched kernel amortises",
-        )
-    if dense and work >= AUTO_VECTORIZE_MIN_WORK:
-        return (
-            "serial",
-            f"dense schedule (gap {mean_gap:.0f} rounds): kept on the scalar "
-            "trajectory so seeded dense runs reproduce (vectorized is faster here)",
-        )
-    return "serial", f"work={work} < {AUTO_VECTORIZE_MIN_WORK}: scalar loop wins"
 
 
 # ------------------------------------------------------------------ #
@@ -192,7 +114,7 @@ class _EngineRun:
     ) -> None:
         self.solver = solver
         self.config = solver.config
-        self.engine = solver.config.engine  # run_engine resolves "auto"
+        self.engine = solver.config.engine
         self.telemetry = solver.telemetry
         self.traced = solver.telemetry.enabled  # hoisted: race loops pay one load
         self.instance = instance
@@ -1096,9 +1018,6 @@ def run_engine(
     solution satisfies const. (3) ``count >= N_min`` and const. (4)
     ``weight <= Ĉ``; ``serial`` is deterministic for a given
     ``SEConfig.seed`` and ``vectorized`` matches it distributionally.
-    ``"auto"`` resolves through :func:`select_engine` (a machine-independent
-    scalar-vs-batched split) and logs the decision as an ``engine.auto``
-    telemetry event.
 
     Both engines start from one population, the ``(Γ·T, N)`` mask matrix
     of :class:`~repro.core.se._Population`: a cold solve draws it with
@@ -1112,25 +1031,8 @@ def run_engine(
     and writes the raced rows back into the matrix, which the result's
     ``warm_state`` carries.  The scalar loop builds thread objects from the
     matrix, continues their streams, and writes them back the same way.
-    ``"auto"`` re-evaluates its
-    split on the *adopted* population each solve, so the
-    scalar-vs-batched choice tracks the committee count as it drifts
-    across epochs.
     """
     run = _EngineRun(solver, instance, schedule, probe, warm=warm)
-    engine = solver.config.engine
-    if engine == AUTO_ENGINE:
-        racing = run.population.racing_threads()
-        engine, reason = select_engine(solver.config, racing, schedule=schedule)
-        if run.traced:
-            run.telemetry.event(
-                "engine.auto",
-                engine=engine,
-                reason=reason,
-                work=solver.config.num_threads * racing,
-                racing_threads=racing,
-            )
-        run.engine = engine
-    if engine == "vectorized":
+    if run.engine == "vectorized":
         return run_vectorized(run)
     return run_serial(run)

@@ -52,6 +52,9 @@ from repro.analysis.contracts import feasible_result
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 from repro.sim.rng import RandomStreams, isolated_streams, spawn_fast_rng
 
+#: The SE execution engines (each names a ``run_*`` in :mod:`repro.core.engine`).
+ENGINE_NAMES = ("serial", "vectorized")
+
 
 class InfeasibleEpochError(ValueError):
     """Raised when an epoch admits no feasible selection at all."""
@@ -69,11 +72,9 @@ class SEConfig:
     sampling used to find a capacity-feasible swap pair in Set-timer().
 
     ``engine`` selects the execution engine (:mod:`repro.core.engine`):
-    the default ``"auto"`` resolves per solve via
-    :func:`repro.core.engine.select_engine` (machine-independent
-    scalar-vs-batched split, so seeded trajectories reproduce everywhere);
-    ``"serial"`` is the reference scalar loop and ``"vectorized"`` runs
-    the fully-batched Γ×thread race kernel validated distributionally.
+    the default ``"vectorized"`` runs the fully-batched Γ×thread race
+    kernel, validated distributionally against ``"serial"``, the reference
+    scalar loop.
     """
 
     beta: float = DEFAULT_BETA
@@ -86,7 +87,7 @@ class SEConfig:
     pair_tries: int = 16
     include_full_solution: bool = True
     max_solution_threads: Optional[int] = 64
-    engine: str = "auto"
+    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -99,12 +100,12 @@ class SEConfig:
             raise ValueError("pair_tries must be positive")
         if self.max_solution_threads is not None and self.max_solution_threads <= 0:
             raise ValueError("max_solution_threads must be positive or None")
-        # Mirrors repro.core.engine.SELECTABLE_ENGINES (engine imports se,
-        # so validating against the literal avoids the circular import).
-        if self.engine not in ("auto", "serial", "vectorized"):
+        # perfbench/workloads.py still passes the retired "auto"; alias it.
+        if self.engine == "auto":
+            object.__setattr__(self, "engine", "vectorized")
+        if self.engine not in ENGINE_NAMES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; expected auto, serial "
-                "or vectorized"
+                f"unknown engine {self.engine!r}; expected one of {ENGINE_NAMES}"
             )
 
 
@@ -117,8 +118,7 @@ class SEResult:
     replicas at round ``k`` -- the series that dips when a committee fails
     (Fig. 9a).  ``virtual_time_trace`` is cumulative virtual seconds (the
     parallel executors' wall clock, i.e. the slowest replica's race time).
-    ``engine`` names the engine that ran (``serial`` or ``vectorized``;
-    ``"auto"`` is resolved before the race starts).
+    ``engine`` names the engine that ran (``serial`` or ``vectorized``).
     """
 
     best_mask: np.ndarray
@@ -253,14 +253,6 @@ class _Population:
         self.rows = rows
         self.rngs = rngs
         self.engine_cache: Optional[object] = None
-
-    def racing_threads(self) -> int:
-        """Threads of one replica that can race (hold a swappable solution)."""
-        head = slice(0, len(self.cardinalities))
-        count = self.rows.count[head]
-        return int(np.count_nonzero(
-            self.rows.ok[head] & (count > 0) & (count < self.instance.num_shards)
-        ))
 
     def best(self) -> Solution:
         """A copy of the best current solution; ties go to the first row."""

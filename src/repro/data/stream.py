@@ -62,8 +62,8 @@ class EpochStreamConfig:
         each epoch boundary.
     growth:
         Net committees added (or removed, if negative) per epoch on top
-        of churn — drives a serve run across the ``engine="auto"``
-        scalar-vs-batched split.
+        of churn — drives a serve run over a growing (or shrinking)
+        racing population.
     carry_floor:
         Minimum carried latency for refused committees (Fig. 3 carry).
     """
@@ -209,7 +209,7 @@ class EpochStream:
             for _ in range(len(departed)):
                 joined.append(self._mint(churn_rng))
 
-        # 4. Growth: net population drift (crosses the auto-engine split).
+        # 4. Growth: net population drift.
         growth_rng = streams.get("growth")
         if config.growth > 0:
             for _ in range(config.growth):

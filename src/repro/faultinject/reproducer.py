@@ -143,10 +143,9 @@ def replay_reproducer(
     """Re-run a stored reproducer exactly (same seeds, same events, same arms).
 
     A single-solve document replays through :func:`run_storm` on
-    ``engine``; storms deliberately default to ``serial`` rather than
-    ``auto``, because a reproducer must replay byte-for-byte on any
-    machine and ``auto`` may route large instances to the distributional
-    batched kernel.  A serve document replays through
+    ``engine``; storms deliberately default to ``serial`` rather than the
+    batched production kernel, so a reproducer replays on the reference
+    loop the golden tests pin.  A serve document replays through
     :func:`run_serve_storm`, which pins ``serial`` itself.  Custom
     ``extra_invariants`` cannot be serialised, so a document recorded with
     them replays with the built-in subset (the stored failure data still

@@ -28,6 +28,7 @@ import time
 from typing import Callable, Dict
 
 from repro.chain.params import CHAIN_ENGINE_NAMES
+from repro.core.se import ENGINE_NAMES
 from repro.harness import experiments
 from repro.harness.presets import PRESETS, list_presets
 from repro.harness.report import render_table, sample_trace, traces_table, traces_to_rows, write_csv
@@ -286,12 +287,11 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=2000,
                         help="solve: SE iteration budget (default 2000)")
     parser.add_argument("--engine",
-                        choices=["auto", "serial", "vectorized"],
-                        default="auto",
-                        help="solve: SE execution engine (default auto picks "
-                        "from the racing-thread count, Gamma and the event "
-                        "density; serial is the reference loop, vectorized "
-                        "the batched distributional kernel)")
+                        choices=list(ENGINE_NAMES),
+                        default="vectorized",
+                        help="solve/serve: SE execution engine (default "
+                        "vectorized, the batched race kernel; serial is the "
+                        "reference loop it is checked against)")
     parser.add_argument("--chain-engine", choices=list(CHAIN_ENGINE_NAMES),
                         default=None,
                         help="fig02/solve: chain substrate implementation "

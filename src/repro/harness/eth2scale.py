@@ -56,9 +56,9 @@ def run_eth2scale(
 
     One streaming epoch per size, ascending (see the module docstring for
     why the order matters to ``ru_maxrss``).  The final committee runs the
-    real SE scheduler (``engine="auto"``) and its solve wall is split out
-    of the epoch wall, so the record separates chain-substrate time from
-    scheduler time.  Each point also carries the stage-3 fallback count
+    real SE scheduler (the default batched engine) and its solve wall is
+    split out of the epoch wall, so the record separates chain-substrate
+    time from scheduler time.  Each point also carries the stage-3 fallback count
     (committees replayed off the batched kernel), tallied from the chain's
     own ``chain.fastpath.fallback`` events, and the kernel's chunk rows and
     worker count from its ``chain.fastpath.chunks`` event, next to the
@@ -95,7 +95,6 @@ def run_eth2scale(
         )
         solver = StochasticExploration(
             SEConfig(
-                engine="auto",
                 num_threads=replicas,
                 max_iterations=iterations,
                 convergence_window=min(iterations, _PRESET.convergence_window),

@@ -57,7 +57,7 @@ class ServeConfig:
     seed: int = 0
     max_iterations: int = 1500
     convergence_window: int = 300
-    engine: str = "auto"
+    engine: str = "vectorized"
     warm: bool = True
     alpha: float = 1.5
     capacity: Optional[int] = None

@@ -112,7 +112,7 @@ def traced_solve(
     profile: bool = False,
     top_n: int = 10,
     telemetry: Optional[Telemetry] = None,
-    engine: str = "auto",
+    engine: str = "vectorized",
     chain_engine: str = "des",
     resources: bool = False,
     resource_sampler: Optional[Callable[[], Optional[dict]]] = None,
@@ -125,10 +125,8 @@ def traced_solve(
     solver call additionally runs under cProfile and its top-``top_n``
     hotspots land in the same stream as a ``profile.hotspots`` event.
 
-    ``engine`` selects the SE execution engine (``auto`` — the default —
-    resolves to ``serial`` or ``vectorized`` per
-    :func:`repro.core.engine.select_engine` and logs the pick as an
-    ``engine.auto`` event).
+    ``engine`` selects the SE execution engine (the batched
+    ``vectorized`` kernel by default, or the ``serial`` reference loop).
     ``chain_engine`` selects the substrate for the final PBFT round
     (``des`` reference simulation or the ``fastpath`` closed-form kernel),
     which runs through :func:`repro.chain.committee.run_pbft_rounds` like

@@ -15,7 +15,6 @@ Two engines share one algorithm (:mod:`repro.core.engine`):
 
 import itertools
 import math
-import os
 
 import numpy as np
 import pytest
@@ -294,131 +293,20 @@ class TestVectorizedBehaviour:
 
 
 # ---------------------------------------------------------------------- #
-# engine="auto" selection and equivalence
+# the retired "auto" name
 # ---------------------------------------------------------------------- #
-class _CaptureSink:
-    """Minimal telemetry sink: keeps every record for assertions."""
-
-    def __init__(self):
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-    def close(self):
-        pass
-
-
-def _dense_schedule(max_iterations, every=10):
-    """A schedule whose mean event gap is well under AUTO_DENSE_GAP_ROUNDS."""
-    return DynamicSchedule(events=[
-        CommitteeEvent(iteration=i, kind=EventKind.LEAVE, shard_id=0)
-        for i in range(0, max_iterations, every)
-    ])
-
-
 class TestAutoEngine:
-    def test_selectable_engines_exported(self):
-        assert engine_module.SELECTABLE_ENGINES == ("auto", "serial", "vectorized")
-        assert SEConfig().engine == engine_module.AUTO_ENGINE
+    """``engine="auto"`` survives only as an alias of the default kernel."""
 
-    @pytest.mark.parametrize("gamma,racing,cpus,dense,expected", [
-        # Small work: the scalar loop wins regardless of the core count.
-        (2, 10, 1, False, "serial"),
-        (2, 10, 64, False, "serial"),
-        # Sparse schedule + big work: batched kernel, cpu-independent.
-        (8, 60, 1, False, "vectorized"),
-        (8, 60, 64, False, "vectorized"),
-        # A dense schedule keeps the scalar loop whatever the core count.
-        (8, 600, 64, True, "serial"),
-        (8, 600, 2, True, "serial"),
-        (2, 600, 64, True, "serial"),
-        (8, 100, 64, True, "serial"),
-    ])
-    def test_selection_matrix(self, monkeypatch, gamma, racing, cpus, dense, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        config = SEConfig(
-            num_threads=gamma, max_iterations=400, convergence_window=100
-        )
-        schedule = _dense_schedule(400) if dense else None
-        engine, reason = engine_module.select_engine(config, racing, schedule=schedule)
-        assert engine == expected, reason
-
-    def test_selection_is_machine_independent_for_the_batched_split(self, monkeypatch):
-        """The auto pick decides the trajectory, so it never depends on the
-        core count the machine reports."""
-        config = SEConfig(num_threads=8, max_iterations=400,
-                          convergence_window=100)
-        cases = [(10, None), (60, None), (600, _dense_schedule(400))]
-        picks = {}
-        for cpus in (1, 64):
-            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-            picks[cpus] = [
-                engine_module.select_engine(config, racing, schedule=schedule)
-                for racing, schedule in cases
-            ]
-        assert picks[1] == picks[64]
+    def test_default_and_auto_alias_are_vectorized(self):
+        assert SEConfig().engine == "vectorized"
+        assert SEConfig(engine="auto").engine == "vectorized"
 
     @pytest.mark.parametrize(
-        "engine, ran", [("auto", "serial"), ("serial", "serial"), ("vectorized", "vectorized")]
+        "engine, ran", [("auto", "vectorized"), ("serial", "serial"), ("vectorized", "vectorized")]
     )
     def test_result_names_the_engine_that_ran(self, engine, ran):
         assert solve_with(engine, max_iterations=50).engine == ran
-
-    def test_auto_small_instance_byte_identical_to_serial(self):
-        """Default solve_with instance has work << AUTO_VECTORIZE_MIN_WORK,
-        so auto must resolve to serial and reproduce its exact bytes."""
-        assert_byte_identical(solve_with("auto"), solve_with("serial"))
-
-    def test_auto_big_instance_matches_vectorized_and_logs_decision(self):
-        """On a thread-rich instance auto resolves to the batched kernel:
-        the pick is logged as an engine.auto event and the run is
-        byte-identical to engine="vectorized" (same streams, same kernel) —
-        which carries over the χ²-vs-Gibbs / KS validation of the batched
-        kernel to every auto→batched pick."""
-        from repro.obs.telemetry import Telemetry
-
-        workload = generate_epoch_workload(
-            WorkloadConfig(num_committees=150, capacity=150_000, seed=2)
-        )
-        kwargs = dict(num_threads=8, max_iterations=120,
-                      convergence_window=10 ** 6, seed=2)
-        sink = _CaptureSink()
-        hub = Telemetry(sinks=[sink])
-        auto_result = StochasticExploration(
-            SEConfig(engine="auto", **kwargs), telemetry=hub
-        ).solve(workload.instance)
-        hub.close()
-        decisions = [r for r in sink.records if r.get("name") == "engine.auto"]
-        assert len(decisions) == 1
-        assert decisions[0]["engine"] == "vectorized"
-        assert decisions[0]["work"] >= engine_module.AUTO_VECTORIZE_MIN_WORK
-        assert auto_result.engine == "vectorized"
-        explicit = StochasticExploration(
-            SEConfig(engine="vectorized", **kwargs)
-        ).solve(workload.instance)
-        assert_byte_identical(auto_result, explicit)
-
-    def test_auto_batched_picks_match_serial_distributionally(self):
-        """KS over 30 seeds on an instance where auto picks the batched
-        kernel: converged utilities indistinguishable from serial
-        (alpha=0.01 => D < 1.628*sqrt(2/n))."""
-        serial_u, auto_u = [], []
-        for seed in range(30):
-            for engine, sink in (("serial", serial_u), ("auto", auto_u)):
-                result = solve_with(
-                    engine, num_committees=40, capacity=32_000, seed=seed,
-                    gamma=8, max_iterations=250, convergence_window=120,
-                )
-                sink.append(result.best_utility)
-        a = np.sort(np.asarray(serial_u))
-        b = np.sort(np.asarray(auto_u))
-        grid = np.union1d(a, b)
-        cdf_a = np.searchsorted(a, grid, side="right") / a.size
-        cdf_b = np.searchsorted(b, grid, side="right") / b.size
-        d_stat = float(np.abs(cdf_a - cdf_b).max())
-        d_crit = 1.628 * math.sqrt((a.size + b.size) / (a.size * b.size))
-        assert d_stat < d_crit
 
 
 # ---------------------------------------------------------------------- #

@@ -25,6 +25,8 @@ from repro.faultinject import (
     shrink_events,
     shrink_storm,
 )
+from repro.faultinject.runner import storm_solver
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.rng import RandomStreams
 
 from tests.conftest import random_instance
@@ -108,20 +110,15 @@ class TestRunStorm:
         _assert_results_identical(first.result, second.result)
         assert first.boundaries == second.boundaries
 
-    def test_probe_never_perturbs_the_trajectory(self):
+    @pytest.mark.parametrize("engine", ["serial", "vectorized"])
+    def test_probe_never_perturbs_the_trajectory(self, engine):
         """Armed invariants observe only: bare solve == probed solve."""
         instance = build_storm_instance(FAST)
         events = generate_storm(instance, FAST, RandomStreams(FAST.seed))
-        config = SEConfig(
-            num_threads=FAST.gamma,
-            max_iterations=FAST.max_iterations,
-            convergence_window=FAST.convergence_window,
-            seed=FAST.seed,
-        )
-        bare = StochasticExploration(config).solve(
+        bare = storm_solver(FAST, NULL_TELEMETRY, engine=engine).solve(
             instance, schedule=DynamicSchedule(events=list(events))
         )
-        probed = run_storm(FAST, events=events)
+        probed = run_storm(FAST, events=events, engine=engine)
         assert probed.status == "survived"
         _assert_results_identical(bare, probed.result)
 

@@ -1,15 +1,12 @@
 """Tests for ``mvcom serve`` — the steady-state scheduling service loop.
 
-Pins the three service-level contracts:
+Pins the two service-level contracts:
 
 * **Cold parity**: ``--cold`` is byte-identical to running today's
   standalone per-epoch solver over the same stream — the serve loop adds
   telemetry, never trajectory.
 * **Warm chaining**: the default mode threads one solver's
   :class:`SEWarmState` through every epoch and reports honest SLIs.
-* **Per-epoch auto selection**: ``engine="auto"`` re-evaluates its
-  scalar-vs-batched split *inside every epoch's solve* and the growing
-  population actually crosses it (the selection matrix).
 """
 
 import json
@@ -146,47 +143,6 @@ def test_decision_slis_equal_a_sketch_over_the_rows(warm):
     assert report.decision_p50_s == sketch.quantile(0.5)
     assert report.decision_p99_s == sketch.quantile(0.99)
     assert report.solves_per_s == len(walls) / max(sum(walls), 1e-9)
-
-
-# --------------------------------------------------------------------- #
-# per-epoch auto engine selection
-# --------------------------------------------------------------------- #
-class TestAutoSelectionMatrix:
-    def test_growing_population_crosses_the_batched_split(self):
-        # Γ=8 over a population growing 44 -> 104 sweeps the racing work
-        # across AUTO_VECTORIZE_MIN_WORK (152 -> 248): early epochs
-        # resolve scalar, late epochs batched — re-evaluated per epoch,
-        # not once.
-        ring = RingBufferSink()
-        run_serve(
-            ServeConfig(
-                epochs=4,
-                num_committees=24,
-                growth=20,
-                gamma=8,
-                max_iterations=300,
-                convergence_window=150,
-                seed=0,
-            ),
-            telemetry=Telemetry(sinks=[ring]),
-        )
-        autos = [r for r in ring.records if r.get("name") == "engine.auto"]
-        assert len(autos) == 4, "auto must re-resolve inside every epoch"
-        chosen = [r["engine"] for r in autos]
-        assert "serial" in chosen and "vectorized" in chosen, chosen
-        assert chosen == sorted(chosen, key=("serial", "vectorized").index), (
-            f"growing work must move the split monotonically: {chosen}"
-        )
-        epoch_rows = [r for r in ring.records if r.get("name") == "serve.epoch"]
-        assert [r["engine"] for r in epoch_rows] == chosen
-
-    def test_pinned_engine_skips_auto_resolution(self):
-        ring = RingBufferSink()
-        run_serve(
-            ServeConfig(engine="serial", **SMALL),
-            telemetry=Telemetry(sinks=[ring]),
-        )
-        assert not [r for r in ring.records if r.get("name") == "engine.auto"]
 
 
 # --------------------------------------------------------------------- #

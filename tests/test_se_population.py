@@ -51,7 +51,7 @@ def built(monkeypatch):
 @pytest.mark.parametrize("engine", ["vectorized", "auto"])
 def test_vectorized_cold_and_warm_solves_build_no_thread(built, engine):
     instance = base_instance()
-    solver = StochasticExploration(_config(engine, num_threads=16))  # auto: work >= 192
+    solver = StochasticExploration(_config(engine, num_threads=16))
     cold = solver.solve(instance)
     warm = solver.solve(drifted_instance(instance), warm=cold)
     assert cold.engine == warm.engine == "vectorized"
