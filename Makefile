@@ -8,8 +8,8 @@ install:
 test:
 	pytest tests/
 
-# Determinism & contract linter (rules MV001-MV104, incl. the whole-program
-# taint/telemetry passes); non-zero on findings.
+# Determinism & contract linter (per-file rules MV001-MV009 and MV102, the
+# wall-clock/entropy check); non-zero on findings.
 lint:
 	PYTHONPATH=src python -m repro.analysis src/
 

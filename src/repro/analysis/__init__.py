@@ -2,11 +2,10 @@
 
 Two halves, one goal — machine-checked determinism and constraint safety:
 
-* :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` +
-  :mod:`repro.analysis.rules_graph` — an AST lint pass enforcing the
-  named-RNG-stream discipline (MV001/MV003), no wall-clock or
-  entropy reads in replayable code, direct or through the call graph
-  (MV102), and the paper-contract documentation convention.  Run it as
+* :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — a per-file
+  AST lint pass enforcing the named-RNG-stream discipline (MV001/MV003),
+  no wall-clock or entropy reads in replayable code (MV102), and the
+  paper-contract documentation convention.  Run it as
   ``python -m repro.analysis src/`` or ``mvcom lint src/``; suppress a
   finding only with an inline ``# repro: ignore[MVxxx]`` pragma.
 * :mod:`repro.analysis.contracts` — opt-in runtime assertions

@@ -23,10 +23,10 @@ from repro.analysis.engine import registered_rules, run_analysis
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run the MV00x/MV1xx rules over ``paths``; exit 1 on any finding."""
+    """Run the registered lint rules over ``paths``; exit 1 on any finding."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="MVCom determinism & contract linter (rules MV001-MV104)",
+        description="MVCom determinism & contract linter (rules MV001-MV102)",
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories to lint")
     parser.add_argument("--list-rules", action="store_true", help="print the rule registry and exit")

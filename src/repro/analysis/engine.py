@@ -3,23 +3,15 @@
 A rule is a class with a ``rule_id``, a one-line ``description`` and a
 ``check(tree, context)`` method yielding :class:`Diagnostic` records.  Rules
 register themselves via :func:`register_rule`; the engine parses each file
-once and fans the AST out to every registered rule.
+once and fans the AST out to every registered rule.  Every rule is
+per-file: :meth:`LintEngine.lint_paths` (the CLI path) runs them file by
+file, and :meth:`LintEngine.lint_source` (the test-fixture entry point)
+runs them over one source string.
 
-Two rule shapes exist:
-
-* **Per-file rules** (:class:`Rule`, MV0xx) see one ``(tree, context)`` at a
-  time and are what :meth:`LintEngine.lint_source` runs — the fixture entry
-  point used throughout the test suite.
-* **Project rules** (:class:`ProjectRule`, MV1xx) see the whole-program
-  :class:`~repro.analysis.graph.ProjectGraph` built once per run.  They run
-  from :meth:`LintEngine.lint_paths` (the CLI path) and from
-  :meth:`LintEngine.lint_sources` (the multi-file fixture entry point), never
-  from single-snippet ``lint_source`` calls.
-
-Findings on either path are suppressed only inline, with a
-``# repro: ignore[MVxxx]`` pragma on the flagged line (or on a comment-only
-line immediately above it); ``MVxxx`` may be a comma-separated list.  There
-is no configuration file.
+Findings are suppressed only inline, with a ``# repro: ignore[MVxxx]``
+pragma on the flagged line (or on a comment-only line immediately above
+it); ``MVxxx`` may be a comma-separated list.  There is no configuration
+file.
 """
 
 from __future__ import annotations
@@ -28,7 +20,7 @@ import ast
 import os
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Type
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Type
 
 from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
 
@@ -36,21 +28,6 @@ from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
 def normalize_path(path: str) -> str:
     """Posix separators, no leading ``./`` — the form rules match against."""
     return path.replace(os.sep, "/").lstrip("./")
-
-
-def in_package(normalized: str, *suffixes: str) -> bool:
-    """Does the normalized path live under any of the given path suffixes?
-
-    ``suffixes`` use posix form, e.g. ``"repro/core/"`` (package) or
-    ``"repro/sim/rng.py"`` (single module).
-    """
-    for suffix in suffixes:
-        if suffix.endswith("/"):
-            if f"/{suffix}" in f"/{normalized}":
-                return True
-        elif normalized == suffix or normalized.endswith("/" + suffix):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -62,8 +39,18 @@ class FileContext:
     source: str
 
     def in_package(self, *suffixes: str) -> bool:
-        """Does the file live under any of the given path suffixes?"""
-        return in_package(self.normalized, *suffixes)
+        """Does the file live under any of the given path suffixes?
+
+        ``suffixes`` use posix form, e.g. ``"repro/core/"`` (package) or
+        ``"repro/sim/rng.py"`` (single module).
+        """
+        for suffix in suffixes:
+            if suffix.endswith("/"):
+                if f"/{suffix}" in f"/{self.normalized}":
+                    return True
+            elif self.normalized == suffix or self.normalized.endswith("/" + suffix):
+                return True
+        return False
 
 
 class Rule:
@@ -86,21 +73,6 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """Base class for whole-program rules run over the project graph.
-
-    Subclasses implement :meth:`check_project` instead of :meth:`check`; the
-    per-file hook is a no-op so a ``ProjectRule`` mixed into a per-file pass
-    (e.g. by ``lint_source``) contributes nothing rather than crashing.
-    """
-
-    def check(self, tree: ast.AST, context: FileContext) -> Iterable[Diagnostic]:
-        return ()
-
-    def check_project(self, graph) -> Iterable[Diagnostic]:
-        raise NotImplementedError
-
-
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
 
@@ -116,7 +88,6 @@ def register_rule(rule_class: Type[Rule]) -> Type[Rule]:
 def registered_rules() -> Dict[str, Type[Rule]]:
     """Snapshot of the registry (importing the rule modules populates it)."""
     import repro.analysis.rules  # noqa: F401  (registration side effect)
-    import repro.analysis.rules_graph  # noqa: F401  (registration side effect)
 
     return dict(sorted(_REGISTRY.items()))
 
@@ -145,78 +116,31 @@ def pragma_suppressions(source: str) -> Dict[int, Set[str]]:
     return suppressions
 
 
-def _apply_pragmas(
-    diagnostics: Iterable[Diagnostic], sources: Mapping[str, str]
-) -> List[Diagnostic]:
-    """Drop diagnostics whose (path, line) carries a matching pragma."""
-    by_path: Dict[str, Dict[int, Set[str]]] = {
-        normalize_path(path): pragma_suppressions(source)
-        for path, source in sources.items()
-    }
-    kept: List[Diagnostic] = []
-    for diagnostic in diagnostics:
-        normalized = normalize_path(diagnostic.path)
-        suppressed = by_path.get(normalized, {}).get(diagnostic.line, set())
-        if diagnostic.rule_id in suppressed:
-            continue
-        kept.append(diagnostic)
-    return kept
-
-
 class LintEngine:
-    """Parse files once, run every registered rule, collect diagnostics."""
+    """Parse each file once, run every registered rule, collect diagnostics."""
 
     def __init__(self) -> None:
-        rules = [rule_class() for rule_class in registered_rules().values()]
-        self.file_rules: List[Rule] = [
-            rule for rule in rules if not isinstance(rule, ProjectRule)
-        ]
-        self.project_rules: List[ProjectRule] = [
-            rule for rule in rules if isinstance(rule, ProjectRule)
-        ]
+        self.rules: List[Rule] = [rule_class() for rule_class in registered_rules().values()]
 
-    # ------------------------------------------------------------------ #
-    # entry points
-    # ------------------------------------------------------------------ #
     def lint_paths(self, paths: Sequence[str]) -> List[Diagnostic]:
-        """Lint files and/or directory trees (``.py`` files only).
-
-        Runs the per-file rules on every file, then the project rules over
-        the whole-program graph of all collected files, then filters inline
-        pragmas.
-        """
-        sources: Dict[str, str] = {}
+        """Lint files and/or directory trees (``.py`` files only), file by file."""
+        diagnostics: List[Diagnostic] = []
         for path in _walk_python_files(paths):
             with open(path, "r", encoding="utf-8") as handle:
-                sources[path] = handle.read()
-        return self.lint_sources(sources)
+                diagnostics.extend(self.lint_source(handle.read(), path))
+        return sort_diagnostics(diagnostics)
 
     def lint_source(self, source: str, path: str = "<string>") -> List[Diagnostic]:
-        """Lint a source string (the single-file test-fixture entry point).
+        """Lint one source string (the test-fixture entry point), pragmas applied."""
+        suppressed = pragma_suppressions(source)
+        return sort_diagnostics(
+            [
+                diagnostic
+                for diagnostic in self._file_diagnostics(source, path)
+                if diagnostic.rule_id not in suppressed.get(diagnostic.line, ())
+            ]
+        )
 
-        Only per-file rules run here: a lone snippet has no project graph,
-        and keeping MV1xx out of this path keeps small fixtures focused on
-        the rule they exercise.
-        """
-        diagnostics = self._file_diagnostics(source, path)
-        return sort_diagnostics(_apply_pragmas(diagnostics, {path: source}))
-
-    def lint_sources(self, sources: Mapping[str, str]) -> List[Diagnostic]:
-        """Lint a ``{path: source}`` set with per-file AND project rules.
-
-        :meth:`lint_paths` reads the tree into this shape; tests pass
-        fixture sets directly to exercise the MV1xx cross-module rules
-        without touching the filesystem.
-        """
-        diagnostics: List[Diagnostic] = []
-        for path in sorted(sources):
-            diagnostics.extend(self._file_diagnostics(sources[path], path))
-        diagnostics.extend(self._project_diagnostics(sources))
-        return sort_diagnostics(_apply_pragmas(diagnostics, sources))
-
-    # ------------------------------------------------------------------ #
-    # passes
-    # ------------------------------------------------------------------ #
     def _file_diagnostics(self, source: str, path: str) -> List[Diagnostic]:
         context = FileContext(path=path, normalized=normalize_path(path), source=source)
         try:
@@ -232,21 +156,8 @@ class LintEngine:
                 )
             ]
         diagnostics: List[Diagnostic] = []
-        for rule in self.file_rules:
+        for rule in self.rules:
             diagnostics.extend(rule.check(tree, context))
-        return diagnostics
-
-    def _project_diagnostics(self, sources: Mapping[str, str]) -> List[Diagnostic]:
-        if not self.project_rules or not sources:
-            return []
-        from repro.analysis.graph import build_graph_from_sources
-
-        graph = build_graph_from_sources(
-            {path: (normalize_path(path), source) for path, source in sources.items()}
-        )
-        diagnostics: List[Diagnostic] = []
-        for rule in self.project_rules:
-            diagnostics.extend(rule.check_project(graph))
         return diagnostics
 
 

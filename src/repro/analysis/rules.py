@@ -1,4 +1,4 @@
-"""The MV00x rule set: repo-specific determinism and contract checks.
+"""The lint rules: repo-specific determinism and contract checks.
 
 Each rule encodes one discipline the MVCom reproduction depends on:
 
@@ -24,10 +24,15 @@ Each rule encodes one discipline the MVCom reproduction depends on:
   quantity derived from it (addresses, bucket picks, tie-breaks) silently
   changes between interpreter launches even under a fixed seed.  Derive
   identifiers from explicit counters or ``hashlib`` digests instead.
+* **MV102** replayable code never reads a wall clock (``time.time``,
+  ``datetime.now``, ...) or OS entropy (``os.urandom``, ``uuid.uuid4``,
+  ``secrets.*``); each such call is reported at its call site, module
+  bodies and default arguments included.  Thread the simulation clock and
+  a named stream instead.
 
-Wall-clock and entropy reads in replayable code are MV102's, a
-whole-program rule in :mod:`repro.analysis.rules_graph` that reports the
-direct call and every call chain reaching it.
+Whether a telemetry emission stays off the ``NullTelemetry`` path is not
+a lint rule: ``tests/test_obs_telemetry.py`` runs SE solves and chain
+epochs through a counting disabled hub and requires zero emissions.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import FileContext, Rule, register_rule
-from repro.analysis.graph import attribute_chain
 
 #: Packages whose code must be replayable under a fixed seed.
 REPLAY_PACKAGES = (
@@ -69,6 +73,18 @@ def _scope_walk(root: ast.AST) -> Iterator[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         stack.extend(ast.iter_child_nodes(node))
+
+
+def attribute_chain(node: ast.expr) -> Optional[Tuple[str, ...]]:
+    """``a.b.c`` -> ``("a", "b", "c")``; ``None`` unless the base is a Name."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return tuple(reversed(parts))
+    return None
 
 
 # ---------------------------------------------------------------------- #
@@ -146,6 +162,95 @@ def _global_rng_call(node: ast.Call, imports: _ImportMap) -> Optional[str]:
         return "numpy." + ".".join(rest)
     if root in imports.numpy_random_modules and rest:
         return "numpy.random." + ".".join(rest)
+    return None
+
+
+_WALL_CLOCK_TIME_ATTRS = {
+    "time",
+    "time_ns",
+    "monotonic",
+    "monotonic_ns",
+    "perf_counter",
+    "perf_counter_ns",
+    "process_time",
+    "process_time_ns",
+}
+_WALL_CLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
+
+#: Sink descriptions for the entropy modules MV102 watches.
+_ENTROPY_MODULE_ATTRS = {
+    "os": {"urandom", "getrandom"},
+    "uuid": {"uuid1", "uuid4"},
+}
+_ENTROPY_MODULES = {"secrets"}  # every attribute is entropy
+
+
+def _wall_clock_call(node: ast.Call, imports: _ImportMap) -> Optional[str]:
+    """Describe a wall-clock read (``time.time``, ``datetime.now``, ...)."""
+    if isinstance(node.func, ast.Name):
+        original = imports.time_functions.get(node.func.id)
+        if original in _WALL_CLOCK_TIME_ATTRS:
+            return f"time.{original}"
+        return None
+    chain = attribute_chain(node.func)
+    if chain is None:
+        return None
+    root, rest = chain[0], chain[1:]
+    if root in imports.time_modules and len(rest) == 1 and rest[0] in _WALL_CLOCK_TIME_ATTRS:
+        return f"time.{rest[0]}"
+    if (
+        root in imports.datetime_modules
+        and len(rest) == 2
+        and rest[0] in ("datetime", "date")
+        and rest[1] in _WALL_CLOCK_DATETIME_ATTRS
+    ):
+        return f"datetime.{rest[0]}.{rest[1]}"
+    if root in imports.datetime_classes and len(rest) == 1 and rest[0] in _WALL_CLOCK_DATETIME_ATTRS:
+        return f"datetime.datetime.{rest[0]}"
+    if root in imports.date_classes and len(rest) == 1 and rest[0] == "today":
+        return "datetime.date.today"
+    return None
+
+
+def _entropy_imports(tree: ast.AST) -> Dict[str, str]:
+    """Local aliases of the entropy modules/functions MV102 watches."""
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root = alias.name.split(".")[0]
+                if root in _ENTROPY_MODULE_ATTRS or root in _ENTROPY_MODULES:
+                    aliases[alias.asname or root] = root
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = (node.module or "").split(".")[0]
+            if module in _ENTROPY_MODULE_ATTRS:
+                for alias in node.names:
+                    if alias.name in _ENTROPY_MODULE_ATTRS[module]:
+                        aliases[alias.asname or alias.name] = f"{module}.{alias.name}"
+            elif module in _ENTROPY_MODULES:
+                for alias in node.names:
+                    aliases[alias.asname or alias.name] = f"{module}.{alias.name}"
+    return aliases
+
+
+def _entropy_call(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
+    """Describe an OS-entropy read (``os.urandom``, ``uuid.uuid4``, ``secrets.*``)."""
+    func = node.func
+    if isinstance(func, ast.Name):
+        target = aliases.get(func.id)
+        if target is not None and "." in target:
+            return target
+        return None
+    chain = attribute_chain(func)
+    if chain is None or len(chain) < 2:
+        return None
+    root = aliases.get(chain[0])
+    if root is None:
+        return None
+    if root in _ENTROPY_MODULES:
+        return f"{root}." + ".".join(chain[1:])
+    if root in _ENTROPY_MODULE_ATTRS and chain[1] in _ENTROPY_MODULE_ATTRS[root]:
+        return f"{root}." + ".".join(chain[1:])
     return None
 
 
@@ -554,3 +659,42 @@ class BuiltinHashRule(Rule):
                     if isinstance(target, ast.Name):
                         names.add(target.id)
         return names
+
+
+# ---------------------------------------------------------------------- #
+# MV102
+# ---------------------------------------------------------------------- #
+@register_rule
+class WallClockRule(Rule):
+    """MV102: replayable code reading a wall clock or OS entropy."""
+
+    rule_id = "MV102"
+    description = (
+        "repro/{core,sim,chain,baselines,faultinject} code must not call "
+        "time.time/datetime.now/os.urandom/secrets/uuid4; thread the virtual "
+        "clock and named streams instead"
+    )
+
+    def check(self, tree: ast.AST, context: FileContext) -> Iterator[Diagnostic]:
+        if not context.in_package(*REPLAY_PACKAGES):
+            return
+        imports = _ImportMap(tree)
+        entropy = _entropy_imports(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            clock = _wall_clock_call(node, imports)
+            described = clock or _entropy_call(node, entropy)
+            if described is None:
+                continue
+            remedy = (
+                "thread the simulation clock (or an injectable clock)"
+                if clock
+                else "draw from a named repro.sim.rng stream"
+            )
+            yield self.diagnostic(
+                context,
+                node,
+                f"{'wall-clock' if clock else 'entropy'} call {described}() "
+                f"breaks replayability; {remedy} instead",
+            )

@@ -6,7 +6,7 @@ Usage::
     mvcom fig08                 # run one figure, print its table, write CSV
     mvcom fig02 --chain-engine fastpath   # closed-form chain substrate
     mvcom all                   # run every figure (slow)
-    mvcom lint [paths...]       # static analysis (rules MV001-MV104)
+    mvcom lint [paths...]       # static analysis (rules MV001-MV102)
     mvcom lint --annotate src/  # + GitHub ::error annotations
     mvcom solve --trace t.jsonl # one traced SE solve + final PBFT round
     mvcom solve --engine serial # the reference scalar SE loop
@@ -34,6 +34,10 @@ from repro.harness.presets import PRESETS, list_presets
 from repro.harness.report import render_table, sample_trace, traces_table, traces_to_rows, write_csv
 from repro.harness.textplot import line_plot
 from repro.harness.artifacts import write_artifact
+
+#: ``--iterations`` when none is given (solve, serve, storm); ``eth2scale``
+#: instead runs its preset's budget, the one its bench records.
+DEFAULT_SE_ITERATIONS = 2000
 
 RUNNERS: Dict[str, Callable[[], dict]] = {
     "fig02": experiments.run_fig02_two_phase_latency,
@@ -284,8 +288,9 @@ def main(argv=None) -> int:
                         help="solve: SE executor replicas (default 10)")
     parser.add_argument("--seed", type=int, default=0,
                         help="solve: workload + solver seed (default 0)")
-    parser.add_argument("--iterations", type=int, default=2000,
-                        help="solve: SE iteration budget (default 2000)")
+    parser.add_argument("--iterations", type=int, default=None,
+                        help="solve/serve/storm: SE iteration budget (default "
+                        "2000); eth2scale defaults to its preset's budget")
     parser.add_argument("--engine",
                         choices=list(ENGINE_NAMES),
                         default="vectorized",
@@ -358,6 +363,8 @@ def main(argv=None) -> int:
                         help="trace diff: also compare wall-clock span "
                         "series (machine-dependent; off by default)")
     args = parser.parse_args(argv)
+    if args.iterations is None and args.experiment != "eth2scale":
+        args.iterations = DEFAULT_SE_ITERATIONS
 
     if args.experiment == "solve":
         if args.paths:

@@ -1,5 +1,4 @@
-"""Tests for the repro.analysis lint engine (rules MV001-MV009, and the
-direct wall-clock half of MV102)."""
+"""Tests for the repro.analysis lint engine (rules MV001-MV009 and MV102)."""
 
 import pathlib
 import textwrap
@@ -22,11 +21,6 @@ def lint(source, path="repro/core/somefile.py"):
     return LintEngine().lint_source(textwrap.dedent(source), path=path)
 
 
-def xlint(source, path):
-    """One file through the multi-file entry point (project rules included)."""
-    return LintEngine().lint_sources({path: textwrap.dedent(source)})
-
-
 def rule_hits(diagnostics, rule_id):
     return [(d.line, d.rule_id) for d in diagnostics if d.rule_id == rule_id]
 
@@ -36,9 +30,10 @@ def rule_hits(diagnostics, rule_id):
 # ---------------------------------------------------------------------- #
 def test_registry_ships_the_core_rules():
     assert set(registered_rules()) >= {
-        "MV001", "MV003", "MV004", "MV005", "MV006", "MV007", "MV009",
+        "MV001", "MV003", "MV004", "MV005", "MV006", "MV007", "MV009", "MV102",
     }
     assert "MV002" not in registered_rules()  # folded into MV102
+    assert "MV104" not in registered_rules()  # a runtime check in test_obs_telemetry
 
 
 # ---------------------------------------------------------------------- #
@@ -115,7 +110,7 @@ class TestMV001:
 
 
 # ---------------------------------------------------------------------- #
-# MV102 direct wall-clock calls (the project rule; see test_analysis_xrules)
+# MV102 direct wall-clock and entropy calls
 # ---------------------------------------------------------------------- #
 class TestMV102DirectWallClock:
     def test_time_time_flagged_in_core(self):
@@ -125,7 +120,7 @@ class TestMV102DirectWallClock:
         def stamp():
             return time.time()
         """
-        assert rule_hits(xlint(bad, path="src/repro/core/x.py"), "MV102") == [(5, "MV102")]
+        assert rule_hits(lint(bad, path="src/repro/core/x.py"), "MV102") == [(5, "MV102")]
 
     def test_from_time_import_flagged(self):
         bad = """
@@ -134,7 +129,7 @@ class TestMV102DirectWallClock:
         def stamp():
             return monotonic()
         """
-        assert rule_hits(xlint(bad, path="src/repro/sim/x.py"), "MV102") == [(5, "MV102")]
+        assert rule_hits(lint(bad, path="src/repro/sim/x.py"), "MV102") == [(5, "MV102")]
 
     def test_datetime_now_flagged(self):
         bad = """
@@ -143,7 +138,7 @@ class TestMV102DirectWallClock:
         def stamp():
             return datetime.now()
         """
-        assert rule_hits(xlint(bad, path="src/repro/chain/x.py"), "MV102") == [(5, "MV102")]
+        assert rule_hits(lint(bad, path="src/repro/chain/x.py"), "MV102") == [(5, "MV102")]
 
     def test_harness_is_out_of_scope(self):
         timed = """
@@ -152,14 +147,88 @@ class TestMV102DirectWallClock:
         def stamp():
             return time.time()
         """
-        assert rule_hits(xlint(timed, path="src/repro/harness/x.py"), "MV102") == []
+        assert rule_hits(lint(timed, path="src/repro/harness/x.py"), "MV102") == []
 
     def test_virtual_clock_clean(self):
         good = """
         def advance(clock):
             return clock.now() + 1.0
         """
-        assert rule_hits(xlint(good, path="src/repro/sim/x.py"), "MV102") == []
+        assert rule_hits(lint(good, path="src/repro/sim/x.py"), "MV102") == []
+
+    def test_direct_sink_reported_once(self):
+        source = """
+        import time
+
+        def stamp():
+            return time.time()
+        """
+        diagnostics = lint(source, path="repro/core/util.py")
+        assert [(d.line, d.rule_id) for d in diagnostics] == [(5, "MV102")]
+        assert "wall-clock call time.time()" in diagnostics[0].message
+
+    @pytest.mark.parametrize(
+        "path, source, sink",
+        [
+            ("repro/core/ids.py", "import os\n\ndef fresh():\n    return os.urandom(8)\n",
+             "os.urandom"),
+            ("repro/core/ids.py", "import uuid\n\ndef fresh():\n    return uuid.uuid4()\n",
+             "uuid.uuid4"),
+            ("repro/chain/ids.py",
+             "import secrets\n\ndef fresh():\n    return secrets.token_bytes(8)\n",
+             "secrets.token_bytes"),
+            ("repro/faultinject/clock.py",
+             "import time\n\ndef stamp():\n    return time.time()\n", "time.time"),
+            ("repro/core/boot.py", "import time\n\n\nSTART = time.time()\n", "time.time"),
+            # defaults run at def time, in the enclosing (module) scope
+            ("repro/core/boot.py",
+             "import time\n\n\ndef stamp(at=time.monotonic()):\n    return at\n",
+             "time.monotonic"),
+            # rng.py may build seeded generators (MV001), never read entropy
+            ("repro/sim/rng.py", "import os\n\ndef fresh():\n    return os.urandom(8)\n",
+             "os.urandom"),
+        ],
+        ids=["os-urandom-core", "uuid4-core", "secrets-chain", "time-faultinject",
+             "module-level-core", "default-arg-core", "os-urandom-rng-module"],
+    )
+    def test_direct_entropy_and_clock_calls_flagged(self, path, source, sink):
+        diagnostics = lint(source, path=path)
+        assert [(d.path, d.line, d.rule_id) for d in diagnostics] == [(path, 4, "MV102")]
+        assert f"{sink}()" in diagnostics[0].message
+
+    def test_rng_module_streams_are_not_taint_sources(self):
+        # A seeded global-RNG constructor is MV001's business (rng.py is
+        # exempt there), never a wall-clock or entropy read.
+        caller = """
+        from repro.sim.rng import spawn_rng
+
+        def solve(seed):
+            return spawn_rng(seed, "se").random()
+        """
+        rng_module = """
+        import random
+
+        def spawn_rng(seed, name):
+            return random.Random(seed)
+        """
+        assert lint(caller, path="repro/core/solver.py") == []
+        assert lint(rng_module, path="repro/sim/rng.py") == []
+
+    def test_non_replay_packages_not_flagged(self):
+        caller = """
+        from repro.obs.clock import now
+
+        def render():
+            return now()
+        """
+        clock = """
+        import time
+
+        def now():
+            return time.time()
+        """
+        assert rule_hits(lint(caller, path="repro/obs/report.py"), "MV102") == []
+        assert rule_hits(lint(clock, path="repro/obs/clock.py"), "MV102") == []
 
 
 # ---------------------------------------------------------------------- #
@@ -497,8 +566,7 @@ class TestMV003Audit:
 
     def test_nested_global_rng_call_blamed_once_on_inner_scope(self):
         # Both outer and inner take ``rng``; the np.random call lives in
-        # inner.  It is reported exactly once across every rule, per-file
-        # and project alike.
+        # inner.  It is reported exactly once across every rule.
         bad = """
         import numpy as np
 
@@ -509,7 +577,7 @@ class TestMV003Audit:
 
             return inner
         """
-        findings = [d for d in xlint(bad, path="repro/core/nested.py") if d.line == 7]
+        findings = [d for d in lint(bad, path="repro/core/nested.py") if d.line == 7]
         assert [d.rule_id for d in findings] == ["MV001"]
 
 
@@ -559,3 +627,17 @@ class TestPragmas:
             "    return items\n"
         )
         assert lint(source) == []
+
+    def test_comment_line_pragma_applies_to_next_line(self):
+        # An indented comment-only pragma covers the statement below it.
+        source = """
+        import time
+
+        def run(items):
+            for item in items:
+                # repro: ignore[MV102]
+                time.time()
+        """
+        assert lint(source) == []
+        unsuppressed = source.replace("# repro: ignore[MV102]", "# timed")
+        assert rule_hits(lint(unsuppressed), "MV102") == [(7, "MV102")]

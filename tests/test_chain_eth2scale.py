@@ -442,3 +442,23 @@ class TestEth2ScaleHarness:
         assert 1 <= point["kernel_workers"] <= point["cpu_count"]
         assert point["kernel_chunk_rows"] >= 1
         assert "eth2scale" in capsys.readouterr().out
+
+    def test_cli_without_iterations_records_the_preset_budget(self, tmp_path):
+        # mvcom eth2scale and bench_eth2scale.py write the same record, so
+        # with no --iterations the CLI runs the preset's SE budget too.
+        from repro.harness.cli import main
+        from repro.harness.presets import PRESETS
+
+        out = tmp_path / "bench.json"
+        code = main(
+            [
+                "eth2scale",
+                "--network-sizes", "512",
+                "--committee-size", "8",
+                "--gamma", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        record = json.loads(out.read_text())
+        assert record["se_iterations"] == PRESETS["eth2scale"].se_iterations == 1500

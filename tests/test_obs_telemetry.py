@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from repro.chain.committee import calibrated_verify_mean
+from repro.chain.elastico import ElasticoSimulation
 from repro.chain.node import spawn_nodes
-from repro.chain.params import ChainParams
+from repro.chain.params import CHAIN_ENGINE_NAMES, ChainParams
 from repro.chain.pbft import run_pbft_round
-from repro.core.se import SEConfig, StochasticExploration
+from repro.core.dynamics import fail_and_recover_schedule
+from repro.core.se import ENGINE_NAMES, SEConfig, StochasticExploration
 from repro.data.workload import WorkloadConfig, generate_epoch_workload
 from repro.obs.metrics import MetricsAggregator
 from repro.obs.profiling import hotspot_rows, profile_call
@@ -282,3 +284,75 @@ def test_pbft_round_emits_sim_time_span():
     assert span["dt"] == pytest.approx(outcome.latency)
     assert span["tag"] == "t-span"
     assert "commit-quorum" in span["stages"]
+
+
+# --------------------------------------------------------------------- #
+# the disabled-hub path: a hub with enabled = False receives no emission
+# --------------------------------------------------------------------- #
+class _CountingNullHub(NullTelemetry):
+    """A disabled hub recording every emitter call that reaches it."""
+
+    enabled = False
+
+    def __init__(self):
+        self.calls = []
+
+    def event(self, name, **fields):
+        self.calls.append(("event", name))
+
+    def event_rows(self, name, count, **columns):
+        self.calls.append(("event_rows", name))
+
+    def count(self, name, value=1, **fields):
+        self.calls.append(("count", name))
+
+    def gauge(self, name, value, **fields):
+        self.calls.append(("gauge", name))
+
+    def observe(self, name, value, **fields):
+        self.calls.append(("observe", name))
+
+    def span(self, name, **fields):
+        self.calls.append(("span", name))
+        return super().span(name, **fields)
+
+    def record_span(self, name, start, end, **fields):
+        self.calls.append(("record_span", name))
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_disabled_hub_receives_no_emission_from_se_solves(engine):
+    # Every emission in the SE race sits behind ``telemetry.enabled``: a
+    # cold solve with a LEAVE/JOIN schedule and a warm follow-up never call
+    # an emitter on a disabled hub, callees included.
+    instance = _small_instance(num_committees=20, seed=4)
+    schedule = fail_and_recover_schedule(
+        shard_id=int(instance.shard_ids[2]),
+        tx_count=int(instance.tx_counts[2]),
+        latency=float(instance.latencies[2]),
+        fail_at=40,
+        recover_at=120,
+    )
+    config = SEConfig(
+        num_threads=3, max_iterations=200, convergence_window=100, seed=4, engine=engine
+    )
+    hub = _CountingNullHub()
+    solver = StochasticExploration(config, telemetry=hub)
+    cold = solver.solve(instance, schedule=schedule)
+    assert len(cold.events_applied) == 2
+    solver.solve(instance, warm=cold)
+    assert hub.calls == []
+
+
+@pytest.mark.parametrize("chain_engine", CHAIN_ENGINE_NAMES)
+def test_disabled_hub_receives_no_emission_from_chain_epochs(chain_engine):
+    # Byzantine members drive the fastpath's DES fallback replays too.
+    params = ChainParams(
+        num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2,
+        chain_engine=chain_engine,
+    )
+    hub = _CountingNullHub()
+    sim = ElasticoSimulation(params, telemetry=hub)
+    for _ in range(2):
+        sim.run_epoch()
+    assert hub.calls == []
