@@ -16,12 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.chain.node import Node
-from repro.chain.fastpath import (
-    _pbft_kernel_batch,
-    kernel_plan,
-    replay_pbft_until_commit,
-    view_change_timeout,
-)
+from repro.chain.fastpath import _pbft_kernel_batch, kernel_plan, view_change_timeout
 from repro.chain.params import ChainParams
 from repro.chain.pbft import PbftOutcome, run_pbft_round
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
@@ -86,26 +81,26 @@ def run_pbft_rounds(
     1. **Quorum filter.**  A committee with fewer than 2f+1 honest members
        (:attr:`Committee.can_reach_quorum`) stalls without drawing.
     2. **Classifier.**  Under the ``des`` engine every other round falls
-       back.  Under ``fastpath`` a lossy network falls back as
-       ``lossy-network`` and a Byzantine view-0 primary as
-       ``byzantine-primary``; both checks draw nothing, so such a round
-       replays from the same stream position as the DES would.
-    3. **Batched kernel.**  The remaining (honest-primary) rounds go through
-       one chunked order-statistics kernel call
+       back, and under ``fastpath`` a lossy network falls back as
+       ``lossy-network``; neither check draws, so such a round replays
+       from the same stream position as the DES would.
+    3. **Batched kernel.**  Every other round goes through one chunked
+       order-statistics kernel call
        (:func:`repro.chain.fastpath._pbft_kernel_batch`: committee chunks on
        up to one thread per CPU under the ``params.max_batch_bytes``
        scratch budget, byte-identical at any chunk size and worker count).
-       A row whose commit reaches the view-change timeout falls back as
+       Rounds with an honest view-0 primary fill the stack first, then
+       those whose leading members are Byzantine, which the kernel runs
+       through its closed-form view-change prelude to the first honest
+       primary's view ``v``.  A row whose commit reaches that view's
+       timer, ``V_v + timeout * 2**v``, falls back as
        ``view-change-timeout``; the others commit there, each with its
-       ``chain.pbft.round`` span.
+       ``chain.pbft.view_change`` events and ``chain.pbft.round`` span.
     4. **Fallback.**  In the order they were queued (pre-draw fallbacks in
-       committee order, then timeouts), loss-free ``fastpath`` rounds run
-       :func:`repro.chain.fastpath.replay_pbft_until_commit`,
-       byte-identical to ``PbftRound`` stopped at the primary's commit, RNG
-       end state included.  Under ``des`` or a lossy network they run the
-       reference :func:`repro.chain.pbft.run_pbft_round`, which drains the
-       whole event queue, so a lossy fastpath epoch stays byte-identical to
-       the pure DES epoch.
+       committee order, then timeouts), the fallbacks run the reference
+       :func:`repro.chain.pbft.run_pbft_round`, which drains the whole
+       event queue, so a lossy fastpath epoch stays byte-identical to the
+       pure DES epoch.
 
     Committee-vs-committee draw order differs from the DES engine's (batch
     key first, fallbacks second), which is fine because all rounds draw
@@ -132,61 +127,64 @@ def run_pbft_rounds(
             fallbacks.append((k, None))  # the DES engine's own round
         elif lossy:
             fallbacks.append((k, "lossy-network"))
-        elif not committee.members[0].honest:
-            fallbacks.append((k, "byzantine-primary"))
         else:
             eligible.append(k)
 
     if eligible:
-        stack = [committees[k].members for k in eligible]
-        size = len(stack[0])
+        # Honest view-0 primaries first, so they keep their counter blocks.
+        stack = sorted(eligible, key=lambda k: not committees[k].members[0].honest)
+        size = committees[stack[0]].size
         if telemetry.enabled:
-            plan = kernel_plan(len(eligible), size, params.max_batch_bytes)
+            plan = kernel_plan(len(stack), size, params.max_batch_bytes)
             telemetry.event(
                 "chain.fastpath.chunks",
-                committees=len(eligible),
+                committees=len(stack),
                 committee_size=size,
                 chunk_rows=plan.rows,
                 chunks=plan.chunks,
                 workers=plan.workers,
                 max_batch_bytes=params.max_batch_bytes,
+                view_change_rows=sum(not committees[k].members[0].honest for k in stack),
             )
-        commit_times, prepared_primary = _pbft_kernel_batch(
-            np.array([[node.honest for node in members] for members in stack], dtype=bool),
-            np.array([[node.verify_speed for node in members] for members in stack]),
+        members = [committees[k].members for k in stack]
+        rounds = _pbft_kernel_batch(
+            np.array([[node.honest for node in group] for group in members], dtype=bool),
+            np.array([[node.verify_speed for node in group] for group in members]),
             rng,
             params.network,
             verify_mean_s,
             max_batch_bytes=params.max_batch_bytes,
         )
         timeout_s = view_change_timeout(params.network, verify_mean_s)
-        for k, commit_time, prepared in zip(
-            eligible, commit_times.tolist(), prepared_primary.tolist()
-        ):
+        for row in sorted(range(len(stack)), key=stack.__getitem__):
+            k, view = stack[row], int(rounds.view[row])
+            commit_time = float(rounds.commit[row])
+            new_views = rounds.new_views[row, :view].tolist()
+            start = new_views[-1] if view else 0.0
             # The DES would fire the view-change timer first; the kernel's
             # draws are spent, so this fallback is distributional only.
-            if not np.isfinite(commit_time) or commit_time >= timeout_s:
+            if not np.isfinite(commit_time) or commit_time >= start + timeout_s * (2.0**view):
                 fallbacks.append((k, "view-change-timeout"))
                 continue
-            stages = {
-                "pre-prepare-sent": 0.0,
-                "prepare-quorum": prepared,
-                "commit-quorum": commit_time,
-            }
+            stages = {f"new-view-{j}": at for j, at in enumerate(new_views, start=1)}
+            stages["pre-prepare-sent"] = start
+            stages["prepare-quorum"] = float(rounds.prepared[row])
+            stages["commit-quorum"] = commit_time
             outcomes[k] = PbftOutcome(
                 committed=True, start_time=0.0, commit_time=commit_time, stage_times=stages
             )
             if telemetry.enabled:
+                for j, at in enumerate(new_views, start=1):
+                    telemetry.event("chain.pbft.view_change", tag=tags[k], view=j, at=at)
                 telemetry.record_span(
                     "chain.pbft.round", 0.0, commit_time,
-                    tag=tags[k], view=0, members=size, stages=dict(stages),
+                    tag=tags[k], view=view, members=size, stages=dict(stages),
                 )
 
-    replay = run_pbft_round if reference or lossy else replay_pbft_until_commit
     for k, reason in fallbacks:
         if reason is not None and telemetry.enabled:
             telemetry.event("chain.fastpath.fallback", tag=tags[k], reason=reason)
-        outcomes[k] = replay(
+        outcomes[k] = run_pbft_round(
             members=committees[k].members,
             rng=rng,
             network_params=params.network,

@@ -27,15 +27,29 @@ inputs, so the whole event cascade collapses into matrix algebra:
   ``(2f+1)``-th smallest commit-vote time -- order statistics instead of
   event scheduling.
 
-The closed form is *invalid* when ``loss_probability > 0`` or the view-0
-primary is Byzantine (both decided before any RNG draw, so such a round
-replays from exactly the stream position a pure DES run would), or when
-the computed commit time reaches the view-change timeout (the DES would
-fire the timer first and change views; that fallback happens after the
-kernel's draws and is only distributionally faithful).  A committee with
-fewer than ``2f+1`` honest members never gets here: it stalls without a
-draw.  One router makes these calls for every committee, member and
-final, under either engine: :func:`repro.chain.committee.run_pbft_rounds`.
+**View-change prelude.**  A Byzantine primary stays silent, so a round
+whose first ``v`` members are Byzantine (the primary of view ``j`` is
+``members[j % c]``) spends views ``0 .. v-1`` on timers alone: view
+``j``'s timer fires at ``T_j = V_j + timeout * 2**j``, every honest
+member broadcasts VIEW-CHANGE, and view ``j+1`` starts at ``V_{j+1}``,
+the ``(2f+1)``-th smallest over honest senders of each one's earliest
+delivery to an honest member.  No PREPARE or COMMIT exists before view
+``v``, so the view-``v`` round is the kernel above with primary column
+``v``, start ``V_v``, and every honest NIC busy until its last
+VIEW-CHANGE burst ends (:func:`_view_change_prelude`).  Such rounds run
+in the same batch as the honest-primary ones.
+
+The closed form is *invalid* when ``loss_probability > 0`` (decided
+before any RNG draw, so such a round replays from exactly the stream
+position a pure DES run would), or when the computed commit time reaches
+view ``v``'s timer, ``V_v + timeout * 2**v`` (the DES would fire it first
+and change views; that fallback happens after the kernel's draws and is
+only distributionally faithful).  A committee with fewer than ``2f+1``
+honest members never gets here: it stalls without a draw.  One router
+makes these calls for every committee, member and final, under either
+engine: :func:`repro.chain.committee.run_pbft_rounds`.  The DES stays the
+reference: ``tests/test_chain_fastpath.py`` checks the kernel, view-change
+rows included, against ``PbftRound`` in distribution.
 
 **Batched rounds.**  All committees of an epoch share one sequential RNG
 stream, so the router stacks every closed-form-eligible committee into a
@@ -43,15 +57,11 @@ single kernel call (:func:`_pbft_kernel_batch`) instead of ``K``
 small-matrix calls -- the per-call numpy dispatch overhead dominates at
 ``c = 8``.  The batch draws one 128-bit Philox key from the shared
 stream (a fixed two-``uint64`` consumption, whatever the batch shape)
-and replays the ineligible committees afterwards; committee-vs-committee
-draw *order* therefore differs from the DES engine's
-one-round-at-a-time loop, which is immaterial because the draws are
-independent (the per-size KS tests compare the two engines).  A
-loss-free replay runs :func:`replay_pbft_until_commit`, a lean event
-loop that is *byte-identical* to :class:`PbftRound` stopped at the
-primary's commit: the same commit and stage times, the same telemetry
-and the same RNG end state, pinned against ``PbftRound`` as the oracle
-in ``tests/test_chain_fallback_replay.py``.  With a lossy network
+and replays the fallbacks afterwards on the reference
+:func:`repro.chain.pbft.run_pbft_round`; committee-vs-committee draw
+*order* therefore differs from the DES engine's one-round-at-a-time
+loop, which is immaterial because the draws are independent (the
+per-size KS tests compare the two engines).  With a lossy network
 nothing is drawn by the kernel at all -- not even the key -- and every
 round drains the full ``PbftRound`` event queue, so a fully-fallback
 epoch stays byte-identical to the pure DES epoch.
@@ -64,7 +74,10 @@ generator keyed by the batch key and started at counter block
 ``k * COMMITTEE_COUNTER_STRIDE`` (:func:`_committee_variates`), a range no
 other committee's draws can reach, and the batch is processed in
 committee-index chunks under one ``max_batch_bytes`` scratch budget
-(:class:`repro.chain.params.ChainParams`, default 256 MiB).  Because
+(:class:`repro.chain.params.ChainParams`, default 256 MiB).  A
+view-change row draws its silent views' lags from a second stream inside
+its stride, at block ``k * COMMITTEE_COUNTER_STRIDE +
+VIEW_CHANGE_COUNTER_OFFSET``.  Because
 every committee's variates depend only on the key and ``k``, the result
 is *byte-identical* at any chunk size -- including 1 and "everything at
 once" -- and at any worker count, and the calling stream's position
@@ -80,7 +93,9 @@ Workers read shared inputs and write disjoint output ranges; the
 caller's RNG, the telemetry hub and the fallback replays stay on the
 calling thread.  Per worker scratch (an exponential block and a normal
 block per committee; the prepare-vote matrix is built in place over the
-normals it consumes) is allocated on the calling thread before any
+normals it consumes, and a view-change row draws each silent view's
+``(c, c)`` lag block into its normal block before the round's draws
+fill it) is allocated on the calling thread before any
 worker starts and reused across chunks via ``out=`` fills and ufuncs, so
 the chunk body allocates nothing large.  The variates are numpy's exact
 ziggurat Exp(1) and N(0, 1) draws (``standard_exponential`` /
@@ -110,20 +125,17 @@ committee-index order.  Both chain engines form committees with it.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import itertools
 import os
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.chain.node import Node
 from repro.chain.params import NetworkParams
-from repro.chain.pbft import PbftOutcome
-from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 from repro.sim.rng import counter_rng, philox_key
 
 #: NIC rank geometry per (committee size, 1/bandwidth) -- identical for
@@ -131,20 +143,16 @@ from repro.sim.rng import counter_rng, philox_key
 #: be pure numpy dispatch overhead.  LRU-bounded: a long-running
 #: multi-configuration sweep (network-size x committee-size x bandwidth)
 #: must not grow the cache without limit.
-_NIC_GEOMETRY: "OrderedDict[Tuple[int, float], Tuple[np.ndarray, np.ndarray, float]]" = (
-    OrderedDict()
-)
+_NIC_GEOMETRY: "OrderedDict[Tuple[int, float], Tuple[np.ndarray, float]]" = OrderedDict()
 _NIC_GEOMETRY_MAX_ENTRIES = 16
 
 
-def _nic_geometry(c: int, inv_bw: float) -> Tuple[np.ndarray, np.ndarray, float]:
-    """``(nic, nic_free0, burst_s)`` for a ``c``-member committee.
+def _nic_geometry(c: int, inv_bw: float) -> Tuple[np.ndarray, float]:
+    """``(nic, burst_s)`` for a ``c``-member committee.
 
     ``nic[r, i]`` is recipient ``r``'s NIC-serialisation delay in sender
     ``i``'s broadcast burst (member order, sender skipped), recipient-major
-    like the kernel's vote matrix; ``nic_free0`` is each sender's NIC-busy
-    horizon after the pre-prepare (only the primary's is non-zero);
-    ``burst_s`` is one full broadcast burst.
+    like the kernel's vote matrix; ``burst_s`` is one full broadcast burst.
     """
     key = (c, inv_bw)
     cached = _NIC_GEOMETRY.get(key)
@@ -153,15 +161,11 @@ def _nic_geometry(c: int, inv_bw: float) -> Tuple[np.ndarray, np.ndarray, float]
         recipient, sender = idx[:, None], idx[None, :]
         rank = np.where(recipient > sender, recipient, recipient + 1)
         np.fill_diagonal(rank, 0)
-        burst_s = (c - 1) * inv_bw
-        nic_free0 = np.zeros(c)
-        nic_free0[0] = burst_s
         nic = rank * inv_bw
         # Shared by every later round and by concurrent kernel workers: an
         # accidental in-place write must raise, not corrupt later rounds.
         nic.setflags(write=False)
-        nic_free0.setflags(write=False)
-        cached = (nic, nic_free0, burst_s)
+        cached = (nic, (c - 1) * inv_bw)
         _NIC_GEOMETRY[key] = cached
         if len(_NIC_GEOMETRY) > _NIC_GEOMETRY_MAX_ENTRIES:
             _NIC_GEOMETRY.popitem(last=False)
@@ -175,6 +179,11 @@ def _nic_geometry(c: int, inv_bw: float) -> Tuple[np.ndarray, np.ndarray, float]
 #: more than one per variate), four to a block: far fewer than ``2**64``
 #: blocks, so no committee's draws reach the next committee's start.
 COMMITTEE_COUNTER_STRIDE = 2**64
+
+#: Where a committee's view-change stream starts inside its stride: its
+#: silent views draw ``c^2`` normals each, so neither stream reaches the
+#: other or the next committee's.
+VIEW_CHANGE_COUNTER_OFFSET = COMMITTEE_COUNTER_STRIDE // 2
 
 
 def _kernel_draw_budget(c: int) -> Tuple[int, int]:
@@ -191,8 +200,9 @@ def kernel_bytes_per_committee(c: int) -> int:
     """Approximate live scratch bytes one committee adds to a chunk.
 
     Counts the exponential and normal blocks (the ``(c, c)`` prepare-vote
-    matrix lives inside the normal block) and a dozen ``(c,)`` working
-    vectors.  Used by :func:`kernel_chunk_rows` to size chunks under
+    matrix lives inside the normal block, and so does each ``(c, c)``
+    view-change lag block a Byzantine-primary row draws before its round)
+    and a dozen ``(c,)`` working vectors.  Used by :func:`kernel_chunk_rows` to size chunks under
     ``max_batch_bytes``.
     """
     n_exp, n_norm = _kernel_draw_budget(c)
@@ -217,6 +227,14 @@ def kernel_chunk_rows(c: int, max_batch_bytes: Optional[int]) -> int:
 #: inline.
 KERNEL_INLINE_BYTES = 2**20
 
+#: Most scratch one chunk holds, whatever ``max_batch_bytes`` allows.  A
+#: bigger chunk runs no faster (a 520-committee c = 128 stack took 213-240
+#: ms inline at 8-28 rows per chunk and 249 ms at 260, 115-123 ms against
+#: 163 ms on two workers, on a 2-CPU box), but every kernel call allocates
+#: and frees its scratch, so a stack-sized chunk only lifts the process's
+#: peak RSS.  4 MiB is about 28 c = 128 committees.
+KERNEL_CHUNK_BYTES = 4 * 2**20
+
 
 def available_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS has one."""
@@ -233,9 +251,9 @@ class KernelPlan:
     ``chunks`` near-equal chunks (sizes differ by at most one, the largest
     is ``rows`` committees) run on ``workers`` threads, 1 meaning inline on
     the calling thread.  Every worker owns ``rows`` committees of scratch,
-    and ``rows * workers`` committees' worth stays within
-    ``max_batch_bytes`` -- unless one committee alone exceeds it, when the
-    plan is one row on one worker.
+    ``rows * workers`` committees' worth stays within ``max_batch_bytes``
+    and one chunk's within :data:`KERNEL_CHUNK_BYTES` -- unless one
+    committee alone exceeds either, when a chunk is one committee.
     """
 
     rows: int
@@ -247,16 +265,18 @@ def kernel_plan(num_rounds: int, c: int, max_batch_bytes: Optional[int]) -> Kern
     """The one chunk plan the kernel runs and the chunk telemetry reports.
 
     Up to :func:`available_cpus` workers share the ``max_batch_bytes``
-    budget, ``max_batch_bytes // workers`` each.  The chunk count is
-    rounded up to a multiple of the worker count (at most ``K``) so the
-    workers finish together.  When a worker's chunk would hold less than
+    budget, ``max_batch_bytes // workers`` each, and no chunk holds more
+    than :data:`KERNEL_CHUNK_BYTES`.  The chunk count is rounded up to a
+    multiple of the worker count (at most ``K``) so the workers finish
+    together.  When a worker's chunk would hold less than
     :data:`KERNEL_INLINE_BYTES` of scratch, the plan is one inline worker
     with the whole budget.
     """
     budget_rows = kernel_chunk_rows(c, max_batch_bytes)
+    chunk_rows = max(1, KERNEL_CHUNK_BYTES // kernel_bytes_per_committee(c))
 
     def split(workers: int) -> KernelPlan:
-        chunks = -(-num_rounds // (budget_rows // workers))
+        chunks = -(-num_rounds // min(budget_rows // workers, chunk_rows))
         chunks = min(num_rounds, -(-chunks // workers) * workers)
         return KernelPlan(rows=-(-num_rounds // chunks), chunks=chunks, workers=workers)
 
@@ -266,19 +286,40 @@ def kernel_plan(num_rounds: int, c: int, max_batch_bytes: Optional[int]) -> Kern
     return plan
 
 
+def view_change_timeout(network_params: NetworkParams, verify_mean_s: float) -> float:
+    """PbftRound's adaptive view-change timeout (must match it exactly)."""
+    return 8.0 * verify_mean_s + 20.0 * network_params.base_delay
+
+
 @dataclass(frozen=True)
 class _KernelInputs:
     """The read-only inputs every kernel chunk shares across workers."""
 
     honest: np.ndarray
     speeds: np.ndarray
+    primary: np.ndarray
     key: np.ndarray
     nic: np.ndarray
-    nic_free0: np.ndarray
     burst_s: float
     mu: float
     sigma: float
     verify_mean_s: float
+    timeout_s: float
+
+
+class KernelRounds(NamedTuple):
+    """What :func:`_pbft_kernel_batch` returns, one entry per stack row.
+
+    ``view`` is the view the row commits in (its primary's column);
+    ``new_views[k, j - 1]`` is row ``k``'s ``new-view-j`` time for
+    ``j <= view[k]`` (``nan`` past it), and the view-``view[k]`` round
+    starts at the last of them (0 when ``view[k]`` is 0).
+    """
+
+    commit: np.ndarray
+    prepared: np.ndarray
+    view: np.ndarray
+    new_views: np.ndarray
 
 
 def _kernel_scratch(rows: int, c: int) -> Dict[str, np.ndarray]:
@@ -314,6 +355,54 @@ def _committee_variates(
     return rng
 
 
+def _view_change_prelude(
+    inputs: _KernelInputs,
+    committee: int,
+    lags: np.ndarray,
+    new_views: np.ndarray,
+    rng: Optional[np.random.Generator],
+) -> Tuple[float, float, np.random.Generator]:
+    """The silent views ``0 .. p-1`` of a row whose first honest member is ``p``.
+
+    View ``j``'s timer fires at ``T_j = V_j + timeout * 2**j`` (``V_0 =
+    0``).  Every honest sender then broadcasts VIEW-CHANGE, its burst
+    departing once its NIC is free, and its vote counts at its earliest
+    delivery to an honest recipient (votes are tallied at protocol level);
+    view ``j+1`` starts at ``V_{j+1}``, the ``(2f+1)``-th smallest of
+    those.  A silent primary sends no pre-prepare, so nothing else is in
+    flight.  Each view draws one ``(c, c)`` recipient-major lag block into
+    ``lags`` -- the committee's normal block, before the round's draws
+    fill it -- from the row's view-change stream at counter block
+    ``committee * COMMITTEE_COUNTER_STRIDE + VIEW_CHANGE_COUNTER_OFFSET``.
+    Writes ``V_1 .. V_p`` to ``new_views`` and returns ``(V_p, horizon,
+    rng)``, ``horizon`` being when the honest senders' NICs finish their
+    last VIEW-CHANGE burst.  The row needs ``2f+1`` honest members.
+    """
+    honest = inputs.honest[committee]
+    c = honest.size
+    quorum = 2 * ((c - 1) // 3) + 1
+    silent = ~(honest[:, None] & honest[None, :])
+    np.fill_diagonal(silent, True)
+    rng = counter_rng(
+        inputs.key, committee * COMMITTEE_COUNTER_STRIDE + VIEW_CHANGE_COUNTER_OFFSET, rng
+    )
+    start, horizon = 0.0, 0.0
+    for view in range(int(inputs.primary[committee])):
+        depart = max(start + inputs.timeout_s * (2.0**view), horizon)
+        rng.standard_normal(out=lags)
+        lags *= inputs.sigma
+        lags += inputs.mu
+        np.exp(lags, out=lags)
+        lags += inputs.nic
+        lags[silent] = np.inf
+        first = lags.min(axis=0)[honest]
+        first.partition(quorum - 1)
+        start = depart + float(first[quorum - 1])
+        horizon = depart + inputs.burst_s
+        new_views[view] = start
+    return start, horizon, rng
+
+
 def _prepared_times(votes: np.ndarray, arrival: np.ndarray, quorum: int) -> np.ndarray:
     """Each replica's prepared time, read off its partitioned vote row.
 
@@ -343,30 +432,43 @@ def _kernel_chunks(
     scratch: Dict[str, np.ndarray],
     commit_out: np.ndarray,
     prepared_out: np.ndarray,
+    new_views_out: np.ndarray,
 ) -> None:
     """Runs the kernel over committee ranges ``[start, stop)``.
 
     Reads only ``inputs`` and writes only its own ``scratch`` and its
-    ranges of the two output arrays, so workers can run it concurrently.
+    ranges of the output arrays, so workers can run it concurrently.
     Each committee draws from its own Philox stream at its absolute
     counter block (:func:`_committee_variates`), through one generator
     per call re-seated per committee; the caller's stream is never
     touched.
+
+    Row ``k``'s round is led by ``p = inputs.primary[k]``.  A row with
+    ``p > 0`` first runs its silent views (:func:`_view_change_prelude`),
+    which give the round its start ``V_p`` and the honest senders' NIC
+    horizon; the pre-prepare departs when both have passed.  A row with
+    ``p = 0`` starts at 0 with idle NICs.
     """
     honest = inputs.honest
     c = honest.shape[1]
     f = (c - 1) // 3
-    nic, nic_free0, burst_s = inputs.nic, inputs.nic_free0, inputs.burst_s
+    nic, burst_s = inputs.nic, inputs.burst_s
     idx = np.arange(c)
-    nic_from_primary = nic[:, 0]
-    nic_to_primary = nic[0]
     rng = None
     for start, stop in spans:
         b = stop - start
         expo = scratch["exponentials"][:b]
         z = scratch["normals"][:b]
+        begin = np.zeros(b)
+        horizon = np.zeros(b)
         for row in range(b):
-            rng = _committee_variates(inputs.key, start + row, expo[row], z[row], rng)
+            committee = start + row
+            if inputs.primary[committee]:
+                begin[row], horizon[row], rng = _view_change_prelude(
+                    inputs, committee, z[row, : c * c].reshape(c, c),
+                    new_views_out[committee], rng,
+                )
+            rng = _committee_variates(inputs.key, committee, expo[row], z[row], rng)
 
         # Verify delays: Exp(1) scaled by each member's mean, one pass
         # over both lanes (prepare, commit).
@@ -384,11 +486,21 @@ def _kernel_chunks(
         lag2_col = z[:, c + c * c : c + c * c + c]
 
         honest_b = honest[start:stop]
+        primary = inputs.primary[start:stop]
+        rows = np.arange(b)
 
-        # Pre-prepare arrivals (the primary pre-prepares itself at t=0).
+        # NIC horizons: the primary's pre-prepare burst departs once the
+        # round has started and its NIC is free; every other sender's NIC
+        # is busy until the last VIEW-CHANGE burst ends.
+        launch = np.maximum(begin, horizon)
+        nic_free = np.repeat(horizon[:, None], c, axis=1)
+        nic_free[rows, primary] = launch + burst_s
+
+        # Pre-prepare arrivals (the primary pre-prepares itself at once).
         arrival = lag_pre
-        arrival += nic_from_primary[None, :]
-        arrival[:, 0] = 0.0
+        arrival += nic.T[primary]
+        arrival += launch[:, None]
+        arrival[rows, primary] = begin
 
         # Prepare votes, recipient-major and built in place over their
         # lags (votes[k, r, i] lands at replica r from sender i): sent
@@ -396,7 +508,7 @@ def _kernel_chunks(
         # pre-prepare burst.  A silent sender's departure is inf, so its
         # whole column is.
         prep_send = arrival + verify1
-        depart1 = np.maximum(prep_send, nic_free0[None, :])
+        depart1 = np.maximum(prep_send, nic_free)
         depart1[~honest_b] = np.inf
         votes = z[:, c : c + c * c].reshape(b, c, c)
         votes += nic
@@ -419,16 +531,16 @@ def _kernel_chunks(
         commit_first = commit_send < prep_send
         depart2 = np.where(
             commit_first,
-            np.maximum(commit_send, nic_free0[None, :]),
+            np.maximum(commit_send, nic_free),
             np.maximum(commit_send, depart1 + burst_s),
         )
-        votes2_primary = depart2 + nic_to_primary[None, :]
+        votes2_primary = depart2 + nic[primary]
         votes2_primary += lag2_col
-        votes2_primary[:, 0] = commit_send[:, 0]
+        votes2_primary[rows, primary] = commit_send[rows, primary]
         votes2_primary[~honest_b] = np.inf
         votes2_primary.partition(2 * f, axis=1)
         commit_out[start:stop] = votes2_primary[:, 2 * f]
-        prepared_out[start:stop] = prepared[:, 0]
+        prepared_out[start:stop] = prepared[rows, primary]
 
 
 def _pbft_kernel_batch(
@@ -438,36 +550,41 @@ def _pbft_kernel_batch(
     network_params: NetworkParams,
     verify_mean_s: float,
     max_batch_bytes: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> KernelRounds:
     """The order-statistics kernel over a ``(K, c)`` committee stack.
 
-    Returns ``(commit_time, prepared_primary)`` -- each shape ``(K,)`` --
-    for ``K`` independent loss-free honest-primary rounds.  The caller is
-    responsible for the pre-draw validity checks and for the post-draw
-    view-change-timeout fallback.
+    Runs ``K`` independent loss-free rounds.  Each row's round is led by
+    its first honest member ``p``: the ``p`` silent views before it are
+    the closed-form view-change prelude (:func:`_view_change_prelude`),
+    so a row with an honest view-0 primary runs the plain round.  Every
+    row needs ``2f+1`` honest members (the router's quorum filter); the
+    caller is responsible for the post-draw view-change-timeout fallback.
 
     The only consumption from ``rng`` is one Philox key (two ``uint64``
-    words), drawn on the calling thread; committee ``k`` draws its
+    words), drawn on the calling thread; committee ``k`` draws its round
     variates from counter block ``k * COMMITTEE_COUNTER_STRIDE`` of the
-    keyed stream (:func:`_committee_variates`).  The
-    stack runs as :func:`kernel_plan` says: chunks on up to
-    :func:`available_cpus` threads that share one ``max_batch_bytes``
-    scratch budget, or inline on the calling thread.  The result is
-    byte-identical at any chunk size *and* any worker count, and so is the
-    caller's stream position (see the module docstring).
+    keyed stream (:func:`_committee_variates`) and its view-change
+    variates from its own stream inside that stride.  The stack runs as
+    :func:`kernel_plan` says: chunks on up to :func:`available_cpus`
+    threads that share one ``max_batch_bytes`` scratch budget, or inline
+    on the calling thread.  The result is byte-identical at any chunk
+    size *and* any worker count, and so is the caller's stream position
+    (see the module docstring).
     """
     num_rounds, c = honest.shape
-    nic, nic_free0, burst_s = _nic_geometry(c, 1.0 / network_params.bandwidth_msgs_per_s)
+    nic, burst_s = _nic_geometry(c, 1.0 / network_params.bandwidth_msgs_per_s)
+    primary = np.argmax(honest, axis=1)
     inputs = _KernelInputs(
         honest=honest,
         speeds=speeds,
+        primary=primary,
         key=philox_key(rng),
         nic=nic,
-        nic_free0=nic_free0,
         burst_s=burst_s,
         mu=float(np.log(network_params.base_delay)),
         sigma=network_params.jitter_sigma,
         verify_mean_s=verify_mean_s,
+        timeout_s=view_change_timeout(network_params, verify_mean_s),
     )
     plan = kernel_plan(num_rounds, c, max_batch_bytes)
     # Near-equal chunks, the larger ones first, dealt round-robin below:
@@ -477,261 +594,27 @@ def _pbft_kernel_batch(
     spans = list(zip([0] + stops[:-1], stops))
     commit_out = np.empty(num_rounds)
     prepared_out = np.empty(num_rounds)
+    new_views_out = np.full((num_rounds, int(primary.max(initial=0))), np.nan)
+    outputs = (commit_out, prepared_out, new_views_out)
     # Scratch for every worker is allocated here, before any thread runs.
     scratch = [_kernel_scratch(plan.rows, c) for _ in range(plan.workers)]
     if plan.workers == 1:
-        _kernel_chunks(spans, inputs, scratch[0], commit_out, prepared_out)
-        return commit_out, prepared_out
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        futures = [
-            pool.submit(
-                _kernel_chunks,
-                spans[worker :: plan.workers],
-                inputs,
-                scratch[worker],
-                commit_out,
-                prepared_out,
-            )
-            for worker in range(plan.workers)
-        ]
-        for future in futures:
-            future.result()
-    return commit_out, prepared_out
-
-
-def view_change_timeout(network_params: NetworkParams, verify_mean_s: float) -> float:
-    """PbftRound's adaptive view-change timeout (must match it exactly)."""
-    return 8.0 * verify_mean_s + 20.0 * network_params.base_delay
-
-
-# Event kinds of the lean replay's heap entries ``(time, seq, kind, a, b)``.
-_PREPARE, _COMMIT, _PREPREPARE, _VOTE, _VIEW_CHANGE, _TIMEOUT = range(6)
-
-
-def replay_pbft_until_commit(
-    members: Sequence[Node],
-    rng: np.random.Generator,
-    network_params: NetworkParams,
-    verify_mean_s: float,
-    round_tag: str = "round-0",
-    telemetry: NullTelemetry = NULL_TELEMETRY,
-) -> PbftOutcome:
-    """A loss-free :class:`PbftRound` replayed up to the primary's commit.
-
-    Byte-identical to driving ``PbftRound`` (fresh engine and network,
-    start time 0, adaptive timeout) with ``while not outcome.committed
-    and engine.step()``: the same ``commit_time``, ``committed`` and
-    ``stage_times``, the same telemetry, and ``rng`` left in the same
-    state.  The saving is bookkeeping, not arithmetic:
-
-    * events are ``(time, seq, kind, a, b)`` heap tuples, with no
-      per-message closure or :class:`repro.chain.network.Message`;
-    * a sender burst is one ``rng.lognormal(size=c-1)`` draw, as in
-      ``Network.prefill_delays``; NIC departures come from a sequential
-      ``np.add.accumulate`` and heap keys from ``now + (deliver - now)``,
-      the engine's own ``schedule_at`` arithmetic;
-    * only deliveries that can change what happens next are pushed, and
-      dropping an event keeps the relative ``seq`` order of the rest.
-      Byzantine members ignore every message.  A VIEW-CHANGE burst pushes
-      only its earliest honest delivery, since the tally is protocol-level.
-      A COMMIT to a committed replica is a no-op forever.  A COMMIT to any
-      other non-primary draws nothing and matters only if that replica
-      leads a later view, so it waits in a per-replica list: at a view
-      change the arrived ones are tallied and the new primary's in-flight
-      ones move onto the heap with their original ``seq``.
-
-    The reference's quirks are kept: VIEW-CHANGE votes tally at protocol
-    level, votes from an old view still in flight count in the new one,
-    a replica's commit mark survives view changes, the view timeout
-    doubles per view, and views stop at ``len(members)``.
-    """
-    c = len(members)
-    if c < 4:
-        raise ValueError("PBFT needs at least 4 members (3f+1, f >= 1)")
-    if network_params.loss_probability > 0.0:
-        raise ValueError("the lean replay is loss-free; lossy rounds run PbftRound")
-    if len({node.node_id for node in members}) != c:
-        raise ValueError("committee members must have distinct node ids")
-    timeout_s = view_change_timeout(network_params, verify_mean_s)
-    if timeout_s <= 0:
-        raise ValueError("view_change_timeout_s must be positive")
-    f = (c - 1) // 3
-    prepare_quorum = 2 * f
-    commit_quorum = 2 * f + 1
-    honest = [node.honest for node in members]
-    verify_scale = [verify_mean_s / node.verify_speed for node in members]
-    log_base_delay = float(np.log(network_params.base_delay))
-    sigma = network_params.jitter_sigma
-    lognormal = rng.lognormal
-    exponential = rng.exponential
-
-    # NIC serialisation: departures are start, start + 1/bw, ... summed in
-    # send order; steps[0] is overwritten with each burst's start.
-    steps = np.full(c, 1.0 / network_params.bandwidth_msgs_per_s)
-    nic_free = [-np.inf] * c
-    honest_idx = np.flatnonzero(honest)
-    # Per sender: burst slots (member order, sender skipped) and member
-    # indices of its honest recipients.
-    targets: List[Optional[Tuple[np.ndarray, List[int]]]] = [None] * c
-
-    heap: list = []
-    push = heapq.heappush
-    seq = itertools.count()
-    view = 0
-    preprepared = [False] * c
-    prepared = [False] * c
-    prepares: List[set] = [set() for _ in range(c)]
-    commits: List[set] = [set() for _ in range(c)]
-    committed = [False] * c
-    #: COMMITs in flight to non-primaries: ``(time, seq, voter)``
-    waiting: List[list] = [[] for _ in range(c)]
-    view_change_votes: set = set()
-    stage_times: Dict[str, float] = {}
-    outcome = PbftOutcome(
-        committed=False, start_time=0.0, commit_time=None, stage_times=stage_times
-    )
-
-    def broadcast(sender: int, now: float, kind: int) -> Optional[float]:
-        """One burst from ``sender``: pushes (or parks) its ``kind``
-        deliveries; a VIEW-CHANGE burst returns its earliest honest key."""
-        delays = lognormal(log_base_delay, sigma, c - 1)
-        start = nic_free[sender]
-        steps[0] = start if start > now else now
-        deliver = np.add.accumulate(steps)[1:]
-        nic_free[sender] = float(deliver[-1])
-        deliver += delays
-        deliver -= now
-        deliver += now
-        cached = targets[sender]
-        if cached is None:
-            recipients = honest_idx[honest_idx != sender]
-            cached = targets[sender] = (recipients - (recipients > sender), recipients.tolist())
-        slots, recipients = cached
-        keys = deliver[slots]
-        if kind == _VIEW_CHANGE:
-            return float(keys.min()) if keys.size else None
-        deliveries = zip(keys.tolist(), recipients)
-        if kind == _COMMIT:
-            primary = view % c
-            for key, recipient in deliveries:
-                if committed[recipient]:
-                    continue
-                if recipient == primary:
-                    push(heap, (key, next(seq), _COMMIT, recipient, sender))
-                else:
-                    waiting[recipient].append((key, next(seq), sender))
-        else:
-            for key, recipient in deliveries:
-                push(heap, (key, next(seq), kind, recipient, sender))
-        return None
-
-    def arm_vote(node: int, now: float, kind: int) -> None:
-        delay = float(exponential(verify_scale[node]))
-        push(heap, (now + delay, next(seq), _VOTE, node, kind))
-
-    def send_preprepare(now: float) -> None:
-        primary = view % c
-        if not honest[primary]:
-            return  # Byzantine primary stays silent; the view timeout fires
-        stage_times.setdefault("pre-prepare-sent", now)
-        broadcast(primary, now, _PREPREPARE)
-        preprepared[primary] = True
-        arm_vote(primary, now, _PREPARE)
-
-    def add_prepare(node: int, voter: int, now: float) -> None:
-        if prepared[node]:
-            return
-        votes = prepares[node]
-        votes.add(voter)
-        if not preprepared[node] or len(votes) < prepare_quorum:
-            return
-        prepared[node] = True
-        if node == view % c:
-            stage_times["prepare-quorum"] = now
-        arm_vote(node, now, _COMMIT)
-
-    # The engine's first two events are the t=0 pre-prepare (seq 0) and the
-    # view-0 timer (seq 1); running the pre-prepare inline after pushing the
-    # timer keeps every later seq in the same relative order.
-    push(heap, (0.0 + timeout_s * (2.0**0), next(seq), _TIMEOUT, 0, 0))
-    send_preprepare(0.0)
-    pop = heapq.heappop
-    while heap:
-        now, order, kind, a, b = pop(heap)
-        if kind == _PREPARE:
-            add_prepare(a, b, now)
-            continue
-        if kind == _VOTE:
-            broadcast(a, now, b)
-            if b == _PREPARE:
-                add_prepare(a, a, now)
-                continue
-            b = a  # the sender counts its own COMMIT locally
-        if kind == _VOTE or kind == _COMMIT:
-            if committed[a]:
-                continue
-            votes = commits[a]
-            votes.add(b)
-            if len(votes) < commit_quorum:
-                continue
-            committed[a] = True
-            if a != view % c:
-                continue
-            outcome.committed = True
-            outcome.commit_time = now
-            stage_times["commit-quorum"] = now
-            if telemetry.enabled:
-                telemetry.record_span(
-                    "chain.pbft.round",
-                    0.0,
-                    now,
-                    tag=round_tag,
-                    view=view,
-                    members=c,
-                    stages=dict(stage_times),
+        _kernel_chunks(spans, inputs, scratch[0], *outputs)
+    else:
+        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
+            futures = [
+                pool.submit(
+                    _kernel_chunks,
+                    spans[worker :: plan.workers],
+                    inputs,
+                    scratch[worker],
+                    *outputs,
                 )
-            return outcome
-        if kind == _PREPREPARE:
-            if not preprepared[a]:
-                preprepared[a] = True
-                arm_vote(a, now, _PREPARE)
-        elif kind == _TIMEOUT:
-            if a != view or view + 1 >= c:
-                continue  # stale timer, or every member has led: stall
-            for sender in range(c):
-                if honest[sender]:
-                    first = broadcast(sender, now, _VIEW_CHANGE)
-                    if first is not None:
-                        push(heap, (first, next(seq), _VIEW_CHANGE, view + 1, sender))
-        elif a == view + 1:  # a VIEW-CHANGE vote for the next view
-            view_change_votes.add(b)
-            if len(view_change_votes) < commit_quorum:
-                continue
-            view_change_votes = set()
-            view += 1
-            stage_times[f"new-view-{view}"] = now
-            if telemetry.enabled:
-                telemetry.event("chain.pbft.view_change", tag=round_tag, view=view, at=now)
-            # Tally the COMMITs that reached each non-primary in the old
-            # view; the rest stay in flight into the new one.
-            cut = (now, order)
-            for node in range(c):
-                if not committed[node] and waiting[node]:
-                    arrived = [entry for entry in waiting[node] if entry[:2] < cut]
-                    commits[node].update(voter for _, _, voter in arrived)
-                    committed[node] = len(commits[node]) >= commit_quorum
-                    waiting[node] = [entry for entry in waiting[node] if entry[:2] > cut]
-                preprepared[node] = prepared[node] = False
-                prepares[node] = set()
-                commits[node] = set()
-            primary = view % c
-            if not committed[primary]:
-                for key, s, voter in waiting[primary]:
-                    push(heap, (key, s, _COMMIT, primary, voter))
-            waiting[primary] = []
-            send_preprepare(now)
-            push(heap, (now + timeout_s * (2.0**view), next(seq), _TIMEOUT, view, 0))
-    return outcome
+                for worker in range(plan.workers)
+            ]
+            for future in futures:
+                future.result()
+    return KernelRounds(commit_out, prepared_out, primary, new_views_out)
 
 
 #: Per-node live-scratch estimate for :func:`formation_kernel` chunking:

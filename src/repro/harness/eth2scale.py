@@ -60,8 +60,9 @@ def run_eth2scale(
     split out of the epoch wall, so the record separates chain-substrate
     time from scheduler time.  Each point also carries the stage-3 fallback count
     (committees replayed off the batched kernel), tallied from the chain's
-    own ``chain.fastpath.fallback`` events, and the kernel's chunk rows and
-    worker count from its ``chain.fastpath.chunks`` event, next to the
+    own ``chain.fastpath.fallback`` events, and the kernel's chunk rows,
+    worker count and view-change rows (committees whose leading members
+    are Byzantine) from its ``chain.fastpath.chunks`` event, next to the
     CPUs the process may use.  Returns the record dict that
     also lands in ``out_path`` when given.
     """
@@ -152,6 +153,7 @@ def run_eth2scale(
                 "peak_rss_kib": sample["peak_rss_kib"] if sample else None,
                 "kernel_chunk_rows": plan.get("chunk_rows"),
                 "kernel_workers": plan.get("workers"),
+                "view_change_rows": plan.get("view_change_rows"),
                 "cpu_count": available_cpus(),
             }
         )
@@ -177,7 +179,7 @@ def render_points(points: Sequence[dict]) -> str:
     """Fixed-width text table of the scaling curve (for the CLI)."""
     header = (
         f"{'nodes':>8} {'formed':>7} {'submitted':>9} {'permitted':>9} "
-        f"{'fallbacks':>9} {'epoch wall':>11} {'SE wall':>9} {'peak RSS':>10}"
+        f"{'view-chg':>8} {'fallbacks':>9} {'epoch wall':>11} {'SE wall':>9} {'peak RSS':>10}"
     )
     lines = [header]
     for point in points:
@@ -186,7 +188,8 @@ def render_points(points: Sequence[dict]) -> str:
         lines.append(
             f"{point['nodes']:>8} {point['committees_formed']:>7} "
             f"{point['shards_submitted']:>9} {point['shards_permitted']:>9} "
-            f"{point['fallbacks']:>9} {point['epoch_wall_s']:>10.2f}s "
+            f"{point['view_change_rows'] or 0:>8} {point['fallbacks']:>9} "
+            f"{point['epoch_wall_s']:>10.2f}s "
             f"{point['se_wall_s']:>8.2f}s "
             f"{rss_text:>10}"
         )

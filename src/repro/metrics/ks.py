@@ -4,13 +4,14 @@ Used by the chain fastpath parity tests and benches to compare latency
 samples from the DES reference simulation against the closed-form kernel:
 the kernel is distributionally exact only up to one documented
 approximation (see :mod:`repro.chain.fastpath`), so equivalence is
-asserted statistically rather than byte-wise.
+asserted statistically rather than byte-wise.  A family of such tests
+shares one family-wise level through :func:`holm`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -72,3 +73,24 @@ def ks_two_sample(
     d_stat = ks_statistic(a, b)
     p_value = ks_pvalue(d_stat, a.size, b.size)
     return d_stat, p_value, d_stat >= ks_critical_value(a.size, b.size, alpha)
+
+
+def holm(pvalues: Sequence[float], alpha: float) -> List[bool]:
+    """Holm's step-down test: which hypotheses a family rejects at ``alpha``.
+
+    The ``m`` p-values are visited in ascending order; the ``i``-th
+    smallest (``i = 0 .. m-1``) is rejected while it is at most
+    ``alpha / (m - i)``, and the first one that is not stops the walk, so
+    every larger p-value stands too.  The family-wise error rate stays at
+    most ``alpha`` under any dependence between the tests.  Returns one
+    flag per input, in input order (ties keep input order).
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    m = len(pvalues)
+    rejected = [False] * m
+    for rank, index in enumerate(sorted(range(m), key=lambda i: pvalues[i])):
+        if pvalues[index] > alpha / (m - rank):
+            break
+        rejected[index] = True
+    return rejected

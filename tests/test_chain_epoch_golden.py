@@ -14,7 +14,7 @@ exposes:
   ``wall``/``wall_dt`` fields stripped.
 
 The shapes cover the DES with Byzantine nodes, the fastpath with its
-kernel and fallback replays, a lossy network under each engine (every
+kernel (view-change rows included), a lossy network under each engine (every
 round drains the DES) and mempool-driven epochs under each engine (the
 commit removes the permitted shards' transactions).
 """
@@ -111,7 +111,12 @@ def _run_shape(name):
 #: stops at the commit instead of draining the DES, so the stream moves:
 #: the randomness, then epoch 1) and so was ``fastpath-mempool``'s
 #: telemetry digest (the final round's kernel call emits its
-#: ``chain.fastpath.chunks`` event).
+#: ``chain.fastpath.chunks`` event).  When rounds led by Byzantine members
+#: joined the kernel through its view-change prelude,
+#: ``fastpath-byzantine`` was re-recorded (those rounds draw kernel
+#: variates instead of replaying on the DES stream) and so was
+#: ``fastpath-mempool``'s telemetry digest (the chunk event gained
+#: ``view_change_rows``); its epochs are unchanged.
 GOLDEN = {
     "des-byzantine": (
         [
@@ -167,20 +172,20 @@ GOLDEN = {
         [
             (
                 "271a68e6213a7633b56620c694b587d03ffdccbecbfdc3542c3848313be95dd9",
-                "da9d7b4a6f4f5b7751cf5e8c834e790c33e482f822428ea8319793e0a678a34a",
+                "44a759509cb166a4c7c130faa70e9368407bf7a01b606ee1ee630166dd08c3fe",
                 "3567b6f74c5324136c199fd63d39b5847cd948eaa370be1f6390e0d9698eb49d",
-                "5d56c87b578c526e1771c7ab56f99924d8650d82ff5214192d58b2a7e83391d2",
+                "d16051ad190060bb06511523ab89c9763db4000854d3506f644ec9ec583f8f7b",
                 None,
             ),
             (
-                "3b20f6caf30061ea7f84a90c969a325559b02a6a1cc203140c953b110020587d",
-                "62b8d2e35286ad7edb58f2da3599228fd9291086dd70161febc04013b3b8616b",
-                "c2e83cd287c661f130bd8537587f1cba042fda5f73f140f2adf0dc8cab22a331",
-                "b886a11a3df592e7be0f8d805c8f15bfb44dbd99d1b3afb74a81871afd9e4d2c",
+                "fe99c90b6e5fdf07f4ced0ce9d92a881d07a1464d74ec31ad85c43f6b1536723",
+                "a1e973cc5893f127ec76e8505fd5fbce75773c25d1a57c52718d17dd8fa7d582",
+                "8f1b80e78784dfd6058c9ed5c09497f0546efdd24f53dff64a1c6c2db0c4f67b",
+                "2abaa14b8753bf5e1a3136045693eafdc8d437a4a26e5283e3987a47ffece031",
                 None,
             ),
         ],
-        "a3e90b48dd9e1afd37b5d9777f5ca0b7aa9533577800a2943ba1ecdd5cfb499e",
+        "4dea3be519afaef0d77bb8bd2f9e8db3513e0785edd6c7e1ca5083fda5204ddd",
     ),
     "fastpath-lossy": (
         [
@@ -211,7 +216,7 @@ GOLDEN = {
                 1044,
             ),
         ],
-        "9029a9f6ed5b1767e627af5ddc23d805d57e000640702d5c79aaf4a6e6d41ecd",
+        "b3a5dafe4dffecc8c476aeec7f72197f44dd03c8c755069f85af7b39f44f00f7",
     ),
 }
 

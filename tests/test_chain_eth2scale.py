@@ -5,7 +5,9 @@ The tentpole claims under test:
 * the chunked PBFT and formation kernels are **byte-identical** to their
   unchunked forms at every chunk size (including one-committee chunks and
   budgets larger than the whole batch), and leave the calling RNG in the
-  same state;
+  same state -- for stacks of honest-primary rows and for stacks that
+  append rows led by Byzantine members (the view-change prelude); an
+  honest-only stack keeps the bytes pinned before the prelude existed;
 * the PBFT kernel is byte-identical at any worker count too: the worker
   count is injected by monkeypatching the module's CPU probe
   (``fastpath.available_cpus``), and ``KERNEL_INLINE_BYTES`` is zeroed
@@ -19,6 +21,7 @@ The tentpole claims under test:
 * the ``eth2scale`` preset / CLI verb exist and run at toy scale.
 """
 
+import hashlib
 import json
 import sys
 import threading
@@ -58,22 +61,34 @@ def _committee_stack(num_committees, size, seed=0):
     return honest, speeds
 
 
+def _mixed_stack(num_committees, size, seed=0):
+    """The router's stack order: honest-primary rows, then rows whose
+    first one or two members are Byzantine, each with a 2f+1 quorum."""
+    honest, speeds = _committee_stack(num_committees, size, seed)
+    quorum = 2 * ((size - 1) // 3) + 1
+    for row in range(num_committees // 2, num_committees):
+        leaders = 1 + row % 2
+        honest[row, :leaders] = False
+        honest[row, leaders : leaders + quorum] = True
+    return honest, speeds
+
+
 def _run_kernel(honest, speeds, max_batch_bytes):
     rng = spawn_rng(7, "round")
-    commit, prepared = _pbft_kernel_batch(
+    rounds = _pbft_kernel_batch(
         honest, speeds, rng, NetworkParams(), 22.0, max_batch_bytes=max_batch_bytes
     )
     # The end-state probe: chunking must not move the caller's stream.
-    return commit, prepared, rng.random()
+    return rounds.commit, rounds.prepared, rng.random(), rounds.new_views
 
 
 def _kernel_bytes(honest, speeds, max_batch_bytes):
-    """Commit bytes, prepared bytes and the caller's RNG end state."""
+    """Every output's bytes and the caller's RNG end state."""
     rng = spawn_rng(7, "round")
-    commit, prepared = _pbft_kernel_batch(
+    rounds = _pbft_kernel_batch(
         honest, speeds, rng, NetworkParams(), 22.0, max_batch_bytes=max_batch_bytes
     )
-    return commit.tobytes(), prepared.tobytes(), rng.bit_generator.state
+    return tuple(out.tobytes() for out in rounds) + (rng.bit_generator.state,)
 
 
 def _assert_chunking_bounds_peak_scratch():
@@ -108,15 +123,36 @@ def _pin_workers(monkeypatch, workers, threaded=False):
 class TestChunkedKernelByteIdentity:
     @pytest.mark.parametrize("chunk_rows", [1, 3, 5, 13, 64])
     def test_pbft_kernel_chunking_is_byte_identical(self, chunk_rows):
-        """Any chunk size (1 row ... > K rows) replays the unchunked bytes."""
-        honest, speeds = _committee_stack(13, 8)
+        """Any chunk size (1 row ... > K rows) replays the unchunked bytes,
+        on an honest-primary stack and on a mixed one."""
         budget = chunk_rows * kernel_bytes_per_committee(8)
         assert kernel_chunk_rows(8, budget) == chunk_rows
-        base = _run_kernel(honest, speeds, None)
-        chunked = _run_kernel(honest, speeds, budget)
-        np.testing.assert_array_equal(chunked[0], base[0])
-        np.testing.assert_array_equal(chunked[1], base[1])
-        assert chunked[2] == base[2]
+        for honest, speeds in (_committee_stack(13, 8), _mixed_stack(13, 8)):
+            base = _run_kernel(honest, speeds, None)
+            chunked = _run_kernel(honest, speeds, budget)
+            np.testing.assert_array_equal(chunked[0], base[0])
+            np.testing.assert_array_equal(chunked[1], base[1])
+            assert chunked[2] == base[2]
+            np.testing.assert_array_equal(chunked[3], base[3])
+        # Rows 6..12 open with 1, 2, 1, ... silent views.
+        assert np.isfinite(base[3]).sum() == sum(1 + row % 2 for row in range(6, 13))
+
+    def test_honest_stack_keeps_its_bytes(self):
+        """Honest-primary rows run the plain round: start 0, idle NICs but
+        the primary's.  Pinned from the kernel before the view-change
+        prelude existed (three stacks, c = 8, 128 and 32)."""
+        digest = hashlib.sha256()
+        for num_committees, size, seed in ((13, 8, 0), (16, 128, 5), (64, 32, 9)):
+            commit, prepared, probe, new_views = _run_kernel(
+                *_committee_stack(num_committees, size, seed), None
+            )
+            assert new_views.shape == (num_committees, 0)
+            digest.update(commit.tobytes())
+            digest.update(prepared.tobytes())
+            digest.update(repr(probe).encode())
+        assert digest.hexdigest() == (
+            "1d39a855c52f6bedd0488c9b60a9661a8704547ad7bea909eb8ea8e77e59010e"
+        )
 
     def test_formation_kernel_chunking_is_byte_identical(self):
         from repro.chain.node import spawn_nodes
@@ -155,17 +191,18 @@ class TestThreadedKernelByteIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_any_worker_count_is_byte_identical(self, monkeypatch, workers, chunk_rows):
         """Workers x chunk budget replays the single-worker unchunked bytes
-        and leaves the caller's stream in the same state."""
-        honest, speeds = _committee_stack(13, 8)
-        _pin_workers(monkeypatch, 1)
-        base = _kernel_bytes(honest, speeds, None)
+        and leaves the caller's stream in the same state, on an
+        honest-primary stack and on a mixed one."""
         budget = None if chunk_rows is None else chunk_rows * kernel_bytes_per_committee(8)
-        _pin_workers(monkeypatch, workers, threaded=True)
-        plan = kernel_plan(13, 8, budget)
-        if budget is not None:
-            assert plan.rows * plan.workers * kernel_bytes_per_committee(8) <= budget
-        assert (plan.workers > 1) == (workers > 1 and chunk_rows != 1)
-        assert _kernel_bytes(honest, speeds, budget) == base
+        for honest, speeds in (_committee_stack(13, 8), _mixed_stack(13, 8)):
+            _pin_workers(monkeypatch, 1)
+            base = _kernel_bytes(honest, speeds, None)
+            _pin_workers(monkeypatch, workers, threaded=True)
+            plan = kernel_plan(13, 8, budget)
+            if budget is not None:
+                assert plan.rows * plan.workers * kernel_bytes_per_committee(8) <= budget
+            assert (plan.workers > 1) == (workers > 1 and chunk_rows != 1)
+            assert _kernel_bytes(honest, speeds, budget) == base
 
     @pytest.mark.parametrize("num_committees", [1, 2, 5])
     def test_fewer_committees_than_workers(self, monkeypatch, num_committees):
@@ -392,11 +429,11 @@ class TestNicGeometryCache:
         """Concurrent kernel workers share the cached arrays; an in-place
         write must raise instead of corrupting later rounds."""
         fastpath._NIC_GEOMETRY.clear()
-        nic, nic_free0, _ = fastpath._nic_geometry(8, 0.002)
+        nic, _ = fastpath._nic_geometry(8, 0.002)
         with pytest.raises(ValueError, match="read-only"):
             nic[0, 1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            nic_free0 += 1.0
+            nic += 1.0
         assert fastpath._nic_geometry(8, 0.002)[0][0, 1] == pytest.approx(0.002)
 
 
@@ -435,9 +472,10 @@ class TestEth2ScaleHarness:
         assert point["shards_submitted"] > 0
         assert point["se_wall_s"] <= point["epoch_wall_s"]
         # 512 nodes at the default Byzantine fraction: one committee has a
-        # Byzantine primary and replays off the batched kernel.
-        assert point["fallbacks_by_reason"] == {"byzantine-primary": 1}
-        assert point["fallbacks"] == 1
+        # Byzantine primary and takes the kernel's view-change rows.
+        assert point["fallbacks_by_reason"] == {}
+        assert point["fallbacks"] == 0
+        assert point["view_change_rows"] == 1
         assert point["cpu_count"] >= 1
         assert 1 <= point["kernel_workers"] <= point["cpu_count"]
         assert point["kernel_chunk_rows"] >= 1

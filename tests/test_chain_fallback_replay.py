@@ -1,15 +1,18 @@
-"""Byte-identity of the lean PBFT fallback replay (repro.chain.fastpath).
+"""Byte-identity of the lean PBFT replay, and the router's fallbacks.
 
-:func:`replay_pbft_until_commit` replaces the reference DES for every
-loss-free stage-3 fallback.  :class:`repro.chain.pbft.PbftRound`, driven
-with ``while not outcome.committed and engine.step()``, stays the oracle:
-the replay must give the same ``committed``, ``commit_time`` and
-``stage_times`` (``new-view-k`` included, in insertion order), emit the
-same telemetry, and leave the shared generator in the same
-``bit_generator.state``, because later committees and stages draw from it.
+:func:`tests.pbft_oracle.replay_pbft_until_commit` is the fast oracle the
+kernel's view-change parity tests sample large committees from.
+:class:`repro.chain.pbft.PbftRound`, driven with ``while not
+outcome.committed and engine.step()``
+(:func:`tests.pbft_oracle.reference_until_commit`), stays the oracle it
+must match: the same ``committed``, ``commit_time`` and ``stage_times``
+(``new-view-k`` included, in insertion order), the same telemetry, and
+the shared generator left in the same ``bit_generator.state``.
 
-The golden epoch pins were captured with the reference DES fallback in
-place, so an epoch that changes by one bit fails here.
+The stage-3 tests check what falls back now that rows led by Byzantine
+members run in the batched kernel: only ``view-change-timeout`` rows, on
+the reference ``run_pbft_round``.  The golden epoch pins hold whole
+default-fraction epochs byte for byte.
 """
 
 import hashlib
@@ -24,33 +27,12 @@ from hypothesis import strategies as st
 import repro.chain.committee as committee_module
 from repro.chain.committee import calibrated_verify_mean
 from repro.chain.elastico import ElasticoSimulation
-from repro.chain.fastpath import replay_pbft_until_commit
-from repro.chain.network import Network
 from repro.chain.node import Node
 from repro.chain.params import ChainParams, NetworkParams
-from repro.chain.pbft import PbftRound
+from repro.chain.pbft import run_pbft_round
 from repro.obs.sinks import RingBufferSink
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.sim.engine import SimulationEngine
-
-
-def reference_until_commit(
-    members, rng, network_params, verify_mean_s, round_tag="round-0", telemetry=NULL_TELEMETRY
-):
-    """The oracle: PbftRound on the DES, stopped at the primary's commit."""
-    engine = SimulationEngine(telemetry=telemetry)
-    pbft = PbftRound(
-        engine=engine,
-        network=Network(engine, network_params, rng),
-        members=members,
-        rng=rng,
-        verify_mean_s=verify_mean_s,
-        round_tag=round_tag,
-        telemetry=telemetry,
-    )
-    while not pbft.outcome.committed and engine.step():
-        pass
-    return pbft.outcome
+from repro.obs.telemetry import Telemetry
+from tests.pbft_oracle import reference_until_commit, replay_pbft_until_commit
 
 
 def committee(pattern, speed_seed=0, speed_sigma=0.4):
@@ -252,41 +234,58 @@ class TestValidation:
             replay_pbft_until_commit([node] * 4, np.random.default_rng(0), NetworkParams(), 1.0)
 
 
-def _fallback_reasons(records):
-    return Counter(r["reason"] for r in records if r.get("name") == "chain.fastpath.fallback")
+def _fallbacks(records):
+    return [
+        (r["tag"], r["reason"]) for r in records if r.get("name") == "chain.fastpath.fallback"
+    ]
+
+
+def _view_change_rows(records):
+    return sum(
+        r["view_change_rows"] for r in records if r.get("name") == "chain.fastpath.chunks"
+    )
 
 
 class TestStage3:
     def test_epoch_matches_reference_fallbacks(self, monkeypatch):
-        """A whole fastpath epoch, with Byzantine-primary and
-        view-change-timeout fallbacks, equals the same epoch with the
-        reference loop swapped in for the replay."""
+        """A whole fastpath epoch on slow links: committees led by
+        Byzantine members run the kernel's view-change rows, and exactly
+        the rows whose commit outlives their view's timer replay -- each on
+        the reference ``run_pbft_round``, whose outcome becomes the
+        committee's consensus latency."""
         params = ChainParams(
             num_nodes=640, committee_size=16, seed=2, byzantine_fraction=0.2,
             chain_engine="fastpath",
             network=NetworkParams(bandwidth_msgs_per_s=0.15, jitter_sigma=1.5),
         )
+        replays = []
 
-        def epoch():
-            ring = RingBufferSink()
-            sim = ElasticoSimulation(params, telemetry=Telemetry(sinks=[ring]))
-            return sim.run_epoch(), ring.records
+        def recording_round(**kwargs):
+            outcome = run_pbft_round(**kwargs)
+            replays.append((kwargs["round_tag"], outcome))
+            return outcome
 
-        lean, lean_records = epoch()
-        monkeypatch.setattr(committee_module, "replay_pbft_until_commit", reference_until_commit)
-        ref, ref_records = epoch()
-        reasons = _fallback_reasons(lean_records)
-        assert reasons["byzantine-primary"] >= 1 and reasons["view-change-timeout"] >= 1
-        assert lean.consensus_latencies == ref.consensus_latencies
-        assert lean.final.block.block_hash == ref.final.block.block_hash
-        assert lean.randomness == ref.randomness
-        assert lean_records == ref_records
+        monkeypatch.setattr(committee_module, "run_pbft_round", recording_round)
+        ring = RingBufferSink()
+        epoch = ElasticoSimulation(params, telemetry=Telemetry(sinks=[ring])).run_epoch()
+        fallbacks = _fallbacks(ring.records)
+        assert _view_change_rows(ring.records) >= 1
+        assert fallbacks and {reason for _, reason in fallbacks} == {"view-change-timeout"}
+        assert [tag for tag, _ in replays] == [tag for tag, _ in fallbacks]
+        for tag, outcome in replays:
+            if tag.endswith("-final"):
+                continue  # the final committee's round, routed the same way
+            committee_id = int(tag.rpartition("committee")[2])
+            assert epoch.consensus_latencies.get(committee_id) == (
+                outcome.latency if outcome.committed else None
+            )
 
     def test_stage3_never_falls_back_for_no_quorum(self):
         """Stage 3 skips committees that cannot reach quorum before it
         classifies the rest, so at byzantine_fraction 0.25 -- where some
         committees hold more than f silent members -- the only fallback
-        reasons are byzantine-primary and view-change-timeout."""
+        reason is view-change-timeout, and committees led by Byzantine
+        members run in the kernel."""
         params = ChainParams(
             num_nodes=640, committee_size=16, seed=2, byzantine_fraction=0.25,
             chain_engine="fastpath",
@@ -295,9 +294,10 @@ class TestStage3:
         ring = RingBufferSink()
         outcome = ElasticoSimulation(params, telemetry=Telemetry(sinks=[ring])).run_epoch()
         assert any(not committee.can_reach_quorum for committee in outcome.committees)
-        reasons = _fallback_reasons(ring.records)
-        assert reasons["byzantine-primary"] >= 1 and reasons["view-change-timeout"] >= 1
-        assert set(reasons) == {"byzantine-primary", "view-change-timeout"}
+        reasons = Counter(reason for _, reason in _fallbacks(ring.records))
+        assert reasons["view-change-timeout"] >= 1
+        assert set(reasons) == {"view-change-timeout"}
+        assert _view_change_rows(ring.records) >= 1
 
 
 def _latency_digest(latencies):
@@ -309,23 +309,25 @@ def _latency_digest(latencies):
 #: for 4096 nodes in 128-member committees at the default Byzantine
 #: fraction, recorded with the reference DES replaying every fallback and
 #: re-recorded when the PBFT kernel moved to per-committee ziggurat variate
-#: streams (the fallback replays are checked against PbftRound above).
+#: streams, and again when rounds led by Byzantine members joined the
+#: kernel through its view-change prelude (every epoch here has such
+#: rounds and, on the default network, no fallback at all).
 GOLDEN_EPOCHS = {
     (0, 0): (
         "eff5d2407f6a6c9f370726b61bca2b4a29aaa45bd7f10cee805e54c102f36dc4",
-        "204e7e0e23148b1c1bfae4879c060bd5cf5a2d27a2d9e06fe81cdeb25f98a19c",
+        "3fa2bc2ea6a18918e9e8caa60766baf85155cce36aee4ab64c60362f80e637cb",
     ),
     (0, 1): (
-        "01a81ecbdf2de560c024d1457ec4b05ddf9abdd7b04b89c2045cd39de8f36e06",
-        "98c3a12eb9e2c9a8cf6d58d5667ad22c65b04232ecd0af1837a139c07ad05b9c",
+        "7c0535209f0d83f56ef9f93c7970aa9f1c318bc80ccba62ad90760c235c7e37f",
+        "4bb98621f98621288a09b5b2d72575512cfb78415cd1b5b6bb27ae0291ce91a3",
     ),
     (1, 0): (
         "0aab8128bebf9aa27a4bea8892a03eb09798235c2b0154c15e62ef2e9baabbdb",
-        "b55c51500a3c8326c7e6d45cf692d91ce37bf3acf7545dc5e979a30ab8832254",
+        "58937eb9a2032f0f361d28034efa33056214a5b8f94bd8afe9b72d7a63bc85e9",
     ),
     (1, 1): (
-        "1135941424400c6c3a90affda30550ec16c8de64c3e72a82e6c7b2d3a1b5cf9a",
-        "c8a79b50de76abf06547aca324cca4ae5e3c3c03144d6e879d3add54cd76ec81",
+        "17cb90eb9072617be91d3ee9141e704c02f270187dbcfc5fef959c858df5d109",
+        "66a15187760e8c5ecf7a71cd959c52b42d61e6527b12b40c5e34dbf98a620330",
     ),
 }
 
@@ -341,4 +343,5 @@ def test_golden_default_fraction_epochs(seed):
             outcome.final.block.block_hash,
             _latency_digest(outcome.consensus_latencies),
         ) == GOLDEN_EPOCHS[(seed, epoch)]
-    assert _fallback_reasons(ring.records)["byzantine-primary"] >= 1
+    assert _view_change_rows(ring.records) >= 1
+    assert not _fallbacks(ring.records)

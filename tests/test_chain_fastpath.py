@@ -5,12 +5,14 @@ fastpath must be
 
 * **byte-identical** where no approximation exists: formation (stages
   1-2, the kernel against the scalar pow/overlay reference), pre-draw
-  fallbacks (a lossy round drains the DES, a Byzantine-primary round
-  stops where ``PbftRound`` commits), and the DES itself after the
+  fallbacks (a lossy round drains the DES), and the DES itself after the
   RNG-buffer / address-scheme changes;
 * **distributionally indistinguishable** where the PBFT kernel block-draws
   its randomness: per-committee-size two-sample KS at alpha=0.01, every
-  round going through the one router ``run_pbft_rounds``;
+  round going through the one router ``run_pbft_rounds``; the rows whose
+  leading members are Byzantine (the kernel's view-change prelude) form
+  one family under Holm's correction at family-wise alpha=0.01, with the
+  DES emitting the same telemetry shape;
 * **PYTHONHASHSEED-independent** end to end (lint rule MV009's contract),
   checked in a subprocess.
 """
@@ -42,12 +44,12 @@ from repro.chain.overlay import run_overlay_configuration
 from repro.chain.params import ChainParams, NetworkParams
 from repro.chain.pbft import run_pbft_round
 from repro.chain.pow import committee_fill_times, committee_members, run_pow_election
-from repro.metrics.ks import ks_two_sample
+from repro.metrics.ks import holm, ks_two_sample
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import spawn_rng
-from tests.test_chain_fallback_replay import reference_until_commit
+from tests.pbft_oracle import reference_until_commit, replay_pbft_until_commit
 
 VERIFY_MEAN_S = 22.0
 
@@ -114,23 +116,94 @@ class TestKernelDistribution:
         assert outcome.latency == stages["commit-quorum"]
 
 
-class TestFallbacks:
-    def test_byzantine_primary_falls_back_byte_identical(self):
-        """The Byzantine-primary check consumes no randomness, so the
-        fallback replays from the identical stream position and commits
-        exactly when PbftRound stopped at the primary's commit does."""
-        seed = 7
-        members = spawn_nodes(count=8, byzantine_fraction=0.4, rng=spawn_rng(seed, "members"))
-        members[0].honest = False  # force a Byzantine view-0 primary
-        reference = reference_until_commit(
-            members, spawn_rng(seed, "round"), NetworkParams(), VERIFY_MEAN_S
-        )
-        fast = route(members, spawn_rng(seed, "round"))
-        assert reference.committed
-        assert fast.committed == reference.committed
-        assert fast.commit_time == reference.commit_time
-        assert fast.stage_times == reference.stage_times
+def silent_leaders(size, leaders, seed):
+    """An all-honest committee whose members at ``leaders`` are Byzantine."""
+    members = spawn_nodes(count=size, byzantine_fraction=0.0, rng=spawn_rng(seed, "members"))
+    for index in leaders:
+        members[index].honest = False
+    return members
 
+
+def view_change_sample(runner, size, leaders, seeds):
+    """``(commit time, new-view-1 time)`` per seed, one committed round each."""
+    sample = []
+    for seed in seeds:
+        outcome = runner(silent_leaders(size, leaders, seed), spawn_rng(seed, "round"))
+        assert outcome.committed
+        sample.append((outcome.commit_time, outcome.stage_times["new-view-1"]))
+    return np.array(sample)
+
+
+def des_until_commit(members, rng):
+    return reference_until_commit(members, rng, NetworkParams(), VERIFY_MEAN_S)
+
+
+def lean_until_commit(members, rng):
+    return replay_pbft_until_commit(members, rng, NetworkParams(), VERIFY_MEAN_S)
+
+
+#: The view-change family: ``(DES oracle, committee size, Byzantine
+#: leaders, rounds per side)``.  c = 8 runs ``PbftRound`` itself; c = 32
+#: runs the lean replay, byte-identical to it and pinned in
+#: ``tests/test_chain_fallback_replay.py``.
+VIEW_CHANGE_CELLS = [
+    (des_until_commit, 8, [0], 300),
+    (des_until_commit, 8, [0, 1], 300),
+    (lean_until_commit, 32, [0], 200),
+]
+
+
+class TestViewChangeRows:
+    def test_view_change_family_under_holm(self):
+        """Rounds whose view-0 primary (or view-0 and view-1 primaries) is
+        silent: the router's kernel rows against the DES, on the commit
+        time and the new-view-1 time.  Six two-sample KS tests share
+        family-wise alpha = 0.01 through Holm's step-down.  Seeds are
+        pinned and disjoint (DES 0..n-1, kernel 50_000..): at n = 300 per
+        side the family rejects a sup-CDF gap of about 0.15 (0.19 at
+        n = 200), well inside what a wrong view count or a missing NIC
+        horizon shifts."""
+        pvalues = []
+        for oracle, size, leaders, trials in VIEW_CHANGE_CELLS:
+            des = view_change_sample(oracle, size, leaders, range(trials))
+            fast = view_change_sample(route, size, leaders, range(50_000, 50_000 + trials))
+            for term in range(2):
+                pvalues.append(ks_two_sample(des[:, term], fast[:, term])[1])
+        assert not any(holm(pvalues, alpha=0.01)), pvalues
+
+    def test_rows_emit_the_des_telemetry_shape(self):
+        """A two-silent-leader round through the kernel emits what
+        PbftRound does -- a view-change event per view and one round span
+        with the view and the stage keys in the DES's order -- after the
+        kernel's chunk event, and no fallback."""
+        members = silent_leaders(8, [0, 1], seed=5)
+        des, fast = RingBufferSink(1024), RingBufferSink(1024)
+        reference_until_commit(
+            members, spawn_rng(5, "round"), NetworkParams(), VERIFY_MEAN_S,
+            round_tag="epoch0-committee3", telemetry=Telemetry(sinks=[des]),
+        )
+        route(
+            members, spawn_rng(5, "round"), tag="epoch0-committee3",
+            telemetry=Telemetry(sinks=[fast]),
+        )
+        chunks, *rows = fast.records
+        assert chunks["name"] == "chain.fastpath.chunks"
+        assert chunks["committees"] == chunks["view_change_rows"] == 1
+
+        def shape(record):
+            return (
+                record["type"], record["name"], record["tag"], record["view"],
+                sorted(record), list(record.get("stages", {})),
+            )
+
+        assert [shape(r) for r in rows] == [shape(r) for r in des.records]
+        assert [r["view"] for r in rows] == [1, 2, 2]
+        span = rows[-1]
+        assert span["stages"]["pre-prepare-sent"] == span["stages"]["new-view-2"] == rows[1]["at"]
+        assert span["t1"] == span["stages"]["commit-quorum"]
+
+
+class TestFallbacks:
     def test_lossy_network_falls_back_byte_identical(self):
         """A lossy round drains the whole DES under either engine."""
         seed = 11

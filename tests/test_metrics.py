@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import EpochInstance, MVComConfig
+from repro.metrics.ks import holm
 from repro.metrics.summary import summarize_schedule
 from repro.metrics.traces import (
     align_traces,
@@ -151,3 +152,25 @@ class TestTraces:
         assert stats["max"] == 4.0
         assert stats["iterations"] == 4
         assert stats["iters_to_99pct"] == 2
+
+
+class TestHolm:
+    def test_hand_worked_step_down(self):
+        """m = 4, alpha = 0.05: sorted p 0.005 <= 0.05/4 and 0.01 <= 0.05/3
+        are rejected; 0.03 > 0.05/2 stops the walk, so 0.04 stands."""
+        assert holm([0.01, 0.04, 0.03, 0.005], 0.05) == [True, False, False, True]
+
+    def test_step_down_rejects_more_than_bonferroni(self):
+        """0.001 <= 0.05/3, 0.02 <= 0.05/2, 0.04 <= 0.05/1: all three
+        rejected, where Bonferroni (0.05/3 each) rejects only 0.001."""
+        assert holm([0.02, 0.001, 0.04], 0.05) == [True, True, True]
+
+    def test_first_acceptance_stops_the_walk(self):
+        """0.012 <= 0.05/3 is rejected; 0.03 > 0.05/2 stops, so 0.04
+        stands although it is below its own threshold 0.05/1."""
+        assert holm([0.03, 0.012, 0.04], 0.05) == [False, True, False]
+
+    def test_empty_family_and_level_validation(self):
+        assert holm([], 0.01) == []
+        with pytest.raises(ValueError, match="alpha"):
+            holm([0.5], 0.0)
