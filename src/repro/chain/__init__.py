@@ -12,7 +12,7 @@ The layer boundaries match the paper's:
 * :mod:`repro.chain.pow`        -- stage 1, committee formation;
 * :mod:`repro.chain.overlay`    -- stage 2, overlay configuration;
 * :mod:`repro.chain.pbft`       -- stage 3, intra-committee consensus;
-* :mod:`repro.chain.committee`  -- committees and the one PBFT round router;
+* :mod:`repro.chain.committee`  -- committees (as arrays) and the one PBFT round router;
 * :mod:`repro.chain.fastpath`   -- the formation and PBFT kernels;
 * :mod:`repro.chain.final`      -- stage 4, final consensus (where MVCom plugs in);
 * :mod:`repro.chain.randomness` -- stage 5, epoch randomness;
@@ -23,7 +23,7 @@ The layer boundaries match the paper's:
 from repro.chain.params import ChainParams, NetworkParams
 from repro.chain.network import Network
 from repro.chain.node import Node, spawn_nodes
-from repro.chain.committee import Committee
+from repro.chain.committee import Committee, CommitteeArrays
 from repro.chain.blocks import FinalBlock, RootChain, ShardBlock
 from repro.chain.elastico import ElasticoSimulation, EpochOutcome
 from repro.chain.measurement import TwoPhaseMeasurement, measure_two_phase_latency
@@ -37,6 +37,7 @@ __all__ = [
     "Node",
     "spawn_nodes",
     "Committee",
+    "CommitteeArrays",
     "ShardBlock",
     "FinalBlock",
     "RootChain",

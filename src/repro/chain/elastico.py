@@ -24,14 +24,14 @@ One :meth:`ElasticoSimulation.run_epoch` call executes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.chain.blocks import RootChain
 from repro.chain.committee import (
-    Committee,
+    CommitteeArrays,
     assign_shard_workload,
     run_intra_consensus_streaming,
 )
@@ -57,18 +57,36 @@ class EpochOutcome:
 
     Submitted shards exist only as the final committee's crosslink arrays
     (``final.instance`` holds the ones that arrived inside the N_max
-    window); ``shards_submitted`` counts them all, and the latency dicts
-    keep each committee's two-phase components for Fig. 2-style
+    window); ``shards_submitted`` counts them all.  ``committees`` keeps
+    every formed committee as arrays (indexing it builds a
+    :class:`repro.chain.committee.Committee`), and the latency dicts read
+    each committee's two-phase components off them for Fig. 2-style
     measurement.
     """
 
     epoch: int
-    committees: List[Committee]
+    committees: CommitteeArrays
     shards_submitted: int
     final: Optional[FinalConsensusResult]
     randomness: str
-    formation_latencies: Dict[int, float] = field(default_factory=dict)
-    consensus_latencies: Dict[int, float] = field(default_factory=dict)
+
+    @property
+    def formation_latencies(self) -> Dict[int, float]:
+        """Committee id -> formation latency, for every formed committee."""
+        committees = self.committees
+        return dict(zip(committees.ids.tolist(), committees.formation_latency.tolist()))
+
+    @property
+    def consensus_latencies(self) -> Dict[int, float]:
+        """Committee id -> consensus latency, for every committee that committed."""
+        committees = self.committees
+        committed = ~np.isnan(committees.consensus_latency)
+        return dict(
+            zip(
+                committees.ids[committed].tolist(),
+                committees.consensus_latency[committed].tolist(),
+            )
+        )
 
 
 class ElasticoSimulation:
@@ -96,26 +114,30 @@ class ElasticoSimulation:
         self.chain = RootChain()
         self.randomness = GENESIS_RANDOMNESS
         self.epoch = 0
-        # Per-deployment lookups, fixed across epochs (nodes never churn
-        # inside one ElasticoSimulation).
-        self._nodes_by_id = {node.node_id: node for node in self.nodes}
+        # Per-node arrays, fixed across epochs (nodes never churn or change
+        # inside one ElasticoSimulation): formation reads the solve scales
+        # and hash suffixes, every epoch's committees index the rest.
         self._solve_scales = np.array(
             [params.pow_mean_solve_s / node.hash_power for node in self.nodes]
         )
-        self._node_id_array = np.array([node.node_id for node in self.nodes])
-        self._hash_suffixes = committee_hash_suffixes(self._node_id_array)
+        self._hash_suffixes = committee_hash_suffixes([node.node_id for node in self.nodes])
+        self._honest = np.array([node.honest for node in self.nodes], dtype=bool)
+        self._verify_speeds = np.array([node.verify_speed for node in self.nodes])
 
     # ------------------------------------------------------------------ #
-    def form_committees(self, rng: np.random.Generator) -> List[Committee]:
+    def form_committees(self, rng: np.random.Generator) -> CommitteeArrays:
         """Stages 1-2: PoW election + overlay configuration.
 
         Both chain engines run the vectorized formation kernel, which
         draws the RNG stream exactly as the scalar reference
         (:mod:`repro.chain.pow` + :mod:`repro.chain.overlay`) does and
-        forms byte-identical committees.
+        forms byte-identical committees.  Its ``(K, c)`` member matrix
+        indexes the deployment's per-node arrays directly, so no
+        per-committee member list is built; ``len`` of the result is the
+        number of committees formed.
         """
         params = self.params
-        fills, members, overlay_times = formation_kernel(
+        formed = formation_kernel(
             nodes=self.nodes,
             num_committees=params.num_committees,
             committee_size=params.committee_size,
@@ -124,23 +146,18 @@ class ElasticoSimulation:
             registration_rate=params.identity_registration_rate,
             rng=rng,
             solve_scales=self._solve_scales,
-            node_ids=self._node_id_array,
             max_batch_bytes=params.max_batch_bytes,
             hash_suffixes=self._hash_suffixes,
         )
-        nodes_by_id = self._nodes_by_id
-        committees = []
-        for committee_id, node_ids in sorted(members.items()):
-            formation = max(fills[committee_id], overlay_times[committee_id])
-            committees.append(
-                Committee(
-                    committee_id=committee_id,
-                    epoch=self.epoch,
-                    members=[nodes_by_id[node_id] for node_id in node_ids],
-                    formation_latency=float(formation),
-                )
-            )
-        return committees
+        return CommitteeArrays(
+            epoch=self.epoch,
+            ids=formed.ids,
+            members=formed.members,
+            nodes=self.nodes,
+            honest=self._honest,
+            verify_speed=self._verify_speeds,
+            formation_latency=np.maximum(formed.fills, formed.overlay),
+        )
 
     @isolated_streams
     def run_epoch(
@@ -165,7 +182,7 @@ class ElasticoSimulation:
             from repro.chain.mempool import assign_to_committees
 
             shard_assignment = assign_to_committees(mempool, self.params.num_committees)
-            shard_tx_counts = [len(shard_assignment[c.committee_id]) for c in committees]
+            shard_tx_counts = [len(shard_assignment[cid]) for cid in committees.ids.tolist()]
         elif shard_tx_counts is None:
             # Default synthetic workload: ~1.3 blocks of ~1088 TXs per committee.
             shard_tx_counts = rng.poisson(1400, size=len(committees))
@@ -223,12 +240,6 @@ class ElasticoSimulation:
             shards_submitted=submitted,
             final=final_result,
             randomness=self.randomness,
-            formation_latencies={c.committee_id: c.formation_latency for c in committees},
-            consensus_latencies={
-                c.committee_id: c.consensus_latency
-                for c in committees
-                if c.consensus_latency is not None
-            },
         )
         if self.telemetry.enabled:
             self.telemetry.event(

@@ -681,6 +681,20 @@ def _registration_queue(arrivals: np.ndarray, service: float) -> np.ndarray:
         starts = exact
 
 
+class Formation(NamedTuple):
+    """What :func:`formation_kernel` returns: one row per filled committee,
+    in ascending committee index."""
+
+    #: ``(K,)`` committee indices.
+    ids: np.ndarray
+    #: ``(K, c)`` member positions in ``nodes``, in directory arrival order.
+    members: np.ndarray
+    #: ``(K,)`` fill times: each committee's ``c``-th solve.
+    fills: np.ndarray
+    #: ``(K,)`` overlay-completion times: last registration plus gossip.
+    overlay: np.ndarray
+
+
 def formation_kernel(
     nodes: Sequence[Node],
     num_committees: int,
@@ -691,15 +705,14 @@ def formation_kernel(
     rng: np.random.Generator,
     gossip_delay_mean: float = 4.0,
     solve_scales: Optional[np.ndarray] = None,
-    node_ids: Optional[np.ndarray] = None,
     max_batch_bytes: Optional[int] = None,
     hash_suffixes: Optional[Sequence[bytes]] = None,
-) -> Tuple[Dict[int, float], Dict[int, List[int]], Dict[int, float]]:
+) -> Formation:
     """Vectorized stages 1-2, byte-identical to the reference path.
 
-    Returns ``(fill_times, members, overlay_times)`` matching
+    Returns a :class:`Formation` whose rows equal
     :func:`repro.chain.pow.committee_fill_times`,
-    :func:`repro.chain.pow.committee_members` and
+    :func:`repro.chain.pow.committee_members` (as node positions) and
     :func:`repro.chain.overlay.run_overlay_configuration` exactly: the
     solve-time block draw and the gossip block draw consume the RNG
     stream in the same order as the scalar reference loops.  Both block
@@ -710,10 +723,14 @@ def formation_kernel(
     each node once -- the epoch randomness bytes plus the node's cached
     ``b":<id>"`` suffix -- and reduces the joined digest prefixes in one
     numpy pass; it equals :func:`repro.chain.pow._committee_of` node for
-    node and draws nothing.
+    node and draws nothing.  The indices are held in the smallest
+    unsigned dtype that fits ``num_committees - 1``, so the stable
+    grouping sort takes numpy's radix path (the same permutation as an
+    ``int64`` sort), and each committee's first ``c`` arrivals are read
+    off the grouped order with segment offsets, not a per-committee loop.
 
-    ``solve_scales`` / ``node_ids`` / ``hash_suffixes`` are optional
-    precomputed per-node values (``mean_solve_s / hash_power``, ids and
+    ``solve_scales`` / ``hash_suffixes`` are optional precomputed
+    per-node values (``mean_solve_s / hash_power`` and
     :func:`committee_hash_suffixes`, in ``nodes`` order) -- they are fixed
     for the lifetime of a deployment, so multi-epoch callers cache them
     instead of rebuilding them per epoch.
@@ -730,15 +747,13 @@ def formation_kernel(
         if solve_scales is None
         else solve_scales
     )
-    if node_ids is None:
-        node_ids = np.array([node.node_id for node in nodes])
     if hash_suffixes is None:
-        hash_suffixes = committee_hash_suffixes(node_ids)
+        hash_suffixes = committee_hash_suffixes([node.node_id for node in nodes])
     randomness = epoch_randomness.encode("utf-8")
     n = scales.shape[0]
     step = max(1, min(n, formation_chunk_rows(max_batch_bytes)))
     times = np.empty(n)
-    assigned = np.empty(n, dtype=np.int64)
+    assigned = np.empty(n, dtype=np.min_scalar_type(num_committees - 1))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         times[lo:hi] = rng.exponential(scales[lo:hi])
@@ -749,37 +764,23 @@ def formation_kernel(
     # Directory arrival order (stable, like the reference's list sort).
     order = np.argsort(times, kind="stable")
     t_sorted = times[order]
-    ids_sorted = node_ids[order]
     comm_sorted = assigned[order]
 
     ready_sorted = _registration_queue(t_sorted, 1.0 / registration_rate)
 
-    # Group arrivals by committee, keeping arrival order inside groups.
+    # Group arrivals by committee, keeping arrival order inside groups; a
+    # committee with at least ``committee_size`` arrivals fills with its
+    # first ``committee_size`` (the others never fill this epoch).
     group_order = np.argsort(comm_sorted, kind="stable")
-    grouped = comm_sorted[group_order]
-    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-    ends = np.r_[starts[1:], grouped.size]
+    counts = np.bincount(comm_sorted, minlength=num_committees)
+    ids = np.flatnonzero(counts >= committee_size)
+    starts = (np.cumsum(counts) - counts)[ids]
+    rows = group_order[starts[:, None] + np.arange(committee_size)]
+    last_ready = ready_sorted[rows].max(axis=1)
 
-    fills: Dict[int, float] = {}
-    members: Dict[int, List[int]] = {}
-    last_ready: List[float] = []
-    for start, end in zip(starts, ends):
-        if end - start < committee_size:
-            continue  # this committee never fills this epoch
-        rows = group_order[start : start + committee_size]
-        committee_index = int(grouped[start])
-        fills[committee_index] = float(t_sorted[rows[-1]])
-        members[committee_index] = ids_sorted[rows].tolist()
-        last_ready.append(float(ready_sorted[rows].max()))
-
-    # One gossip delay per filled committee, in committee-index order --
-    # grouped indices are already ascending, matching the reference dict.
-    gossip = np.empty(len(members))
-    for lo in range(0, len(members), step):
-        hi = min(lo + step, len(members))
+    # One gossip delay per filled committee, in committee-index order.
+    gossip = np.empty(len(ids))
+    for lo in range(0, len(ids), step):
+        hi = min(lo + step, len(ids))
         gossip[lo:hi] = rng.exponential(gossip_delay_mean, size=hi - lo)
-    overlay = {
-        committee_index: last + float(g)
-        for (committee_index, last), g in zip(zip(members.keys(), last_ready), gossip)
-    }
-    return fills, members, overlay
+    return Formation(ids, order[rows], t_sorted[rows[:, -1]], last_ready + gossip)

@@ -2,12 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.chain.committee import Committee, assign_shard_workload, calibrated_verify_mean
+from repro.chain import committee as committee_module
+from repro.chain.committee import (
+    Committee,
+    CommitteeArrays,
+    assign_shard_workload,
+    calibrated_verify_mean,
+    quorum_and_stack,
+)
 from repro.chain.elastico import ElasticoSimulation
 from repro.chain.final import take_everything
 from repro.chain.measurement import linear_growth_check, measure_two_phase_latency
-from repro.chain.node import spawn_nodes
+from repro.chain.node import Node, spawn_nodes
 from repro.chain.params import ChainParams
 from repro.chain.pbft import run_pbft_round
 from repro.core.problem import MVComConfig
@@ -61,7 +70,7 @@ class TestCommittee:
 
     def test_workload_assignment(self):
         nodes = spawn_nodes(8, 0.0, np.random.default_rng(0))
-        committees = [Committee(i, 0, nodes) for i in range(3)]
+        committees = CommitteeArrays.of([Committee(i, 0, nodes) for i in range(3)])
         assign_shard_workload(committees, [10, 20, 30])
         assert [c.shard_tx_count for c in committees] == [10, 20, 30]
         with pytest.raises(ValueError):
@@ -73,6 +82,77 @@ class TestCommittee:
     def test_empty_committee_rejected(self):
         with pytest.raises(ValueError):
             Committee(committee_id=0, epoch=0, members=[])
+
+
+@st.composite
+def silent_patterns(draw):
+    """Committees of one size in 4..40, each with a random set of silent members."""
+    size = draw(st.integers(4, 40))
+    count = draw(st.integers(1, 8))
+    return size, [draw(st.sets(st.integers(0, size - 1), max_size=size)) for _ in range(count)]
+
+
+class TestCommitteeArrays:
+    """The router's array quorum filter and stack order against the
+    ``Committee`` path they replaced, and the objects an epoch builds."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pattern=silent_patterns(), data=st.data())
+    @example(pattern=(8, [{5, 6, 7}, {0, 6, 7}, {0, 1, 2, 3}]), data=None)
+    @example(pattern=(9, [{0}, {1, 2, 3, 4}, {0, 1, 2, 3, 4}]), data=None)
+    @example(pattern=(40, [set(range(13)), set(range(14)), {0, 39}]), data=None)
+    def test_filter_and_stack_match_the_committee_path(self, pattern, data):
+        size, silent = pattern
+        committees = [
+            Committee(
+                committee_id=k, epoch=0,
+                members=[Node(node_id=k * size + i, hash_power=1.0, honest=i not in quiet)
+                         for i in range(size)],
+            )
+            for k, quiet in enumerate(silent)
+        ]
+        # The epoch's layout: members are positions in a shared, shuffled node pool.
+        flat = [node for committee in committees for node in committee.members]
+        shuffle = list(range(len(flat))) if data is None else data.draw(st.permutations(range(len(flat))))
+        pool = [flat[i] for i in shuffle]
+        position = {node.node_id: p for p, node in enumerate(pool)}
+        arrays = CommitteeArrays(
+            epoch=0,
+            ids=np.arange(len(committees)),
+            members=np.array([[position[n.node_id] for n in c.members] for c in committees]),
+            nodes=pool,
+            honest=np.array([node.honest for node in pool]),
+            verify_speed=np.ones(len(pool)),
+        )
+        reachable = [committee.can_reach_quorum for committee in committees]
+        expected_stack = sorted(
+            (k for k in range(len(committees)) if reachable[k]),
+            key=lambda k: not committees[k].members[0].honest,
+        )
+        for packed in (arrays, CommitteeArrays.of(committees)):
+            quorum, stack = quorum_and_stack(packed.honest[packed.members])
+            assert quorum.tolist() == reachable
+            assert stack.tolist() == expected_stack
+            assert [c.members for c in packed] == [c.members for c in committees]
+
+    def test_fastpath_epoch_builds_only_the_final_seat(self, monkeypatch):
+        """A loss-free fastpath epoch runs every member committee off the
+        arrays: the one ``Committee`` it builds is the final seat."""
+        built = [0]
+        original = committee_module.Committee.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(committee_module.Committee, "__init__", counting)
+        params = ChainParams(num_nodes=480, committee_size=8, seed=5,
+                             byzantine_fraction=0.2, chain_engine="fastpath")
+        outcome = ElasticoSimulation(params).run_epoch()
+        assert len(outcome.committees) > 1 and outcome.final is not None
+        assert built[0] == 1
+        assert outcome.committees[0].committee_id == outcome.committees.ids[0]
+        assert built[0] == 2  # an outcome reader builds the one it asks for
 
 
 class TestEpoch:
@@ -145,7 +225,10 @@ class TestQuorumInEpoch:
                              byzantine_fraction=0.2, chain_engine=engine)
         outcome = ElasticoSimulation(params).run_epoch()
         members = outcome.committees[:-1]
-        submitted = [c for c in members if c.byzantine_count == 3 and c.consensus_latency is not None]
+        submitted = [
+            c for c in members
+            if sum(not node.honest for node in c.members) == 3 and c.consensus_latency is not None
+        ]
         assert submitted
         assert all(c.consensus_latency is None for c in members if not c.can_reach_quorum)
 

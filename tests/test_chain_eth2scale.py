@@ -51,6 +51,7 @@ from repro.harness.presets import PRESETS
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 from repro.sim.rng import spawn_rng
+from tests.test_chain_fastpath import formation_dicts
 
 
 def _committee_stack(num_committees, size, seed=0):
@@ -167,6 +168,7 @@ class TestChunkedKernelByteIdentity:
                 nodes, 60, 8, 600.0, "genesis", 0.5, rng, max_batch_bytes=budget
             )
             probe = rng.random()
+            result = formation_dicts(result, nodes)
             if base is None:
                 base = (result, probe)
                 continue
@@ -318,15 +320,15 @@ class TestFormationHashing:
 
         nodes = spawn_nodes(count=480, byzantine_fraction=0.1, rng=spawn_rng(3, "nodes"))
         solutions = run_pow_election(nodes, 60, 600.0, "genesis", spawn_rng(3, "form"))
-        _, members, _ = formation_kernel(
-            nodes, 60, 8, 600.0, "genesis", 0.5, spawn_rng(3, "form")
+        _, members, _ = formation_dicts(
+            formation_kernel(nodes, 60, 8, 600.0, "genesis", 0.5, spawn_rng(3, "form")), nodes
         )
         assert members == committee_members(solutions, 60, 8)
         cached = formation_kernel(
             nodes, 60, 8, 600.0, "genesis", 0.5, spawn_rng(3, "form"),
             hash_suffixes=committee_hash_suffixes([node.node_id for node in nodes]),
         )
-        assert cached[1] == members
+        assert formation_dicts(cached, nodes)[1] == members
         assert all(type(node_id) is int for group in members.values() for node_id in group)
 
 

@@ -325,6 +325,19 @@ class TestBatchedRounds:
         assert not rejected
 
 
+def formation_dicts(formed, nodes):
+    """A ``formation_kernel`` result as the reference's ``(fills, members,
+    overlay)`` dicts: committee index -> fill time, member node ids and
+    overlay-completion time."""
+    ids = formed.ids.tolist()
+    members = [[nodes[i].node_id for i in row] for row in formed.members.tolist()]
+    return (
+        dict(zip(ids, formed.fills.tolist())),
+        dict(zip(ids, members)),
+        dict(zip(ids, formed.overlay.tolist())),
+    )
+
+
 def _reference_formation(sim, rng):
     """Stages 1-2 through the scalar reference: pow election, fill times,
     members and the overlay's serial registration queue."""
@@ -341,12 +354,15 @@ def _reference_formation(sim, rng):
 
 
 #: Formation shapes: the 240-node epochs, the 480-node golden shape whose
-#: registration queue backs up, and the byzantine-fallback deployment size.
+#: registration queue backs up, the byzantine-fallback deployment size and
+#: one with more than 256 committees.
 FORMATION_SHAPES = [
     ChainParams(num_nodes=240, committee_size=8, seed=5),
     ChainParams(num_nodes=240, committee_size=8, seed=9),
     ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2),
     ChainParams(num_nodes=32_768, committee_size=128, seed=0),
+    # 512 committees: the grouping sort runs on uint16 indices.
+    ChainParams(num_nodes=4096, committee_size=8, seed=3),
 ]
 
 
@@ -366,7 +382,7 @@ class TestFormationByteIdentity:
                 params.identity_registration_rate,
                 sim.streams.fork("epoch-0").get("epoch"),
             )
-            assert kernel == (fills, members, overlay), params
+            assert formation_dicts(kernel, sim.nodes) == (fills, members, overlay), params
 
     def test_registration_queue_matches_sequential_sums(self):
         """At 32,768 nodes the directory queue is one busy period; the
