@@ -1,7 +1,10 @@
-"""SE execution-engine bench: the production ``vectorized`` race kernel
-against the ``serial`` reference loop, at Γ=1 and at Γ=25.
+"""SE race bench: the production ``vectorized`` race kernel against the
+``serial`` reference loop, at Γ=1 and at Γ=25.
 
-Two claims from the engine layer (:mod:`repro.core.engine`):
+The serial loop is the test oracle (``tests/serial_oracle.py``); each
+solve here races on the engine its name selects through the oracle's
+``racing`` swap, as the parity tests do.  Two claims from the race kernel
+(:mod:`repro.core.engine`):
 
 * ``vectorized`` batches the race kernel into numpy array ops; its
   single-replica round throughput must beat serial by a wide margin on
@@ -23,12 +26,15 @@ import time
 from repro.core.se import SEConfig, StochasticExploration
 from repro.data.workload import WorkloadConfig, generate_epoch_workload
 
+from tests.serial_oracle import racing
 
-def _timed_solve(instance, **config_kwargs):
+
+def _timed_solve(instance, engine, **config_kwargs):
     solver = StochasticExploration(SEConfig(**config_kwargs))
-    started = time.perf_counter()
-    result = solver.solve(instance)
-    return result, time.perf_counter() - started
+    with racing(engine):
+        started = time.perf_counter()
+        result = solver.solve(instance)
+        return result, time.perf_counter() - started
 
 
 def test_engine_bench(perf_recorder):
@@ -47,15 +53,15 @@ def test_engine_bench(perf_recorder):
     # Warm both paths (allocator, numpy dispatch) before the timed solves.
     for engine in ("serial", "vectorized"):
         _timed_solve(
-            vec_workload.instance, engine=engine, num_threads=1,
+            vec_workload.instance, engine, num_threads=1,
             max_iterations=200, convergence_window=10 ** 6, seed=1,
             max_solution_threads=None,
         )
     vserial_res, vserial_wall = _timed_solve(
-        vec_workload.instance, engine="serial", **vec_kwargs
+        vec_workload.instance, "serial", **vec_kwargs
     )
     vector_res, vector_wall = _timed_solve(
-        vec_workload.instance, engine="vectorized", **vec_kwargs
+        vec_workload.instance, "vectorized", **vec_kwargs
     )
     serial_rounds_per_s = vserial_res.iterations / vserial_wall
     vector_rounds_per_s = vector_res.iterations / vector_wall
@@ -79,15 +85,15 @@ def test_engine_bench(perf_recorder):
     )
     for engine, iters in (("serial", 60), ("vectorized", 200)):
         _timed_solve(
-            vec_workload.instance, engine=engine, max_iterations=iters,
+            vec_workload.instance, engine, max_iterations=iters,
             **batched_kwargs,
         )
     bserial_res, bserial_wall = _timed_solve(
-        vec_workload.instance, engine="serial", max_iterations=600,
+        vec_workload.instance, "serial", max_iterations=600,
         **batched_kwargs,
     )
     batched_res, batched_wall = _timed_solve(
-        vec_workload.instance, engine="vectorized", max_iterations=4_000,
+        vec_workload.instance, "vectorized", max_iterations=4_000,
         **batched_kwargs,
     )
     bserial_rounds_per_s = bserial_res.iterations / bserial_wall

@@ -14,12 +14,18 @@ iteration counts, and the converged-utility statistics from
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parent.parent
+# Benches that race the serial test oracle import it as ``tests.serial_oracle``.
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
 #: Repo-root perf log written by :func:`pytest_sessionfinish`.
-BENCH_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_se_convergence.json"
+BENCH_RECORD_PATH = ROOT / "BENCH_se_convergence.json"
 
 _PERF_RECORDS = {}
 

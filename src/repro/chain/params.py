@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: chain substrate execution engines (mirrors ``repro.core.engine.ENGINE_NAMES``)
+#: chain substrate execution engines (``ChainParams.chain_engine``)
 CHAIN_ENGINE_NAMES = ("des", "fastpath")
 
 

@@ -9,8 +9,8 @@
 * :mod:`repro.core.timers` -- exponential timer sampling (eq. 8), log-space.
 * :mod:`repro.core.se` -- the online distributed Stochastic-Exploration
   algorithm (Algs. 1-3, Section IV-D).
-* :mod:`repro.core.engine` -- pluggable SE execution engines: serial
-  reference and the batched vectorized kernel.
+* :mod:`repro.core.engine` -- the batched SE race kernel (the serial
+  reference loop is the test oracle, ``tests/serial_oracle.py``).
 * :mod:`repro.core.dynamics` -- committee join/leave/failure event handling.
 * :mod:`repro.core.failure` -- Section V analysis (Lemma 4, Theorem 2).
 * :mod:`repro.core.exact` -- exact solvers used as ground truth in tests.

@@ -1,45 +1,31 @@
-"""Execution engines for the Stochastic-Exploration race (Alg. 1).
+"""The Stochastic-Exploration race kernel (Alg. 1).
 
 :class:`repro.core.se.StochasticExploration` owns the algorithm; this module
-owns *how fast it runs*.  Two engines share one driver
-(:class:`_EngineRun`) that keeps everything observable on the calling
-thread — bootstrap, dynamic events (Alg. 1 lines 9-12), probes, telemetry,
-the :class:`~repro.core.convergence.ConvergenceDetector` and the incumbent
-λ — so rule MV007 and the faultinject probe contract hold for every engine.
-The paper's Γ "parallel threads" are Γ independent chains aiming at one
-Gibbs target, not an OS-parallelism requirement, so both engines run them
-in one process:
+owns *how fast it runs*.  One driver (:class:`_EngineRun`) keeps everything
+observable on the calling thread — bootstrap, dynamic events (Alg. 1 lines
+9-12), probes, telemetry, the convergence detector and the incumbent λ —
+so rule MV007 and the faultinject probe contract hold, and one race
+function advances the population between event boundaries.  The paper's Γ
+"parallel threads" are Γ independent chains aiming at one Gibbs target,
+not an OS-parallelism requirement, so the kernel runs them in one process.
 
-``vectorized`` (the :class:`~repro.core.se.SEConfig` default)
-    The production engine, a fully-batched Γ×thread race kernel: **one**
-    numpy race covers every replica's racing threads simultaneously.  Each
-    round draws all racing threads' swap pairs and Exp(1) variates in one
-    block from the named ``"vectorized-race"`` stream, evaluates eq. (8) as
-    array ops over the whole population, finds each replica's minimum armed
-    timer by a segmented (inf-padded rectangular) argmin — no per-replica
-    Python loop — and applies all fires at once (one fire per replica
-    touches disjoint rows, so the batch is exact).  It consumes randomness
-    in a different order than the scalar engine, so it is validated
-    *distributionally* (χ²/KS tests in ``tests/test_core_engines.py``), not
-    byte-wise.
+:func:`run_vectorized` is a fully-batched Γ×thread race: **one** numpy race
+covers every replica's racing threads simultaneously.  Each round draws
+all racing threads' swap pairs and Exp(1) variates in one block from the
+named ``"vectorized-race"`` stream, evaluates eq. (8) as array ops over the
+whole population, finds each replica's minimum armed timer by a segmented
+(inf-padded rectangular) argmin — no per-replica Python loop — and applies
+all fires at once (one fire per replica touches disjoint rows, so the
+batch is exact).  It consumes randomness in a different order than the
+scalar reference loop it replaced, which the tests keep as their oracle
+(``tests/serial_oracle.py``), so it is validated *distributionally*
+(χ²/KS tests in ``tests/test_core_engines.py``), not byte-wise.
 
-``serial``
-    The reference scalar loop (the pre-engine ``solve`` body, verbatim),
-    run only when named.  Golden tests pin it unchanged; it is the oracle
-    for the batched kernel.  Its race state is one executor object
-    (:class:`_Replica`) per replica holding one :class:`_SolutionThread`
-    per row, built from the population's mask matrix and written back into
-    it at every dynamic-event boundary and at the end of the solve.  The
-    objects stay cached on the population until something else writes its
-    rows, so a zero-drift warm hand-off, or an event batch that left the
-    instance unchanged, races on with each thread's swap-pair slot order
-    intact.
-
-Vectorized stream layout (the engine's own named streams, independent of
-the per-replica scalar streams).  ``T`` counts racing threads **across all
-Γ replicas** in replica-major, cardinality-minor order.  The main
-``"vectorized-race"`` stream is read in blocks of ``R`` rounds
-(:meth:`_VectorState.start_block`), two draws per block:
+Stream layout (the kernel's own named streams, independent of the
+per-thread scalar streams the oracle draws from).  ``T`` counts racing
+threads **across all Γ replicas** in replica-major, cardinality-minor
+order.  The main ``"vectorized-race"`` stream is read in blocks of ``R``
+rounds (:meth:`_VectorState.start_block`), two draws per block:
 
 1. an ``(R, T, 2)`` uniform tensor — ``[r, t, 0]`` is thread ``t``'s
    lane-0 out-index draw in round ``r`` of the block, ``[r, t, 1]`` its
@@ -60,13 +46,12 @@ remaining ``pair_tries - 1`` candidate pairs from the separate
 ``"vectorized-race-retry"`` stream — one ``(rejected, pair_tries - 1, 2)``
 block per round, first feasible lane wins, budget-exhausted rows park — so
 the common case (ample slack) pays 3 uniforms per thread-round instead of
-the scalar engine's up-to-33.  The retry block's size is a function of
+the scalar loop's up-to-33.  The retry block's size is a function of
 the trajectory, which is a function of the seeds alone.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -74,20 +59,16 @@ import numpy as np
 from repro.core.convergence import ConvergenceDetector
 from repro.core.dynamics import CommitteeEvent, DynamicSchedule
 from repro.core.problem import EpochInstance
-from repro.core.repair import RowRepair, greedy_improve
-from repro.core.se import (  # ENGINE_NAMES re-exported for callers of this module
-    ENGINE_NAMES,
+from repro.core.repair import greedy_improve
+from repro.core.se import (
     InfeasibleEpochError,
-    SEConfig,
     SEResult,
     SEWarmState,
     StochasticExploration,
     _Population,
-    _row_solution,
-    _ThreadRng,
 )
 from repro.core.solution import Solution
-from repro.core.timers import LOG_DURATION_MAX, LOG_DURATION_MIN, clamped_exp
+from repro.core.timers import LOG_DURATION_MAX, LOG_DURATION_MIN
 from repro.obs.telemetry import NullTelemetry
 from repro.sim.rng import RandomStreams
 
@@ -96,12 +77,12 @@ from repro.sim.rng import RandomStreams
 # shared driver state
 # ------------------------------------------------------------------ #
 class _EngineRun:
-    """Driver-side bookkeeping shared by all engines.
+    """Driver-side bookkeeping around the race.
 
     Owns exactly the state the pre-engine ``solve`` loop kept on its stack:
     the named streams, the replica population, the incumbent, traces,
-    detector and applied events.  Engines differ only in how they advance
-    the population between event boundaries.
+    detector and applied events.  The race function only advances the
+    population between event boundaries.
     """
 
     def __init__(
@@ -209,8 +190,8 @@ class _EngineRun:
     def apply_due_events(self, iteration: int) -> None:
         """Alg. 1 lines 9-12 at a boundary where :meth:`events_due` holds.
 
-        Works on the population's rows: engines hand their raced state
-        back to them before calling this and rebuild it afterwards.
+        Works on the population's rows: the race hands its raced state
+        back to them before calling this and rebuilds it afterwards.
         """
         fired_events = self.schedule.due(iteration)
         solver = self.solver
@@ -248,7 +229,7 @@ class _EngineRun:
         """Trace/telemetry/convergence tail of one race round.
 
         Returns True when the run is converged *and* the schedule is
-        exhausted — the loop-break condition of the serial engine.
+        exhausted — the race's loop-break condition.
         """
         self.iterations = iteration + 1
         self.utility_trace.append(self.best.utility)
@@ -334,9 +315,9 @@ def _emit_transitions(
 ) -> None:
     """One columnar ``se.transition`` record for a race round's fires.
 
-    Both engines emit through here, so their records carry the same
-    columns in the same dtypes: row ``k`` is the ``k``-th fire of round
-    ``iteration``, in ascending replica order.
+    The kernel and the serial test oracle emit through here, so their
+    records carry the same columns in the same dtypes: row ``k`` is the
+    ``k``-th fire of round ``iteration``, in ascending replica order.
     """
     count = len(replica)
     telemetry.event_rows(
@@ -352,289 +333,7 @@ def _emit_transitions(
 
 
 # ------------------------------------------------------------------ #
-# serial engine (reference)
-# ------------------------------------------------------------------ #
-# A thread's armed timer is the tuple (log_duration, index_out, index_in);
-# plain tuples keep the race's per-round allocation cost negligible.
-class _SolutionThread:
-    """One solution thread :math:`f_n` (state machine of Fig. 6)."""
-
-    __slots__ = ("cardinality", "rng", "config", "solution", "timer", "active", "sel", "unsel", "loc", "last_swap")
-
-    def __init__(self, cardinality: int, thread_rng: _ThreadRng, config: SEConfig) -> None:
-        self.cardinality = cardinality
-        self.rng = thread_rng
-        self.config = config
-        self.solution: Optional[Solution] = None
-        self.timer: Optional[tuple] = None
-        self.active = False
-        # Index bookkeeping for O(1) uniform pair sampling: ``sel``/``unsel``
-        # list the selected/unselected positions and ``loc[p]`` is position
-        # p's slot in whichever list currently holds it.
-        self.sel: list = []
-        self.unsel: list = []
-        self.loc: list = []
-        self.last_swap: Optional[tuple] = None
-
-    def set_solution(self, solution: Optional[Solution]) -> None:
-        """Install a solution and rebuild the pair-sampling index lists.
-
-        Vectorised: ``flatnonzero`` yields the same ascending position
-        order the original scalar scan produced, so serial trajectories
-        (which draw pairs by list slot) are byte-identical either way.
-        This runs Γ×T times whenever the serial engine builds its threads
-        from the population's rows.
-        """
-        self.solution = solution
-        self.timer = None
-        if solution is None:
-            self.sel, self.unsel, self.loc = [], [], []
-            self.active = False
-            return
-        mask = solution.mask
-        sel_arr = np.flatnonzero(mask)
-        unsel_arr = np.flatnonzero(~mask)
-        loc = np.empty(mask.size, dtype=np.int64)
-        loc[sel_arr] = np.arange(sel_arr.size)
-        loc[unsel_arr] = np.arange(unsel_arr.size)
-        self.sel = sel_arr.tolist()
-        self.unsel = unsel_arr.tolist()
-        self.loc = loc.tolist()
-        self.active = True
-
-    # -------------------------------------------------------------- #
-    # Alg. 3: Set-timer()
-    # -------------------------------------------------------------- #
-    def set_timer(self) -> None:
-        """Choose a random swap pair and arm an exponential timer (eq. 8).
-
-        Pairs whose swap would violate the capacity are rejected and
-        redrawn; if no feasible pair surfaces within the retry budget the
-        thread parks (no timer) until the next RESET re-arms it.
-
-        Hot path: the pair is drawn uniformly from the maintained
-        selected/unselected index lists (two draws, no rejection against
-        the mask) and scalar reads go through the instance's plain-list
-        mirrors.
-        """
-        self.timer = None
-        solution = self.solution
-        if not self.active or solution is None:
-            return
-        sel, unsel = self.sel, self.unsel
-        len_sel, len_unsel = len(sel), len(unsel)
-        if len_sel == 0 or len_unsel == 0:
-            return
-        uniform = self.rng.uniform
-        instance = solution.instance
-        slack = instance.capacity - solution.weight
-        tx_counts = instance.tx_counts_list
-        values = instance.values_list
-        half_beta = 0.5 * self.config.beta
-        log_mean_base = self.config.tau - math.log(len_unsel)
-        for _ in range(self.config.pair_tries):
-            index_out = sel[int(uniform() * len_sel)]
-            index_in = unsel[int(uniform() * len_unsel)]
-            if tx_counts[index_in] - tx_counts[index_out] > slack:
-                continue
-            delta = values[index_in] - values[index_out]
-            # log T = log(mean) + log(Exp(1) sample), computed stably
-            # (log_timer_mean inlined: tau - beta/2*delta - log(open)).
-            log_exp1 = math.log(max(-math.log1p(-uniform()), 1e-300))
-            self.timer = (log_mean_base - half_beta * delta + log_exp1, index_out, index_in)
-            return
-
-    # -------------------------------------------------------------- #
-    # Alg. 1: State Transit
-    # -------------------------------------------------------------- #
-    def fire(self) -> None:
-        """Apply the armed swap: :math:`x_{\\tilde i} \\to 0`, :math:`x_{\\ddot i} \\to 1`."""
-        if self.timer is None or self.solution is None:
-            raise RuntimeError("fire() called with no armed timer")
-        _, index_out, index_in = self.timer
-        self.solution.swap(index_out, index_in)
-        # Keep the pair-sampling lists in sync: out joins unsel in in's old
-        # slot; in joins sel in out's old slot.
-        loc = self.loc
-        slot_out, slot_in = loc[index_out], loc[index_in]
-        self.sel[slot_out] = index_in
-        self.unsel[slot_in] = index_out
-        loc[index_in], loc[index_out] = slot_out, slot_in
-        self.last_swap = (index_out, index_in)
-        self.timer = None
-
-
-class _Replica:
-    """One executor hosting the full solution-thread family (Fig. 5).
-
-    ``replica_id`` is the executor's stable identity (the population's
-    ``replica_ids`` entry): every named stream the replica consumes is keyed
-    by it, never by its position in a list — so the Γ replicas stay
-    independent regardless of iteration order (the premise behind Fig. 8).
-    """
-
-    __slots__ = ("replica_id", "threads", "virtual_time", "current_utility")
-
-    def __init__(self, replica_id: int, threads: List[_SolutionThread]) -> None:
-        self.replica_id = replica_id
-        self.threads = threads
-        self.virtual_time = 0.0
-        self.current_utility = float("-inf")
-        self.recompute_current()
-
-    def recompute_current(self) -> None:
-        """Rebuild the running current-utility max from a full thread scan.
-
-        Only needed at bootstrap and dynamic-event boundaries; inside the
-        race :meth:`race_round` maintains the max incrementally (exactly one
-        thread mutates per round, so a full ``O(threads)`` rescan per round
-        was pure overhead).
-        """
-        best = float("-inf")
-        for thread in self.threads:
-            solution = thread.solution
-            if solution is not None and solution.utility > best:
-                best = solution.utility
-        self.current_utility = best
-
-    def race_round(self) -> Optional[_SolutionThread]:
-        """Arm every solution (the RESET re-draw), fire the earliest timer.
-
-        Returns the fired thread, or ``None`` when no solution could arm a
-        feasible pair this round.
-        """
-        winner: Optional[_SolutionThread] = None
-        winner_log = math.inf
-        for thread in self.threads:
-            thread.set_timer()
-            timer = thread.timer
-            if timer is not None and timer[0] < winner_log:
-                winner_log = timer[0]
-                winner = thread
-        if winner is None:
-            return None
-        self.virtual_time += clamped_exp(winner_log)
-        before = winner.solution.utility
-        winner.fire()
-        after = winner.solution.utility
-        # Incremental current-utility maintenance: the fired thread is the
-        # only mutation this round.  Its rise can only raise the max; its
-        # fall forces a rescan only when it held the max alone.
-        if after > self.current_utility:
-            self.current_utility = after
-        elif before == self.current_utility and after < before:
-            self.recompute_current()
-        return winner
-
-
-def _solution_masks(solutions: Sequence[Optional[Solution]], num_shards: int) -> np.ndarray:
-    """Stack solutions' selections into one ``(R, N)`` matrix (``None`` rows empty)."""
-    blank = bytes(num_shards)
-    joined = b"".join(blank if s is None else s.selected for s in solutions)
-    return np.frombuffer(joined, dtype=np.uint8).reshape(len(solutions), num_shards) != 0
-
-def _serial_replicas(population: _Population, config: SEConfig) -> List[_Replica]:
-    """The serial engine's race state for ``population``.
-
-    Its own objects when the population still caches them (nothing but the
-    serial engine wrote the rows since), with each solution rebound onto
-    the population's value-equal instance; otherwise executor/thread
-    objects built from the rows, with ascending ``sel``/``unsel`` slots.
-    The two differ only in slot order, which the scalar draws read, so a
-    zero-drift hand-off and an event batch that changed nothing race on
-    exactly where the race stopped.
-    """
-    replicas = population.engine_cache
-    if replicas is not None:
-        for replica in replicas:
-            for thread in replica.threads:
-                if thread.solution is not None:
-                    thread.solution.instance = population.instance
-        return replicas
-    rows = population.rows
-    family = population.cardinalities.tolist()
-    replicas = []
-    for group, replica_id in enumerate(population.replica_ids):
-        threads = []
-        for k, cardinality in enumerate(family):
-            row = group * len(family) + k
-            thread = _SolutionThread(cardinality, population.rngs[row], config)
-            if rows.ok[row]:
-                thread.set_solution(_row_solution(population.instance, rows, row))
-            threads.append(thread)
-        replica = _Replica(replica_id, threads)
-        replica.virtual_time = float(population.virtual_times[group])
-        replicas.append(replica)
-    return replicas
-
-
-def _write_back_replicas(replicas: List[_Replica], population: _Population) -> None:
-    """Return the threads' solutions and the replica clocks to ``population``.
-
-    The objects stay behind as the population's ``engine_cache`` until
-    someone else writes its rows.
-    """
-    solutions = [thread.solution for replica in replicas for thread in replica.threads]
-    held = [s for s in solutions if s is not None]
-    ok = np.array([s is not None for s in solutions], dtype=bool)
-    utility = np.zeros(len(solutions))
-    weight = np.zeros(len(solutions), dtype=np.int64)
-    count = np.zeros(len(solutions), dtype=np.int64)
-    utility[ok] = [s.utility for s in held]
-    weight[ok] = [s.weight for s in held]
-    count[ok] = [s.count for s in held]
-    population.rows = RowRepair(
-        ok, _solution_masks(solutions, population.instance.num_shards), utility, weight, count
-    )
-    population.virtual_times = np.array([replica.virtual_time for replica in replicas])
-    population.engine_cache = replicas
-
-
-def run_serial(run: _EngineRun) -> SEResult:
-    """The reference scalar loop — the pre-engine ``solve`` body.
-
-    Races executor/thread objects (:func:`_serial_replicas`), the
-    counterpart of the batched kernel's :class:`_VectorState`; they go back
-    into the population's rows at every event boundary and at the end.
-    """
-    config = run.config
-    telemetry = run.telemetry
-    traced = run.traced
-    population = run.population
-    replicas = _serial_replicas(population, config)
-    for iteration in range(config.max_iterations):
-        if run.events_due(iteration):
-            _write_back_replicas(replicas, population)
-            run.apply_due_events(iteration)
-            replicas = _serial_replicas(population, config)
-        round_best: Optional[Solution] = None
-        transitions = 0
-        fires: List[tuple] = []
-        for replica_index, replica in enumerate(replicas):
-            fired = replica.race_round()
-            if fired is not None and fired.solution is not None:
-                transitions += 1
-                if traced:
-                    swap_out, swap_in = fired.last_swap or (-1, -1)
-                    fires.append((replica_index, fired.cardinality, swap_out, swap_in,
-                                  fired.solution.utility))
-                if round_best is None or fired.solution.utility > round_best.utility:
-                    round_best = fired.solution
-        if fires:
-            replica, cardinality, swap_out, swap_in, utility = zip(*fires)
-            _emit_transitions(telemetry, iteration, replica, cardinality, swap_out,
-                              swap_in, utility)
-        run.best = run.solver._pick_better(run.best, round_best)
-        current = max(replica.current_utility for replica in replicas)
-        virtual_time = max(replica.virtual_time for replica in replicas)
-        if run.finish_round(iteration, current, virtual_time, transitions):
-            break
-    _write_back_replicas(replicas, population)
-    return run.result()
-
-
-# ------------------------------------------------------------------ #
-# vectorized engine (batched race kernel, distributional)
+# the batched race kernel (distributional)
 # ------------------------------------------------------------------ #
 class _VectorState:
     """Flattened array form of every *racing* row of the population, Γ-wide.
@@ -744,8 +443,8 @@ class _VectorState:
         self._pad_pos = row_group * pad_width + (self.rows - starts[row_group])
         self._padded = np.full(num_groups * pad_width, np.inf)
         self._group_index = np.arange(num_groups)
-        # Running current-utility max over racing rows (same incremental
-        # rule as _Replica.race_round, rescans only on downhill max fires).
+        # Running current-utility max over racing rows (the scalar loop's
+        # incremental rule: rescans only on downhill max fires).
         self.racing_current = float(self.utility.max()) if size else float("-inf")
         # Per-round fire results for the driver (rewritten by race_round).
         self.last_rows = np.empty(0, dtype=np.int64)
@@ -890,8 +589,8 @@ class _VectorState:
         before = self.utility[rows]
         after = before + (self.values_arr[pos_in] - self.values_arr[pos_out])
         self.utility[rows] = after
-        # Same incremental current-utility rule as _Replica.race_round,
-        # applied to the whole fire batch: a rise can only raise the max; a
+        # The scalar loop's incremental current-utility rule, applied to
+        # the whole fire batch: a rise can only raise the max; a
         # downgrade of a max-holder forces one rescan.
         top = int(np.argmax(after))
         top_utility = float(after[top])
@@ -905,7 +604,7 @@ class _VectorState:
         self.last_pos_in = pos_in
         self.last_utilities = after
         # Rows are replica-major ascending and argmax takes the first max,
-        # so this reproduces the serial lowest-replica tie-break.
+        # so this reproduces the scalar loop's lowest-replica tie-break.
         self.last_best_row = int(rows[top])
         self.last_best_utility = top_utility
         return int(rows.size)
@@ -931,11 +630,7 @@ class _VectorState:
         )
 
     def write_back(self, population: _Population) -> None:
-        """Return the raced rows (masks, caches) and replica clocks to ``population``.
-
-        Drops the serial engine's cached objects, which no longer match.
-        """
-        population.engine_cache = None
+        """Return the raced rows (masks, caches) and replica clocks to ``population``."""
         rows = population.rows
         source = self.source
         rows.masks[source] = False
@@ -1003,7 +698,7 @@ def run_vectorized(run: _EngineRun) -> SEResult:
 
 
 # ------------------------------------------------------------------ #
-# dispatch
+# entry point
 # ------------------------------------------------------------------ #
 def run_engine(
     solver: StochasticExploration,
@@ -1012,14 +707,13 @@ def run_engine(
     probe: Optional[Callable[..., None]] = None,
     warm: Optional[SEWarmState] = None,
 ) -> SEResult:
-    """Run one SE solve on the engine named by ``solver.config.engine``.
+    """Run one SE solve on the batched race kernel.
 
-    All engines return an :class:`~repro.core.se.SEResult` whose best
-    solution satisfies const. (3) ``count >= N_min`` and const. (4)
-    ``weight <= Ĉ``; ``serial`` is deterministic for a given
-    ``SEConfig.seed`` and ``vectorized`` matches it distributionally.
+    Returns an :class:`~repro.core.se.SEResult` whose best solution
+    satisfies const. (3) ``count >= N_min`` and const. (4) ``weight <= Ĉ``,
+    deterministic for a given ``SEConfig.seed``.
 
-    Both engines start from one population, the ``(Γ·T, N)`` mask matrix
+    The race starts from one population, the ``(Γ·T, N)`` mask matrix
     of :class:`~repro.core.se._Population`: a cold solve draws it with
     one batched Alg. 2 pass, and ``warm`` adopts a prior run's
     population/streams/incumbent instead (see
@@ -1029,10 +723,6 @@ def run_engine(
     *pre-scored*, their incremental utility/weight caches carried
     verbatim, while the ``vectorized-race`` streams resume mid-sequence —
     and writes the raced rows back into the matrix, which the result's
-    ``warm_state`` carries.  The scalar loop builds thread objects from the
-    matrix, continues their streams, and writes them back the same way.
+    ``warm_state`` carries.
     """
-    run = _EngineRun(solver, instance, schedule, probe, warm=warm)
-    if run.engine == "vectorized":
-        return run_vectorized(run)
-    return run_serial(run)
+    return run_vectorized(_EngineRun(solver, instance, schedule, probe, warm=warm))

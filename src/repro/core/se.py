@@ -50,10 +50,7 @@ from repro.core.repair import RowRepair, repair_feasibility, resize_rows, row_ut
 from repro.core.solution import Solution
 from repro.analysis.contracts import feasible_result
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
-from repro.sim.rng import RandomStreams, isolated_streams, spawn_fast_rng
-
-#: The SE execution engines (each names a ``run_*`` in :mod:`repro.core.engine`).
-ENGINE_NAMES = ("serial", "vectorized")
+from repro.sim.rng import RandomStreams, isolated_streams
 
 
 class InfeasibleEpochError(ValueError):
@@ -71,10 +68,9 @@ class SEConfig:
     cardinality, exactly as in Alg. 1.  ``pair_tries`` bounds the rejection
     sampling used to find a capacity-feasible swap pair in Set-timer().
 
-    ``engine`` selects the execution engine (:mod:`repro.core.engine`):
-    the default ``"vectorized"`` runs the fully-batched Γ×thread race
-    kernel, validated distributionally against ``"serial"``, the reference
-    scalar loop.
+    Every solve races on the batched Γ×thread kernel
+    (:mod:`repro.core.engine`).  ``engine`` only names it: ``"vectorized"``,
+    or ``"auto"``, a retired name kept as its alias; anything else raises.
     """
 
     beta: float = DEFAULT_BETA
@@ -103,9 +99,11 @@ class SEConfig:
         # perfbench/workloads.py still passes the retired "auto"; alias it.
         if self.engine == "auto":
             object.__setattr__(self, "engine", "vectorized")
-        if self.engine not in ENGINE_NAMES:
+        if self.engine != "vectorized":
             raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINE_NAMES}"
+                f"unknown engine {self.engine!r}: SE races only the batched "
+                "kernel ('vectorized'); the serial reference loop is the test "
+                "oracle in tests/serial_oracle.py"
             )
 
 
@@ -118,7 +116,8 @@ class SEResult:
     replicas at round ``k`` -- the series that dips when a committee fails
     (Fig. 9a).  ``virtual_time_trace`` is cumulative virtual seconds (the
     parallel executors' wall clock, i.e. the slowest replica's race time).
-    ``engine`` names the engine that ran (``serial`` or ``vectorized``).
+    ``engine`` names the race that ran: ``vectorized``, or ``serial``
+    when a test raced the oracle.
     """
 
     best_mask: np.ndarray
@@ -170,39 +169,6 @@ class SEWarmState:
     generation: int = 1
 
 
-class _ThreadRng:
-    """Per-thread random stream for the race hot path.
-
-    The race needs tens of millions of scalar draws; the stdlib Mersenne
-    Twister's C-level ``random()`` is an order of magnitude cheaper per
-    call than a ``numpy.random.Generator`` scalar draw, and each thread
-    owning its own named stream (via :func:`repro.sim.rng.spawn_fast_rng`)
-    preserves stream isolation.  Only the serial engine draws from it, so
-    the stream is seeded on its first draw: a thread that never races
-    scalar never pays the seed derivation.
-    """
-
-    __slots__ = ("_seed_stream", "_stream")
-
-    def __init__(self, root_seed: int, name: str) -> None:
-        # Deferred, not skipped: the first draw runs this seeding, so the
-        # armed stream ledger records it in the scope that draws.
-        self._seed_stream = lambda: spawn_fast_rng(root_seed, name)
-        self._stream = None
-
-    @property
-    def _rnd(self):
-        """The Mersenne Twister behind this stream (seeded on first use)."""
-        if self._stream is None:
-            self._stream = self._seed_stream()
-        return self._stream
-
-    @property
-    def uniform(self):
-        """The bound ``random()`` method (bind once per hot loop)."""
-        return self._rnd.random
-
-
 class _Population:
     """The Γ×thread population of Fig. 5 as one ``(Γ·T, N)`` mask matrix.
 
@@ -213,17 +179,14 @@ class _Population:
     ``rows.ok[row]``, and ``masks``/``utility``/``weight``/``count`` are its
     selection and the :class:`Solution` caches, carried verbatim from
     whatever produced them (Alg. 2, the adoption repair, a dynamic event
-    or a race engine).  ``rngs[row]`` is the thread's scalar stream,
-    ``virtual_times[g]`` replica ``g``'s race clock and ``reseats`` the
-    number of event batches applied so far (it names the threads they
-    spawn, see :meth:`StochasticExploration._apply_events`).
+    or the race).  ``stream_names[row]`` names the thread's scalar stream
+    (only the serial test oracle draws from it), ``virtual_times[g]`` is
+    replica ``g``'s race clock and ``reseats`` the number of event batches
+    applied so far (it names the threads they spawn, see
+    :meth:`StochasticExploration._apply_events`).
 
     This is the population's only form: bootstrap, warm adoption, dynamic
-    events and probes work on these arrays, and both engines race them.
-    ``engine_cache`` is the serial engine's own state built from the rows
-    (:func:`repro.core.engine.run_serial`), left here by its write-back so
-    an unchanged population races on where it stopped; every other writer
-    of the rows drops it (:meth:`reseat` does).
+    events and probes work on these arrays, and the race kernel races them.
     """
 
     def __init__(
@@ -232,27 +195,26 @@ class _Population:
         replica_ids: Sequence[int],
         cardinalities: Sequence[int],
         rows: RowRepair,
-        rngs: List[_ThreadRng],
+        stream_names: List[str],
         virtual_times: np.ndarray,
     ) -> None:
         self.replica_ids = list(replica_ids)
         self.virtual_times = virtual_times
         self.reseats = 0
-        self.reseat(instance, cardinalities, rows, rngs)
+        self.reseat(instance, cardinalities, rows, stream_names)
 
     def reseat(
         self,
         instance: EpochInstance,
         cardinalities: Sequence[int],
         rows: RowRepair,
-        rngs: List[_ThreadRng],
+        stream_names: List[str],
     ) -> None:
         """Install a new thread family's rows (replica clocks carry over)."""
         self.instance = instance
         self.cardinalities = np.asarray(cardinalities, dtype=np.int64)
         self.rows = rows
-        self.rngs = rngs
-        self.engine_cache: Optional[object] = None
+        self.stream_names = stream_names
 
     def best(self) -> Solution:
         """A copy of the best current solution; ties go to the first row."""
@@ -489,9 +451,10 @@ class StochasticExploration:
         (departed member, or the re-valued weight busting Ĉ) re-seat from
         the continued init streams, and the incumbent is rebased and
         repaired via :mod:`repro.core.repair`.  With zero drift (an
-        unchanged instance) adoption is cache-verbatim, so a warm scalar
-        solve is byte-identical to continuing the same solve.  Warm states
-        are consumed; chain them linearly (see :class:`SEWarmState`).
+        unchanged instance) adoption is cache-verbatim, so a warm solve
+        raced on the serial test oracle is byte-identical to continuing the
+        same solve.  Warm states are consumed; chain them linearly (see
+        :class:`SEWarmState`).
 
         ``probe``, when given, is invoked at every dynamic-event boundary —
         after the events are applied, the replicas re-seated and the
@@ -503,10 +466,8 @@ class StochasticExploration:
         invariants during churn storms.  The probe draws no randomness, so
         passing one never perturbs the seeded trajectory.
 
-        The race itself executes on the engine selected by
-        ``config.engine`` (:mod:`repro.core.engine`): the serial reference
-        loop or the batched vectorized kernel.  Probes and telemetry always
-        run on this driver regardless of engine.
+        The race itself runs on the batched kernel
+        (:mod:`repro.core.engine`); probes and telemetry run on its driver.
         """
         from repro.core import engine as engine_module  # deferred: engine imports se
 
@@ -546,7 +507,7 @@ class StochasticExploration:
 
         One :func:`_initialize_rows` batch over all Γ×T rows; replica ``g``
         draws its rows' permutations from ``replica-{g}-init``.  Thread
-        streams are named here and seeded only if the serial engine draws.
+        streams are only named here.
         """
         cardinalities = self.thread_cardinalities(instance)
         replica_ids = range(self.config.num_threads)
@@ -555,13 +516,13 @@ class StochasticExploration:
             [(streams.get(f"replica-{replica_id}-init"), cardinalities)
              for replica_id in replica_ids],
         )
-        rngs = [
-            _ThreadRng(streams.seed, f"replica-{replica_id}-n{cardinality}")
+        stream_names = [
+            f"replica-{replica_id}-n{cardinality}"
             for replica_id in replica_ids
             for cardinality in cardinalities
         ]
         return _Population(
-            instance, replica_ids, cardinalities, rows, rngs,
+            instance, replica_ids, cardinalities, rows, stream_names,
             np.zeros(self.config.num_threads),
         )
 
@@ -594,12 +555,11 @@ class StochasticExploration:
         thread-by-thread adoption would draw them.
 
         With zero drift (a value-equal instance) adoption is cache-verbatim:
-        the population, the serial engine's cached thread objects included,
-        carries over untouched (recomputing a utility from the mask can
-        differ in the last bit), which is what makes a warm scalar solve
-        byte-identical to continuing the same solve.  Mutates
-        ``warm.population`` in place; returns re-seat stats for the
-        ``se.warm_start`` event.
+        the population carries over untouched (recomputing a utility from
+        the mask can differ in the last bit), which is what makes a warm
+        solve on the serial test oracle byte-identical to continuing the
+        same solve.  Mutates ``warm.population`` in place; returns re-seat
+        stats for the ``se.warm_start`` event.
         """
         population = warm.population
         gamma = len(population.replica_ids)
@@ -683,14 +643,14 @@ class StochasticExploration:
         )
         for mine, theirs in zip(rows, fresh):
             mine[redo.reshape(-1)] = theirs
-        rngs = [
-            population.rngs[source[row]] if seated[row]
-            else _ThreadRng(streams.seed, f"replica-{replica_id}-{spawn_tag}-n{cardinality}")
+        stream_names = [
+            population.stream_names[source[row]] if seated[row]
+            else f"replica-{replica_id}-{spawn_tag}-n{cardinality}"
             for row, (replica_id, cardinality) in enumerate(
                 itertools.product(population.replica_ids, cardinalities)
             )
         ]
-        population.reseat(instance, cardinalities, rows, rngs)
+        population.reseat(instance, cardinalities, rows, stream_names)
         spawned = int(np.count_nonzero(~seated))
         return {"retained": retained, "reseated": size - spawned - retained,
                 "spawned": spawned}

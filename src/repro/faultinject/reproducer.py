@@ -138,18 +138,17 @@ def load_reproducer(path: str) -> Dict:
 def replay_reproducer(
     reproducer: Dict,
     telemetry: NullTelemetry = NULL_TELEMETRY,
-    engine: str = "serial",
 ) -> Union[StormOutcome, ServeStormOutcome]:
     """Re-run a stored reproducer exactly (same seeds, same events, same arms).
 
-    A single-solve document replays through :func:`run_storm` on
-    ``engine``; storms deliberately default to ``serial`` rather than the
-    batched production kernel, so a reproducer replays on the reference
-    loop the golden tests pin.  A serve document replays through
-    :func:`run_serve_storm`, which pins ``serial`` itself.  Custom
-    ``extra_invariants`` cannot be serialised, so a document recorded with
-    them replays with the built-in subset (the stored failure data still
-    names the original invariant).
+    A single-solve document replays through :func:`run_storm`, a serve
+    document through :func:`run_serve_storm`; both race the production
+    kernel, whose seeded trajectories replay byte for byte.  A document
+    records no engine: a replay is matched to the recorded failure by its
+    invariant signature.  Custom ``extra_invariants`` cannot be
+    serialised, so a document recorded with them replays with the
+    built-in subset (the stored failure data still names the original
+    invariant).
     """
     armed = tuple(name for name in reproducer["armed"] if name in KNOWN_INVARIANTS)
     config = dict(reproducer["config"])
@@ -172,5 +171,4 @@ def replay_reproducer(
         events=[event_from_json(payload) for payload in reproducer["events"]],
         armed=armed,
         telemetry=telemetry,
-        engine=engine,
     )

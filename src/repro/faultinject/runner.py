@@ -95,15 +95,17 @@ def storm_solver(
     config: StormConfig,
     telemetry: NullTelemetry,
     seed: Optional[int] = None,
-    engine: str = "serial",
 ) -> StochasticExploration:
-    """The SE solver a storm batters (``seed`` defaults to the storm's)."""
+    """The SE solver a storm batters (``seed`` defaults to the storm's).
+
+    It races the production kernel, like every solve, so the storm
+    invariants check the race that production runs.
+    """
     se_config = SEConfig(
         num_threads=config.gamma,
         max_iterations=config.max_iterations,
         convergence_window=config.convergence_window,
         seed=config.seed if seed is None else seed,
-        engine=engine,
     )
     return StochasticExploration(se_config, telemetry=telemetry)
 
@@ -152,7 +154,6 @@ def run_storm(
     events: Optional[Sequence[CommitteeEvent]] = None,
     armed: Optional[Sequence[str]] = None,
     telemetry: NullTelemetry = NULL_TELEMETRY,
-    engine: str = "serial",
 ) -> StormOutcome:
     """Run one storm against one SE solve and classify the outcome.
 
@@ -160,14 +161,12 @@ def run_storm(
     instance, the event schedule and the solver all derive from
     ``config.seed`` through named streams, so one seed is one storm
     forever — the property the replay / shrink machinery builds on.
-    ``engine`` selects the SE execution engine (:mod:`repro.core.engine`);
-    probes fire at event boundaries on every engine.
     """
     armed = tuple(armed) if armed is not None else DEFAULT_ARMED
     instance = build_storm_instance(config)
     if events is None:
         events = generate_storm(instance, config, RandomStreams(config.seed))
-    solver = storm_solver(config, telemetry, engine=engine)
+    solver = storm_solver(config, telemetry)
     outcome = storm_step(solver, instance, config, events, armed, telemetry=telemetry)
 
     if telemetry.enabled:

@@ -151,9 +151,8 @@ def run_serve_storm(
     replaying): the stream, the per-epoch storms, and the solver all
     derive from ``config.seed`` through named streams.  A warm run chains
     one solver through every epoch; a cold run seeds each epoch's solver
-    separately, as ``mvcom serve --cold`` does.  The solver engine is
-    pinned to ``serial`` for the same reason single-solve reproducers pin
-    it: a reproducer must replay byte-for-byte anywhere.
+    separately, as ``mvcom serve --cold`` does.  Every solve races the
+    production kernel, whose seeded trajectories replay byte for byte.
     """
     armed = tuple(armed) if armed is not None else DEFAULT_ARMED
     if extra_invariants:

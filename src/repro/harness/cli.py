@@ -9,7 +9,6 @@ Usage::
     mvcom lint [paths...]       # static analysis (rules MV001-MV102)
     mvcom lint --annotate src/  # + GitHub ::error annotations
     mvcom solve --trace t.jsonl # one traced SE solve + final PBFT round
-    mvcom solve --engine serial # the reference scalar SE loop
     mvcom trace summary t.jsonl # render a text report from a trace file
     mvcom trace metrics t.jsonl # streaming aggregate: p50/p99, rates, SLOs
     mvcom trace export t.jsonl --format perfetto --out t.perfetto.json
@@ -28,7 +27,6 @@ import time
 from typing import Callable, Dict
 
 from repro.chain.params import CHAIN_ENGINE_NAMES
-from repro.core.se import ENGINE_NAMES
 from repro.harness import experiments
 from repro.harness.presets import PRESETS, list_presets
 from repro.harness.report import render_table, sample_trace, traces_table, traces_to_rows, write_csv
@@ -109,14 +107,13 @@ def run_traced_solve(args) -> int:
         trace_path=args.trace,
         profile=args.profile,
         top_n=args.top,
-        engine=args.engine,
         chain_engine=args.chain_engine or "des",
         resources=args.resources,
     )
     result = run.result
     print(
         f"solve: {args.committees} committees, Gamma={args.gamma}, "
-        f"seed={args.seed}, engine={args.engine}"
+        f"seed={args.seed}, engine={result.engine}"
     )
     print(
         f"  utility={result.best_utility:.2f}  iterations={result.iterations}"
@@ -291,12 +288,6 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=None,
                         help="solve/serve/storm: SE iteration budget (default "
                         "2000); eth2scale defaults to its preset's budget")
-    parser.add_argument("--engine",
-                        choices=list(ENGINE_NAMES),
-                        default="vectorized",
-                        help="solve/serve: SE execution engine (default "
-                        "vectorized, the batched race kernel; serial is the "
-                        "reference loop it is checked against)")
     parser.add_argument("--chain-engine", choices=list(CHAIN_ENGINE_NAMES),
                         default=None,
                         help="fig02/solve: chain substrate implementation "

@@ -66,6 +66,7 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
+        SEConfig(engine=self.engine)  # raises unless it names the race kernel
 
     def stream_config(self) -> EpochStreamConfig:
         return EpochStreamConfig(
@@ -401,7 +402,6 @@ def run_serve_cli(args) -> int:
         gamma=args.gamma,
         seed=args.seed,
         max_iterations=args.iterations,
-        engine=args.engine,
         warm=not args.cold,
         capacity=args.capacity,
         trace_path=args.trace,

@@ -112,7 +112,6 @@ def traced_solve(
     profile: bool = False,
     top_n: int = 10,
     telemetry: Optional[Telemetry] = None,
-    engine: str = "vectorized",
     chain_engine: str = "des",
     resources: bool = False,
     resource_sampler: Optional[Callable[[], Optional[dict]]] = None,
@@ -125,8 +124,6 @@ def traced_solve(
     solver call additionally runs under cProfile and its top-``top_n``
     hotspots land in the same stream as a ``profile.hotspots`` event.
 
-    ``engine`` selects the SE execution engine (the batched
-    ``vectorized`` kernel by default, or the ``serial`` reference loop).
     ``chain_engine`` selects the substrate for the final PBFT round
     (``des`` reference simulation or the ``fastpath`` closed-form kernel),
     which runs through :func:`repro.chain.committee.run_pbft_rounds` like
@@ -156,7 +153,6 @@ def traced_solve(
             max_iterations=max_iterations,
             convergence_window=convergence_window,
             seed=seed,
-            engine=engine,
         ),
         telemetry=telemetry,
     )

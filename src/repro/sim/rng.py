@@ -88,9 +88,9 @@ def spawn_rng(root_seed: int, name: str) -> np.random.Generator:
 def spawn_fast_rng(root_seed: int, name: str) -> random.Random:
     """Create an independent stdlib ``random.Random`` for stream ``name``.
 
-    Scalar-draw hot paths (the SE timer race) use the Mersenne Twister's
-    C-level ``random()``, which is ~10x cheaper per call than a NumPy
-    ``Generator`` scalar draw.  Seeding it through the same SHA-256
+    Scalar-draw hot paths (the serial SE race, kept as the test oracle)
+    use the Mersenne Twister's C-level ``random()``, which is ~10x cheaper
+    per call than a NumPy ``Generator`` scalar draw.  Seeding it through the same SHA-256
     derivation keeps the named-stream isolation guarantees; this is the
     only sanctioned way to obtain a stdlib RNG (lint rule MV001 flags
     direct ``random.*`` construction everywhere else).

@@ -8,6 +8,8 @@ import pytest
 from repro.core.problem import EpochInstance, MVComConfig
 from repro.data.workload import WorkloadConfig, generate_epoch_workload
 
+from tests.serial_oracle import serial_race  # noqa: F401  (the oracle's fixture)
+
 
 @pytest.fixture
 def tiny_config() -> MVComConfig:

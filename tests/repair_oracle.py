@@ -27,21 +27,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dynamics import EventKind
-from repro.core.engine import _Replica, _solution_masks, _SolutionThread
 from repro.core.problem import EpochInstance
 from repro.core.repair import RowRepair
-from repro.core.se import (
-    InfeasibleEpochError,
-    SEWarmState,
-    StochasticExploration,
-    _ThreadRng,
-)
+from repro.core.se import InfeasibleEpochError, SEWarmState, StochasticExploration
 from repro.core.solution import Solution
 from repro.sim.rng import RandomStreams
 
+from tests.serial_oracle import _Replica, _solution_masks, _SolutionThread, _ThreadRng
+
 
 def threads_of(population, config) -> list:
-    """The population's rows as executor/thread objects (slots ascending)."""
+    """The population's rows as executor/thread objects (slots ascending).
+
+    Each thread holds an unseeded stream of its row's name; nothing here
+    draws from it.
+    """
     rows = population.rows
     family = population.cardinalities.tolist()
     replicas = []
@@ -49,7 +49,8 @@ def threads_of(population, config) -> list:
         threads = []
         for k, cardinality in enumerate(family):
             row = group * len(family) + k
-            thread = _SolutionThread(cardinality, population.rngs[row], config)
+            rng = _ThreadRng(config.seed, population.stream_names[row])
+            thread = _SolutionThread(cardinality, rng, config)
             if rows.ok[row]:
                 thread.set_solution(Solution.from_cached(
                     population.instance, rows.masks[row].tobytes(),
@@ -75,7 +76,7 @@ def reseat_threads(population, instance: EpochInstance, replicas: list) -> None:
         np.array([s.count if s is not None else 0 for s in solutions], dtype=np.int64),
     )
     population.reseat(instance, [thread.cardinality for thread in replicas[0].threads],
-                      rows, [thread.rng for thread in threads])
+                      rows, [thread.rng.name for thread in threads])
 
 
 def resize_to_cardinality(

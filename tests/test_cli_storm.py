@@ -72,14 +72,14 @@ def test_serve_drill_writes_a_reproducer_that_replays_exactly(tmp_path, capsys):
     assert reproducer["config"]["convergence_window"] == 200
     failure = reproducer["failure"]
     assert (failure["invariant"], failure["epoch"], failure["iteration"]) == (
-        "strict-n-min", 2, 285,
+        "strict-n-min", 2, 316,
     )
 
     replayed = replay_reproducer(reproducer)
     assert replayed.status == "violated"
     assert replayed.failed_epoch == 2
     assert replayed.violation.invariant == "strict-n-min"
-    assert replayed.violation.iteration == 285
+    assert replayed.violation.iteration == 316
     assert str(replayed.violation) == failure["message"]
 
     code, printed = _replay(out, capsys)

@@ -1,10 +1,12 @@
-"""Engine-equivalence tests for the SE execution-engine layer.
+"""The SE race kernel against the serial oracle.
 
-Two engines share one algorithm (:mod:`repro.core.engine`):
+Two races share one algorithm:
 
-* ``serial`` — the reference loop; pinned by the wider suite and by the
+* ``serial`` — the reference loop, kept as the test oracle
+  (``tests/serial_oracle.py``); pinned by the wider suite and by the
   golden fingerprint below.
-* ``vectorized`` — a batched race kernel with its own stream layout;
+* ``vectorized`` — the batched race kernel (:mod:`repro.core.engine`),
+  the one every production solve runs, with its own stream layout;
   validated *distributionally*: χ² of per-round state occupancy against
   the Gibbs distribution ``p* ∝ exp(βU_f)`` (eq. 6) on a small instance,
   and a KS comparison of converged utilities vs serial across seeds.
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import engine as engine_module
+from repro.core import se as se_module
 from repro.core.dynamics import (
     CommitteeEvent,
     DynamicSchedule,
@@ -29,10 +32,15 @@ from repro.core.dynamics import (
 from repro.core.problem import EpochInstance, MVComConfig
 from repro.core.se import SEConfig, SEResult, StochasticExploration
 from repro.data.workload import WorkloadConfig, generate_epoch_workload
+from repro.harness.serve import ServeConfig
+from repro.metrics.ks import ks_two_sample
+
+from tests.serial_oracle import RACES, racing
 
 
 def solve_with(engine, *, num_committees=30, capacity=25_000, seed=0, gamma=4,
                max_iterations=500, convergence_window=200, schedule=None):
+    """One seeded solve raced on ``engine`` (``"auto"`` names the kernel)."""
     workload = generate_epoch_workload(
         WorkloadConfig(num_committees=num_committees, capacity=capacity, seed=seed)
     )
@@ -41,11 +49,18 @@ def solve_with(engine, *, num_committees=30, capacity=25_000, seed=0, gamma=4,
         max_iterations=max_iterations,
         convergence_window=convergence_window,
         seed=seed,
-        engine=engine,
+        engine="auto" if engine == "auto" else "vectorized",
     )
     if schedule is not None:
         schedule.reset()
-    return StochasticExploration(config).solve(workload.instance, schedule=schedule)
+    with racing("serial" if engine == "serial" else "vectorized"):
+        return StochasticExploration(config).solve(workload.instance, schedule=schedule)
+
+
+def solve_on(engine, config, instance, **kwargs):
+    """``StochasticExploration(config).solve(instance, ...)`` raced on ``engine``."""
+    with racing(engine):
+        return StochasticExploration(config).solve(instance, **kwargs)
 
 
 def assert_byte_identical(a: SEResult, b: SEResult) -> None:
@@ -75,8 +90,18 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             SEConfig(engine="parallel")
 
-    def test_engine_names_exported(self):
-        assert engine_module.ENGINE_NAMES == ("serial", "vectorized")
+    @pytest.mark.parametrize("make", [SEConfig, ServeConfig])
+    def test_serial_engine_points_to_the_oracle(self, make):
+        # Production races only the kernel; the serial loop is a test oracle.
+        with pytest.raises(ValueError, match="tests/serial_oracle.py"):
+            make(engine="serial")
+
+    def test_only_the_kernel_races_in_the_package(self):
+        assert RACES["vectorized"] is engine_module.run_vectorized
+        for name in ("ENGINE_NAMES", "run_serial", "_SolutionThread", "_Replica",
+                     "_ThreadRng"):
+            assert not hasattr(engine_module, name)
+            assert not hasattr(se_module, name)
 
 
 # ---------------------------------------------------------------------- #
@@ -112,14 +137,9 @@ class TestChunkTruncation:
         and vectorized engines must truncate the second chunk at its first
         round."""
         instance = _frozen_instance()
-        results = []
-        for engine in ("serial", "vectorized"):
-            config = SEConfig(
-                num_threads=3, max_iterations=500, convergence_window=100,
-                seed=1, engine=engine,
-            )
-            results.append(StochasticExploration(config).solve(instance))
-        serial, batched = results
+        config = SEConfig(num_threads=3, max_iterations=500, convergence_window=100, seed=1)
+        serial, batched = (solve_on(engine, config, instance)
+                           for engine in ("serial", "vectorized"))
         assert serial.converged and serial.iterations == 101
         assert_byte_identical(serial, batched)
 
@@ -128,13 +148,8 @@ class TestChunkTruncation:
         """±1 around the segment size: truncation may fall on the last round
         of a chunk, exactly at the boundary, or one round into the next."""
         instance = _frozen_instance()
-        results = []
-        for engine in ("serial", "vectorized"):
-            config = SEConfig(
-                num_threads=2, max_iterations=400, convergence_window=window,
-                seed=2, engine=engine,
-            )
-            results.append(StochasticExploration(config).solve(instance))
+        config = SEConfig(num_threads=2, max_iterations=400, convergence_window=window, seed=2)
+        results = [solve_on(engine, config, instance) for engine in ("serial", "vectorized")]
         assert results[0].converged
         assert_byte_identical(results[0], results[1])
 
@@ -186,7 +201,7 @@ class TestVectorizedGibbs:
         instance = _flat_race_instance(num_shards)
         config = SEConfig(
             num_threads=gamma, max_iterations=rounds, convergence_window=10 ** 6,
-            seed=3, engine="vectorized", beta=beta,
+            seed=3, beta=beta,
         )
         solver = StochasticExploration(config)
         run = engine_module._EngineRun(solver, instance, None, None)
@@ -233,8 +248,8 @@ class TestVectorizedGibbs:
 
     def test_ks_converged_utilities_match_serial(self):
         """Two-sample KS over 50 seeds: converged best utilities of the
-        vectorized engine are distributionally indistinguishable from serial
-        (α=0.01 ⇒ D < 1.628·sqrt(2/n))."""
+        vectorized kernel are distributionally indistinguishable from the
+        serial oracle's (not rejected at α=0.01)."""
         seeds = range(50)
         serial_u, vector_u = [], []
         for seed in seeds:
@@ -244,14 +259,8 @@ class TestVectorizedGibbs:
                     gamma=2, max_iterations=300, convergence_window=150,
                 )
                 sink.append(result.best_utility)
-        a = np.sort(np.asarray(serial_u))
-        b = np.sort(np.asarray(vector_u))
-        grid = np.union1d(a, b)
-        cdf_a = np.searchsorted(a, grid, side="right") / a.size
-        cdf_b = np.searchsorted(b, grid, side="right") / b.size
-        d_stat = float(np.abs(cdf_a - cdf_b).max())
-        d_crit = 1.628 * math.sqrt((a.size + b.size) / (a.size * b.size))
-        assert d_stat < d_crit
+        d_stat, p_value, rejected = ks_two_sample(serial_u, vector_u, alpha=0.01)
+        assert not rejected, (d_stat, p_value)
 
 
 class TestVectorizedBehaviour:
@@ -282,10 +291,7 @@ class TestVectorizedBehaviour:
             fail_at=60,
             recover_at=160,
         )
-        config = SEConfig(
-            num_threads=4, max_iterations=400, convergence_window=150,
-            seed=7, engine="vectorized",
-        )
+        config = SEConfig(num_threads=4, max_iterations=400, convergence_window=150, seed=7)
         result = StochasticExploration(config).solve(instance, schedule=schedule)
         assert len(result.events_applied) == 2
         final = result.final_instance
@@ -321,13 +327,9 @@ class TestBatchedAccounting:
         iteration count (all-parked rounds still feed the convergence
         detector), same constant traces, same zero virtual time."""
         instance = _frozen_instance()
-        results = {}
-        for engine in ("serial", "vectorized"):
-            config = SEConfig(
-                num_threads=3, max_iterations=400, convergence_window=100,
-                seed=11, engine=engine,
-            )
-            results[engine] = StochasticExploration(config).solve(instance)
+        config = SEConfig(num_threads=3, max_iterations=400, convergence_window=100, seed=11)
+        results = {engine: solve_on(engine, config, instance)
+                   for engine in ("serial", "vectorized")}
         assert_byte_identical(results["serial"], results["vectorized"])
         assert results["vectorized"].converged
         assert float(results["vectorized"].virtual_time_trace[-1]) == 0.0
@@ -346,13 +348,8 @@ class TestBatchedAccounting:
             CommitteeEvent(iteration=20, kind=EventKind.LEAVE,
                            shard_id=int(instance.shard_ids[1]))
         ])
-        se_config = SEConfig(
-            num_threads=2, max_iterations=200, convergence_window=50,
-            seed=3, engine=engine,
-        )
-        result = StochasticExploration(se_config).solve(
-            instance, schedule=schedule
-        )
+        se_config = SEConfig(num_threads=2, max_iterations=200, convergence_window=50, seed=3)
+        result = solve_on(engine, se_config, instance, schedule=schedule)
         assert len(result.events_applied) == 1
         trace = np.asarray(result.virtual_time_trace)
         carried = float(trace[25])
@@ -367,7 +364,7 @@ class TestBatchedAccounting:
         instance = _flat_race_instance(12)
         config = SEConfig(
             num_threads=4, max_iterations=600, convergence_window=10 ** 6,
-            seed=5, engine="vectorized", beta=1.0 / 60.0,
+            seed=5, beta=1.0 / 60.0,
         )
         solver = StochasticExploration(config)
         run = engine_module._EngineRun(solver, instance, None, None)

@@ -10,7 +10,12 @@ The two load-bearing guarantees of the epoch-chaining layer:
   threads are rebased, resized back to their exact cardinality via
   :func:`repro.core.repair.resize_rows`, and re-anchored with improving
   swaps; only unrepairable threads re-initialise.  The adopted
-  population must stay feasible and reproducible on every engine.
+  population must stay feasible and reproducible on the race kernel and
+  on the serial oracle.
+
+Solves race on the serial oracle (``tests/serial_oracle.py``) unless a
+test names the kernel: its per-thread Mersenne streams are what the
+zero-drift pins read.
 """
 
 import itertools
@@ -30,6 +35,10 @@ from repro.data.workload import WorkloadConfig, generate_epoch_workload
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 from repro.sim.rng import RandomStreams
+
+from tests.serial_oracle import racing, thread_rngs
+
+pytestmark = pytest.mark.usefixtures("serial_race")
 
 
 @pytest.fixture
@@ -58,7 +67,7 @@ def drifted_instance(instance, drop=(1, 7, 13, 30), seed=99):
     return EpochInstance(tx, latencies, instance.config, shard_ids=ids)
 
 
-def config(engine="serial", *, gamma=4, max_iterations=400,
+def config(engine="vectorized", *, gamma=4, max_iterations=400,
            convergence_window=200, seed=11):
     return SEConfig(
         num_threads=gamma,
@@ -73,7 +82,8 @@ def thread_rng_states(warm_state):
     """Every per-thread Mersenne end state, keyed by (replica, cardinality)."""
     population = warm_state.population
     keys = itertools.product(population.replica_ids, population.cardinalities.tolist())
-    return {key: rng._rnd.getstate() for key, rng in zip(keys, population.rngs)}
+    rngs = thread_rngs(population, warm_state.streams.seed)
+    return {key: rng._rnd.getstate() for key, rng in zip(keys, rngs)}
 
 
 # --------------------------------------------------------------------- #
@@ -142,12 +152,14 @@ class TestZeroDrift:
 class TestDriftAdoption:
     @pytest.mark.parametrize("engine", ["serial", "vectorized", "auto"])
     def test_warm_solve_is_feasible_and_reproducible(self, engine):
+        # "auto" is the kernel's retired alias; "serial" races the oracle.
         instance = base_instance()
         drifted = drifted_instance(instance)
         results = []
         for _ in range(2):
-            solver = StochasticExploration(config(engine))
-            results.append(solver.solve(drifted, warm=solver.solve(instance)))
+            solver = StochasticExploration(config("auto" if engine == "auto" else "vectorized"))
+            with racing("serial" if engine == "serial" else "vectorized"):
+                results.append(solver.solve(drifted, warm=solver.solve(instance)))
         first, second = results
         assert first.best_count >= drifted.n_min
         assert first.best_weight <= drifted.capacity

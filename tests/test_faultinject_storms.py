@@ -30,6 +30,7 @@ from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.rng import RandomStreams
 
 from tests.conftest import random_instance
+from tests.serial_oracle import racing
 
 #: Small, fast storm used by most tests.
 FAST = StormConfig(
@@ -112,13 +113,15 @@ class TestRunStorm:
 
     @pytest.mark.parametrize("engine", ["serial", "vectorized"])
     def test_probe_never_perturbs_the_trajectory(self, engine):
-        """Armed invariants observe only: bare solve == probed solve."""
+        """Armed invariants observe only: bare solve == probed solve, on the
+        race kernel and on the serial oracle."""
         instance = build_storm_instance(FAST)
         events = generate_storm(instance, FAST, RandomStreams(FAST.seed))
-        bare = storm_solver(FAST, NULL_TELEMETRY, engine=engine).solve(
-            instance, schedule=DynamicSchedule(events=list(events))
-        )
-        probed = run_storm(FAST, events=events, engine=engine)
+        with racing(engine):
+            bare = storm_solver(FAST, NULL_TELEMETRY).solve(
+                instance, schedule=DynamicSchedule(events=list(events))
+            )
+            probed = run_storm(FAST, events=events)
         assert probed.status == "survived"
         _assert_results_identical(bare, probed.result)
 

@@ -1,6 +1,7 @@
 """Columnar ``se.transition`` records against their per-row expansion.
 
-Both SE engines emit one ``se.transition`` record per race round carrying
+The race kernel and the serial oracle (``tests/serial_oracle.py``) emit
+one ``se.transition`` record per race round carrying
 ``rows: n`` and one array per field.  Every reader must see exactly what
 ``n`` separate per-row events stamped ``t + i``/``seq + i`` would have
 shown it, so each test here expands the columnar stream by hand and
@@ -24,6 +25,8 @@ from repro.obs.sinks import JsonlSink, RingBufferSink, read_jsonl
 from repro.obs.slo import SLO_SPECS, SloSpec, SloTracker
 from repro.obs.summary import summarize_records
 from repro.obs.telemetry import Telemetry, iter_rows
+
+from tests.serial_oracle import racing
 
 TRANSITION_COLUMNS = ("iteration", "replica", "cardinality", "swap_out", "swap_in", "utility")
 
@@ -54,9 +57,9 @@ def _solve_records(engine):
         WorkloadConfig(num_committees=30, capacity=30_000, seed=2)
     ).instance
     ring = RingBufferSink(capacity=1_000_000)
-    config = SEConfig(num_threads=6, max_iterations=300, convergence_window=150,
-                      seed=4, engine=engine)
-    StochasticExploration(config, telemetry=Telemetry(sinks=[ring])).solve(instance)
+    config = SEConfig(num_threads=6, max_iterations=300, convergence_window=150, seed=4)
+    with racing(engine):
+        StochasticExploration(config, telemetry=Telemetry(sinks=[ring])).solve(instance)
     return ring.records
 
 
@@ -64,7 +67,7 @@ def _serve_records():
     hub = build_telemetry()
     run_serve(
         ServeConfig(epochs=2, num_committees=20, gamma=4, max_iterations=200,
-                    convergence_window=100, seed=3, engine="vectorized"),
+                    convergence_window=100, seed=3),
         telemetry=hub,
     )
     return hub.sinks[0].records

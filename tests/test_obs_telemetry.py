@@ -12,14 +12,17 @@ from repro.chain.node import spawn_nodes
 from repro.chain.params import CHAIN_ENGINE_NAMES, ChainParams
 from repro.chain.pbft import run_pbft_round
 from repro.core.dynamics import fail_and_recover_schedule
-from repro.core.se import ENGINE_NAMES, SEConfig, StochasticExploration
+from repro.core.se import SEConfig, StochasticExploration
 from repro.data.workload import WorkloadConfig, generate_epoch_workload
+from repro.faultinject import ServeStormConfig, StormConfig, run_serve_storm, run_storm
 from repro.obs.metrics import MetricsAggregator
 from repro.obs.profiling import hotspot_rows, profile_call
 from repro.obs.sinks import JsonlSink, RingBufferSink, TraceDecodeError, read_jsonl
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
+
+from tests.serial_oracle import racing
 
 
 # --------------------------------------------------------------------- #
@@ -320,11 +323,12 @@ class _CountingNullHub(NullTelemetry):
         self.calls.append(("record_span", name))
 
 
-@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("engine", ["serial", "vectorized"])
 def test_disabled_hub_receives_no_emission_from_se_solves(engine):
     # Every emission in the SE race sits behind ``telemetry.enabled``: a
     # cold solve with a LEAVE/JOIN schedule and a warm follow-up never call
-    # an emitter on a disabled hub, callees included.
+    # an emitter on a disabled hub, callees included, on the race kernel
+    # and on the serial oracle alike.
     instance = _small_instance(num_committees=20, seed=4)
     schedule = fail_and_recover_schedule(
         shard_id=int(instance.shard_ids[2]),
@@ -333,14 +337,30 @@ def test_disabled_hub_receives_no_emission_from_se_solves(engine):
         fail_at=40,
         recover_at=120,
     )
-    config = SEConfig(
-        num_threads=3, max_iterations=200, convergence_window=100, seed=4, engine=engine
-    )
+    config = SEConfig(num_threads=3, max_iterations=200, convergence_window=100, seed=4)
     hub = _CountingNullHub()
     solver = StochasticExploration(config, telemetry=hub)
-    cold = solver.solve(instance, schedule=schedule)
-    assert len(cold.events_applied) == 2
-    solver.solve(instance, warm=cold)
+    with racing(engine):
+        cold = solver.solve(instance, schedule=schedule)
+        assert len(cold.events_applied) == 2
+        solver.solve(instance, warm=cold)
+    assert hub.calls == []
+
+
+def test_disabled_hub_receives_no_emission_from_storms():
+    # The storm layer's ``storm.*`` events, its probe and every solve it
+    # drives stay silent on a disabled hub: one churn storm against a
+    # single solve, and one two-epoch storm through the warm serve loop.
+    hub = _CountingNullHub()
+    single = run_storm(StormConfig(seed=3, num_events=40, num_committees=18,
+                                   max_iterations=300, convergence_window=150),
+                       telemetry=hub)
+    served = run_serve_storm(ServeStormConfig(seed=2, epochs=2, num_committees=20,
+                                              events_per_epoch=10, max_iterations=200,
+                                              convergence_window=100),
+                             telemetry=hub)
+    assert single.boundaries and served.checks_run > 0
+    assert len(served.epoch_outcomes) == 2
     assert hub.calls == []
 
 

@@ -25,11 +25,11 @@ from hypothesis import strategies as st
 
 from repro.core.problem import EpochInstance, MVComConfig
 from repro.core.repair import greedy_improve, repair_feasibility, resize_rows
-from repro.core.engine import _solution_masks
 from repro.core.se import SEConfig, StochasticExploration, _rebased_masks
 from repro.core.solution import Solution
 
 from tests.repair_oracle import adopt_scalar, greedy_swap_improve, resize_to_cardinality
+from tests.serial_oracle import _solution_masks
 
 # --------------------------------------------------------------------- #
 # strategies
@@ -240,7 +240,7 @@ def _population_state(warm):
             float(rows.utility[row]).hex() if rows.ok[row] else None,
             int(rows.weight[row]) if rows.ok[row] else None,
             int(rows.count[row]) if rows.ok[row] else None,
-            population.rngs[row]._rnd.getstate(),
+            population.stream_names[row],
         )
         for row, (replica_id, cardinality) in enumerate(
             itertools.product(population.replica_ids, population.cardinalities.tolist())
@@ -250,7 +250,7 @@ def _population_state(warm):
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("drop_solutions", [False, True])
-def test_adoption_matches_the_scalar_loop(seed, drop_solutions):
+def test_adoption_matches_the_scalar_loop(seed, drop_solutions, serial_race):
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(12, 40))
     tx = rng.integers(0, 3_000, n)
@@ -261,7 +261,6 @@ def test_adoption_matches_the_scalar_loop(seed, drop_solutions):
     )
     solver = StochasticExploration(SEConfig(
         num_threads=3, max_iterations=150, convergence_window=10_000, seed=seed,
-        engine="serial",
     ))
     warm = solver.solve(instance).warm_state
     if drop_solutions:

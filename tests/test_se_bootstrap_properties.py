@@ -20,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import se as se_module
-from repro.core.engine import _SolutionThread
 from repro.core.problem import EpochInstance, MVComConfig
-from repro.core.se import SEConfig, StochasticExploration, _ThreadRng
+from repro.core.se import SEConfig, StochasticExploration
 from repro.sim.rng import RandomStreams
 
 from tests.repair_oracle import initialize_scalar, spawn_scalar, threads_of
+from tests.serial_oracle import _SolutionThread, _ThreadRng
 from tests.test_repair_properties import instances
 
 

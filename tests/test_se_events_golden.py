@@ -4,14 +4,15 @@ A LEAVE or JOIN mid-solve moves the Γ×thread population onto the new
 instance: rows that held a departed committee re-draw from the replica's
 ``replica-{id}-leave`` stream, the rest are rebased, and the re-spread
 thread family spawns and re-draws from ``replica-{id}-init``.  These pins
-cover that path on both concrete engines:
+cover that path on the race kernel and on the serial oracle
+(``tests/serial_oracle.py``):
 
 * ``fail_and_recover``: Fig. 9a's shape, the busiest committee fails and
   later rejoins (a DDL-shifting JOIN);
 * ``duplicates_only``: every event leaves the instance unchanged (a LEAVE
   of an absent committee, a JOIN of a present one).  Under ``serial`` each
   thread keeps its swap-pair slot order across such a boundary, so this
-  pin fails if the serial engine rebuilds its threads there;
+  pin fails if the oracle rebuilds its threads there;
 * ``storm``: a 40-event :func:`repro.faultinject.generate_storm` schedule
   (bursts, correlated failures, rejoins, duplicates, stragglers).
 
@@ -38,6 +39,8 @@ from repro.data.workload import WorkloadConfig, generate_epoch_workload
 from repro.faultinject import StormConfig, build_storm_instance, generate_storm
 from repro.obs.telemetry import Telemetry
 from repro.sim.rng import RandomStreams
+
+from tests.serial_oracle import racing
 
 
 def _instance() -> EpochInstance:
@@ -89,9 +92,9 @@ SCHEDULES = {
 }
 
 
-def _config(engine: str) -> SEConfig:
+def _config() -> SEConfig:
     return SEConfig(num_threads=3, max_solution_threads=10, max_iterations=400,
-                    convergence_window=10_000, seed=9, engine=engine)
+                    convergence_window=10_000, seed=9)
 
 
 class _Reseats:
@@ -122,8 +125,9 @@ def _pin(result, reseats) -> dict:
 def _solve(name: str, engine: str) -> dict:
     instance, schedule = SCHEDULES[name]()
     sink = _Reseats()
-    solver = StochasticExploration(_config(engine), telemetry=Telemetry(sinks=[sink]))
-    result = solver.solve(instance, schedule=schedule)
+    solver = StochasticExploration(_config(), telemetry=Telemetry(sinks=[sink]))
+    with racing(engine):
+        result = solver.solve(instance, schedule=schedule)
     assert result.engine == engine
     assert len(result.events_applied) == len(schedule)
     return _pin(result, sink.records)

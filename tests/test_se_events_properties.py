@@ -89,9 +89,8 @@ def _assert_same_population(mine, theirs):
             == [float(u).hex() for u in theirs.rows.utility[ok]])
     assert np.array_equal(mine.rows.weight[ok], theirs.rows.weight[ok])
     assert np.array_equal(mine.rows.count[ok], theirs.rows.count[ok])
-    # Equal seeded states: every row reads the stream of the same name.
-    assert ([rng._rnd.getstate() for rng in mine.rngs]
-            == [rng._rnd.getstate() for rng in theirs.rngs])
+    # Every row reads the stream of the same name.
+    assert mine.stream_names == theirs.stream_names
 
 
 # --------------------------------------------------------------------- #

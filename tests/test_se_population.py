@@ -1,13 +1,13 @@
 """The array-native SE population and the vectorized kernel's draw layout.
 
-* A vectorized solve, cold or warm, races the Γ×thread mask matrix
-  directly: only the serial engine builds ``_SolutionThread`` objects,
-  never a dynamic event (which re-seats rows) or a probe (which reads
-  them).  The serial engine keeps its objects until something else
-  writes the rows.
+* A solve, cold or warm, races the Γ×thread mask matrix directly: only
+  the serial oracle (``tests/serial_oracle.py``) builds
+  ``_SolutionThread`` objects, never a dynamic event (which re-seats
+  rows) or a probe (which reads them).  The oracle keeps its objects
+  until something else writes the rows.
 * A probe reading the rows leaves the trajectory untouched.
-* ``_ThreadRng`` seeds its Mersenne Twister on the first draw, and that
-  stream is the one an eager seeding gives.
+* The oracle's ``_ThreadRng`` seeds its Mersenne Twister on the first
+  draw, and that stream is the one an eager seeding gives.
 * ``_VectorState.start_block`` lays out one block as ``(R, T, 2)`` pair
   uniforms followed by ``(R, T)`` Exp(1) uniforms, with
   ``R = min(segment remainder, 65536 // T)``.
@@ -18,9 +18,11 @@ import pytest
 
 from repro.core import engine as engine_module
 from repro.core.dynamics import CommitteeEvent, DynamicSchedule, EventKind
-from repro.core.se import SEConfig, StochasticExploration, _ThreadRng
+from repro.core.se import SEConfig, StochasticExploration
 from repro.sim.rng import RandomStreams, spawn_fast_rng
 
+from tests import serial_oracle
+from tests.serial_oracle import _ThreadRng
 from tests.test_core_warm import base_instance, drifted_instance
 
 
@@ -35,13 +37,13 @@ def _config(engine="vectorized", **overrides):
 def built(monkeypatch):
     """Counts ``_SolutionThread`` constructions."""
     count = [0]
-    original = engine_module._SolutionThread.__init__
+    original = serial_oracle._SolutionThread.__init__
 
     def counting(self, *args, **kwargs):
         count[0] += 1
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(engine_module._SolutionThread, "__init__", counting)
+    monkeypatch.setattr(serial_oracle._SolutionThread, "__init__", counting)
     return count
 
 
@@ -58,15 +60,15 @@ def test_vectorized_cold_and_warm_solves_build_no_thread(built, engine):
     assert built[0] == 0
 
 
-def test_serial_engine_builds_its_threads(built):
-    solver = StochasticExploration(_config("serial"))
+def test_serial_engine_builds_its_threads(built, serial_race):
+    solver = StochasticExploration(_config())
     solver.solve(base_instance())
     assert built[0] == 6 * len(solver.thread_cardinalities(base_instance()))
 
 
-def test_serial_engine_keeps_its_threads_until_the_rows_change(built):
+def test_serial_engine_keeps_its_threads_until_the_rows_change(built, serial_race):
     instance = base_instance()
-    solver = StochasticExploration(_config("serial"))
+    solver = StochasticExploration(_config())
     size = 6 * len(solver.thread_cardinalities(instance))
     duplicate = DynamicSchedule([
         CommitteeEvent(iteration=50, kind=EventKind.LEAVE, shard_id=99_999)

@@ -161,7 +161,7 @@ class TestLeaveStreamIsolation:
         reverse.replica_ids.reverse()
         reverse.reseat(instance, reverse.cardinalities,
                        RowRepair(*(field[order] for field in reverse.rows)),
-                       [reverse.rngs[row] for row in order])
+                       [reverse.stream_names[row] for row in order])
         # Victim: some shard that at least one thread currently selects, so
         # the leave actually re-initialises solutions.
         rows = forward.rows

@@ -7,8 +7,9 @@ pins cover drift adoption, where every carried thread is rebased, resized
 back to its cardinality and re-anchored, and missing cardinalities spawn.
 Two runs are pinned epoch by epoch:
 
-* ``spawn_heavy_serial``: the serial engine under heavy churn and growth,
-  so adoption spawns threads at every warm epoch;
+* ``spawn_heavy_serial``: the serial oracle (``tests/serial_oracle.py``)
+  under heavy churn and growth, so adoption spawns threads at every warm
+  epoch;
 * ``vectorized_gamma25``: the batched engine at the serve-warm shape
   (Γ=25 × 100 committees), so adoption re-seats 675–825 threads.
 
@@ -25,16 +26,20 @@ import pytest
 from repro.harness.serve import ServeConfig, run_serve
 from repro.obs.telemetry import Telemetry
 
+from tests.serial_oracle import racing
+
 RUNS = {
     "spawn_heavy_serial": ServeConfig(
         epochs=5, num_committees=40, churn=0.5, growth=5, gamma=4, seed=3,
-        engine="serial",
     ),
     "vectorized_gamma25": ServeConfig(
         epochs=3, num_committees=100, churn=0.1, gamma=25, seed=0,
-        max_iterations=2000, convergence_window=400, engine="vectorized",
+        max_iterations=2000, convergence_window=400,
     ),
 }
+
+#: The race each run is served on.
+ENGINES = {"spawn_heavy_serial": "serial", "vectorized_gamma25": "vectorized"}
 
 STAT_KEYS = ("retained", "reseated", "spawned", "zero_drift")
 
@@ -152,7 +157,8 @@ def _epoch_pin(result) -> dict:
 def served(request):
     config = RUNS[request.param]
     starts = _WarmStarts()
-    report = run_serve(config, telemetry=Telemetry(sinks=[starts]), collect_results=True)
+    with racing(ENGINES[request.param]):
+        report = run_serve(config, telemetry=Telemetry(sinks=[starts]), collect_results=True)
     return request.param, report, starts.records
 
 
@@ -169,7 +175,7 @@ def test_warm_start_stats_match_the_golden_pins(served):
 
 def test_runs_exercise_the_engine_and_spawn_paths(served):
     name, report, starts = served
-    assert {row.engine for row in report.rows} == {RUNS[name].engine}
+    assert {row.engine for row in report.rows} == {ENGINES[name]}
     assert len(starts) == RUNS[name].epochs - 1
     if name == "spawn_heavy_serial":
         assert all(record["spawned"] > 0 for record in starts)

@@ -107,10 +107,11 @@ def _repeated(pairs):
     return {pair: n for pair, n in collections.Counter(pairs).items() if n > 1}
 
 
-def test_respawned_threads_of_a_serial_storm_derive_fresh_streams(derived):
+def test_respawned_threads_of_a_serial_storm_derive_fresh_streams(derived, serial_race):
     # Seed 3's storm shrinks and regrows the cardinality family, so the
-    # serial engine spawns threads of one cardinality several times; each
-    # spawn must get a stream of its own rather than replay an earlier one.
+    # serial oracle spawns threads of one cardinality several times and
+    # draws from them; each spawn must get a stream of its own rather than
+    # replay an earlier one.
     outcome = run_storm(StormConfig(seed=3, num_events=60, gamma=4))
     assert outcome.survived
     assert _repeated(derived) == {}
