@@ -9,11 +9,11 @@ stages of Section I.
 
 The layer boundaries match the paper's:
 
-* :mod:`repro.chain.pow`        -- stage 1, committee formation;
-* :mod:`repro.chain.overlay`    -- stage 2, overlay configuration;
+* :mod:`repro.chain.node`       -- the validator set, as per-node arrays;
+* :mod:`repro.chain.fastpath`   -- stages 1-2, committee formation and overlay
+  configuration (one kernel), and the batched PBFT kernel;
 * :mod:`repro.chain.pbft`       -- stage 3, intra-committee consensus;
 * :mod:`repro.chain.committee`  -- committees (as arrays) and the one PBFT round router;
-* :mod:`repro.chain.fastpath`   -- the formation and PBFT kernels;
 * :mod:`repro.chain.final`      -- stage 4, final consensus (where MVCom plugs in);
 * :mod:`repro.chain.randomness` -- stage 5, epoch randomness;
 * :mod:`repro.chain.elastico`   -- the epoch orchestrator tying them together;
@@ -22,7 +22,7 @@ The layer boundaries match the paper's:
 
 from repro.chain.params import ChainParams, NetworkParams
 from repro.chain.network import Network
-from repro.chain.node import Node, spawn_nodes
+from repro.chain.node import Node, NodeTable, spawn_nodes
 from repro.chain.committee import Committee, CommitteeArrays
 from repro.chain.blocks import FinalBlock, RootChain, ShardBlock
 from repro.chain.elastico import ElasticoSimulation, EpochOutcome
@@ -35,6 +35,7 @@ __all__ = [
     "NetworkParams",
     "Network",
     "Node",
+    "NodeTable",
     "spawn_nodes",
     "Committee",
     "CommitteeArrays",

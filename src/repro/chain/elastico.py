@@ -2,11 +2,10 @@
 
 One :meth:`ElasticoSimulation.run_epoch` call executes:
 
-1. **Committee formation** -- the PoW election race (:mod:`repro.chain.pow`);
+1. **Committee formation** -- the PoW election race;
 2. **Overlay configuration** -- serial identity registration + membership
-   gossip (:mod:`repro.chain.overlay`); formation latency =
-   committee-fill time + overlay time, which is what Fig. 2 measures.
-   Stages 1-2 run as one vectorized kernel
+   gossip; formation latency = committee-fill time + overlay time, which
+   is what Fig. 2 measures.  Stages 1-2 run as one vectorized kernel
    (:func:`repro.chain.fastpath.formation_kernel`) under both engines;
 3. **Intra-committee consensus** -- a PBFT round per committee
    (:func:`repro.chain.committee.run_intra_consensus_streaming`, through
@@ -25,7 +24,7 @@ One :meth:`ElasticoSimulation.run_epoch` call executes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from repro.chain.final import (
     SchedulerFn,
     take_everything,
 )
-from repro.chain.node import Node, spawn_nodes
+from repro.chain.node import NodeTable, spawn_nodes
 from repro.chain.params import ChainParams
 from repro.chain.randomness import GENESIS_RANDOMNESS, refresh_randomness
 from repro.core.problem import MVComConfig
@@ -106,7 +105,7 @@ class ElasticoSimulation:
         self.mvcom_config = mvcom_config or MVComConfig(capacity=1000 * max(params.num_committees, 1))
         self.scheduler = scheduler or take_everything
         self.streams = RandomStreams(params.seed)
-        self.nodes: List[Node] = spawn_nodes(
+        self.nodes: NodeTable = spawn_nodes(
             count=params.num_nodes,
             byzantine_fraction=params.byzantine_fraction,
             rng=self.streams.get("nodes"),
@@ -114,38 +113,31 @@ class ElasticoSimulation:
         self.chain = RootChain()
         self.randomness = GENESIS_RANDOMNESS
         self.epoch = 0
-        # Per-node arrays, fixed across epochs (nodes never churn or change
-        # inside one ElasticoSimulation): formation reads the solve scales
-        # and hash suffixes, every epoch's committees index the rest.
-        self._solve_scales = np.array(
-            [params.pow_mean_solve_s / node.hash_power for node in self.nodes]
-        )
-        self._hash_suffixes = committee_hash_suffixes([node.node_id for node in self.nodes])
-        self._honest = np.array([node.honest for node in self.nodes], dtype=bool)
-        self._verify_speeds = np.array([node.verify_speed for node in self.nodes])
+        # Formation's per-node inputs, fixed across epochs (nodes never
+        # churn or change inside one ElasticoSimulation); every epoch's
+        # committees index the table's honesty and speed arrays.
+        self._solve_scales = params.pow_mean_solve_s / self.nodes.hash_power
+        self._hash_suffixes = committee_hash_suffixes(range(params.num_nodes))
 
     # ------------------------------------------------------------------ #
     def form_committees(self, rng: np.random.Generator) -> CommitteeArrays:
         """Stages 1-2: PoW election + overlay configuration.
 
         Both chain engines run the vectorized formation kernel, which
-        draws the RNG stream exactly as the scalar reference
-        (:mod:`repro.chain.pow` + :mod:`repro.chain.overlay`) does and
-        forms byte-identical committees.  Its ``(K, c)`` member matrix
-        indexes the deployment's per-node arrays directly, so no
-        per-committee member list is built; ``len`` of the result is the
-        number of committees formed.
+        draws the RNG stream exactly as the scalar reference PoW election
+        and overlay loops do and forms byte-identical committees.  Its
+        ``(K, c)`` member matrix indexes the node table's arrays directly,
+        so no per-committee member list is built; ``len`` of the result
+        is the number of committees formed.
         """
         params = self.params
         formed = formation_kernel(
-            nodes=self.nodes,
+            solve_scales=self._solve_scales,
             num_committees=params.num_committees,
             committee_size=params.committee_size,
-            mean_solve_s=params.pow_mean_solve_s,
             epoch_randomness=self.randomness,
             registration_rate=params.identity_registration_rate,
             rng=rng,
-            solve_scales=self._solve_scales,
             max_batch_bytes=params.max_batch_bytes,
             hash_suffixes=self._hash_suffixes,
         )
@@ -154,8 +146,8 @@ class ElasticoSimulation:
             ids=formed.ids,
             members=formed.members,
             nodes=self.nodes,
-            honest=self._honest,
-            verify_speed=self._verify_speeds,
+            honest=self.nodes.honest,
+            verify_speed=self.nodes.verify_speed,
             formation_latency=np.maximum(formed.fills, formed.overlay),
         )
 
@@ -230,7 +222,7 @@ class ElasticoSimulation:
         # Stage 5: refresh the epoch randomness.
         self.randomness = refresh_randomness(
             epoch=self.epoch,
-            member_ids=[node.node_id for node in final_seat.members],
+            member_ids=committees.members[-1].tolist(),
             rng=rng,
         )
 

@@ -112,11 +112,12 @@ the two ``(K, c, c)`` tensors gone outright.
 
 **Formation kernel.**  Stages 1-2 (PoW election + overlay configuration)
 contain no event interleaving at all, so their vectorization is
-*byte-identical* to the scalar reference (:mod:`repro.chain.pow` and
-:mod:`repro.chain.overlay`, kept as the test oracle): the same
-``rng.exponential`` block draw for solve times, one SHA-256 per node
-over the epoch randomness and a cached ``b":<id>"`` suffix for committee
-assignment, grouped order statistics for fill times and membership, the
+*byte-identical* to the scalar reference (the per-node PoW election and
+overlay loops of ``tests/formation_oracle.py``, kept as the test
+oracle): the same ``rng.exponential`` block draw for solve times, one
+SHA-256 per node for committee assignment (the epoch randomness
+absorbed once, then a copy per node takes its cached ``b":<id>"``
+suffix), grouped order statistics for fill times and membership, the
 serial registration queue summed one busy period at a time
 (:func:`_registration_queue`), and one gossip block draw in
 committee-index order.  Both chain engines form committees with it.
@@ -134,7 +135,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chain.node import Node
 from repro.chain.params import NetworkParams
 from repro.sim.rng import counter_rng, philox_key
 
@@ -633,23 +633,28 @@ def formation_chunk_rows(max_batch_bytes: Optional[int]) -> int:
 def committee_hash_suffixes(node_ids: Sequence[int]) -> List[bytes]:
     """The ``b":<id>"`` tail of each node's committee-assignment preimage.
 
-    :func:`repro.chain.pow._committee_of` hashes ``f"{randomness}:{id}"``;
-    the id part is fixed for a deployment, so multi-epoch callers build
-    these once and :func:`formation_kernel` only prepends the epoch's
-    randomness bytes.
+    The reference assignment hashes ``f"{randomness}:{id}"``; the id part
+    is fixed for a deployment, so multi-epoch callers build these once and
+    :func:`formation_kernel` only feeds the epoch's randomness first.
     """
-    return [b":%d" % node_id for node_id in np.asarray(node_ids).tolist()]
+    return [b":%d" % node_id for node_id in node_ids]
 
 
 def _committee_assignments(
     randomness: bytes, suffixes: Sequence[bytes], num_committees: int
 ) -> np.ndarray:
-    """Batched :func:`repro.chain.pow._committee_of` over cached suffixes:
-    the little-endian 8-byte digest prefix of ``randomness + suffix``,
-    modulo ``num_committees``."""
-    sha256 = hashlib.sha256
-    prefixes = b"".join([sha256(randomness + suffix).digest()[:8] for suffix in suffixes])
-    return np.frombuffer(prefixes, "<u8") % np.uint64(num_committees)
+    """The reference assignment over cached suffixes: the little-endian
+    8-byte digest prefix of ``randomness + suffix``, modulo
+    ``num_committees``.  The randomness is absorbed once (a 64-character
+    hex digest fills exactly one SHA-256 block) and each node hashes a
+    copy of that state, byte-identical to hashing the concatenation."""
+    base = hashlib.sha256(randomness)
+    prefixes = []
+    for suffix in suffixes:
+        digest = base.copy()
+        digest.update(suffix)
+        prefixes.append(digest.digest()[:8])
+    return np.frombuffer(b"".join(prefixes), "<u8") % np.uint64(num_committees)
 
 
 def _registration_queue(arrivals: np.ndarray, service: float) -> np.ndarray:
@@ -687,7 +692,7 @@ class Formation(NamedTuple):
 
     #: ``(K,)`` committee indices.
     ids: np.ndarray
-    #: ``(K, c)`` member positions in ``nodes``, in directory arrival order.
+    #: ``(K, c)`` member node ids, in directory arrival order.
     members: np.ndarray
     #: ``(K,)`` fill times: each committee's ``c``-th solve.
     fills: np.ndarray
@@ -696,67 +701,55 @@ class Formation(NamedTuple):
 
 
 def formation_kernel(
-    nodes: Sequence[Node],
+    solve_scales: np.ndarray,
     num_committees: int,
     committee_size: int,
-    mean_solve_s: float,
     epoch_randomness: str,
     registration_rate: float,
     rng: np.random.Generator,
     gossip_delay_mean: float = 4.0,
-    solve_scales: Optional[np.ndarray] = None,
     max_batch_bytes: Optional[int] = None,
     hash_suffixes: Optional[Sequence[bytes]] = None,
 ) -> Formation:
     """Vectorized stages 1-2, byte-identical to the reference path.
 
-    Returns a :class:`Formation` whose rows equal
-    :func:`repro.chain.pow.committee_fill_times`,
-    :func:`repro.chain.pow.committee_members` (as node positions) and
-    :func:`repro.chain.overlay.run_overlay_configuration` exactly: the
-    solve-time block draw and the gossip block draw consume the RNG
+    Node ``i`` (id ``i``) solves with mean ``solve_scales[i]`` -- the
+    PoW difficulty over its hash power -- and hashes
+    ``hash_suffixes[i]`` (:func:`committee_hash_suffixes`, built here
+    when not given; a deployment builds them once, since they are fixed
+    for its lifetime) into its committee assignment.  Returns a
+    :class:`Formation` whose rows equal the reference's committee fill
+    times, members (as node ids) and overlay-completion times exactly:
+    the solve-time block draw and the gossip block draw consume the RNG
     stream in the same order as the scalar reference loops.  Both block
     draws stream through node-index chunks sized by ``max_batch_bytes``
     (numpy's elementwise exponential consumes the stream sequentially,
     so chunked draws into a preallocated output are byte-identical to
     one monolithic draw at any chunk size).  Committee assignment hashes
-    each node once -- the epoch randomness bytes plus the node's cached
-    ``b":<id>"`` suffix -- and reduces the joined digest prefixes in one
-    numpy pass; it equals :func:`repro.chain.pow._committee_of` node for
-    node and draws nothing.  The indices are held in the smallest
-    unsigned dtype that fits ``num_committees - 1``, so the stable
-    grouping sort takes numpy's radix path (the same permutation as an
-    ``int64`` sort), and each committee's first ``c`` arrivals are read
-    off the grouped order with segment offsets, not a per-committee loop.
-
-    ``solve_scales`` / ``hash_suffixes`` are optional precomputed
-    per-node values (``mean_solve_s / hash_power`` and
-    :func:`committee_hash_suffixes`, in ``nodes`` order) -- they are fixed
-    for the lifetime of a deployment, so multi-epoch callers cache them
-    instead of rebuilding them per epoch.
+    each node once (:func:`_committee_assignments`) and draws nothing.
+    The indices are held in the smallest unsigned dtype that fits
+    ``num_committees - 1``, so the stable grouping sort takes numpy's
+    radix path (the same permutation as an ``int64`` sort), and each
+    committee's first ``c`` arrivals are read off the grouped order with
+    segment offsets, not a per-committee loop.
     """
     if num_committees <= 0:
         raise ValueError("num_committees must be positive")
-    if mean_solve_s <= 0:
-        raise ValueError("mean_solve_s must be positive")
+    if not (solve_scales > 0).all():
+        raise ValueError("solve_scales must be positive")
     if registration_rate <= 0:
         raise ValueError("registration_rate must be positive")
 
-    scales = (
-        np.array([mean_solve_s / node.hash_power for node in nodes])
-        if solve_scales is None
-        else solve_scales
-    )
+    n = solve_scales.shape[0]
     if hash_suffixes is None:
-        hash_suffixes = committee_hash_suffixes([node.node_id for node in nodes])
+        hash_suffixes = committee_hash_suffixes(range(n))
     randomness = epoch_randomness.encode("utf-8")
-    n = scales.shape[0]
     step = max(1, min(n, formation_chunk_rows(max_batch_bytes)))
     times = np.empty(n)
     assigned = np.empty(n, dtype=np.min_scalar_type(num_committees - 1))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        times[lo:hi] = rng.exponential(scales[lo:hi])
+        times[lo:hi] = rng.exponential(solve_scales[lo:hi])
         assigned[lo:hi] = _committee_assignments(
             randomness, hash_suffixes[lo:hi], num_committees
         )

@@ -11,7 +11,8 @@ network, not all-to-all links.  This module models that layer explicitly:
 * :func:`broadcast_completion_times` -- convenience wrapper measuring when
   every node (or a fraction) has the message.
 
-The chain's overlay gossip delay (``repro.chain.overlay``) is calibrated as
+The chain's overlay gossip delay (``gossip_delay_mean`` of
+:func:`repro.chain.fastpath.formation_kernel`) is calibrated as
 a single exponential; this module provides the mechanistic version for
 topology-sensitivity studies and validates that calibration in the tests.
 """

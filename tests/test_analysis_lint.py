@@ -481,7 +481,7 @@ class TestMV009:
             digest = hashlib.sha256(str(node_id).encode()).digest()
             return int.from_bytes(digest[:8], "little")
         """
-        assert rule_hits(lint(good, path="src/repro/chain/pow.py"), "MV009") == []
+        assert rule_hits(lint(good, path="src/repro/chain/fastpath.py"), "MV009") == []
 
     def test_shadowed_hash_is_clean(self):
         good = """

@@ -15,8 +15,8 @@ from repro.chain.committee import calibrated_verify_mean
 from repro.chain.node import spawn_nodes
 from repro.chain.params import ChainParams
 from repro.chain.pbft import run_pbft_round
-from repro.chain.pow import solve_times
 from repro.data.latency import PAPER_CONSENSUS_MEAN_S, PAPER_FORMATION_MEAN_S
+from tests.formation_oracle import solve_times
 
 
 class TestPowCalibration:

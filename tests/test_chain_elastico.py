@@ -34,7 +34,7 @@ class TestCommittee:
     def test_quorum_reachability(self):
         """Liveness needs 2f+1 honest members, f = (size-1)//3: with
         size != 3f+1 that admits more than f silent ones."""
-        nodes = spawn_nodes(7, 0.0, np.random.default_rng(0))
+        nodes = list(spawn_nodes(7, 0.0, np.random.default_rng(0)))
         committee = Committee(committee_id=0, epoch=0, members=nodes)
         assert committee.can_reach_quorum
         for node in nodes[:3]:
@@ -45,7 +45,7 @@ class TestCommittee:
             (16, 5, True), (16, 6, False), (128, 42, True), (128, 43, True),
             (128, 44, False),
         ]:
-            nodes = spawn_nodes(size, 0.0, np.random.default_rng(0))
+            nodes = list(spawn_nodes(size, 0.0, np.random.default_rng(0)))
             for node in nodes[size - byzantine:]:
                 node.honest = False
             committee = Committee(committee_id=0, epoch=0, members=nodes)
@@ -58,7 +58,7 @@ class TestCommittee:
         """The predicate says a round commits exactly when PbftRound does
         (silent non-primary members, loss-free network)."""
         params = ChainParams()
-        nodes = spawn_nodes(size, 0.0, np.random.default_rng(size))
+        nodes = list(spawn_nodes(size, 0.0, np.random.default_rng(size)))
         for node in nodes[size - byzantine:]:
             node.honest = False
         outcome = run_pbft_round(

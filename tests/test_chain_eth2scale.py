@@ -12,9 +12,13 @@ The tentpole claims under test:
   count is injected by monkeypatching the module's CPU probe
   (``fastpath.available_cpus``), and ``KERNEL_INLINE_BYTES`` is zeroed
   where a toy stack must still take the threaded path;
-* the batched committee hashing equals :func:`repro.chain.pow._committee_of`;
+* the batched committee hashing equals the reference
+  :func:`tests.formation_oracle.committee_of`;
 * chunking bounds peak scratch memory (tracemalloc, which tracks numpy's
   allocator), threaded or not;
+* the validator table draws the oracle's nodes byte for byte, a
+  deployment builds no ``Node`` (an epoch at most its final seat's) and
+  retains at most 128 B per node;
 * the epoch (:meth:`ElasticoSimulation.run_epoch`, stage 3 -> 4 through a
   :class:`CrosslinkAggregator`) is chunk- and worker-invariant (its
   byte-for-byte golden pins live in ``tests/test_chain_epoch_golden.py``);
@@ -33,6 +37,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chain import fastpath
+from repro.chain import node as node_module
 from repro.chain.elastico import ElasticoSimulation
 from repro.chain.fastpath import (
     _committee_assignments,
@@ -46,11 +51,16 @@ from repro.chain.fastpath import (
 from repro.chain.final import CrosslinkAggregator
 from repro.chain.node import spawn_nodes
 from repro.chain.params import ChainParams, NetworkParams
-from repro.chain.pow import _committee_of
 from repro.harness.presets import PRESETS
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 from repro.sim.rng import spawn_rng
+from tests.formation_oracle import (
+    committee_members,
+    committee_of,
+    run_pow_election,
+    spawn_node_list,
+)
 from tests.test_chain_fastpath import formation_dicts
 
 
@@ -156,8 +166,6 @@ class TestChunkedKernelByteIdentity:
         )
 
     def test_formation_kernel_chunking_is_byte_identical(self):
-        from repro.chain.node import spawn_nodes
-
         nodes = spawn_nodes(
             count=480, byzantine_fraction=0.1, rng=spawn_rng(3, "nodes")
         )
@@ -165,10 +173,10 @@ class TestChunkedKernelByteIdentity:
         for budget in (None, 10**9, 96 * 11, 96, 1):
             rng = spawn_rng(3, "form")
             result = formation_kernel(
-                nodes, 60, 8, 600.0, "genesis", 0.5, rng, max_batch_bytes=budget
+                600.0 / nodes.hash_power, 60, 8, "genesis", 0.5, rng, max_batch_bytes=budget
             )
             probe = rng.random()
-            result = formation_dicts(result, nodes)
+            result = formation_dicts(result)
             if base is None:
                 base = (result, probe)
                 continue
@@ -312,24 +320,74 @@ class TestFormationHashing:
             randomness.encode("utf-8"), committee_hash_suffixes(node_ids), num_committees
         )
         assert batched.tolist() == [
-            _committee_of(node_id, randomness, num_committees) for node_id in node_ids
+            committee_of(node_id, randomness, num_committees) for node_id in node_ids
         ]
 
     def test_kernel_without_cached_suffixes_matches_reference(self):
-        from repro.chain.pow import committee_members, run_pow_election
-
         nodes = spawn_nodes(count=480, byzantine_fraction=0.1, rng=spawn_rng(3, "nodes"))
+        scales = 600.0 / nodes.hash_power
         solutions = run_pow_election(nodes, 60, 600.0, "genesis", spawn_rng(3, "form"))
         _, members, _ = formation_dicts(
-            formation_kernel(nodes, 60, 8, 600.0, "genesis", 0.5, spawn_rng(3, "form")), nodes
+            formation_kernel(scales, 60, 8, "genesis", 0.5, spawn_rng(3, "form"))
         )
         assert members == committee_members(solutions, 60, 8)
         cached = formation_kernel(
-            nodes, 60, 8, 600.0, "genesis", 0.5, spawn_rng(3, "form"),
-            hash_suffixes=committee_hash_suffixes([node.node_id for node in nodes]),
+            scales, 60, 8, "genesis", 0.5, spawn_rng(3, "form"),
+            hash_suffixes=committee_hash_suffixes(range(len(nodes))),
         )
-        assert formation_dicts(cached, nodes)[1] == members
+        assert formation_dicts(cached)[1] == members
         assert all(type(node_id) is int for group in members.values() for node_id in group)
+
+
+class TestNodeTable:
+    """The deployment's validators live as arrays; ``Node`` objects are
+    built only for the seats that read them."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        count=st.integers(1, 2_000),
+        byzantine_fraction=st.floats(0.0, 0.5, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(count=1, byzantine_fraction=0.0, seed=0)
+    @example(count=2_000, byzantine_fraction=0.4999, seed=1)
+    def test_table_draws_the_oracle_nodes(self, count, byzantine_fraction, seed):
+        table_rng = spawn_rng(seed, "nodes")
+        oracle_rng = spawn_rng(seed, "nodes")
+        table = spawn_nodes(count, byzantine_fraction, table_rng)
+        oracle = spawn_node_list(count, byzantine_fraction, oracle_rng)
+        np.testing.assert_array_equal(table.hash_power, [n.hash_power for n in oracle])
+        np.testing.assert_array_equal(table.honest, [n.honest for n in oracle])
+        np.testing.assert_array_equal(table.verify_speed, [n.verify_speed for n in oracle])
+        assert table_rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert table[-1] == oracle[-1] and table[:3] == oracle[:3]
+
+    def test_deployment_and_fastpath_epoch_build_only_the_final_seat(self, monkeypatch):
+        built = [0]
+        original = node_module.Node.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(node_module.Node, "__init__", counting)
+        params = ChainParams(num_nodes=8_192, committee_size=64, seed=0, chain_engine="fastpath")
+        sim = ElasticoSimulation(params)
+        assert built[0] == 0
+        outcome = sim.run_epoch()
+        assert len(outcome.committees) > 1 and outcome.final is not None
+        assert 0 < built[0] <= params.committee_size
+
+    def test_deployment_retains_under_128_bytes_per_node(self):
+        """Arrays, not objects: the per-node ``Node`` dataclasses alone
+        retained ~280 B each."""
+        count = 32_768
+        tracemalloc.start()
+        sim = ElasticoSimulation(ChainParams(num_nodes=count, committee_size=128, seed=0))
+        retained, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(sim.nodes) == count
+        assert retained / count <= 128, f"{retained / count:.0f} B per node"
 
 
 class TestStreamingEpoch:

@@ -4,7 +4,8 @@ The DES in repro.chain.pbft/network is the reference executable spec; the
 fastpath must be
 
 * **byte-identical** where no approximation exists: formation (stages
-  1-2, the kernel against the scalar pow/overlay reference), pre-draw
+  1-2, the kernel against the scalar PoW/overlay reference of
+  ``tests/formation_oracle.py``), pre-draw
   fallbacks (a lossy round drains the DES), and the DES itself after the
   RNG-buffer / address-scheme changes;
 * **distributionally indistinguishable** where the PBFT kernel block-draws
@@ -40,15 +41,19 @@ from repro.chain.final import CrosslinkAggregator
 from repro.chain.measurement import linear_growth_check, measure_two_phase_latency
 from repro.chain.network import Network
 from repro.chain.node import spawn_nodes
-from repro.chain.overlay import run_overlay_configuration
 from repro.chain.params import ChainParams, NetworkParams
 from repro.chain.pbft import run_pbft_round
-from repro.chain.pow import committee_fill_times, committee_members, run_pow_election
 from repro.metrics.ks import holm, ks_two_sample
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import spawn_rng
+from tests.formation_oracle import (
+    committee_fill_times,
+    committee_members,
+    run_overlay_configuration,
+    run_pow_election,
+)
 from tests.pbft_oracle import reference_until_commit, replay_pbft_until_commit
 
 VERIFY_MEAN_S = 22.0
@@ -118,7 +123,7 @@ class TestKernelDistribution:
 
 def silent_leaders(size, leaders, seed):
     """An all-honest committee whose members at ``leaders`` are Byzantine."""
-    members = spawn_nodes(count=size, byzantine_fraction=0.0, rng=spawn_rng(seed, "members"))
+    members = list(spawn_nodes(count=size, byzantine_fraction=0.0, rng=spawn_rng(seed, "members")))
     for index in leaders:
         members[index].honest = False
     return members
@@ -249,7 +254,7 @@ class TestFallbacks:
 
     @pytest.mark.parametrize("engine", ["des", "fastpath"])
     def test_no_quorum_stalls_without_a_draw(self, engine):
-        members = spawn_nodes(count=8, byzantine_fraction=0.0, rng=spawn_rng(4, "members"))
+        members = list(spawn_nodes(count=8, byzantine_fraction=0.0, rng=spawn_rng(4, "members")))
         for node in members[5:] + members[:1]:
             node.honest = False
         rng = spawn_rng(4, "round")
@@ -325,15 +330,14 @@ class TestBatchedRounds:
         assert not rejected
 
 
-def formation_dicts(formed, nodes):
+def formation_dicts(formed):
     """A ``formation_kernel`` result as the reference's ``(fills, members,
     overlay)`` dicts: committee index -> fill time, member node ids and
     overlay-completion time."""
     ids = formed.ids.tolist()
-    members = [[nodes[i].node_id for i in row] for row in formed.members.tolist()]
     return (
         dict(zip(ids, formed.fills.tolist())),
-        dict(zip(ids, members)),
+        dict(zip(ids, formed.members.tolist())),
         dict(zip(ids, formed.overlay.tolist())),
     )
 
@@ -377,12 +381,12 @@ class TestFormationByteIdentity:
                 sim, sim.streams.fork("epoch-0").get("epoch")
             )
             kernel = formation_kernel(
-                sim.nodes, params.num_committees, params.committee_size,
-                params.pow_mean_solve_s, sim.randomness,
+                params.pow_mean_solve_s / sim.nodes.hash_power,
+                params.num_committees, params.committee_size, sim.randomness,
                 params.identity_registration_rate,
                 sim.streams.fork("epoch-0").get("epoch"),
             )
-            assert formation_dicts(kernel, sim.nodes) == (fills, members, overlay), params
+            assert formation_dicts(kernel) == (fills, members, overlay), params
 
     def test_registration_queue_matches_sequential_sums(self):
         """At 32,768 nodes the directory queue is one busy period; the
@@ -410,13 +414,13 @@ class TestFormationByteIdentity:
         assert des.formation_latencies == fast.formation_latencies
 
     def test_formation_kernel_validates_inputs(self):
-        nodes = spawn_nodes(count=20, byzantine_fraction=0.0, rng=spawn_rng(0, "n"))
-        with pytest.raises(ValueError):
-            formation_kernel(nodes, 0, 4, 600.0, "genesis", 0.5, spawn_rng(0, "r"))
-        with pytest.raises(ValueError):
-            formation_kernel(nodes, 2, 4, -1.0, "genesis", 0.5, spawn_rng(0, "r"))
-        with pytest.raises(ValueError):
-            formation_kernel(nodes, 2, 4, 600.0, "genesis", 0.0, spawn_rng(0, "r"))
+        scales = 600.0 / spawn_nodes(count=20, byzantine_fraction=0.0, rng=spawn_rng(0, "n")).hash_power
+        with pytest.raises(ValueError, match="num_committees"):
+            formation_kernel(scales, 0, 4, "genesis", 0.5, spawn_rng(0, "r"))
+        with pytest.raises(ValueError, match="solve_scales"):
+            formation_kernel(-scales, 2, 4, "genesis", 0.5, spawn_rng(0, "r"))
+        with pytest.raises(ValueError, match="registration_rate"):
+            formation_kernel(scales, 2, 4, "genesis", 0.0, spawn_rng(0, "r"))
 
 
 class TestNetworkDeterminism:

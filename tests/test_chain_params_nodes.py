@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.chain.network import Network
-from repro.chain.node import Node, spawn_nodes
+from repro.chain.node import Node, NodeTable, spawn_nodes
 from repro.chain.params import ChainParams, NetworkParams
 from repro.sim.engine import SimulationEngine
 
@@ -55,6 +55,27 @@ class TestNodes:
             Node(node_id=0, hash_power=0.0)
         with pytest.raises(ValueError):
             Node(node_id=0, hash_power=1.0, verify_speed=0.0)
+
+    def test_table_validates_its_arrays(self):
+        ones = np.ones(4)
+        honest = np.ones(4, dtype=bool)
+        with pytest.raises(ValueError, match="hash_power"):
+            NodeTable(hash_power=np.array([1.0, 0.0, 1.0, 1.0]), honest=honest, verify_speed=ones)
+        with pytest.raises(ValueError, match="verify_speed"):
+            NodeTable(hash_power=ones, honest=honest, verify_speed=-ones)
+        with pytest.raises(ValueError, match="length"):
+            NodeTable(hash_power=ones, honest=honest[:3], verify_speed=ones)
+        with pytest.raises(ValueError, match="count"):
+            NodeTable(hash_power=ones[:0], honest=honest[:0], verify_speed=ones[:0])
+
+    def test_indexed_node_is_a_detached_snapshot(self):
+        nodes = spawn_nodes(8, byzantine_fraction=0.0, rng=np.random.default_rng(0))
+        node = nodes[-1]
+        assert node.node_id == 7 and node.hash_power == nodes.hash_power[7]
+        node.honest = False
+        assert nodes[7].honest and nodes.honest.all()
+        with pytest.raises(IndexError):
+            nodes[8]
 
     def test_spawn_validation(self):
         rng = np.random.default_rng(0)

@@ -10,7 +10,7 @@ from repro.chain.pbft import run_pbft_round
 
 def make_committee(size, byzantine=0, seed=0):
     rng = np.random.default_rng(seed)
-    nodes = spawn_nodes(size, 0.0, rng)
+    nodes = list(spawn_nodes(size, 0.0, rng))
     for node in nodes[:byzantine]:
         node.honest = False
     # keep the primary honest unless the test wants otherwise

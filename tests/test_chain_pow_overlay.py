@@ -1,13 +1,13 @@
-"""Tests for PoW committee election and overlay configuration."""
+"""Tests for the scalar PoW election and overlay reference (``tests/formation_oracle.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.chain.node import spawn_nodes
-from repro.chain.overlay import run_overlay_configuration
-from repro.chain.pow import (
+from tests.formation_oracle import (
     committee_fill_times,
     committee_members,
+    run_overlay_configuration,
     run_pow_election,
     solve_times,
 )
@@ -27,7 +27,7 @@ def solutions(nodes):
 class TestPow:
     def test_solve_times_scale_with_hash_power(self):
         rng = np.random.default_rng(1)
-        fast = spawn_nodes(2_000, 0.0, rng, hash_power_sigma=0.01)
+        fast = list(spawn_nodes(2_000, 0.0, rng, hash_power_sigma=0.01))
         for node in fast:
             node.hash_power = 4.0
         fast_times = solve_times(fast, 600.0, np.random.default_rng(5))

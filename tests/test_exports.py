@@ -35,7 +35,7 @@ def test_no_accidental_circular_imports():
     submodules = [
         "repro.sim.engine", "repro.sim.rng",
         "repro.chain.params", "repro.chain.network", "repro.chain.gossip",
-        "repro.chain.node", "repro.chain.pow", "repro.chain.overlay",
+        "repro.chain.node", "repro.chain.fastpath",
         "repro.chain.pbft", "repro.chain.committee", "repro.chain.blocks",
         "repro.chain.randomness", "repro.chain.final", "repro.chain.elastico",
         "repro.chain.measurement", "repro.chain.stats", "repro.chain.mempool",

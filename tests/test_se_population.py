@@ -1,10 +1,10 @@
 """The array-native SE population and the vectorized kernel's draw layout.
 
-* A solve, cold or warm, races the Γ×thread mask matrix directly: only
-  the serial oracle (``tests/serial_oracle.py``) builds
-  ``_SolutionThread`` objects, never a dynamic event (which re-seats
-  rows) or a probe (which reads them).  The oracle keeps its objects
-  until something else writes the rows.
+* The serial oracle (``tests/serial_oracle.py``) builds its
+  ``_SolutionThread`` objects once per solve and keeps them until
+  something else writes the rows (a dynamic event re-seats them).  That
+  the package itself races only the Γ×thread mask matrix is
+  ``test_core_engines.py::test_only_the_kernel_races_in_the_package``.
 * A probe reading the rows leaves the trajectory untouched.
 * The oracle's ``_ThreadRng`` seeds its Mersenne Twister on the first
   draw, and that stream is the one an eager seeding gives.
@@ -48,18 +48,8 @@ def built(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# thread objects only on demand
+# the oracle's thread objects
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("engine", ["vectorized", "auto"])
-def test_vectorized_cold_and_warm_solves_build_no_thread(built, engine):
-    instance = base_instance()
-    solver = StochasticExploration(_config(engine, num_threads=16))
-    cold = solver.solve(instance)
-    warm = solver.solve(drifted_instance(instance), warm=cold)
-    assert cold.engine == warm.engine == "vectorized"
-    assert built[0] == 0
-
-
 def test_serial_engine_builds_its_threads(built, serial_race):
     solver = StochasticExploration(_config())
     solver.solve(base_instance())
@@ -82,18 +72,6 @@ def test_serial_engine_keeps_its_threads_until_the_rows_change(built, serial_rac
     shrunk = instance.without(instance.shard_ids[3])
     # A cold build, then a rebuild on the re-seated rows after the LEAVE.
     assert built[0] == 2 * size + 6 * len(solver.thread_cardinalities(shrunk))
-
-
-def test_probe_and_dynamic_event_build_no_thread(built):
-    instance = base_instance()
-    solver = StochasticExploration(_config())
-    cold = solver.solve(instance)
-    solver.solve(drifted_instance(instance), warm=cold, probe=lambda **_: None)
-    schedule = DynamicSchedule([
-        CommitteeEvent(iteration=50, kind=EventKind.LEAVE, shard_id=instance.shard_ids[3])
-    ])
-    solver.solve(instance, schedule=schedule, probe=lambda **_: None)
-    assert built[0] == 0
 
 
 def test_a_probe_never_perturbs_a_vectorized_warm_solve():
