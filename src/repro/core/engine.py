@@ -335,6 +335,20 @@ def _emit_transitions(
 # ------------------------------------------------------------------ #
 # the batched race kernel (distributional)
 # ------------------------------------------------------------------ #
+def _slot_pairs(draws, count, last, offset) -> np.ndarray:
+    """Map ``[..., 2]`` uniform [out, in] draws to flat slot indices.
+
+    ``count``/``last``/``offset`` are the rows' selected and unselected
+    slot counts, last indices and offsets, shaped like ``draws``, which
+    is scaled in place.
+    """
+    draws *= count
+    slots = draws.astype(np.int64)
+    np.minimum(slots, last, out=slots)
+    slots += offset
+    return slots
+
+
 class _VectorState:
     """Flattened array form of every *racing* row of the population, Γ-wide.
 
@@ -353,11 +367,16 @@ class _VectorState:
     ascending order and its utility/weight caches carry verbatim.
     :meth:`write_back` returns the raced rows to the population.
 
-    Hot-path layout: per-row ``sel``/``unsel`` index rows are stored as
-    flat arrays together with ``tx``/``half_beta*value`` gather mirrors, so
-    one round costs a handful of ``take`` gathers on ``(T,)`` arrays.  The
+    Hot-path layout: every row's ``sel`` index row, then every row's
+    ``unsel`` index row, lie in one flat ``slots`` store of shard
+    positions in the smallest unsigned type that holds ``N - 1`` (uint8 up
+    to 256 shards, uint16 beyond).  A swap pair is an ``[out, in]`` pair of
+    flat slot indices, so a round gathers each lane's two positions in one
+    ``take`` and looks their tx and ``half_beta*value`` up in the
+    ``N``-length per-shard arrays, which stay in cache; a fire reuses those
+    positions and swaps them between its two slots in one scatter.  The
     cardinalities never change, so the uniform draws for many rounds are
-    pre-shaped into index/log-variate blocks at once
+    pre-shaped into slot-pair/log-variate blocks at once
     (:meth:`start_block`).
     """
 
@@ -392,8 +411,9 @@ class _VectorState:
         self.n_sel = n_sel
         self.n_unsel = n_unsel
         self._sel_slots = np.arange(max_sel) < n_sel[:, None]
-        sel = np.zeros((size, max_sel), dtype=np.int64)
-        unsel = np.zeros((size, max_unsel), dtype=np.int64)
+        slot_dtype = np.min_scalar_type(max(num_shards - 1, 0))
+        sel = np.zeros((size, max_sel), dtype=slot_dtype)
+        unsel = np.zeros((size, max_unsel), dtype=slot_dtype)
         sel[self._sel_slots] = np.nonzero(masks)[1]
         unsel[np.arange(max_unsel) < n_unsel[:, None]] = np.nonzero(~masks)[1]
         self.utility = rows.utility[source]
@@ -406,23 +426,30 @@ class _VectorState:
         self.half_beta = 0.5 * config.beta
         self.log_mean_base = config.tau - np.log(self.len_unsel)
         self.pair_tries = config.pair_tries
-        # Flat row-major stores plus gather mirrors: tx for the capacity
-        # check (const. 4) and half_beta*value for the eq. (8) exponent.
-        tx = np.asarray(instance.tx_counts, dtype=np.int64)
-        values = np.asarray(instance.values, dtype=np.float64)
-        hbv = self.half_beta * values
-        self.tx_arr = tx
-        self.values_arr = values
-        self.hbv_arr = hbv
-        self.sel_flat = sel.reshape(-1)
-        self.unsel_flat = unsel.reshape(-1)
-        self.tx_sel = tx[sel].reshape(-1)
-        self.tx_unsel = tx[unsel].reshape(-1)
-        self.hbv_sel = hbv[sel].reshape(-1)
-        self.hbv_unsel = hbv[unsel].reshape(-1)
+        # The per-shard lookups a slot's position indexes: tx for the
+        # capacity check (const. 4) and half_beta*value for the eq. (8)
+        # exponent.
+        self.tx_arr = np.asarray(instance.tx_counts, dtype=np.int64)
+        self.values_arr = np.asarray(instance.values, dtype=np.float64)
+        self.hbv_arr = self.half_beta * self.values_arr
+        # One row-major slot store, selected before unselected, so a lane's
+        # [out, in] slot pair is one gather.
+        self.slots = np.concatenate([sel.reshape(-1), unsel.reshape(-1)])
+        self.sel_flat = self.slots[: size * max_sel]
         self.rows = np.arange(size)
-        self.off_sel = (np.arange(size, dtype=np.int64) * max_sel)
-        self.off_unsel = (np.arange(size, dtype=np.int64) * max_unsel)
+        self.off_sel = np.arange(size, dtype=np.int64) * max_sel
+        self.off_unsel = size * max_sel + np.arange(size, dtype=np.int64) * max_unsel
+        # Per-row [out, in] constants of a swap-pair draw (count, last index,
+        # slot offset): (T, 2) for the lane-0 block, and repeated over the
+        # retry lanes so a retry block converts without broadcasting.
+        self._pair = (
+            np.stack([self.len_sel, self.len_unsel], axis=1),
+            np.stack([n_sel - 1, n_unsel - 1], axis=1),
+            np.stack([self.off_sel, self.off_unsel], axis=1),
+        )
+        self._retry_pair = tuple(
+            np.repeat(const[:, None], self.pair_tries - 1, axis=1) for const in self._pair
+        )
         self.virtual_times = population.virtual_times.copy()
         # Segmented-argmin layout: rows scatter into an inf-padded (Γ, T_max)
         # rectangle at static positions (cardinalities never change between
@@ -443,6 +470,12 @@ class _VectorState:
         self._pad_pos = row_group * pad_width + (self.rows - starts[row_group])
         self._padded = np.full(num_groups * pad_width, np.inf)
         self._group_index = np.arange(num_groups)
+        # With every replica racing and finite eq. (8) exponents, a round
+        # that rejects no lane-0 pair arms a finite timer in every replica,
+        # so every replica fires.
+        self._all_race = bool(sizes.all()) and bool(np.isfinite(self.hbv_arr).all())
+        # A Ĉ that covers every shard's transactions rejects no swap (const. 4).
+        self._capacity_binds = instance.capacity < int(self.tx_arr.sum())
         # Running current-utility max over racing rows (the scalar loop's
         # incremental rule: rescans only on downhill max fires).
         self.racing_current = float(self.utility.max()) if size else float("-inf")
@@ -454,8 +487,7 @@ class _VectorState:
         self.last_utilities = np.empty(0, dtype=np.float64)
         self.last_best_row = -1
         self.last_best_utility = float("-inf")
-        self._blk_out: Optional[np.ndarray] = None
-        self._blk_in: Optional[np.ndarray] = None
+        self._blk: Optional[np.ndarray] = None
         self._blk_timer_base: Optional[np.ndarray] = None
 
     # -------------------------------------------------------------- #
@@ -469,21 +501,19 @@ class _VectorState:
         retry stream inside :meth:`race_round`, so this block's shape never
         depends on acceptance.
         """
-        draws = rng.random((rounds, self.size, 2))
-        out = (draws[..., 0] * self.len_sel).astype(np.int64)
-        np.minimum(out, self.n_sel - 1, out=out)
-        out += self.off_sel
-        inn = (draws[..., 1] * self.len_unsel).astype(np.int64)
-        np.minimum(inn, self.n_unsel - 1, out=inn)
-        inn += self.off_unsel
-        self._blk_out = out
-        self._blk_in = inn
-        exp_draws = rng.random((rounds, self.size))
-        # Pre-fold the eq. (8) log-mean base and the Exp(1) inversion so a
-        # round's timer is just two gathers and two adds on (T,) arrays.
-        self._blk_timer_base = self.log_mean_base + np.log(
-            np.maximum(-np.log1p(-exp_draws), 1e-300)
-        )
+        # [r, t] holds thread t's lane-0 [out, in] slots in round r.
+        self._blk = _slot_pairs(rng.random((rounds, self.size, 2)), *self._pair)
+        # Pre-fold the eq. (8) log-mean base and the Exp(1) inversion,
+        # log(max(-log1p(-u), 1e-300)) + base, in place, so a round's timer
+        # is just a gather and two adds on (T,) arrays.
+        timer_base = rng.random((rounds, self.size))
+        np.negative(timer_base, out=timer_base)
+        np.log1p(timer_base, out=timer_base)
+        np.negative(timer_base, out=timer_base)
+        np.maximum(timer_base, 1e-300, out=timer_base)
+        np.log(timer_base, out=timer_base)
+        timer_base += self.log_mean_base
+        self._blk_timer_base = timer_base
 
     def race_round(self, block_round: int) -> int:
         """One batched race round across all Γ replicas; returns the fire count.
@@ -501,98 +531,67 @@ class _VectorState:
         is tested with (T,)-shaped ops; just the rejected rows draw and
         scan their remaining ``pair_tries - 1`` lanes from the retry
         stream.  The lane chosen per thread (first feasible) matches the
-        scalar rejection loop's.
+        scalar rejection loop's.  A Ĉ that covers every shard's
+        transactions rejects nothing, so the const. (4) test is skipped.  A
+        round that rejects no lane-0 pair while every replica races arms a
+        finite timer in every replica, so it fires them all without
+        filtering the winners.
         """
         if self.size == 0:
             self.last_rows = self.last_groups = np.empty(0, dtype=np.int64)
             self.last_best_row = -1
             return 0
-        flat_out = self._blk_out[block_round]  # (T,) lane-0 pair rows
-        flat_in = self._blk_in[block_round]
+        pairs = self._blk[block_round]  # (T, 2) lane-0 [out, in] slots
         timer_base = self._blk_timer_base[block_round]
-        rejected = (
-            self.tx_unsel.take(flat_in) - self.tx_sel.take(flat_out)
-        ) > self.slack
-        timers = (
-            timer_base
-            - self.hbv_unsel.take(flat_in)
-            + self.hbv_sel.take(flat_out)
-        )
-        if rejected.any():
-            pend = np.flatnonzero(rejected)
-            tries = self.pair_tries - 1
-            if tries == 0:
-                timers[pend] = np.inf  # single-try budget: rejected rows park
-            else:
-                if self.retry_rng is None:
-                    raise RuntimeError(
-                        "race_round needs a retry stream once a lane-0 pair is "
-                        "rejected; construct _VectorState with retry_rng"
-                    )
-                retry = self.retry_rng.random((pend.size, tries, 2))
-                sub_out = (retry[..., 0] * self.len_sel[pend, None]).astype(np.int64)
-                np.minimum(sub_out, self.n_sel[pend, None] - 1, out=sub_out)
-                sub_out += self.off_sel[pend, None]
-                sub_in = (retry[..., 1] * self.len_unsel[pend, None]).astype(np.int64)
-                np.minimum(sub_in, self.n_unsel[pend, None] - 1, out=sub_in)
-                sub_in += self.off_unsel[pend, None]
-                accepted = (
-                    self.tx_unsel.take(sub_in) - self.tx_sel.take(sub_out)
-                ) <= self.slack[pend, None]
-                lane = np.argmax(accepted, axis=1)  # first feasible lane
-                sub_rows = self.rows[: pend.size]
-                pend_out = sub_out[sub_rows, lane]
-                pend_in = sub_in[sub_rows, lane]
-                flat_out = flat_out.copy()
-                flat_in = flat_in.copy()
-                flat_out[pend] = pend_out
-                flat_in[pend] = pend_in
-                timers[pend] = (
-                    timer_base.take(pend)
-                    - self.hbv_unsel.take(pend_in)
-                    + self.hbv_sel.take(pend_out)
-                )
-                # Parked: no feasible pair within the budget.
-                timers[pend[~accepted.any(axis=1)]] = np.inf
+        tx = self.tx_arr
+        hbv = self.hbv_arr
+        pos = self.slots.take(pairs)  # their shard positions
+        pair_hbv = hbv.take(pos)
+        timers = timer_base - pair_hbv[:, 1] + pair_hbv[:, 0]
+        all_fire = self._all_race
+        if self._capacity_binds:
+            pair_tx = tx.take(pos)
+            pend = np.flatnonzero((pair_tx[:, 1] - pair_tx[:, 0]) > self.slack)
+            if pend.size:
+                all_fire = False
+                pairs = self._rearm_rejected(pend, pairs, pos, timers, timer_base)
         # Segmented per-replica argmin over the static inf-padded rectangle.
         padded = self._padded
         padded[self._pad_pos] = timers
         rect = padded.reshape(self.num_groups, self._pad_width)
         slots = rect.argmin(axis=1)
         win_log = rect[self._group_index, slots]
-        # Empty groups / all-parked replicas stay at inf and do not fire.
-        groups = np.flatnonzero(np.isfinite(win_log))
-        if groups.size == 0:
-            self.last_rows = self.last_groups = np.empty(0, dtype=np.int64)
-            self.last_best_row = -1
-            return 0
-        rows = self.group_starts[groups] + slots[groups]
-        self.virtual_times[groups] += np.exp(
-            np.clip(win_log[groups], LOG_DURATION_MIN, LOG_DURATION_MAX)
-        )
-        # Batched State Transit over the winning rows.
-        f_out = flat_out[rows]
-        f_in = flat_in[rows]
-        pos_out = self.sel_flat[f_out]  # fancy gather: already copies
-        pos_in = self.unsel_flat[f_in]
-        self.sel_flat[f_out] = pos_in
-        self.unsel_flat[f_in] = pos_out
-        tx_in = self.tx_arr[pos_in]
-        tx_out = self.tx_arr[pos_out]
-        self.tx_sel[f_out] = tx_in
-        self.tx_unsel[f_in] = tx_out
-        self.hbv_sel[f_out] = self.hbv_arr[pos_in]
-        self.hbv_unsel[f_in] = self.hbv_arr[pos_out]
-        weight_delta = tx_in - tx_out
+        if all_fire:
+            groups = self._group_index
+            rows = self.group_starts + slots
+            self.virtual_times += np.exp(win_log.clip(LOG_DURATION_MIN, LOG_DURATION_MAX))
+        else:
+            # Empty groups / all-parked replicas stay at inf and do not fire.
+            groups = np.flatnonzero(np.isfinite(win_log))
+            if groups.size == 0:
+                self.last_rows = self.last_groups = np.empty(0, dtype=np.int64)
+                self.last_best_row = -1
+                return 0
+            rows = self.group_starts[groups] + slots[groups]
+            self.virtual_times[groups] += np.exp(
+                win_log[groups].clip(LOG_DURATION_MIN, LOG_DURATION_MAX)
+            )
+        # Batched State Transit over the winning rows: each swaps the
+        # [out, in] positions its armed lane gathered between its two slots.
+        fired = pos[rows]
+        self.slots[pairs[rows]] = fired[:, ::-1]
+        fired_tx = tx[fired]
+        weight_delta = fired_tx[:, 1] - fired_tx[:, 0]
         self.weight[rows] += weight_delta
         self.slack[rows] -= weight_delta
         before = self.utility[rows]
-        after = before + (self.values_arr[pos_in] - self.values_arr[pos_out])
+        fired_values = self.values_arr[fired]
+        after = before + (fired_values[:, 1] - fired_values[:, 0])
         self.utility[rows] = after
         # The scalar loop's incremental current-utility rule, applied to
         # the whole fire batch: a rise can only raise the max; a
         # downgrade of a max-holder forces one rescan.
-        top = int(np.argmax(after))
+        top = int(after.argmax())
         top_utility = float(after[top])
         if top_utility > self.racing_current:
             self.racing_current = top_utility
@@ -600,14 +599,51 @@ class _VectorState:
             self.racing_current = float(self.utility.max())
         self.last_rows = rows
         self.last_groups = groups
-        self.last_pos_out = pos_out
-        self.last_pos_in = pos_in
+        self.last_pos_out = fired[:, 0]
+        self.last_pos_in = fired[:, 1]
         self.last_utilities = after
         # Rows are replica-major ascending and argmax takes the first max,
         # so this reproduces the scalar loop's lowest-replica tie-break.
         self.last_best_row = int(rows[top])
         self.last_best_utility = top_utility
         return int(rows.size)
+
+    def _rearm_rejected(self, pend, pairs, pos, timers, timer_base) -> np.ndarray:
+        """Re-arm the rows ``pend`` whose lane-0 pair breaks Ĉ (const. 4).
+
+        Each draws its remaining ``pair_tries - 1`` lanes from the retry
+        stream and arms on the first feasible one; a row with none parks
+        at an infinite timer.  Updates ``pos`` and ``timers`` in place and
+        returns the round's slot pairs with the armed lanes in.
+        """
+        tries = self.pair_tries - 1
+        if tries == 0:
+            timers[pend] = np.inf  # single-try budget: rejected rows park
+            return pairs
+        if self.retry_rng is None:
+            raise RuntimeError(
+                "race_round needs a retry stream once a lane-0 pair is "
+                "rejected; construct _VectorState with retry_rng"
+            )
+        sub = _slot_pairs(
+            self.retry_rng.random((pend.size, tries, 2)),
+            *(const.take(pend, axis=0) for const in self._retry_pair),
+        )
+        sub_pos = self.slots.take(sub)
+        sub_tx = self.tx_arr.take(sub_pos)
+        accepted = (sub_tx[..., 1] - sub_tx[..., 0]) <= self.slack[pend, None]
+        # First feasible lane, as a flat (row, lane) index.
+        lane = self.rows[: pend.size] * tries + accepted.argmax(axis=1)
+        pairs = pairs.copy()
+        pairs[pend] = sub.reshape(-1, 2).take(lane, axis=0)
+        pend_pos = sub_pos.reshape(-1, 2).take(lane, axis=0)
+        pos[pend] = pend_pos
+        pend_hbv = self.hbv_arr.take(pend_pos)
+        timers[pend] = timer_base.take(pend) - pend_hbv[:, 1] + pend_hbv[:, 0]
+        # Parked: no feasible pair within the budget, so argmax fell back
+        # to an infeasible first lane.
+        timers[pend[~accepted.reshape(-1).take(lane)]] = np.inf
+        return pairs
 
     def current_utility(self) -> float:
         """Best current utility across racing and static threads."""

@@ -1,15 +1,16 @@
-"""Tests for the gossip overlay and epidemic broadcast."""
+"""Tests for the gossip overlay and epidemic broadcast (``tests/gossip_oracle.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.chain.gossip import (
+from repro.chain.params import NetworkParams
+
+from tests.gossip_oracle import (
     GossipNetwork,
     broadcast_completion_times,
     is_connected,
     random_regular_topology,
 )
-from repro.chain.params import NetworkParams
 
 PARAMS = NetworkParams(base_delay=1.0, jitter_sigma=0.2)
 

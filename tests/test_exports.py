@@ -34,7 +34,7 @@ def test_no_accidental_circular_imports():
     """Import every submodule fresh in one process."""
     submodules = [
         "repro.sim.engine", "repro.sim.rng",
-        "repro.chain.params", "repro.chain.network", "repro.chain.gossip",
+        "repro.chain.params", "repro.chain.network",
         "repro.chain.node", "repro.chain.fastpath",
         "repro.chain.pbft", "repro.chain.committee", "repro.chain.blocks",
         "repro.chain.randomness", "repro.chain.final", "repro.chain.elastico",

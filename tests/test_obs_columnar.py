@@ -123,6 +123,18 @@ def test_streams_are_columnar(streams, trace):
 
 
 @pytest.mark.parametrize("trace", TRACES)
+def test_transition_position_columns_are_int64(streams, trace):
+    """The kernel races shard positions as uint8/uint16 slots; the
+    ``se.transition`` columns stay int64 and equal their expanded rows."""
+    transitions = [r for r in streams[trace] if r["name"] == "se.transition"]
+    for record in transitions:
+        rows = list(_expand([record]))
+        for column in ("swap_out", "swap_in", "cardinality"):
+            assert record[column].dtype == np.int64
+            assert [row[column] for row in rows] == record[column].tolist()
+
+
+@pytest.mark.parametrize("trace", TRACES)
 def test_aggregate_snapshot_equals_the_expanded_stream(streams, trace):
     records = streams[trace]
     columnar = _aggregate(records).snapshot()

@@ -120,8 +120,8 @@ def test_start_block_reads_pairs_then_exp1_uniforms():
     exp1 = fresh.random((rounds, state.size))
     out = np.minimum((pairs[..., 0] * state.len_sel).astype(np.int64), state.n_sel - 1)
     inn = np.minimum((pairs[..., 1] * state.len_unsel).astype(np.int64), state.n_unsel - 1)
-    assert np.array_equal(state._blk_out, out + state.off_sel)
-    assert np.array_equal(state._blk_in, inn + state.off_unsel)
+    assert np.array_equal(state._blk[..., 0], out + state.off_sel)
+    assert np.array_equal(state._blk[..., 1], inn + state.off_unsel)
     timer_base = state.log_mean_base + np.log(np.maximum(-np.log1p(-exp1), 1e-300))
     assert np.array_equal(state._blk_timer_base, timer_base)
 
@@ -134,7 +134,7 @@ def test_round_draws_depend_on_the_block_length():
     rng = run.streams.get("vectorized-race")
     split.start_block(rng, 1)
     split.start_block(rng, 1)
-    assert not np.array_equal(whole._blk_out[1], split._blk_out[0])
+    assert not np.array_equal(whole._blk[1], split._blk[0])
 
 
 def test_block_length_is_the_segment_remainder_capped_by_65536_over_t(monkeypatch):
