@@ -4,8 +4,8 @@ Not a figure from the paper -- this measures the paper's *motivating claim*
 end-to-end: that a committee-scheduling strategy reduces the cumulative age
 of packed transactions (and therefore helps the chain) compared with the
 unscheduled Elastico final committee.  Both deployments run the full
-5-stage protocol on the DES substrate for several epochs; only the stage-4
-scheduler differs.
+5-stage protocol for several epochs (PBFT rounds through the round
+router's batched kernel); only the stage-4 scheduler differs.
 """
 
 import numpy as np

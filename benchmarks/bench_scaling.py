@@ -32,7 +32,7 @@ def test_se_race_throughput_at_paper_scale(benchmark):
 
 
 def test_epoch_protocol_runtime(benchmark):
-    """One full 5-stage epoch at 400 nodes on the DES engine."""
+    """One full 5-stage epoch at 400 nodes (PBFT rounds through the round router)."""
     def run():
         simulation = ElasticoSimulation(
             ChainParams(num_nodes=400, committee_size=8, seed=9),

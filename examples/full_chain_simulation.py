@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """End-to-end sharded-blockchain simulation: Elastico + MVCom scheduling.
 
-Runs several full epochs of the 5-stage Elastico protocol on the
-discrete-event substrate -- PoW committee election, overlay configuration,
-per-committee PBFT, final consensus, randomness refresh -- twice: once with
+Runs several full epochs of the 5-stage Elastico protocol -- PoW
+committee election, overlay configuration, per-committee PBFT (the round
+router's batched kernel), final consensus, randomness refresh -- twice: once with
 the plain arrival-order final committee and once with the MVCom SE
 scheduler plugged into stage 4.  Prints the root-chain throughput and
 cumulative-age comparison.

@@ -6,8 +6,8 @@ so stage 3 reads honesty and verification speed with gathers instead of
 walking ``Node`` objects.  A :class:`Committee` -- one committee with its
 member ``Node`` objects -- is built only where a consumer needs one: the
 final seat and readers of an epoch's outcome.  :func:`run_pbft_rounds`
-is the one PBFT round router, for member and final committees under
-either chain engine; :func:`run_intra_consensus_streaming` runs stage 3
+is the one PBFT round router, for member and final committees;
+:func:`run_intra_consensus_streaming` runs stage 3
 through it and folds the submitted shards into the final committee's
 crosslink arrays.
 """
@@ -173,16 +173,14 @@ def run_pbft_rounds(
     ``committees`` is a :class:`CommitteeArrays`, indexed directly, or any
     sequence of :class:`Committee` objects, packed into one first
     (:meth:`CommitteeArrays.of`).  Every committee runs through the same
-    four steps, whatever the chain engine and whether it is a member or
-    the final committee:
+    four steps, whether it is a member or the final committee:
 
     1. **Quorum filter.**  A committee with fewer than 2f+1 honest members
        (:func:`quorum_reachable`, on a gather of the per-node honesty
        array) stalls without drawing.
-    2. **Classifier.**  Under the ``des`` engine every other round falls
-       back, and under ``fastpath`` a lossy network falls back as
-       ``lossy-network``; neither check draws, so such a round replays
-       from the same stream position as the DES would.
+    2. **Classifier.**  On a lossy network every other round falls back
+       as ``lossy-network``; the check draws nothing, so such a round
+       replays from the same stream position as an all-DES epoch would.
     3. **Batched kernel.**  Every other round goes through one chunked
        order-statistics kernel call
        (:func:`repro.chain.fastpath._pbft_kernel_batch`: committee chunks on
@@ -196,18 +194,18 @@ def run_pbft_rounds(
        view's timer, ``V_v + timeout * 2**v``, falls back as
        ``view-change-timeout``; the others commit there, each with its
        ``chain.pbft.view_change`` events and ``chain.pbft.round`` span.
-    4. **Fallback.**  In the order they were queued (pre-draw fallbacks in
+    4. **Fallback.**  In the order they were queued (lossy rounds in
        committee order, then timeouts), the fallbacks run the reference
        :func:`repro.chain.pbft.run_pbft_round` on the members' ``Node``
-       objects, which drains the whole event queue, so a lossy fastpath
-       epoch stays byte-identical to the pure DES epoch.
+       objects, which drains the whole event queue, so a lossy epoch
+       stays byte-identical to an all-DES epoch.
 
-    Committee-vs-committee draw order differs from the DES engine's (batch
-    key first, fallbacks second), which is fine because all rounds draw
-    independently.  Each fallback with a reason emits one
-    ``chain.fastpath.fallback`` event, and the kernel call one
-    ``chain.fastpath.chunks`` event.  All committees share one size.
-    Returns one outcome per committee, in committee order.
+    The all-DES path, every quorum-reaching round on ``run_pbft_round``
+    in committee order, is the test oracle in ``tests/pbft_oracle.py``;
+    the kernel matches it in distribution, not draw for draw.  Each
+    fallback emits one ``chain.fastpath.fallback`` event, and the kernel
+    call one ``chain.fastpath.chunks`` event.  All committees share one
+    size.  Returns one outcome per committee, in committee order.
     """
     if not isinstance(committees, CommitteeArrays):
         committees = CommitteeArrays.of(committees)
@@ -226,11 +224,8 @@ def run_pbft_rounds(
         None if reachable else PbftOutcome(committed=False, start_time=0.0, commit_time=None)
         for reachable in quorum.tolist()
     ]
-    fallbacks: List[Tuple[int, Optional[str]]] = []
-    if params.chain_engine != "fastpath":
-        fallbacks = [(k, None) for k in np.flatnonzero(quorum).tolist()]  # the DES's own rounds
-        stack = stack[:0]
-    elif params.network.loss_probability > 0.0:
+    fallbacks: List[Tuple[int, str]] = []
+    if params.network.loss_probability > 0.0:
         fallbacks = [(k, "lossy-network") for k in np.flatnonzero(quorum).tolist()]
         stack = stack[:0]
 
@@ -286,7 +281,7 @@ def run_pbft_rounds(
                 )
 
     for k, reason in fallbacks:
-        if reason is not None and telemetry.enabled:
+        if telemetry.enabled:
             telemetry.event("chain.fastpath.fallback", tag=tags[k], reason=reason)
         outcomes[k] = run_pbft_round(
             members=[committees.nodes[i] for i in committees.members[k].tolist()],

@@ -6,12 +6,12 @@ One :meth:`ElasticoSimulation.run_epoch` call executes:
 2. **Overlay configuration** -- serial identity registration + membership
    gossip; formation latency = committee-fill time + overlay time, which
    is what Fig. 2 measures.  Stages 1-2 run as one vectorized kernel
-   (:func:`repro.chain.fastpath.formation_kernel`) under both engines;
+   (:func:`repro.chain.fastpath.formation_kernel`);
 3. **Intra-committee consensus** -- a PBFT round per committee
    (:func:`repro.chain.committee.run_intra_consensus_streaming`, through
-   the round router :func:`repro.chain.committee.run_pbft_rounds`: the DES
-   of :mod:`repro.chain.pbft`, or the batched kernel of
-   :mod:`repro.chain.fastpath` plus replayed fallbacks); each submitted
+   the round router :func:`repro.chain.committee.run_pbft_rounds`: the
+   batched kernel of :mod:`repro.chain.fastpath`, plus fallbacks replayed
+   on the DES of :mod:`repro.chain.pbft`); each submitted
    shard folds into a :class:`repro.chain.final.CrosslinkAggregator` as
    its committee id, ``s_i`` and two-phase ``l_i``;
 4. **Final consensus** -- the final committee cuts the arrivals at
@@ -123,9 +123,9 @@ class ElasticoSimulation:
     def form_committees(self, rng: np.random.Generator) -> CommitteeArrays:
         """Stages 1-2: PoW election + overlay configuration.
 
-        Both chain engines run the vectorized formation kernel, which
-        draws the RNG stream exactly as the scalar reference PoW election
-        and overlay loops do and forms byte-identical committees.  Its
+        The vectorized formation kernel draws the RNG stream exactly as
+        the scalar reference PoW election and overlay loops do and forms
+        byte-identical committees.  Its
         ``(K, c)`` member matrix indexes the node table's arrays directly,
         so no per-committee member list is built; ``len`` of the result
         is the number of committees formed.

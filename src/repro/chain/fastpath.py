@@ -46,8 +46,8 @@ view ``v``'s timer, ``V_v + timeout * 2**v`` (the DES would fire it first
 and change views; that fallback happens after the kernel's draws and is
 only distributionally faithful).  A committee with fewer than ``2f+1``
 honest members never gets here: it stalls without a draw.  One router
-makes these calls for every committee, member and final, under either
-engine: :func:`repro.chain.committee.run_pbft_rounds`.  The DES stays the
+makes these calls for every committee, member and final:
+:func:`repro.chain.committee.run_pbft_rounds`.  The DES stays the
 reference: ``tests/test_chain_fastpath.py`` checks the kernel, view-change
 rows included, against ``PbftRound`` in distribution.
 
@@ -59,9 +59,9 @@ small-matrix calls -- the per-call numpy dispatch overhead dominates at
 stream (a fixed two-``uint64`` consumption, whatever the batch shape)
 and replays the fallbacks afterwards on the reference
 :func:`repro.chain.pbft.run_pbft_round`; committee-vs-committee draw
-*order* therefore differs from the DES engine's one-round-at-a-time
-loop, which is immaterial because the draws are independent (the
-per-size KS tests compare the two engines).  With a lossy network
+*order* therefore differs from the all-DES oracle's one-round-at-a-time
+loop (``tests/pbft_oracle.py``), which is immaterial because the draws
+are independent (the per-size KS tests compare the two).  With a lossy network
 nothing is drawn by the kernel at all -- not even the key -- and every
 round drains the full ``PbftRound`` event queue, so a fully-fallback
 epoch stays byte-identical to the pure DES epoch.
@@ -120,7 +120,7 @@ absorbed once, then a copy per node takes its cached ``b":<id>"``
 suffix), grouped order statistics for fill times and membership, the
 serial registration queue summed one busy period at a time
 (:func:`_registration_queue`), and one gossip block draw in
-committee-index order.  Both chain engines form committees with it.
+committee-index order.  Every epoch forms its committees with it.
 """
 
 from __future__ import annotations

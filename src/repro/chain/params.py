@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: chain substrate execution engines (``ChainParams.chain_engine``)
-CHAIN_ENGINE_NAMES = ("des", "fastpath")
-
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -64,13 +61,8 @@ class ChainParams:
     byzantine_fraction:
         Fraction of Byzantine nodes (must stay < 1/3 for PBFT liveness).
     chain_engine:
-        How PBFT rounds run: ``"des"`` runs the reference discrete-event
-        simulation; ``"fastpath"`` computes round latencies in closed form
-        via :mod:`repro.chain.fastpath` (numpy order statistics), falling
-        back to a replay per committee whenever the closed form is invalid
-        (Byzantine primary, lossy network, view-change possible).  Read
-        only by the round router :func:`repro.chain.committee.run_pbft_rounds`;
-        committee formation is the same kernel under both engines.
+        Accepted only as ``"fastpath"`` and read by nothing: every PBFT
+        round goes through :func:`repro.chain.committee.run_pbft_rounds`.
     max_batch_bytes:
         Scratch-byte budget for the chunked fastpath kernels (PBFT batch
         and formation).  Each batched kernel call splits its committee or
@@ -89,14 +81,15 @@ class ChainParams:
     byzantine_fraction: float = 0.1
     network: NetworkParams = NetworkParams()
     seed: int = 0
-    chain_engine: str = "des"
+    chain_engine: str = "fastpath"  # perfbench/workloads.py still passes it
     max_batch_bytes: int = 268_435_456  # 256 MiB
 
     def __post_init__(self) -> None:
-        if self.chain_engine not in CHAIN_ENGINE_NAMES:
+        if self.chain_engine != "fastpath":
             raise ValueError(
-                f"unknown chain_engine {self.chain_engine!r}; "
-                f"expected one of {CHAIN_ENGINE_NAMES}"
+                f"unknown chain_engine {self.chain_engine!r}: PBFT rounds run "
+                "only through the round router ('fastpath'); the all-DES "
+                "path is the test oracle in tests/pbft_oracle.py"
             )
         if self.num_nodes < self.committee_size:
             raise ValueError("need at least one committee's worth of nodes")

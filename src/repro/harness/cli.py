@@ -4,7 +4,6 @@ Usage::
 
     mvcom list                  # available experiments
     mvcom fig08                 # run one figure, print its table, write CSV
-    mvcom fig02 --chain-engine fastpath   # closed-form chain substrate
     mvcom all                   # run every figure (slow)
     mvcom lint [paths...]       # static analysis (rules MV001-MV102)
     mvcom lint --annotate src/  # + GitHub ::error annotations
@@ -26,7 +25,6 @@ import sys
 import time
 from typing import Callable, Dict
 
-from repro.chain.params import CHAIN_ENGINE_NAMES
 from repro.harness import experiments
 from repro.harness.presets import PRESETS, list_presets
 from repro.harness.report import render_table, sample_trace, traces_table, traces_to_rows, write_csv
@@ -49,18 +47,6 @@ RUNNERS: Dict[str, Callable[[], dict]] = {
     "theory_mixing": experiments.run_theory_mixing_time,
     "theory_failure": experiments.run_theory_failure,
 }
-
-
-def runner_kwargs(name: str, args) -> dict:
-    """Per-figure keyword arguments derived from the CLI flags.
-
-    Only fig02 understands ``--chain-engine``; every other runner keeps
-    its zero-argument call.
-    """
-    kwargs: Dict[str, object] = {}
-    if name == "fig02" and args.chain_engine is not None:
-        kwargs["chain_engine"] = args.chain_engine
-    return kwargs
 
 
 def print_result(name: str, result: dict) -> None:
@@ -107,7 +93,6 @@ def run_traced_solve(args) -> int:
         trace_path=args.trace,
         profile=args.profile,
         top_n=args.top,
-        chain_engine=args.chain_engine or "des",
         resources=args.resources,
     )
     result = run.result
@@ -288,11 +273,6 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=None,
                         help="solve/serve/storm: SE iteration budget (default "
                         "2000); eth2scale defaults to its preset's budget")
-    parser.add_argument("--chain-engine", choices=list(CHAIN_ENGINE_NAMES),
-                        default=None,
-                        help="fig02/solve: chain substrate implementation "
-                        "(des reference simulation or the fastpath "
-                        "closed-form kernel; default des)")
     parser.add_argument("--top", type=int, default=10,
                         help="solve/trace: rows per summary table (default 10)")
     parser.add_argument("--events", type=int, default=200,
@@ -423,7 +403,7 @@ def main(argv=None) -> int:
     names = sorted(RUNNERS) if args.experiment == "all" else [args.experiment]
     for name in names:
         started = time.time()
-        result = RUNNERS[name](**runner_kwargs(name, args))
+        result = RUNNERS[name]()
         print_result(name, result)
         preset = PRESETS.get(name) or PRESETS.get(name + "a")
         artifact_path = write_artifact(name, result, preset=preset)

@@ -91,7 +91,6 @@ def run_eth2scale(
             num_nodes=num_nodes,
             committee_size=c,
             seed=seed,
-            chain_engine="fastpath",
             max_batch_bytes=budget,
         )
         solver = StochasticExploration(

@@ -121,14 +121,8 @@ def run_all_algorithms(
 # --------------------------------------------------------------------- #
 def run_fig02_two_phase_latency(
     preset: FigurePreset = PRESETS["fig02"],
-    chain_engine: Optional[str] = None,
 ) -> dict:
-    """Fig. 2: measure two-phase latency on the Elastico substrate.
-
-    ``chain_engine`` picks the substrate implementation (``"des"``
-    reference or the ``"fastpath"`` closed-form kernel); ``None`` keeps
-    the preset's :class:`~repro.chain.params.ChainParams` default.
-    """
+    """Fig. 2: measure two-phase latency on the Elastico substrate."""
     sizes = preset.extras["network_sizes"]
     params = ChainParams(
         num_nodes=min(sizes),
@@ -139,7 +133,6 @@ def run_fig02_two_phase_latency(
         params,
         sizes,
         epochs_per_size=int(preset.extras["epochs_per_size"]),
-        chain_engine=chain_engine,
     )
     fit = linear_growth_check(measurements)
     cdf_size = int(preset.extras["cdf_network_size"])

@@ -5,8 +5,8 @@ wall clocks and sinks (the instrumented packages only ever *receive* a
 hub), builds the standard hub for ``mvcom solve --trace``, and runs a
 small end-to-end scenario -- an epoch workload through
 :class:`~repro.core.se.StochasticExploration` followed by a final-committee
-PBFT round on the DES substrate -- so one JSONL stream contains SE
-transition/RESET events, sim-engine stats, and a chain-phase span.
+PBFT round through the round router -- so one JSONL stream contains SE
+transition/RESET events and a chain-phase span.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ def traced_solve(
     profile: bool = False,
     top_n: int = 10,
     telemetry: Optional[Telemetry] = None,
-    chain_engine: str = "des",
     resources: bool = False,
     resource_sampler: Optional[Callable[[], Optional[dict]]] = None,
 ) -> TracedRun:
@@ -124,10 +123,9 @@ def traced_solve(
     solver call additionally runs under cProfile and its top-``top_n``
     hotspots land in the same stream as a ``profile.hotspots`` event.
 
-    ``chain_engine`` selects the substrate for the final PBFT round
-    (``des`` reference simulation or the ``fastpath`` closed-form kernel),
-    which runs through :func:`repro.chain.committee.run_pbft_rounds` like
-    every epoch's rounds.  With ``resources=True`` the
+    The final round runs through
+    :func:`repro.chain.committee.run_pbft_rounds` like every epoch's
+    rounds.  With ``resources=True`` the
     harness-only ``obs.resources`` gauge (peak RSS via ``getrusage``, wall
     from the solve span's ``wall_dt``) is emitted when the solve span closes;
     ``resource_sampler`` injects a fake sampler for tests.
@@ -171,9 +169,9 @@ def traced_solve(
     if resources:
         emit_resource_gauge(telemetry, wall_s=span.wall_dt, sampler=resource_sampler)
 
-    # One chain-phase: the final committee's PBFT round on the selected engine.
+    # One chain-phase: the final committee's PBFT round.
     streams = RandomStreams(seed)
-    params = ChainParams(chain_engine=chain_engine)
+    params = ChainParams()
     members = spawn_nodes(
         count=params.committee_size,
         byzantine_fraction=0.0,

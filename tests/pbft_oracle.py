@@ -12,21 +12,35 @@ here:
   stage times, telemetry and the generator's end state), pinned by
   ``tests/test_chain_fallback_replay.py``.  It samples large committees
   at a fraction of the DES's cost.
+
+The all-DES path is here too: :func:`run_des_rounds` runs every
+quorum-reaching committee of an epoch through the reference
+:func:`repro.chain.pbft.run_pbft_round`, in committee order, where the
+production round router :func:`repro.chain.committee.run_pbft_rounds`
+sends the loss-free ones through the batched kernel.  ``with
+rounds_on("des"):`` swaps it in for every caller of the router: stage 3,
+``FinalCommittee.run_streaming`` and ``traced_solve``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.chain.final  # noqa: F401  (binds run_pbft_rounds by name)
+import repro.harness.tracing  # noqa: F401  (binds run_pbft_rounds by name)
+from repro.chain import committee as committee_module
+from repro.chain.committee import CommitteeArrays, calibrated_verify_mean, quorum_reachable
 from repro.chain.fastpath import view_change_timeout
 from repro.chain.network import Network
 from repro.chain.node import Node
-from repro.chain.params import NetworkParams
-from repro.chain.pbft import PbftOutcome, PbftRound
+from repro.chain.params import ChainParams, NetworkParams
+from repro.chain.pbft import PbftOutcome, PbftRound, run_pbft_round
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry
 from repro.sim.engine import SimulationEngine
 
@@ -278,3 +292,77 @@ def replay_pbft_until_commit(
             send_preprepare(now)
             push(heap, (now + timeout_s * (2.0**view), next(seq), _TIMEOUT, view, 0))
     return outcome
+
+
+# ------------------------------------------------------------------ #
+# the all-DES path, swapped in for the round router
+# ------------------------------------------------------------------ #
+def run_des_rounds(
+    committees,
+    tags: Sequence[str],
+    params: ChainParams,
+    rng: np.random.Generator,
+    verify_mean_s: Optional[float] = None,
+    telemetry: NullTelemetry = NULL_TELEMETRY,
+) -> List[PbftOutcome]:
+    """``run_pbft_rounds`` with every quorum-reaching round on the DES.
+
+    Same signature and quorum filter as the router: a committee with fewer
+    than 2f+1 honest members stalls without a draw.  Every other committee
+    drains :func:`run_pbft_round` on the shared stream, in committee order,
+    and no ``chain.fastpath.*`` event is emitted.
+    """
+    if not isinstance(committees, CommitteeArrays):
+        committees = CommitteeArrays.of(committees)
+    if not len(committees):
+        return []
+    size = committees.members.shape[1]
+    if size < 4:
+        raise ValueError("PBFT needs at least 4 members (3f+1, f >= 1)")
+    if verify_mean_s is None:
+        verify_mean_s = calibrated_verify_mean(params)
+    honest = committees.honest[committees.members]
+    outcomes = []
+    for k, reachable in enumerate(quorum_reachable(honest.sum(axis=1), size).tolist()):
+        if not reachable:
+            outcomes.append(PbftOutcome(committed=False, start_time=0.0, commit_time=None))
+            continue
+        outcomes.append(
+            run_pbft_round(
+                members=[committees.nodes[i] for i in committees.members[k].tolist()],
+                rng=rng,
+                network_params=params.network,
+                verify_mean_s=verify_mean_s,
+                round_tag=tags[k],
+                telemetry=telemetry,
+            )
+        )
+    return outcomes
+
+
+#: The round path each engine name selects: the all-DES oracle, or the router.
+ROUND_PATHS = {"des": run_des_rounds, "fastpath": committee_module.run_pbft_rounds}
+
+
+@contextlib.contextmanager
+def rounds_on(engine: str):
+    """Run every PBFT round inside the block on ``engine`` (a :data:`ROUND_PATHS` key).
+
+    Rebinds ``run_pbft_rounds`` in every loaded ``repro`` module that holds
+    the path in force, so callers that import it by name (the final
+    committee, ``traced_solve``) swap too.  Blocks nest: the path in force
+    before the block is restored after it.
+    """
+    path, previous = ROUND_PATHS[engine], committee_module.run_pbft_rounds
+    holders = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro.") and getattr(module, "run_pbft_rounds", None) is previous
+    ]
+    for module in holders:
+        module.run_pbft_rounds = path
+    try:
+        yield
+    finally:
+        for module in holders:
+            module.run_pbft_rounds = previous

@@ -20,6 +20,7 @@ from repro.chain.node import Node, spawn_nodes
 from repro.chain.params import ChainParams
 from repro.chain.pbft import run_pbft_round
 from repro.core.problem import MVComConfig
+from tests.pbft_oracle import rounds_on
 
 PARAMS = ChainParams(num_nodes=160, committee_size=8, seed=77)
 
@@ -147,7 +148,7 @@ class TestCommitteeArrays:
 
         monkeypatch.setattr(committee_module.Committee, "__init__", counting)
         params = ChainParams(num_nodes=480, committee_size=8, seed=5,
-                             byzantine_fraction=0.2, chain_engine="fastpath")
+                             byzantine_fraction=0.2)
         outcome = ElasticoSimulation(params).run_epoch()
         assert len(outcome.committees) > 1 and outcome.final is not None
         assert built[0] == 1
@@ -220,10 +221,11 @@ class TestQuorumInEpoch:
     @pytest.mark.parametrize("engine", ["des", "fastpath"])
     def test_committee_with_more_than_f_silent_members_submits(self, engine):
         """At c = 8 (f = 2, quorum 5) a member committee with 3 silent
-        members can still commit, and stage 3 lets it."""
-        params = ChainParams(num_nodes=480, committee_size=8, seed=5,
-                             byzantine_fraction=0.2, chain_engine=engine)
-        outcome = ElasticoSimulation(params).run_epoch()
+        members can still commit, and stage 3 lets it, on the router and
+        on the all-DES oracle."""
+        params = ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2)
+        with rounds_on(engine):
+            outcome = ElasticoSimulation(params).run_epoch()
         members = outcome.committees[:-1]
         submitted = [
             c for c in members

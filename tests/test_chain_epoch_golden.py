@@ -1,8 +1,8 @@
-"""Golden pins for whole Elastico epochs under both chain engines.
+"""Golden pins for whole Elastico epochs on the round router and the DES oracle.
 
 ``ElasticoSimulation.run_epoch`` is the one epoch body: stage 3 folds
 every committing committee into a ``CrosslinkAggregator`` and stage 4
-schedules straight off its arrays, whatever the engine.  Six epoch shapes
+schedules straight off its arrays, whatever runs the rounds.  Six epoch shapes
 are pinned byte for byte, each as the digest of everything an epoch
 exposes:
 
@@ -13,10 +13,13 @@ exposes:
 * the sha256 digest of the full telemetry record stream, with the
   ``wall``/``wall_dt`` fields stripped.
 
-The shapes cover the DES with Byzantine nodes, the fastpath with its
-kernel (view-change rows included), a lossy network under each engine (every
-round drains the DES) and mempool-driven epochs under each engine (the
-commit removes the permitted shards' transactions).
+The ``fastpath-*`` shapes run the production round router; the ``des-*``
+shapes run every round on the DES through the oracle swap
+``tests.pbft_oracle.rounds_on("des")``, as oracle goldens.  The shapes
+cover Byzantine nodes (the router's kernel takes view-change rows), a
+lossy network (every round drains the DES on both paths) and
+mempool-driven epochs (the commit removes the permitted shards'
+transactions).
 """
 
 import hashlib
@@ -32,26 +35,25 @@ from repro.core.problem import MVComConfig
 from repro.obs.sinks import RingBufferSink
 from repro.obs.telemetry import Telemetry
 
+from tests.pbft_oracle import rounds_on
+
 _LOSSY = NetworkParams(loss_probability=0.05)
 
-#: ``name -> (ChainParams, epochs, mempool transactions or 0)``.
+#: ``name -> (ChainParams, epochs, mempool transactions or 0)``; the name's
+#: prefix is the :data:`tests.pbft_oracle.ROUND_PATHS` key the shape runs on.
 EPOCH_SHAPES = {
     "des-byzantine": (
-        ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2,
-                    chain_engine="des"), 2, 0),
+        ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2), 2, 0),
     "fastpath-byzantine": (
-        ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2,
-                    chain_engine="fastpath"), 2, 0),
+        ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2), 2, 0),
     "des-lossy": (
-        ChainParams(num_nodes=240, committee_size=8, seed=3, network=_LOSSY,
-                    chain_engine="des"), 1, 0),
+        ChainParams(num_nodes=240, committee_size=8, seed=3, network=_LOSSY), 1, 0),
     "fastpath-lossy": (
-        ChainParams(num_nodes=240, committee_size=8, seed=3, network=_LOSSY,
-                    chain_engine="fastpath"), 1, 0),
+        ChainParams(num_nodes=240, committee_size=8, seed=3, network=_LOSSY), 1, 0),
     "des-mempool": (
-        ChainParams(num_nodes=120, committee_size=8, seed=61, chain_engine="des"), 2, 2_000),
+        ChainParams(num_nodes=120, committee_size=8, seed=61), 2, 2_000),
     "fastpath-mempool": (
-        ChainParams(num_nodes=120, committee_size=8, seed=61, chain_engine="fastpath"), 2, 2_000),
+        ChainParams(num_nodes=120, committee_size=8, seed=61), 2, 2_000),
 }
 
 
@@ -78,15 +80,16 @@ def _run_shape(name):
         pool = Mempool()
         pool.add_many(synthetic_transactions(transactions, np.random.default_rng(4)))
     pins = []
-    for _ in range(epochs):
-        outcome = sim.run_epoch(mempool=pool)
-        pins.append((
-            outcome.final.block.block_hash if outcome.final is not None else None,
-            _latency_digest(outcome.consensus_latencies),
-            _latency_digest(outcome.formation_latencies),
-            outcome.randomness,
-            len(pool) if pool is not None else None,
-        ))
+    with rounds_on(name.split("-")[0]):
+        for _ in range(epochs):
+            outcome = sim.run_epoch(mempool=pool)
+            pins.append((
+                outcome.final.block.block_hash if outcome.final is not None else None,
+                _latency_digest(outcome.consensus_latencies),
+                _latency_digest(outcome.formation_latencies),
+                outcome.randomness,
+                len(pool) if pool is not None else None,
+            ))
     records = [
         {k: v for k, v in record.items() if k not in ("wall", "wall_dt")}
         for record in ring.records
@@ -116,7 +119,9 @@ def _run_shape(name):
 #: ``fastpath-byzantine`` was re-recorded (those rounds draw kernel
 #: variates instead of replaying on the DES stream) and so was
 #: ``fastpath-mempool``'s telemetry digest (the chunk event gained
-#: ``view_change_rows``); its epochs are unchanged.
+#: ``view_change_rows``); its epochs are unchanged.  When the all-DES
+#: path left ``src/`` for ``tests/pbft_oracle.py``, the ``des-*`` shapes
+#: moved onto its swap with every digest unchanged.
 GOLDEN = {
     "des-byzantine": (
         [
@@ -231,10 +236,10 @@ class TestEpochGolden:
 
     @pytest.mark.parametrize("shape", ["byzantine", "lossy", "mempool"])
     def test_engines_share_formation(self, shape):
-        """Formation is one kernel under both engines, so the pinned
+        """Formation is one kernel on both round paths, so the pinned
         first-epoch formation digests of ``des-X`` and ``fastpath-X``
         agree (each is checked against a run above).  Later epochs form
-        from the randomness stage 5 draws after an engine-specific stage
+        from the randomness stage 5 draws after a path-specific stage
         3, so they differ by design."""
         des_pins, _ = GOLDEN[f"des-{shape}"]
         fast_pins, _ = GOLDEN[f"fastpath-{shape}"]

@@ -293,7 +293,7 @@ class TestThreadedKernelByteIdentity:
         _assert_chunking_bounds_peak_scratch()
 
     def test_streaming_epoch_is_worker_invariant(self, monkeypatch):
-        params = ChainParams(num_nodes=480, committee_size=8, seed=11, chain_engine="fastpath")
+        params = ChainParams(num_nodes=480, committee_size=8, seed=11)
         _pin_workers(monkeypatch, 1)
         base = ElasticoSimulation(params).run_epoch()
         _pin_workers(monkeypatch, 4, threaded=True)
@@ -371,7 +371,7 @@ class TestNodeTable:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(node_module.Node, "__init__", counting)
-        params = ChainParams(num_nodes=8_192, committee_size=64, seed=0, chain_engine="fastpath")
+        params = ChainParams(num_nodes=8_192, committee_size=64, seed=0)
         sim = ElasticoSimulation(params)
         assert built[0] == 0
         outcome = sim.run_epoch()
@@ -392,9 +392,7 @@ class TestNodeTable:
 
 class TestStreamingEpoch:
     def _params(self, **overrides):
-        defaults = dict(
-            num_nodes=480, committee_size=8, seed=11, chain_engine="fastpath"
-        )
+        defaults = dict(num_nodes=480, committee_size=8, seed=11)
         defaults.update(overrides)
         return ChainParams(**defaults)
 

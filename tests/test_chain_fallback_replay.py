@@ -255,7 +255,6 @@ class TestStage3:
         committee's consensus latency."""
         params = ChainParams(
             num_nodes=640, committee_size=16, seed=2, byzantine_fraction=0.2,
-            chain_engine="fastpath",
             network=NetworkParams(bandwidth_msgs_per_s=0.15, jitter_sigma=1.5),
         )
         replays = []
@@ -288,7 +287,6 @@ class TestStage3:
         members run in the kernel."""
         params = ChainParams(
             num_nodes=640, committee_size=16, seed=2, byzantine_fraction=0.25,
-            chain_engine="fastpath",
             network=NetworkParams(bandwidth_msgs_per_s=0.15, jitter_sigma=1.5),
         )
         ring = RingBufferSink()
@@ -335,7 +333,7 @@ GOLDEN_EPOCHS = {
 @pytest.mark.parametrize("seed", [0, 1])
 def test_golden_default_fraction_epochs(seed):
     ring = RingBufferSink()
-    params = ChainParams(num_nodes=4096, committee_size=128, seed=seed, chain_engine="fastpath")
+    params = ChainParams(num_nodes=4096, committee_size=128, seed=seed)
     sim = ElasticoSimulation(params, telemetry=Telemetry(sinks=[ring]))
     for epoch in range(2):
         outcome = sim.run_epoch_streaming()

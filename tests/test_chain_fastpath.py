@@ -10,7 +10,8 @@ fastpath must be
   RNG-buffer / address-scheme changes;
 * **distributionally indistinguishable** where the PBFT kernel block-draws
   its randomness: per-committee-size two-sample KS at alpha=0.01, every
-  round going through the one router ``run_pbft_rounds``; the rows whose
+  round going through the one router ``run_pbft_rounds`` and the DES
+  samples through the all-DES oracle of ``tests/pbft_oracle.py``; the rows whose
   leading members are Byzantine (the kernel's view-change prelude) form
   one family under Holm's correction at family-wise alpha=0.01, with the
   DES emitting the same telemetry shape;
@@ -24,11 +25,10 @@ import subprocess
 import sys
 import textwrap
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from repro.chain import committee as committee_module
 from repro.chain.committee import (
     Committee,
     assign_shard_workload,
@@ -54,15 +54,20 @@ from tests.formation_oracle import (
     run_overlay_configuration,
     run_pow_election,
 )
-from tests.pbft_oracle import reference_until_commit, replay_pbft_until_commit
+from tests.pbft_oracle import (
+    ROUND_PATHS,
+    reference_until_commit,
+    replay_pbft_until_commit,
+    rounds_on,
+)
 
 VERIFY_MEAN_S = 22.0
 
 
 def route(members, rng, network=None, engine="fastpath", tag="round-0", telemetry=None):
-    """One round through the router, as the final committee runs it."""
-    params = ChainParams(chain_engine=engine, network=network or NetworkParams())
-    (outcome,) = run_pbft_rounds(
+    """One round on ``engine``'s round path, as the final committee runs it."""
+    params = ChainParams(network=network or NetworkParams())
+    (outcome,) = ROUND_PATHS[engine](
         [Committee(committee_id=0, epoch=0, members=members)], [tag], params, rng,
         verify_mean_s=VERIFY_MEAN_S, telemetry=telemetry or NULL_TELEMETRY,
     )
@@ -210,7 +215,7 @@ class TestViewChangeRows:
 
 class TestFallbacks:
     def test_lossy_network_falls_back_byte_identical(self):
-        """A lossy round drains the whole DES under either engine."""
+        """A lossy round drains the whole DES on the router and the oracle."""
         seed = 11
         net = NetworkParams(loss_probability=0.05)
         members = spawn_nodes(count=8, byzantine_fraction=0.0, rng=spawn_rng(seed, "members"))
@@ -243,7 +248,7 @@ class TestFallbacks:
         by search)."""
         members = spawn_nodes(count=4, byzantine_fraction=0.0, rng=spawn_rng(1, "m"))
         ring = RingBufferSink(1024)
-        params = ChainParams(chain_engine="fastpath", network=NetworkParams(jitter_sigma=3.5))
+        params = ChainParams(network=NetworkParams(jitter_sigma=3.5))
         run_pbft_rounds(
             [Committee(committee_id=0, epoch=0, members=members)], ["timeout-case"],
             params, spawn_rng(1, "r"), verify_mean_s=0.05, telemetry=Telemetry(sinks=[ring]),
@@ -268,43 +273,67 @@ class TestFallbacks:
         with pytest.raises(ValueError):
             route(members, spawn_rng(0, "round"))
 
+    def test_default_epoch_replays_only_its_fallbacks(self, monkeypatch):
+        """A default-parameter epoch has Byzantine members (at seed 3,
+        four committees are led by them) and runs those committees in the
+        kernel's view-change rows: the reference ``run_pbft_round`` runs
+        exactly once per ``chain.fastpath.fallback`` event, for that
+        event's round, and for no other."""
+        replayed = []
+
+        def recording_round(**kwargs):
+            replayed.append(kwargs["round_tag"])
+            return run_pbft_round(**kwargs)
+
+        monkeypatch.setattr(committee_module, "run_pbft_round", recording_round)
+        ring = RingBufferSink()
+        ElasticoSimulation(ChainParams(seed=3), telemetry=Telemetry(sinks=[ring])).run_epoch()
+        records = ring.records
+        assert replayed == [r["tag"] for r in records if r.get("name") == "chain.fastpath.fallback"]
+        view_change_rows = sum(
+            r["view_change_rows"] for r in records if r.get("name") == "chain.fastpath.chunks"
+        )
+        assert view_change_rows >= 1
+
 
 class TestBatchedRounds:
-    """Stage 3 on the fastpath engine runs one (K, c, c) kernel call per
-    epoch (run_intra_consensus_streaming) plus DES replays for the
-    ineligible committees."""
+    """Stage 3 runs one (K, c, c) kernel call per epoch
+    (run_intra_consensus_streaming) plus DES replays for the ineligible
+    committees; the all-DES oracle runs every round on the DES."""
 
     def test_lossy_epoch_byte_identical_to_des(self):
         """With a lossy network the kernel draws nothing, every committee
         replays under the DES in order, and the whole epoch -- consensus
-        latencies included -- must equal the pure DES epoch exactly."""
+        latencies included -- must equal the all-DES oracle epoch exactly."""
         params = ChainParams(
             num_nodes=240,
             committee_size=8,
             seed=3,
             network=NetworkParams(loss_probability=0.05),
         )
-        des = ElasticoSimulation(replace(params, chain_engine="des")).run_epoch()
-        fast = ElasticoSimulation(replace(params, chain_engine="fastpath")).run_epoch()
+        with rounds_on("des"):
+            des = ElasticoSimulation(params).run_epoch()
+        fast = ElasticoSimulation(params).run_epoch()
         assert des.formation_latencies == fast.formation_latencies
         assert des.consensus_latencies == fast.consensus_latencies
         assert des.randomness == fast.randomness
 
     def test_des_and_fastpath_commit_the_same_committees(self):
-        """Stage 3 under both engines submits exactly the same committee
+        """Stage 3 on the router and the oracle submits exactly the same committee
         ids with the same s_i and formation latencies (consensus
         latencies differ: independent draws)."""
         params = ChainParams(num_nodes=480, committee_size=8, seed=11)
         submissions = {}
         for engine in ("des", "fastpath"):
-            sim = ElasticoSimulation(replace(params, chain_engine=engine))
+            sim = ElasticoSimulation(params)
             rng = sim.streams.fork("epoch-0").get("epoch")
             committees = sim.form_committees(rng)
             assign_shard_workload(committees, np.arange(len(committees)) + 1000)
             aggregator = CrosslinkAggregator()
-            submitted = run_intra_consensus_streaming(
-                committees, sim.params, rng, aggregator
-            )
+            with rounds_on(engine):
+                submitted = run_intra_consensus_streaming(
+                    committees, sim.params, rng, aggregator
+                )
             assert submitted == aggregator.count > 0
             formation = np.array(
                 [c.formation_latency for c in committees if c.consensus_latency is not None]
@@ -322,9 +351,8 @@ class TestBatchedRounds:
         base = ChainParams(num_nodes=100, committee_size=8, seed=7)
         samples = {}
         for engine in ("des", "fastpath"):
-            (m,) = measure_two_phase_latency(
-                base, [400], epochs_per_size=3, chain_engine=engine
-            )
+            with rounds_on(engine):
+                (m,) = measure_two_phase_latency(base, [400], epochs_per_size=3)
             samples[engine] = m.consensus_latencies
         _, _, rejected = ks_two_sample(samples["des"], samples["fastpath"], alpha=0.01)
         assert not rejected
@@ -409,8 +437,9 @@ class TestFormationByteIdentity:
 
     def test_epoch_formation_latencies_identical(self):
         params = ChainParams(num_nodes=240, committee_size=8, seed=9)
-        des = ElasticoSimulation(replace(params, chain_engine="des")).run_epoch()
-        fast = ElasticoSimulation(replace(params, chain_engine="fastpath")).run_epoch()
+        with rounds_on("des"):
+            des = ElasticoSimulation(params).run_epoch()
+        fast = ElasticoSimulation(params).run_epoch()
         assert des.formation_latencies == fast.formation_latencies
 
     def test_formation_kernel_validates_inputs(self):
@@ -472,16 +501,17 @@ _HASHSEED_PROBE = textwrap.dedent(
     from repro.chain.params import ChainParams, NetworkParams
     from repro.chain.pbft import run_pbft_round
     from repro.sim.rng import spawn_rng
+    from tests.pbft_oracle import rounds_on
 
     members = spawn_nodes(count=8, byzantine_fraction=0.1, rng=spawn_rng(3, "members"))
     outcome = run_pbft_round(
         members=members, rng=spawn_rng(3, "round"),
         network_params=NetworkParams(), verify_mean_s=22.0,
     )
-    epoch = ElasticoSimulation(ChainParams(num_nodes=160, committee_size=8, seed=3)).run_epoch()
-    fast = ElasticoSimulation(
-        ChainParams(num_nodes=160, committee_size=8, seed=3, chain_engine="fastpath")
-    ).run_epoch()
+    params = ChainParams(num_nodes=160, committee_size=8, seed=3)
+    with rounds_on("des"):
+        epoch = ElasticoSimulation(params).run_epoch()
+    fast = ElasticoSimulation(params).run_epoch()
     print(json.dumps({
         "commit": outcome.commit_time,
         "stages": outcome.stage_times,
@@ -518,11 +548,11 @@ class TestHashSeedIndependence:
 class TestMeasurementFastpath:
     def test_linear_growth_on_fastpath(self):
         """Fig. 2a's claim (near-linear formation growth) holds on the
-        fastpath engine too -- formation is byte-identical to the DES, so
-        the fit comes out the same shape."""
+        round router too -- formation is byte-identical to the DES oracle's,
+        so the fit comes out the same shape."""
         params = ChainParams(num_nodes=100, committee_size=8, seed=5)
         measurements = measure_two_phase_latency(
-            params, (100, 250, 400, 700), epochs_per_size=1, chain_engine="fastpath"
+            params, (100, 250, 400, 700), epochs_per_size=1
         )
         fit = linear_growth_check(measurements)
         assert fit["slope"] > 0
@@ -530,13 +560,13 @@ class TestMeasurementFastpath:
 
     def test_formation_matches_des_measurement(self):
         params = ChainParams(num_nodes=100, committee_size=8, seed=1)
-        des = measure_two_phase_latency(params, (100, 200), epochs_per_size=1, chain_engine="des")
-        fast = measure_two_phase_latency(
-            params, (100, 200), epochs_per_size=1, chain_engine="fastpath"
-        )
+        with rounds_on("des"):
+            des = measure_two_phase_latency(params, (100, 200), epochs_per_size=1)
+        fast = measure_two_phase_latency(params, (100, 200), epochs_per_size=1)
         for a, b in zip(des, fast):
             assert a.formation_latencies == b.formation_latencies
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            ChainParams(chain_engine="warp")
+        """The all-DES path is no engine any more: it is the test oracle."""
+        with pytest.raises(ValueError, match="tests/pbft_oracle.py"):
+            ChainParams(chain_engine="des")

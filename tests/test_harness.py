@@ -1,13 +1,11 @@
 """Tests for the experiment harness (presets, report, small experiment runs)."""
 
-import argparse
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.harness.cli import runner_kwargs
 from repro.harness.experiments import (
     run_fig02_two_phase_latency,
     run_fig08_parallel_threads,
@@ -190,19 +188,3 @@ class TestExperimentsSmoke:
         failure = run_theory_failure()
         assert all(row["tv_ok"] and row["perturbation_ok"] for row in failure["rows"])
         assert failure["space"]["removed_fraction"] == 0.5
-
-
-class TestCliWiring:
-    def args(self, **overrides):
-        base = dict(chain_engine=None)
-        base.update(overrides)
-        return argparse.Namespace(**base)
-
-    def test_fig02_receives_chain_engine(self):
-        kwargs = runner_kwargs("fig02", self.args(chain_engine="fastpath"))
-        assert kwargs == {"chain_engine": "fastpath"}
-        assert runner_kwargs("fig02", self.args()) == {}
-
-    def test_other_figures_keep_zero_arg_calls(self):
-        for name in ("fig08", "fig10", "fig14", "theory_mixing"):
-            assert runner_kwargs(name, self.args(chain_engine="fastpath")) == {}

@@ -46,9 +46,9 @@ def test_traced_solve_stream_carries_all_layers(small_run):
     records = read_jsonl(path)
     assert len(records) == len(run.records)
     names = {r["name"] for r in records}
-    # SE events, sim-engine stats, chain-phase span, profiling -- one stream.
+    # SE events, the chain layer's kernel round, profiling -- one stream.
     assert {"se.transition", "se.reset_broadcasts", "se.round"} <= names
-    assert "sim.run" in names
+    assert "chain.fastpath.chunks" in names
     assert "profile.hotspots" in names
     spans = {r["name"] for r in records if r["type"] == "span"}
     assert "chain.pbft.round" in spans
@@ -141,8 +141,7 @@ def _chain_records():
     """Two fastpath epochs with Byzantine nodes: tagged sim-time spans."""
     ring = RingBufferSink(capacity=1_000_000)
     sim = ElasticoSimulation(
-        ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2,
-                    chain_engine="fastpath"),
+        ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2),
         telemetry=Telemetry(sinks=[ring]),
     )
     for _ in range(2):

@@ -9,7 +9,7 @@ import pytest
 from repro.chain.committee import calibrated_verify_mean
 from repro.chain.elastico import ElasticoSimulation
 from repro.chain.node import spawn_nodes
-from repro.chain.params import CHAIN_ENGINE_NAMES, ChainParams
+from repro.chain.params import ChainParams
 from repro.chain.pbft import run_pbft_round
 from repro.core.dynamics import fail_and_recover_schedule
 from repro.core.se import SEConfig, StochasticExploration
@@ -22,6 +22,7 @@ from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import RandomStreams
 
+from tests.pbft_oracle import ROUND_PATHS, rounds_on
 from tests.serial_oracle import racing
 
 
@@ -364,15 +365,14 @@ def test_disabled_hub_receives_no_emission_from_storms():
     assert hub.calls == []
 
 
-@pytest.mark.parametrize("chain_engine", CHAIN_ENGINE_NAMES)
-def test_disabled_hub_receives_no_emission_from_chain_epochs(chain_engine):
-    # Byzantine members drive the fastpath's DES fallback replays too.
-    params = ChainParams(
-        num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2,
-        chain_engine=chain_engine,
-    )
+@pytest.mark.parametrize("engine", sorted(ROUND_PATHS))
+def test_disabled_hub_receives_no_emission_from_chain_epochs(engine):
+    # Byzantine members drive the kernel's view-change rows; the all-DES
+    # oracle runs every round on the reference DES.
+    params = ChainParams(num_nodes=480, committee_size=8, seed=5, byzantine_fraction=0.2)
     hub = _CountingNullHub()
     sim = ElasticoSimulation(params, telemetry=hub)
-    for _ in range(2):
-        sim.run_epoch()
+    with rounds_on(engine):
+        for _ in range(2):
+            sim.run_epoch()
     assert hub.calls == []
